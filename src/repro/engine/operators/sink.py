@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.engine.data import ColumnarData, PartitionedData
 from repro.engine.operators.base import ExecState, OperatorData, PhysicalOperator
-from repro.stats.collector import StatisticsCollector
+from repro.stats.collector import StatisticsCollector, pivot_rows
 from repro.storage.ingest import register_intermediate
 
 
@@ -80,8 +80,7 @@ class SinkOp(PhysicalOperator):
             tracked = [c for c in self.stats_columns if c in projected.columns]
             collector = StatisticsCollector(tracked)
             for partition in projected.partitions:
-                for row in partition:
-                    collector.observe_row(row)
+                collector.observe_columns(pivot_rows(partition, tracked), len(partition))
             self._finish_stats(state, projected, collector, tracked)
         else:
             # Register row count / width only: even without online sketches the

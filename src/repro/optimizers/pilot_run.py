@@ -28,7 +28,7 @@ from repro.core.driver import DynamicOptimizer
 from repro.engine.metrics import JobMetrics
 from repro.lang.ast import EvaluationContext, Query
 from repro.stats.catalog import DatasetStatistics, StatisticsCatalog
-from repro.stats.collector import FieldStatistics, StatisticsCollector
+from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
 
 
 @dataclass
@@ -128,22 +128,22 @@ class PilotRunOptimizer(DynamicOptimizer):
         predicates = query.predicates_for(alias)
         prefix = f"{alias}."
 
-        collector = StatisticsCollector(list(dataset.schema.field_names))
         scanned = 0
-        outputs = 0
+        sample: list[dict] = []
         for row in dataset.rows():
             scanned += 1
             if predicates:
                 qualified = {prefix + key: value for key, value in row.items()}
                 if not all(p.evaluate(qualified, context) for p in predicates):
                     continue
-            outputs += 1
-            collector.observe_row(row)
-            if outputs >= self.sample_limit:
+            sample.append(row)
+            if len(sample) >= self.sample_limit:
                 break
+        collector = StatisticsCollector(list(dataset.schema.field_names))
+        collector.observe_columns(pivot_rows(sample, collector.fields), len(sample))
 
         total = dataset.row_count
-        selectivity = outputs / scanned if scanned else 0.0
+        selectivity = len(sample) / scanned if scanned else 0.0
         estimated_rows = max(0.0, total * selectivity)
         scale = total / scanned if scanned else 1.0
         fields = {

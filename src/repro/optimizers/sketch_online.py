@@ -44,7 +44,7 @@ from repro.obs.trace import Tracer
 from repro.optimizers.base import Optimizer
 from repro.optimizers.enumeration import best_bushy_plan
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import FieldStatistics, StatisticsCollector
+from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
 
 
 class SketchOnlineOptimizer(Optimizer):
@@ -132,15 +132,17 @@ class SketchOnlineOptimizer(Optimizer):
         merged: dict[str, FieldStatistics] = {
             name: FieldStatistics(name) for name in columns
         }
+
+        def qualifies(row: dict) -> bool:
+            qualified = {prefix + key: value for key, value in row.items()}
+            return all(p.evaluate(qualified, context) for p in predicates)
+
         qualified_rows = 0
         for partition in dataset.partitions:
+            if predicates:
+                partition = [row for row in partition if qualifies(row)]
             collector = StatisticsCollector(columns)
-            for row in partition:
-                if predicates:
-                    qualified = {prefix + key: value for key, value in row.items()}
-                    if not all(p.evaluate(qualified, context) for p in predicates):
-                        continue
-                collector.observe_row(row)
+            collector.observe_columns(pivot_rows(partition, columns), len(partition))
             qualified_rows += collector.row_count
             for name, stats in collector.fields.items():
                 merged[name] = merged[name].merge(stats)

@@ -27,7 +27,7 @@ import os
 import warnings
 
 from repro.common.errors import StatisticsError
-from repro.common.rng import stable_hash
+from repro.common.rng import stable_hash, stable_hash_of_repr
 from repro.common.types import Schema
 from repro.core.policy import FeedbackLog, ReplanPolicy, RuntimeThresholds
 from repro.stats.catalog import DatasetStatistics
@@ -47,6 +47,19 @@ def query_group_key(query) -> str:
     return dataset_group_key(tuple({table.dataset for table in tables}))
 
 
+def _row_shape(keys: tuple) -> tuple[list, str]:
+    """Sorted ``keys`` and, for rows with exactly those keys, the text of
+    ``repr((acc, tuple((key, repr(row[key])) for key in order)))`` as a
+    ``%`` template over ``(acc, *(repr(repr(row[key])) for key in order))``.
+
+    The token folds that repr for every row; per distinct key set, the sort
+    and the punctuation are paid once instead of once per row.
+    """
+    order = sorted(keys)
+    pairs = ", ".join("(" + repr(key).replace("%", "%%") + ", %s)" for key in order)
+    return order, "(%d, (" + pairs + ("," if len(order) == 1 else "") + "))"
+
+
 def ingest_token(schema: Schema, rows: list[dict], scale: float) -> str:
     """Content token of one ingestion: schema layout + every row + scale.
 
@@ -64,8 +77,16 @@ def ingest_token(schema: Schema, rows: list[dict], scale: float) -> str:
             repr(scale),
         )
     )
+    templates: dict[tuple, tuple[list, str]] = {}
     for row in rows:
-        acc = stable_hash((acc, tuple(sorted((k, repr(v)) for k, v in row.items()))))
+        keys = tuple(row)
+        shape = templates.get(keys)
+        if shape is None:
+            shape = templates[keys] = _row_shape(keys)
+        order, template = shape
+        acc = stable_hash_of_repr(
+            template % (acc, *[repr(repr(row[key])) for key in order])
+        )
     return f"{acc:016x}"
 
 

@@ -1,14 +1,12 @@
-"""Statistical sketches: GK quantiles, HyperLogLog, histograms, reservoirs."""
+"""Statistical sketches: GK quantiles, HyperLogLog, histograms."""
 
 from repro.sketches.gk import GKQuantileSketch
 from repro.sketches.histogram import Bucket, EquiHeightHistogram
 from repro.sketches.hyperloglog import HyperLogLog
-from repro.sketches.reservoir import ReservoirSample
 
 __all__ = [
     "Bucket",
     "EquiHeightHistogram",
     "GKQuantileSketch",
     "HyperLogLog",
-    "ReservoirSample",
 ]

@@ -4,7 +4,10 @@ The paper (Section 4) collects quantile sketches following the
 Greenwald-Khanna algorithm [Wang et al., SIGMOD 2013 study] to extract the
 right borders of equi-height histogram buckets. This module implements the
 classic GK summary: a sorted list of tuples ``(value, g, delta)`` where the
-rank of ``value`` is known to within ``epsilon * n``.
+rank of ``value`` is known to within ``epsilon * n`` — ``g`` is the gap between
+a tuple's minimum rank and the previous tuple's, ``delta`` the uncertainty in
+its rank. The tuples are held as three parallel lists, so a flush bisects the
+values directly and allocates nothing per inserted value.
 
 The sketch supports streaming insertion, merging (needed because statistics
 are collected per partition and merged at the re-optimization point), rank and
@@ -13,22 +16,9 @@ quantile queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
 
 from repro.common.errors import StatisticsError
-
-
-@dataclass
-class _Entry:
-    """One GK summary tuple.
-
-    ``g`` is the gap between this entry's minimum rank and the previous
-    entry's, ``delta`` the uncertainty in the entry's rank.
-    """
-
-    value: float
-    g: int
-    delta: int
 
 
 class GKQuantileSketch:
@@ -46,7 +36,9 @@ class GKQuantileSketch:
         if not 0 < epsilon < 1:
             raise StatisticsError(f"epsilon must be in (0, 1), got {epsilon}")
         self.epsilon = epsilon
-        self._entries: list[_Entry] = []
+        self._values: list[float] = []
+        self._gaps: list[int] = []
+        self._deltas: list[int] = []
         self._count = 0
         self._buffer: list[float] = []
         # Buffering amortizes insertion cost: we sort and bulk-insert.
@@ -68,57 +60,71 @@ class GKQuantileSketch:
             self._flush()
 
     def extend(self, values) -> None:
-        """Insert an iterable of values."""
-        for value in values:
-            self.add(value)
+        """Insert a batch: state ends exactly as after ``add`` of each value.
+
+        The buffer is topped up in slices and flushed at the same fills as
+        ``add`` would, because the summary depends on where the flushes
+        (sort + compress) fall in the stream.
+        """
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        buffer, cap = self._buffer, self._buffer_cap
+        start = 0
+        while start < len(values):
+            room = cap - len(buffer)
+            buffer.extend(values[start : start + room])
+            start += room
+            if len(buffer) >= cap:
+                self._flush()
 
     def _flush(self) -> None:
         if not self._buffer:
             return
         self._quantile_cache.clear()
+        values, gaps, deltas = self._values, self._gaps, self._deltas
+        count, band, size = self._count, 2 * self.epsilon, len(values)
         for value in sorted(self._buffer):
-            self._insert_sorted(value)
+            count += 1
+            # First entry with a value not below this one.
+            at = bisect_left(values, value)
+            if at == 0 or at == size:
+                # New minimum or maximum is always exact.
+                deltas.insert(at, 0)
+            else:
+                # _threshold() - 1 as of this insertion, spelled without calls.
+                threshold = int(band * count)
+                deltas.insert(at, threshold - 1 if threshold > 1 else 0)
+            values.insert(at, value)
+            gaps.insert(at, 1)
+            size += 1
+        self._count = count
         self._buffer.clear()
         self._compress()
-
-    def _insert_sorted(self, value: float) -> None:
-        entries = self._entries
-        self._count += 1
-        threshold = self._threshold()
-        # Find the first entry with a larger value.
-        lo, hi = 0, len(entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entries[mid].value < value:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0 or lo == len(entries):
-            # New minimum or maximum is always exact.
-            entries.insert(lo, _Entry(value, 1, 0))
-        else:
-            delta = max(0, threshold - 1)
-            entries.insert(lo, _Entry(value, 1, delta))
 
     def _threshold(self) -> int:
         return max(1, int(2 * self.epsilon * self._count))
 
     def _compress(self) -> None:
-        entries = self._entries
-        if len(entries) < 3:
+        values, gaps, deltas = self._values, self._gaps, self._deltas
+        if len(values) < 3:
             return
         threshold = self._threshold()
-        out = [entries[0]]
-        # Merge adjacent entries while the combined band stays within budget.
-        for entry in entries[1:-1]:
-            last = out[-1]
-            if last is not entries[0] and last.g + entry.g + entry.delta <= threshold:
-                entry.g += last.g
-                out[-1] = entry
+        out_values, out_gaps, out_deltas = values[:1], gaps[:1], deltas[:1]
+        # Merge adjacent entries while the combined band stays within budget;
+        # the first and last entries (exact minimum and maximum) never merge.
+        tail_gap = None  # gap of the output's tail once it is past the first entry
+        for value, gap, delta in zip(values[1:-1], gaps[1:-1], deltas[1:-1]):
+            if tail_gap is not None and tail_gap + gap + delta <= threshold:
+                tail_gap += gap
+                out_values[-1], out_gaps[-1], out_deltas[-1] = value, tail_gap, delta
             else:
-                out.append(entry)
-        out.append(entries[-1])
-        self._entries = out
+                tail_gap = gap
+                out_values.append(value)
+                out_gaps.append(gap)
+                out_deltas.append(delta)
+        out_values.append(values[-1])
+        out_gaps.append(gaps[-1])
+        out_deltas.append(deltas[-1])
+        self._values, self._gaps, self._deltas = out_values, out_gaps, out_deltas
 
     def rank(self, value: float) -> int:
         """Approximate number of inserted values ``<= value``."""
@@ -126,10 +132,10 @@ class GKQuantileSketch:
         if self._count == 0:
             return 0
         rmin = 0
-        for entry in self._entries:
-            if entry.value > value:
+        for entry_value, gap in zip(self._values, self._gaps):
+            if entry_value > value:
                 return rmin
-            rmin += entry.g
+            rmin += gap
         return self._count
 
     def quantile(self, q: float) -> float:
@@ -145,14 +151,12 @@ class GKQuantileSketch:
         target = q * (self._count - 1) + 1
         budget = self._threshold() / 2 + 1
         rmin = 0
-        result = self._entries[-1].value
-        for i, entry in enumerate(self._entries):
-            rmin += entry.g
-            rmax = rmin + entry.delta
-            if target <= rmax + budget or i == len(self._entries) - 1:
-                if rmin + budget >= target:
-                    result = entry.value
-                    break
+        result = self._values[-1]
+        for value, gap, delta in zip(self._values, self._gaps, self._deltas):
+            rmin += gap
+            if target <= rmin + delta + budget and rmin + budget >= target:
+                result = value
+                break
         self._quantile_cache[q] = result
         return result
 
@@ -170,14 +174,14 @@ class GKQuantileSketch:
         self._flush()
         if self._count == 0:
             raise StatisticsError("empty sketch has no minimum")
-        return self._entries[0].value
+        return self._values[0]
 
     @property
     def maximum(self) -> float:
         self._flush()
         if self._count == 0:
             raise StatisticsError("empty sketch has no maximum")
-        return self._entries[-1].value
+        return self._values[-1]
 
     def merge(self, other: GKQuantileSketch) -> GKQuantileSketch:
         """Merge two sketches into a new one.
@@ -189,11 +193,13 @@ class GKQuantileSketch:
         self._flush()
         other._flush()
         merged = GKQuantileSketch(max(self.epsilon, other.epsilon))
-        entries = sorted(
-            (_Entry(e.value, e.g, e.delta) for e in self._entries + other._entries),
-            key=lambda e: e.value,
-        )
-        merged._entries = entries
+        values = self._values + other._values
+        gaps = self._gaps + other._gaps
+        deltas = self._deltas + other._deltas
+        order = sorted(range(len(values)), key=values.__getitem__)
+        merged._values = [values[i] for i in order]
+        merged._gaps = [gaps[i] for i in order]
+        merged._deltas = [deltas[i] for i in order]
         merged._count = self._count + other._count
         merged._compress()
         return merged
@@ -201,7 +207,7 @@ class GKQuantileSketch:
     def summary_size(self) -> int:
         """Number of retained summary entries (space bound check)."""
         self._flush()
-        return len(self._entries)
+        return len(self._values)
 
     # -- persistence ----------------------------------------------------------
 
@@ -217,7 +223,7 @@ class GKQuantileSketch:
         return {
             "epsilon": self.epsilon,
             "count": self._count,
-            "entries": [[e.value, e.g, e.delta] for e in self._entries],
+            "entries": [list(e) for e in zip(self._values, self._gaps, self._deltas)],
         }
 
     @classmethod
@@ -225,7 +231,8 @@ class GKQuantileSketch:
         """Rebuild a sketch from :meth:`to_state` output."""
         sketch = cls(state["epsilon"])
         sketch._count = int(state["count"])
-        sketch._entries = [
-            _Entry(value, int(g), int(delta)) for value, g, delta in state["entries"]
-        ]
+        for value, gap, delta in state["entries"]:
+            sketch._values.append(value)
+            sketch._gaps.append(int(gap))
+            sketch._deltas.append(int(delta))
         return sketch

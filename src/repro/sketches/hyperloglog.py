@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from repro.common.errors import StatisticsError
-from repro.common.rng import stable_hash
+from repro.common.rng import distinct_stable_hashes, stable_hash
 
 
 def _alpha(m: int) -> float:
@@ -47,23 +47,28 @@ class HyperLogLog:
 
     def add(self, value: object) -> None:
         """Insert one value (any hashable/reprable object)."""
-        h = stable_hash(value)
-        index = h & (self._m - 1)
-        remaining = h >> self.precision
-        # Rank of the first set bit in the remaining 64-p bits (1-based).
-        rank = 1
-        bits = 64 - self.precision
-        while remaining & 1 == 0 and rank <= bits:
-            rank += 1
-            remaining >>= 1
-        if rank > self._registers[index]:
-            self._registers[index] = rank
-            self._cardinality_cache = None
+        self._observe((stable_hash(value),))
         self._count += 1
 
     def extend(self, values) -> None:
-        for value in values:
-            self.add(value)
+        """Insert a batch: state ends exactly as after ``add`` of each value.
+
+        Registers are a running max, so only the distinct hashes matter.
+        """
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        self._observe(distinct_stable_hashes(values))
+        self._count += len(values)
+
+    def _observe(self, hashes) -> None:
+        registers, mask, shift = self._registers, self._m - 1, self.precision
+        for h in hashes:
+            remaining = h >> shift
+            # 1-based position of the lowest set bit of the remaining 64-p
+            # bits; one past them when there is none.
+            rank = (remaining & -remaining).bit_length() or 65 - shift
+            if rank > registers[h & mask]:
+                registers[h & mask] = rank
+                self._cardinality_cache = None
 
     def cardinality(self) -> float:
         """Estimated number of distinct inserted values.

@@ -26,14 +26,25 @@ class FieldStatistics:
     distinct: HyperLogLog = field(default_factory=HyperLogLog)
     null_count: int = 0
 
-    def observe(self, value: object) -> None:
-        if value is None:
-            self.null_count += 1
+    def observe_column(self, values) -> None:
+        """Feed one batch of this field's values, in row order.
+
+        The single collection path: nulls are counted, every other value
+        goes to the HLL, and ints/floats (bools included, by ``isinstance``)
+        also go to the GK sketch as floats. Sketch state is a function of
+        the value sequence alone, never of how it was batched.
+        """
+        present = [value for value in values if value is not None]
+        self.null_count += len(values) - len(present)
+        if not present:
             return
-        self.distinct.add(value)
-        numeric = _as_numeric(value)
-        if numeric is not None:
-            self.quantiles.add(numeric)
+        self.distinct.extend(present)
+        kinds = set(map(type, present))
+        numeric = tuple(kind for kind in kinds if issubclass(kind, (int, float)))
+        if len(numeric) == len(kinds):
+            self.quantiles.extend(list(map(float, present)))
+        elif numeric:
+            self.quantiles.extend([float(v) for v in present if isinstance(v, numeric)])
 
     @property
     def distinct_count(self) -> float:
@@ -73,12 +84,9 @@ class FieldStatistics:
         return restored
 
 
-def _as_numeric(value: object) -> float | None:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
-        return float(value)
-    return None
+def pivot_rows(rows, names) -> dict[str, list]:
+    """Row dicts to one value list per name, in row order (absent reads None)."""
+    return {name: [row.get(name) for row in rows] for name in names}
 
 
 class StatisticsCollector:
@@ -98,29 +106,25 @@ class StatisticsCollector:
         self.row_count = 0
 
     def observe_row(self, row: dict) -> None:
-        self.row_count += 1
-        for name, stats in self.fields.items():
-            stats.observe(row.get(name))
+        self.observe_rows([row])
 
     def observe_rows(self, rows) -> None:
-        for row in rows:
-            self.observe_row(row)
+        """Observe a batch of row dicts — the ingestion entry point."""
+        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        self.row_count += len(rows)
+        for name, column in pivot_rows(rows, self.fields).items():
+            self.fields[name].observe_column(column)
 
     def observe_columns(self, columns: dict, length: int) -> None:
-        """Columnar twin of ``observe_row`` over a batch of parallel columns.
-
-        Sketch state depends only on the per-field sequence of observed
-        values, so feeding each tracked field its column in row order leaves
-        GK/HLL state identical to ``length`` calls of ``observe_row``.
-        """
+        """Observe a batch held as parallel columns of ``length`` rows — the
+        query-time entry point (Sink, pilot samples, pre-filtering passes)."""
         self.row_count += length
         for name, stats in self.fields.items():
             column = columns.get(name)
             if column is None:
                 stats.null_count += length
-                continue
-            for value in column:
-                stats.observe(value)
+            else:
+                stats.observe_column(column)
 
     @property
     def tracked_field_names(self) -> list[str]:

@@ -15,7 +15,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
-from repro.common.rng import stable_hash
+from repro.common.rng import stable_hashes
 from repro.common.types import Schema
 from repro.storage.index import SecondaryIndex
 
@@ -176,7 +176,7 @@ def partition_rows(
         for i, row in enumerate(rows):
             partitions[i % partition_count].append(row)
     else:
-        for row in rows:
-            slot = stable_hash(row.get(partition_key)) % partition_count
-            partitions[slot].append(row)
+        hashes = stable_hashes([row.get(partition_key) for row in rows])
+        for row, key_hash in zip(rows, hashes):
+            partitions[key_hash % partition_count].append(row)
     return partitions

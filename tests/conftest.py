@@ -6,6 +6,7 @@ import random
 
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
 
@@ -131,3 +132,71 @@ def star_session():
 @pytest.fixture
 def star():
     return build_star_session(), star_query()
+
+
+# -- sketch-collection property inputs ---------------------------------------------
+
+#: One value as the collectors may see it. The small pools make the
+#: collisions that matter likely: ``1``/``1.0``/``True`` and ``0.0``/``-0.0``
+#: compare equal but hash apart, NaNs the reverse, and ints beyond 2**127
+#: leave ``stable_hash``'s fixed-width encoding.
+_MIXED_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from(
+        [2**127 - 1, 2**127, -(2**127), -(2**127) - 1, 0.0, -0.0, 1.0, 2.0, -3.0,
+         float("nan"), float("inf"), float("-inf")]
+    ),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.tuples(st.integers(-1, 1), st.sampled_from([1, 1.0, True, "1", None])),
+)  # fmt: skip
+
+
+@st.composite
+def mixed_column_batches(draw) -> list[list]:
+    """A column of mixed values, cut into batches of arbitrary sizes.
+
+    Lengths straddle GK's 100-value insert buffer; a batch may be empty.
+    """
+    column = draw(st.lists(_MIXED_VALUE, max_size=260))
+    cuts = sorted(draw(st.lists(st.integers(0, len(column)), max_size=6)))
+    edges = [0, *cuts, len(column)]
+    return [column[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def same_state(left: dict, right: dict) -> bool:
+    """Sketch ``to_state()`` equality that keeps ``0.0``/``-0.0`` apart and
+    lets NaN equal itself (both are what ``repr`` shows)."""
+    return repr(left) == repr(right)
+
+
+class _LoadTap:
+    """Stands in for a session in ``WorkloadSpec.load_into``: keeps the calls."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def load(self, name, schema, rows, scale=1.0, replace=False):
+        self.calls.append((name, schema, rows, scale))
+
+
+@pytest.fixture(scope="session")
+def suite_universes() -> dict[str, list[tuple]]:
+    """universe -> ``(name, schema, rows, scale)`` per table, at SF 10, seed 42."""
+    from repro.workloads import get_workload
+
+    universes = {}
+    for universe in ("tpch", "tpcds", "job"):
+        tap = _LoadTap()
+        get_workload(universe, 10, 42).load_into(tap)
+        universes[universe] = tap.calls
+    return universes
+
+
+@pytest.fixture(scope="session")
+def suite_tables(suite_universes) -> list[tuple]:
+    """The 21 suite tables of :func:`suite_universes`, flattened."""
+    return [call for calls in suite_universes.values() for call in calls]

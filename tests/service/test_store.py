@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.common.errors import StatisticsError
+from repro.common.rng import stable_hash
 from repro.common.types import DataType, Schema
 from repro.core.policy import ReplanPolicy
 from repro.service import QueryService, ServiceConfig, ServiceStore, ingest_token
@@ -48,6 +49,44 @@ class TestIngestToken:
     def test_scale_changes_token(self):
         assert ingest_token(self.SCHEMA, self.ROWS, 1.0) != ingest_token(
             self.SCHEMA, self.ROWS, 2.0
+        )
+
+    @staticmethod
+    def per_row_token(schema: Schema, rows: list[dict], scale: float) -> str:
+        """The token as first written: sort and repr every row's items."""
+        acc = stable_hash(
+            (
+                tuple(schema.field_names),
+                schema.row_width,
+                tuple(schema.primary_key),
+                repr(scale),
+            )
+        )
+        for row in rows:
+            acc = stable_hash((acc, tuple(sorted((k, repr(v)) for k, v in row.items()))))
+        return f"{acc:016x}"
+
+    #: rows whose key sets, key order and key text all vary
+    RAGGED = [
+        {"a": 1, "b": "x"}, {"b": "y", "a": 2}, {"a": 3}, {},
+        {"c": None, "a": 1.5, "b": (1, "z")}, {"100%": "q'\"", "a": -0.0},
+    ]  # fmt: skip
+
+    def test_token_strings_are_frozen(self):
+        # Recorded before the per-key-set templates: a persisted ServiceStore
+        # is only a hit while these strings stay what they were.
+        schema = Schema.of(("a", DataType.INT), ("b", DataType.STRING), primary_key=("a",))
+        assert ingest_token(schema, self.RAGGED, 1.0) == "76411cd830226a00"
+        assert ingest_token(schema, self.RAGGED, 2.5) == "d7944c1ef29d6e07"
+        assert ingest_token(schema, [], 1.0) == "d1adb0f25acbd723"
+
+    def test_token_equals_per_row_fold(self, suite_tables):
+        for _, schema, rows, scale in suite_tables:
+            assert ingest_token(schema, rows, scale) == self.per_row_token(
+                schema, rows, scale
+            )
+        assert ingest_token(self.SCHEMA, self.RAGGED, 1.0) == self.per_row_token(
+            self.SCHEMA, self.RAGGED, 1.0
         )
 
 

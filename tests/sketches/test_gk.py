@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StatisticsError
 from repro.sketches.gk import GKQuantileSketch
+from tests.conftest import mixed_column_batches, same_state
 
 
 class TestValidation:
@@ -154,3 +155,107 @@ class TestMerge:
         a.merge(b)
         assert len(a) == 10
         assert len(b) == 10
+
+
+class PerValueGK:
+    """The pre-batch insertion path, kept as the reference: a hand-rolled
+    binary search and one ``(value, g, delta)`` triple per entry."""
+
+    def __init__(self, epsilon: float = 0.01) -> None:
+        self.epsilon = epsilon
+        self.entries: list[list] = []
+        self.count = 0
+        self.buffer: list[float] = []
+        self.cap = max(16, int(1.0 / epsilon))
+
+    def threshold(self) -> int:
+        return max(1, int(2 * self.epsilon * self.count))
+
+    def add(self, value: float) -> None:
+        self.buffer.append(value)
+        if len(self.buffer) >= self.cap:
+            self.flush()
+
+    def flush(self) -> None:
+        if not self.buffer:
+            return
+        for value in sorted(self.buffer):
+            self.insert_sorted(value)
+        self.buffer.clear()
+        self.compress()
+
+    def insert_sorted(self, value: float) -> None:
+        entries = self.entries
+        self.count += 1
+        lo, hi = 0, len(entries)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if entries[mid][0] < value:
+                lo = mid + 1
+            else:
+                hi = mid
+        exact = lo == 0 or lo == len(entries)
+        entries.insert(lo, [value, 1, 0 if exact else max(0, self.threshold() - 1)])
+
+    def compress(self) -> None:
+        entries = self.entries
+        if len(entries) < 3:
+            return
+        threshold = self.threshold()
+        out = [entries[0]]
+        for entry in entries[1:-1]:
+            last = out[-1]
+            if last is not entries[0] and last[1] + entry[1] + entry[2] <= threshold:
+                entry[1] += last[1]
+                out[-1] = entry
+            else:
+                out.append(entry)
+        out.append(entries[-1])
+        self.entries = out
+
+    def to_state(self) -> dict:
+        self.flush()
+        return {"epsilon": self.epsilon, "count": self.count, "entries": self.entries}
+
+
+def numeric(batch: list) -> list[float]:
+    return [float(value) for value in batch if isinstance(value, (int, float))]
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_column_batches(), st.sampled_from([0.01, 0.05]))
+    def test_extend_leaves_the_state_of_per_value_add(self, batches, epsilon):
+        batched, single = GKQuantileSketch(epsilon), GKQuantileSketch(epsilon)
+        for batch in batches:
+            batched.extend(numeric(batch))
+            for value in numeric(batch):
+                single.add(value)
+        assert len(batched) == len(single) == sum(len(numeric(b)) for b in batches)
+        assert same_state(batched.to_state(), single.to_state())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_state_matches_the_per_value_reference(self, seed):
+        rng = random.Random(seed)
+        draws = [
+            lambda: rng.gauss(0, 1),
+            lambda: float(rng.randrange(20)),  # heavy ties
+            lambda: float(rng.randrange(10**6)),
+            lambda: rng.choice([0.0, -0.0, float("inf"), float("-inf")]),
+        ]
+        stream = [rng.choice(draws)() for _ in range(rng.randrange(900, 2500))]
+        stream += sorted(stream[:400]) + sorted(stream[:400], reverse=True)
+        sketch, reference = GKQuantileSketch(), PerValueGK()
+        cut = rng.randrange(len(stream))
+        sketch.extend(stream[:cut])
+        sketch.extend(iter(stream[cut:]))
+        for value in stream:
+            reference.add(value)
+        assert same_state(sketch.to_state(), reference.to_state())
+
+    def test_state_round_trips(self):
+        sketch = GKQuantileSketch()
+        sketch.extend(float(i * 7 % 1000) for i in range(3000))
+        restored = GKQuantileSketch.from_state(sketch.to_state())
+        assert restored.to_state() == sketch.to_state()
+        assert restored.quantiles(8) == sketch.quantiles(8)

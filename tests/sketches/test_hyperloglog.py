@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StatisticsError
+from repro.common.rng import stable_hash
 from repro.sketches.hyperloglog import HyperLogLog
+from tests.conftest import mixed_column_batches
 
 
 class TestValidation:
@@ -90,3 +92,53 @@ class TestMerge:
         for _ in range(7):
             hll.add("x")
         assert len(hll) == 7
+
+
+def bit_loop_registers(precision: int, values) -> bytearray:
+    """Registers by the textbook per-value loop (the pre-batch ``add``)."""
+    registers = bytearray(1 << precision)
+    for value in values:
+        h = stable_hash(value)
+        index = h & ((1 << precision) - 1)
+        remaining = h >> precision
+        rank = 1
+        while remaining & 1 == 0 and rank <= 64 - precision:
+            rank += 1
+            remaining >>= 1
+        registers[index] = max(registers[index], rank)
+    return registers
+
+
+class TestBatch:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_column_batches(), st.sampled_from([4, 12]))
+    def test_extend_leaves_the_state_of_per_value_add(self, batches, precision):
+        batched, single = HyperLogLog(precision), HyperLogLog(precision)
+        for batch in batches:
+            batched.extend(batch)
+            for value in batch:
+                single.add(value)
+        column = [value for batch in batches for value in batch]
+        assert batched.to_state() == single.to_state()
+        assert len(batched) == len(single) == len(column)
+        assert batched.cardinality() == single.cardinality()
+        assert batched._registers == bit_loop_registers(precision, column)
+
+    def test_equal_values_that_hash_apart_stay_apart(self):
+        # 1 == 1.0 == True and 0.0 == -0.0, but stable_hash encodes ints by
+        # value and everything else by repr: a set() dedupe would lose some.
+        column = [1, 1.0, True, 0.0, -0.0, float("nan"), float("nan"), (1,), (1.0,)]
+        hll = HyperLogLog(12)
+        hll.extend(column)
+        assert hll._registers == bit_loop_registers(12, column)
+        assert sum(1 for register in hll._registers if register) == 7
+
+    def test_all_zero_remainder_takes_the_top_rank(self):
+        hll = HyperLogLog(4)
+        hll._observe((0b0101,))
+        assert hll._registers[0b0101] == 61
+
+    def test_extend_accepts_a_generator(self):
+        hll = HyperLogLog()
+        hll.extend(i % 7 for i in range(100))
+        assert len(hll) == 100

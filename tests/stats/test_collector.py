@@ -1,6 +1,13 @@
 """Statistics collector tests."""
 
+import enum
+from decimal import Decimal
+from fractions import Fraction
+
+from hypothesis import given, settings
+
 from repro.stats.collector import FieldStatistics, StatisticsCollector
+from tests.conftest import mixed_column_batches, same_state
 
 
 def rows(n=100):
@@ -10,45 +17,38 @@ def rows(n=100):
 class TestFieldStatistics:
     def test_numeric_feeds_both_sketches(self):
         stats = FieldStatistics("a")
-        for i in range(100):
-            stats.observe(i % 10)
+        stats.observe_column([i % 10 for i in range(100)])
         assert abs(stats.distinct_count - 10) <= 1
         assert len(stats.quantiles) == 100
 
     def test_strings_skip_quantiles(self):
         stats = FieldStatistics("b")
-        stats.observe("x")
-        stats.observe("y")
+        stats.observe_column(["x", "y"])
         assert len(stats.quantiles) == 0
         assert abs(stats.distinct_count - 2) <= 0.5
 
     def test_nulls_counted_not_sketched(self):
         stats = FieldStatistics("c")
-        stats.observe(None)
-        stats.observe(1)
+        stats.observe_column([None, 1])
         assert stats.null_count == 1
         assert len(stats.quantiles) == 1
 
     def test_histogram_none_for_non_numeric(self):
         stats = FieldStatistics("b")
-        stats.observe("x")
+        stats.observe_column(["x"])
         assert stats.histogram() is None
 
     def test_histogram_for_numeric(self):
         stats = FieldStatistics("a")
-        for i in range(200):
-            stats.observe(i)
+        stats.observe_column(list(range(200)))
         histogram = stats.histogram(8)
         assert histogram is not None
         assert histogram.total == 200
 
     def test_merge_combines(self):
         a, b = FieldStatistics("a"), FieldStatistics("a")
-        for i in range(50):
-            a.observe(i)
-        for i in range(50, 100):
-            b.observe(i)
-        b.observe(None)
+        a.observe_column(list(range(50)))
+        b.observe_column([*range(50, 100), None])
         merged = a.merge(b)
         assert merged.null_count == 1
         assert abs(merged.distinct_count - 100) <= 5
@@ -56,8 +56,7 @@ class TestFieldStatistics:
 
     def test_boolean_treated_numeric(self):
         stats = FieldStatistics("flag")
-        stats.observe(True)
-        stats.observe(False)
+        stats.observe_column([True, False])
         assert len(stats.quantiles) == 2
 
 
@@ -86,3 +85,79 @@ class TestCollector:
         collector = StatisticsCollector([])
         collector.observe_rows(rows(10))
         assert collector.sketch_cost_units() == 10
+
+
+def observe_per_value(stats: FieldStatistics, values) -> None:
+    """The pre-batch collection path, one value at a time (the reference)."""
+    for value in values:
+        if value is None:
+            stats.null_count += 1
+            continue
+        stats.distinct.add(value)
+        if isinstance(value, (int, float)):
+            stats.quantiles.add(float(value))
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 9
+
+
+class Celsius(float):
+    pass
+
+
+class TestBatchPath:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_column_batches())
+    def test_observe_column_leaves_the_state_of_per_value_collection(self, batches):
+        batched, single = FieldStatistics("f"), FieldStatistics("f")
+        for batch in batches:
+            batched.observe_column(batch)
+            observe_per_value(single, batch)
+        assert same_state(batched.to_state(), single.to_state())
+        assert batched.null_count == single.null_count
+        assert len(batched.quantiles) == len(single.quantiles)
+        assert len(batched.distinct) == len(single.distinct)
+        assert batched.distinct.cardinality() == single.distinct.cardinality()
+
+    def test_numeric_detection_is_by_isinstance(self):
+        # int/float subclasses are numeric; other number types are not.
+        column = [Level.HIGH, Celsius(21.5), True, 3, Decimal("2.5"), Fraction(1, 3), "7"]
+        batched, single = FieldStatistics("f"), FieldStatistics("f")
+        batched.observe_column(column)
+        observe_per_value(single, column)
+        assert len(batched.quantiles) == 4
+        assert len(batched.distinct) == 7
+        assert batched.to_state() == single.to_state()
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_column_batches(), mixed_column_batches())
+    def test_rows_columns_and_single_rows_agree(self, a_batches, b_batches):
+        a = [value for batch in a_batches for value in batch]
+        b = [value for batch in b_batches for value in batch]
+        length = min(len(a), len(b))
+        # ragged rows: "b" is missing (not None) in every third row
+        rows = [
+            {"a": a[i]} if i % 3 == 0 else {"a": a[i], "b": b[i]} for i in range(length)
+        ]
+        tracked = ["a", "b", "ghost"]
+        by_rows, by_columns, by_row = (StatisticsCollector(tracked) for _ in range(3))
+        cut = len(a_batches[0]) if len(a_batches[0]) <= length else length
+        by_rows.observe_rows(rows[:cut])
+        by_rows.observe_rows(iter(rows[cut:]))
+        by_columns.observe_columns(
+            {"a": a[:length], "b": [row.get("b") for row in rows]}, length
+        )
+        for row in rows:
+            by_row.observe_row(row)
+        for collector in (by_rows, by_columns, by_row):
+            assert collector.row_count == length
+            assert collector.field("ghost").null_count == length
+            for name in tracked:
+                assert same_state(
+                    collector.field(name).to_state(), by_rows.field(name).to_state()
+                )
+        reference = FieldStatistics("b")
+        observe_per_value(reference, [row.get("b") for row in rows])
+        assert same_state(by_rows.field("b").to_state(), reference.to_state())

@@ -37,6 +37,23 @@ class TestPartitioning:
             for row in partition:
                 assert stable_hash(row["id"]) % 4 == pid
 
+    def test_layout_is_per_row_stable_hash_on_any_keys(self, suite_tables):
+        # The batch hash pass must leave every stored layout where the
+        # per-row ``stable_hash(key) % n`` put it, row order included.
+        ragged = [{"k": 1}, {"k": 1.0}, {"k": True}, {}, {"k": None}, {"k": "1"},
+                  {"k": -0.0}, {"k": 0.0}, {"k": (1, "a")}, {"k": 2**130}, {"k": 1}]  # fmt: skip
+        tables = [
+            (rows, schema.primary_key[0])
+            for _, schema, rows, _ in suite_tables
+            if schema.primary_key
+        ]
+        assert len(tables) > 10
+        for rows, key in [*tables, (ragged, "k")]:
+            expected = [[] for _ in range(8)]
+            for row in rows:
+                expected[stable_hash(row.get(key)) % 8].append(row)
+            assert partition_rows(rows, 8, key) == expected
+
     def test_colocation_of_equal_keys(self):
         rows = [{"id": 7, "grp": i} for i in range(20)]
         partitions = partition_rows(rows, 8, "id")
