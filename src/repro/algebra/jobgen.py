@@ -53,7 +53,7 @@ def compile_leaf(
 
     ``required`` (qualified columns the consumer needs from this leaf) turns
     into the source's ``live`` set — required plus the predicate columns the
-    Select itself reads — so the vectorized scan materializes only referenced
+    Select itself reads — so the scan materializes only referenced
     columns. ``None`` keeps every column alive; results are identical either
     way.
     """

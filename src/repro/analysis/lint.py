@@ -61,9 +61,9 @@ CLOCK_EXEMPT = ("common/rng.py", "analysis/")
 RANDOM_EXEMPT = ("common/rng.py",)
 
 #: D003 applies only inside planner/optimizer/scheduler hot paths — the code
-#: whose iteration order feeds plan choices and schedules. The vectorized
-#: engine's operator/kernel modules are hot paths too: their iteration order
-#: feeds row order and the byte-identity guarantee of DESIGN.md §10.
+#: whose iteration order feeds plan choices and schedules. The engine's
+#: operator/kernel modules are hot paths too: their iteration order feeds
+#: row order and the golden fingerprints of DESIGN.md §10.
 HOT_PATHS = (
     "core/",  # includes core/predicate_transfer.py: pass order feeds schedules
     "optimizers/",

@@ -97,30 +97,13 @@ def _run_throughput(args, shared) -> bool:
     print("=== Multi-query throughput: scheduler vs one-at-a-time ===")
     throughput_sf = (tuple(args.sf) if args.sf else (10,))[0]
     query_count = 2 if args.smoke else 4
-    if args.engine == "compare":
-        # The engine comparison measures per-row engine throughput, so
-        # it defaults to the largest bench scale and the full batch —
-        # at SF 10 fixed planning/scheduling overhead (identical across
-        # engines) dominates and the ratio collapses toward 1.
-        compare_sf = (tuple(args.sf) if args.sf else (1000,))[0]
-        comparison_report = throughput.compare_engines(
-            scale_factor=compare_sf,
-            query_count=4,
-            seed=args.seed,
-            job_slots=args.job_slots,
-        )
-        print(throughput.format_throughput(comparison_report.vectorized))
-        print()
-        print(throughput.format_engine_comparison(comparison_report))
-    else:
-        report = throughput.run_throughput(
-            scale_factor=throughput_sf,
-            query_count=query_count,
-            seed=args.seed,
-            job_slots=args.job_slots,
-            engine=args.engine,
-        )
-        print(throughput.format_throughput(report))
+    report = throughput.run_throughput(
+        scale_factor=throughput_sf,
+        query_count=query_count,
+        seed=args.seed,
+        job_slots=args.job_slots,
+    )
+    print(throughput.format_throughput(report))
     return False
 
 
@@ -148,16 +131,14 @@ def _run_feedback(args, shared) -> bool:
 
 def _run_skew(args, shared) -> bool:
     print("=== Adversarial skew sweep: all strategies x (skew, correlation) grid ===")
-    engine = args.engine if args.engine in ("rowwise", "vectorized") else None
-    cells = skew.run_skew(seed=args.seed, smoke=args.smoke, engine=engine)
+    cells = skew.run_skew(seed=args.seed, smoke=args.smoke)
     print(skew.format_skew(cells))
     return not skew.skew_ok(cells)
 
 
 def _run_transfer(args, shared) -> bool:
     print("=== Predicate transfer: pre-filtering vs runtime re-optimization ===")
-    engine = args.engine if args.engine in ("rowwise", "vectorized") else None
-    cells = transfer.run_transfer(seed=args.seed, smoke=args.smoke, engine=engine)
+    cells = transfer.run_transfer(seed=args.seed, smoke=args.smoke)
     print(transfer.format_transfer(cells))
     return not transfer.transfer_ok(cells)
 
@@ -255,15 +236,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="service experiment: record the run as the new baseline "
         f"({service.BASELINE_PATH})",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("rowwise", "vectorized", "compare"),
-        default=None,
-        help="execution engine for the throughput, skew and transfer "
-        "experiments; 'compare' (throughput only) runs the batch on both and "
-        "reports the host-time speedup (results and simulated seconds are "
-        "identical across engines)",
     )
     args = parser.parse_args(argv)
     if not args.experiments:

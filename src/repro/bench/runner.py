@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.metrics import ExecutionResult
-from repro.engine.vector import resolve_engine
 from repro.lang.ast import Query
 from repro.optimizers import available_strategies
 from repro.session import Session
@@ -137,30 +136,17 @@ def run_query(
     seed: int = 42,
     skew: float = 0.0,
     correlation: float = 0.0,
-    engine: str | None = None,
     **options,
 ) -> ExecutionResult:
-    """Execute one evaluation query under one strategy; cleans up after.
-
-    ``engine`` temporarily pins the cached session's execution engine
-    (``rowwise``/``vectorized``) for this run; ``None`` keeps whatever the
-    session already uses. Simulated results are engine-independent (the
-    equivalence harness's contract), so benches expose the knob purely to
-    *prove* that on their own cells.
-    """
+    """Execute one evaluation query under one strategy; cleans up after."""
     bench = workbench_for_query(label, scale_factor, seed, skew, correlation)
     if inl_enabled:
         bench.ensure_indexes()
         options["inl_enabled"] = True
     query = bench.query(label)
-    executor = bench.session.executor
-    previous_engine = executor.engine
     try:
-        if engine is not None:
-            executor.engine = resolve_engine(engine)
         return bench.session.execute(query, PlannerSpec.of(optimizer, **options))
     finally:
-        executor.engine = previous_engine
         bench.session.reset_intermediates()
 
 

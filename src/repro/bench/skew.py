@@ -82,12 +82,11 @@ def sweep_cell(
     query: str = SKEW_QUERY,
     scale_factor: int = SKEW_SCALE_FACTOR,
     seed: int = 42,
-    engine: str | None = None,
 ) -> SkewCell:
     """Run one strategy against one knob setting of the universe."""
     result = run_query(
         query, scale_factor, optimizer, seed=seed,
-        skew=skew, correlation=correlation, engine=engine,
+        skew=skew, correlation=correlation,
     )
     stats = qerror_stats(result.trace)
     return SkewCell(
@@ -110,7 +109,6 @@ def run_skew(
     scale_factor: int = SKEW_SCALE_FACTOR,
     seed: int = 42,
     smoke: bool = False,
-    engine: str | None = None,
 ) -> list[SkewCell]:
     """The sweep: every strategy at every grid cell, registry-enumerated."""
     if cells is None:
@@ -121,7 +119,7 @@ def run_skew(
         )
     optimizers = optimizers or available_strategies()
     return [
-        sweep_cell(skew, correlation, optimizer, query, scale_factor, seed, engine)
+        sweep_cell(skew, correlation, optimizer, query, scale_factor, seed)
         for skew, correlation in cells
         for optimizer in optimizers
     ]

@@ -26,15 +26,13 @@ the error — instead of silently vanishing from the accounting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-# Host-side wall time: the engine-mode comparison reports real time (the
-# simulated seconds are byte-identical across engines by design, so host
-# time is the only axis the vectorized engine can win on).
+# Host-side wall time: the report header shows what the three-mode run cost
+# in real time next to its simulated makespans.
 from time import perf_counter
 
 from repro.bench.runner import workbench
-from repro.engine import vector
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.ast import Query
 from repro.lang.builder import QueryBuilder
@@ -102,10 +100,7 @@ class ThroughputReport:
     concurrent_lines: list[QueryLine]
     spaceshared_lines: list[QueryLine]
     timeline_render: str
-    #: which execution engine ran the batch (rowwise / vectorized)
-    engine: str = "rowwise"
-    #: real (host) wall time for the whole three-mode run — the simulated
-    #: seconds above are engine-independent; this number is not.
+    #: real (host) wall time for the whole three-mode run
     host_seconds: float = 0.0
 
     @property
@@ -168,34 +163,11 @@ def run_throughput(
     max_concurrent: int = 4,
     seed: int = 42,
     job_slots: int = 2,
-    engine: str | None = None,
 ) -> ThroughputReport:
-    """Run the batch serially, batched, and space-shared on one session.
-
-    ``engine`` picks the execution engine for the whole run (``None`` = the
-    process default); answers and simulated seconds are identical either
-    way, only the reported host time moves.
-    """
-    bench = workbench("tpch", scale_factor, seed)
-    session = bench.session
+    """Run the batch serially, batched, and space-shared on one session."""
+    session = workbench("tpch", scale_factor, seed).session
     queries = throughput_queries(query_count)
-    engine = vector.resolve_engine(engine)
-    previous_engine = session.executor.engine
-    session.executor.engine = engine
     started = perf_counter()  # det: allow(D001)
-    try:
-        report = _run_modes(
-            session, queries, scale_factor, max_concurrent, job_slots
-        )
-    finally:
-        session.executor.engine = previous_engine
-    host_seconds = perf_counter() - started  # det: allow(D001)
-    return replace(report, engine=engine, host_seconds=host_seconds)
-
-
-def _run_modes(
-    session, queries, scale_factor, max_concurrent, job_slots
-) -> ThroughputReport:
     serial_lines = []
     serial_seconds = 0.0
     serial_jobs = 0
@@ -248,74 +220,8 @@ def _run_modes(
         concurrent_lines=concurrent_lines,
         spaceshared_lines=spaceshared_lines,
         timeline_render=spaceshared.timeline.render(),
+        host_seconds=perf_counter() - started,  # det: allow(D001)
     )
-
-
-@dataclass(frozen=True)
-class EngineComparison:
-    """The same batch on both engines: identical answers, different host time."""
-
-    rowwise: ThroughputReport
-    vectorized: ThroughputReport
-
-    @property
-    def speedup(self) -> float:
-        if self.vectorized.host_seconds <= 0:
-            return float("inf")
-        return self.rowwise.host_seconds / self.vectorized.host_seconds
-
-
-def compare_engines(
-    scale_factor: int = 1000,
-    query_count: int = 4,
-    max_concurrent: int = 4,
-    seed: int = 42,
-    job_slots: int = 2,
-) -> EngineComparison:
-    """Run the throughput batch once per engine and cross-check accounting.
-
-    The simulated accounting (makespans, job counts, per-query rows and
-    seconds) must match exactly — anything else is an engine bug, reported
-    here rather than averaged away.
-    """
-    rowwise = run_throughput(
-        scale_factor, query_count, max_concurrent, seed, job_slots,
-        engine=vector.ENGINE_ROWWISE,
-    )
-    vectorized = run_throughput(
-        scale_factor, query_count, max_concurrent, seed, job_slots,
-        engine=vector.ENGINE_VECTORIZED,
-    )
-    for field_name in (
-        "serial_seconds",
-        "serial_jobs",
-        "concurrent_seconds",
-        "concurrent_jobs",
-        "scans_saved",
-        "spaceshared_seconds",
-        "spaceshared_jobs",
-        "spaceshared_scans_saved",
-        "serial_lines",
-        "concurrent_lines",
-        "spaceshared_lines",
-        "timeline_render",
-    ):
-        if getattr(rowwise, field_name) != getattr(vectorized, field_name):
-            raise AssertionError(
-                f"engines disagree on simulated accounting: {field_name}"
-            )
-    return EngineComparison(rowwise, vectorized)
-
-
-def format_engine_comparison(comparison: EngineComparison) -> str:
-    lines = [
-        "engine comparison (same batch, identical simulated accounting):",
-        f"  {'engine':12s} {'host s':>8s}",
-        f"  {'rowwise':12s} {comparison.rowwise.host_seconds:8.2f}",
-        f"  {'vectorized':12s} {comparison.vectorized.host_seconds:8.2f}",
-        f"  vectorized speedup: {comparison.speedup:.1f}x host time",
-    ]
-    return "\n".join(lines)
 
 
 def _query_table(lines: list[QueryLine]) -> list[str]:
@@ -337,7 +243,7 @@ def format_throughput(report: ThroughputReport) -> str:
     lines = [
         f"multi-query throughput @ SF {report.scale_factor} "
         f"({len(report.serial_lines)} concurrent TPC-H variants, "
-        f"{report.engine} engine, {report.host_seconds:.2f}s host time)",
+        f"{report.host_seconds:.2f}s host time)",
         f"  {'mode':12s} {'makespan s':>10s} {'jobs':>6s} {'scans saved':>12s}",
         f"  {'serial':12s} {report.serial_seconds:10.2f} {report.serial_jobs:6d}"
         f" {0:12d}",

@@ -84,13 +84,12 @@ def sweep_cell(
     correlation: float,
     variant: str,
     seed: int = 42,
-    engine: str | None = None,
 ) -> TransferCell:
     """Run one variant against one workload cell."""
     strategy, options = VARIANTS[variant]
     result = run_query(
         query, scale_factor, strategy, seed=seed,
-        skew=skew, correlation=correlation, engine=engine, **options,
+        skew=skew, correlation=correlation, **options,
     )
     return TransferCell(
         query=query,
@@ -109,14 +108,13 @@ def run_transfer(
     variants: tuple[str, ...] | None = None,
     seed: int = 42,
     smoke: bool = False,
-    engine: str | None = None,
 ) -> list[TransferCell]:
     """The sweep: every variant at every workload cell."""
     if workloads is None:
         workloads = SMOKE_WORKLOADS if smoke else WORKLOADS
     variants = variants or tuple(VARIANTS)
     return [
-        sweep_cell(query, scale_factor, skew, correlation, variant, seed, engine)
+        sweep_cell(query, scale_factor, skew, correlation, variant, seed)
         for query, scale_factor, skew, correlation in workloads
         for variant in variants
     ]

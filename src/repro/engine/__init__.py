@@ -1,6 +1,5 @@
 """Hyracks-like partitioned dataflow engine."""
 
-from repro.engine.data import PartitionedData
 from repro.engine.executor import Executor
 from repro.engine.job import Job
 from repro.engine.metrics import ExecutionResult, JobMetrics
@@ -21,7 +20,6 @@ __all__ = [
     "JobOutcome",
     "JobRequest",
     "JobScheduler",
-    "PartitionedData",
     "QueryHandle",
     "ScheduleInfo",
     "SchedulerConfig",

@@ -1,20 +1,17 @@
 """In-flight partitioned data between operators.
 
-In row-wise mode, rows travel between operators as per-partition lists of
-dicts with *qualified* column names (``alias.field``); in vectorized mode
-they travel as :class:`ColumnarData` — per-partition parallel column lists.
-Alongside the payload both carry the column-type map (so intermediate
+Rows travel between operators as :class:`ColumnarData` — per-partition
+parallel column lists under *qualified* column names (``alias.field``).
+Alongside the payload it carries the column-type map (so intermediate
 schemas and byte widths can be derived) and the partitioning property (so
 the engine can skip re-partitioning when a join input is already
 hash-partitioned on the join key — the optimization the paper's Hash Join
 description calls out for key/foreign-key joins).
 
-The two carriers expose the same read surface (``row_count``,
-``modeled_rows``, ``row_width``, ``byte_size``, ``all_rows``, ``project``,
-``schema``), and ``ColumnarData.columns`` always holds the *full* logical
-column map — even when only a subset is physically materialized — so every
-cost-model charge derived from widths and counts is byte-identical across
-engines (DESIGN.md §10).
+``ColumnarData.columns`` always holds the *full* logical column map — even
+when only a subset is physically materialized — so every cost-model charge
+derived from widths and counts is independent of projection pushdown
+(DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -22,67 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.types import DataType, Field, Schema
-
-
-@dataclass
-class PartitionedData:
-    """Rows spread over cluster partitions plus their physical properties."""
-
-    partitions: list[list[dict]]
-    columns: dict[str, DataType]
-    partitioned_on: str | None = None
-    #: Modeled full-scale rows per stored row; the cost clock charges
-    #: ``row_count * scale`` (see DESIGN.md §2). Join outputs inherit the
-    #: larger input scale.
-    scale: float = 1.0
-
-    @property
-    def partition_count(self) -> int:
-        return len(self.partitions)
-
-    @property
-    def row_count(self) -> int:
-        return sum(len(p) for p in self.partitions)
-
-    @property
-    def modeled_rows(self) -> float:
-        """Row count of the modeled full-scale data in flight."""
-        return self.row_count * self.scale
-
-    @property
-    def row_width(self) -> int:
-        return sum(dtype.byte_width for dtype in self.columns.values()) + 8
-
-    @property
-    def byte_size(self) -> float:
-        return self.row_count * self.row_width
-
-    def all_rows(self) -> list[dict]:
-        rows: list[dict] = []
-        for partition in self.partitions:
-            rows.extend(partition)
-        return rows
-
-    def schema(self, primary_key: tuple[str, ...] = ()) -> Schema:
-        """Materialization schema for these columns (qualified names kept)."""
-        return Schema(
-            tuple(Field(name, dtype) for name, dtype in self.columns.items()),
-            primary_key,
-        )
-
-    def project(self, names: list[str] | tuple[str, ...]) -> PartitionedData:
-        keep = [n for n in names if n in self.columns]
-        projected = [
-            [{name: row.get(name) for name in keep} for row in partition]
-            for partition in self.partitions
-        ]
-        part_key = self.partitioned_on if self.partitioned_on in keep else None
-        return PartitionedData(
-            projected, {n: self.columns[n] for n in keep}, part_key, self.scale
-        )
-
-
-# -- columnar carrier (vectorized engine) ----------------------------------------
 
 
 class ColumnPartition:
@@ -174,16 +110,17 @@ def materialize(
 
 @dataclass
 class ColumnarData:
-    """Column-partitioned in-flight data with the physical properties of
-    :class:`PartitionedData` (vectorized-engine carrier)."""
+    """Rows spread over cluster partitions plus their physical properties."""
 
     partitions: list[ColumnPartition | LazyRowPartition]
-    #: the *logical* column map — identical, in content and insertion order,
-    #: to the row-wise engine's at the same operator boundary, regardless of
-    #: which columns are physically materialized. Keeps ``row_width`` (and
-    #: with it every width-derived charge) byte-identical across engines.
+    #: the *logical* column map, regardless of which columns are physically
+    #: materialized: ``row_width`` (and with it every width-derived charge)
+    #: never depends on what projection pushdown marked dead.
     columns: dict[str, DataType]
     partitioned_on: str | None = None
+    #: Modeled full-scale rows per stored row; the cost clock charges
+    #: ``row_count * scale`` (see DESIGN.md §2). Join outputs inherit the
+    #: larger input scale.
     scale: float = 1.0
 
     @property
@@ -196,6 +133,7 @@ class ColumnarData:
 
     @property
     def modeled_rows(self) -> float:
+        """Row count of the modeled full-scale data in flight."""
         return self.row_count * self.scale
 
     @property
@@ -212,8 +150,7 @@ class ColumnarData:
     def to_row_partitions(self) -> list[list[dict]]:
         """Convert back to per-partition row dicts (sink materialization).
 
-        Key order inside each dict follows the physical column order, which
-        tracks the row-wise engine's dict construction order.
+        Key order inside each dict follows the physical column order.
         """
         out = []
         for partition in self.materialized():
@@ -232,6 +169,7 @@ class ColumnarData:
         return rows
 
     def schema(self, primary_key: tuple[str, ...] = ()) -> Schema:
+        """Materialization schema for these columns (qualified names kept)."""
         return Schema(
             tuple(Field(name, dtype) for name, dtype in self.columns.items()),
             primary_key,

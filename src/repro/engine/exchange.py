@@ -7,45 +7,13 @@ paper's join descriptions (Section 3):
   partition; every row crosses the network once.
 - **broadcast exchange** — replicate the (small) input to every partition.
 
-Both return new partition lists; the caller charges the cost model.
+Both return new column partitions; the caller charges the cost model.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from repro.common.rng import stable_hash
 from repro.engine import vector
 from repro.engine.data import ColumnPartition
-
-
-def hash_exchange(
-    partitions: list[list[dict]],
-    key_fn: Callable[[dict], object],
-    partition_count: int,
-) -> list[list[dict]]:
-    """Redistribute rows by hash of ``key_fn(row)``."""
-    out: list[list[dict]] = [[] for _ in range(partition_count)]
-    for partition in partitions:
-        for row in partition:
-            out[stable_hash(key_fn(row)) % partition_count].append(row)
-    return out
-
-
-def broadcast_exchange(partitions: list[list[dict]]) -> list[dict]:
-    """Gather the input into one list that every partition will receive.
-
-    The engine keeps one shared (read-only) copy rather than materializing
-    ``partition_count`` physical copies; the cost model still charges the
-    replication traffic.
-    """
-    gathered: list[dict] = []
-    for partition in partitions:
-        gathered.extend(partition)
-    return gathered
-
-
-# -- columnar variants (vectorized engine) ---------------------------------------
 
 
 def columnar_hash_exchange(
@@ -57,9 +25,10 @@ def columnar_hash_exchange(
 
     ``route_keys[p]`` holds one routing value per row of partition ``p`` —
     the raw first-key-column value for joins, the full key tuple for
-    group-by — matching the row-wise exchange's ``key_fn(row)`` exactly, so
-    every row lands on the same destination in the same order. Null keys are
-    routed like any other value (only join build/probe skips them).
+    group-by. A row goes to partition ``stable_hash(key) % partition_count``
+    (:func:`repro.engine.vector.route_partitions`), and rows keep their
+    source order within a destination. Null keys are routed like any other
+    value (only join build/probe skips them).
     """
     names: tuple[str, ...] = ()
     for partition in partitions:
@@ -93,8 +62,12 @@ def columnar_hash_exchange(
 def columnar_broadcast_exchange(
     partitions: list[ColumnPartition],
 ) -> ColumnPartition:
-    """Gather columnar partitions into the one shared copy every partition
-    receives (cost charged by the caller, as in :func:`broadcast_exchange`)."""
+    """Gather the input into one partition that every partition will receive.
+
+    The engine keeps one shared (read-only) copy rather than materializing
+    ``partition_count`` physical copies; the cost model still charges the
+    replication traffic.
+    """
     names: tuple[str, ...] = ()
     for partition in partitions:
         if partition.columns:

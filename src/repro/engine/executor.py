@@ -12,10 +12,11 @@ from __future__ import annotations
 from repro.analysis.runtime import VerifierStats
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel, CostParameters
-from repro.engine import vector
+from repro.engine.data import ColumnarData
 from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
-from repro.engine.operators.base import ExecState, OperatorData
+from repro.engine.operators.base import ExecState
+from repro.engine.vector import DEFAULT_CHUNK_SIZE
 from repro.lang.ast import EvaluationContext
 from repro.lang.udf import UdfRegistry, default_registry
 from repro.stats.catalog import StatisticsCatalog
@@ -33,8 +34,6 @@ class Executor:
         udfs: UdfRegistry | None = None,
         cost_parameters: CostParameters | None = None,
         verify_plans: bool = True,
-        engine: str | None = None,
-        chunk_size: int | None = None,
     ) -> None:
         self.cluster = cluster
         self.datasets = datasets
@@ -46,13 +45,9 @@ class Executor:
         #: cost; host wall time accrues on :attr:`verifier_stats`.
         self.verify_plans = verify_plans
         self.verifier_stats = VerifierStats()
-        #: engine mode for every job this executor runs; ``None`` defers to
-        #: the process default (``repro.engine.vector.default_engine``) at
-        #: each ``execute`` call, so flipping the default mid-session takes
-        #: effect immediately. Results are byte-identical either way
-        #: (DESIGN.md §10).
-        self.engine = engine if engine is None else vector.resolve_engine(engine)
-        self.chunk_size = chunk_size
+        #: rows per chunk handed to the filter kernels; never affects results
+        #: or simulated cost (the chunking property test varies it here)
+        self.chunk_size = DEFAULT_CHUNK_SIZE
         #: intermediate-result cache (set by the query service; ``None`` for
         #: plain sessions). Consulted by the scheduler's request runner, not
         #: by ``execute`` itself, so the executor stays stateless per job.
@@ -65,7 +60,7 @@ class Executor:
         statistics: StatisticsCatalog | None = None,
         tracer=None,
         partitions: int | None = None,
-    ) -> tuple[OperatorData, JobMetrics]:
+    ) -> tuple[ColumnarData, JobMetrics]:
         """Run one job; returns its output data and this job's metrics.
 
         ``statistics`` overrides the catalog that Sink operators register
@@ -92,12 +87,7 @@ class Executor:
             evaluation=EvaluationContext(parameters or {}, self.udfs),
             metrics=metrics,
             tracer=tracer,
-            engine=vector.resolve_engine(self.engine),
-            chunk_size=(
-                self.chunk_size
-                if self.chunk_size is not None
-                else vector.DEFAULT_CHUNK_SIZE
-            ),
+            chunk_size=self.chunk_size,
         )
         data = job.root.run(state)
         return data, metrics

@@ -2,38 +2,32 @@
 
 A job is a tree of :class:`PhysicalOperator` nodes. ``run`` pulls the child
 outputs, performs the operator's work on real rows, charges the cost model
-through :class:`ExecState`, and returns :class:`PartitionedData` (row-wise
-engine) or :class:`ColumnarData` (vectorized engine). This is a blocking,
-materialized evaluation of the tree — a deliberate simplification of
-Hyracks' pipelined frames that keeps costs and results exact while staying
-faithful to operator-level data movement.
+through :class:`ExecState`, and returns :class:`ColumnarData`. This is a
+blocking, materialized evaluation of the tree — a deliberate simplification
+of Hyracks' pipelined frames that keeps costs and results exact while
+staying faithful to operator-level data movement.
 
-Engine dispatch lives here: ``execute`` routes to ``execute_rows`` or
-``execute_columnar`` from ``ExecState.engine``. Both paths charge the exact
-same cost sequence with the exact same arguments, so metrics, traces and
-plans are byte-identical across engines (DESIGN.md §10; pinned by
-``tests/engine/equivalence.py``).
+Each operator implements one hook, ``execute``. The cost sequence it charges
+and the rows it returns are pinned, for every strategy and sweep query, by
+the golden fingerprints of ``tests/engine/equivalence.py`` (DESIGN.md §10).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel
-from repro.engine.data import ColumnarData, PartitionedData
+from repro.engine.data import ColumnarData
 from repro.engine.metrics import JobMetrics
-from repro.engine.vector import DEFAULT_CHUNK_SIZE, ENGINE_VECTORIZED
+from repro.engine.vector import DEFAULT_CHUNK_SIZE
 from repro.lang.ast import EvaluationContext
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
 if TYPE_CHECKING:
     from repro.obs.trace import Tracer
-
-#: either engine's in-flight carrier; both expose the same read surface
-OperatorData = Union[PartitionedData, ColumnarData]
 
 
 @dataclass
@@ -48,12 +42,7 @@ class ExecState:
     metrics: JobMetrics
     #: optional observer; operators open a span around each ``run``
     tracer: Tracer | None = None
-    #: execution mode: ``"rowwise"`` or ``"vectorized"``. Defaults to
-    #: row-wise so directly constructed states (unit tests, tools) keep the
-    #: historical behavior; the Executor resolves the session/process-level
-    #: engine choice explicitly.
-    engine: str = "rowwise"
-    #: rows per chunk for the vectorized kernels; never affects results
+    #: rows per chunk for the filter kernels; never affects results
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def charge(self, component: str, seconds: float) -> None:
@@ -69,7 +58,7 @@ class PhysicalOperator:
     #: set by ``compile_plan`` so the tracer can record estimate accuracy.
     estimated_rows: float | None = None
 
-    def run(self, state: ExecState) -> OperatorData:
+    def run(self, state: ExecState) -> ColumnarData:
         """Execute the operator, wrapped in a trace span when tracing is on.
 
         Tracing observes the metrics object before/after ``execute`` — it
@@ -90,19 +79,9 @@ class PhysicalOperator:
         )
         return data
 
-    def execute(self, state: ExecState) -> OperatorData:
-        """Engine dispatch; operators implement the two ``execute_*`` hooks."""
-        if state.engine == ENGINE_VECTORIZED:
-            return self.execute_columnar(state)
-        return self.execute_rows(state)
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
+    def execute(self, state: ExecState) -> ColumnarData:
+        """The operator's work; every subclass implements this one hook."""
         raise NotImplementedError
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        raise NotImplementedError(
-            f"{type(self).__name__} has no vectorized implementation"
-        )
 
     def label(self) -> str:
         """Short name used in plan rendering (Figure 4 vocabulary)."""

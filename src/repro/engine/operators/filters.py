@@ -7,17 +7,16 @@ whose join-key value is definitely absent from the partner's filter.
 
 Semantics mirror the join the filter stands in for:
 
-- a **null** filter-column value never matches (the joins' ``_key_fn`` /
+- a **null** filter-column value never matches (the joins'
   ``join_key_column`` contract), so null-keyed rows are dropped;
 - Bloom filters produce false **positives** only, so the surviving superset
   always contains every row the real join would keep — the reduction is
   sound for the inner equi-joins this engine executes.
 
-Cost charges are identical in both engines and computed from the *input*
-data's modeled cardinality: the filters ship once per job (network, at the
-filters' modeled wire size), then every input row probes every filter
-(CPU). The filtering itself is the probe — there is no separate selection
-charge.
+Cost charges are computed from the *input* data's modeled cardinality: the
+filters ship once per job (network, at the filters' modeled wire size), then
+every input row probes every filter (CPU). The filtering itself is the probe
+— there is no separate selection charge.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ from repro.engine.data import (
     ColumnarData,
     ColumnPartition,
     LazyRowPartition,
-    PartitionedData,
     materialize,
 )
-from repro.engine.operators.base import ExecState, OperatorData, PhysicalOperator
+from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
 class SemiJoinFilterOp(PhysicalOperator):
@@ -46,30 +44,7 @@ class SemiJoinFilterOp(PhysicalOperator):
         #: ordered (qualified probe column, partner's filter) pairs
         self.filters = tuple(filters)
 
-    def _charge(self, state: ExecState, data: OperatorData) -> None:
-        total_bytes = sum(bloom.charge_bytes for _, bloom in self.filters)
-        state.charge("network", state.cost.bloom_transfer(total_bytes))
-        state.charge(
-            "compute", state.cost.bloom_probe(data.modeled_rows, len(self.filters))
-        )
-
-    def _keep(self, row: dict) -> bool:
-        for column, bloom in self.filters:
-            value = row.get(column)
-            if value is None or not bloom.might_contain(value):
-                return False
-        return True
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        filtered = [
-            [row for row in partition if self._keep(row)]
-            for partition in data.partitions
-        ]
-        self._charge(state, data)
-        return PartitionedData(filtered, data.columns, data.partitioned_on, data.scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         chunk_size = state.chunk_size
         filtered: list[ColumnPartition | LazyRowPartition] = []
@@ -79,7 +54,11 @@ class SemiJoinFilterOp(PhysicalOperator):
                 extracted.columns, extracted.length, self.filters, chunk_size
             )
             filtered.append(ColumnPartition(columns, length))
-        self._charge(state, data)
+        total_bytes = sum(bloom.charge_bytes for _, bloom in self.filters)
+        state.charge("network", state.cost.bloom_transfer(total_bytes))
+        state.charge(
+            "compute", state.cost.bloom_probe(data.modeled_rows, len(self.filters))
+        )
         return ColumnarData(filtered, data.columns, data.partitioned_on, data.scale)
 
     def label(self) -> str:

@@ -21,13 +21,8 @@ import enum
 
 from repro.common.errors import ExecutionError
 from repro.engine import vector
-from repro.engine.data import ColumnarData, ColumnPartition, PartitionedData
-from repro.engine.exchange import (
-    broadcast_exchange,
-    columnar_broadcast_exchange,
-    columnar_hash_exchange,
-    hash_exchange,
-)
+from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.exchange import columnar_broadcast_exchange, columnar_hash_exchange
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -46,30 +41,9 @@ class JoinAlgorithm(enum.Enum):
         return ""
 
 
-def _key_fn(columns: tuple[str, ...]):
-    """Join-key extractor; ``None`` signals a null key (SQL: never matches)."""
-    if len(columns) == 1:
-        column = columns[0]
-        return lambda row: row.get(column)
-
-    def composite(row: dict):
-        key = tuple(row.get(c) for c in columns)
-        if any(part is None for part in key):
-            return None
-        return key
-
-    return composite
-
-
-def _merge(build_row: dict, probe_row: dict) -> dict:
-    merged = dict(probe_row)
-    merged.update(build_row)
-    return merged
-
-
 def _merged_columns(probe_columns: dict, build_columns: dict) -> dict:
     """Join-output logical column map: probe's columns, build overwriting
-    overlaps — the columnar mirror of ``_merge``'s dict-update semantics."""
+    overlaps (dict-update semantics)."""
     columns = dict(probe_columns)
     columns.update(build_columns)
     return columns
@@ -85,7 +59,7 @@ def _gather_join_output(
     """Materialize one join output partition from matched position pairs.
 
     Physical columns follow the logical map's order; names present on both
-    sides are sourced from the build side (``_merge``: build wins).
+    sides are sourced from the build side.
     """
     build_names = build_part.columns.keys()
     probe_names = probe_part.columns.keys()
@@ -120,67 +94,7 @@ class HashJoinOp(PhysicalOperator):
         self.build_keys = tuple(build_keys)
         self.probe_keys = tuple(probe_keys)
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        build = self.children[0].run(state)
-        probe = self.children[1].run(state)
-        partition_count = state.cluster.partitions
-
-        build_parts = build.partitions
-        if build.partitioned_on != self.build_keys[0]:
-            build_parts = hash_exchange(
-                build_parts, _key_fn(self.build_keys[:1]), partition_count
-            )
-            state.charge(
-                "network", state.cost.hash_exchange(build.modeled_rows, build.row_width)
-            )
-        probe_parts = probe.partitions
-        if probe.partitioned_on != self.probe_keys[0]:
-            probe_parts = hash_exchange(
-                probe_parts, _key_fn(self.probe_keys[:1]), partition_count
-            )
-            state.charge(
-                "network", state.cost.hash_exchange(probe.modeled_rows, probe.row_width)
-            )
-
-        build_key = _key_fn(self.build_keys)
-        probe_key = _key_fn(self.probe_keys)
-        out_partitions: list[list[dict]] = []
-        out_rows = 0
-        for build_part, probe_part in zip(build_parts, probe_parts, strict=True):
-            table: dict = {}
-            for row in build_part:
-                key = build_key(row)
-                if key is not None:
-                    table.setdefault(key, []).append(row)
-            joined = []
-            for row in probe_part:
-                key = probe_key(row)
-                if key is None:
-                    continue
-                for match in table.get(key, ()):
-                    joined.append(_merge(match, row))
-            out_rows += len(joined)
-            out_partitions.append(joined)
-
-        out_scale = max(build.scale, probe.scale)
-        state.charge("compute", state.cost.hash_build(build.modeled_rows))
-        state.charge(
-            "compute", state.cost.probe(probe.modeled_rows + out_rows * out_scale)
-        )
-        state.charge(
-            "spill",
-            state.cost.spill(
-                build.modeled_rows * build.row_width,
-                probe.modeled_rows * probe.row_width,
-            ),
-        )
-        state.metrics.tuples_joined += out_rows
-
-        columns = dict(probe.columns)
-        columns.update(build.columns)
-        return PartitionedData(out_partitions, columns, self.probe_keys[0], out_scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         build = self.children[0].run(state)
         probe = self.children[1].run(state)
         partition_count = state.cluster.partitions
@@ -268,53 +182,7 @@ class BroadcastJoinOp(PhysicalOperator):
         self.build_keys = tuple(build_keys)
         self.probe_keys = tuple(probe_keys)
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        build = self.children[0].run(state)
-        probe = self.children[1].run(state)
-
-        gathered = broadcast_exchange(build.partitions)
-        state.charge(
-            "network",
-            state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
-        )
-        # One shared hash table stands in for the identical per-partition
-        # copies; the cost model charged the replicated build above.
-        state.charge("compute", state.cost.broadcast_build(build.modeled_rows))
-        build_key = _key_fn(self.build_keys)
-        table: dict = {}
-        for row in gathered:
-            key = build_key(row)
-            if key is not None:
-                table.setdefault(key, []).append(row)
-
-        probe_key = _key_fn(self.probe_keys)
-        out_partitions: list[list[dict]] = []
-        out_rows = 0
-        for partition in probe.partitions:
-            joined = []
-            for row in partition:
-                key = probe_key(row)
-                if key is None:
-                    continue
-                for match in table.get(key, ()):
-                    joined.append(_merge(match, row))
-            out_rows += len(joined)
-            out_partitions.append(joined)
-
-        out_scale = max(build.scale, probe.scale)
-        state.charge(
-            "compute", state.cost.probe(probe.modeled_rows + out_rows * out_scale)
-        )
-        state.metrics.tuples_joined += out_rows
-
-        columns = dict(probe.columns)
-        columns.update(build.columns)
-        # The probe side never moved: its partitioning property survives.
-        return PartitionedData(
-            out_partitions, columns, probe.partitioned_on, out_scale
-        )
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         build = self.children[0].run(state)
         probe = self.children[1].run(state)
 
@@ -323,6 +191,8 @@ class BroadcastJoinOp(PhysicalOperator):
             "network",
             state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
         )
+        # One shared hash table stands in for the identical per-partition
+        # copies; the cost model charged the replicated build above.
         state.charge("compute", state.cost.broadcast_build(build.modeled_rows))
         table = vector.build_hash_table(
             vector.join_key_column(
@@ -390,7 +260,8 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         self.build_keys = tuple(build_keys)
         self.inner_fields = tuple(inner_fields)  # *plain* field names
 
-    def _check_inner(self, state: ExecState):
+    def execute(self, state: ExecState) -> ColumnarData:
+        build = self.children[0].run(state)
         dataset = state.datasets.get(self.inner_dataset)
         if dataset.is_intermediate:
             raise ExecutionError(
@@ -402,61 +273,6 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
                 f"INL requires a secondary index on "
                 f"{self.inner_dataset}.{index_field}"
             )
-        return dataset, index_field
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        build = self.children[0].run(state)
-        dataset, index_field = self._check_inner(state)
-
-        gathered = broadcast_exchange(build.partitions)
-        state.charge(
-            "network",
-            state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
-        )
-
-        prefix = f"{self.inner_alias}."
-        residual = list(zip(self.build_keys[1:], self.inner_fields[1:], strict=True))
-        out_partitions: list[list[dict]] = []
-        out_rows = 0
-        lookups = 0
-        for partition_id, inner_rows in enumerate(dataset.partitions):
-            index = dataset.index_for(index_field, partition_id)
-            joined = []
-            for build_row in gathered:
-                lookups += 1
-                key = build_row.get(self.build_keys[0])
-                for position in index.lookup(key):
-                    inner = inner_rows[position]
-                    if any(
-                        build_row.get(bk) != inner.get(f) for bk, f in residual
-                    ):
-                        continue
-                    merged = {prefix + k: v for k, v in inner.items()}
-                    merged.update(build_row)
-                    joined.append(merged)
-            out_rows += len(joined)
-            out_partitions.append(joined)
-
-        # Every partition performs the full set of (modeled) lookups, in
-        # parallel with the other partitions.
-        out_scale = max(build.scale, dataset.scale)
-        state.charge(
-            "index", state.cost.index_lookups(len(gathered) * build.scale)
-        )
-        state.charge("compute", state.cost.probe(out_rows * out_scale))
-        state.metrics.index_lookups += lookups
-        state.metrics.tuples_joined += out_rows
-
-        columns = {prefix + f.name: f.dtype for f in dataset.schema.fields}
-        columns.update(build.columns)
-        partitioned_on = (
-            prefix + dataset.partition_key if dataset.partition_key else None
-        )
-        return PartitionedData(out_partitions, columns, partitioned_on, out_scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        build = self.children[0].run(state)
-        dataset, index_field = self._check_inner(state)
 
         gathered = columnar_broadcast_exchange(build.materialized())
         state.charge(
@@ -505,6 +321,8 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
                     ]
             out_partitions.append(ColumnPartition(cols, len(build_idx)))
 
+        # Every partition performs the full set of (modeled) lookups, in
+        # parallel with the other partitions.
         out_scale = max(build.scale, dataset.scale)
         state.charge(
             "index", state.cost.index_lookups(gathered.length * build.scale)

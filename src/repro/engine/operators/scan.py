@@ -6,18 +6,18 @@ alias. ``ReaderOp`` reads a previously materialized intermediate (Figure 4:
 datasource is not a base dataset") — its columns are already qualified and it
 is charged materialized-read I/O instead of base-scan I/O.
 
-In vectorized mode both return *lazy* column partitions: no column is
-extracted until a consumer touches it, so the fused select/project kernel
-above the scan reads only referenced columns (and non-predicate columns only
-for surviving rows). ``live`` — attached by job generation's projection
-pushdown — names the columns the rest of the job can ever need; ``None``
-means "no pushdown information, keep everything".
+Both return *lazy* column partitions: no column is extracted until a
+consumer touches it, so the fused select/project kernel above the scan reads
+only referenced columns (and non-predicate columns only for surviving rows).
+``live`` — attached by job generation's projection pushdown — names the
+columns the rest of the job can ever need; ``None`` means "no pushdown
+information, keep everything".
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ExecutionError
-from repro.engine.data import ColumnarData, LazyRowPartition, PartitionedData
+from repro.engine.data import ColumnarData, LazyRowPartition
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -29,11 +29,11 @@ class ScanOp(PhysicalOperator):
     ) -> None:
         self.dataset = dataset
         self.alias = alias
-        #: qualified columns referenced by the rest of the job (vectorized
-        #: mode materializes only these); ``None`` -> all schema columns
+        #: qualified columns referenced by the rest of the job (only these
+        #: are materialized); ``None`` -> all schema columns
         self.live = tuple(live) if live is not None else None
 
-    def _open(self, state: ExecState):
+    def execute(self, state: ExecState) -> ColumnarData:
         dataset = state.datasets.get(self.dataset)
         if dataset.is_intermediate:
             raise ExecutionError(
@@ -48,18 +48,6 @@ class ScanOp(PhysicalOperator):
             "scan", state.cost.scan(dataset.modeled_rows, dataset.schema.row_width)
         )
         state.metrics.tuples_scanned += dataset.row_count
-        return dataset, prefix, columns, partitioned_on
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        dataset, prefix, columns, partitioned_on = self._open(state)
-        partitions = [
-            [{prefix + key: value for key, value in row.items()} for row in partition]
-            for partition in dataset.partitions
-        ]
-        return PartitionedData(partitions, columns, partitioned_on, dataset.scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        dataset, prefix, columns, partitioned_on = self._open(state)
         partitions = [
             LazyRowPartition(partition, prefix, self.live, dataset.column_cache(i))
             for i, partition in enumerate(dataset.partitions)
@@ -77,7 +65,7 @@ class ReaderOp(PhysicalOperator):
         self.dataset = dataset
         self.live = tuple(live) if live is not None else None
 
-    def _open(self, state: ExecState):
+    def execute(self, state: ExecState) -> ColumnarData:
         dataset = state.datasets.get(self.dataset)
         if not dataset.is_intermediate:
             raise ExecutionError(
@@ -88,18 +76,6 @@ class ReaderOp(PhysicalOperator):
             "materialize",
             state.cost.read_materialized(dataset.modeled_rows, dataset.schema.row_width),
         )
-        return dataset, columns
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        dataset, columns = self._open(state)
-        # Columns are already qualified; rows are shared read-only.
-        partitions = [list(partition) for partition in dataset.partitions]
-        return PartitionedData(
-            partitions, columns, dataset.partition_key, dataset.scale
-        )
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        dataset, columns = self._open(state)
         partitions = [
             LazyRowPartition(partition, "", self.live, dataset.column_cache(i))
             for i, partition in enumerate(dataset.partitions)

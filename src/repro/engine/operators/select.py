@@ -5,11 +5,11 @@
 and filtered. Query compilation usually folds the UDF into the predicate
 directly, but the split form is available for plan fidelity and tests.
 
-In vectorized mode ``SelectOp`` over a fresh scan runs the fused
-scan+filter+project kernel (:func:`repro.engine.vector.fused_filter_project`)
-— one pass per chunk that filters on predicate columns and gathers only the
-live columns of surviving rows; already-extracted inputs go through the
-chunked :func:`~repro.engine.vector.filter_columns` kernel instead.
+``SelectOp`` over a fresh scan runs the fused scan+filter+project kernel
+(:func:`repro.engine.vector.fused_filter_project`) — one pass per chunk that
+filters on predicate columns and gathers only the live columns of surviving
+rows; already-extracted inputs go through the chunked
+:func:`~repro.engine.vector.filter_columns` kernel instead.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from repro.engine.data import (
     ColumnarData,
     ColumnPartition,
     LazyRowPartition,
-    PartitionedData,
     materialize,
 )
 from repro.engine.operators.base import ExecState, PhysicalOperator
@@ -34,24 +33,7 @@ class SelectOp(PhysicalOperator):
         self.children = (child,)
         self.predicates = tuple(predicates)
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        evaluation = state.evaluation
-        filtered = [
-            [
-                row
-                for row in partition
-                if all(p.evaluate(row, evaluation) for p in self.predicates)
-            ]
-            for partition in data.partitions
-        ]
-        state.charge(
-            "compute",
-            state.cost.predicate_eval(data.modeled_rows, len(self.predicates)),
-        )
-        return PartitionedData(filtered, data.columns, data.partitioned_on, data.scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         evaluation = state.evaluation
         chunk_size = state.chunk_size
@@ -100,20 +82,7 @@ class AssignOp(PhysicalOperator):
         self.udf = udf
         self.column = column
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        fn = state.evaluation.udfs.get(self.udf)
-        for partition in data.partitions:
-            for row in partition:
-                row[self.target] = fn(row.get(self.column))
-        columns = dict(data.columns)
-        columns[self.target] = DataType.DOUBLE
-        state.charge("compute", state.cost.predicate_eval(data.modeled_rows, 1))
-        return PartitionedData(
-            data.partitions, columns, data.partitioned_on, data.scale
-        )
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         fn = state.evaluation.udfs.get(self.udf)
         assigned: list[ColumnPartition | LazyRowPartition] = []
@@ -138,17 +107,11 @@ class ProjectOp(PhysicalOperator):
         self.children = (child,)
         self.columns = tuple(columns)
 
-    def _project(self, state: ExecState):
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         projected = data.project(self.columns)
         state.charge("compute", state.cost.probe(data.modeled_rows))
         return projected
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        return self._project(state)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        return self._project(state)
 
     def label(self) -> str:
         return "Project " + ", ".join(self.columns)

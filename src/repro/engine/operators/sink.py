@@ -8,16 +8,16 @@ is what keeps intermediates narrow), writes per-partition temp data, and,
 when requested, registers fresh sketches for the attributes participating in
 subsequent join stages.
 
-Intermediates are stored row-wise in both engines (the storage layer is
-shared); the vectorized path converts its column partitions once at the sink
-boundary and feeds the statistics collector whole columns at a time.
+Intermediates are stored row-wise (the storage layer holds row dicts); the
+sink converts its column partitions once at this boundary and feeds the
+statistics collector whole columns at a time.
 """
 
 from __future__ import annotations
 
-from repro.engine.data import ColumnarData, PartitionedData
-from repro.engine.operators.base import ExecState, OperatorData, PhysicalOperator
-from repro.stats.collector import StatisticsCollector, pivot_rows
+from repro.engine.data import ColumnarData
+from repro.engine.operators.base import ExecState, PhysicalOperator
+from repro.stats.collector import StatisticsCollector
 from repro.storage.ingest import register_intermediate
 
 
@@ -36,16 +36,17 @@ class SinkOp(PhysicalOperator):
         self.keep_columns = tuple(keep_columns)
         self.stats_columns = tuple(stats_columns)
 
-    def _register(
-        self,
-        state: ExecState,
-        projected: OperatorData,
-        row_partitions: list[list[dict]],
-    ) -> None:
+    def execute(self, state: ExecState) -> ColumnarData:
+        data = self.children[0].run(state)
+        projected = data.project(self.keep_columns)
+        materialized = projected.materialized()
+        projected = ColumnarData(
+            materialized, projected.columns, projected.partitioned_on, projected.scale
+        )
         register_intermediate(
             name=self.name,
             schema=projected.schema(),
-            partitions=row_partitions,
+            partitions=projected.to_row_partitions(),
             partition_key=projected.partitioned_on,
             datasets=state.datasets,
             scale=projected.scale,
@@ -56,63 +57,22 @@ class SinkOp(PhysicalOperator):
         )
         state.metrics.rows_materialized += projected.row_count
 
-    def _finish_stats(
-        self,
-        state: ExecState,
-        projected: OperatorData,
-        collector: StatisticsCollector,
-        tracked: list[str],
-    ) -> None:
-        state.statistics.register_from_collector(
-            self.name, collector, projected.row_width, projected.scale
-        )
-        state.charge(
-            "stats",
-            state.cost.statistics(projected.modeled_rows, max(1, len(tracked))),
-        )
-
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        projected = data.project(self.keep_columns)
-        self._register(state, projected, projected.partitions)
-
+        tracked = [c for c in self.stats_columns if c in projected.columns]
+        collector = StatisticsCollector(tracked)
         if self.stats_columns:
-            tracked = [c for c in self.stats_columns if c in projected.columns]
-            collector = StatisticsCollector(tracked)
-            for partition in projected.partitions:
-                collector.observe_columns(pivot_rows(partition, tracked), len(partition))
-            self._finish_stats(state, projected, collector, tracked)
+            for partition in materialized:
+                collector.observe_columns(partition.columns, partition.length)
+            state.charge(
+                "stats",
+                state.cost.statistics(projected.modeled_rows, max(1, len(tracked))),
+            )
         else:
             # Register row count / width only: even without online sketches the
             # driver needs S(x) of the intermediate for the final ordering.
-            collector = StatisticsCollector([])
             collector.row_count = projected.row_count
-            state.statistics.register_from_collector(
-                self.name, collector, projected.row_width, projected.scale
-            )
-        return projected
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
-        data = self.children[0].run(state)
-        projected = data.project(self.keep_columns)
-        materialized = projected.materialized()
-        projected = ColumnarData(
-            materialized, projected.columns, projected.partitioned_on, projected.scale
+        state.statistics.register_from_collector(
+            self.name, collector, projected.row_width, projected.scale
         )
-        self._register(state, projected, projected.to_row_partitions())
-
-        if self.stats_columns:
-            tracked = [c for c in self.stats_columns if c in projected.columns]
-            collector = StatisticsCollector(tracked)
-            for partition in materialized:
-                collector.observe_columns(partition.columns, partition.length)
-            self._finish_stats(state, projected, collector, tracked)
-        else:
-            collector = StatisticsCollector([])
-            collector.row_count = projected.row_count
-            state.statistics.register_from_collector(
-                self.name, collector, projected.row_width, projected.scale
-            )
         return projected
 
     def label(self) -> str:
@@ -125,9 +85,7 @@ class DistributeResultOp(PhysicalOperator):
     def __init__(self, child: PhysicalOperator) -> None:
         self.children = (child,)
 
-    def execute(self, state: ExecState) -> OperatorData:
-        # Engine-agnostic: pass-through plus the result-output charge, so the
-        # base dispatch is overridden with one shared implementation.
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         state.charge(
             "output", state.cost.result_output(data.modeled_rows, data.row_width)

@@ -5,22 +5,16 @@ selections have been completed". The reproduction supports the tails the four
 evaluation queries need: GROUP BY with an implicit COUNT(*), global ORDER BY,
 and LIMIT.
 
-The vectorized variants keep the row-wise semantics exactly: groups appear in
-first-occurrence order (insertion-ordered dicts), the global sort is a stable
-index sort over the same ``_sort_key`` total order, and LIMIT slices columns
-in partition order.
+Groups appear in first-occurrence order (insertion-ordered dicts), the global
+sort is a stable index sort over the ``_sort_key`` total order, and LIMIT
+slices columns in partition order.
 """
 
 from __future__ import annotations
 
 from repro.common.types import DataType
-from repro.engine.data import (
-    ColumnarData,
-    ColumnPartition,
-    LazyRowPartition,
-    PartitionedData,
-)
-from repro.engine.exchange import columnar_hash_exchange, hash_exchange
+from repro.engine.data import ColumnarData, ColumnPartition, LazyRowPartition
+from repro.engine.exchange import columnar_hash_exchange
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -31,39 +25,7 @@ class GroupByOp(PhysicalOperator):
         self.children = (child,)
         self.keys = tuple(keys)
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        keys = self.keys
-        partitions = data.partitions
-        if data.partitioned_on not in keys:
-            partitions = hash_exchange(
-                partitions,
-                lambda row: tuple(row.get(k) for k in keys),
-                state.cluster.partitions,
-            )
-            state.charge(
-                "network", state.cost.hash_exchange(data.modeled_rows, data.row_width)
-            )
-        out_partitions: list[list[dict]] = []
-        for partition in partitions:
-            groups: dict = {}
-            for row in partition:
-                groups.setdefault(tuple(row.get(k) for k in keys), []).append(row)
-            grouped = []
-            for key_values, rows in groups.items():
-                out = dict(zip(keys, key_values, strict=True))
-                out["count"] = len(rows)
-                grouped.append(out)
-            out_partitions.append(grouped)
-        state.charge("compute", state.cost.probe(data.modeled_rows))
-
-        # Group counts are per modeled group; the number of *groups* does not
-        # scale with the fact tables, so the output is unscaled.
-        columns = {k: data.columns.get(k, DataType.STRING) for k in keys}
-        columns["count"] = DataType.BIGINT
-        return PartitionedData(out_partitions, columns, None)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         keys = self.keys
         partitions = data.materialized()
@@ -95,6 +57,8 @@ class GroupByOp(PhysicalOperator):
             out_partitions.append(ColumnPartition(out, len(counts)))
         state.charge("compute", state.cost.probe(data.modeled_rows))
 
+        # Group counts are per modeled group; the number of *groups* does not
+        # scale with the fact tables, so the output is unscaled.
         columns = {k: data.columns.get(k, DataType.STRING) for k in keys}
         columns["count"] = DataType.BIGINT
         return ColumnarData(out_partitions, columns, None)
@@ -110,18 +74,7 @@ class OrderByOp(PhysicalOperator):
         self.children = (child,)
         self.keys = tuple(keys)
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        rows = sorted(
-            data.all_rows(),
-            key=lambda row: tuple(_sort_key(row.get(k)) for k in self.keys),
-        )
-        state.charge("compute", state.cost.probe(data.modeled_rows) * 2)
-        partitions = [[] for _ in range(data.partition_count)]
-        partitions[0] = rows
-        return PartitionedData(partitions, data.columns, None, data.scale)
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         materialized = data.materialized()
         names: list[str] = []
@@ -172,19 +125,7 @@ class LimitOp(PhysicalOperator):
         self.children = (child,)
         self.n = n
 
-    def execute_rows(self, state: ExecState) -> PartitionedData:
-        data = self.children[0].run(state)
-        remaining = self.n
-        partitions = []
-        for partition in data.partitions:
-            take = partition[:remaining]
-            remaining -= len(take)
-            partitions.append(take)
-        return PartitionedData(
-            partitions, data.columns, data.partitioned_on, data.scale
-        )
-
-    def execute_columnar(self, state: ExecState) -> ColumnarData:
+    def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         remaining = self.n
         partitions: list[ColumnPartition | LazyRowPartition] = []

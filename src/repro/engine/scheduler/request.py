@@ -37,7 +37,7 @@ from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
 
 if TYPE_CHECKING:
-    from repro.engine.data import PartitionedData
+    from repro.engine.data import ColumnarData
     from repro.engine.executor import Executor
     from repro.obs.trace import Tracer
     from repro.stats.catalog import StatisticsCatalog
@@ -85,7 +85,7 @@ class JobRequest:
 class JobOutcome:
     """What a driver receives back for one :class:`JobRequest`."""
 
-    data: PartitionedData | None
+    data: ColumnarData | None
     #: this job's own charge, *after* refunds and scan-sharing discounts —
     #: already merged into the request's ``cumulative`` metrics.
     metrics: JobMetrics

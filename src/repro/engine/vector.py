@@ -1,62 +1,27 @@
-"""Vectorized execution kernels and engine-mode configuration.
+"""Execution kernels of the data plane (DESIGN.md §10).
 
-The engine runs in one of two modes (DESIGN.md §10):
-
-- ``rowwise`` — the original tuple-at-a-time interpreter: rows are dicts,
-  operators loop over them one by one.
-- ``vectorized`` — rows flow as fixed-size chunks of parallel column lists
-  (:class:`~repro.engine.data.ColumnarData`); scans read only referenced
-  columns, scan+filter+project fuse into one pass per chunk, and joins
-  build/probe over key columns instead of per-row dicts.
-
-Both modes produce byte-identical rows, plans, phases, traces and
-``JobMetrics`` — the cost clock charges from row counts and the logical
-column map, which the columnar path carries unchanged. The equivalence
-harness (``tests/engine/equivalence.py``) pins this for every strategy and
-bench query.
+Rows flow between operators as fixed-size chunks of parallel column lists
+(:class:`~repro.engine.data.ColumnarData`); scans read only referenced
+columns, scan+filter+project fuse into one pass per chunk, and joins
+build/probe over key columns instead of per-row dicts. The cost clock
+charges from row counts and the logical column map, never from what a
+kernel physically touched.
 
 The kernels here are free functions on purpose: the mutation tests
-monkeypatch them to prove the equivalence harness catches a broken kernel.
+monkeypatch them to prove the golden-fingerprint harness
+(``tests/engine/equivalence.py``) catches a broken kernel.
 """
 
 from __future__ import annotations
 
-import os
+from itertools import chain
 
-from repro.common.rng import stable_hash
-
-ENGINE_ROWWISE = "rowwise"
-ENGINE_VECTORIZED = "vectorized"
-ENGINES = (ENGINE_ROWWISE, ENGINE_VECTORIZED)
+from repro.common.rng import stable_hash, stable_hashes
 
 #: Rows per chunk in the fused scan/filter/project kernel. Chunk size never
 #: leaks into results or simulated cost (pinned by the chunking property
 #: test); it only bounds the working set of one kernel invocation.
 DEFAULT_CHUNK_SIZE = 1024
-
-_default_engine = os.environ.get("REPRO_ENGINE", ENGINE_VECTORIZED)
-
-
-def default_engine() -> str:
-    """The engine mode used when a Session/Executor does not pick one."""
-    return _default_engine
-
-
-def set_default_engine(name: str) -> str:
-    """Set the process-wide default engine mode; returns the previous one."""
-    global _default_engine
-    previous = _default_engine
-    _default_engine = resolve_engine(name)
-    return previous
-
-
-def resolve_engine(name: str | None) -> str:
-    """Validate an engine name; ``None`` means the process default."""
-    if name is None:
-        name = _default_engine
-    if name not in ENGINES:
-        raise ValueError(f"unknown engine {name!r}; choose from {ENGINES}")
-    return name
 
 
 # -- fused scan + filter + project ---------------------------------------------
@@ -80,8 +45,8 @@ def fused_filter_project(
     columns the query never references are never pivoted at all.
 
     Per chunk the survivor index list is refined predicate by predicate
-    (mirroring the row-wise ``all()`` conjunction, including its
-    short-circuit order), and only then are the live columns gathered for
+    (a short-circuiting conjunction: a later predicate never sees a row an
+    earlier one rejected), and only then are the live columns gathered for
     the survivors.
     """
     prefix = partition.prefix
@@ -162,10 +127,10 @@ def semi_join_filter(
 
     ``filters`` is an ordered tuple of ``(qualified column, BloomFilter)``
     pairs; a row survives only when every filter column is non-null and its
-    value might be in the corresponding filter — the row-wise contract of
-    ``SemiJoinFilterOp._keep`` (null join keys never match, so they are
-    dropped exactly like the join itself would drop them). A filter column
-    absent from the partition reads as all-null and eliminates the chunk.
+    value might be in the corresponding filter (null join keys never match,
+    so they are dropped exactly like the join itself would drop them). A
+    filter column absent from the partition reads as all-null and eliminates
+    the chunk.
     """
     names = list(columns)
     filter_cols = [columns.get(column) for column, _ in filters]
@@ -203,7 +168,7 @@ def join_key_column(
 
     Single-column keys use the raw value (``None`` stays ``None``);
     composite keys become tuples, collapsed to ``None`` when any component
-    is null — exactly the row-wise ``_key_fn`` contract.
+    is null.
     """
     if len(keys) == 1:
         col = columns.get(keys[0])
@@ -231,8 +196,8 @@ def build_hash_table(key_column: list) -> dict:
 def probe_hash_table(table: dict, key_column: list) -> tuple[list[int], list[int]]:
     """Batched probe: (build positions, probe positions) per output row.
 
-    Output order matches the row-wise nested loop — probe rows in order,
-    matches in build insertion order — so gathered outputs are identical.
+    Output order is that of a nested loop: probe rows in order, each one's
+    matches in build insertion order.
     """
     build_idx: list[int] = []
     probe_idx: list[int] = []
@@ -258,6 +223,13 @@ def gather(column: list, positions: list[int]) -> list:
 #: so the cache can outlive any single exchange or query.
 _route_caches: dict[int, dict] = {}
 
+#: Key types a route memo may be keyed by: for these, two keys share a dict
+#: slot only when ``stable_hash`` agrees on them too (``True == 1`` hash
+#: alike). A float does not qualify — ``0 == 0.0`` but they hash apart — and
+#: inside a tuple neither does a bool, because ``repr((True,)) != repr((1,))``.
+_MEMO_SCALARS = frozenset({int, bool, str, type(None)})
+_MEMO_TUPLE_PARTS = frozenset({int, str, type(None)})
+
 
 def shared_route_cache(partition_count: int) -> dict:
     cache = _route_caches.get(partition_count)
@@ -266,18 +238,33 @@ def shared_route_cache(partition_count: int) -> dict:
     return cache
 
 
+def _memo_safe(key_values: list) -> bool:
+    kinds = set(map(type, key_values))
+    if kinds <= _MEMO_SCALARS:
+        return True
+    return kinds == {tuple} and (
+        set(map(type, chain.from_iterable(key_values))) <= _MEMO_TUPLE_PARTS
+    )
+
+
 def route_partitions(key_values: list, partition_count: int, cache: dict) -> list[int]:
     """Destination partition per row: ``stable_hash(key) % partition_count``.
 
-    Routing is a pure function of the key value, so repeated keys reuse the
-    cached slot instead of re-hashing — same assignment as the row-wise
-    exchange, far fewer blake2b calls.
+    This is the routing definition — whatever the process routed before.
+    Repeated keys reuse the cached slot instead of re-hashing, but only in a
+    batch whose key types cannot alias in a dict (``_MEMO_SCALARS``); any
+    other batch (DOUBLE or mixed-type keys) is hashed without touching the
+    memo, one digest per distinct key.
     """
-    routes = []
-    for key in key_values:
-        slot = cache.get(key)
-        if slot is None:
-            slot = stable_hash(key) % partition_count
-            cache[key] = slot
-        routes.append(slot)
+    if not _memo_safe(key_values):
+        return [h % partition_count for h in stable_hashes(key_values)]
+    routes = list(map(cache.get, key_values))
+    if None in routes:
+        for position, slot in enumerate(routes):
+            if slot is None:
+                key = key_values[position]
+                slot = cache.get(key)  # an earlier miss of this batch may have set it
+                if slot is None:
+                    slot = cache[key] = stable_hash(key) % partition_count
+                routes[position] = slot
     return routes

@@ -18,7 +18,7 @@ reference in the remaining query stays valid verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError
 
@@ -58,7 +58,8 @@ class Predicate:
         """Vectorized form: one boolean per value of this predicate's column.
 
         Must decide exactly as ``evaluate`` does on ``{column: value}`` rows —
-        the vectorized engine's filter kernels rely on that equivalence.
+        the engine's filter kernels call this form, the reference evaluator
+        (``repro.testing``) the per-row one.
         Subclasses override with loops specialized per operator; this
         fallback delegates to ``evaluate`` row by row.
         """
@@ -136,8 +137,8 @@ class ParameterPredicate(Predicate):
 
     def evaluate_batch(self, values: list, context: EvaluationContext) -> list[bool]:
         if not values:
-            # The row-wise engine only notices an unbound parameter when some
-            # row actually reaches this predicate; match that.
+            # ``evaluate`` only notices an unbound parameter when some row
+            # actually reaches this predicate; match that.
             return []
         if self.parameter not in context.parameters:
             raise QueryError(f"unbound query parameter ${self.parameter}")
@@ -170,8 +171,8 @@ class UdfPredicate(Predicate):
 
     def evaluate_batch(self, values: list, context: EvaluationContext) -> list[bool]:
         fn = context.udfs.get(self.udf)
-        # The UDF is applied to every value, nulls included, exactly as the
-        # row-wise path does (a UDF that rejects None raises in both modes).
+        # The UDF is applied to every value, nulls included, exactly as
+        # ``evaluate`` does (a UDF that rejects None raises in both forms).
         return _compare_batch([fn(v) for v in values], self.op, self.value)
 
     def describe(self) -> str:
@@ -318,9 +319,6 @@ class Query:
     def conditions_between(self, a: str, b: str) -> tuple[JoinCondition, ...]:
         pair = frozenset((a, b))
         return tuple(c for c in self.joins if frozenset(c.aliases()) == pair)
-
-    def with_tables(self, tables: tuple[TableRef, ...]) -> Query:
-        return replace(self, tables=tables)
 
     def describe(self) -> str:
         """Human-readable SQL-ish rendering (for logs and plan dumps)."""

@@ -123,10 +123,6 @@ class _Parser:
         if got != token:
             raise ParseError(f"expected {token!r}, got {got!r}")
 
-    def at_keyword(self, word: str) -> bool:
-        token = self.peek()
-        return token is not None and token.lower() == word
-
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> Query:

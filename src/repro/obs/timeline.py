@@ -67,10 +67,6 @@ class ClusterTimeline:
         return max((e.end_seconds for e in self.events), default=0.0)
 
     @property
-    def job_count(self) -> int:
-        return len(self.events)
-
-    @property
     def batched_job_count(self) -> int:
         return sum(1 for event in self.events if event.batched)
 

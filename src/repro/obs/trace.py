@@ -137,11 +137,6 @@ class Span:
         """Simulated seconds this span charged itself (cost delta total)."""
         return sum(self.cost.values())
 
-    @property
-    def rows_in(self) -> int:
-        """Input cardinality: the children's combined output."""
-        return sum(child.rows_out for child in self.children)
-
     def walk(self) -> Iterator["Span"]:
         yield self
         for child in self.children:

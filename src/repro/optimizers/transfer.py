@@ -19,9 +19,9 @@ losing when the joins keep most rows anyway.
 
 Composes with the scheduler (stage generators; the reduce jobs are real
 Scan/Reader → Select → SemiJoinFilter → Sink jobs), the P001-P007 verifier,
-both engines, the service cache (reduce jobs carry content-addressed cache
-tokens) and the equivalence harness: Bloom filters err on the side of
-keeping rows, so results are byte-identical to every other strategy.
+the service cache (reduce jobs carry content-addressed cache tokens) and the
+golden-fingerprint harness: Bloom filters err on the side of keeping rows,
+so results are byte-identical to every other strategy.
 """
 
 from __future__ import annotations

@@ -81,8 +81,6 @@ class QueryService:
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
         verify_plans: bool = True,
-        engine: str | None = None,
-        chunk_size: int | None = None,
         config: ServiceConfig | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
@@ -102,8 +100,6 @@ class QueryService:
             self.udfs,
             cost_parameters,
             verify_plans=verify_plans,
-            engine=engine,
-            chunk_size=chunk_size,
         )
         self.scheduler = JobScheduler(self.executor, scheduler_config)
         #: persistent feedback + sketches; ``feedback`` aliases its log so

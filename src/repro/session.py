@@ -58,8 +58,6 @@ class Session:
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
         verify_plans: bool = True,
-        engine: str | None = None,
-        chunk_size: int | None = None,
         service=None,
         tenant: str = "",
     ) -> None:
@@ -76,13 +74,11 @@ class Session:
                     cost_parameters,
                     scheduler_config,
                     job_slots,
-                    engine,
-                    chunk_size,
                 )
             ):
                 raise OptimizationError(
                     "Session(service=...) shares the service's stack; "
-                    "configure cluster/scheduler/engine on the QueryService"
+                    "configure cluster/scheduler on the QueryService"
                 )
             self.service = service
             self.tenant = tenant
@@ -114,8 +110,6 @@ class Session:
             self.udfs,
             cost_parameters,
             verify_plans=verify_plans,
-            engine=engine,
-            chunk_size=chunk_size,
         )
         self.scheduler_config = scheduler_config
         self.scheduler = JobScheduler(self.executor, scheduler_config)

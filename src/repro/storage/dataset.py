@@ -29,7 +29,7 @@ DEFAULT_COLUMN_CACHE_COLUMNS = 64
 class ColumnCacheLRU:
     """Bounded field -> column-list memo for one partition.
 
-    Exposes the mapping surface the vectorized scan path uses
+    Exposes the mapping surface the scan path uses
     (:meth:`get` / item assignment / ``in``) while evicting the
     least-recently-used column beyond ``capacity``. Eviction only discards
     a memo — the column is re-pivoted from the stored rows on the next
@@ -97,7 +97,7 @@ class Dataset:
     #: statistics operate on the stored rows.
     scale: float = 1.0
     #: Lazily built per-partition columnar projections (field -> value list),
-    #: shared by every vectorized scan of this dataset. Stored rows are
+    #: shared by every scan of this dataset. Stored rows are
     #: treated as immutable after registration, so a column extracted once
     #: stays valid until the LRU bound evicts it.
     _column_caches: list[ColumnCacheLRU] | None = field(
@@ -130,7 +130,7 @@ class Dataset:
             yield from partition
 
     def column_cache(self, partition_index: int) -> ColumnCacheLRU:
-        """The columnar projection memo for one partition (vectorized scans)."""
+        """The columnar projection memo for one partition."""
         if self._column_caches is None:
             capacity = self.column_cache_capacity or DEFAULT_COLUMN_CACHE_COLUMNS
             self._column_caches = [ColumnCacheLRU(capacity) for _ in self.partitions]

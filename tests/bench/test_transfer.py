@@ -49,23 +49,3 @@ class TestTransferSweep:
         cells = run_transfer(workloads=(("Q8", 100, 0.0, 0.0),))
         assert len({cell.rows for cell in cells}) == 1
         assert cells[0].rows > 0
-
-
-class TestEngineIdentity:
-    """Satellite: the bench smoke paths under ``--engine rowwise`` must
-    report byte-identical simulated fields to the vectorized default."""
-
-    def test_transfer_cells_engine_independent(self):
-        workload = (("Q8", 10, 0.0, 0.0),)
-        rows = run_transfer(workloads=workload, engine="rowwise")
-        vec = run_transfer(workloads=workload, engine="vectorized")
-        assert rows == vec  # frozen dataclasses: full field-wise identity
-
-    def test_skew_cells_engine_independent(self):
-        from repro.bench.skew import run_skew
-
-        cells = ((1.3, 0.9),)
-        optimizers = ("dynamic", "predicate_transfer")
-        rows = run_skew(cells=cells, optimizers=optimizers, engine="rowwise")
-        vec = run_skew(cells=cells, optimizers=optimizers, engine="vectorized")
-        assert rows == vec

@@ -20,27 +20,6 @@ from repro.lang.builder import QueryBuilder
 from repro.session import Session
 
 
-def pytest_addoption(parser: pytest.Parser) -> None:
-    parser.addoption(
-        "--engine",
-        choices=("rowwise", "vectorized"),
-        default=None,
-        help=(
-            "execution engine the whole suite runs against (sets the "
-            "process default; sessions that pick explicitly are unaffected). "
-            "Default: the REPRO_ENGINE env var, else vectorized."
-        ),
-    )
-
-
-def pytest_configure(config: pytest.Config) -> None:
-    engine = config.getoption("--engine")
-    if engine is not None:
-        from repro.engine.vector import set_default_engine
-
-        set_default_engine(engine)
-
-
 def small_cluster() -> ClusterConfig:
     """A 2x2 cluster keeps tests fast while still exercising partitioning."""
     return ClusterConfig(nodes=2, cores_per_node=2, broadcast_budget_bytes=40e6)

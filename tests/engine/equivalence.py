@@ -1,35 +1,42 @@
-"""Cross-engine equivalence harness: row-wise vs vectorized, byte for byte.
+"""Golden-fingerprint harness: everything a run exposes, pinned by digest.
 
-DESIGN.md §10 promises that the vectorized engine is purely a data-plane
-mode: for any query and strategy it must reproduce the row-wise engine's
-rows, plans, phases, ``JobMetrics`` (including ``repr``-exact floats),
-execution trace, schedule record, and cluster timeline. This module is the
-instrument that proves it — an extension of the schedule-fingerprint A/B
-diffing used by the space-sharing tests, widened to span engines.
+``run_fingerprint`` executes one bench query under one strategy and
+flattens everything observable — rows, ``JobMetrics`` (``repr``-exact
+floats), plan, phases, execution trace, schedule record, cluster timeline,
+chrome trace, policy decisions — into a dict of strings, one per facet.
+``golden_fingerprints.json`` holds the SHA-256 of each facet for every cell
+in ``CELLS`` at SF 100, seed 42; ``assert_matches_golden`` re-runs a cell
+and names the facets whose digest moved ("metrics", "rows", "timeline", ...).
 
-``run_fingerprint`` executes one bench query under one strategy on one
-engine and flattens everything observable into a dict of strings;
-``assert_engines_equivalent`` runs both engines and diffs the dicts
-component by component, so a regression names the first diverging facet
-("metrics", "rows", "timeline", ...) instead of dumping two blobs.
+The committed digests were recorded from the **row-wise** reference engine
+(``run_fingerprint(..., engine="rowwise")``) at commit 259da77, the last
+commit that had one, serialized as the ``__main__`` block below does. The
+data plane that replaced it (DESIGN.md §10) is pinned to that recording;
+fingerprints depend neither on ``PYTHONHASHSEED`` nor on cell order.
+Re-record on purpose — after a change *meant* to move simulated numbers,
+saying in the commit which facets moved and why — with::
 
-The mutation tests reuse the same entry points: they patch a kernel in
-``repro.engine.vector`` and assert the harness *fails*, which keeps the
-harness itself honest.
+    PYTHONPATH=src python tests/engine/equivalence.py \\
+        > tests/engine/golden_fingerprints.json
+
+There is no pytest flag for it. The mutation tests patch a kernel and assert
+the check *fails*, which keeps the harness itself honest.
 """
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 from dataclasses import fields, replace
+from pathlib import Path
 
 from repro.bench.runner import SWEEP_QUERIES, workbench_for_query
 from repro.engine.scheduler import JobScheduler, SchedulerConfig
-from repro.engine.vector import ENGINE_ROWWISE, ENGINE_VECTORIZED
 from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
 
-#: every registered strategy; the equivalence sweep covers all of them.
+#: every registered strategy; the golden sweep covers all of them.
 ALL_STRATEGIES = tuple(sorted(available_strategies()))
 #: the paper's four evaluation queries plus the JOB-style suite.
 ALL_QUERIES = tuple(SWEEP_QUERIES)
@@ -46,11 +53,24 @@ FACETS = (
     "decisions",
 )
 
+GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
+#: SF 100: every sweep query returns rows (at SF 10 four of seven are empty)
+GOLDEN_SCALE_FACTOR = 100
+GOLDEN_SEED = 42
+
+#: cell id -> (query label, strategy, planner options). ``dynamic+inl``
+#: covers IndexNestedLoopJoinOp (secondary indexes on); ``dynamic+transfer``
+#: the SemiJoinFilterOp reduce jobs feeding the re-optimization loop.
+CELLS: dict[str, tuple[str, str, dict]] = {}
+for _q in ALL_QUERIES:
+    CELLS.update({f"{_q}/{s}": (_q, s, {}) for s in ALL_STRATEGIES})
+    CELLS[f"{_q}/dynamic+inl"] = (_q, "dynamic", {"inl_enabled": True})
+    CELLS[f"{_q}/dynamic+transfer"] = (_q, "dynamic", {"pre_filter": "transfer"})
+
 
 def canonical_rows(rows: list[dict]) -> str:
-    """Rows as canonical JSON: key order inside a row is not significant
-    (the two engines build output dicts in different orders for INL), row
-    order and every value are."""
+    """Rows as canonical JSON: key order inside a row is not significant,
+    row order and every value are."""
     return json.dumps(rows, sort_keys=True, default=repr)
 
 
@@ -84,20 +104,16 @@ def schedule_fingerprint(schedule) -> str:
 def run_fingerprint(
     label: str,
     optimizer: str,
-    engine: str,
-    scale_factor: int = 10,
-    seed: int = 42,
+    scale_factor: int = GOLDEN_SCALE_FACTOR,
+    seed: int = GOLDEN_SEED,
     inl_enabled: bool = False,
     **options,
 ) -> dict[str, str]:
-    """Execute one bench query on one engine; return its observable state.
+    """Execute one bench query; return its observable state, facet by facet.
 
     Runs through a single-slot :class:`JobScheduler` — the same path as
     ``Session.execute`` — but keeps the scheduler so the cluster timeline
-    and chrome trace land in the fingerprint too. The cached workbench
-    session is shared across engines (ingestion is engine-independent); the
-    executor's engine attribute is flipped for the duration of the run and
-    always restored.
+    and chrome trace land in the fingerprint too.
     """
     bench = workbench_for_query(label, scale_factor, seed)
     session = bench.session
@@ -109,8 +125,6 @@ def run_fingerprint(
         batch_pushdown_scans=False,
         job_slots=1,
     )
-    previous = session.executor.engine
-    session.executor.engine = engine
     try:
         scheduler = JobScheduler(session.executor, config)
         handle = scheduler.submit(
@@ -132,64 +146,44 @@ def run_fingerprint(
             "decisions": repr(tuple(result.decisions)),
         }
     finally:
-        session.executor.engine = previous
         session.reset_intermediates()
 
 
-def diff_fingerprints(
-    rowwise: dict[str, str], vectorized: dict[str, str]
-) -> list[str]:
-    """Names of the facets where the two engines diverge."""
-    return [facet for facet in FACETS if rowwise[facet] != vectorized[facet]]
+def digests(cell: str) -> tuple[dict[str, str], dict[str, str]]:
+    """Run one cell: (its fingerprint, the SHA-256 of each facet)."""
+    label, strategy, options = CELLS[cell]
+    fingerprint = run_fingerprint(label, strategy, **options)
+    return fingerprint, {
+        facet: hashlib.sha256(fingerprint[facet].encode()).hexdigest()
+        for facet in FACETS
+    }
 
 
-def assert_engines_equivalent(
-    label: str,
-    optimizer: str,
-    scale_factor: int = 10,
-    seed: int = 42,
-    inl_enabled: bool = False,
-    **options,
-) -> dict[str, str]:
-    """Run both engines and assert byte-identity facet by facet.
+@functools.cache
+def load_goldens() -> dict[str, dict[str, str]]:
+    recorded = json.loads(GOLDEN_PATH.read_text())
+    assert recorded["scale_factor"] == GOLDEN_SCALE_FACTOR
+    assert recorded["seed"] == GOLDEN_SEED
+    return recorded["cells"]
 
-    Returns the (shared) fingerprint so callers can pin it further.
-    """
-    rowwise = run_fingerprint(
-        label,
-        optimizer,
-        ENGINE_ROWWISE,
-        scale_factor,
-        seed,
-        inl_enabled,
-        **options,
+
+def assert_matches_golden(cell: str) -> dict[str, str]:
+    """Run one cell and assert every facet digest equals the recording;
+    returns the fingerprint so callers can pin it further."""
+    fingerprint, current = digests(cell)
+    golden = load_goldens()[cell]
+    moved = [facet for facet in FACETS if current[facet] != golden[facet]]
+    assert not moved, (
+        f"{cell}: diverges from the golden recording on {', '.join(moved)}; "
+        + "; ".join(f"{f} now starts {fingerprint[f][:120]!r}" for f in moved)
     )
-    vectorized = run_fingerprint(
-        label,
-        optimizer,
-        ENGINE_VECTORIZED,
-        scale_factor,
-        seed,
-        inl_enabled,
-        **options,
-    )
-    divergent = diff_fingerprints(rowwise, vectorized)
-    if divergent:
-        details = []
-        for facet in divergent:
-            a, b = rowwise[facet], vectorized[facet]
-            position = next(
-                (i for i, (x, y) in enumerate(zip(a, b)) if x != y),
-                min(len(a), len(b)),
-            )
-            window = slice(max(0, position - 40), position + 40)
-            details.append(
-                f"{facet}: first divergence at char {position}\n"
-                f"  rowwise    ...{a[window]!r}\n"
-                f"  vectorized ...{b[window]!r}"
-            )
-        raise AssertionError(
-            f"{label}/{optimizer}: engines diverge on "
-            f"{', '.join(divergent)}\n" + "\n".join(details)
-        )
-    return rowwise
+    return fingerprint
+
+
+if __name__ == "__main__":
+    golden = {
+        "scale_factor": GOLDEN_SCALE_FACTOR,
+        "seed": GOLDEN_SEED,
+        "cells": {cell: digests(cell)[1] for cell in CELLS},
+    }
+    print(json.dumps(golden, indent=1))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.types import DataType, Schema
-from repro.engine.data import PartitionedData
+from repro.engine.data import ColumnarData, ColumnPartition
 from repro.engine.job import Job
 from repro.engine.operators.joins import BroadcastJoinOp, HashJoinOp
 from repro.engine.operators.scan import ReaderOp, ScanOp
@@ -80,6 +80,6 @@ class TestScalePropagation:
         assert big_metrics.scan > small_metrics.scan * 1000
 
     def test_partitioned_data_defaults(self):
-        data = PartitionedData([[{"a": 1}]], {"a": DataType.INT})
+        data = ColumnarData([ColumnPartition({"a": [1]}, 1)], {"a": DataType.INT})
         assert data.scale == 1.0
         assert data.modeled_rows == 1

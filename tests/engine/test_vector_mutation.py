@@ -1,11 +1,11 @@
-"""Mutation tests: the equivalence harness must catch a broken kernel.
+"""Mutation tests: the golden-fingerprint harness must catch a broken kernel.
 
-Each test plants one specific defect in a vectorized kernel (the free
-functions in ``repro.engine.vector`` exist exactly so they can be patched
-here) and asserts the cross-engine harness FAILS — proving the harness has
-the sensitivity the tentpole guarantee rests on. The first test pins the
-clean baseline every mutation is measured against, in the style of the plan
-verifier's mutation suite.
+Each test plants one specific defect in a kernel (the free functions in
+``repro.engine.vector`` exist exactly so they can be patched here) and
+asserts the golden check FAILS — proving the harness has the sensitivity
+the data plane's guarantee rests on. The first test pins the clean baseline
+every mutation is measured against, in the style of the plan verifier's
+mutation suite.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.cost import CostModel
+from repro.common.types import DataType
 from repro.engine import vector
-from repro.engine.data import ColumnPartition, ColumnarData, PartitionedData
+from repro.engine.data import ColumnPartition, ColumnarData
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.base import ExecState
 from repro.engine.operators.select import SelectOp
@@ -23,13 +24,13 @@ from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
 from tests.conftest import small_cluster
-from tests.engine.equivalence import assert_engines_equivalent
+from tests.engine.equivalence import assert_matches_golden
 
-CASE = ("Q50", "from_order")
+CASE = "Q50/from_order"
 
 
 def test_clean_baseline_passes():
-    assert_engines_equivalent(*CASE)
+    assert_matches_golden(CASE)
 
 
 class TestFusedKernelMutations:
@@ -43,8 +44,8 @@ class TestFusedKernelMutations:
             return original(partition, flipped, live, evaluation, chunk_size)
 
         monkeypatch.setattr(vector, "fused_filter_project", inverted)
-        with pytest.raises(AssertionError, match="engines diverge"):
-            assert_engines_equivalent(*CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
 
     def test_dropped_predicate_is_caught(self, monkeypatch):
         original = vector.fused_filter_project
@@ -55,8 +56,8 @@ class TestFusedKernelMutations:
             )
 
         monkeypatch.setattr(vector, "fused_filter_project", drops_last)
-        with pytest.raises(AssertionError, match="engines diverge"):
-            assert_engines_equivalent(*CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
 
     def test_projection_off_by_one_is_caught(self, monkeypatch):
         original = vector.fused_filter_project
@@ -74,8 +75,8 @@ class TestFusedKernelMutations:
         monkeypatch.setattr(
             vector, "fused_filter_project", skips_first_survivor
         )
-        with pytest.raises(AssertionError, match="engines diverge"):
-            assert_engines_equivalent(*CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
 
     def test_dead_column_gather_is_caught(self, monkeypatch):
         original = vector.fused_filter_project
@@ -93,8 +94,8 @@ class TestFusedKernelMutations:
         monkeypatch.setattr(
             vector, "fused_filter_project", drops_a_live_column
         )
-        with pytest.raises(AssertionError, match="engines diverge"):
-            assert_engines_equivalent(*CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
 
 
 class TestJoinKernelMutations:
@@ -106,8 +107,8 @@ class TestJoinKernelMutations:
             return build_idx[::-1], probe_idx[::-1]
 
         monkeypatch.setattr(vector, "probe_hash_table", reversed_matches)
-        with pytest.raises(AssertionError, match="engines diverge"):
-            assert_engines_equivalent(*CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
 
 
 class _NegatedPredicate:
@@ -124,38 +125,26 @@ class _NegatedPredicate:
 class TestFilterColumnsMutation:
     """``filter_columns`` serves already-extracted inputs (no lazy scan under
     the Select); it is not on the bench-query path, so its mutation is pinned
-    by a direct operator-level A/B diff instead."""
+    by a direct operator-level check against an inline expected row list."""
 
-    @staticmethod
-    def _select_ab():
-        from repro.common.types import DataType
+    VALUES = [(i % 5, i) for i in range(97)]
+    EXPECTED = [{"t.a": a, "t.v": v} for a, v in VALUES if a <= 2]
 
+    def _select(self) -> list[dict]:
         columns = {"t.a": DataType.INT, "t.v": DataType.INT}
-        values = [(i % 5, i) for i in range(97)]
-        row_parts = [
-            [{"t.a": a, "t.v": v} for a, v in values[:50]],
-            [{"t.a": a, "t.v": v} for a, v in values[50:]],
-        ]
-        col_parts = [
+        partitions = [
             ColumnPartition(
-                {
-                    "t.a": [a for a, _ in chunk],
-                    "t.v": [v for _, v in chunk],
-                },
+                {"t.a": [a for a, _ in chunk], "t.v": [v for _, v in chunk]},
                 len(chunk),
             )
-            for chunk in (values[:50], values[50:])
+            for chunk in (self.VALUES[:50], self.VALUES[50:])
         ]
         predicate = ComparisonPredicate("t.a", "<=", 2)
-        op_rows = SelectOp(_Stub(PartitionedData(row_parts, columns)), (predicate,))
-        op_cols = SelectOp(_Stub(ColumnarData(col_parts, columns)), (predicate,))
-        a = op_rows.execute_rows(_state("rowwise")).all_rows()
-        b = op_cols.execute_columnar(_state("vectorized")).all_rows()
-        return a, b
+        op = SelectOp(_Stub(ColumnarData(partitions, columns)), (predicate,))
+        return op.execute(_state()).all_rows()
 
     def test_clean_operator_baseline(self):
-        a, b = self._select_ab()
-        assert a == b and a  # equal and non-trivial
+        assert self._select() == self.EXPECTED and self.EXPECTED
 
     def test_chunk_boundary_mutation_is_caught(self, monkeypatch):
         original = vector.filter_columns
@@ -166,8 +155,7 @@ class TestFilterColumnsMutation:
             )
 
         monkeypatch.setattr(vector, "filter_columns", drops_chunk_tail)
-        a, b = self._select_ab()
-        assert a != b
+        assert self._select() != self.EXPECTED
 
 
 class _Stub:
@@ -180,7 +168,7 @@ class _Stub:
         return self.data
 
 
-def _state(engine: str) -> ExecState:
+def _state() -> ExecState:
     cluster = small_cluster()
     return ExecState(
         cluster=cluster,
@@ -189,6 +177,5 @@ def _state(engine: str) -> ExecState:
         statistics=StatisticsCatalog(),
         evaluation=EvaluationContext(),
         metrics=JobMetrics(),
-        engine=engine,
         chunk_size=16,
     )

@@ -7,7 +7,6 @@ from repro.bench.verify import verify_cell
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 from tests.engine.equivalence import run_fingerprint
-from repro.engine.vector import ENGINE_ROWWISE
 
 
 class TestByteDeterminism:
@@ -16,8 +15,8 @@ class TestByteDeterminism:
 
     @pytest.mark.parametrize("label", ("J2", "Q9"))
     def test_repeated_runs_identical(self, label):
-        first = run_fingerprint(label, "sketch_online", ENGINE_ROWWISE)
-        second = run_fingerprint(label, "sketch_online", ENGINE_ROWWISE)
+        first = run_fingerprint(label, "sketch_online")
+        second = run_fingerprint(label, "sketch_online")
         assert first == second
 
 
