@@ -86,9 +86,9 @@ class CostModel:
     def with_partitions(self, partitions: int) -> CostModel:
         """A view of this model restricted to a ``partitions``-wide slice.
 
-        Returns ``self`` unchanged for a full-width slice so serial
-        scheduling keeps the exact same object (and float arithmetic) as
-        before space sharing existed.
+        Returns ``self`` unchanged for a full-width slice: a job running
+        alone (every job of a one-slot schedule) is charged by the cluster's
+        own model, the exact same object and float arithmetic.
         """
         if partitions >= self.cluster.partitions and self._partitions is None:
             return self

@@ -9,6 +9,8 @@ and their statistics live in the catalogs, not in the executor).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.analysis.runtime import VerifierStats
 from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel, CostParameters
@@ -21,6 +23,9 @@ from repro.lang.ast import EvaluationContext
 from repro.lang.udf import UdfRegistry, default_registry
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
+
+if TYPE_CHECKING:
+    from repro.service.cache import ServiceCache
 
 
 class Executor:
@@ -51,7 +56,7 @@ class Executor:
         #: intermediate-result cache (set by the query service; ``None`` for
         #: plain sessions). Consulted by the scheduler's request runner, not
         #: by ``execute`` itself, so the executor stays stateless per job.
-        self.cache = None
+        self.cache: ServiceCache | None = None
 
     def execute(
         self,

@@ -10,6 +10,11 @@ them individually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.engine.scheduler import ScheduleInfo
+    from repro.obs.trace import QueryTrace
 
 
 @dataclass
@@ -85,15 +90,15 @@ class ExecutionResult:
     metrics: JobMetrics
     plan_description: str = ""
     phases: list[str] = field(default_factory=list)
-    #: structured execution trace (repro.obs.QueryTrace): hierarchical spans
-    #: plus estimated-vs-actual cardinality records; None only for results
+    #: structured execution trace: hierarchical spans plus
+    #: estimated-vs-actual cardinality records; None only for results
     #: assembled outside the traced execution paths.
-    trace: object | None = None
-    #: scheduling record (repro.engine.scheduler.ScheduleInfo) when the query
-    #: ran through a JobScheduler: admission/finish instants on the shared
-    #: cluster clock and the queueing delay charged under saturation. None
-    #: for direct (unscheduled) execution; never affects ``metrics``.
-    schedule: object | None = None
+    trace: QueryTrace | None = None
+    #: scheduling record when the query ran through a JobScheduler:
+    #: admission/finish instants on the shared cluster clock and the
+    #: queueing delay charged under saturation. None for direct
+    #: (unscheduled) execution; never affects ``metrics``.
+    schedule: ScheduleInfo | None = None
     #: feedback-policy decisions (repro.core.policy.PolicyDecision) taken
     #: during this run: replan triggers, widened picks, early fusing. Empty
     #: for runs without a policy (or with ReplanPolicy.off()).

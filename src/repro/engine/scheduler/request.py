@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.analysis.runtime import record_replay_dataflow, verify_before_launch
+from repro.common.errors import ReproError
 from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
 
@@ -153,6 +154,8 @@ def _perform(
         # jobs are coordinator-side work, not partitioned cluster jobs.
         data = None
         job_metrics = request.virtual_cost.copy()
+    elif request.job is None:
+        raise ReproError(f"request {request.phase!r} has neither job nor virtual cost")
     else:
         # Verify-on-compile gate: prove the job's invariants (P001-P007)
         # before anything launches. Zero simulated cost; raises

@@ -4,25 +4,30 @@ The paper frames every re-optimization stage as an independently submitted
 Hyracks job; this module exploits exactly that seam. Drivers are resumable
 stage generators (``yield JobRequest → receive JobOutcome``); the scheduler
 parks each admitted query at its pending request and interleaves requests of
-different queries on one shared simulated clock:
+different queries on one shared simulated clock. There is one schedule:
 
-- **Admission.** At most ``max_concurrent_queries`` queries run at once;
-  the rest wait in a priority/FIFO admission queue and are charged the wait.
+- **Admission.** At most ``max_concurrent_queries`` queries run at once; the
+  rest wait, charged for it, in a queue of at most ``max_queued`` entries
+  (:class:`~repro.common.errors.AdmissionError` on overflow). Highest
+  priority is admitted first; within a priority level the tenant with the
+  fewest admissions so far (a deficit round-robin: no tenant's flood starves
+  another), FIFO within a tenant. A plain session is the one-tenant case
+  (tenant ``""``), where this *is* priority/FIFO order.
 - **Space sharing.** The cluster is a pool of ``job_slots`` partition-slice
   slots. Each launched cluster job is assigned a slice — an even split of
   the cluster's partitions across the jobs active at launch time, the full
   cluster when alone — and jobs in different slots overlap on the shared
   clock. The event loop is event-driven: launches happen whenever a slot is
   free and some query has a ready request; otherwise the clock jumps to the
-  earliest completion in a min-heap of in-flight jobs. ``job_slots=1``
-  degenerates to the historical serial schedule (one full-width job at a
-  time, byte-identical accounting).
+  earliest completion in a min-heap of in-flight jobs. With one slot every
+  job runs alone on the full cluster: the serial schedule.
 - **Slice costing.** A job launched on an ``n``-partition slice is costed
   against :meth:`repro.cluster.cost.CostModel.with_partitions`: partitioned
   work divides by ``n`` instead of the full cluster and the join memory
   budget shrinks with the slice, so narrow slices raise spill pressure —
-  feeding the session's cross-query spill feedback. Data placement (and
-  therefore every query's answer) is unaffected.
+  feeding the session's cross-query spill feedback. A full-width slice is
+  the cluster's own cost model. Data placement (and therefore every query's
+  answer) is unaffected.
 - **Queueing delay.** A query is charged delay only for time the cluster had
   *no free slice* for its ready request (or while it waited for admission).
   Ready work launches the moment a slot is free, so a solo query — or any
@@ -35,15 +40,15 @@ different queries on one shared simulated clock:
   branches, while each branch keeps its own select/sink work, intermediate,
   statistics catalog and trace. Merging happens at launch time, so a merged
   scan occupies a single slot while unrelated jobs overlap in the others.
-- **Multi-tenancy.** Every submission may carry a tenant name. With
-  ``fair_tenants`` admission becomes a per-priority deficit round-robin over
-  tenants (FIFO within a tenant), ``max_queued`` bounds the admission queue
-  (:class:`~repro.common.errors.AdmissionError` on overflow), and
-  ``adaptive_slices`` sizes each launch wave's partition slices by estimated
-  job size instead of PR 4's even split. All three default off, keeping the
-  historical schedule byte-identical. A :class:`~repro.service.QueryService`
-  additionally installs ``on_admit``/``on_finish`` hooks to answer repeated
-  queries from its result cache at admission time.
+- **Query ids.** Every query materializes into its own ``__q<id>__``
+  catalog namespace. Ids count up from 1 per scheduler, skipping any whose
+  namespace is live, so the schedulers of one stack (the shared one, the
+  private one behind each ``Session.execute``, a fresh one after
+  ``reset_scheduler``) never write into a retained checkpoint.
+
+A :class:`~repro.service.QueryService` additionally installs
+``on_admit``/``on_finish`` hooks to answer repeated queries from its result
+cache at admission time.
 
 Per-query results are the ordinary :class:`ExecutionResult`; the scheduler
 annotates each with a :class:`ScheduleInfo` (failed queries get one too,
@@ -57,8 +62,9 @@ a resumable checkpoint, whose intermediates are the recovery state.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AdmissionError, ReproError
 from repro.engine.metrics import ExecutionResult
@@ -66,8 +72,11 @@ from repro.engine.scheduler.request import JobOutcome, JobRequest, run_request
 from repro.obs.timeline import ClusterTimeline, TimelineEvent
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from repro.engine.executor import Executor
     from repro.lang.ast import Query
+    from repro.session import Session
 
 
 @dataclass(frozen=True)
@@ -79,33 +88,20 @@ class SchedulerConfig:
     #: merge pending pushdown scans over the same base dataset into one job.
     batch_pushdown_scans: bool = True
     #: partition-slice slots: how many cluster jobs may run concurrently.
-    #: 1 reproduces the historical serial schedule exactly; >1 space-shares
-    #: the cluster, splitting partitions evenly across active jobs.
+    #: 1 is the serial schedule (every job alone on the full cluster); >1
+    #: space-shares it, splitting partitions evenly across active jobs.
     job_slots: int = 1
-    #: per-tenant fair admission: within a priority level, pick the waiting
-    #: query of the tenant with the fewest admissions so far (FIFO within a
-    #: tenant) instead of global FIFO — one tenant flooding the queue cannot
-    #: starve the others. Off by default: plain FIFO is the historical
-    #: (byte-identical) order.
-    fair_tenants: bool = False
     #: bound on the admission queue: a submission past this many waiting
-    #: queries raises :class:`~repro.common.errors.AdmissionError` instead of
-    #: queueing without limit. ``None`` (default) keeps the queue unbounded.
-    max_queued: int | None = None
-    #: size-aware slice widths: when space sharing (``job_slots > 1``), a
-    #: launch wave splits its partition budget across the wave's jobs in
-    #: proportion to their estimated output size instead of evenly, so a
-    #: small sketch-refresh job stops reserving as many partitions as a
-    #: giant join. Off by default (PR 4's even split, byte-identical).
-    adaptive_slices: bool = False
+    #: queries raises :class:`~repro.common.errors.AdmissionError`.
+    max_queued: int = 10_000
 
     def __post_init__(self) -> None:
         if self.max_concurrent_queries < 1:
             raise ReproError("scheduler needs at least one admission slot")
         if self.job_slots < 1:
             raise ReproError("scheduler needs at least one job slot")
-        if self.max_queued is not None and self.max_queued < 1:
-            raise ReproError("max_queued must be >= 1 (or None for unbounded)")
+        if self.max_queued is None or self.max_queued < 1:
+            raise ReproError("max_queued must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -150,13 +146,13 @@ class QueryHandle:
         query_id: int,
         query: Query,
         strategy,
-        session,
+        session: Session,
         priority: int,
         label: str,
         submitted_at: float,
-        submit_index: int,
         tenant: str = "",
     ) -> None:
+        #: unique per scheduler and increasing in submission order
         self.query_id = query_id
         self.query = query
         self.strategy = strategy
@@ -166,10 +162,9 @@ class QueryHandle:
         self.tenant = tenant
         #: result-cache key, set by the query service at submit time; the
         #: scheduler itself never reads it (its cache hooks do).
-        self.cache_key = None
+        self.cache_key: tuple | None = None
         self.status = "queued"
         self.submitted_at = submitted_at
-        self.submit_index = submit_index
         self.admitted_at: float | None = None
         self.finished_at: float | None = None
         self.queue_delay_seconds = 0.0
@@ -180,7 +175,7 @@ class QueryHandle:
         self.schedule: ScheduleInfo | None = None
         #: shared-clock instant since which the query's next work is ready
         self.ready_since = submitted_at
-        self._generator = None
+        self._generator: Any = None  # the strategy's stage generator
         self._group = False
         self._requests: list[JobRequest] = []
         self._outcomes: list[JobOutcome | None] = []
@@ -234,12 +229,6 @@ class QueryHandle:
         return outcomes if self._group else outcomes[0]
 
 
-def _query_datasets(query) -> tuple[str, ...]:
-    """Sorted base dataset names a query's FROM clause references."""
-    tables = getattr(query, "tables", ())
-    return tuple(sorted({table.dataset for table in tables}))
-
-
 def _tenants_of(handles) -> tuple[str, ...]:
     """Distinct non-empty tenant names, in participant order."""
     return tuple(dict.fromkeys(h.tenant for h in handles if h.tenant))
@@ -251,11 +240,10 @@ class _InFlightJob:
 
     end_seconds: float
     order: int  # launch sequence; heap tie-break keeps pops deterministic
-    start_seconds: float
     slot: int
-    entries: list[tuple[QueryHandle, int]] = field(default_factory=list)
-    outcomes: list[JobOutcome] = field(default_factory=list)
-    participants: list[QueryHandle] = field(default_factory=list)
+    #: (query, request index, outcome) per branch the job carried
+    performed: list[tuple[QueryHandle, int, JobOutcome]]
+    participants: list[QueryHandle]
 
     def __lt__(self, other: _InFlightJob) -> bool:
         return (self.end_seconds, self.order) < (other.end_seconds, other.order)
@@ -285,15 +273,13 @@ class JobScheduler:
         heapq.heapify(self._free_slots)
         self._launch_order = 0
         self._next_id = 1
-        self._submit_index = 0
         #: lifetime admissions per tenant (fair-admission bookkeeping).
-        self._tenant_admissions: dict[str, int] = {}
-        #: service hooks, ``None`` outside a QueryService (byte-identical):
-        #: ``on_admit(handle) -> ExecutionResult | None`` may answer an
-        #: admitted query from a cache before its driver is even created;
-        #: ``on_finish(handle, result)`` observes every completed result.
-        self.on_admit = None
-        self.on_finish = None
+        self._tenant_admissions: Counter[str] = Counter()
+        #: service hooks, ``None`` outside a QueryService: ``on_admit`` may
+        #: answer an admitted query from a cache before its driver is even
+        #: created; ``on_finish`` observes every completed (uncached) result.
+        self.on_admit: Callable[[QueryHandle], ExecutionResult | None] | None = None
+        self.on_finish: Callable[[QueryHandle, ExecutionResult], None] | None = None
         #: cache-token -> scan-signature ledger shared across this
         #: scheduler's queries (the Q004 cross-query collision check).
         self._dataflow_tokens: dict[str, tuple[str, ...]] = {}
@@ -304,7 +290,7 @@ class JobScheduler:
         self,
         query: Query,
         strategy,
-        session,
+        session: Session,
         priority: int = 0,
         label: str = "",
         tenant: str = "",
@@ -312,21 +298,23 @@ class JobScheduler:
         """Queue one described query (strategy + priority) for execution.
 
         Nothing runs until :meth:`run_all`; higher ``priority`` is admitted
-        and serviced first, FIFO within a priority level (or round-robin
-        across tenants under ``fair_tenants``). A bounded queue
-        (``max_queued``) rejects the submission with
-        :class:`~repro.common.errors.AdmissionError` when full.
+        and serviced first, round-robin across tenants within a priority
+        level, FIFO within a tenant. A full queue (``max_queued``) rejects
+        the submission with :class:`~repro.common.errors.AdmissionError`.
         """
-        if (
-            self.config.max_queued is not None
-            and len(self._waiting) >= self.config.max_queued
-        ):
+        if len(self._waiting) >= self.config.max_queued:
             raise AdmissionError(
                 f"admission queue full ({len(self._waiting)} waiting, "
                 f"max_queued={self.config.max_queued}); "
                 f"rejecting {label or 'query'!r}"
                 + (f" from tenant {tenant!r}" if tenant else "")
             )
+        # Schedulers of one stack share its catalog but count ids separately:
+        # skip any id whose namespace is live (a checkpoint an earlier failure
+        # kept), or this query would overwrite and then release it.
+        names = session.datasets.names()
+        while any(name.startswith(f"__q{self._next_id}__") for name in names):
+            self._next_id += 1
         handle = QueryHandle(
             query_id=self._next_id,
             query=query,
@@ -335,11 +323,9 @@ class JobScheduler:
             priority=priority,
             label=label,
             submitted_at=self.now,
-            submit_index=self._submit_index,
             tenant=tenant,
         )
         self._next_id += 1
-        self._submit_index += 1
         self._waiting.append(handle)
         return handle
 
@@ -356,8 +342,7 @@ class JobScheduler:
         finished: list[QueryHandle] = []
         self._admit(finished)
         while self._running or self._in_flight:
-            launched = self._launch_wave(finished)
-            if launched:
+            if self._launch_wave(finished):
                 continue
             if not self._in_flight:
                 raise ReproError(
@@ -369,28 +354,20 @@ class JobScheduler:
     def _pop_next_admission(self) -> QueryHandle:
         """The next waiting query to admit.
 
-        Plain FIFO within a priority level by default (the historical order).
-        Under ``fair_tenants`` the tie-break inside a priority level is the
-        tenant with the fewest lifetime admissions — a deficit round-robin —
-        so a tenant flooding thousands of submissions cannot push another
-        tenant's single query to the back of the queue. FIFO still holds
-        *within* each tenant.
+        Highest priority, then the tenant with the fewest lifetime admissions
+        (a deficit round-robin: a tenant flooding thousands of submissions
+        cannot push another tenant's single query to the back), then FIFO.
         """
-        if not self.config.fair_tenants:
-            self._waiting.sort(key=lambda h: (-h.priority, h.submit_index))
-            return self._waiting.pop(0)
-        best_index = 0
-        best_key = None
-        for index, handle in enumerate(self._waiting):
-            key = (
-                -handle.priority,
-                self._tenant_admissions.get(handle.tenant, 0),
-                handle.submit_index,
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_index = index
-        return self._waiting.pop(best_index)
+        handle = min(
+            self._waiting,
+            key=lambda h: (
+                -h.priority,
+                self._tenant_admissions[h.tenant],
+                h.query_id,
+            ),
+        )
+        self._waiting.remove(handle)
+        return handle
 
     def _admit(self, finished: list[QueryHandle]) -> None:
         while self._waiting and len(self._running) < self.config.max_concurrent_queries:
@@ -399,9 +376,7 @@ class JobScheduler:
             # Time spent waiting for an admission slot is queueing delay too.
             handle.queue_delay_seconds += self.now - handle.submitted_at
             handle.status = "running"
-            self._tenant_admissions[handle.tenant] = (
-                self._tenant_admissions.get(handle.tenant, 0) + 1
-            )
+            self._tenant_admissions[handle.tenant] += 1
             if self.on_admit is not None:
                 cached = self.on_admit(handle)
                 if cached is not None:
@@ -452,7 +427,7 @@ class JobScheduler:
         """Priority first, then longest-waiting, then admission order."""
         return sorted(
             self._running,
-            key=lambda h: (-h.priority, h.ready_since, h.submit_index),
+            key=lambda h: (-h.priority, h.ready_since, h.query_id),
         )
 
     def _first_ready_index(self, handle: QueryHandle) -> int | None:
@@ -474,37 +449,31 @@ class JobScheduler:
         own group, plus every other running query's *next* ready request
         (never out of order within a query) over the same base dataset.
         """
-        request = leader._requests[lead_index]
-        entries = [(leader, lead_index)]
-        key = request.batch_key
+        key = leader._requests[lead_index].batch_key
         if key is None or not self.config.batch_pushdown_scans:
-            return entries
-        index = lead_index + 1
-        while (
-            index < len(leader._requests)
-            and leader._outcomes[index] is None
-            and (leader.query_id, index) not in self._busy
-            and leader._requests[index].batch_key == key
-        ):
-            entries.append((leader, index))
-            index += 1
+            return [(leader, lead_index)]
+        entries = self._same_scan_run(leader, lead_index, key)
         for other in self._service_order():
             if other is leader:
                 continue
             mate = self._first_ready_index(other)
-            if mate is None or other._requests[mate].batch_key != key:
-                continue
-            entries.append((other, mate))
-            index = mate + 1
-            while (
-                index < len(other._requests)
-                and other._outcomes[index] is None
-                and (other.query_id, index) not in self._busy
-                and other._requests[index].batch_key == key
-            ):
-                entries.append((other, index))
-                index += 1
+            if mate is not None:
+                entries += self._same_scan_run(other, mate, key)
         return entries
+
+    def _same_scan_run(
+        self, handle: QueryHandle, start: int, key: str
+    ) -> list[tuple[QueryHandle, int]]:
+        """The handle's consecutive ready ``key``-scan requests from ``start``."""
+        end = start
+        while (
+            end < len(handle._requests)
+            and handle._outcomes[end] is None
+            and (handle.query_id, end) not in self._busy
+            and handle._requests[end].batch_key == key
+        ):
+            end += 1
+        return [(handle, index) for index in range(start, end)]
 
     # -- launching ------------------------------------------------------------
 
@@ -527,58 +496,11 @@ class JobScheduler:
             plans.append(entries)
         if not plans:
             return 0
-        if self.config.job_slots == 1:
-            # Serial schedule: skip the slice view entirely so accounting is
-            # the exact object (and floats) of the pre-space-sharing path.
-            widths: list[int | None] = [None] * len(plans)
-        else:
-            active = len(self._in_flight) + len(plans)
-            even = max(1, self.executor.cluster.partitions // active)
-            if self.config.adaptive_slices:
-                widths = self._adaptive_widths(plans, even)
-            else:
-                widths = [even] * len(plans)
-        for entries, slice_partitions in zip(plans, widths, strict=True):
-            self._launch_job(entries, slice_partitions, finished)
-        return len(plans)
-
-    def _adaptive_widths(
-        self, plans: list[list[tuple[QueryHandle, int]]], even: int
-    ) -> list[int]:
-        """Per-job slice widths proportional to estimated job size.
-
-        The wave's partition budget is what the even split would hand out
-        (``even`` partitions per job — in-flight jobs keep the slices they
-        launched with), redistributed across the wave's jobs by the lead
-        request's size estimate: the optimizer's estimated output rows when
-        it recorded one, else the compiled plan's estimate. Every job keeps
-        at least one partition, and rounding is deterministic (largest
-        fractional share first, ties by wave position).
-        """
-        weights = []
+        active = len(self._in_flight) + len(plans)
+        width = max(1, self.executor.cluster.partitions // active)
         for entries in plans:
-            handle, index = entries[0]
-            request = handle._requests[index]
-            weight = 0.0
-            if request.estimate is not None:
-                weight = float(request.estimate[1])
-            elif request.job is not None and request.job.plan is not None:
-                weight = float(request.job.plan.estimated_rows)
-            weights.append(weight if weight > 0.0 else 1.0)
-        budget = even * len(plans)
-        total = sum(weights)
-        raw = [budget * weight / total for weight in weights]
-        widths = [max(1, int(share)) for share in raw]
-        leftover = budget - sum(widths)
-        if leftover > 0:
-            # Hand remaining partitions to the largest fractional shares.
-            order = sorted(
-                range(len(plans)),
-                key=lambda i: (-(raw[i] - int(raw[i])), i),
-            )
-            for i in range(leftover):
-                widths[order[i % len(order)]] += 1
-        return widths
+            self._launch_job(entries, width, finished)
+        return len(plans)
 
     def _next_ready(self) -> tuple[QueryHandle, int] | None:
         for handle in self._service_order():
@@ -590,7 +512,7 @@ class JobScheduler:
     def _launch_job(
         self,
         entries: list[tuple[QueryHandle, int]],
-        slice_partitions: int | None,
+        slice_partitions: int,
         finished: list[QueryHandle],
     ) -> None:
         count = len(entries)
@@ -618,8 +540,7 @@ class JobScheduler:
             self._busy = {
                 (qid, i) for (qid, i) in self._busy if qid != handle.query_id
             }
-            if handle in self._running:
-                self._running.remove(handle)
+            self._running.remove(handle)
             finished.append(handle)
         if not performed:
             return  # every branch failed before doing chargeable work
@@ -658,8 +579,12 @@ class JobScheduler:
                 queries=tuple(h.query_id for h in participants),
                 batched=count > 1,
                 queue_delays=delays,
-                slot=slot if self.config.job_slots > 1 else 0,
-                slice_partitions=slice_partitions,
+                slot=slot,
+                # one slot has no lanes to show: its timeline keeps the
+                # plain four-column render (``space_shared`` stays False).
+                slice_partitions=(
+                    slice_partitions if self.config.job_slots > 1 else None
+                ),
                 tenants=_tenants_of(participants),
             )
         )
@@ -669,10 +594,8 @@ class JobScheduler:
             _InFlightJob(
                 end_seconds=end,
                 order=self._launch_order,
-                start_seconds=start,
                 slot=slot,
-                entries=[(handle, index) for handle, index, _ in performed],
-                outcomes=[outcome for _, _, outcome in performed],
+                performed=performed,
                 participants=participants,
             ),
         )
@@ -684,7 +607,7 @@ class JobScheduler:
         job = heapq.heappop(self._in_flight)
         self.now = job.end_seconds
         heapq.heappush(self._free_slots, job.slot)
-        for (handle, index), outcome in zip(job.entries, job.outcomes, strict=True):
+        for handle, index, outcome in job.performed:
             self._busy.discard((handle.query_id, index))
             handle._record_outcome(index, outcome)
         for handle in job.participants:
@@ -708,8 +631,8 @@ class JobScheduler:
         if (
             not cache_hit
             and isinstance(result, ExecutionResult)
-            and getattr(result, "trace", None) is not None
-            and getattr(self.executor, "verify_plans", True)
+            and result.trace is not None
+            and self.executor.verify_plans
         ):
             from repro.analysis.diagnostics import PlanVerificationError
             from repro.analysis.runtime import verify_query_completion
@@ -732,50 +655,63 @@ class JobScheduler:
         handle.status = "done"
         handle._result = result
         if isinstance(result, ExecutionResult):
-            info = ScheduleInfo(
-                query_id=handle.query_id,
-                priority=handle.priority,
-                submitted_at=handle.submitted_at,
-                admitted_at=(
-                    handle.admitted_at
-                    if handle.admitted_at is not None
-                    else handle.submitted_at
-                ),
-                finished_at=handle.finished_at,
-                queue_delay_seconds=handle.queue_delay_seconds,
-                busy_seconds=result.metrics.total_seconds,
-                tenant=handle.tenant,
-                cache_hit=cache_hit,
+            result.schedule = self._close_schedule(
+                handle, result.metrics.total_seconds, cache_hit=cache_hit
             )
-            result.schedule = info
-            handle.schedule = info
             if cache_hit:
                 # A cached answer ran no cluster job: it must not feed the
                 # feedback history (no trace, zero cost — it would dilute
                 # the spill ratio) and there is nothing new to cache. A
                 # zero-length timeline event keeps it visible per tenant.
-                self.timeline.record(
-                    TimelineEvent(
-                        label=f"{handle.label} cache-hit",
-                        kind="cache-hit",
-                        start_seconds=self.now,
-                        end_seconds=self.now,
-                        queries=(handle.query_id,),
-                        tenants=_tenants_of((handle,)),
-                    )
-                )
+                self._mark(handle, "cache-hit", "cache-hit")
             else:
                 # Feed the finished run into the owning session's cross-query
                 # feedback history (misestimates + spills). Pure observation:
                 # it never mutates the result and charges nothing.
-                feedback = getattr(handle.session, "feedback", None)
-                if feedback is not None:
-                    feedback.observe_result(
-                        result, datasets=_query_datasets(handle.query)
-                    )
+                datasets = sorted({table.dataset for table in handle.query.tables})
+                handle.session.feedback.observe_result(result, tuple(datasets))
                 if self.on_finish is not None:
                     self.on_finish(handle, result)
         self._release_namespace(handle)
+
+    def _close_schedule(
+        self,
+        handle: QueryHandle,
+        busy_seconds: float,
+        error: str | None = None,
+        cache_hit: bool = False,
+    ) -> ScheduleInfo:
+        """Stamp the handle's schedule record at the current instant."""
+        handle.schedule = info = ScheduleInfo(
+            query_id=handle.query_id,
+            priority=handle.priority,
+            submitted_at=handle.submitted_at,
+            admitted_at=(
+                handle.admitted_at
+                if handle.admitted_at is not None
+                else handle.submitted_at
+            ),
+            finished_at=self.now,
+            queue_delay_seconds=handle.queue_delay_seconds,
+            busy_seconds=busy_seconds,
+            error=error,
+            tenant=handle.tenant,
+            cache_hit=cache_hit,
+        )
+        return info
+
+    def _mark(self, handle: QueryHandle, kind: str, what: str) -> None:
+        """Record a zero-length timeline event for one query at this instant."""
+        self.timeline.record(
+            TimelineEvent(
+                label=f"{handle.label} {what}",
+                kind=kind,
+                start_seconds=self.now,
+                end_seconds=self.now,
+                queries=(handle.query_id,),
+                tenants=_tenants_of((handle,)),
+            )
+        )
 
     def _fail(self, handle: QueryHandle, error: BaseException) -> None:
         handle.finished_at = self.now
@@ -790,31 +726,10 @@ class JobScheduler:
                 generator.close()
             except BaseException:
                 pass  # cleanup must never mask the original failure
-        handle.schedule = ScheduleInfo(
-            query_id=handle.query_id,
-            priority=handle.priority,
-            submitted_at=handle.submitted_at,
-            admitted_at=(
-                handle.admitted_at
-                if handle.admitted_at is not None
-                else handle.submitted_at
-            ),
-            finished_at=handle.finished_at,
-            queue_delay_seconds=handle.queue_delay_seconds,
-            busy_seconds=handle.charged_seconds,
-            error=f"{type(error).__name__}: {error}",
-            tenant=handle.tenant,
+        self._close_schedule(
+            handle, handle.charged_seconds, error=f"{type(error).__name__}: {error}"
         )
-        self.timeline.record(
-            TimelineEvent(
-                label=f"{handle.label} failed ({type(error).__name__})",
-                kind="failed",
-                start_seconds=self.now,
-                end_seconds=self.now,
-                queries=(handle.query_id,),
-                tenants=_tenants_of((handle,)),
-            )
-        )
+        self._mark(handle, "failed", f"failed ({type(error).__name__})")
         # A checkpoint-carrying failure (SimulatedFailure) keeps its
         # intermediates: they *are* the Section-8 recovery state that
         # ``DynamicOptimizer.resume`` continues from. Anything else is
@@ -826,13 +741,8 @@ class JobScheduler:
     def _release_namespace(self, handle: QueryHandle) -> None:
         """Drop the query's ``__q<id>`` intermediates + their statistics."""
         session = handle.session
-        datasets = getattr(session, "datasets", None)
-        if datasets is None:
-            return
-        statistics = getattr(session, "statistics", None)
         prefix = f"__q{handle.query_id}__"
-        for name in list(datasets.names()):
+        for name in session.datasets.names():
             if name.startswith(prefix):
-                datasets.drop(name)
-                if statistics is not None and statistics.has(name):
-                    statistics.remove(name)
+                session.datasets.drop(name)
+                session.statistics.remove(name)

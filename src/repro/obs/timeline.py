@@ -36,7 +36,7 @@ class TimelineEvent:
     #: is the only lane of a serial (``job_slots=1``) schedule.
     slot: int = 0
     #: width of the partition slice the job was costed against; ``None``
-    #: for serial schedules (full cluster, pre-space-sharing accounting).
+    #: for serial schedules (one slot: always the full cluster, no lanes).
     slice_partitions: int | None = None
     #: distinct tenant names the participating queries were submitted under
     #: (query-service schedules only; empty outside a service, which keeps
@@ -211,7 +211,7 @@ class ClusterTimeline:
     def render(self) -> str:
         """ASCII table of the shared timeline (one row per cluster job).
 
-        Serial schedules keep the historical four-column layout; when space
+        Serial schedules render as the plain four-column table; when space
         sharing was active two extra columns show the slice lane and width,
         and multi-tenant (query-service) schedules add a tenant column so
         each tenant's lane reads off the shared clock directly.

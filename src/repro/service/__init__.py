@@ -11,11 +11,7 @@ Public surface:
 """
 
 from repro.service.cache import CacheStats, ServiceCache
-from repro.service.service import (
-    QueryService,
-    ServiceConfig,
-    default_service_scheduler_config,
-)
+from repro.service.service import QueryService, ServiceConfig
 from repro.service.store import ServiceStore, StoredFeedback, ingest_token
 
 __all__ = [
@@ -25,6 +21,5 @@ __all__ = [
     "ServiceConfig",
     "ServiceStore",
     "StoredFeedback",
-    "default_service_scheduler_config",
     "ingest_token",
 ]

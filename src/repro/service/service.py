@@ -1,47 +1,42 @@
 """The long-lived query service: one shared execution stack, many tenants.
 
-A :class:`~repro.session.Session` bundles cluster + catalogs + executor +
-scheduler for one user; a :class:`QueryService` lifts that stack out so it
+A :class:`~repro.session.Session` builds cluster + catalogs + executor +
+scheduler for one user; a :class:`QueryService` owns one such stack so it
 outlives any one session. Sessions opened against a service
-(:meth:`QueryService.session`) are lightweight tenant handles: they share
-the service's catalogs, executor, feedback store and scheduler, and every
-submission they make is tagged with their tenant name — which is what the
-scheduler's fair admission, the per-tenant timeline lanes, and the tail
-latency report key on.
+(:meth:`QueryService.session`) are lightweight tenant handles: views of that
+stack whose every submission is tagged with their tenant name — which is
+what the scheduler's fair admission, the per-tenant timeline lanes, and the
+tail latency report key on.
 
-The service adds three things a lone session does not have:
+The service adds two things a lone session does not have:
 
 - a :class:`~repro.service.store.ServiceStore` (persistent per-dataset
   feedback + ingestion sketches, ``save_store``/``load_store``),
 - a :class:`~repro.service.cache.ServiceCache` (result + intermediate
   caching with invalidation on ingest), installed via the scheduler's
-  ``on_admit``/``on_finish`` hooks and the executor's ``cache`` attribute,
-- multi-tenant admission policy defaults (fair round-robin across tenants,
-  a bounded queue, size-adaptive partition slices).
+  ``on_admit``/``on_finish`` hooks and the executor's ``cache`` attribute.
 
-Byte-identity escape hatch: ``ServiceConfig(result_cache=False,
-intermediate_cache=False)`` plus a scheduler config matching a plain
-session's makes the service path produce byte-identical results, metrics
-and schedules to ``Session.submit``/``run_all`` — proven by the
-equivalence-harness test. All caching is observable through
-``service.cache.stats``.
+The schedule is the library's one schedule (``SchedulerConfig()``); a lone
+session is its one-tenant case. So with ``ServiceConfig(result_cache=False,
+intermediate_cache=False)`` the service path produces byte-identical
+results, metrics and schedules to ``Session.submit``/``run_all`` (the
+equivalence-harness test). Caching is observable in ``service.cache.stats``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 
-from repro.cluster.config import ClusterConfig, default_cluster
+from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostParameters
 from repro.common.types import Schema
-from repro.engine.executor import Executor
+from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
-from repro.lang.udf import UdfRegistry, default_registry
+from repro.lang.udf import UdfRegistry
 from repro.service.cache import ServiceCache
-from repro.service.store import ServiceStore, ingest_token, query_group_key
+from repro.service.store import ServiceStore, ingest_token
+from repro.session import Session
 from repro.spec import PlannerSpec
-from repro.stats.catalog import StatisticsCatalog
-from repro.storage.catalog import DatasetCatalog
 from repro.storage.dataset import Dataset
 from repro.storage.ingest import load_dataset
 
@@ -60,16 +55,6 @@ class ServiceConfig:
     feedback_window: int = 64
 
 
-def default_service_scheduler_config() -> SchedulerConfig:
-    """The multi-tenant admission defaults a service starts with.
-
-    Fair per-tenant admission and a bounded queue are on — a service exists
-    to multiplex tenants — while ``job_slots``/batching keep the library
-    defaults. Pass an explicit :class:`SchedulerConfig` to override.
-    """
-    return SchedulerConfig(fair_tenants=True, max_queued=10_000)
-
-
 class QueryService:
     """Shared scheduler + catalogs + caches serving many tenant sessions."""
 
@@ -84,24 +69,17 @@ class QueryService:
         config: ServiceConfig | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
-        self.cluster = cluster or default_cluster()
-        if scheduler_config is None:
-            scheduler_config = default_service_scheduler_config()
-        if job_slots is not None:
-            scheduler_config = replace(scheduler_config, job_slots=job_slots)
-        self.scheduler_config = scheduler_config
-        self.datasets = DatasetCatalog()
-        self.statistics = StatisticsCatalog()
-        self.udfs = udfs or default_registry()
-        self.executor = Executor(
-            self.cluster,
-            self.datasets,
-            self.statistics,
-            self.udfs,
-            cost_parameters,
-            verify_plans=verify_plans,
+        # Session is the one constructor of an execution stack; the service
+        # owns this one and every tenant handle is a view of it.
+        stack = Session(
+            cluster, udfs, cost_parameters, scheduler_config, job_slots, verify_plans
         )
-        self.scheduler = JobScheduler(self.executor, scheduler_config)
+        self.cluster = stack.cluster
+        self.datasets = stack.datasets
+        self.statistics = stack.statistics
+        self.udfs = stack.udfs
+        self.executor = stack.executor
+        self.scheduler_config = stack.scheduler_config
         #: persistent feedback + sketches; ``feedback`` aliases its log so
         #: the scheduler's observe path finds it like a session's.
         self.store = ServiceStore(self.config.feedback_window)
@@ -116,23 +94,18 @@ class QueryService:
             self.datasets.subscribe(self.cache.invalidate_dataset)
             if self.config.intermediate_cache:
                 self.executor.cache = self.cache
-            if self.config.result_cache:
-                self.scheduler.on_admit = self._on_admit
-                self.scheduler.on_finish = self._on_finish
-        self._sessions: dict[str, object] = {}
+        self._sessions: dict[str, Session] = {}
+        self.scheduler = self.reset_scheduler()
 
     # -- tenants --------------------------------------------------------------
 
-    def session(self, tenant: str):
+    def session(self, tenant: str) -> Session:
         """The tenant's session handle (created on first use, then reused)."""
-        from repro.session import Session
-
         if not tenant:
             raise ValueError("tenant name must be non-empty")
-        existing = self._sessions.get(tenant)
-        if existing is None:
-            existing = self._sessions[tenant] = Session(service=self, tenant=tenant)
-        return existing
+        if tenant not in self._sessions:
+            self._sessions[tenant] = Session(service=self, tenant=tenant)
+        return self._sessions[tenant]
 
     def tenants(self) -> list[str]:
         return sorted(self._sessions)
@@ -183,9 +156,9 @@ class QueryService:
         return self.scheduler.run_all()
 
     def reset_scheduler(self) -> JobScheduler:
-        """Fresh shared scheduler (clock at zero); re-installs cache hooks."""
+        """Fresh shared scheduler (clock at zero) with the cache hooks installed."""
         self.scheduler = JobScheduler(self.executor, self.scheduler_config)
-        if self.cache is not None and self.config.result_cache:
+        if self.config.result_cache:
             self.scheduler.on_admit = self._on_admit
             self.scheduler.on_finish = self._on_finish
         for session in self._sessions.values():
@@ -218,16 +191,15 @@ class QueryService:
 
     # -- scheduler hooks ------------------------------------------------------
 
-    def _on_admit(self, handle):
+    def _on_admit(self, handle: QueryHandle) -> ExecutionResult | None:
         if handle.cache_key is None or self.cache is None:
             return None
         return self.cache.lookup_result(handle.cache_key)
 
-    def _on_finish(self, handle, result) -> None:
+    def _on_finish(self, handle: QueryHandle, result: ExecutionResult) -> None:
         if handle.cache_key is None or self.cache is None:
             return
-        tables = getattr(handle.query, "tables", ())
-        datasets = tuple({table.dataset for table in tables})
+        datasets = tuple({table.dataset for table in handle.query.tables})
         self.cache.store_result(handle.cache_key, result, datasets)
 
     # -- introspection --------------------------------------------------------
@@ -242,22 +214,5 @@ class QueryService:
             "feedback_groups": sorted(self.feedback.groups),
         }
         if self.cache is not None:
-            stats = self.cache.stats
-            info["cache"] = {
-                "result_hits": stats.result_hits,
-                "result_misses": stats.result_misses,
-                "intermediate_hits": stats.intermediate_hits,
-                "intermediate_misses": stats.intermediate_misses,
-                "invalidations": stats.invalidations,
-            }
+            info["cache"] = asdict(self.cache.stats)
         return info
-
-
-# re-export for callers that only import the service module
-__all__ = [
-    "QueryService",
-    "ServiceConfig",
-    "default_service_scheduler_config",
-    "ingest_token",
-    "query_group_key",
-]

@@ -19,15 +19,18 @@ Intermediates created by re-optimization points are registered into the
 session catalogs; call :meth:`Session.reset_intermediates` between
 experiment runs (the benchmark harness does this automatically).
 
-A session may also be opened as a *tenant handle* against a long-lived
-:class:`~repro.service.QueryService` (``Session(service=svc,
-tenant="alice")``, or equivalently ``svc.session("alice")``): it then shares
-the service's cluster, catalogs, executor, scheduler and persistent feedback
-store, and every submission carries the tenant name for fair admission and
-per-tenant observability. The API is identical either way.
+This constructor is the only place an execution stack (catalogs, executor,
+scheduler, feedback log) is built. A :class:`~repro.service.QueryService`
+owns one, and a *tenant handle* opened against it (``Session(service=svc,
+tenant="alice")``, i.e. ``svc.session("alice")``) is a view of it with the
+same API: submissions carry the tenant name for fair admission and
+per-tenant observability, loads go through the service's sketch store.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig, default_cluster
 from repro.cluster.cost import CostParameters
@@ -46,6 +49,9 @@ from repro.storage.catalog import DatasetCatalog
 from repro.storage.dataset import Dataset
 from repro.storage.ingest import load_dataset
 
+if TYPE_CHECKING:
+    from repro.service import QueryService
+
 
 class Session:
     """One simulated BDMS instance: cluster + catalogs + executor."""
@@ -58,30 +64,22 @@ class Session:
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
         verify_plans: bool = True,
-        service=None,
+        service: QueryService | None = None,
         tenant: str = "",
     ) -> None:
+        self.service = service
+        self.tenant = tenant
         if service is not None:
-            # Tenant handle: borrow the service's whole execution stack. The
-            # other constructor arguments describe a private stack and are
+            # Tenant handle: a view of the service's stack. The other
+            # constructor arguments describe a private stack and are
             # meaningless here — reject them so a misconfigured tenant fails
             # loudly instead of silently ignoring its cluster/config.
-            if any(
-                argument is not None
-                for argument in (
-                    cluster,
-                    udfs,
-                    cost_parameters,
-                    scheduler_config,
-                    job_slots,
-                )
-            ):
+            private = (cluster, udfs, cost_parameters, scheduler_config, job_slots)
+            if any(argument is not None for argument in private):
                 raise OptimizationError(
                     "Session(service=...) shares the service's stack; "
                     "configure cluster/scheduler on the QueryService"
                 )
-            self.service = service
-            self.tenant = tenant
             self.cluster = service.cluster
             self.datasets = service.datasets
             self.statistics = service.statistics
@@ -89,17 +87,12 @@ class Session:
             self.executor = service.executor
             self.scheduler_config = service.scheduler_config
             self.scheduler = service.scheduler
-            self.feedback = service.feedback
+            self.feedback: FeedbackLog = service.feedback
             return
-        self.service = None
-        self.tenant = tenant
         self.cluster = cluster or default_cluster()
+        self.scheduler_config = scheduler_config or SchedulerConfig()
         if job_slots is not None:
-            from dataclasses import replace
-
-            scheduler_config = replace(
-                scheduler_config or SchedulerConfig(), job_slots=job_slots
-            )
+            self.scheduler_config = replace(self.scheduler_config, job_slots=job_slots)
         self.datasets = DatasetCatalog()
         self.statistics = StatisticsCatalog()
         self.udfs = udfs or default_registry()
@@ -111,8 +104,7 @@ class Session:
             cost_parameters,
             verify_plans=verify_plans,
         )
-        self.scheduler_config = scheduler_config
-        self.scheduler = JobScheduler(self.executor, scheduler_config)
+        self.scheduler = JobScheduler(self.executor, self.scheduler_config)
         #: cross-query misestimate/spill history; every execution that runs
         #: through a scheduler (execute/submit both do) is folded in, and
         #: adaptive ReplanPolicy instances derive their thresholds from it.
@@ -155,9 +147,27 @@ class Session:
         self.datasets.get(dataset).create_index(field_name)
 
     def reset_intermediates(self) -> None:
-        """Drop all materialized intermediates and their statistics."""
+        """Drop all materialized intermediates and their statistics.
+
+        Catalog-wide: retained checkpoints go too — on a tenant handle,
+        every tenant's.
+        """
         for name in self.datasets.drop_intermediates():
             self.statistics.remove(name)
+
+    def _execute_aside(self, spec: PlannerSpec, query: Query) -> ExecutionResult:
+        """Run ``query`` off-schedule, then drop exactly what it materialized.
+
+        What the catalogs held before (say, the checkpoint another tenant's
+        failure retained) stays.
+        """
+        before = set(self.datasets.names())
+        try:
+            return spec.make().execute(query, self)
+        finally:
+            for name in set(self.datasets.names()) - before:
+                self.datasets.drop(name)
+                self.statistics.remove(name)
 
     # -- query execution ------------------------------------------------------
 
@@ -181,25 +191,19 @@ class Session:
         :class:`~repro.common.errors.OptimizationError` with the equivalent
         spec spelled out.
 
-        Runs as a single-query schedule on a private scheduler, so this is
-        the same code path as concurrent submission — just with nobody to
-        contend with (and therefore zero queue delay). Scan batching is
-        disabled here even when the query's own pushdown scans share a
-        dataset, and space sharing is forced off (``job_slots=1``): a solo
-        run owns the full cluster and its accounting must match a
-        pre-scheduler run exactly; merge discounts and partition slices
-        belong to :meth:`submit`/:meth:`run_all`.
+        Runs as a single-query schedule on a private scheduler — the same
+        code path as concurrent submission with nobody to contend with, hence
+        zero queue delay. Scan batching and space sharing are off here
+        (``job_slots=1``): a solo run owns the full cluster and is charged
+        exactly what a direct ``Optimizer.execute`` is; merge discounts and
+        partition slices belong to :meth:`submit`/:meth:`run_all`.
         """
-        from dataclasses import replace
-
         spec = resolve_planner(planner, optimizer, options, entry="execute")
         config = replace(
-            self.scheduler_config or SchedulerConfig(),
-            batch_pushdown_scans=False,
-            job_slots=1,
+            self.scheduler_config, batch_pushdown_scans=False, job_slots=1
         )
         scheduler = JobScheduler(self.executor, config)
-        handle = scheduler.submit(query, spec.make(), self)
+        handle = scheduler.submit(query, spec.make(), self, tenant=self.tenant)
         scheduler.run_all()
         return handle.result()
 
@@ -273,24 +277,19 @@ class Session:
         return value as text keep working.
         """
         spec = resolve_planner(planner, optimizer, options, entry="explain")
-        try:
-            result = spec.make().execute(query, self)
-            verifications = result.trace.verifications if result.trace else []
-            return ExplainReport(
-                strategy=spec.strategy,
-                plan_description=result.plan_description,
-                simulated_seconds=result.seconds,
-                phases=tuple(result.phases),
-                decisions=tuple(result.decisions),
-                verified_jobs=len(verifications),
-                diagnostics=tuple(
-                    code
-                    for record in verifications
-                    for code in record.codes
-                ),
-            )
-        finally:
-            self.reset_intermediates()
+        result = self._execute_aside(spec, query)
+        verifications = result.trace.verifications if result.trace else []
+        return ExplainReport(
+            strategy=spec.strategy,
+            plan_description=result.plan_description,
+            simulated_seconds=result.seconds,
+            phases=tuple(result.phases),
+            decisions=tuple(result.decisions),
+            verified_jobs=len(verifications),
+            diagnostics=tuple(
+                code for record in verifications for code in record.codes
+            ),
+        )
 
     def explain_analyze(
         self,
@@ -309,10 +308,7 @@ class Session:
         simulated engine.
         """
         spec = resolve_planner(planner, optimizer, options, entry="explain_analyze")
-        try:
-            return spec.make().execute(query, self).explain_analyze()
-        finally:
-            self.reset_intermediates()
+        return self._execute_aside(spec, query).explain_analyze()
 
     # -- introspection --------------------------------------------------------
 

@@ -32,7 +32,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from repro.bench.runner import SWEEP_QUERIES, workbench_for_query
-from repro.engine.scheduler import JobScheduler, SchedulerConfig
+from repro.engine.scheduler import JobScheduler
 from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
 
@@ -101,6 +101,19 @@ def schedule_fingerprint(schedule) -> str:
     )
 
 
+def result_fingerprint(result) -> dict[str, str]:
+    """The facets a finished result carries by itself."""
+    return {
+        "rows": canonical_rows(result.rows),
+        "metrics": metrics_fingerprint(result.metrics),
+        "plan": result.plan_description,
+        "phases": repr(list(result.phases)),
+        "trace": result.trace.to_json() if result.trace else "none",
+        "schedule": schedule_fingerprint(result.schedule),
+        "decisions": repr(tuple(result.decisions)),
+    }
+
+
 def run_fingerprint(
     label: str,
     optimizer: str,
@@ -121,9 +134,7 @@ def run_fingerprint(
         bench.ensure_indexes()
         options["inl_enabled"] = True
     config = replace(
-        session.scheduler_config or SchedulerConfig(),
-        batch_pushdown_scans=False,
-        job_slots=1,
+        session.scheduler_config, batch_pushdown_scans=False, job_slots=1
     )
     try:
         scheduler = JobScheduler(session.executor, config)
@@ -133,17 +144,10 @@ def run_fingerprint(
             session,
         )
         scheduler.run_all()
-        result = handle.result()
         return {
-            "rows": canonical_rows(result.rows),
-            "metrics": metrics_fingerprint(result.metrics),
-            "plan": result.plan_description,
-            "phases": repr(list(result.phases)),
-            "trace": result.trace.to_json() if result.trace else "none",
-            "schedule": schedule_fingerprint(result.schedule),
+            **result_fingerprint(handle.result()),
             "timeline": scheduler.timeline.render(),
             "chrome_trace": scheduler.timeline.to_chrome_trace(),
-            "decisions": repr(tuple(result.decisions)),
         }
     finally:
         session.reset_intermediates()

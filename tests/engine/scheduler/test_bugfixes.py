@@ -36,7 +36,7 @@ class FalsyOutcome(JobOutcome):
 
 class TestOutcomeCursorBug:
     def test_falsy_outcome_still_advances_cursor(self):
-        handle = QueryHandle(1, None, None, None, 0, "q", 0.0, 0)
+        handle = QueryHandle(1, None, None, None, 0, "q", 0.0)
         handle._group = True
         handle._requests = [object(), object()]
         handle._outcomes = [None, None]
@@ -128,6 +128,28 @@ class TestFailureLeaks:
         assert doomed.failed
         assert doomed.error.checkpoint is not None
         assert any(n.startswith("__q1__") for n in session.datasets.names())
+
+
+class TestQueryIdNamespaces:
+    def test_later_schedulers_skip_a_retained_checkpoints_id(self):
+        # Every scheduler counts ids from 1: the private one behind
+        # execute() and a fresh shared one both used to reuse __q1, writing
+        # over and then releasing the checkpoint's intermediates.
+        clean = build_star_session().execute(star_query())
+        session = build_star_session()
+        doomed = session.submit(star_query(), PlannerSpec.of("dynamic", fail_after_jobs=2))
+        session.run_all()
+        kept = [n for n in session.datasets.names() if n.startswith("__q1__")]
+        assert doomed.query_id == 1 and kept
+
+        assert session.execute(star_query(), "dynamic").schedule.query_id == 2
+        session.reset_scheduler()
+        assert session.submit(star_query()).query_id == 2
+        session.run_all()
+
+        assert [n for n in session.datasets.names() if n.startswith("__")] == kept
+        resumed = DynamicOptimizer().resume(doomed.error.checkpoint, session)
+        assert resumed.rows == clean.rows
 
 
 class TestFailedQueryAccounting:

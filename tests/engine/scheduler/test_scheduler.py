@@ -20,19 +20,7 @@ from repro.optimizers import make_optimizer
 from repro.spec import PlannerSpec
 
 from tests.conftest import build_star_session, star_query
-
-ALL_STRATEGIES = sorted(
-    [
-        "dynamic",
-        "cost_based",
-        "from_order",
-        "best_order",
-        "worst_order",
-        "pilot_run",
-        "ingres",
-        "greedy_static",
-    ]
-)
+from tests.engine.equivalence import ALL_STRATEGIES
 
 
 class TestDeterminismGuard:

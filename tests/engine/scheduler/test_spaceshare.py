@@ -1,13 +1,11 @@
-"""Space-shared executor: slices, overlap, queue delay, serial identity.
+"""Space-shared executor: slices, overlap, queue delay, the serial case.
 
-The contract has two halves. ``job_slots=1`` (the default) must reproduce
-the historical serial schedule *exactly* — same metrics, same schedules,
-same timeline text — for every strategy; the determinism guard in
-``test_scheduler.py`` already pins scheduled-vs-direct, so here we pin
-explicit-config-vs-default. ``job_slots>1`` must genuinely overlap cluster
-jobs of different queries on the shared clock, charge each job against its
-partition slice (stretching its own seconds), and only charge queueing
-delay for time when no slice was free.
+The contract has two halves. ``job_slots=1`` (the default) is the serial
+schedule — one full-width job at a time, a timeline without lanes — pinned
+digest by digest in ``test_golden_schedules.py``. ``job_slots>1`` must
+genuinely overlap cluster jobs of different queries on the shared clock,
+charge each job against its partition slice (stretching its own seconds),
+and only charge queueing delay for time when no slice was free.
 """
 
 from __future__ import annotations
@@ -15,77 +13,21 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ReproError
-from repro.engine.scheduler import JobScheduler, SchedulerConfig
-from repro.optimizers import make_optimizer
+from repro.engine.scheduler import SchedulerConfig
 
 from tests.conftest import build_star_session, star_query
-from tests.engine.scheduler.test_scheduler import ALL_STRATEGIES
+from tests.engine.scheduler.test_golden_schedules import run_batch, schedule_fingerprint
 
 
 def run_schedule(job_slots: int, count: int = 3, strategy: str = "dynamic"):
-    session = build_star_session()
-    scheduler = JobScheduler(
-        session.executor, SchedulerConfig(job_slots=job_slots)
-    )
-    handles = [
-        scheduler.submit(
-            star_query(), make_optimizer(strategy), session, label=f"q{i}"
-        )
-        for i in range(count)
-    ]
-    scheduler.run_all()
-    return scheduler, handles
-
-
-def schedule_fingerprint(scheduler, handles):
-    """Everything observable about a schedule, for exact comparison."""
-    return (
-        scheduler.timeline.render(),
-        scheduler.timeline.to_chrome_trace(),
-        scheduler.cluster_jobs,
-        scheduler.scans_saved,
-        [
-            (
-                h.status,
-                repr(h.queue_delay_seconds),
-                repr(h.finished_at),
-                repr(h.result().metrics.total_seconds),
-                len(h.result().rows),
-            )
-            for h in handles
-        ],
-    )
+    return run_batch(SchedulerConfig(job_slots=job_slots), [(strategy, 0)] * count)
 
 
 class TestSerialIdentity:
-    """job_slots=1 is byte-identical to the pre-space-sharing scheduler."""
+    """job_slots=1 is the serial schedule: full-width jobs, no lanes."""
 
     def test_default_config_is_serial(self):
         assert SchedulerConfig().job_slots == 1
-
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_explicit_one_slot_matches_default(self, name):
-        session_a = build_star_session()
-        sched_a = JobScheduler(session_a.executor, SchedulerConfig())
-        handles_a = [
-            sched_a.submit(star_query(), make_optimizer(name), session_a)
-            for _ in range(3)
-        ]
-        sched_a.run_all()
-
-        session_b = build_star_session()
-        sched_b = JobScheduler(
-            session_b.executor, SchedulerConfig(job_slots=1)
-        )
-        handles_b = [
-            sched_b.submit(star_query(), make_optimizer(name), session_b)
-            for _ in range(3)
-        ]
-        sched_b.run_all()
-
-        assert schedule_fingerprint(sched_a, handles_a) == schedule_fingerprint(
-            sched_b, handles_b
-        )
 
     def test_serial_timeline_is_not_space_shared(self):
         scheduler, _ = run_schedule(job_slots=1)
@@ -96,8 +38,6 @@ class TestSerialIdentity:
         assert scheduler.timeline.overlapping_pairs() == 0
 
     def test_solo_execute_is_serial_even_with_session_slots(self):
-        from repro.session import Session
-
         solo = build_star_session().execute(star_query())
         session = build_star_session()
         session.scheduler_config = SchedulerConfig(job_slots=4)

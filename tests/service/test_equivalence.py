@@ -4,7 +4,7 @@ The service is allowed to *add* capability (caching, fairness, persistence)
 but never to change what a query computes or charges. This test pins the
 strongest form of that promise, in the style of the cross-engine harness
 (tests/engine/equivalence.py): for every registered strategy, a single
-tenant submitting through a cache-off service with a plain scheduler config
+tenant submitting through a cache-off service (same ``SchedulerConfig()``)
 must be byte-identical to ``Session.submit``/``run_all`` on every facet —
 rows, metrics (repr-exact floats), plan, phases, trace, schedule, decisions,
 and the cluster timeline. The only sanctioned difference is the tenant
@@ -18,32 +18,15 @@ from dataclasses import replace
 
 import pytest
 
-from repro.engine.scheduler import SchedulerConfig
 from repro.service import QueryService, ServiceConfig
 
 from tests.conftest import build_star_session, load_star_data, small_cluster, star_query
-from tests.engine.equivalence import (
-    ALL_STRATEGIES,
-    canonical_rows,
-    metrics_fingerprint,
-    schedule_fingerprint,
-)
+from tests.engine.equivalence import ALL_STRATEGIES
+from tests.engine.equivalence import result_fingerprint as fingerprint
 
 #: the facets compared for byte-identity (timeline handled separately so the
 #: tenant annotation can be factored out explicitly).
 FACETS = ("rows", "metrics", "plan", "phases", "trace", "schedule", "decisions")
-
-
-def fingerprint(result) -> dict[str, str]:
-    return {
-        "rows": canonical_rows(result.rows),
-        "metrics": metrics_fingerprint(result.metrics),
-        "plan": result.plan_description,
-        "phases": repr(list(result.phases)),
-        "trace": result.trace.to_json() if result.trace else "none",
-        "schedule": schedule_fingerprint(result.schedule),
-        "decisions": repr(tuple(result.decisions)),
-    }
 
 
 def run_plain(session, strategy: str):
@@ -76,7 +59,6 @@ def plain_session():
 def cache_off_service():
     service = QueryService(
         small_cluster(),
-        scheduler_config=SchedulerConfig(),
         config=ServiceConfig(result_cache=False, intermediate_cache=False),
     )
     load_star_data(service)

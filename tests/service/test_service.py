@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import AdmissionError, OptimizationError
 from repro.engine.scheduler import SchedulerConfig
 from repro.service import QueryService, ServiceConfig
+from repro.spec import PlannerSpec
 
 from tests.conftest import dim_schema, load_star_data, small_cluster, star_query
 
@@ -40,6 +41,29 @@ class TestTenantSessions:
         assert a.scheduler is b.scheduler is service.scheduler
         assert a.feedback is service.feedback
         assert a.dataset_rows("fact") == 2000
+
+
+    def test_explain_on_one_tenant_keeps_anothers_checkpoint(self):
+        from repro.core.driver import DynamicOptimizer
+
+        service = build_service()
+        doomed = service.session("a").submit(
+            star_query(), PlannerSpec.of("dynamic", fail_after_jobs=2)
+        )
+        service.run_all()
+        kept = [n for n in service.datasets.names() if n.startswith("__")]
+        assert kept
+        other = service.session("b")
+        other.explain(star_query(), "dynamic")
+        other.explain_analyze(star_query(), "dynamic")
+        # each side run dropped what it materialized and nothing else
+        assert [n for n in service.datasets.names() if n.startswith("__")] == kept
+        resumed = DynamicOptimizer().resume(doomed.error.checkpoint, other)
+        assert resumed.rows == other.execute(star_query(), "dynamic").rows
+
+    def test_execute_carries_the_tenant_like_submit(self):
+        result = build_service().session("alice").execute(star_query())
+        assert result.schedule.tenant == "alice"
 
 
 class TestResultCache:
@@ -211,7 +235,7 @@ class TestAdmissionControl:
             tenant.submit(star_query(), "dynamic")
 
     def test_fair_admission_interleaves_tenants(self):
-        config = SchedulerConfig(fair_tenants=True, max_concurrent_queries=1)
+        config = SchedulerConfig(max_concurrent_queries=1)
         service = build_service(
             scheduler_config=config,
             config=ServiceConfig(result_cache=False, intermediate_cache=False),
@@ -225,41 +249,6 @@ class TestAdmissionControl:
         # deficit round-robin: b's only query is admitted right after a's
         # first, ahead of a's own backlog
         assert b_handle.schedule.admitted_at < a_handles[1].schedule.admitted_at
-
-    def test_fifo_without_fairness_serves_the_flooder_first(self):
-        config = SchedulerConfig(fair_tenants=False, max_concurrent_queries=1)
-        service = build_service(
-            scheduler_config=config,
-            config=ServiceConfig(result_cache=False, intermediate_cache=False),
-        )
-        a_handles = [
-            service.session("a").submit(star_query(), "dynamic")
-            for _ in range(3)
-        ]
-        b_handle = service.session("b").submit(star_query(), "dynamic")
-        service.run_all()
-        assert b_handle.schedule.admitted_at >= a_handles[2].schedule.admitted_at
-
-
-class TestAdaptiveSlices:
-    def test_adaptive_slices_preserve_answers(self):
-        even = build_service(
-            scheduler_config=SchedulerConfig(job_slots=2),
-            config=ServiceConfig(result_cache=False, intermediate_cache=False),
-        )
-        adaptive = build_service(
-            scheduler_config=SchedulerConfig(job_slots=2, adaptive_slices=True),
-            config=ServiceConfig(result_cache=False, intermediate_cache=False),
-        )
-        results = {}
-        for name, service in (("even", even), ("adaptive", adaptive)):
-            handles = [
-                service.session("a").submit(star_query(), "dynamic"),
-                service.session("b").submit(star_query(), "cost_based"),
-            ]
-            service.run_all()
-            results[name] = [sorted(map(repr, h.result().rows)) for h in handles]
-        assert results["even"] == results["adaptive"]
 
 
 class TestObservability:
