@@ -54,6 +54,13 @@ class PlanEstimator:
     ``alias_datasets`` maps each FROM alias to the statistics-catalog entry
     to use for it — the level of indirection that lets the dynamic approach
     swap a base dataset for its post-predicate materialization.
+
+    An estimator is bound to one query and one statistics snapshot (one
+    :class:`~repro.algebra.toolkit.PlannerToolkit`), so every estimate is a
+    value: ``estimate`` and ``cout_cost`` are computed once per distinct plan
+    node and the per-leaf distinct-count lookups once per (alias, column),
+    for the estimator's lifetime. The next re-optimization point builds a new
+    toolkit over the new statistics, which is the only invalidation there is.
     """
 
     def __init__(
@@ -78,26 +85,43 @@ class PlanEstimator:
         #: keys (TPC-DS ticket/item/customer) toward zero and makes
         #: fact-to-fact joins look free.
         self.composite_rule = composite_rule
+        self._estimates: dict[PlanNode, NodeEstimate] = {}
+        self._cout_costs: dict[PlanNode, float] = {}
+        #: (alias, column) -> U(column) read off that alias's statistics, or
+        #: None when they do not sketch the column.
+        self._leaf_distincts: dict[tuple[str, str], float | None] = {}
 
     # -- cardinalities ------------------------------------------------------
 
     def leaf_estimate(self, leaf: LeafNode) -> NodeEstimate:
-        stats = self.statistics.get(self.alias_datasets[leaf.alias])
-        return NodeEstimate(
-            filtered_cardinality(stats, leaf.predicates), stats.row_width, stats.scale
-        )
+        return self.estimate(leaf)
 
     def estimate(self, node: PlanNode) -> NodeEstimate:
+        found = self._estimates.get(node)
+        if found is None:
+            found = self._estimates[node] = self._estimate(node)
+        return found
+
+    def _estimate(self, node: PlanNode) -> NodeEstimate:
         if isinstance(node, LeafNode):
-            return self.leaf_estimate(node)
+            stats = self.statistics.get(self.alias_datasets[node.alias])
+            return NodeEstimate(
+                filtered_cardinality(stats, node.predicates),
+                stats.row_width,
+                stats.scale,
+            )
         if not isinstance(node, JoinNode):
             raise PlanError(f"cannot estimate node type {type(node).__name__}")
+        if len(node.build_keys) != len(node.probe_keys):
+            raise PlanError(
+                f"join {node.describe()} has {len(node.build_keys)} build keys "
+                f"{node.build_keys} but {len(node.probe_keys)} probe keys "
+                f"{node.probe_keys}"
+            )
         build = self.estimate(node.build)
         probe = self.estimate(node.probe)
         divisor = 1.0
-        for build_key, probe_key in zip(
-            node.build_keys, node.probe_keys, strict=False
-        ):
+        for build_key, probe_key in zip(node.build_keys, node.probe_keys):
             u_build = self.column_distinct(node.build, build_key, build.rows)
             u_probe = self.column_distinct(node.probe, probe_key, probe.rows)
             if self.composite_rule == "product":
@@ -115,11 +139,22 @@ class PlanEstimator:
         """U(column) at this node: inherited from the providing leaf, capped
         by the node's row count (the standard System-R propagation)."""
         for leaf in node.leaves():
-            stats = self.statistics.get(self.alias_datasets[leaf.alias])
-            field = resolve_field(stats, column)
-            if field is not None and len(field.distinct) > 0:
-                return max(1.0, min(field.distinct_count, node_rows))
+            distinct = self._leaf_distinct(leaf.alias, column)
+            if distinct is not None:
+                return max(1.0, min(distinct, node_rows))
         return max(1.0, node_rows)
+
+    def _leaf_distinct(self, alias: str, column: str) -> float | None:
+        key = (alias, column)
+        if key not in self._leaf_distincts:
+            stats = self.statistics.get(self.alias_datasets[alias])
+            field = resolve_field(stats, column)
+            self._leaf_distincts[key] = (
+                field.distinct_count
+                if field is not None and len(field.distinct) > 0
+                else None
+            )
+        return self._leaf_distincts[key]
 
     # -- costs --------------------------------------------------------------
 
@@ -137,12 +172,15 @@ class PlanEstimator:
             return 0.0
         if not isinstance(node, JoinNode):
             raise PlanError(f"cannot cost node type {type(node).__name__}")
-        out = self.estimate(node)
-        return (
-            self.cout_cost(node.build)
-            + self.cout_cost(node.probe)
-            + out.modeled_rows * out.row_width
-        )
+        found = self._cout_costs.get(node)
+        if found is None:
+            out = self.estimate(node)
+            found = self._cout_costs[node] = (
+                self.cout_cost(node.build)
+                + self.cout_cost(node.probe)
+                + out.modeled_rows * out.row_width
+            )
+        return found
 
     def plan_cost(self, node: PlanNode) -> float:
         """Movement-aware execution-cost estimate of a full plan (mirrors the
@@ -153,7 +191,7 @@ class PlanEstimator:
     def _cost(self, node: PlanNode) -> tuple[float, NodeEstimate]:
         if isinstance(node, LeafNode):
             estimate = self.leaf_estimate(node)
-            stats = self.statistics.get(self.alias_datasets[leaf_alias(node)])
+            stats = self.statistics.get(self.alias_datasets[node.alias])
             modeled = stats.row_count * stats.scale
             seconds = self.cost.scan(modeled, stats.row_width)
             if node.predicates:
@@ -185,7 +223,3 @@ class PlanEstimator:
             seconds += self.cost.index_lookups(build.modeled_rows)
             seconds += self.cost.probe(out.modeled_rows)
         return seconds, out
-
-
-def leaf_alias(node: LeafNode) -> str:
-    return node.alias

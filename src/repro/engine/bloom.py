@@ -18,7 +18,10 @@ this codebase:
 
 Index derivation uses Kirsch-Mitzenmacher double hashing: one 64-bit hash
 split into two halves drives all ``hash_count`` probes, so each add/probe
-costs a single blake2b invocation regardless of ``hash_count``.
+costs a single blake2b invocation regardless of ``hash_count`` — and, since
+both directions work a column at a time (:meth:`BloomFilter.add_all`,
+:meth:`BloomFilter.might_contain_all`), one invocation per *distinct* key of
+the column, deduplicated by what :func:`stable_hash` encodes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 from collections.abc import Iterable
 
 from repro.common.errors import ReproError
-from repro.common.rng import stable_hash
+from repro.common.rng import distinct_stable_hashes, stable_hashes
 
 _LN2 = math.log(2.0)
 
@@ -67,12 +70,12 @@ def bloom_size_bytes(expected: float, fpp: float = DEFAULT_FPP) -> float:
 class BloomFilter:
     """A deterministic Bloom filter over arbitrary hashable-by-repr values.
 
-    The bit array is one Python int (arbitrary precision), which keeps
-    add/probe allocation-free and makes the whole filter trivially
-    fingerprintable.
+    The bit array is a ``bytearray`` (bit ``i`` is bit ``i & 7`` of byte
+    ``i >> 3``), so setting or testing a bit costs the same whatever the
+    filter's size.
     """
 
-    __slots__ = ("bit_count", "hash_count", "charge_bytes", "_bits")
+    __slots__ = ("bit_count", "hash_count", "charge_bytes", "_bytes")
 
     def __init__(
         self, bit_count: int, hash_count: int, charge_bytes: float = 0.0
@@ -87,7 +90,7 @@ class BloomFilter:
         self.charge_bytes = (
             float(charge_bytes) if charge_bytes > 0.0 else float(self.size_bytes)
         )
-        self._bits = 0
+        self._bytes = bytearray(self.size_bytes)
 
     @classmethod
     def build(
@@ -108,32 +111,40 @@ class BloomFilter:
             bloom_hash_count(bit_count, expected),
             charge_bytes if charge_bytes is not None else 0.0,
         )
-        for value in values:
-            if value is not None:
-                bloom.add(value)
+        bloom.add_all([value for value in values if value is not None])
         return bloom
 
     def add(self, value: object) -> None:
-        digest = stable_hash(value)
-        low = digest & 0xFFFFFFFF
-        high = (digest >> 32) | 1
-        bit_count = self.bit_count
-        bits = self._bits
-        for i in range(self.hash_count):
-            bits |= 1 << ((low + i * high) % bit_count)
-        self._bits = bits
+        self.add_all((value,))
+
+    def add_all(self, values: Iterable[object]) -> None:
+        """Insert a column of values (bits are a union: only distinct keys matter)."""
+        data, bit_count, probes = self._bytes, self.bit_count, range(self.hash_count)
+        for digest in distinct_stable_hashes(values):
+            low = digest & 0xFFFFFFFF
+            high = (digest >> 32) | 1
+            for i in probes:
+                bit = (low + i * high) % bit_count
+                data[bit >> 3] |= 1 << (bit & 7)
 
     def might_contain(self, value: object) -> bool:
         """False means definitely absent; True means present or false positive."""
-        digest = stable_hash(value)
-        low = digest & 0xFFFFFFFF
-        high = (digest >> 32) | 1
-        bit_count = self.bit_count
-        bits = self._bits
-        for i in range(self.hash_count):
-            if not (bits >> ((low + i * high) % bit_count)) & 1:
-                return False
-        return True
+        return self.might_contain_all((value,))[0]
+
+    def might_contain_all(self, values: Iterable[object]) -> list[bool]:
+        """:meth:`might_contain` per value of a column, in order."""
+        data, bit_count, probes = self._bytes, self.bit_count, range(self.hash_count)
+        hashes = stable_hashes(values)
+        verdicts = dict.fromkeys(hashes, True)
+        for digest in verdicts:
+            low = digest & 0xFFFFFFFF
+            high = (digest >> 32) | 1
+            for i in probes:
+                bit = (low + i * high) % bit_count
+                if not data[bit >> 3] >> (bit & 7) & 1:
+                    verdicts[digest] = False
+                    break
+        return [verdicts[digest] for digest in hashes]
 
     @property
     def size_bytes(self) -> int:
@@ -142,18 +153,16 @@ class BloomFilter:
 
     @property
     def bits_set(self) -> int:
-        return bin(self._bits).count("1")
+        return int.from_bytes(self._bytes, "little").bit_count()
 
     def fingerprint(self) -> str:
         """Stable 64-bit content identity (used in cache tokens).
 
-        Hashes the raw bitset bytes, not its ``repr`` — a large filter's bit
-        array is an int with far more digits than CPython's int-to-str
-        conversion limit allows.
+        Hashes the bit array as one big-endian integer (bit 0 last), the
+        layout every recorded cache token and golden digest was taken over.
         """
         header = f"{self.bit_count}|{self.hash_count}|".encode()
-        payload = self._bits.to_bytes(self.size_bytes, "big")
-        return hashlib.blake2b(header + payload, digest_size=8).hexdigest()
+        return hashlib.blake2b(header + self._bytes[::-1], digest_size=8).hexdigest()
 
     def __repr__(self) -> str:
         return (

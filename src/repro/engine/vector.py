@@ -14,7 +14,7 @@ monkeypatch them to prove the golden-fingerprint harness
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, compress
 
 from repro.common.rng import stable_hash, stable_hashes
 
@@ -145,10 +145,9 @@ def semi_join_filter(
             if col is None:
                 survivors = []
                 break
-            contains = bloom.might_contain
-            survivors = [
-                i for i in survivors if col[i] is not None and contains(col[i])
-            ]
+            present = [i for i in survivors if col[i] is not None]
+            verdicts = bloom.might_contain_all([col[i] for i in present])
+            survivors = list(compress(present, verdicts))
         if not survivors:
             continue
         out_length += len(survivors)

@@ -12,7 +12,7 @@ strategy still trusts formula (1) across joins — unlike the dynamic
 approach it never re-optimizes — so it isolates how far measured leaf
 statistics alone close the gap to runtime re-optimization.
 
-Execution shape, as stage generators like the other eight strategies:
+Execution shape, as stage generators like the other nine strategies:
 
 1. one **sketch pass per FROM entry** — scan the dataset partition by
    partition, apply the alias's local predicates, and build a GK + HLL
@@ -27,9 +27,9 @@ Execution shape, as stage generators like the other eight strategies:
    leaves re-applying predicates inline (sketch passes materialize nothing).
 
 Composes unchanged with the scheduler (stage generator protocol), the
-P001–P007 verifier (the final job is an ordinary compiled job), both
-execution engines (the sketch pass is engine-independent by construction)
-and the QueryService.
+P001–P007 verifier (the final job is an ordinary compiled job), the
+execution engine (the sketch pass runs in-process, outside it) and the
+QueryService.
 """
 
 from __future__ import annotations

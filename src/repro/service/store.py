@@ -196,7 +196,13 @@ class ServiceStore:
                 f"(this build reads version {STORE_FORMAT_VERSION})"
             )
         self.feedback.restore_state(state["feedback"])
-        self._sketches = dict(state["sketches"])
+        sketches = dict(state["sketches"])
+        # Sketch states stay dicts until an ingestion asks for them; rebuild
+        # each once here so a damaged one fails the load (where ``open``
+        # falls back) and not a later ingestion.
+        for entry in sketches.values():
+            DatasetStatistics.from_state(entry["stats"])
+        self._sketches = sketches
 
     def save(self, path: str) -> None:
         """Write the store as JSON (atomically: temp file + rename).

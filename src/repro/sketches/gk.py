@@ -17,8 +17,12 @@ quantile queries.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
 from repro.common.errors import StatisticsError
+
+if TYPE_CHECKING:
+    from repro.sketches.histogram import EquiHeightHistogram
 
 
 class GKQuantileSketch:
@@ -45,6 +49,8 @@ class GKQuantileSketch:
         self._buffer_cap = max(16, int(1.0 / epsilon))
         # Memoized quantile() answers; invalidated on every summary change.
         self._quantile_cache: dict[float, float] = {}
+        # Histograms built from the summary, by bucket count; same lifetime.
+        self._histogram_cache: dict[int, EquiHeightHistogram] = {}
 
     def __len__(self) -> int:
         return self._count + len(self._buffer)
@@ -80,6 +86,7 @@ class GKQuantileSketch:
         if not self._buffer:
             return
         self._quantile_cache.clear()
+        self._histogram_cache.clear()
         values, gaps, deltas = self._values, self._gaps, self._deltas
         count, band, size = self._count, 2 * self.epsilon, len(values)
         for value in sorted(self._buffer):
@@ -159,6 +166,16 @@ class GKQuantileSketch:
                 break
         self._quantile_cache[q] = result
         return result
+
+    def histogram_cache(self) -> dict[int, EquiHeightHistogram]:
+        """Histograms derived from the current summary, by bucket count.
+
+        Owned by the sketch so that it empties where the summary changes
+        (``_flush``); pending buffered values are flushed before it is
+        handed out, so whatever it holds describes the whole stream.
+        """
+        self._flush()
+        return self._histogram_cache
 
     def quantiles(self, buckets: int) -> list[float]:
         """Right borders of ``buckets`` equi-height buckets (Section 4).

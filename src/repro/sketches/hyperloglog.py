@@ -73,20 +73,31 @@ class HyperLogLog:
     def cardinality(self) -> float:
         """Estimated number of distinct inserted values.
 
-        The register scan is the expensive part (``2**p`` registers), so the
-        estimate is memoized until the next register update — the planner
-        re-reads the same frozen sketches at every re-optimization point.
+        The harmonic sum ``sum(2**-register)`` is taken as one exact integer
+        over ``2**top`` — a C-level ``count`` per rank held, one division —
+        instead of a float addition per register. Every partial sum of the
+        per-register loop is a multiple of ``2**-max_rank`` no larger than
+        ``2**precision``, so while ``precision + max_rank <= 53`` that loop
+        was exact too and the two agree bit for bit; beyond it this is the
+        correctly rounded value. The estimate is memoized until the next
+        register update — the planner re-reads the same frozen sketches at
+        every re-optimization point.
         """
         if self._cardinality_cache is not None:
             return self._cardinality_cache
         m = self._m
-        inverse_sum = 0.0
-        zeros = 0
-        for register in self._registers:
-            inverse_sum += 2.0 ** (-register)
-            if register == 0:
-                zeros += 1
-        estimate = _alpha(m) * m * m / inverse_sum
+        top = 65 - self.precision  # the largest rank _observe can store
+        count = self._registers.count
+        zeros = count(0)
+        scaled_sum = zeros << top
+        unseen = m - zeros
+        for rank in range(1, top + 1):
+            if not unseen:
+                break
+            held = count(rank)
+            scaled_sum += held << (top - rank)
+            unseen -= held
+        estimate = _alpha(m) * m * m / (scaled_sum / (1 << top))
         if estimate <= 2.5 * m and zeros:
             # Linear counting regime.
             estimate = m * math.log(m / zeros)
@@ -94,15 +105,27 @@ class HyperLogLog:
         return estimate
 
     def merge(self, other: HyperLogLog) -> HyperLogLog:
-        """Return a new sketch equivalent to observing both streams."""
+        """Return a new sketch equivalent to observing both streams.
+
+        The register-wise max runs on the two arrays read as big integers
+        (SWAR): registers are at most ``65 - precision < 128``, so with bit 7
+        of every byte of ``mine`` set, subtracting ``theirs`` never borrows
+        across a byte and leaves bit 7 set exactly where ``mine >= theirs``.
+        """
         if self.precision != other.precision:
             raise StatisticsError(
                 f"cannot merge HLLs of different precision "
                 f"({self.precision} vs {other.precision})"
             )
+        m = self._m
+        high_bits = int.from_bytes(b"\x80" * m, "little")
+        mine = int.from_bytes(self._registers, "little")
+        theirs = int.from_bytes(other._registers, "little")
+        # 0xFF in every byte where mine >= theirs, 0x00 elsewhere.
+        keep_mine = ((((mine | high_bits) - theirs) & high_bits) >> 7) * 0xFF
         merged = HyperLogLog(self.precision)
         merged._registers = bytearray(
-            max(a, b) for a, b in zip(self._registers, other._registers, strict=True)
+            (theirs ^ ((mine ^ theirs) & keep_mine)).to_bytes(m, "little")
         )
         merged._count = self._count + other._count
         return merged
@@ -138,6 +161,14 @@ class HyperLogLog:
             raise StatisticsError(
                 f"corrupt HLL state: {len(registers)} registers for "
                 f"precision {sketch.precision}"
+            )
+        top = 65 - sketch.precision
+        # What is left after deleting every legal rank (a C-level pass).
+        illegal = registers.translate(None, bytes(range(top + 1)))
+        if illegal:
+            raise StatisticsError(
+                f"corrupt HLL state: register {max(illegal)} exceeds the "
+                f"largest rank {top} of precision {sketch.precision}"
             )
         sketch._registers = registers
         sketch._count = int(state["count"])

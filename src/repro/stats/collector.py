@@ -52,10 +52,20 @@ class FieldStatistics:
         return max(1.0, self.distinct.cardinality())
 
     def histogram(self, bucket_count: int = 32) -> EquiHeightHistogram | None:
-        """Equi-height histogram, or None for non-numeric fields."""
+        """Equi-height histogram, or None for non-numeric fields.
+
+        Built once per summary state: the planner asks for the same frozen
+        field's histogram at every predicate of every candidate plan.
+        """
         if len(self.quantiles) == 0:
             return None
-        return EquiHeightHistogram.from_sketch(self.quantiles, bucket_count)
+        cache = self.quantiles.histogram_cache()
+        histogram = cache.get(bucket_count)
+        if histogram is None:
+            histogram = cache[bucket_count] = EquiHeightHistogram.from_sketch(
+                self.quantiles, bucket_count
+            )
+        return histogram
 
     def merge(self, other: FieldStatistics) -> FieldStatistics:
         merged = FieldStatistics(self.field_name)

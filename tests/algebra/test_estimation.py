@@ -1,14 +1,24 @@
 """Plan-level estimation tests: leaves, joins, widths, cost metrics."""
 
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.algebra.estimation import PlanEstimator
 from repro.algebra.plan import JoinNode, LeafNode
 from repro.algebra.toolkit import PlannerToolkit
+from repro.common.errors import PlanError
+from repro.common.types import DataType, Schema
 from repro.engine.operators.joins import JoinAlgorithm
 from repro.lang.ast import ComparisonPredicate, UdfPredicate
+from repro.lang.builder import QueryBuilder
+from repro.optimizers.enumeration import best_bushy_plan
+from repro.session import Session
 from repro.stats.estimation import DEFAULT_EQUALITY_SELECTIVITY
 
-from tests.conftest import build_star_session, star_query
+from tests.conftest import build_star_session, small_cluster, star_query
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +69,16 @@ class TestJoinEstimates:
     def test_join_scale_is_max(self, toolkit):
         node = make_join_node(toolkit, "fact", "da")
         assert toolkit.estimator.estimate(node).scale == 10_000.0
+
+    def test_key_tuples_of_different_length_are_rejected(self, toolkit):
+        node = JoinNode(
+            build=LeafNode("da", "da"),
+            probe=LeafNode("fact", "fact"),
+            build_keys=("da.a_id", "da.a_attr"),
+            probe_keys=("fact.f_a",),
+        )
+        with pytest.raises(PlanError, match=r"\(da ⋈ fact\) has 2 build keys"):
+            toolkit.estimator.estimate(node)
 
     def test_modeled_rows(self, toolkit):
         estimate = toolkit.estimator.leaf_estimate(toolkit.leaf("fact"))
@@ -117,3 +137,117 @@ class TestCompositeRules:
 
         with pytest.raises(PlanError):
             PlannerToolkit(star_query(), session, composite_rule="geometric")
+
+
+# -- one estimator per toolkit, every estimate computed once -----------------------
+
+CHAIN = tuple(f"t{i}" for i in range(7))
+
+
+def build_chain_toolkit() -> PlannerToolkit:
+    """Seven tables joined t0 - t1 - ... - t6, alternate ones filtered."""
+    session = Session(small_cluster())
+    builder = QueryBuilder().select("t0.id")
+    for index, name in enumerate(CHAIN):
+        schema = Schema.of(
+            ("id", DataType.INT), ("next", DataType.INT), ("attr", DataType.INT),
+            primary_key=("id",),
+        )  # fmt: skip
+        size = 40 * (index + 1)
+        rows = [
+            {"id": i, "next": (i * 7) % (size + 40), "attr": i % (index + 2)}
+            for i in range(size)
+        ]
+        session.load(name, schema, rows, scale=10.0 ** (index % 3))
+        builder.from_table(name)
+        if index % 2:
+            builder.where_compare(f"{name}.attr", "<=", 1)
+    for left, right in zip(CHAIN, CHAIN[1:]):
+        builder.join(f"{left}.next", f"{right}.id")
+    return PlannerToolkit(builder.build(), session)
+
+
+@pytest.fixture(scope="module")
+def chain_toolkit():
+    return build_chain_toolkit()
+
+
+def fresh_estimator(estimator: PlanEstimator) -> PlanEstimator:
+    return PlanEstimator(
+        estimator.statistics,
+        estimator.alias_datasets,
+        estimator.cluster,
+        estimator.cost,
+        estimator.composite_rule,
+    )
+
+
+@st.composite
+def chain_trees(draw, toolkit: PlannerToolkit, low: int = 0, high: int = len(CHAIN)):
+    """A cross-product-free bushy tree over ``CHAIN[low:high]``: any split
+    point, either side building, any algorithm annotation."""
+    if high - low == 1:
+        return toolkit.leaf(CHAIN[low])
+    cut = draw(st.integers(low + 1, high - 1))
+    left = draw(chain_trees(toolkit, low, cut))
+    right = draw(chain_trees(toolkit, cut, high))
+    left_key, right_key = f"{CHAIN[cut - 1]}.next", f"{CHAIN[cut]}.id"
+    algorithm = draw(st.sampled_from(list(JoinAlgorithm)))
+    if draw(st.booleans()):
+        return JoinNode(left, right, (left_key,), (right_key,), algorithm)
+    return JoinNode(right, left, (right_key,), (left_key,), algorithm)
+
+
+class TestMemoisedEstimator:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_shared_estimator_equals_a_fresh_one_per_node(self, chain_toolkit, data):
+        trees = [
+            data.draw(chain_trees(chain_toolkit, low, high))
+            for low, high in data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, 3), st.integers(4, 7)),
+                    min_size=1,
+                    max_size=3,
+                )
+            )
+        ]
+        nodes = [
+            node for tree in trees for node in (*tree.leaves(), *tree.join_nodes())
+        ]
+        visits = data.draw(
+            st.permutations(
+                [
+                    (node, method)
+                    for node in nodes
+                    for method in ("estimate", "cout_cost", "plan_cost")
+                ]
+            )
+        )
+        shared = fresh_estimator(chain_toolkit.estimator)
+        for node, method in visits:
+            reference = fresh_estimator(chain_toolkit.estimator)
+            assert getattr(shared, method)(node) == getattr(reference, method)(node)
+
+    def test_dp_estimates_every_distinct_node_once(self, chain_toolkit, monkeypatch):
+        computed = []
+        body = PlanEstimator._estimate
+
+        def counting(self, node):
+            computed.append(node)
+            return body(self, node)
+
+        monkeypatch.setattr(PlanEstimator, "_estimate", counting)
+        toolkit = build_chain_toolkit()
+        plan = best_bushy_plan(toolkit)
+
+        assert Counter(computed).most_common(1)[0][1] == 1
+        assert sum(isinstance(node, LeafNode) for node in computed) == len(CHAIN)
+        # a 7-chain has 56 connected (interval, cut) splits; each is estimated
+        # as planned and, when the algorithm rule annotates it, once more
+        joins = len(computed) - len(CHAIN)
+        assert 56 <= joins <= 2 * 56
+        assert sorted(plan.aliases) == list(CHAIN)
+        assert toolkit.estimator.cout_cost(plan) == fresh_estimator(
+            toolkit.estimator
+        ).cout_cost(plan)

@@ -1,14 +1,21 @@
 """Deterministic Bloom filter tests (repro.engine.bloom)."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ReproError
+from repro.common.rng import stable_hash
 from repro.engine.bloom import (
     BloomFilter,
     bloom_bit_count,
     bloom_hash_count,
     bloom_size_bytes,
 )
+from repro.engine.vector import semi_join_filter
+from tests.conftest import mixed_column_batches
 
 
 class TestSizing:
@@ -98,3 +105,110 @@ class TestChargeBytes:
     def test_build_passes_override(self):
         bloom = BloomFilter.build([1], expected=1, charge_bytes=99.0)
         assert bloom.charge_bytes == 99.0
+
+
+# -- the column-at-a-time paths against one stable_hash per value -------------------
+
+
+class PerValueBloom:
+    """The filter as one ``stable_hash`` call per added or probed value."""
+
+    def __init__(self, bit_count: int, hash_count: int) -> None:
+        self.bit_count, self.hash_count, self.bits = bit_count, hash_count, 0
+
+    def _positions(self, value: object):
+        digest = stable_hash(value)
+        low, high = digest & 0xFFFFFFFF, (digest >> 32) | 1
+        return [(low + i * high) % self.bit_count for i in range(self.hash_count)]
+
+    def add(self, value: object) -> None:
+        for position in self._positions(value):
+            self.bits |= 1 << position
+
+    def might_contain(self, value: object) -> bool:
+        return all(self.bits >> position & 1 for position in self._positions(value))
+
+    def fingerprint(self) -> str:
+        header = f"{self.bit_count}|{self.hash_count}|".encode()
+        payload = self.bits.to_bytes((self.bit_count + 7) // 8, "big")
+        return hashlib.blake2b(header + payload, digest_size=8).hexdigest()
+
+
+def per_value_twin(bloom: BloomFilter, values) -> PerValueBloom:
+    twin = PerValueBloom(bloom.bit_count, bloom.hash_count)
+    for value in values:
+        if value is not None:
+            twin.add(value)
+    return twin
+
+
+class TestColumnAtATime:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mixed_column_batches(),
+        mixed_column_batches(),
+        st.sampled_from([1, 7, 1024]),
+    )
+    def test_build_and_probe_match_the_per_value_filter(
+        self, build_batches, probe_batches, chunk_size
+    ):
+        build = [value for batch in build_batches for value in batch]
+        # probing the build column too makes true positives certain
+        probe = [value for batch in probe_batches for value in batch] + build
+        bloom = BloomFilter.build(build, expected=max(1, len(build)))
+        twin = per_value_twin(bloom, build)
+        assert bloom.fingerprint() == twin.fingerprint()
+        assert bloom.bits_set == bin(twin.bits).count("1")
+
+        columns = {"key": probe, "position": list(range(len(probe)))}
+        kept, kept_length = semi_join_filter(
+            columns, len(probe), (("key", bloom),), chunk_size
+        )
+        expected = [
+            position
+            for position, value in enumerate(probe)
+            if value is not None and twin.might_contain(value)
+        ]
+        assert kept["position"] == expected
+        assert kept_length == len(expected)
+        assert [repr(value) for value in kept["key"]] == [
+            repr(probe[position]) for position in expected
+        ]
+
+    @settings(max_examples=30, deadline=None)
+    @given(mixed_column_batches())
+    def test_scalar_calls_are_the_one_value_column(self, batches):
+        column = [value for batch in batches for value in batch]
+        one_by_one = BloomFilter(640, 4)
+        at_once = BloomFilter(640, 4)
+        twin = PerValueBloom(640, 4)
+        for value in column:
+            one_by_one.add(value)  # add() does not skip None; build() does
+            twin.add(value)
+        at_once.add_all(column)
+        assert one_by_one.fingerprint() == at_once.fingerprint() == twin.fingerprint()
+        probes = column + [0, "absent", 2.5, None]
+        verdicts = [twin.might_contain(value) for value in probes]
+        assert at_once.might_contain_all(probes) == verdicts
+        assert [at_once.might_contain(value) for value in probes] == verdicts
+
+    def test_equal_values_that_hash_apart_stay_apart(self):
+        # 1 == 1.0 == True and 0.0 == -0.0 as dict keys, but stable_hash
+        # encodes ints by value and the rest by repr; NaNs the reverse.
+        nan = float("nan")
+        bloom = BloomFilter.build([1, 0.0, nan], expected=3, fpp=1e-9)
+        assert bloom.might_contain_all(
+            [1, True, 1.0, 0.0, -0.0, nan, float("nan"), 2**127, 2**127 + 1]
+        ) == [True, True, False, True, False, True, True, False, False]
+
+    def test_fingerprint_is_the_one_recorded_before_the_byte_array(self):
+        # taken at f255792, when the bits were one Python int
+        values = [*range(100), None, "a", 1.0, True, (1, 2)]
+        bloom = BloomFilter.build(values, expected=100)
+        assert bloom.fingerprint() == "86a7e0c23c350ba7"
+        assert (bloom.bits_set, bloom.bit_count, bloom.hash_count) == (503, 959, 7)
+
+    def test_a_null_filter_column_eliminates_the_partition(self):
+        bloom = BloomFilter.build([1, 2], expected=2)
+        kept, length = semi_join_filter({"v": [1, 2]}, 2, (("key", bloom),), 1024)
+        assert (kept, length) == ({"v": []}, 0)

@@ -242,6 +242,24 @@ class TestOpenCorruptStore:
             opened = ServiceStore.open(str(path))
         assert opened.sketched_datasets() == []
 
+    def test_impossible_hll_register_fails_the_load(self, tmp_path):
+        """A register no hash can produce would merge and count silently
+        wrong; it is caught when the file is loaded, not at a later ingest."""
+        path = tmp_path / "store.json"
+        build_service().save_store(str(path))
+        state = json.loads(path.read_text())
+        sketch = state["sketches"]["fact"]["stats"]["fields"]["f_a"]["distinct"]
+        registers = bytearray.fromhex(sketch["registers"])
+        registers[0] = 200
+        sketch["registers"] = registers.hex()
+        path.write_text(json.dumps(state))
+
+        with pytest.raises(StatisticsError, match="corrupt HLL state: register 200"):
+            QueryService(small_cluster()).load_store(str(path))
+        with pytest.warns(RuntimeWarning, match="corrupt HLL state"):
+            opened = ServiceStore.open(str(path))
+        assert opened.sketched_datasets() == []
+
     def test_healthy_file_loads_without_warning(self, tmp_path):
         import warnings as warnings_module
 

@@ -1,12 +1,17 @@
 """HyperLogLog distinct-count tests, including the relative error bound."""
 
+import math
+import random
+from collections import Counter
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash
-from repro.sketches.hyperloglog import HyperLogLog
+from repro.sketches.hyperloglog import HyperLogLog, _alpha
 from tests.conftest import mixed_column_batches
 
 
@@ -19,6 +24,20 @@ class TestValidation:
     def test_merge_precision_mismatch(self):
         with pytest.raises(StatisticsError):
             HyperLogLog(10).merge(HyperLogLog(12))
+
+    @pytest.mark.parametrize("precision", [4, 12, 18])
+    def test_from_state_rejects_a_register_no_hash_can_produce(self, precision):
+        hll = HyperLogLog(precision)
+        hll.extend(range(100))
+        state = hll.to_state()
+        registers = bytearray.fromhex(state["registers"])
+        registers[3] = 65 - precision  # the top rank itself is legal
+        state["registers"] = registers.hex()
+        assert HyperLogLog.from_state(state).to_state() == state
+        registers[3] = 66 - precision
+        state["registers"] = registers.hex()
+        with pytest.raises(StatisticsError, match="corrupt HLL state: register"):
+            HyperLogLog.from_state(state)
 
 
 class TestAccuracy:
@@ -142,3 +161,110 @@ class TestBatch:
         hll = HyperLogLog()
         hll.extend(i % 7 for i in range(100))
         assert len(hll) == 100
+
+
+# -- register algebra: merge and cardinality against their per-register loops ------
+
+
+def sketch_of(precision: int, registers: bytearray, count: int = 0) -> HyperLogLog:
+    return HyperLogLog.from_state(
+        {"precision": precision, "count": count, "registers": registers.hex()}
+    )
+
+
+def _finish(m: int, inverse_sum: float, zeros: int) -> float:
+    estimate = _alpha(m) * m * m / inverse_sum
+    if estimate <= 2.5 * m and zeros:
+        estimate = m * math.log(m / zeros)
+    return estimate
+
+
+def sequential_cardinality(registers: bytearray) -> float:
+    """The estimate by one float addition per register, left to right."""
+    inverse_sum = 0.0
+    zeros = 0
+    for register in registers:
+        inverse_sum += 2.0 ** (-register)
+        if register == 0:
+            zeros += 1
+    return _finish(len(registers), inverse_sum, zeros)
+
+
+def exact_cardinality(registers: bytearray) -> float:
+    """The estimate from the harmonic sum as a rational, rounded once."""
+    held = Counter(registers)
+    inverse_sum = sum(Fraction(count, 1 << rank) for rank, count in held.items())
+    return _finish(len(registers), float(inverse_sum), held[0])
+
+
+@st.composite
+def register_arrays(draw, precision: int) -> bytearray:
+    """Any register array a sketch of this precision can hold.
+
+    The bulk is drawn from a seeded generator under a drawn cap (2**18
+    registers are too many to draw one by one); a few drawn overrides let
+    hypothesis place single extreme registers itself.
+    """
+    m, top = 1 << precision, 65 - precision
+    cap = draw(st.integers(0, top))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    registers = bytearray(rng.choices(range(cap + 1), k=m))
+    overrides = st.tuples(st.integers(0, m - 1), st.integers(0, top))
+    for index, rank in draw(st.lists(overrides, max_size=6)):
+        registers[index] = rank
+    return registers
+
+
+@st.composite
+def register_pairs(draw) -> tuple[int, bytearray, bytearray]:
+    precision = draw(st.integers(4, 18))
+    return (
+        precision,
+        draw(register_arrays(precision)),
+        draw(register_arrays(precision)),
+    )
+
+
+class TestRegisterAlgebra:
+    @settings(max_examples=60, deadline=None)
+    @given(register_pairs(), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_merge_is_the_per_register_max(self, pair, left_count, right_count):
+        precision, left_registers, right_registers = pair
+        left = sketch_of(precision, left_registers, left_count)
+        right = sketch_of(precision, right_registers, right_count)
+        left.cardinality()  # a memoized estimate must not travel into the merge
+        before = left.to_state(), right.to_state()
+
+        merged = left.merge(right)
+
+        expected = bytearray(map(max, left_registers, right_registers))
+        assert merged._registers == expected
+        assert len(merged) == left_count + right_count
+        assert (left.to_state(), right.to_state()) == before
+        assert merged.cardinality() == exact_cardinality(expected)
+        assert merged.cardinality() == sketch_of(precision, expected).cardinality()
+        assert right.merge(left).to_state() == merged.to_state()
+
+    @settings(max_examples=60, deadline=None)
+    @given(register_pairs())
+    def test_cardinality_is_the_register_loop(self, pair):
+        precision, registers, _ = pair
+        estimate = sketch_of(precision, registers).cardinality()
+        assert estimate == exact_cardinality(registers)
+        if precision + max(registers) <= 53:
+            # every partial sum of the loop is exact here, so it agrees too
+            assert estimate == sequential_cardinality(registers)
+
+    def test_sketches_built_from_values_stay_in_the_exact_regime(self):
+        hll = HyperLogLog(12)
+        hll.extend(range(200_000))
+        assert 12 + max(hll._registers) <= 53
+        assert hll.cardinality() == sequential_cardinality(hll._registers)
+
+    def test_beyond_53_bits_the_loop_rounds_and_the_estimate_does_not(self):
+        # 2048 registers at rank 50 after 2048 at rank 1: each 2**-50 is
+        # under half an ulp of the running sum 1024.0 and the loop drops it.
+        registers = bytearray([1]) * 2048 + bytearray([50]) * 2048
+        estimate = sketch_of(12, registers).cardinality()
+        assert estimate == exact_cardinality(registers)
+        assert estimate != sequential_cardinality(registers)

@@ -5,7 +5,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.sketches.histogram import EquiHeightHistogram
 from repro.stats.collector import FieldStatistics, StatisticsCollector
 from tests.conftest import mixed_column_batches, same_state
 
@@ -161,3 +163,70 @@ class TestBatchPath:
         reference = FieldStatistics("b")
         observe_per_value(reference, [row.get("b") for row in rows])
         assert same_state(by_rows.field("b").to_state(), reference.to_state())
+
+
+def histogram_view(histogram: EquiHeightHistogram | None) -> str:
+    """What a histogram answers from, NaN borders and ``-0.0`` included."""
+    if histogram is None:
+        return "None"
+    return repr((histogram.buckets, histogram.minimum, histogram.total))
+
+
+def uncached_view(field: FieldStatistics, bucket_count: int) -> str:
+    """The histogram of ``field``'s sketch built past the cache (like
+    ``histogram()``, this flushes the sketch's insert buffer)."""
+    if len(field.quantiles) == 0:
+        return "None"
+    return histogram_view(EquiHeightHistogram.from_sketch(field.quantiles, bucket_count))
+
+
+class TestHistogramCache:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_column_batches(), mixed_column_batches(), st.sampled_from([4, 32]))
+    def test_cached_histogram_is_the_one_from_sketch_builds(
+        self, batches, other_batches, bucket_count
+    ):
+        # ``twin`` sees the same values and is flushed at the same points,
+        # but its histograms are always built from the sketch.
+        cached, twin = FieldStatistics("x"), FieldStatistics("x")
+        for batch in batches:
+            cached.observe_column(batch)
+            twin.observe_column(batch)
+            first = cached.histogram(bucket_count)
+            assert histogram_view(first) == uncached_view(twin, bucket_count)
+            assert cached.histogram(bucket_count) is first  # nothing changed since
+
+        other = FieldStatistics("x")
+        for batch in other_batches:
+            other.observe_column(batch)
+        other.histogram(bucket_count)
+        merged = cached.merge(other)
+        assert histogram_view(merged.histogram(bucket_count)) == uncached_view(
+            twin.merge(other), bucket_count
+        )
+        # merging flushed the operands but did not change what they describe
+        assert histogram_view(cached.histogram(bucket_count)) == uncached_view(
+            twin, bucket_count
+        )
+
+        restored = FieldStatistics.from_state(cached.to_state())
+        assert histogram_view(restored.histogram(bucket_count)) == uncached_view(
+            twin, bucket_count
+        )
+        assert same_state(restored.to_state(), twin.to_state())
+
+    def test_values_still_in_the_insert_buffer_invalidate(self):
+        stats = FieldStatistics("a")
+        stats.observe_column(list(range(200)))
+        before = stats.histogram(8)
+        stats.observe_column([1000.0])  # one value: stays in GK's buffer
+        after = stats.histogram(8)
+        assert (before.total, after.total) == (200, 201)
+        assert after.buckets[-1].upper == 1000.0
+
+    def test_bucket_counts_are_cached_apart(self):
+        stats = FieldStatistics("a")
+        stats.observe_column(list(range(200)))
+        assert len(stats.histogram(8).buckets) == 8
+        assert len(stats.histogram(32).buckets) == 32
+        assert len(stats.histogram(8).buckets) == 8
