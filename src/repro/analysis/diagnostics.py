@@ -41,6 +41,7 @@ LINT_RULES: dict[str, str] = {
     "D002": "bare-random",
     "D003": "unordered-set-iteration",
     "D004": "queue-delay-in-jobmetrics",
+    "D005": "collector-state-in-library-code",
     "W001": "stale-suppression-pragma",
 }
 

@@ -24,6 +24,12 @@ code      rule                          invariant
                                         order-insensitive reducer (``sorted`` & co.)
 ``D004``  queue-delay-in-jobmetrics     queue delay lives on ``ScheduleInfo``/the
                                         timeline, never inside ``JobMetrics``
+``D005``  collector-state-in-library    no ``gc.disable``/``enable``/``freeze``/
+          -code                         ``unfreeze``/``set_threshold``/``collect``
+                                        call anywhere under ``src/repro`` — the
+                                        cycle collector belongs to the embedding
+                                        process; fix the heap, not the collector
+                                        (DESIGN.md §10.3)
 ``W001``  stale-suppression-pragma      every ``# det: allow(...)`` pragma must
                                         still suppress a live finding — a stale
                                         pragma is an invisible hole in the lint
@@ -95,6 +101,11 @@ WALLCLOCK_TIME_FUNCS = frozenset(
 #: Wall-clock constructors of ``datetime``/``date`` objects (D001).
 WALLCLOCK_DATETIME_FUNCS = frozenset({"now", "utcnow", "today"})
 
+#: ``gc`` functions that change or drive the collector's state (D005).
+COLLECTOR_STATE_FUNCS = frozenset(
+    {"disable", "enable", "freeze", "unfreeze", "set_threshold", "collect"}
+)
+
 #: Functions/attributes known to return sets (D003 provenance seeds).
 SET_RETURNING_CALLS = frozenset(
     {
@@ -136,6 +147,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     if any(fragment in normalized for fragment in HOT_PATHS):
         findings.extend(_check_set_iteration(tree, normalized))
     findings.extend(_check_queue_delay(tree, normalized))
+    findings.extend(_check_collector_state(tree, normalized))
 
     # W001 runs against the *pre-suppression* findings: a pragma is stale
     # exactly when no finding of its code exists on its line. Stale-pragma
@@ -296,6 +308,9 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "order-insensitive reducer",
         "D004": f"queue delay written into JobMetrics ({what}) — waiting "
         "belongs on ScheduleInfo/the timeline, never in per-query metrics",
+        "D005": f"collector state touched from library code ({what}()) — the "
+        "cycle collector belongs to the embedding process; keep fewer "
+        "tracked containers alive instead",
     }
     return Diagnostic(
         code=code,
@@ -477,6 +492,38 @@ def _check_queue_delay(tree: ast.Module, path: str) -> list[Diagnostic]:
     return findings
 
 
+# -- D005: collector state -----------------------------------------------------
+
+
+def _check_collector_state(tree: ast.Module, path: str) -> list[Diagnostic]:
+    modules: set[str] = set()
+    functions: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            functions.update(
+                (a.asname or a.name, a.name)
+                for a in node.names
+                if a.name in COLLECTOR_STATE_FUNCS
+            )
+    findings: list[Diagnostic] = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in functions:
+            findings.append(_source_diag("D005", f"gc.{functions[func.id]}", node, path))
+        elif (
+            isinstance(func, ast.Attribute)
+            and func.attr in COLLECTOR_STATE_FUNCS
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+        ):
+            findings.append(_source_diag("D005", f"gc.{func.attr}", node, path))
+    return findings
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -502,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine determinism lint (rules D001-D004, W001).",
+        description="Engine determinism lint (rules D001-D005, W001).",
     )
     parser.add_argument(
         "paths",

@@ -16,15 +16,17 @@ derived from widths and counts is independent of projection pushdown
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.common.types import DataType, Field, Schema
 
 
 class ColumnPartition:
-    """One partition as parallel column lists.
+    """One partition as parallel column sequences.
 
-    ``columns`` maps qualified names to equal-length value lists; the set of
+    ``columns`` maps qualified names to equal-length value sequences (lists,
+    or a scan's memoized tuples — never mutated in place); the set of
     physically present columns may be narrower than the data's logical
     column map when projection pushdown marked the rest dead. Reading an
     absent column yields nulls — the columnar analogue of ``row.get``.
@@ -32,11 +34,11 @@ class ColumnPartition:
 
     __slots__ = ("columns", "length")
 
-    def __init__(self, columns: dict[str, list], length: int) -> None:
+    def __init__(self, columns: Mapping[str, Sequence], length: int) -> None:
         self.columns = columns
         self.length = length
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> Sequence:
         col = self.columns.get(name)
         if col is None:
             return [None] * self.length
@@ -52,7 +54,7 @@ class LazyRowPartition:
     is the dataset's per-partition columnar memo
     (:meth:`repro.storage.dataset.Dataset.column_cache`): the row->column
     pivot for a given field happens once per dataset lifetime, and every
-    later scan of the same partition reuses the extracted list.
+    later scan of the same partition reuses the extracted tuple.
     """
 
     __slots__ = ("rows", "prefix", "live", "cache")
@@ -62,7 +64,7 @@ class LazyRowPartition:
         rows: list[dict],
         prefix: str,
         live: tuple[str, ...] | None,
-        cache: dict[str, list] | None = None,
+        cache: dict[str, tuple] | None = None,
     ) -> None:
         self.rows = rows
         self.prefix = prefix
@@ -73,16 +75,20 @@ class LazyRowPartition:
     def length(self) -> int:
         return len(self.rows)
 
-    def storage_column(self, key: str) -> list:
-        """Values of one *storage-named* (unqualified) field, memoized."""
+    def storage_column(self, key: str) -> tuple:
+        """Values of one *storage-named* (unqualified) field, memoized.
+
+        A tuple: the memo is shared by every scan of the dataset, so it is
+        immutable by type, and the cycle collector stops tracking a tuple of
+        atoms on its first visit (DESIGN.md §10.3).
+        """
         cache = self.cache
-        if cache is not None:
-            column = cache.get(key)
-            if column is None:
-                column = [row.get(key) for row in self.rows]
+        column = cache.get(key) if cache is not None else None
+        if column is None:
+            column = tuple([row.get(key) for row in self.rows])
+            if cache is not None:
                 cache[key] = column
-            return column
-        return [row.get(key) for row in self.rows]
+        return column
 
     def extract(self, names) -> ColumnPartition:
         """Materialize the qualified ``names`` from the stored rows."""
@@ -112,7 +118,7 @@ def materialize(
 class ColumnarData:
     """Rows spread over cluster partitions plus their physical properties."""
 
-    partitions: list[ColumnPartition | LazyRowPartition]
+    partitions: Sequence[ColumnPartition | LazyRowPartition]
     #: the *logical* column map, regardless of which columns are physically
     #: materialized: ``row_width`` (and with it every width-derived charge)
     #: never depends on what projection pushdown marked dead.

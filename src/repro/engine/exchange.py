@@ -1,19 +1,26 @@
 """Data-movement connectors between operators.
 
-Two physical exchanges exist in the simulated Hyracks runtime, matching the
-paper's join descriptions (Section 3):
+Two exchanges exist in the simulated Hyracks runtime, matching the paper's
+join descriptions (Section 3):
 
 - **hash exchange** — redistribute rows so equal keys land on the same
   partition; every row crosses the network once.
 - **broadcast exchange** — replicate the (small) input to every partition.
 
-Both return new column partitions; the caller charges the cost model.
+Both return new column partitions; the caller charges the cost model. Only
+``GroupByOp`` performs the hash exchange on the host: a hash join is *charged*
+for it but moves just the rows that matched (DESIGN.md §10.2).
 """
 
 from __future__ import annotations
 
 from repro.engine import vector
 from repro.engine.data import ColumnPartition
+
+
+def _physical_names(partitions: list[ColumnPartition]) -> tuple[str, ...]:
+    """Column names of the first partition that has any."""
+    return next((tuple(p.columns) for p in partitions if p.columns), ())
 
 
 def columnar_hash_exchange(
@@ -23,18 +30,13 @@ def columnar_hash_exchange(
 ) -> list[ColumnPartition]:
     """Redistribute columnar partitions by hash of the per-row route keys.
 
-    ``route_keys[p]`` holds one routing value per row of partition ``p`` —
-    the raw first-key-column value for joins, the full key tuple for
-    group-by. A row goes to partition ``stable_hash(key) % partition_count``
-    (:func:`repro.engine.vector.route_partitions`), and rows keep their
-    source order within a destination. Null keys are routed like any other
-    value (only join build/probe skips them).
+    ``route_keys[p]`` holds one routing value per row of partition ``p`` (the
+    full key tuple for group-by). A row goes to partition ``stable_hash(key) %
+    partition_count`` (:func:`repro.engine.vector.route_partitions`) and rows
+    keep their source order within a destination. Null keys are routed like
+    any other value.
     """
-    names: tuple[str, ...] = ()
-    for partition in partitions:
-        if partition.columns:
-            names = tuple(partition.columns)
-            break
+    names = _physical_names(partitions)
     out_columns: list[dict[str, list]] = [
         {name: [] for name in names} for _ in range(partition_count)
     ]
@@ -59,24 +61,22 @@ def columnar_hash_exchange(
     ]
 
 
-def columnar_broadcast_exchange(
-    partitions: list[ColumnPartition],
-) -> ColumnPartition:
+def columnar_broadcast_exchange(partitions: list[ColumnPartition]) -> ColumnPartition:
     """Gather the input into one partition that every partition will receive.
 
     The engine keeps one shared (read-only) copy rather than materializing
     ``partition_count`` physical copies; the cost model still charges the
     replication traffic.
     """
-    names: tuple[str, ...] = ()
-    for partition in partitions:
-        if partition.columns:
-            names = tuple(partition.columns)
-            break
+    return concat_partitions(partitions)
+
+
+def concat_partitions(partitions: list[ColumnPartition]) -> ColumnPartition:
+    """All rows as one partition, in source order (partition ascending,
+    position ascending); an absent physical column reads as nulls."""
+    names = _physical_names(partitions)
     gathered: dict[str, list] = {name: [] for name in names}
-    length = 0
     for partition in partitions:
-        length += partition.length
         for name in names:
             gathered[name].extend(partition.column(name))
-    return ColumnPartition(gathered, length)
+    return ColumnPartition(gathered, sum(p.length for p in partitions))

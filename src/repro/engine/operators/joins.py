@@ -13,17 +13,27 @@ These implement the three algorithms described in Section 3 of the paper:
 - **Indexed nested loop join** — the build input is broadcast to all
   partitions of a *base dataset* with a secondary index on the join key;
   arriving rows immediately probe the local index.
+
+That is what the simulated clock is *charged*. On the host, the hash and
+broadcast joins match globally and move only the rows that join (DESIGN.md §10.2).
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from collections import Counter
+from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 
 from repro.common.errors import ExecutionError
 from repro.engine import vector
 from repro.engine.data import ColumnarData, ColumnPartition
-from repro.engine.exchange import columnar_broadcast_exchange, columnar_hash_exchange
+from repro.engine.exchange import columnar_broadcast_exchange, concat_partitions
 from repro.engine.operators.base import ExecState, PhysicalOperator
+
+#: per output partition: (build positions, probe positions) into the flat inputs
+Placement = list[tuple[list[int], list[int]]]
 
 
 class JoinAlgorithm(enum.Enum):
@@ -34,204 +44,183 @@ class JoinAlgorithm(enum.Enum):
     @property
     def plan_marker(self) -> str:
         """Appendix notation: plain ⋈ for hash, 'b' broadcast, 'i' INL."""
-        if self is JoinAlgorithm.BROADCAST:
-            return "b"
-        if self is JoinAlgorithm.INDEX_NESTED_LOOP:
-            return "i"
-        return ""
-
-
-def _merged_columns(probe_columns: dict, build_columns: dict) -> dict:
-    """Join-output logical column map: probe's columns, build overwriting
-    overlaps (dict-update semantics)."""
-    columns = dict(probe_columns)
-    columns.update(build_columns)
-    return columns
+        return {"broadcast": "b", "inl": "i"}.get(self.value, "")
 
 
 def _gather_join_output(
     columns: dict,
-    build_part: ColumnPartition,
-    probe_part: ColumnPartition,
+    build_rows: ColumnPartition,
+    probe_rows: ColumnPartition,
     build_idx: list[int],
     probe_idx: list[int],
 ) -> ColumnPartition:
-    """Materialize one join output partition from matched position pairs.
-
-    Physical columns follow the logical map's order; names present on both
-    sides are sourced from the build side.
-    """
-    build_names = build_part.columns.keys()
-    probe_names = probe_part.columns.keys()
-    out: dict[str, list] = {}
+    """One join output partition from matched position pairs. Physical columns
+    follow the logical map's order; a name on both sides reads the build's."""
+    out: dict[str, Sequence] = {}
     for name in columns:
-        if name in build_names:
-            out[name] = vector.gather(build_part.columns[name], build_idx)
-        elif name in probe_names:
-            out[name] = vector.gather(probe_part.columns[name], probe_idx)
+        if name in build_rows.columns:
+            out[name] = vector.gather(build_rows.columns[name], build_idx)
+        elif name in probe_rows.columns:
+            out[name] = vector.gather(probe_rows.columns[name], probe_idx)
     return ColumnPartition(out, len(build_idx))
 
 
-class HashJoinOp(PhysicalOperator):
-    """Partitioned dynamic hash join.
+def _placed_where_probed(
+    probe_parts: list[ColumnPartition], build_idx: list[int], probe_idx: list[int]
+) -> Placement:
+    """Matches stay in their probe row's partition: ``probe_idx`` ascends, so
+    each partition owns one contiguous run of the output."""
+    placed: Placement = []
+    lo = offset = 0
+    for partition in probe_parts:
+        offset += partition.length
+        hi = bisect_left(probe_idx, offset, lo)
+        placed.append((build_idx[lo:hi], probe_idx[lo:hi]))
+        lo = hi
+    return placed
 
-    ``build_keys[i]`` joins against ``probe_keys[i]``; rows are routed by the
-    first key column and residual conjuncts are checked by tuple equality.
+
+def _placed_by_route(
+    route_column: Sequence,
+    partition_count: int,
+    build_idx: list[int],
+    probe_idx: list[int],
+) -> Placement:
+    """Matches land on ``stable_hash(route value) % partition_count``, output
+    order kept within a destination. Routed once per matched probe *row* and
+    fanned out to its matches: an expanding join has far more output rows."""
+    matches_per_row = Counter(probe_idx)  # ascending probe row -> match count
+    slots: Iterable[int] = vector.route_partitions(
+        vector.gather(route_column, matches_per_row),
+        partition_count,
+        vector.shared_route_cache(partition_count),
+    )
+    if len(matches_per_row) != len(probe_idx):  # expanding: fan each slot out
+        slots = chain.from_iterable(map(repeat, slots, matches_per_row.values()))
+    placed: Placement = [([], []) for _ in range(partition_count)]
+    for slot, build_position, probe_position in zip(slots, build_idx, probe_idx):
+        placed[slot][0].append(build_position)
+        placed[slot][1].append(probe_position)
+    return placed
+
+
+class _BuildProbeJoinOp(PhysicalOperator):
+    """The one data path of the hash and broadcast joins (DESIGN.md §10.2).
+
+    One table over the build rows in source order (partition, then position)
+    is probed by the probe rows in source order; only the *matches* are then
+    placed — routed on ``probe_keys[0]`` when the modeled plan moves the probe
+    side, left in the probe row's partition when it does not. Every output
+    partition holds the rows, in the order, that exchanging the inputs and
+    joining partition by partition would give, and the simulated clock is
+    charged from logical row counts and widths as if they had moved.
+    ``build_keys[i]`` joins against ``probe_keys[i]`` by tuple equality.
     """
+
+    algorithm: JoinAlgorithm
+
+    def __init__(
+        self,
+        build: PhysicalOperator,
+        probe: PhysicalOperator,
+        build_keys: tuple[str, ...],
+        probe_keys: tuple[str, ...],
+    ) -> None:
+        if len(build_keys) != len(probe_keys) or not build_keys:
+            raise ExecutionError("join needs matching, non-empty key lists")
+        self.children = (build, probe)
+        self.build_keys = tuple(build_keys)
+        self.probe_keys = tuple(probe_keys)
+
+    def execute(self, state: ExecState) -> ColumnarData:
+        build = self.children[0].run(state)
+        probe = self.children[1].run(state)
+        hashed = self.algorithm is JoinAlgorithm.HASH
+        cost = state.cost
+
+        probe_moves = hashed and probe.partitioned_on != self.probe_keys[0]
+        if hashed:
+            build_rows = concat_partitions(build.materialized())
+            if build.partitioned_on != self.build_keys[0]:
+                state.charge(
+                    "network", cost.hash_exchange(build.modeled_rows, build.row_width)
+                )
+            if probe_moves:
+                state.charge(
+                    "network", cost.hash_exchange(probe.modeled_rows, probe.row_width)
+                )
+            state.charge("compute", cost.hash_build(build.modeled_rows))
+        else:
+            # One shared copy stands in for the replicas the cost model charges.
+            build_rows = columnar_broadcast_exchange(build.materialized())
+            state.charge(
+                "network", cost.broadcast_exchange(build.modeled_rows, build.row_width)
+            )
+            state.charge("compute", cost.broadcast_build(build.modeled_rows))
+
+        probe_parts = probe.materialized()
+        probe_rows = concat_partitions(probe_parts)
+        build_idx, probe_idx = vector.probe_hash_table(
+            vector.build_hash_table(
+                vector.join_key_column(
+                    build_rows.columns, build_rows.length, self.build_keys
+                )
+            ),
+            vector.probe_key_column(
+                probe_rows.columns, probe_rows.length, self.probe_keys
+            ),
+        )
+        if probe_moves:
+            placed = _placed_by_route(
+                probe_rows.column(self.probe_keys[0]),
+                state.cluster.partitions,
+                build_idx,
+                probe_idx,
+            )
+        else:
+            placed = _placed_where_probed(probe_parts, build_idx, probe_idx)
+        columns = {**probe.columns, **build.columns}  # build overwrites overlaps
+        out_partitions = [
+            _gather_join_output(columns, build_rows, probe_rows, *positions)
+            for positions in placed
+        ]
+
+        out_rows = len(build_idx)
+        out_scale = max(build.scale, probe.scale)
+        state.charge("compute", cost.probe(probe.modeled_rows + out_rows * out_scale))
+        if hashed:
+            state.charge(
+                "spill",
+                cost.spill(
+                    build.modeled_rows * build.row_width,
+                    probe.modeled_rows * probe.row_width,
+                ),
+            )
+        state.metrics.tuples_joined += out_rows
+        # A broadcast join's probe side never moved: its partitioning survives.
+        partitioned_on = self.probe_keys[0] if hashed else probe.partitioned_on
+        return ColumnarData(out_partitions, columns, partitioned_on, out_scale)
+
+    def label(self) -> str:
+        pairs = ", ".join(
+            f"{b} = {p}" for b, p in zip(self.build_keys, self.probe_keys, strict=True)
+        )
+        return f"{super().label()} [{pairs}]"
+
+
+class HashJoinOp(_BuildProbeJoinOp):
+    """Partitioned dynamic hash join: charged for re-partitioning each input
+    not already partitioned on its first join key, and for spill; its output
+    is partitioned on ``probe_keys[0]``."""
 
     algorithm = JoinAlgorithm.HASH
 
-    def __init__(
-        self,
-        build: PhysicalOperator,
-        probe: PhysicalOperator,
-        build_keys: tuple[str, ...],
-        probe_keys: tuple[str, ...],
-    ) -> None:
-        if len(build_keys) != len(probe_keys) or not build_keys:
-            raise ExecutionError("join needs matching, non-empty key lists")
-        self.children = (build, probe)
-        self.build_keys = tuple(build_keys)
-        self.probe_keys = tuple(probe_keys)
 
-    def execute(self, state: ExecState) -> ColumnarData:
-        build = self.children[0].run(state)
-        probe = self.children[1].run(state)
-        partition_count = state.cluster.partitions
-
-        build_parts = build.materialized()
-        if build.partitioned_on != self.build_keys[0]:
-            build_parts = columnar_hash_exchange(
-                build_parts,
-                [p.column(self.build_keys[0]) for p in build_parts],
-                partition_count,
-            )
-            state.charge(
-                "network", state.cost.hash_exchange(build.modeled_rows, build.row_width)
-            )
-        probe_parts = probe.materialized()
-        if probe.partitioned_on != self.probe_keys[0]:
-            probe_parts = columnar_hash_exchange(
-                probe_parts,
-                [p.column(self.probe_keys[0]) for p in probe_parts],
-                partition_count,
-            )
-            state.charge(
-                "network", state.cost.hash_exchange(probe.modeled_rows, probe.row_width)
-            )
-
-        columns = _merged_columns(probe.columns, build.columns)
-        out_partitions: list[ColumnPartition] = []
-        out_rows = 0
-        for build_part, probe_part in zip(build_parts, probe_parts, strict=True):
-            table = vector.build_hash_table(
-                vector.join_key_column(
-                    build_part.columns, build_part.length, self.build_keys
-                )
-            )
-            build_idx, probe_idx = vector.probe_hash_table(
-                table,
-                vector.join_key_column(
-                    probe_part.columns, probe_part.length, self.probe_keys
-                ),
-            )
-            out_rows += len(build_idx)
-            out_partitions.append(
-                _gather_join_output(
-                    columns, build_part, probe_part, build_idx, probe_idx
-                )
-            )
-
-        out_scale = max(build.scale, probe.scale)
-        state.charge("compute", state.cost.hash_build(build.modeled_rows))
-        state.charge(
-            "compute", state.cost.probe(probe.modeled_rows + out_rows * out_scale)
-        )
-        state.charge(
-            "spill",
-            state.cost.spill(
-                build.modeled_rows * build.row_width,
-                probe.modeled_rows * probe.row_width,
-            ),
-        )
-        state.metrics.tuples_joined += out_rows
-        return ColumnarData(out_partitions, columns, self.probe_keys[0], out_scale)
-
-    def label(self) -> str:
-        pairs = ", ".join(
-            f"{b} = {p}" for b, p in zip(self.build_keys, self.probe_keys, strict=True)
-        )
-        return f"HashJoin [{pairs}]"
-
-
-class BroadcastJoinOp(PhysicalOperator):
-    """Broadcast the build input to every partition of the probe input."""
+class BroadcastJoinOp(_BuildProbeJoinOp):
+    """Broadcast join: charged for replicating the build input to every
+    partition of the probe input, which never moves."""
 
     algorithm = JoinAlgorithm.BROADCAST
-
-    def __init__(
-        self,
-        build: PhysicalOperator,
-        probe: PhysicalOperator,
-        build_keys: tuple[str, ...],
-        probe_keys: tuple[str, ...],
-    ) -> None:
-        if len(build_keys) != len(probe_keys) or not build_keys:
-            raise ExecutionError("join needs matching, non-empty key lists")
-        self.children = (build, probe)
-        self.build_keys = tuple(build_keys)
-        self.probe_keys = tuple(probe_keys)
-
-    def execute(self, state: ExecState) -> ColumnarData:
-        build = self.children[0].run(state)
-        probe = self.children[1].run(state)
-
-        gathered = columnar_broadcast_exchange(build.materialized())
-        state.charge(
-            "network",
-            state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
-        )
-        # One shared hash table stands in for the identical per-partition
-        # copies; the cost model charged the replicated build above.
-        state.charge("compute", state.cost.broadcast_build(build.modeled_rows))
-        table = vector.build_hash_table(
-            vector.join_key_column(
-                gathered.columns, gathered.length, self.build_keys
-            )
-        )
-
-        columns = _merged_columns(probe.columns, build.columns)
-        out_partitions: list[ColumnPartition] = []
-        out_rows = 0
-        for partition in probe.materialized():
-            build_idx, probe_idx = vector.probe_hash_table(
-                table,
-                vector.join_key_column(
-                    partition.columns, partition.length, self.probe_keys
-                ),
-            )
-            out_rows += len(build_idx)
-            out_partitions.append(
-                _gather_join_output(
-                    columns, gathered, partition, build_idx, probe_idx
-                )
-            )
-
-        out_scale = max(build.scale, probe.scale)
-        state.charge(
-            "compute", state.cost.probe(probe.modeled_rows + out_rows * out_scale)
-        )
-        state.metrics.tuples_joined += out_rows
-        # The probe side never moved: its partitioning property survives.
-        return ColumnarData(
-            out_partitions, columns, probe.partitioned_on, out_scale
-        )
-
-    def label(self) -> str:
-        pairs = ", ".join(
-            f"{b} = {p}" for b, p in zip(self.build_keys, self.probe_keys, strict=True)
-        )
-        return f"BroadcastJoin [{pairs}]"
 
 
 class IndexNestedLoopJoinOp(PhysicalOperator):
@@ -281,10 +270,10 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         )
 
         prefix = f"{self.inner_alias}."
-        residual = list(zip(self.build_keys[1:], self.inner_fields[1:], strict=True))
         key_column = gathered.column(self.build_keys[0])
         residual_columns = [
-            (gathered.column(bk), f) for bk, f in residual
+            (gathered.column(bk), f)
+            for bk, f in zip(self.build_keys[1:], self.inner_fields[1:], strict=True)
         ]
         inner_fields = [f.name for f in dataset.schema.fields]
         columns = {prefix + f.name: f.dtype for f in dataset.schema.fields}

@@ -14,7 +14,8 @@ monkeypatch them to prove the golden-fingerprint harness
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain, compress, repeat
 
 from repro.common.rng import stable_hash, stable_hashes
 
@@ -39,45 +40,26 @@ def fused_filter_project(
     ``partition`` is a :class:`~repro.engine.data.LazyRowPartition`: its
     ``prefix`` is the scan alias qualifier (empty for intermediates, whose
     stored names are already qualified) and ``storage_column`` serves each
-    referenced field as one flat list — pivoted from the stored rows once
+    referenced field as one flat column — pivoted from the stored rows once
     per dataset lifetime and memoized. ``live`` names the qualified columns
     to materialize for surviving rows — the projection part of the fusion;
     columns the query never references are never pivoted at all.
-
-    Per chunk the survivor index list is refined predicate by predicate
-    (a short-circuiting conjunction: a later predicate never sees a row an
-    earlier one rejected), and only then are the live columns gathered for
-    the survivors.
     """
     prefix = partition.prefix
     plen = len(prefix)
-    pred_cols = []
-    for predicate in predicates:
-        column = predicate.column
-        key = column[plen:] if plen and column.startswith(prefix) else column
-        pred_cols.append(partition.storage_column(key))
-    out_columns = []
-    for name in live:
-        key = name[plen:] if plen and name.startswith(prefix) else name
-        out_columns.append((name, partition.storage_column(key)))
 
-    out: dict[str, list] = {name: [] for name in live}
-    length = 0
-    for start in range(0, partition.length, chunk_size):
-        stop = min(start + chunk_size, partition.length)
-        survivors: list[int] | range = range(start, stop)
-        for predicate, col in zip(predicates, pred_cols):
-            if not survivors:
-                break
-            values = [col[i] for i in survivors]
-            mask = predicate.evaluate_batch(values, evaluation)
-            survivors = [i for i, ok in zip(survivors, mask) if ok]
-        if not survivors:
-            continue
-        length += len(survivors)
-        for name, col in out_columns:
-            out[name].extend([col[i] for i in survivors])
-    return out, length
+    def stored(name: str) -> Sequence:
+        key = name[plen:] if plen and name.startswith(prefix) else name
+        return partition.storage_column(key)
+
+    return _filter_chunks(
+        partition.length,
+        predicates,
+        [stored(predicate.column) for predicate in predicates],
+        {name: stored(name) for name in live},
+        evaluation,
+        chunk_size,
+    )
 
 
 def filter_columns(
@@ -87,34 +69,44 @@ def filter_columns(
     evaluation,
     chunk_size: int,
 ) -> tuple[dict[str, list], int]:
-    """Filter an already-columnar partition, chunk by chunk.
+    """Filter an already-columnar partition, chunk by chunk; every physical
+    column is copied for the surviving rows."""
+    pred_cols = _columns_or_nulls(columns, length, tuple(p.column for p in predicates))
+    return _filter_chunks(length, predicates, pred_cols, columns, evaluation, chunk_size)
 
-    Same survivor-refinement contract as :func:`fused_filter_project`; the
-    gather step copies every physical column for the surviving indices.
-    """
-    names = list(columns)
-    pred_cols = [columns.get(p.column) for p in predicates]
-    out: dict[str, list] = {name: [] for name in names}
+
+def _filter_chunks(
+    length: int,
+    predicates: tuple,
+    pred_cols: list,
+    sources: dict[str, Sequence],
+    evaluation,
+    chunk_size: int,
+) -> tuple[dict[str, list], int]:
+    """Per chunk the survivors are refined predicate by predicate (a
+    short-circuiting conjunction: a later predicate never sees a row an
+    earlier one rejected), then ``sources`` are gathered for them. While the
+    survivors are still the chunk's ``range``, a column is read as a slice."""
+    out: dict[str, list] = {name: [] for name in sources}
     out_length = 0
     for start in range(0, length, chunk_size):
-        stop = min(start + chunk_size, length)
-        survivors: list[int] | range = range(start, stop)
+        survivors: list[int] | range = range(start, min(start + chunk_size, length))
         for predicate, col in zip(predicates, pred_cols):
             if not survivors:
                 break
-            if col is None:
-                values: list = [None] * len(survivors)
-            else:
-                values = [col[i] for i in survivors]
-            mask = predicate.evaluate_batch(values, evaluation)
-            survivors = [i for i, ok in zip(survivors, mask) if ok]
-        if not survivors:
-            continue
-        out_length += len(survivors)
-        for name in names:
-            col = columns[name]
-            out[name].extend(col[i] for i in survivors)
+            mask = predicate.evaluate_batch(_take(col, survivors), evaluation)
+            survivors = list(compress(survivors, mask))
+        if survivors:
+            out_length += len(survivors)
+            for name, col in sources.items():
+                out[name].extend(_take(col, survivors))
     return out, out_length
+
+
+def _take(column: Sequence, positions: list[int] | range) -> Sequence:
+    if type(positions) is range:
+        return column[positions.start : positions.stop]
+    return gather(column, positions)
 
 
 def semi_join_filter(
@@ -148,70 +140,92 @@ def semi_join_filter(
             present = [i for i in survivors if col[i] is not None]
             verdicts = bloom.might_contain_all([col[i] for i in present])
             survivors = list(compress(present, verdicts))
-        if not survivors:
-            continue
         out_length += len(survivors)
         for name in names:
-            col = columns[name]
-            out[name].extend(col[i] for i in survivors)
+            out[name].extend(_take(columns[name], survivors))
     return out, out_length
 
 
 # -- hash-join kernels ---------------------------------------------------------
 
 
+def _columns_or_nulls(
+    columns: Mapping[str, Sequence], length: int, names: tuple[str, ...]
+) -> list[Sequence]:
+    """The named columns; a physically absent one reads as nulls."""
+    return [
+        col if (col := columns.get(name)) is not None else [None] * length
+        for name in names
+    ]
+
+
 def join_key_column(
-    columns: dict[str, list], length: int, keys: tuple[str, ...]
-) -> list:
+    columns: Mapping[str, Sequence], length: int, keys: tuple[str, ...]
+) -> Sequence:
     """Per-row join keys from key columns; ``None`` marks a null key.
 
-    Single-column keys use the raw value (``None`` stays ``None``);
-    composite keys become tuples, collapsed to ``None`` when any component
-    is null.
+    A single-column key is the column itself, not a copy; composite keys
+    become tuples, collapsed to ``None`` when any component is null.
     """
-    if len(keys) == 1:
-        col = columns.get(keys[0])
-        return list(col) if col is not None else [None] * length
-
-    parts = [
-        columns.get(k) if columns.get(k) is not None else [None] * length
-        for k in keys
-    ]
-    return [
-        None if any(part is None for part in key) else key
-        for key in zip(*parts)
-    ]
+    parts = _columns_or_nulls(columns, length, keys)
+    if len(parts) == 1:
+        return parts[0]
+    return [None if None in key else key for key in zip(*parts)]
 
 
-def build_hash_table(key_column: list) -> dict:
-    """Row positions per key, skipping null keys (SQL: never match)."""
-    table: dict = {}
-    for position, key in enumerate(key_column):
-        if key is not None:
-            table.setdefault(key, []).append(position)
-    return table
+def probe_key_column(
+    columns: Mapping[str, Sequence], length: int, keys: tuple[str, ...]
+) -> Iterable:
+    """:func:`join_key_column` for the probe side: composite keys stay a lazy
+    ``zip``. A table built from collapsed keys holds no tuple with a null
+    component, so an uncollapsed probe tuple misses anyway, and ``zip``
+    recycles one tuple where a list would keep one per probe row alive
+    (DESIGN.md §10.3)."""
+    parts = _columns_or_nulls(columns, length, keys)
+    return parts[0] if len(parts) == 1 else zip(*parts)
 
 
-def probe_hash_table(table: dict, key_column: list) -> tuple[list[int], list[int]]:
-    """Batched probe: (build positions, probe positions) per output row.
+def build_hash_table(key_column: Sequence) -> tuple[dict, bool]:
+    """``(table, unique)`` over the build keys; null keys never match (SQL).
 
-    Output order is that of a nested loop: probe rows in order, each one's
-    matches in build insertion order.
+    Non-null keys all distinct: key -> position, ``unique`` true. Otherwise
+    key -> positions in build order. The first shape keeps no list per key
+    alive for the cycle collector to track (DESIGN.md §10.3).
     """
-    build_idx: list[int] = []
-    probe_idx: list[int] = []
-    get = table.get
+    table: dict = dict(zip(key_column, range(len(key_column))))
+    nulls = key_column.count(None)
+    table.pop(None, None)
+    if len(table) == len(key_column) - nulls:
+        return table, True
+    table = {}
     for position, key in enumerate(key_column):
-        if key is None:
-            continue
-        matches = get(key)
-        if matches:
-            build_idx.extend(matches)
-            probe_idx.extend([position] * len(matches))
-    return build_idx, probe_idx
+        table.setdefault(key, []).append(position)
+    table.pop(None, None)
+    return table, False
 
 
-def gather(column: list, positions: list[int]) -> list:
+def probe_hash_table(
+    table: tuple[dict, bool], key_column: Iterable
+) -> tuple[list[int], list[int]]:
+    """Batched probe: (build positions, probe positions) per output row, in
+    nested-loop order: probe rows in order, each one's matches in build order.
+    The table holds no ``None`` key, so a null probe key misses like any other.
+    """
+    positions, unique = table
+    hits = list(map(positions.get, key_column))
+    if unique:  # a hit is a position, and position 0 is falsy
+        probe_idx = [row for row, hit in enumerate(hits) if hit is not None]
+        return [hits[row] for row in probe_idx], probe_idx
+    # a hit is a non-empty position list, so it is truthy
+    matches = list(compress(hits, hits))
+    matched_rows = compress(range(len(hits)), hits)
+    return (
+        list(chain.from_iterable(matches)),
+        list(chain.from_iterable(map(repeat, matched_rows, map(len, matches)))),
+    )
+
+
+def gather(column: Sequence, positions: Iterable[int]) -> list:
     return [column[i] for i in positions]
 
 
@@ -231,10 +245,7 @@ _MEMO_TUPLE_PARTS = frozenset({int, str, type(None)})
 
 
 def shared_route_cache(partition_count: int) -> dict:
-    cache = _route_caches.get(partition_count)
-    if cache is None:
-        cache = _route_caches[partition_count] = {}
-    return cache
+    return _route_caches.setdefault(partition_count, {})
 
 
 def _memo_safe(key_values: list) -> bool:

@@ -27,7 +27,7 @@ DEFAULT_COLUMN_CACHE_COLUMNS = 64
 
 
 class ColumnCacheLRU:
-    """Bounded field -> column-list memo for one partition.
+    """Bounded field -> column-tuple memo for one partition.
 
     Exposes the mapping surface the scan path uses
     (:meth:`get` / item assignment / ``in``) while evicting the
@@ -42,7 +42,7 @@ class ColumnCacheLRU:
         if capacity < 1:
             raise ValueError(f"column cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[str, list] = OrderedDict()
+        self._entries: OrderedDict[str, tuple] = OrderedDict()
 
     def get(self, key: str, default=None):
         entries = self._entries
@@ -51,7 +51,7 @@ class ColumnCacheLRU:
         entries.move_to_end(key)
         return entries[key]
 
-    def __setitem__(self, key: str, column: list) -> None:
+    def __setitem__(self, key: str, column: tuple) -> None:
         entries = self._entries
         entries[key] = column
         entries.move_to_end(key)

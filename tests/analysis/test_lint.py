@@ -1,4 +1,4 @@
-"""Mutation tests for the determinism lint (D001-D004, W001) + the clean tree.
+"""Mutation tests for the determinism lint (D001-D005, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -128,6 +128,44 @@ class TestD004QueueDelayInMetrics:
     def test_other_metrics_fields_fine(self):
         source = "def charge(metrics, s):\n    metrics.scan += s\n"
         assert lint_source(source, "engine/metrics.py") == []
+
+
+class TestD005CollectorState:
+    def test_gc_module_call(self):
+        source = "import gc\n\ndef build(keys):\n    gc.disable()\n    return dict(keys)\n"
+        assert codes(lint_source(source, "engine/vector.py")) == ["D005"]
+
+    def test_every_state_changing_function(self):
+        for name in ("disable", "enable", "freeze", "unfreeze", "set_threshold", "collect"):
+            source = f"import gc as collector\n\ncollector.{name}()\n"
+            assert codes(lint_source(source, "storage/ingest.py")) == ["D005"], name
+
+    def test_from_import_and_alias(self):
+        source = "from gc import collect as sweep, freeze\n\nsweep()\nfreeze()\n"
+        assert codes(lint_source(source, "service/service.py")) == ["D005", "D005"]
+
+    def test_no_path_is_exempt(self):
+        # Unlike D001, not even analysis/ or bench/: the collector belongs
+        # to the embedding process everywhere under src/repro.
+        source = "import gc\n\ngc.collect()\n"
+        for path in ("analysis/runtime.py", "bench/throughput.py", "common/rng.py"):
+            assert codes(lint_source(source, path)) == ["D005"], path
+
+    def test_read_only_introspection_is_fine(self):
+        source = (
+            "import gc\n\n"
+            "def tracked(x):\n"
+            "    return gc.is_tracked(x), gc.get_count(), gc.isenabled()\n"
+        )
+        assert lint_source(source, "engine/data.py") == []
+
+    def test_same_name_on_another_object_is_fine(self):
+        source = "def stop(feature, pool):\n    feature.disable()\n    pool.collect()\n"
+        assert lint_source(source, "engine/executor.py") == []
+
+    def test_pragma_suppresses(self):
+        source = "import gc\n\ngc.collect()  # det: allow(D005)\n"
+        assert lint_source(source, "engine/executor.py") == []
 
 
 class TestW001StalePragma:

@@ -1,5 +1,7 @@
 """Scan / Reader / Select / Assign / Project operator tests."""
 
+import gc
+
 import pytest
 
 from repro.common.errors import ExecutionError
@@ -27,6 +29,20 @@ class TestScan:
         data, _ = run_op(star_session, ScanOp("fact", "fact"))
         assert data.partitioned_on == "fact.f_id"
         assert data.scale == 10_000.0
+
+    def test_memoised_column_is_an_untracked_tuple(self, star_session):
+        """The pivoted column is shared by every scan of the dataset, so it
+        is immutable by type — and a tuple of atoms leaves the cycle
+        collector's working set on its first visit (DESIGN.md §10.3), which
+        a list of the same values never does."""
+        first, _ = run_op(star_session, ScanOp("fact", "f", live=("f.f_val",)))
+        again, _ = run_op(star_session, ScanOp("fact", "g", live=("g.f_val",)))
+        column = first.materialized()[0].columns["f.f_val"]
+        assert type(column) is tuple and len(column) > 0
+        assert again.materialized()[0].columns["g.f_val"] is column  # one memo
+        gc.collect()
+        assert not gc.is_tracked(column)
+        assert gc.is_tracked(list(column))
 
     def test_scan_rejects_intermediates(self, star_session):
         sink = SinkOp(ScanOp("da", "da"), "inter", ("da.a_id",))

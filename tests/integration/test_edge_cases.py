@@ -144,3 +144,63 @@ class TestSelfJoinAliases:
             result = session.execute(query, optimizer)
             session.reset_intermediates()
             assert rows_equal_unordered(result.rows, reference)
+
+
+class TestMixedTypeJoinKeys:
+    """An INT key equal to a DOUBLE key joins (SQL: ``1 = 1.0``).
+
+    ``stable_hash(1) != stable_hash(1.0)``, so a join that only meets rows
+    inside one hash partition loses every pair whose two slots differ: until
+    PR 17 the first shape returned 10 of 400 rows on the default 40-partition
+    cluster and the last 5 of 200. ``scale=1e6`` puts both inputs over the
+    broadcast budget, so the planner picks the hash join in every shape.
+    """
+
+    A_ROWS = [{"k": i, "x": i} for i in range(200)]
+    B_ROWS = [{"id": i, "fk": float(i % 200)} for i in range(400)]
+
+    def _session(self, float_b_id=False):
+        session = Session(small_cluster())
+        session.load(
+            "a",
+            Schema.of(("k", DataType.INT), ("x", DataType.INT), primary_key=("k",)),
+            self.A_ROWS,
+            scale=1e6,
+        )
+        b_id, cast = (DataType.DOUBLE, float) if float_b_id else (DataType.INT, int)
+        session.load(
+            "b",
+            Schema.of(("id", b_id), ("fk", DataType.DOUBLE), primary_key=("id",)),
+            [{**row, "id": cast(row["id"])} for row in self.B_ROWS],
+            scale=1e6,
+        )
+        return session
+
+    def _check(self, session, left, right, expected_rows):
+        query = (
+            QueryBuilder()
+            .select("a.k", "b.id")
+            .from_table("a")
+            .from_table("b")
+            .join(left, right)
+            .build()
+        )
+        reference = evaluate_reference(query, session)
+        assert len(reference) == expected_rows
+        for optimizer in ("dynamic", "cost_based"):
+            result = session.execute(query, optimizer)
+            session.reset_intermediates()
+            assert "⋈ " in result.plan_description, optimizer  # plain ⋈: hash
+            assert rows_equal_unordered(result.rows, reference), optimizer
+
+    def test_one_side_moves(self):
+        """``a`` sits on its key; ``b`` is re-partitioned on the DOUBLE."""
+        self._check(self._session(), "a.k", "b.fk", 400)
+
+    def test_both_sides_move(self):
+        self._check(self._session(), "a.x", "b.fk", 400)
+
+    def test_neither_side_moves(self):
+        """Both inputs already partitioned on their keys, of different type:
+        there is no partition-local shortcut left to get this wrong."""
+        self._check(self._session(float_b_id=True), "a.k", "b.id", 200)

@@ -4,8 +4,8 @@ Hypothesis generates random chain/star schemas, data distributions and
 predicate mixes; for each, every optimization strategy must produce exactly
 the reference rows. This is the strongest correctness net in the suite: it
 exercises arbitrary join orders, all three join algorithms, partitioning
-edge cases (empty filters, skewed keys, nulls) and the full reconstruction
-machinery at once.
+edge cases (empty filters, skewed keys, nulls, INT keys joined to DOUBLE keys
+under hash and broadcast joins) and the full reconstruction machinery at once.
 """
 
 from __future__ import annotations
@@ -44,10 +44,17 @@ def universe(draw):
         draw(st.sampled_from(["none", "eq", "range", "udf", "param"]))
         for _ in range(dim_count)
     ]
-    return rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds
+    # A DOUBLE dimension key against the fact's INT foreign key (SQL: 1 = 1.0),
+    # and a modeled scale that puts every input over the broadcast budget so
+    # the planners pick hash joins — the pairing that used to lose rows.
+    float_keys = [draw(st.booleans()) for _ in range(dim_count)]
+    scale = draw(st.sampled_from([1.0, 1e6]))
+    return rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds, float_keys, scale
 
 
-def build_case(rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds):
+def build_case(
+    rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds, float_keys, scale
+):
     import random
 
     rng = random.Random(rng_seed)
@@ -72,18 +79,21 @@ def build_case(rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds):
             }
             for i in range(fact_rows)
         ],
+        scale=scale,
     )
     builder = QueryBuilder().select("fact.f_id").from_table("fact")
     for d, size in enumerate(dim_sizes):
         name = f"dim{d}"
+        key_type, cast = (DataType.DOUBLE, float) if float_keys[d] else (DataType.INT, int)
         session.load(
             name,
             Schema.of(
-                (f"d{d}_id", DataType.INT),
+                (f"d{d}_id", key_type),
                 (f"d{d}_v", DataType.INT),
                 primary_key=(f"d{d}_id",),
             ),
-            [{f"d{d}_id": i, f"d{d}_v": i % 5} for i in range(size)],
+            [{f"d{d}_id": cast(i), f"d{d}_v": i % 5} for i in range(size)],
+            scale=scale,
         )
         builder.from_table(name)
         builder.join(f"fact.fk{d}", f"{name}.d{d}_id")
