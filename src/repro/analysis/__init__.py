@@ -26,8 +26,7 @@ The verifiers are wired into the execution path by
 :mod:`repro.analysis.runtime`: the per-job gate sits in
 :func:`repro.engine.scheduler.request.run_request`, plan-time verification
 runs at every re-optimization point before jobgen, and the query-level pass
-runs when the scheduler finishes a query. All are on by default and opted
-out per session via ``Session(verify_plans=False)``.
+runs when the scheduler finishes a query. None of them can be switched off.
 """
 
 from repro.analysis.diagnostics import (

@@ -8,18 +8,19 @@ same gate. Verification:
 
 - charges **zero simulated seconds** (it never touches
   :class:`~repro.engine.metrics.JobMetrics` or the clock, so schedules,
-  timelines and metrics are byte-identical with the verifier on or off);
+  timelines and metrics are byte-identical whether or not it runs —
+  ``tests/analysis/test_gate.py`` stubs the entry points out to prove it);
 - accounts its real (host) wall time on the executor's
-  :class:`VerifierStats` — the overhead number ``python -m repro.bench
-  verify`` reports;
-- records what it checked in the query trace (deterministic content only);
+  :class:`VerifierStats` — the figure ``benchmarks/e2e`` reports as
+  ``analysis.verify_share``;
+- records what it checked in the run's trace (deterministic content only);
 - raises :class:`~repro.analysis.diagnostics.PlanVerificationError` carrying
   every diagnostic when the job is broken, *before* the job runs.
 
 Three query-level entry points extend the same contract (DESIGN.md §14):
 
 - the gate additionally extracts a per-job
-  :class:`~repro.analysis.dataflow.JobDataflow` record onto the tracer
+  :class:`~repro.analysis.dataflow.JobDataflow` record onto the run's tracer
   (:func:`record_replay_dataflow` does the same for cache-replayed jobs,
   which never reach the gate);
 - :func:`verify_query_completion` replays the recorded sequence through the
@@ -27,16 +28,15 @@ Three query-level entry points extend the same contract (DESIGN.md §14):
 - :func:`verify_plan_before_jobgen` runs the P-rule plan checks on logical
   :class:`~repro.algebra.plan.PlanNode` trees at plan time, before jobgen.
 
-``Session(verify_plans=False)`` opts a session out (the executor skips the
-gate entirely).
+There is no switch: every job, plan and finished query is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-# Host-side overhead accounting for the bench report; the simulated clock
-# (JobMetrics) is never involved.
+# Host-side overhead accounting; the simulated clock (JobMetrics) is never
+# involved.
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -46,6 +46,8 @@ if TYPE_CHECKING:
     from repro.algebra.plan import PlanNode
     from repro.engine.executor import Executor
     from repro.engine.scheduler.request import JobRequest
+    from repro.obs.trace import QueryTrace
+    from repro.stats.catalog import StatisticsCatalog
 
 
 @dataclass
@@ -54,8 +56,7 @@ class VerifierStats:
 
     ``jobs_verified``/``wall_seconds`` cover the per-job gate and the
     plan-time P-rule checks; ``queries_verified``/``query_wall_seconds``
-    meter the Q001–Q006 query-completion pass separately so ``bench
-    verify`` can report the query-level overhead on its own.
+    meter the Q001–Q006 query-completion pass separately.
     """
 
     jobs_verified: int = 0
@@ -84,41 +85,17 @@ class VerifierStats:
     def total_wall_seconds(self) -> float:
         return self.wall_seconds + self.query_wall_seconds
 
-    def snapshot(self) -> VerifierStats:
-        return VerifierStats(
-            jobs_verified=self.jobs_verified,
-            diagnostics_found=self.diagnostics_found,
-            wall_seconds=self.wall_seconds,
-            plans_verified=self.plans_verified,
-            queries_verified=self.queries_verified,
-            query_wall_seconds=self.query_wall_seconds,
-        )
-
-    def since(self, before: VerifierStats) -> VerifierStats:
-        """Delta relative to an earlier :meth:`snapshot` (bench accounting)."""
-        return VerifierStats(
-            jobs_verified=self.jobs_verified - before.jobs_verified,
-            diagnostics_found=self.diagnostics_found - before.diagnostics_found,
-            wall_seconds=self.wall_seconds - before.wall_seconds,
-            plans_verified=self.plans_verified - before.plans_verified,
-            queries_verified=self.queries_verified - before.queries_verified,
-            query_wall_seconds=self.query_wall_seconds
-            - before.query_wall_seconds,
-        )
-
 
 def verify_before_launch(executor: Executor, request: JobRequest) -> None:
     """Verify ``request.job`` against the executor's catalogs; raise on findings.
 
-    Uses ``request.statistics`` (the driver's working catalog — the exact
-    statistics the planner saw, including pilot-run per-alias overrides) for
-    the estimate-based checks, falling back to the session catalog for
-    requests that never fork one. As a side effect the job's dataflow record
-    (reads/writes/scans/probes) is appended to the tracer for the
-    query-completion pass.
+    The estimate-based checks read the run's working catalog — the exact
+    statistics the planner saw, including pilot-run per-alias overrides. As
+    a side effect the job's dataflow record (reads/writes/scans/probes) is
+    appended to the run's tracer for the query-completion pass.
     """
     job = request.job
-    if job is None or not getattr(executor, "verify_plans", True):
+    if job is None:
         return
     # Imported lazily: the verifier pulls in the algebra/operator modules,
     # which import the engine package, which imports this module — keeping
@@ -126,33 +103,28 @@ def verify_before_launch(executor: Executor, request: JobRequest) -> None:
     from repro.analysis.dataflow import dataflow_of
     from repro.analysis.verifier import RULES_CHECKED_PER_JOB, verify_job
 
+    run = request.run
     started = perf_counter()
     diagnostics: list[Diagnostic] = verify_job(
         job,
         executor.datasets,
-        statistics=(
-            request.statistics
-            if request.statistics is not None
-            else executor.statistics
-        ),
+        statistics=run.statistics,
         cluster=executor.cluster,
         cost=executor.cost,
     )
-    if request.tracer is not None:
-        request.tracer.record_dataflow(dataflow_of(job, request))
+    run.tracer.record_dataflow(dataflow_of(job, request))
     executor.verifier_stats.record(perf_counter() - started, len(diagnostics))
-    if request.tracer is not None:
-        request.tracer.record_verification(
-            phase=request.phase,
-            job_label=job.label,
-            rules_checked=RULES_CHECKED_PER_JOB,
-            codes=tuple(d.code for d in diagnostics),
-        )
+    run.tracer.record_verification(
+        phase=request.phase,
+        job_label=job.label,
+        rules_checked=RULES_CHECKED_PER_JOB,
+        codes=tuple(d.code for d in diagnostics),
+    )
     if diagnostics:
         raise PlanVerificationError(diagnostics, job_label=job.label)
 
 
-def record_replay_dataflow(executor: Executor, request: JobRequest) -> None:
+def record_replay_dataflow(request: JobRequest) -> None:
     """Record a cache-replayed job's dataflow (the replay skips the gate).
 
     A cache hit re-registers the job's outputs without launching anything,
@@ -161,34 +133,17 @@ def record_replay_dataflow(executor: Executor, request: JobRequest) -> None:
     sink itself Q001. Zero simulated cost; content deterministic.
     """
     job = request.job
-    if (
-        job is None
-        or request.tracer is None
-        or not getattr(executor, "verify_plans", True)
-    ):
+    if job is None:
         return
-    from repro.analysis.dataflow import JobDataflow, dataflow_of
+    from repro.analysis.dataflow import dataflow_of
 
     record = dataflow_of(job, request)
-    request.tracer.record_dataflow(
-        JobDataflow(
-            phase=record.phase,
-            label=record.label,
-            kind=record.kind,
-            reads=record.reads,
-            writes=record.writes,
-            scans=record.scans,
-            probes=record.probes,
-            cache_token=record.cache_token,
-            batch_key=record.batch_key,
-            replayed=True,
-        )
-    )
+    request.run.tracer.record_dataflow(replace(record, replayed=True))
 
 
 def verify_query_completion(
     executor: Executor,
-    trace: object,
+    trace: QueryTrace,
     namespace: str,
     metrics_total: float | None = None,
     token_registry: dict[str, tuple[str, ...]] | None = None,
@@ -203,14 +158,12 @@ def verify_query_completion(
     trace and meters host wall time on ``queries_verified`` /
     ``query_wall_seconds``.
     """
-    if not getattr(executor, "verify_plans", True):
-        return []
-    records = list(getattr(trace, "dataflows", ()) or ())
     from repro.analysis.dataflow import QUERY_RULES_CHECKED, verify_query_dataflow
+    from repro.obs.trace import VerificationRecord
 
     started = perf_counter()
     diagnostics = verify_query_dataflow(
-        records,
+        trace.dataflows,
         namespace=namespace,
         token_registry=token_registry,
         trace=trace,
@@ -219,45 +172,36 @@ def verify_query_completion(
     executor.verifier_stats.record_query(
         perf_counter() - started, len(diagnostics)
     )
-    verifications = getattr(trace, "verifications", None)
-    if verifications is not None:
-        from repro.obs.trace import VerificationRecord
-
-        verifications.append(
-            VerificationRecord(
-                phase="query",
-                job_label=job_label,
-                rules_checked=QUERY_RULES_CHECKED,
-                codes=tuple(d.code for d in diagnostics),
-            )
+    trace.verifications.append(
+        VerificationRecord(
+            phase="query",
+            job_label=job_label,
+            rules_checked=QUERY_RULES_CHECKED,
+            codes=tuple(d.code for d in diagnostics),
         )
+    )
     return diagnostics
 
 
 def verify_plan_before_jobgen(
-    executor: Executor,
-    plan: PlanNode,
-    statistics: object | None = None,
+    executor: Executor, plan: PlanNode, statistics: StatisticsCatalog
 ) -> None:
     """Run the P-rule checks on a logical plan at plan time, before jobgen.
 
     The dynamic driver calls this on every join the policy picks and on
     every final/single-shot plan — so a broken logical plan is caught at
     the re-optimization point that produced it, not two layers later when
-    the compiled job hits the launch gate. Zero simulated cost; host time
-    metered into ``plans_verified``/``wall_seconds``.
+    the compiled job hits the launch gate. ``statistics`` is the run's
+    working catalog. Zero simulated cost; host time metered into
+    ``plans_verified``/``wall_seconds``.
     """
-    if plan is None or not getattr(executor, "verify_plans", True):
-        return
     from repro.analysis.verifier import verify_plan
 
     started = perf_counter()
     diagnostics = verify_plan(
         plan,
         executor.datasets,
-        statistics=(
-            statistics if statistics is not None else executor.statistics
-        ),
+        statistics=statistics,
         cluster=executor.cluster,
         cost=executor.cost,
     )

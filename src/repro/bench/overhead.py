@@ -28,7 +28,7 @@ from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.bench.runner import Workbench, workbench_for_query
 from repro.core.driver import DynamicOptimizer
 from repro.core.predicate_pushdown import execute_pushdowns
-from repro.engine.metrics import JobMetrics
+from repro.engine.scheduler.request import QueryRun
 from repro.optimizers.base import execute_tree
 
 
@@ -85,13 +85,11 @@ def _tree_with_materialized_filters(
 def _pushdown_variant_seconds(bench: Workbench, query, tree: PlanNode) -> float:
     """Push-down materialization + same plan over the materialized leaves."""
     session = bench.session
-    metrics = JobMetrics()
-    phases: list[str] = []
-    working = session.statistics.copy()
-    outcome = execute_pushdowns(query, session, working, metrics, phases)
+    run = QueryRun(query, session, "pushdown")
+    outcome = execute_pushdowns(run, session)
     swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
     result = execute_tree(swapped, outcome.query, session)
-    return metrics.total_seconds + result.seconds
+    return run.metrics.total_seconds + result.seconds
 
 
 def overhead_report(query_label: str, scale_factor: int, seed: int = 42) -> OverheadReport:

@@ -31,10 +31,6 @@ import math
 import os
 from dataclasses import dataclass
 
-# Host-side wall time for the run header only; every latency in the report
-# is simulated.
-from time import perf_counter
-
 from repro.cluster.config import ClusterConfig
 from repro.common import rng
 from repro.common.types import DataType, Schema
@@ -187,7 +183,6 @@ class ServiceReport:
     #: bump) and the hottest template resubmitted — it must *miss* the
     #: result cache (False here) or the invalidation path is broken.
     probe_result_cached: bool = False
-    host_seconds: float = 0.0
 
     def baseline(self) -> dict:
         """The regression-checked subset, JSON-ready."""
@@ -224,7 +219,6 @@ def run_service(
     if smoke:
         query_count = max(100, min(query_count, 100))
         fact_rows = min(fact_rows, 300)
-    started = perf_counter()  # det: allow(D001)
     cluster = ClusterConfig(
         nodes=2, cores_per_node=2, broadcast_budget_bytes=40e6
     )
@@ -304,7 +298,6 @@ def run_service(
         tenant_lines=tenant_lines,
         timeline_tenants=timeline_tenants,
         probe_result_cached=probe.schedule.cache_hit,
-        host_seconds=perf_counter() - started,  # det: allow(D001)
     )
 
 
@@ -312,7 +305,7 @@ def format_service(report: ServiceReport) -> str:
     lines = [
         f"query service under skew: {report.query_count} queries, "
         f"{report.tenants} tenants, {report.template_count} Zipf templates "
-        f"({report.fact_rows} fact rows, {report.host_seconds:.2f}s host time)",
+        f"({report.fact_rows} fact rows)",
         f"  makespan {report.makespan_seconds:.2f}s simulated; latency "
         f"p50 {report.p50:.2f}s  p95 {report.p95:.2f}s  p99 {report.p99:.2f}s",
         f"  result cache: {report.result_hits} hits "

@@ -28,10 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Host-side wall time: the report header shows what the three-mode run cost
-# in real time next to its simulated makespans.
-from time import perf_counter
-
 from repro.bench.runner import workbench
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.ast import Query
@@ -100,8 +96,6 @@ class ThroughputReport:
     concurrent_lines: list[QueryLine]
     spaceshared_lines: list[QueryLine]
     timeline_render: str
-    #: real (host) wall time for the whole three-mode run
-    host_seconds: float = 0.0
 
     @property
     def seconds_saved(self) -> float:
@@ -167,7 +161,6 @@ def run_throughput(
     """Run the batch serially, batched, and space-shared on one session."""
     session = workbench("tpch", scale_factor, seed).session
     queries = throughput_queries(query_count)
-    started = perf_counter()  # det: allow(D001)
     serial_lines = []
     serial_seconds = 0.0
     serial_jobs = 0
@@ -220,7 +213,6 @@ def run_throughput(
         concurrent_lines=concurrent_lines,
         spaceshared_lines=spaceshared_lines,
         timeline_render=spaceshared.timeline.render(),
-        host_seconds=perf_counter() - started,  # det: allow(D001)
     )
 
 
@@ -242,8 +234,7 @@ def format_throughput(report: ThroughputReport) -> str:
     spaceshared_label = f"sliced ×{report.job_slots}"
     lines = [
         f"multi-query throughput @ SF {report.scale_factor} "
-        f"({len(report.serial_lines)} concurrent TPC-H variants, "
-        f"{report.host_seconds:.2f}s host time)",
+        f"({len(report.serial_lines)} concurrent TPC-H variants)",
         f"  {'mode':12s} {'makespan s':>10s} {'jobs':>6s} {'scans saved':>12s}",
         f"  {'serial':12s} {report.serial_seconds:10.2f} {report.serial_jobs:6d}"
         f" {0:12d}",

@@ -3,26 +3,22 @@
 ``python -m repro.bench verify`` runs all registered optimization strategies
 (plus the ``dynamic+transfer`` prelude variant) over the paper's four
 evaluation queries plus the JOB-style suite (J1-J3) with the
-verify-on-compile gate active (it is on by default) and reports, per
-combination, how many jobs, plan-time checks and query-level (Q001–Q006)
-passes the :mod:`repro.analysis` verifiers ran and what their host-side
-wall-time overhead was. The sweep asserts **zero diagnostics**: any
-:class:`~repro.analysis.diagnostics.PlanVerificationError` means a strategy
-compiled a structurally broken job — a reproduction bug, not a data point —
-so the row is tabulated as FAILED and the experiment exits non-zero.
+verify-on-compile gate (it always runs) and reports, per combination, how
+many jobs, plan-time checks and query-level (Q001–Q006) passes the
+:mod:`repro.analysis` verifiers ran. The sweep asserts **zero diagnostics**:
+any :class:`~repro.analysis.diagnostics.PlanVerificationError` means a
+strategy compiled a structurally broken job — a reproduction bug, not a
+data point — so the row is tabulated as FAILED and the experiment exits
+non-zero.
 
-Verification charges zero *simulated* seconds (schedules and metrics are
-byte-identical with the gate on or off); the overhead column is real host
-time, the only currency the verifier spends.
+Verification charges zero *simulated* seconds; what it costs is host time,
+and host time has one owner: ``benchmarks/e2e`` reports it as
+``analysis.verify_s`` / ``analysis.verify_share`` per workload.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# Host-side wall time: the verifier's overhead is real time, not simulated
-# time, so the bench must measure it with a real clock.
-from time import perf_counter
+from dataclasses import dataclass, replace
 
 from repro.analysis.diagnostics import PlanVerificationError
 from repro.bench.runner import SWEEP_QUERIES, run_query, workbench_for_query
@@ -46,8 +42,6 @@ class VerifyRow:
     optimizer: str
     jobs_verified: int
     diagnostics: tuple[str, ...]
-    verifier_seconds: float
-    host_seconds: float
     plans_verified: int = 0
     queries_verified: int = 0
 
@@ -67,27 +61,22 @@ def verify_cell(
     """
     bench = workbench_for_query(label, scale_factor, seed)
     stats = bench.session.executor.verifier_stats
-    before = stats.snapshot()
+    before = replace(stats)
     name, _, variant = optimizer.partition("+")
     options: dict[str, object] = {"pre_filter": variant} if variant else {}
-    started = perf_counter()  # det: allow(D001)
     diagnostics: tuple[str, ...] = ()
     try:
         run_query(label, scale_factor, name, seed=seed, **options)
     except PlanVerificationError as error:
         diagnostics = error.codes()
-    host_seconds = perf_counter() - started  # det: allow(D001)
-    delta = stats.since(before)
     return VerifyRow(
         query=label,
         scale_factor=scale_factor,
         optimizer=optimizer,
-        jobs_verified=delta.jobs_verified,
+        jobs_verified=stats.jobs_verified - before.jobs_verified,
         diagnostics=diagnostics,
-        verifier_seconds=delta.total_wall_seconds,
-        host_seconds=host_seconds,
-        plans_verified=delta.plans_verified,
-        queries_verified=delta.queries_verified,
+        plans_verified=stats.plans_verified - before.plans_verified,
+        queries_verified=stats.queries_verified - before.queries_verified,
     )
 
 
@@ -115,7 +104,7 @@ def verify_ok(rows: list[VerifyRow]) -> bool:
 
 
 def format_verify(rows: list[VerifyRow]) -> str:
-    """Tabulate the sweep with per-cell and aggregate overhead numbers."""
+    """Tabulate the sweep with per-cell and aggregate check counts."""
     lines = []
     groups: dict[tuple[int, str], list[VerifyRow]] = {}
     for row in rows:
@@ -124,38 +113,25 @@ def format_verify(rows: list[VerifyRow]) -> str:
         lines.append(f"{query} @ SF {scale_factor} — verify-on-compile sweep")
         lines.append(
             f"  {'optimizer':16s} {'jobs':>5s} {'plans':>5s} {'qry':>3s}"
-            f" {'verdict':>10s} {'verifier':>10s} {'of run':>7s}"
+            f" {'verdict':>10s}"
         )
         for row in group:
             verdict = "clean" if row.clean else "FAILED " + ",".join(
                 row.diagnostics
             )
-            share = (
-                row.verifier_seconds / row.host_seconds
-                if row.host_seconds > 0
-                else 0.0
-            )
             lines.append(
                 f"  {row.optimizer:16s} {row.jobs_verified:5d}"
                 f" {row.plans_verified:5d} {row.queries_verified:3d}"
                 f" {verdict:>10s}"
-                f" {row.verifier_seconds * 1e3:8.2f}ms {share:6.1%}"
             )
     total_jobs = sum(row.jobs_verified for row in rows)
     total_plans = sum(row.plans_verified for row in rows)
     total_queries = sum(row.queries_verified for row in rows)
-    total_verifier = sum(row.verifier_seconds for row in rows)
-    total_host = sum(row.host_seconds for row in rows)
     dirty = [row for row in rows if not row.clean]
     lines.append(
         f"total: {total_jobs} job(s), {total_plans} plan(s) and "
         f"{total_queries} query-level pass(es) verified across {len(rows)} "
-        f"run(s) in {total_verifier * 1e3:.1f}ms host time"
-        + (
-            f" ({total_verifier / total_host:.1%} of {total_host:.2f}s)"
-            if total_host > 0
-            else ""
-        )
+        "run(s)"
     )
     if dirty:
         lines.append(

@@ -7,11 +7,13 @@ the user. Subclasses (the INGRES-like and pilot-run baselines) override the
 ranking function and the statistics source but reuse the machinery — which
 mirrors how the paper describes those comparisons.
 
-The driver is written as *resumable stage generators*: each re-optimization
-stage ``yield``s a :class:`~repro.engine.scheduler.request.JobRequest` and
-receives the :class:`~repro.engine.scheduler.request.JobOutcome` back.
-``execute``/``resume`` pump the generator synchronously (byte-identical to
-the old blocking loop), while the
+The driver is written as *resumable stage generators* over one
+:class:`~repro.engine.scheduler.request.QueryRun`: each re-optimization
+stage ``yield``s a request the run builds and receives the
+:class:`~repro.engine.scheduler.request.JobOutcome` back. The run owns what
+the loop accrues (working statistics, cumulative metrics, trace); the
+checkpoint, :class:`DriverState`, is that run plus where the loop is.
+``execute``/``resume`` pump the generator synchronously, while the
 :class:`~repro.engine.scheduler.scheduler.JobScheduler` interleaves the
 generators of concurrent queries on a shared simulated clock.
 """
@@ -19,8 +21,9 @@ generators of concurrent queries on a shared simulated clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.algebra.jobgen import build_final_job, build_sink_job
+from repro.algebra.jobgen import build_sink_job
 from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.analysis.runtime import verify_plan_before_jobgen
@@ -36,12 +39,14 @@ from repro.core.predicate_pushdown import join_columns_of, pushdown_stages
 from repro.core.predicate_transfer import transfer_stages
 from repro.core.reconstruction import reconstruct_after_join
 from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.engine.scheduler.request import JobRequest, drive_stages
+from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
 from repro.lang.ast import Query
-from repro.obs.trace import Tracer
-from repro.optimizers.base import Optimizer
+from repro.optimizers.base import Optimizer, final_job_stages
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.collector import StatisticsCollector
+
+if TYPE_CHECKING:
+    from repro.session import Session
 
 
 def resolve_logical(node: PlanNode, registry: dict[str, PlanNode]) -> PlanNode:
@@ -67,9 +72,24 @@ def resolve_logical(node: PlanNode, registry: dict[str, PlanNode]) -> PlanNode:
     raise OptimizationError(f"cannot resolve node type {type(node).__name__}")
 
 
+def original_leaves(
+    query: Query, intermediates: dict[str, str]
+) -> dict[str, PlanNode]:
+    """Registry entries resolving each pre-filter intermediate (push-down or
+    transfer) back to the FROM entry and local predicates it materialized."""
+    return {
+        name: LeafNode(
+            alias=alias,
+            dataset=query.table(alias).dataset,
+            predicates=query.predicates_for(alias),
+        )
+        for alias, name in intermediates.items()
+    }
+
+
 def greedy_full_plan(
     query: Query,
-    session,
+    session: Session,
     statistics: StatisticsCatalog,
     inl_enabled: bool,
     broadcast_budget_bytes: float | None = None,
@@ -110,31 +130,24 @@ def greedy_full_plan(
 
 @dataclass
 class DriverState:
-    """Resumable execution state of one dynamic run.
+    """Resumable execution state of one dynamic run: the run plus where the
+    loop is.
 
-    Everything the driver needs to continue after a re-optimization point:
-    the reconstructed query, the logical-subtree registry, accumulated
-    metrics/phases and the working statistics catalog. Together with the
-    intermediates already materialized in the session's dataset catalog this
-    is exactly the paper's Section-8 fault-tolerance checkpoint: "recover
-    from a failure by not having to start over from the beginning of a
-    long-running query".
+    The :class:`~repro.engine.scheduler.request.QueryRun` carries what every
+    strategy accrues (original query, working statistics, cumulative
+    metrics, trace — so a resumed run extends the same trace instead of
+    starting a new one); this adds what only the re-optimization loop needs
+    to continue: the reconstructed query, the logical-subtree registry and
+    the feedback policy's memory. Together with the intermediates already
+    materialized in the session's dataset catalog this is exactly the
+    paper's Section-8 fault-tolerance checkpoint: "recover from a failure by
+    not having to start over from the beginning of a long-running query".
     """
 
-    original: Query
+    run: QueryRun
     current: Query
-    working: StatisticsCatalog
-    registry: dict[str, "PlanNode"] = field(default_factory=dict)
-    metrics: JobMetrics = field(default_factory=JobMetrics)
-    phases: list[str] = field(default_factory=list)
+    registry: dict[str, PlanNode] = field(default_factory=dict)
     iteration: int = 0
-    #: execution tracer; checkpointed with the rest of the state so a
-    #: resumed run extends the same trace instead of starting a new one
-    tracer: Tracer = field(default_factory=Tracer)
-    #: intermediate-name prefix (e.g. ``__q3``) isolating this run's
-    #: materializations from concurrently scheduled queries; empty for
-    #: direct (non-scheduled) execution, keeping legacy names.
-    namespace: str = ""
     #: planning constants this run executes under, resolved once at query
     #: start (possibly from the session's FeedbackLog); checkpointed so a
     #: resumed run keeps the thresholds it started with.
@@ -197,113 +210,61 @@ class DynamicOptimizer(Optimizer):
 
     # -- hooks for subclasses ---------------------------------------------------
 
-    def prepare_statistics(
-        self,
-        query: Query,
-        session,
-        metrics: JobMetrics,
-        phases: list[str],
-        tracer: Tracer | None = None,
-    ) -> StatisticsCatalog:
-        """Statistics the run starts from: ingestion-time sketches."""
-        return session.statistics.copy()
+    def prepare_stages(self, run: QueryRun, session: Session) -> Stages:
+        """Stages that refine ``run.statistics`` before planning starts.
 
-    def prepare_stages(
-        self,
-        query: Query,
-        session,
-        metrics: JobMetrics,
-        phases: list[str],
-        tracer: Tracer | None = None,
-    ):
-        """Stage-generator form of :meth:`prepare_statistics`.
-
-        The base strategy charges nothing, so the generator yields no
-        requests; pilot-run overrides this with per-table sampling stages.
+        The base strategy plans from the ingestion-time sketches the run
+        already copied and charges nothing, so it yields no requests;
+        pilot-run overrides this with per-table sampling stages.
         """
-        return self.prepare_statistics(query, session, metrics, phases, tracer)
-        yield  # unreachable; marks this as a generator
+        yield from ()
 
     # -- main entry -------------------------------------------------------------
 
-    def execute(self, query: Query, session) -> ExecutionResult:
-        return drive_stages(self.stages(query, session), session.executor)
-
-    def stages(self, query: Query, session, namespace: str = ""):
+    def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
         """The full dynamic run as one resumable stage generator."""
-        metrics = JobMetrics()
-        phases: list[str] = []
-        tracer = Tracer(query_label=f"{self.name}: {', '.join(query.aliases)}")
-        working = yield from self.prepare_stages(
-            query, session, metrics, phases, tracer
-        )
+        run = QueryRun(query, session, self.name, namespace)
+        yield from self.prepare_stages(run, session)
         state = DriverState(
-            original=query,
+            run=run,
             current=query,
-            working=working,
-            metrics=metrics,
-            phases=phases,
-            tracer=tracer,
-            namespace=namespace,
             # Resolved once per run: adaptive policies read the session's
             # FeedbackLog here; the fixed schedule gets the paper constants.
             # Dataset-keyed stores narrow the history to this query's group.
             thresholds=self.policy.resolve(session, query=query),
         )
 
+        prelude = None
         if self.pre_filter == "transfer":
             # Predicate-transfer prelude: the transfer reduce jobs apply each
             # alias's local predicates on their first reduction, so plain
             # push-down would be redundant work on top.
-            outcome = yield from transfer_stages(
-                state.current,
-                session,
-                working,
-                metrics,
-                phases,
-                tracer=tracer,
-                namespace=namespace,
-            )
-            state.current = outcome.query
-            for alias, name in outcome.intermediates.items():
-                state.registry[name] = LeafNode(
-                    alias=alias,
-                    dataset=query.table(alias).dataset,
-                    predicates=query.predicates_for(alias),
-                )
-            if not self.charge_online_stats:
-                metrics.stats = 0.0
-                tracer.sync(metrics.total_seconds)
+            prelude = transfer_stages(run, session)
         elif self.pushdown_enabled:
-            outcome = yield from pushdown_stages(
-                state.current,
-                session,
-                working,
-                metrics,
-                phases,
-                tracer=tracer,
-                namespace=namespace,
-                min_predicates=state.thresholds.pushdown_min_predicates,
+            prelude = pushdown_stages(
+                run, session, state.thresholds.pushdown_min_predicates
             )
+        if prelude is not None:
+            outcome = yield from prelude
             state.current = outcome.query
-            for alias, name in outcome.intermediates.items():
-                state.registry[name] = LeafNode(
-                    alias=alias,
-                    dataset=query.table(alias).dataset,
-                    predicates=query.predicates_for(alias),
-                )
+            state.registry.update(original_leaves(query, outcome.intermediates))
             if not self.charge_online_stats:
                 # The Figure-6 "no online statistics" execution: sketches are
                 # still collected (identical plans) but their cost is refunded.
-                metrics.stats = 0.0
-                tracer.sync(metrics.total_seconds)
+                run.metrics.stats = 0.0
+                run.tracer.sync(run.metrics.total_seconds)
         self._maybe_fail(state)
 
         if not self.reoptimize_joins:
-            return (yield from self._single_shot_stages(query, state, session))
+            # Push-down-only mode: one job for all joins, planned greedily.
+            return (
+                yield from self._final_stages(
+                    state, session, greedy=True, phase="single-shot"
+                )
+            )
         return (yield from self.resume_stages(state, session))
 
-    def resume(self, state: DriverState, session) -> ExecutionResult:
+    def resume(self, state: DriverState, session: Session) -> ExecutionResult:
         """Continue a run from a re-optimization-point checkpoint.
 
         The intermediates the checkpoint references must still exist in the
@@ -313,9 +274,9 @@ class DynamicOptimizer(Optimizer):
         """
         return drive_stages(self.resume_stages(state, session), session.executor)
 
-    def resume_stages(self, state: DriverState, session):
+    def resume_stages(self, state: DriverState, session: Session) -> Stages:
         """The re-optimization loop from a checkpoint, one stage per join."""
-        query = state.original
+        run = state.run
         policy = self.policy
         while True:
             toolkit = self._toolkit(state, session)
@@ -337,13 +298,13 @@ class DynamicOptimizer(Optimizer):
                         "the final job",
                     )
                 )
-                return (yield from self._final_stages(query, state, session, fused=True))
+                return (yield from self._final_stages(state, session, greedy=True))
             picked = self._pick_join(state, planner, toolkit, policy)
             # Plan-time verification (DESIGN.md §14): check the picked join's
             # logical subtree at the re-optimization point that produced it,
             # before jobgen — the compiled job re-verifies at the launch gate.
-            verify_plan_before_jobgen(session.executor, picked.node, state.working)
-            name = f"{state.namespace}__join_{state.iteration}"
+            verify_plan_before_jobgen(session.executor, picked.node, run.statistics)
+            name = f"{run.namespace}__join_{state.iteration}"
             keep, stats_columns = self._sink_columns(state.current, toolkit, picked)
             tables_after = len(state.current.tables) - 1
             if (
@@ -364,19 +325,14 @@ class DynamicOptimizer(Optimizer):
             )
             # Phase names strip the namespace so a scheduled run's phase list
             # matches a direct run's (join:__join_0+dc either way).
-            pair = sorted(a.removeprefix(state.namespace) for a in picked.pair)
+            pair = sorted(a.removeprefix(run.namespace) for a in picked.pair)
             phase_name = f"join:{'+'.join(pair)}"
-            yield JobRequest(
-                phase=phase_name,
-                cumulative=state.metrics,
-                job=job,
-                parameters=query.parameters,
-                statistics=state.working,
-                tracer=state.tracer,
-                refund_stats=not self.charge_online_stats,
+            yield run.job(
+                phase_name,
+                job,
                 kind="join",
+                refund_stats=not self.charge_online_stats,
             )
-            state.phases.append(phase_name)
             state.registry[name] = resolve_logical(picked.node, state.registry)
             state.current = reconstruct_after_join(
                 state.current, toolkit.resolver, picked.pair, name
@@ -391,59 +347,60 @@ class DynamicOptimizer(Optimizer):
                 )
             self._maybe_fail(state)
 
-        return (yield from self._final_stages(query, state, session))
+        return (yield from self._final_stages(state, session))
 
-    def _final_stages(self, query: Query, state: DriverState, session, fused=False):
-        """The endgame job: at most two remaining joins — or, when ``fused``,
-        all remaining joins planned greedily in one shot (the policy's
-        early-fuse action)."""
-        if fused:
+    def _final_stages(
+        self,
+        state: DriverState,
+        session: Session,
+        *,
+        greedy: bool = False,
+        phase: str = "final",
+    ) -> Stages:
+        """The endgame job: at most two remaining joins — or, when
+        ``greedy``, all remaining joins planned in one shot without feedback
+        (the policy's early-fuse action and the push-down-only mode)."""
+        run = state.run
+        if greedy:
             plan = greedy_full_plan(
                 state.current,
                 session,
-                state.working,
+                run.statistics,
                 self.inl_enabled,
                 broadcast_budget_bytes=state.thresholds.broadcast_budget_bytes,
             )
         else:
             plan = Planner(self._toolkit(state, session), self.rank).final_plan()
-        verify_plan_before_jobgen(session.executor, plan, state.working)
-        job = build_final_job(plan, state.current, session.datasets)
-        outcome = yield JobRequest(
-            phase="final",
-            cumulative=state.metrics,
-            job=job,
-            parameters=query.parameters,
-            statistics=state.working,
-            tracer=state.tracer,
-            refund_stats=not self.charge_online_stats,
-            kind="final",
-        )
-        state.phases.append("final")
-
+        verify_plan_before_jobgen(session.executor, plan, run.statistics)
         self.last_tree = resolve_logical(plan, state.registry)
-        return ExecutionResult(
-            rows=outcome.data.all_rows(),
-            metrics=state.metrics,
-            plan_description=self.last_tree.describe(),
-            phases=state.phases,
-            trace=state.tracer.finish(),
-            decisions=tuple(state.policy_log),
+        return (
+            yield from final_job_stages(
+                run,
+                plan,
+                state.current,
+                session,
+                phase=phase,
+                described=self.last_tree,
+                decisions=state.policy_log,
+            )
         )
 
     def _maybe_fail(self, state: DriverState) -> None:
-        if self.fail_after_jobs is not None and state.metrics.jobs >= self.fail_after_jobs:
+        if (
+            self.fail_after_jobs is not None
+            and state.run.metrics.jobs >= self.fail_after_jobs
+        ):
             self.fail_after_jobs = None  # fail once
             raise SimulatedFailure(state)
 
     # -- feedback policy --------------------------------------------------------
 
-    def _toolkit(self, state: DriverState, session) -> PlannerToolkit:
+    def _toolkit(self, state: DriverState, session: Session) -> PlannerToolkit:
         """Planning toolkit under the run's resolved thresholds."""
         return PlannerToolkit(
             state.current,
             session,
-            state.working,
+            state.run.statistics,
             self.inl_enabled,
             broadcast_budget_bytes=state.thresholds.broadcast_budget_bytes,
         )
@@ -472,7 +429,7 @@ class DynamicOptimizer(Optimizer):
         greedy = planner.cheapest_join()
         if widened is None or widened.pair == greedy.pair:
             return greedy
-        strip = state.namespace
+        strip = state.run.namespace
         state.policy_log.append(
             PolicyDecision(
                 phase=f"join-{state.iteration}",
@@ -490,12 +447,12 @@ class DynamicOptimizer(Optimizer):
     def _consult_policy(
         self,
         state: DriverState,
-        session,
+        session: Session,
         policy: ReplanPolicy,
         name: str,
         phase_name: str,
         had_sketches: bool,
-    ):
+    ) -> Stages:
         """Compare the stage's measured Q-error against the trigger threshold.
 
         Runs right after a join stage materialized. Reading the tracer's
@@ -503,7 +460,7 @@ class DynamicOptimizer(Optimizer):
         *actions* a bad miss triggers (the sketch-refresh job, a widened next
         pick) touch the clock.
         """
-        record = state.tracer.latest_estimate(phase=phase_name)
+        record = state.run.tracer.latest_estimate(phase=phase_name)
         if record is None:
             return
         q = record.q_error
@@ -519,7 +476,7 @@ class DynamicOptimizer(Optimizer):
             refreshed = yield from self._refresh_stages(state, session, name)
             if refreshed:
                 details.append(
-                    f"refreshed sketches on {name.removeprefix(state.namespace)}"
+                    f"refreshed sketches on {name.removeprefix(state.run.namespace)}"
                 )
         if policy.widen_search:
             state.widen_pending = True
@@ -534,7 +491,9 @@ class DynamicOptimizer(Optimizer):
             )
         )
 
-    def _refresh_stages(self, state: DriverState, session, name: str):
+    def _refresh_stages(
+        self, state: DriverState, session: Session, name: str
+    ) -> Stages:
         """Extra re-optimization: re-sketch a mis-estimated intermediate.
 
         The fixed schedule skips online statistics in the last loop
@@ -559,7 +518,7 @@ class DynamicOptimizer(Optimizer):
             return False
         collector = StatisticsCollector(columns)
         collector.observe_rows(dataset.rows())
-        state.working.register_from_collector(
+        state.run.statistics.register_from_collector(
             name, collector, dataset.schema.row_width, dataset.scale
         )
         cost = session.executor.cost
@@ -571,15 +530,9 @@ class DynamicOptimizer(Optimizer):
         delta.stats = cost.statistics(dataset.modeled_rows, len(columns))
         delta.tuples_scanned = dataset.row_count
         delta.jobs = 1
-        phase_name = f"replan:{name.removeprefix(state.namespace)}"
-        yield JobRequest(
-            phase=phase_name,
-            cumulative=state.metrics,
-            virtual_cost=delta,
-            tracer=state.tracer,
-            kind="replan",
+        yield state.run.charge(
+            f"replan:{name.removeprefix(state.run.namespace)}", delta, kind="replan"
         )
-        state.phases.append(phase_name)
         return True
 
     # -- helpers ----------------------------------------------------------------
@@ -613,34 +566,3 @@ class DynamicOptimizer(Optimizer):
             keep = picked.node.probe_keys
         stats_columns = tuple(sorted(pair_columns & future_join_columns))
         return keep, stats_columns
-
-    def _single_shot_stages(self, original: Query, state: DriverState, session):
-        """Push-down-only mode: one job for all joins, planned greedily."""
-        plan = greedy_full_plan(
-            state.current,
-            session,
-            state.working,
-            self.inl_enabled,
-            broadcast_budget_bytes=state.thresholds.broadcast_budget_bytes,
-        )
-        verify_plan_before_jobgen(session.executor, plan, state.working)
-        job = build_final_job(plan, state.current, session.datasets)
-        outcome = yield JobRequest(
-            phase="single-shot",
-            cumulative=state.metrics,
-            job=job,
-            parameters=original.parameters,
-            statistics=state.working,
-            tracer=state.tracer,
-            kind="final",
-        )
-        state.phases.append("single-shot")
-        self.last_tree = resolve_logical(plan, state.registry)
-        return ExecutionResult(
-            rows=outcome.data.all_rows(),
-            metrics=state.metrics,
-            plan_description=self.last_tree.describe(),
-            phases=state.phases,
-            trace=state.tracer.finish(),
-            decisions=tuple(state.policy_log),
-        )

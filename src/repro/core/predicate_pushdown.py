@@ -7,27 +7,30 @@ dataset plus exact statistics, and the main query is rewritten to reference
 the materialization (Section 5.1's Q1 -> Q1').
 
 Push-down jobs are independent of each other, so :func:`pushdown_stages`
-yields them as one *group* of :class:`JobRequest`s tagged with the base
-dataset they scan (``batch_key``). The synchronous pump runs them in order
-(the pre-scheduler behavior); the job scheduler may merge same-dataset scans
-— from this query or a concurrently admitted one — into a single cluster
-job whose scan cost is shared.
+yields them as one *group* of requests built by the
+:class:`~repro.engine.scheduler.request.QueryRun` it is handed, each tagged
+with the base dataset it scans (``batch_key``). The synchronous pump runs
+them in order; the job scheduler may merge same-dataset scans — from this
+query or a concurrently admitted one — into a single cluster job whose scan
+cost is shared. The filtered datasets' statistics land in the run's working
+catalog.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.algebra.jobgen import build_pushdown_job
 from repro.algebra.rules.pushdown import pushdown_candidates
 from repro.core.reconstruction import replace_filtered_table
-from repro.engine.metrics import JobMetrics
-from repro.engine.scheduler.request import JobRequest, drive_stages
+from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
 from repro.lang.ast import Query
 from repro.lang.binding import ColumnResolver
-from repro.obs.trace import Tracer
-from repro.stats.catalog import StatisticsCatalog
 from repro.stats.estimation import filtered_cardinality
+
+if TYPE_CHECKING:
+    from repro.session import Session
 
 
 @dataclass
@@ -74,35 +77,31 @@ def join_columns_of(query: Query) -> set[str]:
 
 
 def pushdown_stages(
-    query: Query,
-    session,
-    working_statistics: StatisticsCatalog,
-    metrics: JobMetrics,
-    phases: list[str],
-    tracer: Tracer | None = None,
-    namespace: str = "",
-    min_predicates: int = 2,
-):
+    run: QueryRun, session: Session, min_predicates: int = 2
+) -> Stages:
     """Yield every qualifying single-variable query as one request group.
 
-    Statistics for the filtered datasets are registered into
-    ``working_statistics`` under the intermediate's name (the paper "updates
-    the statistics attached to the base unfiltered datasets to depict the new
+    Statistics for the filtered datasets are registered into the run's
+    working catalog under the intermediate's name (the paper "updates the
+    statistics attached to the base unfiltered datasets to depict the new
     cardinalities" — here the rewrite points the alias at the new entry).
     ``min_predicates`` parameterizes the candidate rule (the paper's fixed
     "two simple predicates or any complex one" corresponds to 2; adaptive
     policies may lower it). Returns the :class:`PushdownOutcome` with the
     rewritten query.
     """
+    query = run.query
     resolver = ColumnResolver(query, session.datasets.schema_lookup)
     columns_of_alias = {alias: resolver.columns_of(alias) for alias in query.aliases}
     candidates = pushdown_candidates(query, columns_of_alias, min_predicates)
     join_columns = join_columns_of(query)
 
     requests = []
+    current = query
+    intermediates: dict[str, str] = {}
     for candidate in candidates:
         alias = candidate.table.alias
-        name = intermediate_name_for(alias, namespace)
+        name = intermediate_name_for(alias, run.namespace)
         stats_columns = tuple(
             c for c in candidate.keep_columns if c in join_columns
         )
@@ -113,59 +112,33 @@ def pushdown_stages(
             name,
             stats_columns,
         )
-        estimate = None
-        if tracer is not None:
-            # Push-downs are re-optimization points: record the estimate the
-            # static statistics would have produced against the measured
-            # post-predicate cardinality (all in modeled full-scale rows).
-            base_stats = working_statistics.get(candidate.table.dataset)
-            estimate = (
-                f"σ({alias})",
-                filtered_cardinality(base_stats, candidate.predicates)
-                * base_stats.scale,
-            )
+        # Push-downs are re-optimization points: record the estimate the
+        # static statistics would have produced against the measured
+        # post-predicate cardinality (all in modeled full-scale rows).
+        base_stats = run.statistics.get(candidate.table.dataset)
         requests.append(
-            JobRequest(
-                phase=f"pushdown:{alias}",
-                cumulative=metrics,
-                job=job,
-                parameters=query.parameters,
-                statistics=working_statistics,
-                tracer=tracer,
-                estimate=estimate,
-                batch_key=candidate.table.dataset,
+            run.job(
+                f"pushdown:{alias}",
+                job,
                 kind="pushdown",
+                estimate=(
+                    f"σ({alias})",
+                    filtered_cardinality(base_stats, candidate.predicates)
+                    * base_stats.scale,
+                ),
+                batch_key=candidate.table.dataset,
                 cache_token=pushdown_cache_token(
                     candidate, stats_columns, query.parameters
                 ),
             )
         )
+        current = replace_filtered_table(current, alias, name)
+        intermediates[alias] = name
     if requests:
         yield requests
-
-    current = query
-    executed = []
-    intermediates: dict[str, str] = {}
-    for candidate in candidates:
-        alias = candidate.table.alias
-        name = intermediate_name_for(alias, namespace)
-        phases.append(f"pushdown:{alias}")
-        current = replace_filtered_table(current, alias, name)
-        executed.append(alias)
-        intermediates[alias] = name
-    return PushdownOutcome(current, executed, intermediates)
+    return PushdownOutcome(current, list(intermediates), intermediates)
 
 
-def execute_pushdowns(
-    query: Query,
-    session,
-    working_statistics: StatisticsCatalog,
-    metrics: JobMetrics,
-    phases: list[str],
-    tracer: Tracer | None = None,
-) -> PushdownOutcome:
+def execute_pushdowns(run: QueryRun, session: Session) -> PushdownOutcome:
     """Run every qualifying push-down immediately; return the rewritten query."""
-    stages = pushdown_stages(
-        query, session, working_statistics, metrics, phases, tracer=tracer
-    )
-    return drive_stages(stages, session.executor)
+    return drive_stages(pushdown_stages(run, session), session.executor)

@@ -20,8 +20,10 @@ Reductions are *real* jobs (Scan/Reader → Select → SemiJoinFilter → Sink)
 yielded through the stage-generator protocol, so the scheduler, the cost
 model, the tracer and the P001-P007 verifier all see them; filter builds are
 in-process passes charged as virtual-cost requests (the pilot-run /
-sketch-pass pattern). Every reduce job registers measured statistics for its
-intermediate, so a downstream planner — the ``predicate_transfer`` strategy's
+sketch-pass pattern). Both are built by the
+:class:`~repro.engine.scheduler.request.QueryRun` the caller hands in, and
+every reduce job registers measured statistics for its intermediate in that
+run's working catalog, so a downstream planner — the ``predicate_transfer`` strategy's
 one-shot bushy DP, or the ``dynamic`` re-optimization loop running behind the
 ``pre_filter="transfer"`` prelude — plans over post-transfer cardinalities.
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from collections.abc import Generator, Iterator
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.algebra.jobgen import build_transfer_job
 from repro.algebra.rules.pushdown import surviving_columns
@@ -44,12 +46,14 @@ from repro.core.predicate_pushdown import join_columns_of
 from repro.core.reconstruction import replace_filtered_table
 from repro.engine.bloom import DEFAULT_FPP, BloomFilter, bloom_size_bytes
 from repro.engine.metrics import JobMetrics
-from repro.engine.scheduler.request import JobRequest
+from repro.engine.scheduler.request import JobRequest, QueryRun
 from repro.lang.ast import EvaluationContext, Predicate, Query, split_column
 from repro.lang.binding import ColumnResolver
-from repro.obs.trace import Tracer
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.estimation import filtered_cardinality
+
+if TYPE_CHECKING:
+    from repro.session import Session
 
 
 @dataclass
@@ -162,16 +166,10 @@ def _gather_filters(
 
 
 def transfer_stages(
-    query: Query,
-    session: Any,
-    working_statistics: StatisticsCatalog,
-    metrics: JobMetrics,
-    phases: list[str],
-    tracer: Tracer | None = None,
-    namespace: str = "",
-    fpp: float = DEFAULT_FPP,
+    run: QueryRun, session: Session, fpp: float = DEFAULT_FPP
 ) -> Generator[JobRequest, Any, TransferOutcome]:
-    """Run the two-pass transfer schedule; return the rewritten query.
+    """Run the two-pass transfer schedule over ``run.query``; return the
+    rewritten query.
 
     A stage generator in the driver protocol: reduce jobs are yielded one at
     a time (each depends on filters built from the previous jobs' outputs —
@@ -179,6 +177,7 @@ def transfer_stages(
     are yielded as virtual-cost requests. Returns a :class:`TransferOutcome`
     whose query references the final per-alias intermediates.
     """
+    query = run.query
     if len(query.tables) < 2 or not query.joins:
         return TransferOutcome(query, [])
 
@@ -195,7 +194,7 @@ def transfer_stages(
     }
 
     adjacency = transfer_adjacency(query)
-    order = transfer_order(query, working_statistics)
+    order = transfer_order(query, run.statistics)
     position = {alias: index for index, alias in enumerate(order)}
     context = EvaluationContext(query.parameters, session.udfs)
 
@@ -216,7 +215,7 @@ def transfer_stages(
         gathered = _gather_filters(alias, sources, adjacency, filters)
         if not gathered:
             return
-        name = _intermediate_name(alias, namespace, direction)
+        name = _intermediate_name(alias, run.namespace, direction)
         source_name = current[alias]
         is_intermediate = source_name is not None
         predicates = () if is_intermediate else query.predicates_for(alias)
@@ -234,11 +233,11 @@ def transfer_stages(
             phase=f"transfer:{alias}" if direction == "f" else f"transfer-back:{alias}",
         )
         estimate: tuple[str, float] | None = None
-        if tracer is not None and final_reduce:
+        if final_reduce:
             # The transfer stage is a re-optimization point: record what the
             # pre-transfer statistics predicted for this entry (local
             # predicates only) against the measured post-transfer rows.
-            base_stats = working_statistics.get(query.table(alias).dataset)
+            base_stats = run.statistics.get(query.table(alias).dataset)
             estimate = (
                 f"τ({alias})",
                 filtered_cardinality(base_stats, query.predicates_for(alias))
@@ -256,19 +255,14 @@ def transfer_stages(
                 gathered,
                 query.parameters,
             )
-        yield JobRequest(
-            phase=job.phase,
-            cumulative=metrics,
-            job=job,
-            parameters=query.parameters,
-            statistics=working_statistics,
-            tracer=tracer,
+        yield run.job(
+            job.phase,
+            job,
+            kind="transfer",
             estimate=estimate,
             batch_key=batch_key,
-            kind="transfer",
             cache_token=cache_token,
         )
-        phases.append(job.phase)
         current[alias] = name
         if alias not in outcome.executed_aliases:
             outcome.executed_aliases.append(alias)
@@ -283,29 +277,21 @@ def transfer_stages(
         filters[alias] = entry
         outcome.filters_built += len(entry)
         phase_name = f"transfer-build:{alias}"
-        yield JobRequest(
-            phase=phase_name,
-            cumulative=metrics,
-            virtual_cost=delta,
-            tracer=tracer,
-            kind="transfer",
-        )
-        phases.append(phase_name)
-        if tracer is not None:
-            # The build pass is a virtual-cost request that never reaches the
-            # launch gate; record its filter fingerprints directly so the
-            # Q006 build-before-probe audit sees the build precede every
-            # reduce job that probes these filters.
-            tracer.record_dataflow(
-                JobDataflow(
-                    phase=phase_name,
-                    label=phase_name,
-                    kind="transfer",
-                    builds=tuple(
-                        sorted(bloom.fingerprint() for bloom in entry.values())
-                    ),
-                )
+        yield run.charge(phase_name, delta, kind="transfer")
+        # The build pass is a virtual-cost request that never reaches the
+        # launch gate; record its filter fingerprints directly so the Q006
+        # build-before-probe audit sees the build precede every reduce job
+        # that probes these filters.
+        run.tracer.record_dataflow(
+            JobDataflow(
+                phase=phase_name,
+                label=phase_name,
+                kind="transfer",
+                builds=tuple(
+                    sorted(bloom.fingerprint() for bloom in entry.values())
+                ),
             )
+        )
 
     # -- forward pass ---------------------------------------------------------
     for index, alias in enumerate(order):
@@ -334,22 +320,21 @@ def transfer_stages(
             rewritten = replace_filtered_table(rewritten, alias, name)
             outcome.intermediates[alias] = name
     outcome.query = rewritten
-    if tracer is not None:
-        # The Q006 rewiring audit: which aliases the pass reduced, and the
-        # (alias, dataset) binding of every FROM entry before and after the
-        # replace_filtered_table rewrite. All sorted — content-deterministic.
-        tracer.record_dataflow(
-            TransferSummary(
-                reduced=tuple(sorted(outcome.intermediates)),
-                intermediates=tuple(sorted(outcome.intermediates.items())),
-                original_tables=tuple(
-                    sorted((t.alias, t.dataset) for t in query.tables)
-                ),
-                rewritten_tables=tuple(
-                    sorted((t.alias, t.dataset) for t in rewritten.tables)
-                ),
-            )
+    # The Q006 rewiring audit: which aliases the pass reduced, and the
+    # (alias, dataset) binding of every FROM entry before and after the
+    # replace_filtered_table rewrite. All sorted — content-deterministic.
+    run.tracer.record_dataflow(
+        TransferSummary(
+            reduced=tuple(sorted(outcome.intermediates)),
+            intermediates=tuple(sorted(outcome.intermediates.items())),
+            original_tables=tuple(
+                sorted((t.alias, t.dataset) for t in query.tables)
+            ),
+            rewritten_tables=tuple(
+                sorted((t.alias, t.dataset) for t in rewritten.tables)
+            ),
         )
+    )
     return outcome
 
 

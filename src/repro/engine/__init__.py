@@ -8,6 +8,7 @@ from repro.engine.scheduler import (
     JobRequest,
     JobScheduler,
     QueryHandle,
+    QueryRun,
     ScheduleInfo,
     SchedulerConfig,
 )
@@ -21,6 +22,7 @@ __all__ = [
     "JobRequest",
     "JobScheduler",
     "QueryHandle",
+    "QueryRun",
     "ScheduleInfo",
     "SchedulerConfig",
 ]

@@ -38,7 +38,6 @@ class Executor:
         statistics: StatisticsCatalog,
         udfs: UdfRegistry | None = None,
         cost_parameters: CostParameters | None = None,
-        verify_plans: bool = True,
     ) -> None:
         self.cluster = cluster
         self.datasets = datasets
@@ -47,8 +46,7 @@ class Executor:
         self.cost = CostModel(cluster, cost_parameters)
         #: verify-on-compile gate (DESIGN.md §9): every scheduled job is
         #: checked against rules P001-P007 before it launches. Zero simulated
-        #: cost; host wall time accrues on :attr:`verifier_stats`.
-        self.verify_plans = verify_plans
+        #: cost; host wall time accrues here.
         self.verifier_stats = VerifierStats()
         #: rows per chunk handed to the filter kernels; never affects results
         #: or simulated cost (the chunking property test varies it here)

@@ -3,6 +3,7 @@
 from repro.engine.scheduler.request import (
     JobOutcome,
     JobRequest,
+    QueryRun,
     drive_stages,
     run_request,
 )
@@ -18,6 +19,7 @@ __all__ = [
     "JobRequest",
     "JobScheduler",
     "QueryHandle",
+    "QueryRun",
     "ScheduleInfo",
     "SchedulerConfig",
     "drive_stages",

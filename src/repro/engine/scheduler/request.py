@@ -1,18 +1,32 @@
-"""Job requests and outcomes: the seam between query drivers and the cluster.
+"""The run record, job requests and outcomes: the seam between query drivers
+and the cluster.
+
+Algorithm 1 is a loop over one piece of state, and :class:`QueryRun` is its
+type: the original query (whose ``parameters`` every job binds), the run's
+working :class:`~repro.stats.catalog.StatisticsCatalog` (the one
+``session.statistics.copy()`` a run makes), its intermediate-name
+``namespace``, the cumulative :class:`~repro.engine.metrics.JobMetrics` and
+the :class:`~repro.obs.trace.Tracer`. Every strategy starts one per
+execution and everything per-run hangs off it; the dynamic driver's
+checkpoint is "the run plus where the loop is".
 
 Optimizer drivers are *resumable stage generators*: instead of calling the
 executor directly they ``yield`` a :class:`JobRequest` (or a list of
 independent requests) and receive a :class:`JobOutcome` (or a matching list)
 back. The generator's ``return`` value is the finished
-:class:`~repro.engine.metrics.ExecutionResult`.
+:class:`~repro.engine.metrics.ExecutionResult`. The run is the only
+constructor of either end: :meth:`QueryRun.job` (a cluster job) and
+:meth:`QueryRun.charge` (a virtual-cost pass) build requests,
+:meth:`QueryRun.result` builds the result — whose ``phases`` are *read off
+the trace's phase spans*, not kept beside them, so no strategy can report a
+phase list that disagrees with what ran. (The service's cached answer in
+``service/cache.py`` is the one other result constructor; it ran nothing.)
 
 Two consumers drive these generators:
 
 - :func:`drive_stages` — the synchronous pump. It executes every request
-  immediately, in order, on the given executor. Driving a generator this way
-  is byte-identical to the old blocking call chain (same job order, same
-  metrics, same trace spans), which is what keeps ``Optimizer.execute``
-  deterministic and lets the checkpoint/resume tests compare against it.
+  immediately, in order, on the given executor. ``Optimizer.execute`` is
+  this pump, and it is the reference the scheduler is compared against.
 - :class:`~repro.engine.scheduler.scheduler.JobScheduler` — the concurrent
   admission loop. It parks each admitted query at its pending request,
   interleaves requests of different queries on the shared simulated clock,
@@ -21,7 +35,7 @@ Two consumers drive these generators:
 :func:`run_request` is the single place a request turns into executed work:
 it opens the phase span, runs the job (or applies a pre-computed virtual
 cost), applies refunds and scan-sharing discounts, merges the job's metrics
-into the query's running total, and records the request's estimate-accuracy
+into the run's cumulative total, and records the request's estimate-accuracy
 point. Keeping all of that here means the pump and the scheduler cannot
 drift apart.
 """
@@ -29,40 +43,109 @@ drift apart.
 from __future__ import annotations
 
 from collections.abc import Generator, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.runtime import record_replay_dataflow, verify_before_launch
 from repro.common.errors import ReproError
 from repro.engine.job import Job
-from repro.engine.metrics import JobMetrics
+from repro.engine.metrics import ExecutionResult, JobMetrics
+from repro.obs.trace import Tracer
 
 if TYPE_CHECKING:
+    from repro.algebra.plan import PlanNode
     from repro.engine.data import ColumnarData
     from repro.engine.executor import Executor
-    from repro.obs.trace import Tracer
-    from repro.stats.catalog import StatisticsCatalog
+    from repro.lang.ast import Query
+    from repro.session import Session
+
+
+class QueryRun:
+    """One query execution's state, carried from stage to stage."""
+
+    def __init__(
+        self, query: Query, session: Session, label: str, namespace: str = ""
+    ) -> None:
+        #: the query as submitted; every job binds its ``parameters``
+        self.query = query
+        #: private working catalog: Sink operators register online
+        #: statistics here, so a run never pollutes the session's
+        #: ingestion statistics
+        self.statistics = session.statistics.copy()
+        #: intermediate-name prefix (e.g. ``__q3``) isolating this run's
+        #: materializations from concurrently scheduled queries; empty for
+        #: direct (non-scheduled) execution
+        self.namespace = namespace
+        #: cumulative charge of every request run so far
+        self.metrics = JobMetrics()
+        self.tracer = Tracer(query_label=f"{label}: {', '.join(query.aliases)}")
+
+    def job(
+        self,
+        phase: str,
+        job: Job,
+        *,
+        kind: str,
+        estimate: tuple[str, float] | None = None,
+        batch_key: str | None = None,
+        cache_token: str | None = None,
+        refund_stats: bool = False,
+    ) -> JobRequest:
+        """A request to run one compiled cluster job as phase ``phase``."""
+        return JobRequest(
+            phase=phase,
+            run=self,
+            job=job,
+            kind=kind,
+            estimate=estimate,
+            batch_key=batch_key,
+            cache_token=cache_token,
+            refund_stats=refund_stats,
+        )
+
+    def charge(self, phase: str, delta: JobMetrics, *, kind: str) -> JobRequest:
+        """A virtual-cost request: ``delta`` is work the driver already did
+        in-process (a pilot sample, a sketch pass, a filter build), charged
+        to the simulated clock as one coordinator-side job."""
+        return JobRequest(phase=phase, run=self, virtual_cost=delta, kind=kind)
+
+    def result(
+        self, data: ColumnarData, tree: PlanNode, decisions: Iterable = ()
+    ) -> ExecutionResult:
+        """Close the trace and package the finished run.
+
+        ``tree`` is the plan the result describes (for the dynamic driver,
+        the logical tree resolved back to the original FROM entries).
+        """
+        trace = self.tracer.finish()
+        return ExecutionResult(
+            rows=data.all_rows(),
+            metrics=self.metrics,
+            plan_description=tree.describe(),
+            phases=[span.name for span in trace.phase_spans()],
+            trace=trace,
+            decisions=tuple(decisions),
+        )
 
 
 @dataclass
 class JobRequest:
     """One unit of cluster work a driver asks the scheduler to perform.
 
-    Either ``job`` (an executable operator tree) or ``virtual_cost`` (a
-    pre-computed metrics delta, e.g. a pilot-run sample scan whose rows were
-    already gathered by the driver) must be set. ``cumulative`` is the
-    query's running :class:`JobMetrics`; the runner merges this job's charge
-    into it so span clocks and checkpoint metrics stay consistent no matter
-    who drives the generator.
+    Built by :meth:`QueryRun.job` / :meth:`QueryRun.charge`: either ``job``
+    (an executable operator tree) or ``virtual_cost`` (a pre-computed metrics
+    delta, e.g. a pilot-run sample scan whose rows were already gathered by
+    the driver) is set. ``run`` is the query execution the request belongs
+    to; the runner binds the run's parameters, registers online statistics
+    into its working catalog, traces into its tracer and merges this job's
+    charge into its cumulative metrics, so span clocks and checkpoint
+    metrics stay consistent no matter who drives the generator.
     """
 
     phase: str
-    cumulative: JobMetrics
+    run: QueryRun
     job: Job | None = None
     virtual_cost: JobMetrics | None = None
-    parameters: dict = field(default_factory=dict)
-    statistics: StatisticsCatalog | None = None
-    tracer: Tracer | None = None
     #: zero out the job's online-statistics charge before merging (the
     #: Figure-6 "no online statistics" refund).
     refund_stats: bool = False
@@ -88,7 +171,7 @@ class JobOutcome:
 
     data: ColumnarData | None
     #: this job's own charge, *after* refunds and scan-sharing discounts —
-    #: already merged into the request's ``cumulative`` metrics.
+    #: already merged into the run's cumulative metrics.
     metrics: JobMetrics
     #: queries whose scans were merged with this one (>1 means batched).
     shared_with: int = 1
@@ -131,22 +214,22 @@ def _perform(
     # materialized pushdown result: the intermediate dataset and its
     # statistics are re-registered under this request's names at zero
     # simulated cost, and on a miss the fresh materialization is stored.
-    cache = getattr(executor, "cache", None)
+    run = request.run
     cacheable = (
-        cache is not None
-        and request.cache_token is not None
+        request.cache_token is not None
         and request.virtual_cost is None
         and scan_share is None
     )
-    if cacheable:
+    cache = executor.cache if cacheable else None
+    if cache is not None:
         replayed = cache.fetch_intermediate(executor, request)
         if replayed is not None:
             data, job_metrics = replayed
             # The replay never reaches the launch gate, but the query-level
             # dataflow ledger still needs the job's writes registered or the
             # Q001/Q002 checks would flag the replayed intermediate.
-            record_replay_dataflow(executor, request)
-            request.cumulative.merge(job_metrics)
+            record_replay_dataflow(request)
+            run.metrics.merge(job_metrics)
             return JobOutcome(data=data, metrics=job_metrics, shared_with=1)
     if request.virtual_cost is not None:
         # Virtual-cost requests carry a driver-computed metrics delta (pilot
@@ -163,12 +246,12 @@ def _perform(
         verify_before_launch(executor, request)
         data, job_metrics = executor.execute(
             request.job,
-            request.parameters,
-            request.statistics,
-            tracer=request.tracer,
+            run.query.parameters,
+            run.statistics,
+            tracer=run.tracer,
             partitions=partitions,
         )
-        if cacheable:
+        if cache is not None:
             cache.store_intermediate(executor, request)
     shared_with = 1
     if scan_share is not None and scan_share[1] > 1:
@@ -176,7 +259,7 @@ def _perform(
         shared_with = scan_share[1]
     if request.refund_stats:
         job_metrics.stats = 0.0
-    request.cumulative.merge(job_metrics)
+    run.metrics.merge(job_metrics)
     return JobOutcome(data=data, metrics=job_metrics, shared_with=shared_with)
 
 
@@ -193,16 +276,15 @@ def run_request(
     split evenly across the ``count`` branches. Note that the operator spans
     inside the phase show the *undiscounted* in-job clock (the scan did
     physically happen once at full width); the phase span end and the
-    query's cumulative metrics reflect the discounted share.
+    run's cumulative metrics reflect the discounted share.
     ``partitions`` runs the job on a partition slice of the cluster (the
     space-shared scheduler's allotment); ``None`` means the full cluster.
     """
-    tracer = request.tracer
-    if tracer is None:
-        return _perform(executor, request, scan_share, partitions)
+    run = request.run
+    tracer = run.tracer
     with tracer.phase(request.phase):
         outcome = _perform(executor, request, scan_share, partitions)
-        tracer.sync(request.cumulative.total_seconds)
+        tracer.sync(run.metrics.total_seconds)
     if request.estimate is not None and outcome.data is not None:
         operator, estimated_rows = request.estimate
         tracer.record_estimate(
@@ -214,8 +296,8 @@ def run_request(
 def drive_stages(stages: Stages, executor: Executor):
     """Synchronously pump a stage generator to completion.
 
-    Every yielded request executes immediately in order — exactly the old
-    blocking call chain — and the generator's return value (normally an
+    Every yielded request executes immediately, in order, and the
+    generator's return value (normally an
     :class:`~repro.engine.metrics.ExecutionResult`) is returned. Exceptions
     raised inside the generator (e.g. ``SimulatedFailure``) propagate.
     """

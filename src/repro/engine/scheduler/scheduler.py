@@ -632,7 +632,6 @@ class JobScheduler:
             not cache_hit
             and isinstance(result, ExecutionResult)
             and result.trace is not None
-            and self.executor.verify_plans
         ):
             from repro.analysis.diagnostics import PlanVerificationError
             from repro.analysis.runtime import verify_query_completion

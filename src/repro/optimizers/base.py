@@ -1,11 +1,14 @@
-"""Optimizer interface and plan-replay helper.
+"""Optimizer interface, the shared final-job tail and the plan-replay helper.
 
 Every optimization strategy implements :class:`Optimizer` as a *stage
-generator*: :meth:`Optimizer.stages` plans and then ``yield``s
-:class:`~repro.engine.scheduler.request.JobRequest`s, receiving each job's
+generator*: :meth:`Optimizer.stages` starts one
+:class:`~repro.engine.scheduler.request.QueryRun`, plans, ``yield``s the
+requests the run builds (``run.job`` / ``run.charge``), receives each job's
 :class:`~repro.engine.scheduler.request.JobOutcome` back, and finally
-returns an :class:`~repro.engine.metrics.ExecutionResult` whose metrics
-cover the whole execution (including any overhead jobs the strategy ran).
+returns the run's :class:`~repro.engine.metrics.ExecutionResult`, whose
+metrics cover the whole execution (including any overhead jobs the strategy
+ran). Every strategy ends the same way — one job that returns rows to the
+user — so that tail is written once, in :func:`final_job_stages`.
 :meth:`Optimizer.execute` pumps the generator synchronously on the session's
 executor; the job scheduler drives the same generator when queries run
 concurrently — one code path, two drivers.
@@ -13,12 +16,17 @@ concurrently — one code path, two drivers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from typing import TYPE_CHECKING
+
 from repro.algebra.jobgen import build_final_job
 from repro.algebra.plan import PlanNode
-from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.engine.scheduler.request import JobRequest, drive_stages
+from repro.engine.metrics import ExecutionResult
+from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
 from repro.lang.ast import Query
-from repro.obs.trace import Tracer
+
+if TYPE_CHECKING:
+    from repro.session import Session
 
 
 class Optimizer:
@@ -27,11 +35,11 @@ class Optimizer:
     #: registry key / display name
     name = "base"
 
-    def execute(self, query: Query, session) -> ExecutionResult:
+    def execute(self, query: Query, session: Session) -> ExecutionResult:
         """Run the strategy to completion, blocking (the serial entry)."""
         return drive_stages(self.stages(query, session), session.executor)
 
-    def stages(self, query: Query, session, namespace: str = ""):
+    def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
         """The strategy as a resumable stage generator.
 
         ``namespace`` prefixes any intermediate dataset names so concurrent
@@ -41,32 +49,45 @@ class Optimizer:
         raise NotImplementedError
 
 
-def single_job_stages(tree: PlanNode, query: Query, session, label: str = ""):
+def final_job_stages(
+    run: QueryRun,
+    plan: PlanNode,
+    query: Query,
+    session: Session,
+    *,
+    phase: str = "final",
+    kind: str = "final",
+    described: PlanNode | None = None,
+    decisions: Iterable = (),
+) -> Stages:
+    """The tail of every strategy: one job returning rows to the user.
+
+    Compiles ``plan`` over ``query`` (the run's query as rewritten so far —
+    its leaves may be intermediates), runs it as phase ``phase`` and returns
+    the run's result. ``described`` is the tree the result reports when it
+    is not ``plan`` itself: drivers that materialized intermediates resolve
+    them back to the original FROM entries first.
+    """
+    job = build_final_job(plan, query, session.datasets)
+    outcome = yield run.job(phase, job, kind=kind)
+    return run.result(outcome.data, described or plan, decisions)
+
+
+def single_job_stages(
+    tree: PlanNode, query: Query, session: Session, label: str = ""
+) -> Stages:
     """Stage generator running a fully annotated plan tree as one job."""
-    phase_label = label or "single-job"
-    job = build_final_job(tree, query, session.datasets)
-    tracer = Tracer(query_label=f"{phase_label}: {', '.join(query.aliases)}")
-    metrics = JobMetrics()
-    outcome = yield JobRequest(
-        phase=phase_label,
-        cumulative=metrics,
-        job=job,
-        parameters=query.parameters,
-        statistics=session.statistics.copy(),
-        tracer=tracer,
-        kind="single",
-    )
-    return ExecutionResult(
-        rows=outcome.data.all_rows(),
-        metrics=metrics,
-        plan_description=tree.describe(),
-        phases=[phase_label],
-        trace=tracer.finish(),
+    phase = label or "single-job"
+    run = QueryRun(query, session, phase)
+    return (
+        yield from final_job_stages(
+            run, tree, query, session, phase=phase, kind="single"
+        )
     )
 
 
 def execute_tree(
-    tree: PlanNode, query: Query, session, label: str = ""
+    tree: PlanNode, query: Query, session: Session, label: str = ""
 ) -> ExecutionResult:
     """Run a fully annotated plan tree as one pipelined job.
 

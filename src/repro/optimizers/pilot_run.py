@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
 from repro.engine.metrics import JobMetrics
+from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query
-from repro.stats.catalog import DatasetStatistics, StatisticsCatalog
+from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
 
 
@@ -70,52 +71,23 @@ class PilotRunOptimizer(DynamicOptimizer):
         )
         self.sample_limit = sample_limit
 
-    def prepare_statistics(
-        self,
-        query: Query,
-        session,
-        metrics: JobMetrics,
-        phases: list[str],
-        tracer=None,
-    ) -> StatisticsCatalog:
-        from repro.engine.scheduler.request import drive_stages
-
-        stages = self.prepare_stages(query, session, metrics, phases, tracer)
-        return drive_stages(stages, session.executor)
-
-    def prepare_stages(
-        self,
-        query: Query,
-        session,
-        metrics: JobMetrics,
-        phases: list[str],
-        tracer=None,
-    ):
+    def prepare_stages(self, run: QueryRun, session):
         """Per-table pilot sampling as virtual-cost stages.
 
         The rows are gathered here (the sample drives the statistics), but
         the charge is submitted as a pre-computed cost delta so a scheduler
         can account the pilot jobs on the shared cluster clock.
         """
-        from repro.engine.scheduler.request import JobRequest
-
-        working = session.statistics.copy()
+        query = run.query
         context = EvaluationContext(query.parameters, session.udfs)
         for table in query.tables:
             entry, scanned = self._pilot_entry(query, table.alias, session, context)
-            working.register(entry)
-            phase_name = f"pilot:{table.alias}"
-            yield JobRequest(
-                phase=phase_name,
-                cumulative=metrics,
-                virtual_cost=self._pilot_cost(
-                    session, table, scanned, len(entry.fields)
-                ),
-                tracer=tracer,
+            run.statistics.register(entry)
+            yield run.charge(
+                f"pilot:{table.alias}",
+                self._pilot_cost(session, table, scanned, len(entry.fields)),
                 kind="pilot",
             )
-            phases.append(phase_name)
-        return working
 
     # -- pilot execution ----------------------------------------------------------
 

@@ -34,14 +34,12 @@ QueryService.
 
 from __future__ import annotations
 
-from repro.algebra.jobgen import build_final_job
 from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit, alias_stats_key
-from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.engine.scheduler.request import JobRequest
+from repro.engine.metrics import JobMetrics
+from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query, split_column
-from repro.obs.trace import Tracer
-from repro.optimizers.base import Optimizer
+from repro.optimizers.base import Optimizer, final_job_stages
 from repro.optimizers.enumeration import best_bushy_plan
 from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
@@ -58,47 +56,17 @@ class SketchOnlineOptimizer(Optimizer):
         self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
-        metrics = JobMetrics()
-        phases: list[str] = []
-        tracer = Tracer(query_label=f"{self.name}: {', '.join(query.aliases)}")
-        working = session.statistics.copy()
+        run = QueryRun(query, session, self.name, namespace)
         context = EvaluationContext(query.parameters, session.udfs)
 
         for table in query.tables:
             entry, delta = self._sketch_pass(query, table.alias, session, context)
-            working.register(entry)
-            phase_name = f"sketch:{table.alias}"
-            yield JobRequest(
-                phase=phase_name,
-                cumulative=metrics,
-                virtual_cost=delta,
-                tracer=tracer,
-                kind="sketch",
-            )
-            phases.append(phase_name)
+            run.statistics.register(entry)
+            yield run.charge(f"sketch:{table.alias}", delta, kind="sketch")
 
-        toolkit = PlannerToolkit(query, session, working, self.inl_enabled)
-        plan = best_bushy_plan(toolkit)
-        job = build_final_job(plan, query, session.datasets)
-        outcome = yield JobRequest(
-            phase="final",
-            cumulative=metrics,
-            job=job,
-            parameters=query.parameters,
-            statistics=working,
-            tracer=tracer,
-            kind="final",
-        )
-        phases.append("final")
-
-        self.last_tree = plan
-        return ExecutionResult(
-            rows=outcome.data.all_rows(),
-            metrics=metrics,
-            plan_description=plan.describe(),
-            phases=phases,
-            trace=tracer.finish(),
-        )
+        toolkit = PlannerToolkit(query, session, run.statistics, self.inl_enabled)
+        self.last_tree = plan = best_bushy_plan(toolkit)
+        return (yield from final_job_stages(run, plan, query, session))
 
     # -- the sketch pass --------------------------------------------------------
 

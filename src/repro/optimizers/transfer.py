@@ -26,17 +26,15 @@ so results are byte-identical to every other strategy.
 
 from __future__ import annotations
 
-from repro.algebra.jobgen import build_final_job
-from repro.algebra.plan import LeafNode, PlanNode
+from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.analysis.runtime import verify_plan_before_jobgen
+from repro.core.driver import original_leaves, resolve_logical
 from repro.core.predicate_transfer import transfer_stages
 from repro.engine.bloom import DEFAULT_FPP
-from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.engine.scheduler.request import JobRequest
+from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import Query
-from repro.obs.trace import Tracer
-from repro.optimizers.base import Optimizer
+from repro.optimizers.base import Optimizer, final_job_stages
 from repro.optimizers.enumeration import best_bushy_plan
 
 
@@ -52,54 +50,21 @@ class PredicateTransferOptimizer(Optimizer):
         self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
-        metrics = JobMetrics()
-        phases: list[str] = []
-        tracer = Tracer(query_label=f"{self.name}: {', '.join(query.aliases)}")
-        working = session.statistics.copy()
+        run = QueryRun(query, session, self.name, namespace)
+        outcome = yield from transfer_stages(run, session, fpp=self.fpp)
 
-        outcome = yield from transfer_stages(
-            query,
-            session,
-            working,
-            metrics,
-            phases,
-            tracer=tracer,
-            namespace=namespace,
-            fpp=self.fpp,
+        toolkit = PlannerToolkit(
+            outcome.query, session, run.statistics, self.inl_enabled
         )
-
-        toolkit = PlannerToolkit(outcome.query, session, working, self.inl_enabled)
         plan = best_bushy_plan(toolkit)
-        verify_plan_before_jobgen(session.executor, plan, working)
-        job = build_final_job(plan, outcome.query, session.datasets)
-        final_outcome = yield JobRequest(
-            phase="final",
-            cumulative=metrics,
-            job=job,
-            parameters=query.parameters,
-            statistics=working,
-            tracer=tracer,
-            kind="final",
-        )
-        phases.append("final")
-
+        verify_plan_before_jobgen(session.executor, plan, run.statistics)
         # Report the plan in terms of the original FROM entries, not the
         # transfer intermediates (plan capture / Figure 5 reconstruction).
-        registry: dict[str, PlanNode] = {
-            name: LeafNode(
-                alias=alias,
-                dataset=query.table(alias).dataset,
-                predicates=query.predicates_for(alias),
+        self.last_tree = resolve_logical(
+            plan, original_leaves(query, outcome.intermediates)
+        )
+        return (
+            yield from final_job_stages(
+                run, plan, outcome.query, session, described=self.last_tree
             )
-            for alias, name in outcome.intermediates.items()
-        }
-        from repro.core.driver import resolve_logical
-
-        self.last_tree = resolve_logical(plan, registry)
-        return ExecutionResult(
-            rows=final_outcome.data.all_rows(),
-            metrics=metrics,
-            plan_description=self.last_tree.describe(),
-            phases=phases,
-            trace=tracer.finish(),
         )

@@ -179,7 +179,7 @@ class ServiceCache:
 
         On a hit the stored partitions are re-registered as an intermediate
         dataset under the request's own sink name, its statistics land in the
-        request's working catalog, and the returned ``(data, metrics)`` pair
+        run's working catalog, and the returned ``(data, metrics)`` pair
         charges nothing. Returns ``None`` on miss/stale.
         """
         token = request.cache_token
@@ -201,18 +201,17 @@ class ServiceCache:
             datasets=executor.datasets,
             scale=entry.scale,
         )
-        if request.statistics is not None:
-            stats = entry.stats
-            request.statistics.register(
-                DatasetStatistics(
-                    name=name,
-                    row_count=stats.row_count,
-                    row_width=stats.row_width,
-                    fields=dict(stats.fields),
-                    predicates_applied=stats.predicates_applied,
-                    scale=stats.scale,
-                )
+        stats = entry.stats
+        request.run.statistics.register(
+            DatasetStatistics(
+                name=name,
+                row_count=stats.row_count,
+                row_width=stats.row_width,
+                fields=dict(stats.fields),
+                predicates_applied=stats.predicates_applied,
+                scale=stats.scale,
             )
+        )
         self._intermediates.move_to_end(token)
         self.stats.intermediate_hits += 1
         return _ReplayedData(entry.modeled_rows), JobMetrics()
@@ -221,11 +220,10 @@ class ServiceCache:
         """Capture the materialization the request's sink just registered."""
         name = request.job.root.name
         dataset = executor.datasets.get(name)
-        stats = None
-        if request.statistics is not None and request.statistics.has(name):
-            stats = request.statistics.get(name)
-        if stats is None:
+        working = request.run.statistics
+        if not working.has(name):
             return  # nothing to replay without statistics: skip caching
+        stats = working.get(name)
         base = request.batch_key
         deps = self._deps_for((base,)) if base is not None else ()
         self._intermediates[request.cache_token] = _CachedIntermediate(

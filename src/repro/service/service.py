@@ -65,15 +65,12 @@ class QueryService:
         cost_parameters: CostParameters | None = None,
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
-        verify_plans: bool = True,
         config: ServiceConfig | None = None,
     ) -> None:
         self.config = config or ServiceConfig()
         # Session is the one constructor of an execution stack; the service
         # owns this one and every tenant handle is a view of it.
-        stack = Session(
-            cluster, udfs, cost_parameters, scheduler_config, job_slots, verify_plans
-        )
+        stack = Session(cluster, udfs, cost_parameters, scheduler_config, job_slots)
         self.cluster = stack.cluster
         self.datasets = stack.datasets
         self.statistics = stack.statistics

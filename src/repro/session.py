@@ -63,7 +63,6 @@ class Session:
         cost_parameters: CostParameters | None = None,
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
-        verify_plans: bool = True,
         service: QueryService | None = None,
         tenant: str = "",
     ) -> None:
@@ -102,7 +101,6 @@ class Session:
             self.statistics,
             self.udfs,
             cost_parameters,
-            verify_plans=verify_plans,
         )
         self.scheduler = JobScheduler(self.executor, self.scheduler_config)
         #: cross-query misestimate/spill history; every execution that runs

@@ -11,59 +11,12 @@ baselines lose INL opportunities in the paper's Figure 8.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
 from repro.common.rng import stable_hashes
 from repro.common.types import Schema
 from repro.storage.index import SecondaryIndex
-
-#: Default bound on distinct columns memoized per partition. Wide schemas
-#: (TPC-DS fact tables) would otherwise pin every pivoted column for the
-#: dataset's lifetime; 64 covers every query shape in the bench suite
-#: without eviction while capping worst-case residency.
-DEFAULT_COLUMN_CACHE_COLUMNS = 64
-
-
-class ColumnCacheLRU:
-    """Bounded field -> column-tuple memo for one partition.
-
-    Exposes the mapping surface the scan path uses
-    (:meth:`get` / item assignment / ``in``) while evicting the
-    least-recently-used column beyond ``capacity``. Eviction only discards
-    a memo — the column is re-pivoted from the stored rows on the next
-    scan — so results are byte-identical at any capacity.
-    """
-
-    __slots__ = ("capacity", "_entries")
-
-    def __init__(self, capacity: int = DEFAULT_COLUMN_CACHE_COLUMNS) -> None:
-        if capacity < 1:
-            raise ValueError(f"column cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, tuple] = OrderedDict()
-
-    def get(self, key: str, default=None):
-        entries = self._entries
-        if key not in entries:
-            return default
-        entries.move_to_end(key)
-        return entries[key]
-
-    def __setitem__(self, key: str, column: tuple) -> None:
-        entries = self._entries
-        entries[key] = column
-        entries.move_to_end(key)
-        while len(entries) > self.capacity:
-            entries.popitem(last=False)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass
 class Dataset:
@@ -96,16 +49,14 @@ class Dataset:
     #: on modeled volumes (row_count * scale); join processing and
     #: statistics operate on the stored rows.
     scale: float = 1.0
-    #: Lazily built per-partition columnar projections (field -> value list),
-    #: shared by every scan of this dataset. Stored rows are
-    #: treated as immutable after registration, so a column extracted once
-    #: stays valid until the LRU bound evicts it.
-    _column_caches: list[ColumnCacheLRU] | None = field(
+    #: Lazily built per-partition columnar projections (field -> value
+    #: tuple), shared by every scan of this dataset. Stored rows are treated
+    #: as immutable after registration, so a column extracted once stays
+    #: valid for the dataset's lifetime; the memo is keyed by the dataset's
+    #: own field names, so it holds at most one tuple per schema field.
+    _column_caches: list[dict[str, tuple]] | None = field(
         default=None, repr=False, compare=False
     )
-    #: Per-partition bound on memoized columns; ``None`` uses
-    #: :data:`DEFAULT_COLUMN_CACHE_COLUMNS`.
-    column_cache_capacity: int | None = field(default=None, compare=False)
 
     @property
     def partition_count(self) -> int:
@@ -129,11 +80,10 @@ class Dataset:
         for partition in self.partitions:
             yield from partition
 
-    def column_cache(self, partition_index: int) -> ColumnCacheLRU:
+    def column_cache(self, partition_index: int) -> dict[str, tuple]:
         """The columnar projection memo for one partition."""
         if self._column_caches is None:
-            capacity = self.column_cache_capacity or DEFAULT_COLUMN_CACHE_COLUMNS
-            self._column_caches = [ColumnCacheLRU(capacity) for _ in self.partitions]
+            self._column_caches = [{} for _ in self.partitions]
         return self._column_caches[partition_index]
 
     # -- secondary indexes --------------------------------------------------

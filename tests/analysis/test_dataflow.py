@@ -382,11 +382,3 @@ class TestLiveIntegration:
         assert result.metrics.total_seconds == pytest.approx(
             result.trace.root.end_seconds
         )
-
-    def test_opt_out_skips_query_pass(self):
-        session = build_star_session()
-        session.executor.verify_plans = False
-        session.execute(star_query())
-        stats = session.executor.verifier_stats
-        assert stats.queries_verified == 0
-        assert stats.plans_verified == 0

@@ -1,10 +1,11 @@
-"""Verify-on-compile gate: on by default, opt-out, zero simulated cost.
+"""Verify-on-compile gate: always on, zero simulated cost.
 
 The gate sits in ``run_request`` — the single execution seam — so these
 tests cover both drive paths (direct pump and scheduler), the
-``Session(verify_plans=False)`` opt-out, the raise-on-diagnostics behavior,
-and the load-bearing guarantee: verification never changes a single byte of
-schedules, metrics, or traces.
+raise-on-diagnostics behavior, and the load-bearing guarantee: verification
+never changes a single byte of schedules, metrics, or traces. There is no
+switch to turn it off; the zero-cost test stubs the three gate entry points
+out where they are called instead.
 """
 
 from dataclasses import asdict
@@ -19,38 +20,20 @@ from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.scan import ReaderOp
 from repro.engine.operators.sink import SinkOp
-from repro.engine.scheduler.request import JobRequest
-from repro.obs.trace import Tracer
-from repro.session import Session
+from repro.engine.scheduler.request import JobRequest, QueryRun
+from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
 
 from tests.conftest import build_star_session, star_query
 
-ALL_STRATEGIES = sorted(
-    [
-        "dynamic",
-        "cost_based",
-        "from_order",
-        "best_order",
-        "worst_order",
-        "pilot_run",
-        "ingres",
-        "greedy_static",
-    ]
-)
+ALL_STRATEGIES = sorted(available_strategies())
 
 
-def broken_request(session, tracer=None) -> JobRequest:
+def broken_request(session) -> JobRequest:
     job = Job(
         SinkOp(ReaderOp("__q1_i0"), "i1", ()), label="broken", phase="join-1"
     )
-    return JobRequest(
-        phase="join-1",
-        cumulative=JobMetrics(),
-        job=job,
-        statistics=session.statistics,
-        tracer=tracer,
-    )
+    return QueryRun(star_query(), session, "broken").job("join-1", job, kind="join")
 
 
 class TestGateDefaultOn:
@@ -62,16 +45,6 @@ class TestGateDefaultOn:
         assert stats.diagnostics_found == 0
         assert stats.wall_seconds > 0.0
 
-    def test_opt_out_skips_gate(self):
-        session = build_star_session()
-        session.executor.verify_plans = False
-        session.execute(star_query())
-        assert session.executor.verifier_stats.jobs_verified == 0
-
-    def test_session_kwarg_reaches_executor(self):
-        assert Session(verify_plans=False).executor.verify_plans is False
-        assert Session().executor.verify_plans is True
-
     def test_broken_job_raises_before_launch(self):
         session = build_star_session()
         with pytest.raises(PlanVerificationError) as excinfo:
@@ -79,16 +52,10 @@ class TestGateDefaultOn:
         assert "P002" in excinfo.value.codes()
         assert excinfo.value.job_label == "broken"
 
-    def test_opt_out_lets_broken_job_through_the_gate(self):
-        session = build_star_session()
-        session.executor.verify_plans = False
-        verify_before_launch(session.executor, broken_request(session))
-
     def test_virtual_cost_requests_skip_gate(self):
         session = build_star_session()
-        request = JobRequest(
-            phase="pilot", cumulative=JobMetrics(), virtual_cost=JobMetrics()
-        )
+        run = QueryRun(star_query(), session, "pilot")
+        request = run.charge("pilot", JobMetrics(), kind="pilot")
         verify_before_launch(session.executor, request)
         assert session.executor.verifier_stats.jobs_verified == 0
 
@@ -114,12 +81,10 @@ class TestTraceAndExplain:
 
     def test_failed_verification_recorded_in_trace(self):
         session = build_star_session()
-        tracer = Tracer("broken")
+        request = broken_request(session)
         with pytest.raises(PlanVerificationError):
-            verify_before_launch(
-                session.executor, broken_request(session, tracer=tracer)
-            )
-        (record,) = tracer.verifications
+            verify_before_launch(session.executor, request)
+        (record,) = request.run.tracer.verifications
         assert not record.clean
         assert "P002" in record.codes
 
@@ -132,16 +97,32 @@ class TestTraceAndExplain:
         assert "clean" in report.describe()
 
 
+#: every place a gate entry point is called from, as ``module.name``
+GATE_CALL_SITES = (
+    "repro.engine.scheduler.request.verify_before_launch",
+    "repro.core.driver.verify_plan_before_jobgen",
+    "repro.optimizers.transfer.verify_plan_before_jobgen",
+    "repro.analysis.runtime.verify_query_completion",
+)
+
+
 class TestZeroSimulatedCost:
     """Verifier on vs off is byte-identical in everything simulated."""
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_verifier_off_matches_on(self, name):
-        on = build_star_session().execute(star_query(), PlannerSpec.of(name))
+    def test_verifier_off_matches_on(self, name, monkeypatch):
+        on_session = build_star_session()
+        on = on_session.execute(star_query(), PlannerSpec.of(name))
+        assert on_session.executor.verifier_stats.jobs_verified > 0
 
+        for site in GATE_CALL_SITES:
+            monkeypatch.setattr(site, lambda *args, **kwargs: [])
         off_session = build_star_session()
-        off_session.executor.verify_plans = False
         off = off_session.execute(star_query(), PlannerSpec.of(name))
+        # Nothing verified: GATE_CALL_SITES really is every call site.
+        stats = off_session.executor.verifier_stats
+        checks = stats.jobs_verified + stats.plans_verified + stats.queries_verified
+        assert checks == 0
 
         assert off.rows == on.rows
         assert off.plan_description == on.plan_description

@@ -279,3 +279,24 @@ class TestCleanTree:
         root = Path(__file__).resolve().parents[2] / "src" / "repro"
         findings = lint_paths([root])
         assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_one_constructor_of_requests_and_results(self):
+        """Only the run record builds a ``JobRequest`` or an
+        ``ExecutionResult`` (the service's cached answer, which ran nothing,
+        is the one other result): a strategy that assembled its own could
+        report phases or metrics that disagree with what ran."""
+        import ast
+
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        allowed = {
+            "JobRequest": {"engine/scheduler/request.py"},
+            "ExecutionResult": {"engine/scheduler/request.py", "service/cache.py"},
+        }
+        callers: dict[str, set[str]] = {name: set() for name in allowed}
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in allowed:
+                        callers[name].add(path.relative_to(root).as_posix())
+        assert callers == allowed

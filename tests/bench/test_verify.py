@@ -32,7 +32,8 @@ class TestVerifySweep:
         row = verify_cell("Q50", 10, "dynamic")
         assert row.clean
         assert row.jobs_verified > 0
-        assert 0.0 < row.verifier_seconds < row.host_seconds
+        assert row.plans_verified > 0
+        assert row.queries_verified == 1
 
     def test_single_query_sweep(self):
         rows = run_verify(
@@ -54,8 +55,6 @@ class TestVerifySweep:
                 optimizer="dynamic",
                 jobs_verified=3,
                 diagnostics=("P002",),
-                verifier_seconds=0.001,
-                host_seconds=0.1,
             )
         ]
         assert not verify_ok(rows)

@@ -53,7 +53,7 @@ class TestCheckpointResume:
         optimizer, checkpoint = self.run_with_failure(
             bench.session, query, fail_after=5
         )
-        jobs_before = checkpoint.metrics.jobs
+        jobs_before = checkpoint.run.metrics.jobs
         result = optimizer.resume(checkpoint, bench.session)
         bench.session.reset_intermediates()
         clean = DynamicOptimizer().execute(query, bench.session)

@@ -118,7 +118,7 @@ class TestCheckpointSweep:
 
         # the failure fired at exactly the requested job index, and every
         # join stage completed by then is already materialized on "disk"
-        assert checkpoint.metrics.jobs == fail_after
+        assert checkpoint.run.metrics.jobs == fail_after
         materialized = [
             name
             for name in session.datasets.names()

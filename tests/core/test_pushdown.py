@@ -7,7 +7,7 @@ from repro.core.predicate_pushdown import (
     intermediate_name_for,
     join_columns_of,
 )
-from repro.engine.metrics import JobMetrics
+from repro.engine.scheduler.request import QueryRun
 
 from tests.conftest import build_star_session, star_query
 
@@ -18,11 +18,10 @@ def session():
 
 
 def run_pushdowns(session, query):
-    metrics = JobMetrics()
-    phases = []
-    working = session.statistics.copy()
-    outcome = execute_pushdowns(query, session, working, metrics, phases)
-    return outcome, working, metrics, phases
+    run = QueryRun(query, session, "pushdown")
+    outcome = execute_pushdowns(run, session)
+    phases = [span.name for span in run.tracer.finish().phase_spans()]
+    return outcome, run.statistics, run.metrics, phases
 
 
 class TestPushdownExecution:

@@ -19,7 +19,7 @@ import pytest
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler import JobScheduler, SchedulerConfig
-from repro.engine.scheduler.request import JobOutcome, JobRequest
+from repro.engine.scheduler.request import JobOutcome, JobRequest, QueryRun
 from repro.engine.scheduler.scheduler import QueryHandle
 from repro.optimizers import make_optimizer
 from repro.spec import PlannerSpec
@@ -69,7 +69,9 @@ class DoomedStrategy:
             while True:
                 if count >= self.after_jobs:
                     # job=None and virtual_cost=None: run_request blows up.
-                    yield JobRequest(phase="doomed", cumulative=JobMetrics())
+                    yield JobRequest(
+                        phase="doomed", run=QueryRun(query, session, "doomed")
+                    )
                     raise AssertionError("doomed request should never succeed")
                 try:
                     item = inner.send(payload)

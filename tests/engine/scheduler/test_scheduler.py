@@ -222,7 +222,7 @@ class TestFailureIsolation:
         session.run_all()
 
         checkpoint = doomed.error.checkpoint
-        completed_jobs = checkpoint.metrics.jobs
+        completed_jobs = checkpoint.run.metrics.jobs
         resumed = DynamicOptimizer().resume(checkpoint, session)
         assert resumed.rows == clean.rows
         assert resumed.phases == clean.phases

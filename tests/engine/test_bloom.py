@@ -111,12 +111,19 @@ class TestChargeBytes:
 
 
 class PerValueBloom:
-    """The filter as one ``stable_hash`` call per added or probed value."""
+    """The filter as one ``stable_hash`` call per added or probed value.
+
+    Re-pinned with the INT-vs-DOUBLE fix: the twin sees a key as the join
+    compares it (an integral float is its int), like the filter it mirrors —
+    hashing ``1.0`` by ``repr`` was the false negative.
+    """
 
     def __init__(self, bit_count: int, hash_count: int) -> None:
         self.bit_count, self.hash_count, self.bits = bit_count, hash_count, 0
 
     def _positions(self, value: object):
+        if type(value) is float and value.is_integer():
+            value = int(value)
         digest = stable_hash(value)
         low, high = digest & 0xFFFFFFFF, (digest >> 32) | 1
         return [(low + i * high) % self.bit_count for i in range(self.hash_count)]
@@ -193,20 +200,33 @@ class TestColumnAtATime:
         assert [at_once.might_contain(value) for value in probes] == verdicts
 
     def test_equal_values_that_hash_apart_stay_apart(self):
-        # 1 == 1.0 == True and 0.0 == -0.0 as dict keys, but stable_hash
-        # encodes ints by value and the rest by repr; NaNs the reverse.
+        # 1 == 1.0 == True and 0.0 == -0.0 as dict keys — which is how the
+        # join matches — so the filter must say "maybe" for all of them.
+        # Re-pinned: this test used to assert [.., 1.0 -> False, ..,
+        # -0.0 -> False, ..], i.e. the false negative that made
+        # predicate_transfer return 0 of 58 rows on an INT = DOUBLE join.
+        # NaNs hash by repr, so every NaN still meets every other.
         nan = float("nan")
         bloom = BloomFilter.build([1, 0.0, nan], expected=3, fpp=1e-9)
         assert bloom.might_contain_all(
             [1, True, 1.0, 0.0, -0.0, nan, float("nan"), 2**127, 2**127 + 1]
-        ) == [True, True, False, True, False, True, True, False, False]
+        ) == [True, True, True, True, True, True, True, False, False]
+        assert BloomFilter.build([2.0, -0.0], expected=2, fpp=1e-9).might_contain_all(
+            [2, 0, False, 2.5]
+        ) == [True, True, True, False]
 
     def test_fingerprint_is_the_one_recorded_before_the_byte_array(self):
-        # taken at f255792, when the bits were one Python int
+        # Re-recorded with the INT-vs-DOUBLE fix: the input holds 1.0, which
+        # now sets the bits of 1 (already present) where it used to set
+        # repr's — one bit fewer. The new literal is what the parent
+        # (830624f) prints for the same input *without* the 1.0, so nothing
+        # else about the bit layout or the fingerprint moved.
         values = [*range(100), None, "a", 1.0, True, (1, 2)]
         bloom = BloomFilter.build(values, expected=100)
-        assert bloom.fingerprint() == "86a7e0c23c350ba7"
-        assert (bloom.bits_set, bloom.bit_count, bloom.hash_count) == (503, 959, 7)
+        assert bloom.fingerprint() == "f1810530fa004b3e"
+        assert (bloom.bits_set, bloom.bit_count, bloom.hash_count) == (502, 959, 7)
+        values.remove(1.0)
+        assert BloomFilter.build(values, expected=100).fingerprint() == bloom.fingerprint()
 
     def test_a_null_filter_column_eliminates_the_partition(self):
         bloom = BloomFilter.build([1, 2], expected=2)

@@ -5,6 +5,7 @@ import pytest
 from repro.common.types import DataType, Schema
 from repro.lang.builder import QueryBuilder
 from repro.session import Session
+from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 
 from tests.conftest import small_cluster
@@ -204,3 +205,41 @@ class TestMixedTypeJoinKeys:
         """Both inputs already partitioned on their keys, of different type:
         there is no partition-local shortcut left to get this wrong."""
         self._check(self._session(float_b_id=True), "a.k", "b.id", 200)
+
+    @pytest.mark.parametrize(
+        "planner",
+        [
+            PlannerSpec.of("predicate_transfer"),
+            PlannerSpec.of("dynamic", pre_filter="transfer"),
+        ],
+        ids=["predicate_transfer", "dynamic+transfer"],
+    )
+    def test_bloom_pre_filter_keeps_int_equal_double(self, planner):
+        """The transfer prelude ships a Bloom filter over ``a.k`` (INT) and
+        probes it with ``b.fk`` (DOUBLE). Hashing ``3`` by value and ``3.0``
+        by ``repr`` made the filter answer "definitely absent" for every
+        matching key: 0 of 58 rows at 830624f, under both spellings. A
+        pre-filter may keep too much, never too little."""
+        session = Session(small_cluster())
+        session.load(
+            "a",
+            Schema.of(("k", DataType.INT), ("x", DataType.INT), primary_key=("k",)),
+            [{"k": i, "x": i % 7} for i in range(200)],
+        )
+        session.load(
+            "b",
+            Schema.of(("id", DataType.INT), ("fk", DataType.DOUBLE), primary_key=("id",)),
+            self.B_ROWS,
+        )
+        query = (
+            QueryBuilder()
+            .select("a.k", "b.id")
+            .from_table("a")
+            .from_table("b")
+            .join("a.k", "b.fk")
+            .where_eq("a.x", 3)
+            .build()
+        )
+        reference = evaluate_reference(query, session)
+        assert len(reference) == 58
+        assert rows_equal_unordered(session.execute(query, planner).rows, reference)

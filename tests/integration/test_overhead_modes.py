@@ -47,12 +47,10 @@ class TestOverheadModes:
         bench.session.reset_intermediates()
 
         from repro.core.predicate_pushdown import execute_pushdowns
-        from repro.core.reconstruction import replace_filtered_table
-        from repro.engine.metrics import JobMetrics
+        from repro.engine.scheduler.request import QueryRun
 
-        working = bench.session.statistics.copy()
         outcome = execute_pushdowns(
-            query, bench.session, working, JobMetrics(), []
+            QueryRun(query, bench.session, "pushdown"), bench.session
         )
         swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
         replay = execute_tree(swapped, outcome.query, bench.session)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
-from repro.engine.metrics import JobMetrics
+from repro.engine.scheduler.request import QueryRun, drive_stages
 from repro.optimizers.ingres import IngresLikeOptimizer
 from repro.optimizers.pilot_run import PilotRunOptimizer, ScaledFieldStatistics
 from repro.stats.collector import FieldStatistics
@@ -34,26 +34,29 @@ class TestScaledFieldStatistics:
         assert scaled.distinct_count == sample.distinct_count
 
 
+def pilot_run(optimizer, session) -> QueryRun:
+    """Pump the pilot stages alone; the run holds what they produced."""
+    run = QueryRun(star_query(), session, optimizer.name)
+    drive_stages(optimizer.prepare_stages(run, session), session.executor)
+    return run
+
+
 class TestPilotRun:
     def test_registers_per_alias_entries(self, session):
-        optimizer = PilotRunOptimizer(sample_limit=20)
-        metrics = JobMetrics()
-        phases = []
-        working = optimizer.prepare_statistics(star_query(), session, metrics, phases)
+        run = pilot_run(PilotRunOptimizer(sample_limit=20), session)
         for alias in star_query().aliases:
-            entry = working.get(alias_stats_key(alias))
+            entry = run.statistics.get(alias_stats_key(alias))
             assert entry.predicates_applied
-        assert metrics.jobs == 4
-        assert metrics.startup > 0
-        assert phases == [f"pilot:{a}" for a in star_query().aliases]
+        assert run.metrics.jobs == 4
+        assert run.metrics.startup > 0
+        assert [span.name for span in run.tracer.finish().phase_spans()] == [
+            f"pilot:{a}" for a in star_query().aliases
+        ]
 
     def test_sample_estimates_selectivity(self, session):
-        optimizer = PilotRunOptimizer(sample_limit=10)
-        working = optimizer.prepare_statistics(
-            star_query(), session, JobMetrics(), []
-        )
+        run = pilot_run(PilotRunOptimizer(sample_limit=10), session)
         # dc filter keeps 1/3 of rows; sample-based estimate should be close
-        entry = working.get(alias_stats_key("dc"))
+        entry = run.statistics.get(alias_stats_key("dc"))
         assert entry.row_count == pytest.approx(10, rel=0.5)
 
     def test_no_pushdown_phase(self, session):
