@@ -80,6 +80,8 @@ HOT_PATHS = (
     "engine/exchange",
     "engine/data",
     "engine/bloom",
+    # A stored partition fixes the row order every scan and planner pass sees.
+    "storage/",
     # The service layer orders admissions, cache evictions and feedback
     # persistence — schedule-visible decisions, so hot-path rules apply.
     "service/",

@@ -44,7 +44,9 @@ from repro.algebra.rules.pushdown import surviving_columns
 from repro.analysis.dataflow import JobDataflow, TransferSummary
 from repro.core.predicate_pushdown import join_columns_of
 from repro.core.reconstruction import replace_filtered_table
+from repro.engine import vector
 from repro.engine.bloom import DEFAULT_FPP, BloomFilter, bloom_size_bytes
+from repro.engine.data import scan_partitions
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import JobRequest, QueryRun
 from repro.lang.ast import EvaluationContext, Predicate, Query, split_column
@@ -367,38 +369,29 @@ def _build_filters(
     delta.startup = cost.job_startup()
     delta.jobs = 1
 
-    values: dict[str, list[object]] = {column: [] for column in own_columns}
     if current_name is None:
-        table = query.table(alias)
-        dataset = session.datasets.get(table.dataset)
+        dataset = session.datasets.get(query.table(alias).dataset)
         predicates: tuple[Predicate, ...] = query.predicates_for(alias)
         prefix = f"{alias}."
-        storage_names = {
-            column: split_column(column)[1] for column in own_columns
-        }
-        survivors = 0
-        for row in dataset.rows():
-            if predicates:
-                qualified = {prefix + key: value for key, value in row.items()}
-                if not all(p.evaluate(qualified, context) for p in predicates):
-                    continue
-            survivors += 1
-            for column in own_columns:
-                values[column].append(row.get(storage_names[column]))
         delta.scan = cost.scan(dataset.modeled_rows, dataset.schema.row_width)
         if predicates:
             delta.compute = cost.predicate_eval(dataset.modeled_rows)
     else:
         dataset = session.datasets.get(current_name)
         predicates = ()
-        survivors = 0
-        for row in dataset.rows():
-            survivors += 1
-            for column in own_columns:
-                values[column].append(row.get(column))
+        prefix = ""
         delta.scan = cost.read_materialized(
             dataset.modeled_rows, dataset.schema.row_width
         )
+    values: dict[str, list[object]] = {column: [] for column in own_columns}
+    survivors = 0
+    for partition in scan_partitions(dataset, prefix):
+        kept, length = vector.fused_filter_project(
+            partition, predicates, own_columns, context, session.executor.chunk_size
+        )
+        survivors += length
+        for column in own_columns:
+            values[column].extend(kept[column])
 
     modeled_survivors = survivors * dataset.scale
     delta.compute += cost.bloom_build(modeled_survivors, len(own_columns))

@@ -12,24 +12,32 @@ description calls out for key/foreign-key joins).
 when only a subset is physically materialized — so every cost-model charge
 derived from widths and counts is independent of projection pushdown
 (DESIGN.md §10).
+
+One partition type is in flight, :class:`ColumnPartition`. What a Scan or
+Reader emits differs only in its ``columns``: a lazy read-only view of the
+stored partition (:class:`StoredColumns`) instead of a dict of lists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.common.types import DataType, Field, Schema
+
+if TYPE_CHECKING:
+    from repro.storage.dataset import Dataset, StoredPartition
 
 
 class ColumnPartition:
     """One partition as parallel column sequences.
 
     ``columns`` maps qualified names to equal-length value sequences (lists,
-    or a scan's memoized tuples — never mutated in place); the set of
-    physically present columns may be narrower than the data's logical
-    column map when projection pushdown marked the rest dead. Reading an
-    absent column yields nulls — the columnar analogue of ``row.get``.
+    or stored tuples — never mutated in place); the set of physically
+    present columns may be narrower than the data's logical column map when
+    projection pushdown marked the rest dead. Reading an absent column
+    yields nulls — the columnar analogue of ``row.get``.
     """
 
     __slots__ = ("columns", "length")
@@ -45,80 +53,55 @@ class ColumnPartition:
         return col
 
 
-class LazyRowPartition:
-    """A scan's partition before any column has been touched.
+class StoredColumns(Mapping):
+    """A scan's ``columns``: qualified name -> stored column, read lazily.
 
-    Holds a read-only reference to the dataset's stored row dicts plus the
-    alias qualifier; columns are extracted on first use, so a fused
-    select+project above the scan reads only referenced columns. ``cache``
-    is the dataset's per-partition columnar memo
-    (:meth:`repro.storage.dataset.Dataset.column_cache`): the row->column
-    pivot for a given field happens once per dataset lifetime, and every
-    later scan of the same partition reuses the extracted tuple.
+    Iterates ``names`` — the pushed-down live set, or every schema column —
+    and asks the stored partition for a column only when a consumer reads
+    it, so a Select above the scan touches only referenced columns.
     """
 
-    __slots__ = ("rows", "prefix", "live", "cache")
+    __slots__ = ("_stored", "_prefix", "_names")
 
     def __init__(
-        self,
-        rows: list[dict],
-        prefix: str,
-        live: tuple[str, ...] | None,
-        cache: dict[str, tuple] | None = None,
+        self, stored: StoredPartition, prefix: str, names: tuple[str, ...]
     ) -> None:
-        self.rows = rows
-        self.prefix = prefix
-        self.live = live
-        self.cache = cache
+        self._stored = stored
+        self._prefix = prefix
+        self._names = names
 
-    @property
-    def length(self) -> int:
-        return len(self.rows)
+    def __getitem__(self, name: str) -> tuple:
+        if name not in self._names:
+            raise KeyError(name)
+        return self._stored.column(name.removeprefix(self._prefix))
 
-    def storage_column(self, key: str) -> tuple:
-        """Values of one *storage-named* (unqualified) field, memoized.
+    def __iter__(self):
+        return iter(self._names)
 
-        A tuple: the memo is shared by every scan of the dataset, so it is
-        immutable by type, and the cycle collector stops tracking a tuple of
-        atoms on its first visit (DESIGN.md §10.3).
-        """
-        cache = self.cache
-        column = cache.get(key) if cache is not None else None
-        if column is None:
-            column = tuple([row.get(key) for row in self.rows])
-            if cache is not None:
-                cache[key] = column
-        return column
-
-    def extract(self, names) -> ColumnPartition:
-        """Materialize the qualified ``names`` from the stored rows."""
-        plen = len(self.prefix)
-        columns = {}
-        for name in names:
-            key = name[plen:] if plen else name
-            columns[name] = self.storage_column(key)
-        return ColumnPartition(columns, len(self.rows))
+    def __len__(self) -> int:
+        return len(self._names)
 
 
-def materialize(
-    partition: ColumnPartition | LazyRowPartition, columns: dict[str, DataType]
-) -> ColumnPartition:
-    """Normalize a partition to extracted column lists.
-
-    Lazy scan partitions extract their live set (all logical columns when no
-    pushdown information was attached); extracted partitions pass through.
-    """
-    if isinstance(partition, ColumnPartition):
-        return partition
-    live = partition.live if partition.live is not None else tuple(columns)
-    return partition.extract(live)
+def scan_partitions(
+    dataset: Dataset, prefix: str, live: tuple[str, ...] | None = None
+) -> list[ColumnPartition]:
+    """A stored dataset's partitions in flight, names qualified by ``prefix``
+    (the scan alias plus a dot; empty for intermediates, whose stored names
+    are already qualified). The one way operators and planner-side passes
+    read storage. ``live`` of ``None`` keeps every schema column."""
+    if live is None:
+        live = tuple(prefix + name for name in dataset.schema.field_names)
+    return [
+        ColumnPartition(StoredColumns(stored, prefix, live), stored.length)
+        for stored in dataset.partitions
+    ]
 
 
 @dataclass
 class ColumnarData:
     """Rows spread over cluster partitions plus their physical properties."""
 
-    partitions: Sequence[ColumnPartition | LazyRowPartition]
+    partitions: list[ColumnPartition]
     #: the *logical* column map, regardless of which columns are physically
     #: materialized: ``row_width`` (and with it every width-derived charge)
     #: never depends on what projection pushdown marked dead.
@@ -150,28 +133,19 @@ class ColumnarData:
     def byte_size(self) -> float:
         return self.row_count * self.row_width
 
-    def materialized(self) -> list[ColumnPartition]:
-        return [materialize(p, self.columns) for p in self.partitions]
-
-    def to_row_partitions(self) -> list[list[dict]]:
-        """Convert back to per-partition row dicts (sink materialization).
-
-        Key order inside each dict follows the physical column order.
-        """
-        out = []
-        for partition in self.materialized():
-            names = tuple(partition.columns)
-            cols = [partition.columns[n] for n in names]
-            if not names:
-                out.append([{} for _ in range(partition.length)])
-                continue
-            out.append([dict(zip(names, values)) for values in zip(*cols)])
-        return out
-
     def all_rows(self) -> list[dict]:
+        """Every row as a dict — the result format. Key order inside each
+        dict follows the physical column order."""
         rows: list[dict] = []
-        for partition in self.to_row_partitions():
-            rows.extend(partition)
+        for partition in self.partitions:
+            names = tuple(partition.columns)
+            if not names:
+                rows.extend({} for _ in range(partition.length))
+                continue
+            rows.extend(
+                dict(zip(names, values))
+                for values in zip(*partition.columns.values())
+            )
         return rows
 
     def schema(self, primary_key: tuple[str, ...] = ()) -> Schema:
@@ -183,23 +157,10 @@ class ColumnarData:
 
     def project(self, names: list[str] | tuple[str, ...]) -> ColumnarData:
         keep = [n for n in names if n in self.columns]
-        projected: list[ColumnPartition | LazyRowPartition] = []
-        for partition in self.partitions:
-            if isinstance(partition, LazyRowPartition):
-                # stay lazy: narrow the live set, defer extraction
-                projected.append(
-                    LazyRowPartition(
-                        partition.rows,
-                        partition.prefix,
-                        tuple(keep),
-                        partition.cache,
-                    )
-                )
-            else:
-                cols = {
-                    n: partition.column(n) for n in keep
-                }
-                projected.append(ColumnPartition(cols, partition.length))
+        projected = [
+            ColumnPartition({n: partition.column(n) for n in keep}, partition.length)
+            for partition in self.partitions
+        ]
         part_key = self.partitioned_on if self.partitioned_on in keep else None
         return ColumnarData(
             projected, {n: self.columns[n] for n in keep}, part_key, self.scale

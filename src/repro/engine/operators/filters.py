@@ -23,12 +23,7 @@ from __future__ import annotations
 
 from repro.engine import vector
 from repro.engine.bloom import BloomFilter
-from repro.engine.data import (
-    ColumnarData,
-    ColumnPartition,
-    LazyRowPartition,
-    materialize,
-)
+from repro.engine.data import ColumnarData, ColumnPartition
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -47,11 +42,10 @@ class SemiJoinFilterOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         chunk_size = state.chunk_size
-        filtered: list[ColumnPartition | LazyRowPartition] = []
+        filtered: list[ColumnPartition] = []
         for partition in data.partitions:
-            extracted = materialize(partition, data.columns)
             columns, length = vector.semi_join_filter(
-                extracted.columns, extracted.length, self.filters, chunk_size
+                partition.columns, partition.length, self.filters, chunk_size
             )
             filtered.append(ColumnPartition(columns, length))
         total_bytes = sum(bloom.charge_bytes for _, bloom in self.filters)

@@ -28,7 +28,7 @@ from itertools import chain, repeat
 
 from repro.common.errors import ExecutionError
 from repro.engine import vector
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData, ColumnPartition, scan_partitions
 from repro.engine.exchange import columnar_broadcast_exchange, concat_partitions
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
@@ -140,7 +140,7 @@ class _BuildProbeJoinOp(PhysicalOperator):
 
         probe_moves = hashed and probe.partitioned_on != self.probe_keys[0]
         if hashed:
-            build_rows = concat_partitions(build.materialized())
+            build_rows = concat_partitions(build.partitions)
             if build.partitioned_on != self.build_keys[0]:
                 state.charge(
                     "network", cost.hash_exchange(build.modeled_rows, build.row_width)
@@ -152,13 +152,13 @@ class _BuildProbeJoinOp(PhysicalOperator):
             state.charge("compute", cost.hash_build(build.modeled_rows))
         else:
             # One shared copy stands in for the replicas the cost model charges.
-            build_rows = columnar_broadcast_exchange(build.materialized())
+            build_rows = columnar_broadcast_exchange(build.partitions)
             state.charge(
                 "network", cost.broadcast_exchange(build.modeled_rows, build.row_width)
             )
             state.charge("compute", cost.broadcast_build(build.modeled_rows))
 
-        probe_parts = probe.materialized()
+        probe_parts = probe.partitions
         probe_rows = concat_partitions(probe_parts)
         build_idx, probe_idx = vector.probe_hash_table(
             vector.build_hash_table(
@@ -263,7 +263,7 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
                 f"{self.inner_dataset}.{index_field}"
             )
 
-        gathered = columnar_broadcast_exchange(build.materialized())
+        gathered = columnar_broadcast_exchange(build.partitions)
         state.charge(
             "network",
             state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
@@ -272,27 +272,27 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         prefix = f"{self.inner_alias}."
         key_column = gathered.column(self.build_keys[0])
         residual_columns = [
-            (gathered.column(bk), f)
+            (gathered.column(bk), prefix + f)
             for bk, f in zip(self.build_keys[1:], self.inner_fields[1:], strict=True)
         ]
-        inner_fields = [f.name for f in dataset.schema.fields]
         columns = {prefix + f.name: f.dtype for f in dataset.schema.fields}
+        inner_names = tuple(columns)
         columns.update(build.columns)
         build_names = gathered.columns.keys()
 
         out_partitions: list[ColumnPartition] = []
         out_rows = 0
         lookups = 0
-        for partition_id, inner_rows in enumerate(dataset.partitions):
+        for partition_id, inner in enumerate(scan_partitions(dataset, prefix)):
             index = dataset.index_for(index_field, partition_id)
+            residuals = [(col, inner.column(name)) for col, name in residual_columns]
             inner_idx: list[int] = []
             build_idx: list[int] = []
             for i in range(gathered.length):
                 lookups += 1
                 for position in index.lookup(key_column[i]):
-                    inner = inner_rows[position]
                     if any(
-                        col[i] != inner.get(f) for col, f in residual_columns
+                        col[i] != inner_col[position] for col, inner_col in residuals
                     ):
                         continue
                     inner_idx.append(position)
@@ -302,12 +302,9 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
             for name in columns:
                 if name in build_names:
                     cols[name] = vector.gather(gathered.columns[name], build_idx)
-            for field_name in inner_fields:
-                qualified = prefix + field_name
-                if qualified not in build_names:
-                    cols[qualified] = [
-                        inner_rows[p].get(field_name) for p in inner_idx
-                    ]
+            for name in inner_names:
+                if name not in build_names:
+                    cols[name] = vector.gather(inner.column(name), inner_idx)
             out_partitions.append(ColumnPartition(cols, len(build_idx)))
 
         # Every partition performs the full set of (modeled) lookups, in

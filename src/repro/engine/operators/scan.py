@@ -6,8 +6,9 @@ alias. ``ReaderOp`` reads a previously materialized intermediate (Figure 4:
 datasource is not a base dataset") — its columns are already qualified and it
 is charged materialized-read I/O instead of base-scan I/O.
 
-Both return *lazy* column partitions: no column is extracted until a
-consumer touches it, so the fused select/project kernel above the scan reads
+Both return partitions whose columns are read from storage lazily
+(:func:`repro.engine.data.scan_partitions`): no column is touched until a
+consumer reads it, so the fused select/project kernel above the scan reads
 only referenced columns (and non-predicate columns only for surviving rows).
 ``live`` — attached by job generation's projection pushdown — names the
 columns the rest of the job can ever need; ``None`` means "no pushdown
@@ -17,7 +18,7 @@ information, keep everything".
 from __future__ import annotations
 
 from repro.common.errors import ExecutionError
-from repro.engine.data import ColumnarData, LazyRowPartition
+from repro.engine.data import ColumnarData, scan_partitions
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -48,10 +49,7 @@ class ScanOp(PhysicalOperator):
             "scan", state.cost.scan(dataset.modeled_rows, dataset.schema.row_width)
         )
         state.metrics.tuples_scanned += dataset.row_count
-        partitions = [
-            LazyRowPartition(partition, prefix, self.live, dataset.column_cache(i))
-            for i, partition in enumerate(dataset.partitions)
-        ]
+        partitions = scan_partitions(dataset, prefix, self.live)
         return ColumnarData(partitions, columns, partitioned_on, dataset.scale)
 
     def label(self) -> str:
@@ -76,10 +74,7 @@ class ReaderOp(PhysicalOperator):
             "materialize",
             state.cost.read_materialized(dataset.modeled_rows, dataset.schema.row_width),
         )
-        partitions = [
-            LazyRowPartition(partition, "", self.live, dataset.column_cache(i))
-            for i, partition in enumerate(dataset.partitions)
-        ]
+        partitions = scan_partitions(dataset, "", self.live)
         return ColumnarData(
             partitions, columns, dataset.partition_key, dataset.scale
         )

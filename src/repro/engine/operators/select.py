@@ -5,23 +5,17 @@
 and filtered. Query compilation usually folds the UDF into the predicate
 directly, but the split form is available for plan fidelity and tests.
 
-``SelectOp`` over a fresh scan runs the fused scan+filter+project kernel
+``SelectOp`` runs the fused filter+project kernel
 (:func:`repro.engine.vector.fused_filter_project`) — one pass per chunk that
-filters on predicate columns and gathers only the live columns of surviving
-rows; already-extracted inputs go through the chunked
-:func:`~repro.engine.vector.filter_columns` kernel instead.
+filters on predicate columns and gathers the partition's physical columns
+(over a scan: its live set, read from storage only here) for surviving rows.
 """
 
 from __future__ import annotations
 
 from repro.common.types import DataType
 from repro.engine import vector
-from repro.engine.data import (
-    ColumnarData,
-    ColumnPartition,
-    LazyRowPartition,
-    materialize,
-)
+from repro.engine.data import ColumnarData, ColumnPartition
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.lang.ast import Predicate
 
@@ -37,29 +31,15 @@ class SelectOp(PhysicalOperator):
         data = self.children[0].run(state)
         evaluation = state.evaluation
         chunk_size = state.chunk_size
-        filtered: list[ColumnPartition | LazyRowPartition] = []
+        filtered: list[ColumnPartition] = []
         for partition in data.partitions:
-            if isinstance(partition, LazyRowPartition):
-                live = (
-                    partition.live
-                    if partition.live is not None
-                    else tuple(data.columns)
-                )
-                columns, length = vector.fused_filter_project(
-                    partition,
-                    self.predicates,
-                    live,
-                    evaluation,
-                    chunk_size,
-                )
-            else:
-                columns, length = vector.filter_columns(
-                    partition.columns,
-                    partition.length,
-                    self.predicates,
-                    evaluation,
-                    chunk_size,
-                )
+            columns, length = vector.fused_filter_project(
+                partition,
+                self.predicates,
+                tuple(partition.columns),
+                evaluation,
+                chunk_size,
+            )
             filtered.append(ColumnPartition(columns, length))
         state.charge(
             "compute",
@@ -85,12 +65,11 @@ class AssignOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         fn = state.evaluation.udfs.get(self.udf)
-        assigned: list[ColumnPartition | LazyRowPartition] = []
+        assigned: list[ColumnPartition] = []
         for partition in data.partitions:
-            extracted = materialize(partition, data.columns)
-            out = dict(extracted.columns)
-            out[self.target] = [fn(v) for v in extracted.column(self.column)]
-            assigned.append(ColumnPartition(out, extracted.length))
+            out = dict(partition.columns)
+            out[self.target] = [fn(v) for v in partition.column(self.column)]
+            assigned.append(ColumnPartition(out, partition.length))
         columns = dict(data.columns)
         columns[self.target] = DataType.DOUBLE
         state.charge("compute", state.cost.predicate_eval(data.modeled_rows, 1))

@@ -8,9 +8,9 @@ is what keeps intermediates narrow), writes per-partition temp data, and,
 when requested, registers fresh sketches for the attributes participating in
 subsequent join stages.
 
-Intermediates are stored row-wise (the storage layer holds row dicts); the
-sink converts its column partitions once at this boundary and feeds the
-statistics collector whole columns at a time.
+Intermediates are stored as the columns the sink already holds — one tuple
+per kept column per partition (:class:`repro.storage.dataset.StoredPartition`),
+no dict per row — and the same columns feed the statistics collector whole.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.engine.data import ColumnarData
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.stats.collector import StatisticsCollector
+from repro.storage.dataset import StoredPartition
 from repro.storage.ingest import register_intermediate
 
 
@@ -39,14 +40,13 @@ class SinkOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         projected = data.project(self.keep_columns)
-        materialized = projected.materialized()
-        projected = ColumnarData(
-            materialized, projected.columns, projected.partitioned_on, projected.scale
-        )
         register_intermediate(
             name=self.name,
             schema=projected.schema(),
-            partitions=projected.to_row_partitions(),
+            partitions=[
+                StoredPartition.of_columns(partition.columns, partition.length)
+                for partition in projected.partitions
+            ],
             partition_key=projected.partitioned_on,
             datasets=state.datasets,
             scale=projected.scale,
@@ -60,7 +60,7 @@ class SinkOp(PhysicalOperator):
         tracked = [c for c in self.stats_columns if c in projected.columns]
         collector = StatisticsCollector(tracked)
         if self.stats_columns:
-            for partition in materialized:
+            for partition in projected.partitions:
                 collector.observe_columns(partition.columns, partition.length)
             state.charge(
                 "stats",

@@ -13,7 +13,7 @@ slices columns in partition order.
 from __future__ import annotations
 
 from repro.common.types import DataType
-from repro.engine.data import ColumnarData, ColumnPartition, LazyRowPartition
+from repro.engine.data import ColumnarData, ColumnPartition
 from repro.engine.exchange import columnar_hash_exchange
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
@@ -28,7 +28,7 @@ class GroupByOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         keys = self.keys
-        partitions = data.materialized()
+        partitions = data.partitions
         if data.partitioned_on not in keys:
             key_cols = [[p.column(k) for k in keys] for p in partitions]
             route_keys = [
@@ -76,17 +76,16 @@ class OrderByOp(PhysicalOperator):
 
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
-        materialized = data.materialized()
         names: list[str] = []
-        for partition in materialized:
+        for partition in data.partitions:
             for name in partition.columns:
                 if name not in names:
                     names.append(name)
         gathered = {name: [] for name in names}
-        for partition in materialized:
+        for partition in data.partitions:
             for name in names:
                 gathered[name].extend(partition.column(name))
-        total = sum(p.length for p in materialized)
+        total = data.row_count
         key_cols = [
             gathered.get(k, [None] * total) for k in self.keys
         ]
@@ -128,23 +127,16 @@ class LimitOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         remaining = self.n
-        partitions: list[ColumnPartition | LazyRowPartition] = []
+        partitions: list[ColumnPartition] = []
         for partition in data.partitions:
             take = min(remaining, partition.length)
             remaining -= take
-            if isinstance(partition, LazyRowPartition):
-                partitions.append(
-                    LazyRowPartition(
-                        partition.rows[:take], partition.prefix, partition.live
-                    )
+            partitions.append(
+                ColumnPartition(
+                    {n: col[:take] for n, col in partition.columns.items()},
+                    take,
                 )
-            else:
-                partitions.append(
-                    ColumnPartition(
-                        {n: col[:take] for n, col in partition.columns.items()},
-                        take,
-                    )
-                )
+            )
         return ColumnarData(
             partitions, data.columns, data.partitioned_on, data.scale
         )

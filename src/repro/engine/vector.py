@@ -1,9 +1,9 @@
 """Execution kernels of the data plane (DESIGN.md §10).
 
-Rows flow between operators as fixed-size chunks of parallel column lists
+Rows flow between operators as parallel columns
 (:class:`~repro.engine.data.ColumnarData`); scans read only referenced
-columns, scan+filter+project fuse into one pass per chunk, and joins
-build/probe over key columns instead of per-row dicts. The cost clock
+columns from storage, filter+project fuse into one pass per fixed-size
+chunk, and joins build/probe over key columns instead of per-row dicts. The cost clock
 charges from row counts and the logical column map, never from what a
 kernel physically touched.
 
@@ -18,6 +18,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, repeat
 
 from repro.common.rng import stable_hash, stable_hashes
+from repro.engine.data import ColumnPartition
 
 #: Rows per chunk in the fused scan/filter/project kernel. Chunk size never
 #: leaks into results or simulated cost (pinned by the chunking property
@@ -29,66 +30,27 @@ DEFAULT_CHUNK_SIZE = 1024
 
 
 def fused_filter_project(
-    partition,
+    partition: ColumnPartition,
     predicates: tuple,
     live: tuple[str, ...],
     evaluation,
     chunk_size: int,
 ) -> tuple[dict[str, list], int]:
-    """One pass over a lazy scan partition in chunks: filter, then project.
+    """One pass over a partition in chunks: filter, then project.
 
-    ``partition`` is a :class:`~repro.engine.data.LazyRowPartition`: its
-    ``prefix`` is the scan alias qualifier (empty for intermediates, whose
-    stored names are already qualified) and ``storage_column`` serves each
-    referenced field as one flat column — pivoted from the stored rows once
-    per dataset lifetime and memoized. ``live`` names the qualified columns
-    to materialize for surviving rows — the projection part of the fusion;
-    columns the query never references are never pivoted at all.
+    The one filter kernel: ``SelectOp`` and the planner-side pre-filtering
+    passes both run it. Per chunk the survivors are refined predicate by
+    predicate (a short-circuiting conjunction: a later predicate never sees
+    a row an earlier one rejected); ``live`` names the columns to gather for
+    them — the projection part of the fusion. Over a scan's partition only
+    the predicate and ``live`` columns are ever read from storage. While the
+    survivors are still the chunk's ``range``, a column is read as a slice.
     """
-    prefix = partition.prefix
-    plen = len(prefix)
-
-    def stored(name: str) -> Sequence:
-        key = name[plen:] if plen and name.startswith(prefix) else name
-        return partition.storage_column(key)
-
-    return _filter_chunks(
-        partition.length,
-        predicates,
-        [stored(predicate.column) for predicate in predicates],
-        {name: stored(name) for name in live},
-        evaluation,
-        chunk_size,
-    )
-
-
-def filter_columns(
-    columns: dict[str, list],
-    length: int,
-    predicates: tuple,
-    evaluation,
-    chunk_size: int,
-) -> tuple[dict[str, list], int]:
-    """Filter an already-columnar partition, chunk by chunk; every physical
-    column is copied for the surviving rows."""
-    pred_cols = _columns_or_nulls(columns, length, tuple(p.column for p in predicates))
-    return _filter_chunks(length, predicates, pred_cols, columns, evaluation, chunk_size)
-
-
-def _filter_chunks(
-    length: int,
-    predicates: tuple,
-    pred_cols: list,
-    sources: dict[str, Sequence],
-    evaluation,
-    chunk_size: int,
-) -> tuple[dict[str, list], int]:
-    """Per chunk the survivors are refined predicate by predicate (a
-    short-circuiting conjunction: a later predicate never sees a row an
-    earlier one rejected), then ``sources`` are gathered for them. While the
-    survivors are still the chunk's ``range``, a column is read as a slice."""
+    pred_cols = [partition.column(predicate.column) for predicate in predicates]
+    sources = {name: partition.column(name) for name in live}
     out: dict[str, list] = {name: [] for name in sources}
     out_length = 0
+    length = partition.length
     for start in range(0, length, chunk_size):
         survivors: list[int] | range = range(start, min(start + chunk_size, length))
         for predicate, col in zip(predicates, pred_cols):
@@ -103,6 +65,24 @@ def _filter_chunks(
     return out, out_length
 
 
+def filter_columns(
+    columns: Mapping[str, Sequence],
+    length: int,
+    predicates: tuple,
+    evaluation,
+    chunk_size: int,
+) -> tuple[dict[str, list], int]:
+    """:func:`fused_filter_project` keeping every physical column. No caller
+    in ``src/``: ``benchmarks/e2e/spans.py`` wraps both names."""
+    return fused_filter_project(
+        ColumnPartition(columns, length),
+        predicates,
+        tuple(columns),
+        evaluation,
+        chunk_size,
+    )
+
+
 def _take(column: Sequence, positions: list[int] | range) -> Sequence:
     if type(positions) is range:
         return column[positions.start : positions.stop]
@@ -110,7 +90,7 @@ def _take(column: Sequence, positions: list[int] | range) -> Sequence:
 
 
 def semi_join_filter(
-    columns: dict[str, list],
+    columns: Mapping[str, Sequence],
     length: int,
     filters: tuple,
     chunk_size: int,
@@ -124,9 +104,9 @@ def semi_join_filter(
     filter column absent from the partition reads as all-null and eliminates
     the chunk.
     """
-    names = list(columns)
-    filter_cols = [columns.get(column) for column, _ in filters]
-    out: dict[str, list] = {name: [] for name in names}
+    sources = dict(columns)
+    filter_cols = [sources.get(column) for column, _ in filters]
+    out: dict[str, list] = {name: [] for name in sources}
     out_length = 0
     for start in range(0, length, chunk_size):
         stop = min(start + chunk_size, length)
@@ -141,8 +121,8 @@ def semi_join_filter(
             verdicts = bloom.might_contain_all([col[i] for i in present])
             survivors = list(compress(present, verdicts))
         out_length += len(survivors)
-        for name in names:
-            out[name].extend(_take(columns[name], survivors))
+        for name, col in sources.items():
+            out[name].extend(_take(col, survivors))
     return out, out_length
 
 

@@ -21,15 +21,22 @@ Two deliberate weaknesses carried over from the paper's analysis:
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass
 
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
+from repro.engine import vector
+from repro.engine.data import ColumnPartition, scan_partitions
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
+from repro.stats.collector import FieldStatistics, StatisticsCollector
+
+#: the row-number column a pilot adds to each partition it filters (not a
+#: qualified name, so it shadows no stored column)
+_ROW = "#"
 
 
 @dataclass
@@ -100,22 +107,33 @@ class PilotRunOptimizer(DynamicOptimizer):
         predicates = query.predicates_for(alias)
         prefix = f"{alias}."
 
-        scanned = 0
-        sample: list[dict] = []
-        for row in dataset.rows():
-            scanned += 1
-            if predicates:
-                qualified = {prefix + key: value for key, value in row.items()}
-                if not all(p.evaluate(qualified, context) for p in predicates):
-                    continue
-            sample.append(row)
-            if len(sample) >= self.sample_limit:
+        # at least one row is sampled whatever the limit says
+        limit = max(1, self.sample_limit)
+        names = dataset.schema.field_names
+        sample: dict[str, list] = {name: [] for name in names}
+        sampled = scanned = 0
+        for partition in scan_partitions(dataset, prefix):
+            numbered = ColumnPartition(
+                ChainMap({_ROW: range(partition.length)}, partition.columns),
+                partition.length,
+            )
+            kept, _ = vector.fused_filter_project(
+                numbered, predicates, (_ROW,), context, session.executor.chunk_size
+            )
+            rows = kept[_ROW][: limit - sampled]
+            for name in names:
+                column = partition.column(prefix + name)
+                sample[name].extend(vector.gather(column, rows))
+            sampled += len(rows)
+            if sampled >= limit:
+                scanned += rows[-1] + 1
                 break
-        collector = StatisticsCollector(list(dataset.schema.field_names))
-        collector.observe_columns(pivot_rows(sample, collector.fields), len(sample))
+            scanned += partition.length
+        collector = StatisticsCollector(list(names))
+        collector.observe_columns(sample, sampled)
 
         total = dataset.row_count
-        selectivity = len(sample) / scanned if scanned else 0.0
+        selectivity = sampled / scanned if scanned else 0.0
         estimated_rows = max(0.0, total * selectivity)
         scale = total / scanned if scanned else 1.0
         fields = {

@@ -36,13 +36,15 @@ from __future__ import annotations
 
 from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit, alias_stats_key
+from repro.engine import vector
+from repro.engine.data import scan_partitions
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query, split_column
 from repro.optimizers.base import Optimizer, final_job_stages
 from repro.optimizers.enumeration import best_bushy_plan
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
+from repro.stats.collector import FieldStatistics, StatisticsCollector
 
 
 class SketchOnlineOptimizer(Optimizer):
@@ -101,17 +103,17 @@ class SketchOnlineOptimizer(Optimizer):
             name: FieldStatistics(name) for name in columns
         }
 
-        def qualifies(row: dict) -> bool:
-            qualified = {prefix + key: value for key, value in row.items()}
-            return all(p.evaluate(qualified, context) for p in predicates)
-
+        qualified = tuple(prefix + name for name in columns)
         qualified_rows = 0
-        for partition in dataset.partitions:
-            if predicates:
-                partition = [row for row in partition if qualifies(row)]
+        for partition in scan_partitions(dataset, prefix):
+            kept, length = vector.fused_filter_project(
+                partition, predicates, qualified, context, session.executor.chunk_size
+            )
             collector = StatisticsCollector(columns)
-            collector.observe_columns(pivot_rows(partition, columns), len(partition))
-            qualified_rows += collector.row_count
+            collector.observe_columns(
+                {name: kept[prefix + name] for name in columns}, length
+            )
+            qualified_rows += length
             for name, stats in collector.fields.items():
                 merged[name] = merged[name].merge(stats)
 

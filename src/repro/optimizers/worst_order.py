@@ -13,27 +13,30 @@ from __future__ import annotations
 from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.common.errors import OptimizationError
+from repro.engine import vector
+from repro.engine.data import scan_partitions
 from repro.lang.ast import EvaluationContext, Query
 from repro.optimizers.base import Optimizer, single_job_stages
 from repro.stats.estimation import resolve_field
 
 
 def true_filtered_rows(query: Query, alias: str, session) -> float:
-    """Exact post-predicate cardinality, obtained by evaluating the local
-    predicates on the stored rows (the worst-order oracle's knowledge)."""
+    """Exact post-predicate cardinality, obtained by running the local
+    predicates over the stored columns (the worst-order oracle's knowledge)."""
     table = query.table(alias)
     dataset = session.datasets.get(table.dataset)
     predicates = query.predicates_for(alias)
     if not predicates:
         return float(dataset.row_count)
     context = EvaluationContext(query.parameters, session.udfs)
-    prefix = f"{alias}."
-    count = 0
-    for row in dataset.rows():
-        qualified = {prefix + key: value for key, value in row.items()}
-        if all(p.evaluate(qualified, context) for p in predicates):
-            count += 1
-    return float(count)
+    return float(
+        sum(
+            vector.fused_filter_project(
+                partition, predicates, (), context, session.executor.chunk_size
+            )[1]
+            for partition in scan_partitions(dataset, f"{alias}.")
+        )
+    )
 
 
 def worst_order_aliases(toolkit: PlannerToolkit, session) -> list[str]:

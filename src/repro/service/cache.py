@@ -17,9 +17,11 @@ Two caches, both LRU-bounded and both validated against
 Invalidation is two-layered: every entry records the ``(dataset, version)``
 pairs it was computed from and is revalidated on fetch, and the owning
 service subscribes the cache to the dataset catalog so a re-ingest evicts
-dependents eagerly. Rows handed out on a hit are the stored row dicts in
-fresh list containers — row dicts are immutable by library convention, and
-fresh containers keep one consumer's reordering from leaking into the next.
+dependents eagerly. A result hit hands out the stored row dicts in a fresh
+list — row dicts are immutable by library convention, and a fresh container
+keeps one consumer's reordering from leaking into the next. An intermediate
+hit shares the stored partitions themselves: they are tuples of columns
+(:class:`~repro.storage.dataset.StoredPartition`), immutable by type.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.stats.catalog import DatasetStatistics
+from repro.storage.dataset import StoredPartition
 from repro.storage.ingest import register_intermediate
 
 
@@ -79,7 +82,7 @@ class _CachedIntermediate:
     """One stored pushdown materialization, namespace-free."""
 
     schema: object
-    partitions: list[list[dict]]
+    partitions: list[StoredPartition]
     partition_key: str | None
     scale: float
     stats: DatasetStatistics
@@ -196,7 +199,7 @@ class ServiceCache:
         register_intermediate(
             name=name,
             schema=entry.schema,
-            partitions=[list(partition) for partition in entry.partitions],
+            partitions=entry.partitions,
             partition_key=entry.partition_key,
             datasets=executor.datasets,
             scale=entry.scale,

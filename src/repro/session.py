@@ -180,9 +180,11 @@ class Session:
         """Optimize + execute ``query`` with one of the registered strategies.
 
         ``planner`` is a :class:`~repro.spec.PlannerSpec` naming the strategy
-        (``dynamic``, ``cost_based``, ``from_order`` — stock AsterixDB: joins
-        follow the FROM clause — ``best_order``, ``worst_order``,
-        ``pilot_run``, ``ingres``) plus validated options, e.g.
+        — any of :meth:`optimizer_names`: ``dynamic``, ``cost_based``,
+        ``from_order`` (stock AsterixDB: joins follow the FROM clause),
+        ``best_order``, ``worst_order``, ``pilot_run``, ``ingres``,
+        ``greedy_static``, ``sketch_online``, ``predicate_transfer`` — plus
+        validated options, e.g.
         ``PlannerSpec.of("dynamic", policy=ReplanPolicy.default())``; a bare
         strategy name is also accepted. The legacy ``optimizer="name"`` +
         loose keyword form was removed and raises

@@ -1,22 +1,80 @@
 """Partitioned dataset storage.
 
-A :class:`Dataset` is a hash-partitioned collection of rows (plain dicts)
-living across the simulated cluster's partitions, mirroring AsterixDB's
-storage of a dataset as per-node LSM components. Base datasets have plain
-field names and may carry secondary indexes; intermediate datasets (produced
-by Sink operators at re-optimization points) carry *qualified* field names
-and never have indexes — which is exactly why the pilot-run and cost-based
-baselines lose INL opportunities in the paper's Figure 8.
+A :class:`Dataset` is a hash-partitioned collection of rows living across the
+simulated cluster's partitions, mirroring AsterixDB's storage of a dataset as
+per-node LSM components. Base datasets have plain field names and may carry
+secondary indexes; intermediate datasets (produced by Sink operators at
+re-optimization points) carry *qualified* field names and never have indexes
+— which is exactly why the pilot-run and cost-based baselines lose INL
+opportunities in the paper's Figure 8.
+
+Storage is the one place that knows a partition's format: every reader —
+Scan/Reader, the planner-side pre-filtering passes, index builds — asks a
+:class:`StoredPartition` for whole columns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
 from repro.common.rng import stable_hashes
 from repro.common.types import Schema
 from repro.storage.index import SecondaryIndex
+
+
+class StoredPartition:
+    """One partition of a dataset, served a column at a time.
+
+    Backed either by the ingested row dicts (base data: a field is pivoted
+    on first use and memoized here, once per dataset lifetime) or by the
+    columns a Sink wrote (intermediates: nothing to pivot). Stored data is
+    immutable after registration, and every column is served as a tuple:
+    all scans of the dataset share it, so it is immutable by type, and the
+    cycle collector stops tracking a tuple of atoms on its first visit
+    (DESIGN.md §10.3).
+    """
+
+    __slots__ = ("_rows", "_columns", "length")
+
+    def __init__(
+        self, rows: list[dict] | None, columns: dict[str, tuple], length: int
+    ) -> None:
+        self._rows = rows
+        self._columns = columns
+        self.length = length
+
+    @classmethod
+    def of_rows(cls, rows: list[dict]) -> StoredPartition:
+        return cls(rows, {}, len(rows))
+
+    @classmethod
+    def of_columns(cls, columns: Mapping[str, Sequence], length: int) -> StoredPartition:
+        return cls(None, {name: tuple(col) for name, col in columns.items()}, length)
+
+    def column(self, field_name: str) -> tuple:
+        """Values of one field in row order; an absent field (or a row
+        missing the key) reads as null — the columnar ``row.get``."""
+        column = self._columns.get(field_name)
+        if column is None:
+            if self._rows is None:
+                return (None,) * self.length
+            column = tuple([row.get(field_name) for row in self._rows])
+            self._columns[field_name] = column
+        return column
+
+    def rows(self) -> list[dict]:
+        """The partition as row dicts (inspection and the reference
+        evaluator): the ingested dicts themselves, or dicts synthesized from
+        the stored columns in their order."""
+        if self._rows is not None:
+            return self._rows
+        if not self._columns:
+            return [{} for _ in range(self.length)]
+        names = tuple(self._columns)
+        return [dict(zip(names, values)) for values in zip(*self._columns.values())]
+
 
 @dataclass
 class Dataset:
@@ -29,7 +87,8 @@ class Dataset:
     schema:
         Field layout; ``schema.primary_key`` names the partitioning key.
     partitions:
-        One list of row dicts per cluster partition.
+        One :class:`StoredPartition` per cluster partition; a list of row
+        dicts (base ingest, tests) is accepted and wrapped.
     partition_key:
         The field whose hash routes a row to its partition; ``None`` means
         the dataset is round-robin / arbitrarily partitioned (intermediates
@@ -40,7 +99,7 @@ class Dataset:
 
     name: str
     schema: Schema
-    partitions: list[list[dict]]
+    partitions: list[StoredPartition]
     partition_key: str | None = None
     is_intermediate: bool = False
     indexes: dict[str, list[SecondaryIndex]] = field(default_factory=dict)
@@ -49,14 +108,12 @@ class Dataset:
     #: on modeled volumes (row_count * scale); join processing and
     #: statistics operate on the stored rows.
     scale: float = 1.0
-    #: Lazily built per-partition columnar projections (field -> value
-    #: tuple), shared by every scan of this dataset. Stored rows are treated
-    #: as immutable after registration, so a column extracted once stays
-    #: valid for the dataset's lifetime; the memo is keyed by the dataset's
-    #: own field names, so it holds at most one tuple per schema field.
-    _column_caches: list[dict[str, tuple]] | None = field(
-        default=None, repr=False, compare=False
-    )
+
+    def __post_init__(self) -> None:
+        self.partitions = [
+            p if isinstance(p, StoredPartition) else StoredPartition.of_rows(p)
+            for p in self.partitions
+        ]
 
     @property
     def partition_count(self) -> int:
@@ -64,7 +121,7 @@ class Dataset:
 
     @property
     def row_count(self) -> int:
-        return sum(len(p) for p in self.partitions)
+        return sum(p.length for p in self.partitions)
 
     @property
     def byte_size(self) -> float:
@@ -78,13 +135,7 @@ class Dataset:
     def rows(self):
         """Iterate all rows across partitions (test/inspection helper)."""
         for partition in self.partitions:
-            yield from partition
-
-    def column_cache(self, partition_index: int) -> dict[str, tuple]:
-        """The columnar projection memo for one partition."""
-        if self._column_caches is None:
-            self._column_caches = [{} for _ in self.partitions]
-        return self._column_caches[partition_index]
+            yield from partition.rows()
 
     # -- secondary indexes --------------------------------------------------
 
@@ -102,7 +153,8 @@ class Dataset:
         if not self.schema.has_field(field_name):
             raise SchemaError(f"{self.name!r} has no field {field_name!r}")
         self.indexes[field_name] = [
-            SecondaryIndex.build(partition, field_name) for partition in self.partitions
+            SecondaryIndex.build(partition.column(field_name), field_name)
+            for partition in self.partitions
         ]
 
     def has_index(self, field_name: str) -> bool:

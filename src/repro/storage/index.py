@@ -10,21 +10,21 @@ relative to scanning the inner dataset.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 
 @dataclass
 class SecondaryIndex:
-    """Hash index over one field of one partition's rows."""
+    """Hash index over one stored column of one partition."""
 
     field_name: str
     entries: dict
 
     @classmethod
-    def build(cls, rows: list[dict], field_name: str) -> SecondaryIndex:
+    def build(cls, column: Sequence, field_name: str) -> SecondaryIndex:
         entries: dict = {}
-        for position, row in enumerate(rows):
-            key = row.get(field_name)
+        for position, key in enumerate(column):
             if key is None:
                 continue
             entries.setdefault(key, []).append(position)

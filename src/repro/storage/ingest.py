@@ -15,7 +15,7 @@ from repro.common.types import Schema
 from repro.stats.catalog import DatasetStatistics, StatisticsCatalog
 from repro.stats.collector import StatisticsCollector
 from repro.storage.catalog import DatasetCatalog
-from repro.storage.dataset import Dataset, partition_rows
+from repro.storage.dataset import Dataset, StoredPartition, partition_rows
 
 
 def load_dataset(
@@ -68,12 +68,15 @@ def load_dataset(
 def register_intermediate(
     name: str,
     schema: Schema,
-    partitions: list[list[dict]],
+    partitions: list[StoredPartition] | list[list[dict]],
     partition_key: str | None,
     datasets: DatasetCatalog,
     scale: float = 1.0,
 ) -> Dataset:
     """Register a materialized re-optimization-point result.
+
+    ``partitions`` are the stored columns a Sink wrote (or a cache replays);
+    row-dict lists are accepted as for any :class:`Dataset`.
 
     Statistics are *not* collected here: the Sink operator collects them
     online during the producing job (and only when another re-optimization

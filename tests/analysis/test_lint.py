@@ -300,3 +300,36 @@ class TestCleanTree:
                     if name in allowed:
                         callers[name].add(path.relative_to(root).as_posix())
         assert callers == allowed
+
+    def test_rows_are_an_ingest_and_a_result_format_nothing_in_between(self):
+        """Storage is the one place that knows a partition's format, so: the
+        engine never asks which partition class it was handed; nothing but
+        the reference evaluator (and the ``evaluate_batch`` base fallback)
+        evaluates a predicate on a row dict; and in-flight data becomes row
+        dicts only where ``QueryRun.result`` packages the answer."""
+        import ast
+
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        partition_checks: set[str] = set()
+        row_evaluations: set[str] = set()
+        row_conversions: set[str] = set()
+        for path in root.rglob("*.py"):
+            relative = path.relative_to(root).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Attribute) and node.attr in (
+                    "to_row_partitions",
+                    "all_rows",
+                ):
+                    row_conversions.add(relative)
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "isinstance" and relative.startswith("engine/"):
+                    classes = ast.unparse(node.args[1])
+                    if "Partition" in classes:
+                        partition_checks.add(f"{relative}: {classes}")
+                if name == "evaluate" and len(node.args) == 2:
+                    row_evaluations.add(relative)
+        assert partition_checks == set()
+        assert row_evaluations == {"testing.py", "lang/ast.py"}
+        assert row_conversions == {"engine/scheduler/request.py"}

@@ -146,6 +146,17 @@ def mixed_column_batches(draw) -> list[list]:
     return [column[a:b] for a, b in zip(edges, edges[1:])]
 
 
+@st.composite
+def mixed_sparse_rows(draw) -> tuple[tuple[str, ...], tuple[str, ...], list[dict]]:
+    """``(schema fields, stored fields, rows)``: rows of mixed values over a
+    subset of a schema's fields — possibly none of them, possibly of a
+    zero-field schema — every row free to miss any of its keys."""
+    fields = draw(st.lists(st.sampled_from("abcde"), unique=True, max_size=4))
+    stored = draw(st.lists(st.sampled_from(fields), unique=True)) if fields else []
+    row = st.fixed_dictionaries({}, optional={name: _MIXED_VALUE for name in stored})
+    return tuple(fields), tuple(stored), draw(st.lists(row, max_size=40))
+
+
 def same_state(left: dict, right: dict) -> bool:
     """Sketch ``to_state()`` equality that keeps ``0.0``/``-0.0`` apart and
     lets NaN equal itself (both are what ``repr`` shows)."""

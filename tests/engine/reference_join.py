@@ -101,13 +101,13 @@ def reference_hash_join(
     state: ExecState,
 ) -> ColumnarData:
     partition_count = state.cluster.partitions
-    build_parts = build.materialized()
+    build_parts = build.partitions
     if build.partitioned_on != build_keys[0]:
         build_parts = hash_exchange(build_parts, build_keys[0], partition_count)
         state.charge(
             "network", state.cost.hash_exchange(build.modeled_rows, build.row_width)
         )
-    probe_parts = probe.materialized()
+    probe_parts = probe.partitions
     if probe.partitioned_on != probe_keys[0]:
         probe_parts = hash_exchange(probe_parts, probe_keys[0], partition_count)
         state.charge(
@@ -143,7 +143,7 @@ def reference_broadcast_join(
     probe_keys: tuple[str, ...],
     state: ExecState,
 ) -> ColumnarData:
-    gathered = gather_all(build.materialized())
+    gathered = gather_all(build.partitions)
     state.charge(
         "network", state.cost.broadcast_exchange(build.modeled_rows, build.row_width)
     )
@@ -152,7 +152,7 @@ def reference_broadcast_join(
     columns.update(build.columns)
     out_partitions = [
         local_join(columns, gathered, partition, build_keys, probe_keys)
-        for partition in probe.materialized()
+        for partition in probe.partitions
     ]
     out_rows = sum(p.length for p in out_partitions)
     out_scale = max(build.scale, probe.scale)

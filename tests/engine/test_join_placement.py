@@ -76,7 +76,7 @@ class Stub:
 def snapshot(data: ColumnarData, state: RecordingState) -> tuple:
     # item lists, not dicts: column order is part of the contract
     return (
-        [(list(p.columns.items()), p.length) for p in data.materialized()],
+        [(list(p.columns.items()), p.length) for p in data.partitions],
         list(data.columns.items()),
         data.partitioned_on,
         data.scale,
@@ -223,7 +223,7 @@ def nested_loop(build: ColumnarData, probe: ColumnarData, build_keys, probe_keys
 @given(join_sides(key_values=[MIXED_KEYS]), st.booleans())
 def test_cross_type_keys_match_a_nested_loop(case, broadcast):
     partition_count, build, probe, build_keys, probe_keys = case
-    physical = set(build.materialized()[0].columns) | set(probe.materialized()[0].columns)
+    physical = set(build.partitions[0].columns) | set(probe.partitions[0].columns)
     assume({"b.v", "p.v"} <= physical)  # the row tags this oracle compares
     cls = BroadcastJoinOp if broadcast else HashJoinOp
     out = cls(Stub(build), Stub(probe), build_keys, probe_keys).execute(
@@ -233,6 +233,6 @@ def test_cross_type_keys_match_a_nested_loop(case, broadcast):
     assert pairs == nested_loop(build, probe, build_keys, probe_keys)
     if out.partitioned_on == "p.k0" and "p.k0" in physical:
         # the partitioning property the join claims is true of every row
-        for slot, partition in enumerate(out.materialized()):
+        for slot, partition in enumerate(out.partitions):
             for value in partition.column("p.k0"):
                 assert stable_hash(value) % partition_count == slot

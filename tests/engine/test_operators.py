@@ -31,17 +31,27 @@ class TestScan:
         assert data.scale == 10_000.0
 
     def test_memoised_column_is_an_untracked_tuple(self, star_session):
-        """The pivoted column is shared by every scan of the dataset, so it
-        is immutable by type — and a tuple of atoms leaves the cycle
+        """A stored column is shared by every scan of the dataset, so it is
+        immutable by type — and a tuple of atoms leaves the cycle
         collector's working set on its first visit (DESIGN.md §10.3), which
         a list of the same values never does."""
         first, _ = run_op(star_session, ScanOp("fact", "f", live=("f.f_val",)))
         again, _ = run_op(star_session, ScanOp("fact", "g", live=("g.f_val",)))
-        column = first.materialized()[0].columns["f.f_val"]
+        column = first.partitions[0].columns["f.f_val"]
         assert type(column) is tuple and len(column) > 0
-        assert again.materialized()[0].columns["g.f_val"] is column  # one memo
+        assert again.partitions[0].columns["g.f_val"] is column  # one memo
+        # an intermediate is stored the same way: the Sink turns the lists
+        # its input holds into the tuples the next Reader serves
+        select = SelectOp(
+            ScanOp("fact", "f"), (ComparisonPredicate("f.f_val", ">=", 0),)
+        )
+        run_op(star_session, SinkOp(select, "inter", ("f.f_val",)))
+        read, _ = run_op(star_session, ReaderOp("inter"))
+        written = read.partitions[0].columns["f.f_val"]
+        assert type(written) is tuple and written == column
+        assert written is star_session.datasets.get("inter").partitions[0].column("f.f_val")
         gc.collect()
-        assert not gc.is_tracked(column)
+        assert not gc.is_tracked(column) and not gc.is_tracked(written)
         assert gc.is_tracked(list(column))
 
     def test_scan_rejects_intermediates(self, star_session):

@@ -34,7 +34,7 @@ class TestPartitioning:
     def test_hash_partitioning_is_by_stable_hash(self):
         dataset = make_dataset(50, partitions=4)
         for pid, partition in enumerate(dataset.partitions):
-            for row in partition:
+            for row in partition.rows():
                 assert stable_hash(row["id"]) % 4 == pid
 
     def test_layout_is_per_row_stable_hash_on_any_keys(self, suite_tables):
@@ -79,7 +79,7 @@ class TestSecondaryIndexes:
         for pid in range(4):
             index = dataset.index_for("grp", pid)
             for pos in index.lookup(3):
-                found.append(dataset.partitions[pid][pos])
+                found.append(dataset.partitions[pid].rows()[pos])
         assert sorted(r["id"] for r in found) == [i for i in range(100) if i % 5 == 3]
 
     def test_lookup_missing_key_empty(self):
@@ -97,10 +97,10 @@ class TestSecondaryIndexes:
             dataset.create_index("grp")
 
     def test_index_skips_null_keys(self):
-        index = SecondaryIndex.build([{"k": None}, {"k": 1}], "k")
+        index = SecondaryIndex.build([None, 1], "k")
         assert len(index) == 1
         assert index.lookup(None) == []
 
     def test_index_len(self):
-        index = SecondaryIndex.build([{"k": 1}, {"k": 1}, {"k": 2}], "k")
+        index = SecondaryIndex.build([1, 1, 2], "k")
         assert len(index) == 3
