@@ -38,7 +38,6 @@ from repro.core.policy import PolicyDecision, ReplanPolicy, RuntimeThresholds
 from repro.core.predicate_pushdown import join_columns_of, pushdown_stages
 from repro.core.predicate_transfer import transfer_stages
 from repro.core.reconstruction import reconstruct_after_join
-from repro.engine.data import scan_partitions
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
 from repro.lang.ast import Query
@@ -518,8 +517,9 @@ class DynamicOptimizer(Optimizer):
         if not columns:
             return False
         collector = StatisticsCollector(columns)
-        for partition in scan_partitions(dataset, "", columns):
-            collector.observe_columns(partition.columns, partition.length)
+        collector.observe_columns(
+            {name: dataset.column(name) for name in columns}, dataset.row_count
+        )
         state.run.statistics.register_from_collector(
             name, collector, dataset.schema.row_width, dataset.scale
         )

@@ -10,7 +10,10 @@ subsequent join stages.
 
 Intermediates are stored as the columns the sink already holds — one tuple
 per kept column per partition (:class:`repro.storage.dataset.StoredPartition`),
-no dict per row — and the same columns feed the statistics collector whole.
+no dict per row. Statistics are collected after the store, from the stored
+tuples of the whole Sink in one call: row count, null counts and one HLL per
+tracked column at once (a value is digested once however many partitions
+hold it), the quantile sketch on first read, if ever. The clock charges both.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ class SinkOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         projected = data.project(self.keep_columns)
-        register_intermediate(
+        stored = register_intermediate(
             name=self.name,
             schema=projected.schema(),
             partitions=[
@@ -60,8 +63,9 @@ class SinkOp(PhysicalOperator):
         tracked = [c for c in self.stats_columns if c in projected.columns]
         collector = StatisticsCollector(tracked)
         if self.stats_columns:
-            for partition in projected.partitions:
-                collector.observe_columns(partition.columns, partition.length)
+            collector.observe_columns(
+                {name: stored.column(name) for name in tracked}, projected.row_count
+            )
             state.charge(
                 "stats",
                 state.cost.statistics(projected.modeled_rows, max(1, len(tracked))),

@@ -144,13 +144,15 @@ def join_key_column(
 ) -> Sequence:
     """Per-row join keys from key columns; ``None`` marks a null key.
 
-    A single-column key is the column itself, not a copy; composite keys
-    become tuples, collapsed to ``None`` when any component is null.
+    A single-column key is the column itself, not a copy; composite keys are
+    tuples, ``None`` where a component is null (no key column null: no test).
     """
     parts = _columns_or_nulls(columns, length, keys)
     if len(parts) == 1:
         return parts[0]
-    return [None if None in key else key for key in zip(*parts)]
+    if any(None in part for part in parts):
+        return [None if None in key else key for key in zip(*parts)]
+    return list(zip(*parts))
 
 
 def probe_key_column(

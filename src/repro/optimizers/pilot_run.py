@@ -52,10 +52,9 @@ class ScaledFieldStatistics(FieldStatistics):
 
     @classmethod
     def from_sample(cls, sample: FieldStatistics, scale: float) -> ScaledFieldStatistics:
-        scaled = cls(sample.field_name, scale=scale)
-        scaled.quantiles = sample.quantiles
-        scaled.distinct = sample.distinct
-        scaled.null_count = sample.null_count
+        scaled = cls(sample.field_name, sample.distinct, sample.null_count, scale=scale)
+        # the sample's quantile sketch, built or not: shared, never forced
+        scaled._quantiles, scaled._unread = sample._quantiles, sample._unread
         return scaled
 
 
@@ -110,7 +109,7 @@ class PilotRunOptimizer(DynamicOptimizer):
         # at least one row is sampled whatever the limit says
         limit = max(1, self.sample_limit)
         names = dataset.schema.field_names
-        sample: dict[str, list] = {name: [] for name in names}
+        sample: dict[str, list[list]] = {name: [] for name in names}  # batches
         sampled = scanned = 0
         for partition in scan_partitions(dataset, prefix):
             numbered = ColumnPartition(
@@ -123,7 +122,7 @@ class PilotRunOptimizer(DynamicOptimizer):
             rows = kept[_ROW][: limit - sampled]
             for name in names:
                 column = partition.column(prefix + name)
-                sample[name].extend(vector.gather(column, rows))
+                sample[name].append(vector.gather(column, rows))
             sampled += len(rows)
             if sampled >= limit:
                 scanned += rows[-1] + 1

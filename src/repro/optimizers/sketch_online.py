@@ -15,12 +15,12 @@ statistics alone close the gap to runtime re-optimization.
 Execution shape, as stage generators like the other nine strategies:
 
 1. one **sketch pass per FROM entry** — scan the dataset partition by
-   partition, apply the alias's local predicates, and build a GK + HLL
-   sketch per future join column of each partition, merging the
-   per-partition sketches into one (the distributed sketch-merge COMPASS
-   runs on its workers). The pass happens in-process and is charged to the
-   simulated clock as a virtual-cost job (launch + scan + predicate
-   evaluation + sketch maintenance), the same pattern as pilot-run sampling;
+   partition, apply the alias's local predicates, and sketch each future
+   join column over the survivors of all partitions (COMPASS's workers
+   sketch a partition each and merge; an HLL of the union has the merged
+   registers, so nothing is merged here). The pass happens in-process and is
+   charged to the simulated clock as a virtual-cost job (launch + scan +
+   predicate evaluation + sketch maintenance), like pilot-run sampling;
 2. one **planning step** — an exhaustive bushy DP over the measured
    statistics (zero simulated cost, like every other planner);
 3. one **final job** executing the whole join tree pipelined, with the
@@ -44,7 +44,24 @@ from repro.lang.ast import EvaluationContext, Query, split_column
 from repro.optimizers.base import Optimizer, final_job_stages
 from repro.optimizers.enumeration import best_bushy_plan
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import FieldStatistics, StatisticsCollector
+from repro.stats.collector import FieldStatistics
+
+
+def _survivors(dataset, prefix, predicates, context, chunk_size, live):
+    """One pre-filtering scan: ``(kept columns, length)`` per stored partition."""
+    for partition in scan_partitions(dataset, prefix):
+        yield vector.fused_filter_project(partition, predicates, live, context, chunk_size)
+
+
+class _SurvivingColumn:
+    """One column of :func:`_survivors`, a batch per partition — scanned
+    again at every iteration, so holding one holds no filtered copy."""
+
+    def __init__(self, column: str, *scan) -> None:
+        self.column, self.scan = column, scan
+
+    def __iter__(self):
+        return (kept[self.column] for kept, _ in _survivors(*self.scan, (self.column,)))
 
 
 class SketchOnlineOptimizer(Optimizer):
@@ -87,41 +104,32 @@ class SketchOnlineOptimizer(Optimizer):
     ) -> tuple[DatasetStatistics, JobMetrics]:
         """One pre-filtering scan: post-predicate sketches for one FROM entry.
 
-        Each partition is sketched independently and the per-partition
-        sketches are merged — the order COMPASS's distributed workers
-        produce. GK and HLL merges are exact (merge-then-estimate equals
-        estimate-over-union), so the merged entry is byte-identical to a
-        single-pass scan while exercising the real distributed dataflow.
+        Each join column's :class:`FieldStatistics` is fed every partition's
+        survivors at once — the HLL of a union is the register-wise max
+        COMPASS's workers would merge to, so nothing is merged here — and
+        keeps a re-scan, not the survivors, for a quantile sketch no plan
+        reads off a post-predicate entry.
         """
-        table = query.table(alias)
-        dataset = session.datasets.get(table.dataset)
+        dataset = session.datasets.get(query.table(alias).dataset)
         predicates = query.predicates_for(alias)
         columns = self._join_columns(query, alias)
         prefix = f"{alias}."
+        scan = (dataset, prefix, predicates, context, session.executor.chunk_size)
 
-        merged: dict[str, FieldStatistics] = {
-            name: FieldStatistics(name) for name in columns
-        }
-
-        qualified = tuple(prefix + name for name in columns)
-        qualified_rows = 0
-        for partition in scan_partitions(dataset, prefix):
-            kept, length = vector.fused_filter_project(
-                partition, predicates, qualified, context, session.executor.chunk_size
+        survivors = list(_survivors(*scan, tuple(prefix + name for name in columns)))
+        qualified_rows = sum(length for _, length in survivors)
+        fields = {name: FieldStatistics(name) for name in columns}
+        for name, stats in fields.items():
+            stats.observe_batches(
+                [kept[prefix + name] for kept, _ in survivors],
+                replay=_SurvivingColumn(prefix + name, *scan),
             )
-            collector = StatisticsCollector(columns)
-            collector.observe_columns(
-                {name: kept[prefix + name] for name in columns}, length
-            )
-            qualified_rows += length
-            for name, stats in collector.fields.items():
-                merged[name] = merged[name].merge(stats)
 
         entry = DatasetStatistics(
             name=alias_stats_key(alias),
             row_count=qualified_rows,
             row_width=dataset.schema.row_width,
-            fields=merged,
+            fields=fields,
             predicates_applied=True,
             scale=dataset.scale,
         )

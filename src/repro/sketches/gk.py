@@ -9,8 +9,8 @@ a tuple's minimum rank and the previous tuple's, ``delta`` the uncertainty in
 its rank. The tuples are held as three parallel lists, so a flush bisects the
 values directly and allocates nothing per inserted value.
 
-The sketch supports streaming insertion, merging (needed because statistics
-are collected per partition and merged at the re-optimization point), rank and
+The sketch supports streaming insertion, merging (two summaries of two
+streams into a valid, not byte-identical, summary of both), rank and
 quantile queries.
 """
 
@@ -203,9 +203,11 @@ class GKQuantileSketch:
     def merge(self, other: GKQuantileSketch) -> GKQuantileSketch:
         """Merge two sketches into a new one.
 
-        The merged sketch honours ``max(self.epsilon, other.epsilon)``; per
-        the standard GK merge, summaries are interleaved by value and
-        recompressed.
+        The merged sketch honours ``max(self.epsilon, other.epsilon)``: the
+        summaries are interleaved by value and recompressed, and an entry
+        taken from one adds ``g + delta - 1`` of its successor in the other
+        to its own ``delta`` — all it knows of its rank among the other's
+        values. Without that widening a chain of merges drifts.
         """
         self._flush()
         other._flush()
@@ -214,6 +216,13 @@ class GKQuantileSketch:
         gaps = self._gaps + other._gaps
         deltas = self._deltas + other._deltas
         order = sorted(range(len(values)), key=values.__getitem__)
+        mine = len(self._values)
+        above = [0, 0]  # g + delta - 1 of the next entry up, per source summary
+        for i in reversed(order):
+            source = i >= mine
+            reach = gaps[i] + deltas[i] - 1
+            deltas[i] += above[not source]
+            above[source] = reach
         merged._values = [values[i] for i in order]
         merged._gaps = [gaps[i] for i in order]
         merged._deltas = [deltas[i] for i in order]

@@ -4,8 +4,9 @@ The Sink operator (Section 6.3) materializes intermediate data "while also
 gathering statistics on them"; ingestion (Section 7, experimental setup)
 gathers the same statistics upfront during loading. Both paths use this
 collector: for each tracked field it maintains a GK quantile sketch and a
-HyperLogLog sketch in parallel (Section 4: "the gathering of these two
-statistical types happens in parallel").
+HyperLogLog sketch (Section 4: "the gathering of these two statistical types
+happens in parallel"). At ingestion both are fed at once; at query time,
+where formula (1) reads only the latter, the former is fed on first read.
 """
 
 from __future__ import annotations
@@ -17,34 +18,66 @@ from repro.sketches.histogram import EquiHeightHistogram
 from repro.sketches.hyperloglog import HyperLogLog
 
 
+def _numeric_floats(values) -> list[float]:
+    """The ints and floats of ``values`` (bools too: ``isinstance``), as floats."""
+    kinds = set(map(type, values))
+    numeric = tuple(kind for kind in kinds if issubclass(kind, (int, float)))
+    if len(numeric) == len(kinds):
+        return list(map(float, values))
+    return [float(v) for v in values if isinstance(v, numeric)] if numeric else []
+
+
 @dataclass
 class FieldStatistics:
-    """Sketches collected for one field of one dataset."""
+    """Sketches collected for one field of one dataset.
+
+    Null count and HLL are always current; the GK sketch is fed at once by
+    :meth:`observe_column`, on first read of :attr:`quantiles` by
+    :meth:`observe_batches` — same values, same order, same state (DESIGN.md §5c).
+    """
 
     field_name: str
-    quantiles: GKQuantileSketch = field(default_factory=GKQuantileSketch)
     distinct: HyperLogLog = field(default_factory=HyperLogLog)
     null_count: int = 0
+    _quantiles: GKQuantileSketch = field(
+        default_factory=GKQuantileSketch, init=False, repr=False
+    )
+    #: what :meth:`observe_batches` kept and the GK sketch has yet to see
+    _unread: list = field(default_factory=list, init=False, repr=False)
 
     def observe_column(self, values) -> None:
         """Feed one batch of this field's values, in row order.
 
-        The single collection path: nulls are counted, every other value
-        goes to the HLL, and ints/floats (bools included, by ``isinstance``)
-        also go to the GK sketch as floats. Sketch state is a function of
-        the value sequence alone, never of how it was batched.
+        Nulls are counted, the rest goes to the HLL, ints and floats also to
+        the GK sketch: state depends on the value sequence, never its batching.
         """
         present = [value for value in values if value is not None]
         self.null_count += len(values) - len(present)
-        if not present:
-            return
-        self.distinct.extend(present)
-        kinds = set(map(type, present))
-        numeric = tuple(kind for kind in kinds if issubclass(kind, (int, float)))
-        if len(numeric) == len(kinds):
-            self.quantiles.extend(list(map(float, present)))
-        elif numeric:
-            self.quantiles.extend([float(v) for v in present if isinstance(v, numeric)])
+        if present:
+            self.distinct.extend(present)
+            self.quantiles.extend(_numeric_floats(present))
+
+    def observe_batches(self, batches, replay=None) -> None:
+        """:meth:`observe_column` of each of ``batches`` (one stored tuple
+        per partition, say), with the GK sketch fed only if it is ever read.
+
+        A distinct value is digested once however many batches hold it.
+        ``batches`` is kept by reference for that read — hand over what is
+        alive anyway, or pass a re-iterable ``replay`` of a transient copy.
+        """
+        present = [v for batch in batches for v in batch if v is not None]
+        self.null_count += sum(map(len, batches)) - len(present)
+        if present:
+            self.distinct.extend(present)
+            self._unread.append(batches if replay is None else replay)
+
+    @property
+    def quantiles(self) -> GKQuantileSketch:
+        """The GK sketch over every numeric value observed so far."""
+        while self._unread:
+            for batch in self._unread.pop(0):
+                self._quantiles.extend(_numeric_floats(batch))
+        return self._quantiles
 
     @property
     def distinct_count(self) -> float:
@@ -69,7 +102,7 @@ class FieldStatistics:
 
     def merge(self, other: FieldStatistics) -> FieldStatistics:
         merged = FieldStatistics(self.field_name)
-        merged.quantiles = self.quantiles.merge(other.quantiles)
+        merged._quantiles = self.quantiles.merge(other.quantiles)
         merged.distinct = self.distinct.merge(other.distinct)
         merged.null_count = self.null_count + other.null_count
         return merged
@@ -89,7 +122,7 @@ class FieldStatistics:
     def from_state(cls, state: dict) -> FieldStatistics:
         restored = cls(state["field_name"])
         restored.null_count = int(state["null_count"])
-        restored.quantiles = GKQuantileSketch.from_state(state["quantiles"])
+        restored._quantiles = GKQuantileSketch.from_state(state["quantiles"])
         restored.distinct = HyperLogLog.from_state(state["distinct"])
         return restored
 
@@ -126,15 +159,16 @@ class StatisticsCollector:
             self.fields[name].observe_column(column)
 
     def observe_columns(self, columns: dict, length: int) -> None:
-        """Observe a batch held as parallel columns of ``length`` rows — the
-        query-time entry point (Sink, pilot samples, pre-filtering passes)."""
+        """Observe ``length`` rows held as columns, each a re-iterable of
+        value batches (:meth:`FieldStatistics.observe_batches`) — the
+        query-time entry point (Sink, pilot samples, policy refresh)."""
         self.row_count += length
         for name, stats in self.fields.items():
-            column = columns.get(name)
-            if column is None:
+            batches = columns.get(name)
+            if batches is None:
                 stats.null_count += length
             else:
-                stats.observe_column(column)
+                stats.observe_batches(batches)
 
     @property
     def tracked_field_names(self) -> list[str]:

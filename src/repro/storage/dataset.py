@@ -132,6 +132,10 @@ class Dataset:
         """Row count of the modeled full-scale dataset."""
         return self.row_count * self.scale
 
+    def column(self, field_name: str) -> list[tuple]:
+        """One field's stored tuples themselves, one per partition."""
+        return [partition.column(field_name) for partition in self.partitions]
+
     def rows(self):
         """Iterate all rows across partitions (test/inspection helper)."""
         for partition in self.partitions:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import random
 
 import pytest
@@ -155,6 +156,18 @@ def mixed_sparse_rows(draw) -> tuple[tuple[str, ...], tuple[str, ...], list[dict
     stored = draw(st.lists(st.sampled_from(fields), unique=True)) if fields else []
     row = st.fixed_dictionaries({}, optional={name: _MIXED_VALUE for name in stored})
     return tuple(fields), tuple(stored), draw(st.lists(row, max_size=40))
+
+
+def quantile_rank_gap(sketch, ordered: list, q: float) -> float:
+    """Ranks between ``sketch.quantile(q)`` and rank ``q * (n - 1)`` of the
+    sorted stream ``ordered``; 0 anywhere inside the estimate's run of ties."""
+    estimate = sketch.quantile(q)
+    target = q * (len(ordered) - 1)
+    return max(
+        bisect.bisect_left(ordered, estimate) - target,
+        target - bisect.bisect_right(ordered, estimate),
+        0,
+    )
 
 
 def same_state(left: dict, right: dict) -> bool:

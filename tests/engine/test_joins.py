@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ExecutionError
 from repro.common.types import DataType, Schema
+from repro.engine import vector
 from repro.engine.job import Job
 from repro.engine.operators.joins import (
     BroadcastJoinOp,
@@ -88,6 +89,24 @@ class TestHashJoin:
         expected = brute_force(left, right, [("lk", "rk"), ("lk2", "rk2")])
         assert engine_pairs(data) == expected
 
+    @pytest.mark.parametrize("join", [HashJoinOp, BroadcastJoinOp])
+    def test_composite_key_with_a_null_in_the_second_column_only(self, join):
+        left = [
+            {"lid": i, "lk": i % 4, "lk2": None if i % 3 == 0 else i % 2}
+            for i in range(40)
+        ]
+        right = [
+            {"rid": i, "rk": i % 4, "rk2": None if i == 5 else i % 2}
+            for i in range(12)
+        ]
+        session = two_table_session(left, right)
+        op = join(
+            ScanOp("R", "R"), ScanOp("L", "L"), ("R.rk", "R.rk2"), ("L.lk", "L.lk2")
+        )
+        data, _ = session.executor.execute(Job(op))
+        expected = brute_force(left, right, [("lk", "rk"), ("lk2", "rk2")])
+        assert expected and engine_pairs(data) == expected
+
     def test_exchange_skipped_when_copartitioned(self, joined_session):
         session, _, _ = joined_session
         # join on the primary (partitioning) keys: no exchange on either side
@@ -110,6 +129,28 @@ class TestHashJoin:
         op = HashJoinOp(ScanOp("R", "R"), ScanOp("L", "L"), ("R.rk",), ("L.lk",))
         data, _ = session.executor.execute(Job(op))
         assert data.partitioned_on == "L.lk"
+
+
+class TestJoinKeyColumn:
+    """Build-side keys: composite keys collapse to ``None`` on any null part."""
+
+    COLUMNS = {"a": (1, 2, 3), "b": ["x", None, "z"], "c": [7, 8, 9]}
+
+    def test_single_column_is_the_column_itself(self):
+        assert vector.join_key_column(self.COLUMNS, 3, ("b",)) is self.COLUMNS["b"]
+
+    def test_clean_columns_zip_to_one_tuple_per_row(self):
+        keys = vector.join_key_column(self.COLUMNS, 3, ("a", "c"))
+        assert keys == [(1, 7), (2, 8), (3, 9)] and type(keys) is list
+
+    @pytest.mark.parametrize("names", [("b", "a"), ("a", "b"), ("a", "c", "b")])
+    def test_a_null_in_any_key_column_collapses_that_row(self, names):
+        keys = vector.join_key_column(self.COLUMNS, 3, names)
+        assert [key is None for key in keys] == [False, True, False]
+        assert keys[0] == tuple(self.COLUMNS[name][0] for name in names)
+
+    def test_an_absent_key_column_reads_as_nulls(self):
+        assert vector.join_key_column(self.COLUMNS, 3, ("a", "ghost")) == [None] * 3
 
 
 class TestBroadcastJoin:

@@ -5,7 +5,8 @@ outside any job — ``sketch_online``'s sketch pass, predicate transfer's
 filter build, pilot-run's prefix sample and worst-order's exact count — read
 stored columns through the engine's filter kernel. These are the passes as
 they were before that: one re-qualified dict and one ``Predicate.evaluate``
-per row, straight from the paper-level description. Kept as the reference
+per row, straight from the paper-level description, every sketch maintained
+eagerly. Kept as the reference
 ``tests/optimizers/test_planner_passes.py`` pins the library to (as
 ``tests/engine/reference_join.py`` does for the exchange); not importable
 from ``src/``.
@@ -19,7 +20,8 @@ from repro.engine.metrics import JobMetrics
 from repro.lang.ast import split_column
 from repro.optimizers.pilot_run import ScaledFieldStatistics
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import FieldStatistics, StatisticsCollector, pivot_rows
+from repro.stats.collector import StatisticsCollector, pivot_rows
+from tests.stats.reference_collector import EagerFieldStatistics
 
 
 def _qualifies(row: dict, prefix: str, predicates, context) -> bool:
@@ -28,13 +30,17 @@ def _qualifies(row: dict, prefix: str, predicates, context) -> bool:
 
 
 def sketch_pass(optimizer, query, alias, session, context):
-    """``SketchOnlineOptimizer._sketch_pass``: per-partition post-predicate
-    sketches, merged in partition order."""
+    """``SketchOnlineOptimizer._sketch_pass``: post-predicate sketches of the
+    alias's join columns, collected eagerly in one pass over the partitions
+    in storage order. Also returns the survivors, a list per partition, for
+    the checks a state comparison cannot make (per-partition HLLs merge to
+    the same registers; quantiles sit within epsilon of the exact ones)."""
     dataset = session.datasets.get(query.table(alias).dataset)
     predicates = query.predicates_for(alias)
     columns = optimizer._join_columns(query, alias)
     prefix = f"{alias}."
-    merged = {name: FieldStatistics(name) for name in columns}
+    fields = {name: EagerFieldStatistics(name) for name in columns}
+    survivors = {name: [] for name in columns}
     qualified_rows = 0
     for partition in dataset.partitions:
         rows = [
@@ -42,16 +48,15 @@ def sketch_pass(optimizer, query, alias, session, context):
             for row in partition.rows()
             if _qualifies(row, prefix, predicates, context)
         ]
-        collector = StatisticsCollector(columns)
-        collector.observe_columns(pivot_rows(rows, columns), len(rows))
-        qualified_rows += collector.row_count
-        for name, stats in collector.fields.items():
-            merged[name] = merged[name].merge(stats)
+        qualified_rows += len(rows)
+        for name, column in pivot_rows(rows, columns).items():
+            fields[name].observe_column(column)
+            survivors[name].append(column)
     entry = DatasetStatistics(
         name=alias_stats_key(alias),
         row_count=qualified_rows,
         row_width=dataset.schema.row_width,
-        fields=merged,
+        fields=fields,
         predicates_applied=True,
         scale=dataset.scale,
     )
@@ -64,7 +69,7 @@ def sketch_pass(optimizer, query, alias, session, context):
     delta.stats = cost.statistics(qualified_rows * dataset.scale, len(columns))
     delta.tuples_scanned = dataset.row_count
     delta.jobs = 1
-    return entry, delta
+    return entry, delta, survivors
 
 
 def build_filters(query, alias, current_name, session, context, adjacency, fpp):
@@ -129,7 +134,7 @@ def pilot_entry(sample_limit, query, alias, session, context):
         if len(sample) >= sample_limit:
             break
     collector = StatisticsCollector(list(dataset.schema.field_names))
-    collector.observe_columns(pivot_rows(sample, collector.fields), len(sample))
+    collector.observe_rows(sample)
     total = dataset.row_count
     selectivity = len(sample) / scanned if scanned else 0.0
     scale = total / scanned if scanned else 1.0

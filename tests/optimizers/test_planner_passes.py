@@ -34,8 +34,9 @@ from repro.optimizers.pilot_run import PilotRunOptimizer
 from repro.optimizers.sketch_online import SketchOnlineOptimizer
 from repro.optimizers.worst_order import true_filtered_rows
 from repro.session import Session
+from repro.stats.collector import FieldStatistics
 
-from tests.conftest import same_state, small_cluster
+from tests.conftest import quantile_rank_gap, same_state, small_cluster
 from tests.optimizers import reference_passes as reference
 
 T = Schema.of(
@@ -121,11 +122,30 @@ class TestGeneratedUniverses:
         optimizer = SketchOnlineOptimizer()
         for alias in query.aliases:
             entry, delta = optimizer._sketch_pass(query, alias, session, context)
-            expected, charge = reference.sketch_pass(
+            expected, charge, survivors = reference.sketch_pass(
                 optimizer, query, alias, session, context
             )
+            # nothing merged, nothing built yet: null counts and HLL registers
+            # are those of per-partition sketches merged in partition order,
+            # the distributed dataflow the pass stands for
+            for name, batches in survivors.items():
+                merged = FieldStatistics(name)
+                for batch in batches:
+                    worker = FieldStatistics(name)
+                    worker.observe_column(batch)
+                    merged = merged.merge(worker)
+                assert entry.fields[name].null_count == merged.null_count
+                assert entry.fields[name].distinct.to_state() == merged.distinct.to_state()
+            # read, the quantile half is the single pass over the survivors
             assert _same_entry(entry, expected)
             assert delta == charge
+            for name, batches in survivors.items():
+                exact = sorted(v for batch in batches for v in batch if v is not None)
+                sketch = entry.fields[name].quantiles
+                assert len(sketch) == len(exact)
+                for q in (0.0, 0.25, 0.5, 0.75, 1.0) if exact else ():
+                    gap = quantile_rank_gap(sketch, exact, q)
+                    assert gap <= sketch.epsilon * len(exact) + 1
 
     @universes
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Greenwald-Khanna quantile sketch tests, including the epsilon rank bound."""
 
+import bisect
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StatisticsError
 from repro.sketches.gk import GKQuantileSketch
-from tests.conftest import mixed_column_batches, same_state
+from tests.conftest import mixed_column_batches, quantile_rank_gap, same_state
 
 
 class TestValidation:
@@ -112,14 +113,7 @@ class TestAccuracy:
         ordered = sorted(values)
         n = len(values)
         for q in (0.0, 0.5, 1.0):
-            estimate = sketch.quantile(q)
-            import bisect
-
-            lo = bisect.bisect_left(ordered, estimate)
-            hi = bisect.bisect_right(ordered, estimate)
-            target = q * (n - 1)
-            slack = 2 * epsilon * n + 1
-            assert lo - slack <= target <= hi + slack
+            assert quantile_rank_gap(sketch, ordered, q) <= 2 * epsilon * n + 1
 
 
 class TestMerge:
@@ -155,6 +149,78 @@ class TestMerge:
         a.merge(b)
         assert len(a) == 10
         assert len(b) == 10
+
+
+@st.composite
+def merge_trees(draw):
+    """``(stream, parts, picks)``: a seeded stream (elementwise drawing keeps
+    streams too short for rank error to show) cut anywhere into up to 40
+    parts, empty ones included, and the pair to merge at each step of a tree."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    shape = draw(st.sampled_from(["uniform", "ties", "ascending", "descending"]))
+    length = draw(st.integers(1, 3000))
+    stream = [
+        float(rng.randrange(30)) if shape == "ties" else rng.uniform(-1e6, 1e6)
+        for _ in range(length)
+    ]
+    if shape in ("ascending", "descending"):
+        stream.sort(reverse=shape == "descending")
+    cuts = sorted(draw(st.lists(st.integers(0, length), max_size=39)))
+    edges = [0, *cuts, length]
+    parts = [stream[a:b] for a, b in zip(edges, edges[1:])]
+    picks = [
+        draw(st.tuples(st.integers(0, left - 1), st.integers(0, left - 2)))
+        for left in range(len(parts), 1, -1)
+    ]
+    return stream, parts, picks
+
+
+class TestMergeTree:
+    """Merging is how per-partition summaries combine, to any depth: the
+    merged summary must stay a valid one (2 * epsilon * n bounds ``rank`` and
+    ``quantile`` — what a single pass is held to above)."""
+
+    @staticmethod
+    def merged(parts, picks, epsilon):
+        sketches = []
+        for part in parts:
+            sketches.append(GKQuantileSketch(epsilon))
+            sketches[-1].extend(part)
+        for first, second in picks:
+            a = sketches.pop(first)
+            b = sketches.pop(second)
+            sketches.append(a.merge(b))
+        return sketches[0]
+
+    @staticmethod
+    def check(merged, stream, epsilon):
+        ordered = sorted(stream)
+        n = len(ordered)
+        slack = 2 * epsilon * n + 1
+        assert len(merged) == n
+        assert (merged.minimum, merged.maximum) == (ordered[0], ordered[-1])
+        for value in ordered[:: max(1, n // 40)]:
+            assert abs(merged.rank(value) - bisect.bisect_right(ordered, value)) <= slack
+        for step in range(21):
+            assert quantile_rank_gap(merged, ordered, step / 20) <= slack
+
+    @settings(max_examples=100, deadline=None)
+    @given(merge_trees(), st.sampled_from([0.01, 0.05]))
+    def test_any_tree_over_any_split_stays_within_the_bound(self, tree, epsilon):
+        stream, parts, picks = tree
+        self.check(self.merged(parts, picks, epsilon), stream, epsilon)
+
+    @pytest.mark.parametrize("parts", [1, 2, 4, 10, 40])
+    def test_a_chain_as_deep_as_the_partition_count_does_not_drift(self, parts):
+        # 4,000 uniform values, epsilon 0.01, merged left to right: without
+        # the delta widening the worst quantile read 0.9% / 1.9% / 5.8% /
+        # 14.6% of n off at 2 / 4 / 10 / 40 parts, always high
+        rng = random.Random(7)
+        stream = [rng.random() * 10_000 for _ in range(4000)]
+        size = len(stream) // parts
+        chunks = [stream[i * size : (i + 1) * size] for i in range(parts)]
+        chain = [(0, 0)] * (parts - 1)
+        self.check(self.merged(chunks, chain, 0.01), stream, 0.01)
 
 
 class PerValueGK:
