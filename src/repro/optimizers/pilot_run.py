@@ -52,9 +52,8 @@ class ScaledFieldStatistics(FieldStatistics):
 
     @classmethod
     def from_sample(cls, sample: FieldStatistics, scale: float) -> ScaledFieldStatistics:
-        scaled = cls(sample.field_name, sample.distinct, sample.null_count, scale=scale)
-        # the sample's quantile sketch, built or not: shared, never forced
-        scaled._quantiles, scaled._unread = sample._quantiles, sample._unread
+        scaled = cls(sample.field_name, scale=scale)
+        scaled.adopt(sample)
         return scaled
 
 

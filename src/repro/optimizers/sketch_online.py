@@ -124,6 +124,7 @@ class SketchOnlineOptimizer(Optimizer):
                 [kept[prefix + name] for kept, _ in survivors],
                 replay=_SurvivingColumn(prefix + name, *scan),
             )
+            stats.digest()  # within the pass: the survivors are not kept
 
         entry = DatasetStatistics(
             name=alias_stats_key(alias),

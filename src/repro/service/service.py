@@ -25,6 +25,7 @@ equivalence-harness test). Caching is observable in ``service.cache.stats``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from repro.cluster.config import ClusterConfig
@@ -113,19 +114,22 @@ class QueryService:
         self,
         name: str,
         schema: Schema,
-        rows: list[dict],
+        rows: Iterable[dict],
         scale: float = 1.0,
         replace: bool = False,
     ) -> Dataset:
         """Ingest a dataset service-wide, reusing persisted sketches.
 
         When the store holds ingestion statistics whose content token
-        matches these exact rows, the collection pass is skipped and the
-        persisted GK/HLL sketches are registered instead — the restart
-        round-trip. A fresh collection is persisted into the store.
-        ``replace=True`` re-ingests an existing name, bumping its catalog
-        version (which invalidates cached results computed from it).
+        matches these exact rows, the persisted GK/HLL sketches are
+        registered and none is rebuilt from the rows — the restart
+        round-trip. Fresh statistics go to the store as they are (built on
+        first read, serialised on save). ``replace=True`` re-ingests an
+        existing name, bumping its catalog version (which invalidates cached
+        results computed from it). ``rows`` is snapshotted once: token,
+        partitions and statistics see the same rows.
         """
+        rows = tuple(rows)
         token = ingest_token(schema, rows, scale)
         precollected = self.store.sketches_for(name, token)
         dataset = load_dataset(

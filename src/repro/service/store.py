@@ -14,10 +14,13 @@ on every restart. The query service keys both by *dataset* instead:
 - :class:`ServiceStore` bundles the feedback log with persisted ingestion
   sketches keyed by dataset name + a *content token*, plus JSON
   ``save``/``load`` round-tripping. Restoring sketches is only sound when
-  the dataset's rows are byte-identical to the collection pass — which is
+  the dataset's rows are byte-identical to the ones they describe — which is
   exactly what the content token proves — so a restored service derives the
   same :class:`~repro.core.policy.RuntimeThresholds` and the same
-  cardinality estimates as the process that saved it.
+  cardinality estimates as the process that saved it. The store serialises
+  on save: an ingestion hands over its live entry (sketches built on first
+  read, DESIGN.md §5c) and ``to_state()``, which reads every one, runs when
+  the state is asked for.
 """
 
 from __future__ import annotations
@@ -25,11 +28,15 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from collections.abc import Iterable
 
+from repro.cluster.config import ClusterConfig
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash, stable_hash_of_repr
 from repro.common.types import Schema
 from repro.core.policy import FeedbackLog, ReplanPolicy, RuntimeThresholds
+from repro.engine.metrics import ExecutionResult
+from repro.lang.ast import Query
 from repro.stats.catalog import DatasetStatistics
 
 #: bump when the on-disk layout changes; mismatched files are rejected.
@@ -41,7 +48,7 @@ def dataset_group_key(datasets: tuple[str, ...]) -> str:
     return "+".join(sorted(datasets))
 
 
-def query_group_key(query) -> str:
+def query_group_key(query: object) -> str:
     """The dataset-group key of a query's FROM clause."""
     tables = getattr(query, "tables", ())
     return dataset_group_key(tuple({table.dataset for table in tables}))
@@ -60,7 +67,7 @@ def _row_shape(keys: tuple) -> tuple[list, str]:
     return order, "(%d, (" + pairs + ("," if len(order) == 1 else "") + "))"
 
 
-def ingest_token(schema: Schema, rows: list[dict], scale: float) -> str:
+def ingest_token(schema: Schema, rows: Iterable[dict], scale: float) -> str:
     """Content token of one ingestion: schema layout + every row + scale.
 
     Two ingestions with equal tokens produce byte-identical datasets and
@@ -103,7 +110,7 @@ class StoredFeedback(FeedbackLog):
         #: dataset-group key -> that group's own history window.
         self.groups: dict[str, FeedbackLog] = {}
 
-    def observe_result(self, result, datasets: tuple[str, ...] = ()) -> None:
+    def observe_result(self, result: ExecutionResult, datasets: tuple[str, ...] = ()) -> None:
         super().observe_result(result, datasets=datasets)
         if not datasets:
             return
@@ -114,7 +121,7 @@ class StoredFeedback(FeedbackLog):
         group.observe_result(result, datasets=datasets)
 
     def derive(
-        self, policy: ReplanPolicy, cluster=None, query=None
+        self, policy: ReplanPolicy, cluster: ClusterConfig | None = None, query: Query | None = None
     ) -> RuntimeThresholds:
         """Thresholds from the query's dataset group when it has history.
 
@@ -150,7 +157,7 @@ class ServiceStore:
 
     def __init__(self, window: int = 64) -> None:
         self.feedback = StoredFeedback(window)
-        #: dataset name -> {"token": content token, "stats": to_state() dict}.
+        #: dataset name -> {"token": content token, "stats": live entry or state}.
         self._sketches: dict[str, dict] = {}
 
     # -- sketches -------------------------------------------------------------
@@ -166,13 +173,22 @@ class ServiceStore:
         entry = self._sketches.get(name)
         if entry is None or entry["token"] != token:
             return None
-        return DatasetStatistics.from_state(entry["stats"])
+        return DatasetStatistics.from_state(self._state_of(entry)["stats"])
 
     def remember_sketches(
         self, name: str, token: str, stats: DatasetStatistics
     ) -> None:
-        """Persist one ingestion's statistics under its content token."""
-        self._sketches[name] = {"token": token, "stats": stats.to_state()}
+        """Keep one ingestion's statistics under its content token — the
+        live entry, not its state: serialising reads every sketch."""
+        self._sketches[name] = {"token": token, "stats": stats}
+
+    @staticmethod
+    def _state_of(entry: dict) -> dict:
+        """``entry`` as persisted: a live statistics entry serialised now."""
+        stats = entry["stats"]
+        if isinstance(stats, DatasetStatistics):
+            return {"token": entry["token"], "stats": stats.to_state()}
+        return entry
 
     def sketched_datasets(self) -> list[str]:
         return sorted(self._sketches)
@@ -184,7 +200,8 @@ class ServiceStore:
             "version": STORE_FORMAT_VERSION,
             "feedback": self.feedback.to_state(),
             "sketches": {
-                name: self._sketches[name] for name in sorted(self._sketches)
+                name: self._state_of(self._sketches[name])
+                for name in sorted(self._sketches)
             },
         }
 

@@ -29,6 +29,7 @@ per-tenant observability, loads go through the service's sketch store.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -114,12 +115,15 @@ class Session:
         self,
         name: str,
         schema: Schema,
-        rows: list[dict],
+        rows: Iterable[dict],
         scale: float = 1.0,
         replace: bool = False,
     ) -> Dataset:
-        """Ingest a base dataset, collecting ingestion-time statistics.
+        """Ingest a base dataset and register its ingestion-time statistics.
 
+        ``rows`` is snapshotted once, here: partitions and statistics (built
+        from the snapshot on first read) see the same rows whatever becomes
+        of the caller's list, and an iterator loads whole.
         ``scale`` declares how many modeled full-scale rows each stored row
         represents (DESIGN.md §2); the cost clock and broadcast decisions use
         the modeled volumes. ``replace=True`` re-ingests an existing name,
@@ -132,7 +136,7 @@ class Session:
         return load_dataset(
             name,
             schema,
-            rows,
+            tuple(rows),
             self.cluster,
             self.datasets,
             self.statistics,

@@ -5,12 +5,14 @@ gathering statistics on them"; ingestion (Section 7, experimental setup)
 gathers the same statistics upfront during loading. Both paths use this
 collector: for each tracked field it maintains a GK quantile sketch and a
 HyperLogLog sketch (Section 4: "the gathering of these two statistical types
-happens in parallel"). At ingestion both are fed at once; at query time,
-where formula (1) reads only the latter, the former is fed on first read.
+happens in parallel"). Both queue what they observe and a sketch is built
+on first read: ingestion reads nothing, query-time collection reads the HLL
+formula (1) needs inside the pass that is charged for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from repro.sketches.gk import GKQuantileSketch
@@ -18,7 +20,7 @@ from repro.sketches.histogram import EquiHeightHistogram
 from repro.sketches.hyperloglog import HyperLogLog
 
 
-def _numeric_floats(values) -> list[float]:
+def _numeric_floats(values: Iterable) -> list[float]:
     """The ints and floats of ``values`` (bools too: ``isinstance``), as floats."""
     kinds = set(map(type, values))
     numeric = tuple(kind for kind in kinds if issubclass(kind, (int, float)))
@@ -27,49 +29,74 @@ def _numeric_floats(values) -> list[float]:
     return [float(v) for v in values if isinstance(v, numeric)] if numeric else []
 
 
+class _RowsColumn:
+    """One field of a snapshot of row dicts as one batch, pivoted anew at
+    every iteration, in row order (absent reads None)."""
+
+    def __init__(self, rows: tuple[dict, ...], name: str) -> None:
+        self.rows, self.name = rows, name
+
+    def __iter__(self) -> Iterator[list]:
+        name = self.name
+        yield [row.get(name) for row in self.rows]
+
+
 @dataclass
 class FieldStatistics:
     """Sketches collected for one field of one dataset.
 
-    Null count and HLL are always current; the GK sketch is fed at once by
-    :meth:`observe_column`, on first read of :attr:`quantiles` by
-    :meth:`observe_batches` — same values, same order, same state (DESIGN.md §5c).
+    :meth:`observe_batches` only queues; null count and HLL are built on
+    first read of either, the GK sketch on first read of :attr:`quantiles` —
+    same values, same order, the state feeding all three at once would leave
+    (DESIGN.md §5c).
     """
 
     field_name: str
-    distinct: HyperLogLog = field(default_factory=HyperLogLog)
-    null_count: int = 0
+    _distinct: HyperLogLog = field(default_factory=HyperLogLog, init=False, repr=False)
+    _null_count: int = field(default=0, init=False, repr=False)
     _quantiles: GKQuantileSketch = field(
         default_factory=GKQuantileSketch, init=False, repr=False
     )
-    #: what :meth:`observe_batches` kept and the GK sketch has yet to see
+    #: queued, and the null count + HLL / the GK sketch have yet to see it
+    _uncounted: list = field(default_factory=list, init=False, repr=False)
     _unread: list = field(default_factory=list, init=False, repr=False)
 
-    def observe_column(self, values) -> None:
-        """Feed one batch of this field's values, in row order.
+    def observe_batches(self, batches: Iterable, replay: Iterable | None = None) -> None:
+        """Queue this field's next values: a re-iterable of value batches in
+        row order (one stored tuple per partition, say), digested on read.
 
-        Nulls are counted, the rest goes to the HLL, ints and floats also to
-        the GK sketch: state depends on the value sequence, never its batching.
+        ``batches`` is kept by reference until read — hand over what is alive
+        anyway, or :meth:`digest` at once and pass a re-iterable ``replay``
+        of a transient copy for the GK sketch.
         """
-        present = [value for value in values if value is not None]
-        self.null_count += len(values) - len(present)
-        if present:
-            self.distinct.extend(present)
-            self.quantiles.extend(_numeric_floats(present))
+        self._uncounted.append(batches)
+        self._unread.append(batches if replay is None else replay)
 
-    def observe_batches(self, batches, replay=None) -> None:
-        """:meth:`observe_column` of each of ``batches`` (one stored tuple
-        per partition, say), with the GK sketch fed only if it is ever read.
+    def digest(self) -> None:
+        """Fold what is queued into the null count and the HLL, now.
 
-        A distinct value is digested once however many batches hold it.
-        ``batches`` is kept by reference for that read — hand over what is
-        alive anyway, or pass a re-iterable ``replay`` of a transient copy.
+        Query-time collection calls this where it queues: the pass owes the
+        digests, not the planner's first read. One ``extend`` per source, so
+        a distinct value is digested once however many batches hold it.
         """
-        present = [v for batch in batches for v in batch if v is not None]
-        self.null_count += sum(map(len, batches)) - len(present)
-        if present:
-            self.distinct.extend(present)
-            self._unread.append(batches if replay is None else replay)
+        while self._uncounted:
+            batches = list(self._uncounted.pop(0))
+            present = [v for batch in batches for v in batch if v is not None]
+            self._null_count += sum(map(len, batches)) - len(present)
+            if present:
+                self._distinct.extend(present)
+
+    @property
+    def null_count(self) -> int:
+        """Null (or absent) values observed so far."""
+        self.digest()
+        return self._null_count
+
+    @property
+    def distinct(self) -> HyperLogLog:
+        """The HLL sketch over every non-null value observed so far."""
+        self.digest()
+        return self._distinct
 
     @property
     def quantiles(self) -> GKQuantileSketch:
@@ -78,6 +105,12 @@ class FieldStatistics:
             for batch in self._unread.pop(0):
                 self._quantiles.extend(_numeric_floats(batch))
         return self._quantiles
+
+    def adopt(self, other: FieldStatistics) -> None:
+        """Describe what ``other`` does: its null count and HLL as of now,
+        its GK sketch built or not — shared, never forced."""
+        self._distinct, self._null_count = other.distinct, other.null_count
+        self._quantiles, self._unread = other._quantiles, other._unread
 
     @property
     def distinct_count(self) -> float:
@@ -103,8 +136,8 @@ class FieldStatistics:
     def merge(self, other: FieldStatistics) -> FieldStatistics:
         merged = FieldStatistics(self.field_name)
         merged._quantiles = self.quantiles.merge(other.quantiles)
-        merged.distinct = self.distinct.merge(other.distinct)
-        merged.null_count = self.null_count + other.null_count
+        merged._distinct = self.distinct.merge(other.distinct)
+        merged._null_count = self.null_count + other.null_count
         return merged
 
     # -- persistence ----------------------------------------------------------
@@ -121,15 +154,10 @@ class FieldStatistics:
     @classmethod
     def from_state(cls, state: dict) -> FieldStatistics:
         restored = cls(state["field_name"])
-        restored.null_count = int(state["null_count"])
+        restored._null_count = int(state["null_count"])
         restored._quantiles = GKQuantileSketch.from_state(state["quantiles"])
-        restored.distinct = HyperLogLog.from_state(state["distinct"])
+        restored._distinct = HyperLogLog.from_state(state["distinct"])
         return restored
-
-
-def pivot_rows(rows, names) -> dict[str, list]:
-    """Row dicts to one value list per name, in row order (absent reads None)."""
-    return {name: [row.get(name) for row in rows] for name in names}
 
 
 class StatisticsCollector:
@@ -148,27 +176,29 @@ class StatisticsCollector:
         self.fields = {name: FieldStatistics(name) for name in tracked_fields}
         self.row_count = 0
 
-    def observe_row(self, row: dict) -> None:
-        self.observe_rows([row])
+    def observe_rows(self, rows: Iterable[dict]) -> None:
+        """Observe a batch of row dicts — the ingestion entry point.
 
-    def observe_rows(self, rows) -> None:
-        """Observe a batch of row dicts — the ingestion entry point."""
-        rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+        Counts the rows and queues, per tracked field, a pivot of one shared
+        snapshot of them (in ingestion order, which GK state depends on),
+        released as the fields are read: a tuple, not the caller's list,
+        which a later ``clear()`` would empty under every sketch not yet built.
+        """
+        rows = tuple(rows)
         self.row_count += len(rows)
-        for name, column in pivot_rows(rows, self.fields).items():
-            self.fields[name].observe_column(column)
+        for name, stats in self.fields.items():
+            stats.observe_batches(_RowsColumn(rows, name))
 
-    def observe_columns(self, columns: dict, length: int) -> None:
+    def observe_columns(self, columns: dict[str, Iterable], length: int) -> None:
         """Observe ``length`` rows held as columns, each a re-iterable of
         value batches (:meth:`FieldStatistics.observe_batches`) — the
-        query-time entry point (Sink, pilot samples, policy refresh)."""
+        query-time entry point (Sink, pilot samples, policy refresh), which
+        brings null counts and HLLs up to date before it returns."""
         self.row_count += length
         for name, stats in self.fields.items():
             batches = columns.get(name)
-            if batches is None:
-                stats.null_count += length
-            else:
-                stats.observe_batches(batches)
+            stats.observe_batches([(None,) * length] if batches is None else batches)
+            stats.digest()
 
     @property
     def tracked_field_names(self) -> list[str]:

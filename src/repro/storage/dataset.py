@@ -169,7 +169,7 @@ class Dataset:
 
 
 def partition_rows(
-    rows: list[dict], partition_count: int, partition_key: str | None
+    rows: Sequence[dict], partition_count: int, partition_key: str | None
 ) -> list[list[dict]]:
     """Distribute rows across partitions.
 

@@ -1,14 +1,17 @@
-"""Dataset ingestion with upfront statistics collection.
+"""Dataset ingestion with upfront statistics registration.
 
 The paper exploits "AsterixDB's LSM ingestion process to get initial
 statistics for base datasets" (Section 2): quantile and HyperLogLog sketches
-are built once, while loading, for every field that may participate in a
-query — outside query execution time. ``load_dataset`` reproduces that
-contract: it partitions the rows, registers the dataset, and registers the
-ingestion-time statistics.
+for every field that may participate in a query, available before — and
+outside — query execution time. ``load_dataset`` keeps that contract at the
+cost of what is read: it partitions the rows, registers the dataset, and
+registers statistics that build each field's sketches from the ingested rows
+when first read (DESIGN.md §5c) — the state collecting while loading leaves.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.common.types import Schema
@@ -21,7 +24,7 @@ from repro.storage.dataset import Dataset, StoredPartition, partition_rows
 def load_dataset(
     name: str,
     schema: Schema,
-    rows: list[dict],
+    rows: Sequence[dict],
     cluster: ClusterConfig,
     datasets: DatasetCatalog,
     statistics: StatisticsCatalog,
@@ -30,16 +33,18 @@ def load_dataset(
     replace: bool = False,
     precollected: DatasetStatistics | None = None,
 ) -> Dataset:
-    """Load ``rows`` as a new base dataset and collect its statistics.
+    """Load ``rows`` as a new base dataset and register its statistics.
 
-    ``tracked_fields`` defaults to every field in the schema (Section 4:
-    "we collect these types of statistics for every field of a dataset that
-    may participate in any query"). ``scale`` is the modeled full-scale rows
-    per stored row (DESIGN.md §2). ``replace`` permits re-ingesting an
-    existing name (bumping its catalog version, which invalidates cached
-    results that depended on it). ``precollected`` skips the collection pass
-    and registers the given statistics entry instead — the service's sketch
-    store uses this to restore persisted ingestion sketches, which is only
+    ``rows`` is walked more than once; a tuple (``Session.load`` passes one)
+    is what the statistics replay from, without a copy. ``tracked_fields``
+    defaults to every field in the schema (Section 4: "we collect these types
+    of statistics for every field of a dataset that may participate in any
+    query"). ``scale`` is the modeled full-scale rows per stored row
+    (DESIGN.md §2). ``replace`` permits re-ingesting an existing name
+    (bumping its catalog version, which invalidates cached results that
+    depended on it). ``precollected`` registers the given statistics entry
+    instead of a fresh one — the service's sketch store uses this to restore
+    persisted ingestion sketches, which is only
     sound because the store keys them by dataset *content*.
     """
     partition_key = schema.primary_key[0] if schema.primary_key else None

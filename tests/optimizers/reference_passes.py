@@ -20,8 +20,8 @@ from repro.engine.metrics import JobMetrics
 from repro.lang.ast import split_column
 from repro.optimizers.pilot_run import ScaledFieldStatistics
 from repro.stats.catalog import DatasetStatistics
-from repro.stats.collector import StatisticsCollector, pivot_rows
-from tests.stats.reference_collector import EagerFieldStatistics
+from repro.stats.collector import StatisticsCollector
+from tests.stats.reference_collector import EagerFieldStatistics, pivot_rows
 
 
 def _qualifies(row: dict, prefix: str, predicates, context) -> bool:

@@ -21,7 +21,7 @@ def session():
 class TestScaledFieldStatistics:
     def test_scales_distinct_count(self):
         sample = FieldStatistics("k")
-        sample.observe_column(list(range(10)))
+        sample.observe_batches([list(range(10))])
         scaled = ScaledFieldStatistics.from_sample(sample, 5.0)
         assert scaled.distinct_count == pytest.approx(
             sample.distinct_count * 5.0, rel=0.01
@@ -29,7 +29,7 @@ class TestScaledFieldStatistics:
 
     def test_scale_one_is_identity(self):
         sample = FieldStatistics("k")
-        sample.observe_column([1])
+        sample.observe_batches([[1]])
         scaled = ScaledFieldStatistics.from_sample(sample, 1.0)
         assert scaled.distinct_count == sample.distinct_count
 

@@ -132,7 +132,7 @@ class TestGeneratedUniverses:
                 merged = FieldStatistics(name)
                 for batch in batches:
                     worker = FieldStatistics(name)
-                    worker.observe_column(batch)
+                    worker.observe_batches([batch])
                     merged = merged.merge(worker)
                 assert entry.fields[name].null_count == merged.null_count
                 assert entry.fields[name].distinct.to_state() == merged.distinct.to_state()

@@ -1,5 +1,6 @@
 """Persistent feedback/sketch store: round-trips, tokens, versioning."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from repro.common.types import DataType, Schema
 from repro.core.policy import ReplanPolicy
 from repro.service import QueryService, ServiceConfig, ServiceStore, ingest_token
 from repro.service.store import STORE_FORMAT_VERSION, StoredFeedback
+from repro.workloads import get_workload
 
 from tests.conftest import load_star_data, small_cluster, star_query
 
@@ -163,6 +165,62 @@ class TestStoreRoundTrip:
         state["version"] = STORE_FORMAT_VERSION + 1
         with pytest.raises(StatisticsError, match="format"):
             ServiceStore().restore_state(state)
+
+
+#: SHA-256 over the persisted sketch entries of the 21 suite tables at SF 10,
+#: seed 42, one service per universe — recorded at 041abe1, where every sketch
+#: was built and serialised inside ``load`` (see ``tests/stats/test_golden_state.py``).
+SUITE_SKETCHES_SHA256 = "b1ae1e77aa2b5ce052552b01ccd85284278be8e34e5e019bfd365261f818c183"
+
+
+def persisted_sketches(service: QueryService, path) -> bytes:
+    service.save_store(str(path))
+    return json.dumps(json.loads(path.read_text())["sketches"], sort_keys=True).encode()
+
+
+class TestStoreSerialisesOnSave:
+    def test_sketch_entries_are_the_eager_ones_whatever_ran_in_between(
+        self, suite_universes, tmp_path
+    ):
+        digest = hashlib.sha256()
+        for universe, tables in suite_universes.items():
+            service = QueryService()
+            for name, schema, rows, scale in tables:
+                service.load(name, schema, rows, scale=scale)
+            path = tmp_path / f"{universe}.json"
+            ingested = persisted_sketches(service, path)
+
+            tenant = service.session("tenant")
+            for build_query in get_workload(universe, 10, 42).queries.values():
+                for strategy in ("dynamic", "cost_based"):
+                    tenant.submit(build_query(), strategy)
+            assert all(handle.error is None for handle in service.run_all())
+            assert persisted_sketches(service, path) == ingested
+
+            restarted = QueryService()
+            restarted.load_store(str(path))
+            for name, schema, rows, scale in tables:
+                restarted.load(name, schema, rows, scale=scale)
+            assert persisted_sketches(restarted, tmp_path / "again.json") == ingested
+            digest.update(ingested)
+        assert digest.hexdigest() == SUITE_SKETCHES_SHA256
+
+    def test_a_hit_on_a_live_never_read_entry_restores_what_a_restored_one_does(
+        self, tmp_path
+    ):
+        path = tmp_path / "store.json"
+        build_service().save_store(str(path))
+        restored = ServiceStore.open(str(path))
+        live = build_service()
+        for name in live.store.sketched_datasets():
+            fields = live.statistics.get(name).fields.values()
+            assert all(stats._uncounted and stats._unread for stats in fields)
+            token = live.store._sketches[name]["token"]
+            hit = live.store.sketches_for(name, token)
+            assert hit is not live.statistics.get(name)
+            assert canonical(hit.to_state()) == canonical(
+                restored.sketches_for(name, token).to_state()
+            )
 
 
 class TestSaveCrashCleanup:

@@ -1,13 +1,13 @@
 """Eager reference for per-field statistics collection.
 
-``FieldStatistics.observe_column`` as it stood while every batch — at
-ingestion and at query time alike — fed the null count, the HLL and the GK
-sketch at once (784f379). The library still collects that way at ingestion
-but builds a query-time GK sketch on first read; ``test_on_read.py`` pins
-whatever it builds, whenever it builds it, to what this builds. It shares the
-two sketch classes with the library and nothing of ``repro.stats.collector``
-(as ``tests/optimizers/reference_passes.py`` does for the planner passes);
-not importable from ``src/``.
+``FieldStatistics.observe_column`` and ``StatisticsCollector.observe_rows``
+as they stood while every batch — at ingestion and at query time alike — fed
+the null count, the HLL and the GK sketch at once (784f379 / 041abe1). The
+library queues what it observes and builds each on first read;
+``test_on_read.py`` pins whatever it builds, whenever it builds it, to what
+this builds. It shares the two sketch classes with the library and nothing
+of ``repro.stats.collector`` (as ``tests/optimizers/reference_passes.py``
+does for the planner passes); not importable from ``src/``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,25 @@ class EagerFieldStatistics:
             "quantiles": self.quantiles.to_state(),
             "distinct": self.distinct.to_state(),
         }
+
+
+def pivot_rows(rows, names) -> dict[str, list]:
+    """Row dicts to one value list per name, in row order (absent reads None)."""
+    return {name: [row.get(name) for row in rows] for name in names}
+
+
+class EagerCollector:
+    """Per-field eager sketches plus the row count of one dataset."""
+
+    def __init__(self, tracked_fields) -> None:
+        self.fields = {name: EagerFieldStatistics(name) for name in tracked_fields}
+        self.row_count = 0
+
+    def observe_rows(self, rows) -> None:
+        rows = list(rows)
+        self.row_count += len(rows)
+        for name, column in pivot_rows(rows, self.fields).items():
+            self.fields[name].observe_column(column)
 
 
 def eager_state(field_name: str, batches) -> dict:

@@ -21,14 +21,14 @@ class TestDatasetStatistics:
     def test_distinct_capped_by_rows(self):
         collector = StatisticsCollector(["k"])
         for i in range(100):
-            collector.observe_row({"k": i})
+            collector.observe_rows([{"k": i}])
         stats = DatasetStatistics("t", 10, 40, dict(collector.fields))
         assert stats.distinct_count("k") <= 10
 
     def test_distinct_from_sketch(self):
         collector = StatisticsCollector(["k"])
         for i in range(1000):
-            collector.observe_row({"k": i % 25})
+            collector.observe_rows([{"k": i % 25}])
         stats = DatasetStatistics("t", 1000, 40, dict(collector.fields))
         assert abs(stats.distinct_count("k") - 25) <= 2
 
@@ -75,7 +75,7 @@ class TestCatalog:
     def test_register_from_collector_scale(self):
         catalog = StatisticsCatalog()
         collector = StatisticsCollector(["a"])
-        collector.observe_row({"a": 1})
+        collector.observe_rows([{"a": 1}])
         stats = catalog.register_from_collector("t", collector, 40, scale=100.0)
         assert stats.scale == 100.0
         assert stats.row_count == 1

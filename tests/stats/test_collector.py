@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.sketches.histogram import EquiHeightHistogram
 from repro.stats.collector import FieldStatistics, StatisticsCollector
 from tests.conftest import mixed_column_batches, same_state
+from tests.stats.reference_collector import EagerFieldStatistics
 
 
 def rows(n=100):
@@ -19,38 +20,38 @@ def rows(n=100):
 class TestFieldStatistics:
     def test_numeric_feeds_both_sketches(self):
         stats = FieldStatistics("a")
-        stats.observe_column([i % 10 for i in range(100)])
+        stats.observe_batches([[i % 10 for i in range(100)]])
         assert abs(stats.distinct_count - 10) <= 1
         assert len(stats.quantiles) == 100
 
     def test_strings_skip_quantiles(self):
         stats = FieldStatistics("b")
-        stats.observe_column(["x", "y"])
+        stats.observe_batches([["x", "y"]])
         assert len(stats.quantiles) == 0
         assert abs(stats.distinct_count - 2) <= 0.5
 
     def test_nulls_counted_not_sketched(self):
         stats = FieldStatistics("c")
-        stats.observe_column([None, 1])
+        stats.observe_batches([[None, 1]])
         assert stats.null_count == 1
         assert len(stats.quantiles) == 1
 
     def test_histogram_none_for_non_numeric(self):
         stats = FieldStatistics("b")
-        stats.observe_column(["x"])
+        stats.observe_batches([["x"]])
         assert stats.histogram() is None
 
     def test_histogram_for_numeric(self):
         stats = FieldStatistics("a")
-        stats.observe_column(list(range(200)))
+        stats.observe_batches([list(range(200))])
         histogram = stats.histogram(8)
         assert histogram is not None
         assert histogram.total == 200
 
     def test_merge_combines(self):
         a, b = FieldStatistics("a"), FieldStatistics("a")
-        a.observe_column(list(range(50)))
-        b.observe_column([*range(50, 100), None])
+        a.observe_batches([list(range(50))])
+        b.observe_batches([[*range(50, 100), None]])
         merged = a.merge(b)
         assert merged.null_count == 1
         assert abs(merged.distinct_count - 100) <= 5
@@ -58,7 +59,7 @@ class TestFieldStatistics:
 
     def test_boolean_treated_numeric(self):
         stats = FieldStatistics("flag")
-        stats.observe_column([True, False])
+        stats.observe_batches([[True, False]])
         assert len(stats.quantiles) == 2
 
 
@@ -75,7 +76,7 @@ class TestCollector:
 
     def test_missing_field_counts_null(self):
         collector = StatisticsCollector(["ghost"])
-        collector.observe_row({"a": 1})
+        collector.observe_rows([{"a": 1}])
         assert collector.field("ghost").null_count == 1
 
     def test_sketch_cost_units(self):
@@ -89,7 +90,7 @@ class TestCollector:
         assert collector.sketch_cost_units() == 10
 
 
-def observe_per_value(stats: FieldStatistics, values) -> None:
+def observe_per_value(stats: EagerFieldStatistics, values) -> None:
     """The pre-batch collection path, one value at a time (the reference)."""
     for value in values:
         if value is None:
@@ -113,9 +114,9 @@ class TestBatchPath:
     @settings(max_examples=60, deadline=None)
     @given(mixed_column_batches())
     def test_observe_column_leaves_the_state_of_per_value_collection(self, batches):
-        batched, single = FieldStatistics("f"), FieldStatistics("f")
+        batched, single = FieldStatistics("f"), EagerFieldStatistics("f")
         for batch in batches:
-            batched.observe_column(batch)
+            batched.observe_batches([batch])
             observe_per_value(single, batch)
         assert same_state(batched.to_state(), single.to_state())
         assert batched.null_count == single.null_count
@@ -126,8 +127,8 @@ class TestBatchPath:
     def test_numeric_detection_is_by_isinstance(self):
         # int/float subclasses are numeric; other number types are not.
         column = [Level.HIGH, Celsius(21.5), True, 3, Decimal("2.5"), Fraction(1, 3), "7"]
-        batched, single = FieldStatistics("f"), FieldStatistics("f")
-        batched.observe_column(column)
+        batched, single = FieldStatistics("f"), EagerFieldStatistics("f")
+        batched.observe_batches([column])
         observe_per_value(single, column)
         assert len(batched.quantiles) == 4
         assert len(batched.distinct) == 7
@@ -153,7 +154,7 @@ class TestBatchPath:
             length,
         )
         for row in rows:
-            by_row.observe_row(row)
+            by_row.observe_rows([row])
         for collector in (by_rows, by_columns, by_row):
             assert collector.row_count == length
             assert collector.field("ghost").null_count == length
@@ -161,7 +162,7 @@ class TestBatchPath:
                 assert same_state(
                     collector.field(name).to_state(), by_rows.field(name).to_state()
                 )
-        reference = FieldStatistics("b")
+        reference = EagerFieldStatistics("b")
         observe_per_value(reference, [row.get("b") for row in rows])
         assert same_state(by_rows.field("b").to_state(), reference.to_state())
 
@@ -191,15 +192,15 @@ class TestHistogramCache:
         # but its histograms are always built from the sketch.
         cached, twin = FieldStatistics("x"), FieldStatistics("x")
         for batch in batches:
-            cached.observe_column(batch)
-            twin.observe_column(batch)
+            cached.observe_batches([batch])
+            twin.observe_batches([batch])
             first = cached.histogram(bucket_count)
             assert histogram_view(first) == uncached_view(twin, bucket_count)
             assert cached.histogram(bucket_count) is first  # nothing changed since
 
         other = FieldStatistics("x")
         for batch in other_batches:
-            other.observe_column(batch)
+            other.observe_batches([batch])
         other.histogram(bucket_count)
         merged = cached.merge(other)
         assert histogram_view(merged.histogram(bucket_count)) == uncached_view(
@@ -218,16 +219,16 @@ class TestHistogramCache:
 
     def test_values_still_in_the_insert_buffer_invalidate(self):
         stats = FieldStatistics("a")
-        stats.observe_column(list(range(200)))
+        stats.observe_batches([list(range(200))])
         before = stats.histogram(8)
-        stats.observe_column([1000.0])  # one value: stays in GK's buffer
+        stats.observe_batches([[1000.0]])  # one value: stays in GK's buffer
         after = stats.histogram(8)
         assert (before.total, after.total) == (200, 201)
         assert after.buckets[-1].upper == 1000.0
 
     def test_bucket_counts_are_cached_apart(self):
         stats = FieldStatistics("a")
-        stats.observe_column(list(range(200)))
+        stats.observe_batches([list(range(200))])
         assert len(stats.histogram(8).buckets) == 8
         assert len(stats.histogram(32).buckets) == 32
         assert len(stats.histogram(8).buckets) == 8

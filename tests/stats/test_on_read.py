@@ -1,33 +1,47 @@
-"""Query-time statistics build their quantile sketch on first read.
+"""Statistics cost what is read: sketches are built on first read.
 
 Three contracts (DESIGN.md §5c): whatever is read, whenever, is byte for byte
-what eager collection leaves (``reference_collector.py``); a query that reads
-no quantile sketch builds none, and digests each distinct value of a
-collected column once; and an entry that outlives the data it describes —
-dropped namespace, cache replay, retained checkpoint, failed job — still
-builds the identical sketch, because what it keeps are references to stored
-tuples, not copies.
+what eager collection leaves (``reference_collector.py``); nothing is built
+that nothing reads — ingestion digests no value, a query that reads no
+quantile sketch builds none, and query-time collection digests each distinct
+value of a collected column once, inside the pass; and an entry that outlives
+the data it describes — dropped namespace, cache replay, retained checkpoint,
+failed job, a caller's mutated list — still builds the identical sketch,
+because what it keeps are references to stored tuples or an immutable
+snapshot of the ingested rows, not the caller's containers.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.runner import SWEEP_QUERIES, run_query, workbench_for_query
+from repro.bench.runner import (
+    SWEEP_QUERIES,
+    clear_cache,
+    run_query,
+    workbench_for_query,
+)
+from repro.common.types import DataType, Schema
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.core.policy import ReplanPolicy
 from repro.engine.job import Job
 from repro.engine.operators.scan import ScanOp
 from repro.engine.operators.sink import SinkOp
-from repro.service import QueryService, ServiceConfig
+from repro.lang.ast import split_column
+from repro.optimizers import available_strategies
+from repro.service import QueryService, ServiceConfig, ingest_token
+from repro.session import Session
 from repro.sketches.gk import GKQuantileSketch
 from repro.spec import PlannerSpec
 from repro.stats.collector import FieldStatistics, StatisticsCollector
+from repro.storage import ingest
 from tests.conftest import (
     _MIXED_VALUE,
     build_star_session,
@@ -42,10 +56,17 @@ from tests.core.test_checkpoint_sweep import (
     sweep_query,
 )
 from tests.engine.equivalence import GOLDEN_SCALE_FACTOR
-from tests.stats.reference_collector import EagerFieldStatistics, eager_state
+from tests.stats.reference_collector import (
+    EagerCollector,
+    EagerFieldStatistics,
+    eager_state,
+)
 
-READS = ("quantiles", "histogram", "len", "merge", "state")
-FEEDS = ("batches", "collector", "column")
+READS = (
+    "distinct", "distinct_count", "null_count",
+    "quantiles", "histogram", "len", "merge", "state",
+)  # fmt: skip
+FEEDS = ("batches", "collector", "rows")
 
 
 @st.composite
@@ -75,6 +96,26 @@ def feeding_plans(draw):
     ]
 
 
+TABLE_FIELDS = ("mixed", "sparse", "nulls", "ghost")
+
+
+@st.composite
+def ingestion_plans(draw):
+    """``[(rows, reads), ...]``: 1-5 ``observe_rows`` calls on one collector
+    over ``TABLE_FIELDS`` — mixed values, a key any row may miss, an all-null
+    field, a field no row has; 0-260 rows a call (empty tables included, the
+    GK insert buffer straddled) — each followed by reads of any field, of
+    any kind, in any order."""
+    row = st.fixed_dictionaries(
+        {"mixed": _MIXED_VALUE, "nulls": st.none()}, optional={"sparse": _MIXED_VALUE}
+    )
+    reads = st.lists(
+        st.tuples(st.sampled_from(TABLE_FIELDS), st.sampled_from(READS)), max_size=4
+    )
+    calls = st.tuples(st.lists(row, max_size=260), reads)
+    return draw(st.lists(calls, min_size=1, max_size=5))
+
+
 def feed(stats: FieldStatistics, how: str, batches: list) -> None:
     if how == "batches":
         stats.observe_batches(batches)
@@ -84,15 +125,24 @@ def feed(stats: FieldStatistics, how: str, batches: list) -> None:
         collector.observe_columns(
             {stats.field_name: batches}, sum(map(len, batches))
         )
-    else:  # the eager entry point, interleaved: order must still hold
-        for batch in batches:
-            stats.observe_column(batch)
+    else:  # the ingestion entry point, interleaved: order must still hold
+        collector = StatisticsCollector([stats.field_name])
+        collector.fields[stats.field_name] = stats
+        collector.observe_rows(
+            {stats.field_name: value} for batch in batches for value in batch
+        )
 
 
 def read(stats: FieldStatistics, how: str | None, reference: EagerFieldStatistics):
     """One kind of read, on both sides: a GK read flushes the sketch's insert
     buffer, and the summary depends on where the flushes fall."""
-    if how == "quantiles":
+    if how == "distinct":
+        assert stats.distinct.to_state() == reference.distinct.to_state()
+    elif how == "distinct_count":
+        assert stats.distinct_count == max(1.0, reference.distinct.cardinality())
+    elif how == "null_count":
+        assert stats.null_count == reference.null_count
+    elif how == "quantiles":
         assert stats.quantiles is stats.quantiles
     elif how == "histogram":
         built = stats.histogram(8)
@@ -104,6 +154,8 @@ def read(stats: FieldStatistics, how: str | None, reference: EagerFieldStatistic
         merged = stats.merge(FieldStatistics(stats.field_name))
         twin = reference.quantiles.merge(GKQuantileSketch())
         assert same_state(merged.quantiles.to_state(), twin.to_state())
+        assert merged.null_count == reference.null_count
+        assert merged.distinct.to_state() == reference.distinct.to_state()
     elif how == "state":
         assert same_state(stats.to_state(), reference.to_state())
 
@@ -117,14 +169,27 @@ class TestDifferential:
             feed(stats, how, batches)
             for batch in batches:
                 reference.observe_column(batch)
-            # null count and HLL are current without any read
-            assert stats.null_count == reference.null_count
-            assert stats.distinct.to_state() == reference.distinct.to_state()
             read(stats, then, reference)
         # a state written before anything else read it restores to the same
         restored = FieldStatistics.from_state(stats.to_state())
         assert same_state(restored.to_state(), reference.to_state())
         assert same_state(stats.to_state(), reference.to_state())
+
+    @settings(max_examples=40, deadline=None)
+    @given(ingestion_plans())
+    def test_ingested_tables_read_in_any_order_leave_the_eager_state(self, plan):
+        collector, reference = StatisticsCollector(TABLE_FIELDS), EagerCollector(TABLE_FIELDS)
+        for call, (rows, reads) in enumerate(plan):
+            collector.observe_rows(iter(rows) if call % 2 else rows)
+            reference.observe_rows(rows)
+            rows.clear()  # the snapshot is the collector's own
+            for name, how in reads:
+                read(collector.fields[name], how, reference.fields[name])
+        assert collector.row_count == reference.row_count
+        for name in TABLE_FIELDS:
+            assert same_state(
+                collector.fields[name].to_state(), reference.fields[name].to_state()
+            )
 
     def test_a_replay_is_kept_in_place_of_transient_batches(self):
         batches = [[3, 1, None], [], [2.5, "x"], [None]]
@@ -180,8 +245,10 @@ def distinct_digest_inputs(batches) -> int:
 
 class TestNothingReadNothingBuilt:
     def test_suite_queries_build_no_quantile_sketch_and_digest_once(self, monkeypatch):
-        for label in SWEEP_QUERIES:  # ingestion (eager, by design) happens here
-            workbench_for_query(label, GOLDEN_SCALE_FACTOR)
+        for label in SWEEP_QUERIES:  # base tables read in full: not what is spied
+            statistics = workbench_for_query(label, GOLDEN_SCALE_FACTOR).session.statistics
+            for name in statistics.names():
+                statistics.get(name).to_state()
 
         gk_calls, passes = [], []
         for name in ("extend", "merge"):
@@ -215,6 +282,57 @@ class TestNothingReadNothingBuilt:
         # not vacuous: collection ran, and over columns with repeats
         assert len(passes) > 100 and sum(digests for digests, _ in passes) > 10_000
         assert [digests for digests, _ in passes] == [wanted for _, wanted in passes]
+
+    def test_ingestion_digests_nothing_and_queries_build_what_they_name(
+        self, monkeypatch
+    ):
+        clear_cache()  # the suite tables are ingested under the spy
+        digests, extends = [], []
+        partition_rows = ingest.partition_rows
+        extend = GKQuantileSketch.extend
+
+        def routing_excepted(*args):
+            before = len(digests)
+            partitions = partition_rows(*args)
+            del digests[before:]  # ``stable_hashes`` of the partition key
+            return partitions
+
+        def counting_extend(sketch, values):
+            extends.append(1)
+            extend(sketch, values)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest, "partition_rows", routing_excepted)
+            patch.setattr(hashlib, "blake2b", counting_blake2b(digests))
+            patch.setattr(GKQuantileSketch, "extend", counting_extend)
+            sessions = {
+                workbench_for_query(label, GOLDEN_SCALE_FACTOR).session
+                for label in SWEEP_QUERIES
+            }
+        assert (digests, extends) == ([], [])
+
+        joined, filtered = set(), set()  # (dataset, field) the queries name
+        for label in SWEEP_QUERIES:
+            query = workbench_for_query(label, GOLDEN_SCALE_FACTOR).query(label)
+            for column in (c for join in query.joins for c in (join.left, join.right)):
+                alias, name = split_column(column)
+                joined.add((query.table(alias).dataset, name))
+            for predicate in query.predicates:
+                alias, name = split_column(predicate.column)
+                filtered.add((query.table(alias).dataset, name))
+            for strategy in available_strategies():
+                run_query(label, GOLDEN_SCALE_FACTOR, strategy)
+        fields = {
+            (name, field): stats
+            for session in sessions
+            for name in session.statistics.names()
+            for field, stats in session.statistics.get(name).fields.items()
+        }
+        counted = {key for key, stats in fields.items() if not stats._uncounted}
+        read = {key for key, stats in fields.items() if not stats._unread}
+        assert counted <= joined | filtered and read <= filtered
+        # today's reading: join keys and ``=`` predicates; range predicates
+        assert (len(fields), len(counted), len(read)) == (88, 48, 4)
 
     def test_a_sink_digests_a_value_once_however_many_partitions_hold_it(
         self, monkeypatch
@@ -332,3 +450,83 @@ class TestLifetime:
             assert len(kept) == stored.partition_count > 1
             for batch, partition in zip(kept, stored.partitions):
                 assert batch is partition.column(name)
+
+
+# -- the ingested snapshot ---------------------------------------------------------
+
+SNAPSHOT_SCHEMA = Schema.of(
+    ("id", DataType.INT), ("v", DataType.INT), ("s", DataType.STRING), primary_key=("id",)
+)
+
+
+class Row(dict):
+    """A row dict a ``weakref`` can watch."""
+
+
+def snapshot_rows(count: int = 300) -> list[Row]:
+    return [
+        Row(id=i, v=None if i % 7 == 0 else i % 13, s=f"s{i % 5}") for i in range(count)
+    ]
+
+
+def eager_table_state(rows) -> dict[str, dict]:
+    reference = EagerCollector(SNAPSHOT_SCHEMA.field_names)
+    reference.observe_rows(rows)
+    return {name: stats.to_state() for name, stats in reference.fields.items()}
+
+
+@pytest.mark.parametrize("stack", [Session, QueryService])
+class TestIngestedSnapshot:
+    """``load`` snapshots its rows once: through both stacks, partitions,
+    content token and every sketch built later see the rows as they were."""
+
+    def test_an_iterator_of_rows_loads_what_the_list_loads(self, stack):
+        rows = snapshot_rows()
+        by_list, by_iterator = stack(), stack()
+        listed = by_list.load("t", SNAPSHOT_SCHEMA, rows)
+        iterated = by_iterator.load("t", SNAPSHOT_SCHEMA, (row for row in rows))
+        assert iterated.row_count == by_iterator.statistics.get("t").row_count == 300
+        assert [part.rows() for part in iterated.partitions] == [
+            part.rows() for part in listed.partitions
+        ]
+        assert same_state(
+            by_iterator.statistics.get("t").to_state(),
+            by_list.statistics.get("t").to_state(),
+        )
+        if stack is QueryService:
+            tokens = {
+                service.store.to_state()["sketches"]["t"]["token"]
+                for service in (by_list, by_iterator)
+            }
+            assert tokens == {ingest_token(SNAPSHOT_SCHEMA, rows, 1.0)}
+
+    @pytest.mark.parametrize(
+        "mutate", [list.clear, list.reverse, lambda rows: rows.append(Row(id=-1, v=99))]
+    )
+    def test_mutating_the_callers_list_after_load_changes_no_statistic(
+        self, stack, mutate
+    ):
+        rows = snapshot_rows()
+        expected = eager_table_state(rows)
+        target = stack()
+        target.load("t", SNAPSHOT_SCHEMA, rows)
+        mutate(rows)
+        entry = target.statistics.get("t")
+        assert entry.row_count == 300
+        for name, state in expected.items():
+            assert same_state(entry.fields[name].to_state(), state)
+
+    def test_replace_and_a_dropped_stack_release_the_previous_snapshot(self, stack):
+        rows, replacement = snapshot_rows(), snapshot_rows(10)
+        first, second = weakref.ref(rows[0]), weakref.ref(replacement[0])
+        target = stack()
+        target.load("t", SNAPSHOT_SCHEMA, rows)
+        del rows
+        assert first() is not None  # the partitions and the unread snapshot
+        target.load("t", SNAPSHOT_SCHEMA, replacement, replace=True)
+        del replacement
+        gc.collect()
+        assert first() is None and second() is not None
+        del target
+        gc.collect()
+        assert second() is None
