@@ -30,21 +30,11 @@ def run_variant(label, scale_factor, optimizer):
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_ablation_feedback_value(query, once):
+def test_ablation_feedback_value(query):
     """Full dynamic vs push-down-only vs no-push-down, SF 100."""
-
-    def run():
-        full = run_variant(query, 100, DynamicOptimizer())
-        pushdown_only = run_variant(
-            query, 100, DynamicOptimizer(reoptimize_joins=False)
-        )
-        no_pushdown = run_variant(query, 100, DynamicOptimizer(pushdown_enabled=False))
-        return full, pushdown_only, no_pushdown
-
-    full, pushdown_only, no_pushdown = once(run)
-    once.extra_info["full"] = round(full.seconds, 1)
-    once.extra_info["pushdown_only"] = round(pushdown_only.seconds, 1)
-    once.extra_info["no_pushdown"] = round(no_pushdown.seconds, 1)
+    full = run_variant(query, 100, DynamicOptimizer())
+    pushdown_only = run_variant(query, 100, DynamicOptimizer(reoptimize_joins=False))
+    no_pushdown = run_variant(query, 100, DynamicOptimizer(pushdown_enabled=False))
     assert len(full.rows) == len(pushdown_only.rows) == len(no_pushdown.rows)
     # neither ablation may be better by a wide margin: feedback never hurts
     # much, and dropping it can hurt a lot
@@ -53,33 +43,19 @@ def test_ablation_feedback_value(query, once):
 
 
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_ablation_cost_model_fidelity(query, once):
+def test_ablation_cost_model_fidelity(query):
     """C_out DP (the paper's static baseline) vs movement-aware DP, SF 100."""
-
-    def run():
-        cout = run_variant(query, 100, CostBasedOptimizer())
-        aware = run_variant(query, 100, CostBasedOptimizer(movement_aware=True))
-        return cout, aware
-
-    cout, aware = once(run)
-    once.extra_info["cout_seconds"] = round(cout.seconds, 1)
-    once.extra_info["movement_aware_seconds"] = round(aware.seconds, 1)
+    cout = run_variant(query, 100, CostBasedOptimizer())
+    aware = run_variant(query, 100, CostBasedOptimizer(movement_aware=True))
     assert len(cout.rows) == len(aware.rows)
     # a better cost model never loses badly to the cardinality cost
     assert aware.seconds <= cout.seconds * 1.25
 
 
-def test_ablation_reoptimization_points_scale(once):
+def test_ablation_reoptimization_points_scale():
     """More joins -> more re-optimization points -> more overhead jobs."""
-
-    def run():
-        q50 = run_variant("Q50", 100, DynamicOptimizer())   # 4 joins
-        q17 = run_variant("Q17", 100, DynamicOptimizer())   # 7 joins
-        return q50, q17
-
-    q50, q17 = once(run)
+    q50 = run_variant("Q50", 100, DynamicOptimizer())   # 4 joins
+    q17 = run_variant("Q17", 100, DynamicOptimizer())   # 7 joins
     q50_joins = sum(1 for p in q50.phases if p.startswith("join:"))
     q17_joins = sum(1 for p in q17.phases if p.startswith("join:"))
-    once.extra_info["q50_reopt_points"] = q50_joins
-    once.extra_info["q17_reopt_points"] = q17_joins
     assert q17_joins > q50_joins

@@ -18,11 +18,8 @@ SCALE_FACTORS = (100, 1000)
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig6_reopt_online_stats(query, scale_factor, once):
-    report = once(overhead_report, query, scale_factor)
-    once.extra_info["full_seconds"] = round(report.full_seconds, 2)
-    once.extra_info["reopt_pct"] = round(report.reoptimization_fraction * 100, 2)
-    once.extra_info["online_stats_pct"] = round(report.online_stats_fraction * 100, 2)
+def test_fig6_reopt_online_stats(query, scale_factor):
+    report = overhead_report(query, scale_factor)
     # Shape bounds (generous): overheads exist but stay modest.
     assert 0.0 <= report.reoptimization_fraction < 0.35
     assert 0.0 <= report.online_stats_fraction < 0.15
@@ -30,9 +27,8 @@ def test_fig6_reopt_online_stats(query, scale_factor, once):
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig6_pushdown(query, scale_factor, once):
-    report = once(overhead_report, query, scale_factor)
-    once.extra_info["pushdown_pct"] = round(report.pushdown_fraction * 100, 2)
+def test_fig6_pushdown(query, scale_factor):
+    report = overhead_report(query, scale_factor)
     # The paper's bound is <=3%; allow slack for the simulated substrate but
     # require the push-down materialization to stay a small fraction.
     assert report.pushdown_fraction < 0.10

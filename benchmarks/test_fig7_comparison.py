@@ -23,11 +23,9 @@ SCALE_FACTORS = (10, 100, 1000)
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig7_group(query, scale_factor, once):
-    cells = once(comparison_row, query, scale_factor)
+def test_fig7_group(query, scale_factor):
+    cells = comparison_row(query, scale_factor)
     timings = {cell.optimizer: cell.seconds for cell in cells}
-    for cell in cells:
-        once.extra_info[cell.optimizer] = round(cell.seconds, 2)
 
     rows = {cell.result_rows for cell in cells}
     assert len(rows) == 1, f"optimizers disagree on result size: {rows}"

@@ -23,10 +23,8 @@ SCALE_FACTORS = (10, 100, 1000)
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig8_group(query, scale_factor, once):
-    cells = once(comparison_row, query, scale_factor, True)
-    for cell in cells:
-        once.extra_info[cell.optimizer] = round(cell.seconds, 2)
+def test_fig8_group(query, scale_factor):
+    cells = comparison_row(query, scale_factor, True)
     assert all(cell.optimizer != "worst_order" for cell in cells)
     rows = {cell.result_rows for cell in cells}
     assert len(rows) == 1, f"optimizers disagree on result size: {rows}"
@@ -39,7 +37,6 @@ def test_fig8_group(query, scale_factor, once):
 
 
 @pytest.mark.parametrize("scale_factor", (10, 100))
-def test_fig8_q9_inl_at_broadcastable_scales(scale_factor, once):
-    result = once(run_query, "Q9", scale_factor, "dynamic", True)
-    once.extra_info["plan"] = result.plan_description
+def test_fig8_q9_inl_at_broadcastable_scales(scale_factor):
+    result = run_query("Q9", scale_factor, "dynamic", True)
     assert "⋈i" in result.plan_description

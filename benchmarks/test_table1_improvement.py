@@ -11,16 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.table1 import PAPER_TABLE1, improvement_rows
+from repro.bench.table1 import improvement_rows
 
 
 @pytest.mark.parametrize("scale_factor", (100, 1000))
-def test_table1_row(scale_factor, once):
-    (row,) = once(improvement_rows, None, (scale_factor,))
-    for optimizer, ratio in sorted(row.ratios.items()):
-        once.extra_info[optimizer] = round(ratio, 2)
-        once.extra_info[f"paper_{optimizer}"] = PAPER_TABLE1[scale_factor][optimizer]
-
+def test_table1_row(scale_factor):
+    (row,) = improvement_rows(None, (scale_factor,))
     assert row.ratios["best_order"] < 1.0
     assert row.ratios["worst_order"] > 2.5
     assert row.ratios["cost_based"] > 1.0

@@ -12,13 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench import (
-    comparison_row,
-    figure7,
-    format_cells,
-    format_rows,
-    improvement_rows,
-)
+from repro.bench import figure7, format_cells, format_rows, improvement_rows
 
 
 def main() -> None:

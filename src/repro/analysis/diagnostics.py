@@ -4,7 +4,7 @@ Every finding is a :class:`Diagnostic` carrying a stable rule code. Codes are
 part of the public contract (tests assert them, CI greps them, DESIGN.md §9
 and §14 tabulate them): ``P…`` codes come from the plan/job verifier, ``Q…``
 codes from the query-level dataflow verifier (whole-job-sequence invariants),
-and ``D…``/``W…`` codes from the source-level determinism lint.
+and ``D…``/``F…``/``W…`` codes from the source-level lint.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ LINT_RULES: dict[str, str] = {
     "D003": "unordered-set-iteration",
     "D004": "queue-delay-in-jobmetrics",
     "D005": "collector-state-in-library-code",
+    "F401": "unused-import",
+    "F821": "undefined-name",
     "W001": "stale-suppression-pragma",
 }
 

@@ -30,12 +30,20 @@ code      rule                          invariant
                                         cycle collector belongs to the embedding
                                         process; fix the heap, not the collector
                                         (DESIGN.md §10.3)
+``F401``  unused-import                 every imported name is read, re-exported
+                                        through ``__all__`` or spelled ``import x
+                                        as x`` — a deletion strands no import
+``F821``  undefined-name                every name read resolves to a builtin, a
+                                        module-level binding or a binding of an
+                                        enclosing scope — a deletion strands no
+                                        reference (``ruff``'s two AST-visible
+                                        classes; ``ruff`` itself runs only in CI)
 ``W001``  stale-suppression-pragma      every ``# det: allow(...)`` pragma must
                                         still suppress a live finding — a stale
                                         pragma is an invisible hole in the lint
 ========  ============================  =============================================
 
-``# det: allow(D00x)`` on the offending line suppresses a finding (used for
+``# det: allow(<code>)`` on the offending line suppresses a finding (used for
 reviewed exceptions); a pragma whose finding has since been fixed trips
 ``W001`` so suppressions cannot silently outlive their reason (itself
 suppressible with ``# det: allow(W001)`` for pragmas that are only
@@ -56,6 +64,7 @@ no findings, ``1`` when there are any — warnings included.
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -132,7 +141,8 @@ ORDER_INSENSITIVE_CALLS = frozenset(
     {"sorted", "min", "max", "len", "sum", "any", "all", "set", "frozenset"}
 )
 
-_PRAGMA = re.compile(r"#\s*det:\s*allow\(\s*([DW]\d{3})\s*\)")
+_PRAGMA = re.compile(r"#\s*det:\s*allow\(\s*([DFW]\d{3})\s*\)")
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
@@ -150,6 +160,8 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
         findings.extend(_check_set_iteration(tree, normalized))
     findings.extend(_check_queue_delay(tree, normalized))
     findings.extend(_check_collector_state(tree, normalized))
+    findings.extend(_check_unused_imports(tree, normalized))
+    findings.extend(_check_undefined_names(tree, normalized))
 
     # W001 runs against the *pre-suppression* findings: a pragma is stale
     # exactly when no finding of its code exists on its line. Stale-pragma
@@ -313,6 +325,10 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "D005": f"collector state touched from library code ({what}()) — the "
         "cycle collector belongs to the embedding process; keep fewer "
         "tracked containers alive instead",
+        "F401": f"{what} imported but never read, re-exported through "
+        "__all__ or spelled `import x as x`",
+        "F821": f"undefined name {what} — no builtin, module-level binding "
+        "or enclosing scope provides it",
     }
     return Diagnostic(
         code=code,
@@ -526,6 +542,131 @@ def _check_collector_state(tree: ast.Module, path: str) -> list[Diagnostic]:
     return findings
 
 
+# -- F401 / F821: import hygiene -----------------------------------------------
+
+
+def _imported_names(
+    node: ast.Import | ast.ImportFrom,
+) -> list[tuple[str, ast.alias]]:
+    """``(local name, alias)`` per binding; star and ``__future__`` bind none."""
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [
+        (alias.asname or alias.name.split(".")[0], alias)
+        for alias in node.names
+        if alias.name != "*"
+    ]
+
+
+def _check_unused_imports(tree: ast.Module, path: str) -> list[Diagnostic]:
+    nodes = list(ast.walk(tree))
+    read = {
+        node.id
+        for node in nodes
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    # A quoted annotation reads the names spelled inside the string.
+    for node in nodes:
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for quoted in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(quoted, ast.Constant) and isinstance(quoted.value, str):
+                read.update(_IDENTIFIER.findall(quoted.value))
+    # Any module-level statement naming ``__all__`` exports the strings in it.
+    for statement in tree.body:
+        parts = list(ast.walk(statement))
+        if any(isinstance(part, ast.Name) and part.id == "__all__" for part in parts):
+            read.update(
+                part.value
+                for part in parts
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+    return [
+        _source_diag("F401", ast.unparse(alias), node, path)
+        for node in nodes
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for local, alias in _imported_names(node)
+        if local not in read and alias.asname != alias.name
+    ]
+
+
+_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+#: names every module (or every method body) can read without binding them
+_IMPLICIT_NAMES = frozenset(
+    {
+        "__name__",
+        "__file__",
+        "__doc__",
+        "__package__",
+        "__spec__",
+        "__path__",
+        "__class__",
+        "__builtins__",
+    }
+)
+
+
+def _bound_names(scope: ast.AST) -> set[str]:
+    """Names bound in ``scope`` itself; a nested scope contributes its name.
+
+    Comprehension targets count as the enclosing scope's and a class body's
+    names as visible to its methods: over-approximations that can hide a
+    finding, never invent one.
+    """
+    names: set[str] = set()
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(local for local, _ in _imported_names(node))
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            names.update(node.names)
+        elif isinstance(node, (ast.ExceptHandler, ast.MatchAs, ast.MatchStar)):
+            names.add(node.name or "")
+        elif isinstance(node, ast.MatchMapping):
+            names.add(node.rest or "")
+        elif isinstance(node, _SCOPE_NODES):
+            names.add(getattr(node, "name", ""))
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _check_undefined_names(tree: ast.Module, path: str) -> list[Diagnostic]:
+    nodes = list(ast.walk(tree))
+    if any(
+        isinstance(node, ast.ImportFrom) and node.names[0].name == "*"
+        for node in nodes
+    ):
+        return []  # a star import binds names no AST walk can see
+    findings: list[Diagnostic] = []
+
+    def visit(node: ast.AST, visible: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _SCOPE_NODES):
+                visit(child, visible | _bound_names(child))
+                continue
+            if (
+                isinstance(child, ast.Name)
+                and isinstance(child.ctx, ast.Load)
+                and child.id not in visible
+            ):
+                findings.append(_source_diag("F821", child.id, child, path))
+            visit(child, visible)
+
+    declared_global = {
+        name for node in nodes if isinstance(node, ast.Global) for name in node.names
+    }
+    visit(
+        tree,
+        set(dir(builtins)) | _IMPLICIT_NAMES | declared_global | _bound_names(tree),
+    )
+    return findings
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -551,7 +692,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine determinism lint (rules D001-D005, W001).",
+        description="Engine source lint (rules D001-D005, F401, F821, W001).",
     )
     parser.add_argument(
         "paths",

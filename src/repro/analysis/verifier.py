@@ -36,8 +36,7 @@ or the simulated clock: verification has zero simulated cost.
 from __future__ import annotations
 
 from repro.algebra.estimation import PlanEstimator
-from repro.algebra.jobgen import leaf_provides
-from repro.algebra.plan import JoinNode, LeafNode, PlanNode
+from repro.algebra.plan import JoinNode, PlanNode
 from repro.algebra.toolkit import alias_stats_key
 from repro.analysis.diagnostics import Diagnostic
 from repro.cluster.config import ClusterConfig

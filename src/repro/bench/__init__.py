@@ -1,113 +1,6 @@
 """Benchmark harness regenerating every table and figure of the paper."""
 
-from repro.bench.comparison import (
-    ComparisonCell,
-    comparison_row,
-    figure7,
-    figure8,
-    format_cells,
-)
-from repro.bench.overhead import (
-    OverheadReport,
-    figure6,
-    format_reports,
-    overhead_report,
-)
-from repro.bench.plans import PlanEntry, format_matrix, plan_matrix
-from repro.bench.runner import (
-    COMPARISON_OPTIMIZERS,
-    JOB_QUERIES,
-    QERROR_OPTIMIZERS,
-    QUERIES,
-    SCALE_FACTORS,
-    SWEEP_QUERIES,
-    clear_cache,
-    run_query,
-    workbench,
-    workbench_for_query,
-    workbench_for_spec,
-)
-from repro.bench.skew import (
-    SkewCell,
-    format_skew,
-    run_skew,
-    skew_ok,
-    sweep_cell,
-)
-from repro.bench.service import (
-    ServiceReport,
-    check_baseline,
-    format_service,
-    run_service,
-    service_templates,
-)
-from repro.bench.table1 import (
-    PAPER_TABLE1,
-    ImprovementRow,
-    format_rows,
-    improvement_rows,
-)
-from repro.bench.throughput import (
-    ThroughputReport,
-    format_throughput,
-    run_throughput,
-    throughput_queries,
-)
-from repro.bench.verify import (
-    VERIFY_OPTIMIZERS,
-    VerifyRow,
-    format_verify,
-    run_verify,
-    verify_cell,
-    verify_ok,
-)
+from repro.bench.comparison import figure7, format_cells
+from repro.bench.table1 import format_rows, improvement_rows
 
-__all__ = [
-    "COMPARISON_OPTIMIZERS",
-    "ComparisonCell",
-    "ImprovementRow",
-    "JOB_QUERIES",
-    "OverheadReport",
-    "PAPER_TABLE1",
-    "PlanEntry",
-    "QERROR_OPTIMIZERS",
-    "QUERIES",
-    "SCALE_FACTORS",
-    "SWEEP_QUERIES",
-    "ServiceReport",
-    "SkewCell",
-    "ThroughputReport",
-    "VERIFY_OPTIMIZERS",
-    "VerifyRow",
-    "check_baseline",
-    "clear_cache",
-    "comparison_row",
-    "figure6",
-    "figure7",
-    "figure8",
-    "format_cells",
-    "format_matrix",
-    "format_reports",
-    "format_rows",
-    "format_service",
-    "format_skew",
-    "format_throughput",
-    "format_verify",
-    "improvement_rows",
-    "overhead_report",
-    "plan_matrix",
-    "run_query",
-    "run_service",
-    "run_skew",
-    "run_throughput",
-    "run_verify",
-    "service_templates",
-    "skew_ok",
-    "sweep_cell",
-    "throughput_queries",
-    "verify_cell",
-    "verify_ok",
-    "workbench",
-    "workbench_for_query",
-    "workbench_for_spec",
-]
+__all__ = ["figure7", "format_cells", "format_rows", "improvement_rows"]

@@ -26,12 +26,9 @@ from repro.bench import (
     overhead,
     plans,
     runner,
-    service,
     skew,
     table1,
-    throughput,
     transfer,
-    verify,
 )
 
 
@@ -93,36 +90,6 @@ def _run_qerror(args, shared) -> bool:
     return False
 
 
-def _run_throughput(args, shared) -> bool:
-    print("=== Multi-query throughput: scheduler vs one-at-a-time ===")
-    throughput_sf = (tuple(args.sf) if args.sf else (10,))[0]
-    query_count = 2 if args.smoke else 4
-    report = throughput.run_throughput(
-        scale_factor=throughput_sf,
-        query_count=query_count,
-        seed=args.seed,
-        job_slots=args.job_slots,
-    )
-    print(throughput.format_throughput(report))
-    return False
-
-
-def _run_service(args, shared) -> bool:
-    print("=== Query service: tail latency under a skewed multi-tenant load ===")
-    service_report = service.run_service(seed=args.seed, smoke=args.smoke)
-    print(service.format_service(service_report))
-    failed = False
-    if args.write_baseline:
-        service.write_baseline(service_report)
-        print(f"baseline recorded at {service.BASELINE_PATH}")
-    if args.check_baseline:
-        violations = service.check_baseline(service_report)
-        for violation in violations:
-            print(f"BASELINE VIOLATION: {violation}")
-        failed = bool(violations)
-    return failed
-
-
 def _run_feedback(args, shared) -> bool:
     print("=== Feedback-driven re-planning: fixed schedule vs ReplanPolicy ===")
     print(feedback.format_feedback(feedback.run_feedback(smoke=args.smoke, seed=args.seed)))
@@ -143,14 +110,6 @@ def _run_transfer(args, shared) -> bool:
     return not transfer.transfer_ok(cells)
 
 
-def _run_verify(args, shared) -> bool:
-    print("=== Verifier sweep: every strategy must compile clean jobs ===")
-    verify_sfs = tuple(args.sf) if args.sf else ((10,) if args.smoke else (10, 100))
-    verify_rows = verify.run_verify(verify_sfs, seed=args.seed)
-    print(verify.format_verify(verify_rows))
-    return not verify.verify_ok(verify_rows)
-
-
 def _run_plans(args, shared) -> bool:
     print("=== Appendix: plans generated per optimizer (Figures 11-23) ===")
     sfs = _comparison_sfs(args)
@@ -167,12 +126,9 @@ REGISTRY = (
     Experiment("table1", "average improvement of the dynamic approach", _run_table1),
     Experiment("fig8", "strategy comparison with INL join enabled", _run_fig8),
     Experiment("qerror", "estimate accuracy (Q-error) per strategy", _run_qerror),
-    Experiment("throughput", "multi-query scheduler throughput", _run_throughput),
-    Experiment("service", "multi-tenant query service tail latency", _run_service),
     Experiment("feedback", "fixed replan schedule vs ReplanPolicy", _run_feedback),
     Experiment("skew", "adversarial skew/correlation sweep, all strategies", _run_skew),
     Experiment("transfer", "predicate-transfer pre-filtering vs dynamic", _run_transfer),
-    Experiment("verify", "verifier sweep: zero diagnostics everywhere", _run_verify),
     Experiment("plans", "appendix plan matrix per optimizer", _run_plans),
 )
 
@@ -191,7 +147,9 @@ def experiment_list() -> str:
     return "\n".join(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
+def parse_args(argv: list[str] | None = None) -> tuple[argparse.Namespace, list[str]]:
+    """The options and the chosen experiment names (``all`` expanded, empty for
+    a bare invocation); exits on an unknown flag or experiment."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
         description="Regenerate the paper's tables and figures.",
@@ -214,39 +172,23 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
-        "--job-slots",
-        type=int,
-        default=2,
-        help="partition-slice slots for the throughput experiment's "
-        "space-shared mode (default 2; 1 disables space sharing)",
-    )
-    parser.add_argument(
         "--smoke",
         action="store_true",
-        help="tiny fast configuration (used by CI to exercise the code paths)",
-    )
-    parser.add_argument(
-        "--check-baseline",
-        action="store_true",
-        help="service experiment: fail (exit 1) when tail latency or cache "
-        "hit rate drifts beyond tolerance of the recorded baseline",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="service experiment: record the run as the new baseline "
-        f"({service.BASELINE_PATH})",
+        help="tiny fast configuration (what tests/bench runs in tier-1)",
     )
     args = parser.parse_args(argv)
-    if not args.experiments:
-        print(experiment_list())
-        return 0
-    chosen = args.experiments
-    if chosen == ["all"]:
-        chosen = list(EXPERIMENTS)
+    chosen = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     unknown = [e for e in chosen if e not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments {unknown}; choose from {list(EXPERIMENTS)}")
+    return args, chosen
+
+
+def main(argv: list[str] | None = None) -> int:
+    args, chosen = parse_args(argv)
+    if not chosen:
+        print(experiment_list())
+        return 0
 
     failed = False
     shared: dict = {}

@@ -33,7 +33,7 @@ QUERIES = {
     for name in _PAPER_WORKLOADS
     for label in get_workload(name, 10).queries
 }
-#: the JOB-style suite: swept by verify/equivalence/skew, not Figures 6-8
+#: the JOB-style suite: swept by the golden cells and skew, not Figures 6-8
 JOB_QUERIES = {label: "job" for label in get_workload("job", 10).queries}
 #: every benchmarked query: the paper's four plus the JOB suite
 SWEEP_QUERIES = {**QUERIES, **JOB_QUERIES}

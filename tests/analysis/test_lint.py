@@ -1,4 +1,4 @@
-"""Mutation tests for the determinism lint (D001-D005, W001) + the clean tree.
+"""Mutation tests for the source lint (D001-D005, F401, F821, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -61,15 +61,15 @@ class TestD001WallClock:
 
 class TestD002BareRandom:
     def test_import_random(self):
-        source = "import random\n"
+        source = "import random\n\ngen = random.Random(7)\n"
         assert codes(lint_source(source, "core/driver.py")) == ["D002"]
 
     def test_from_random_import(self):
-        source = "from random import Random\n"
+        source = "from random import Random\n\ngen = Random(7)\n"
         assert codes(lint_source(source, "optimizers/pilot_run.py")) == ["D002"]
 
     def test_rng_module_exempt(self):
-        source = "import random\n"
+        source = "import random\n\ngen = random.Random(7)\n"
         assert lint_source(source, "common/rng.py") == []
 
 
@@ -148,7 +148,7 @@ class TestD005CollectorState:
         # Unlike D001, not even analysis/ or bench/: the collector belongs
         # to the embedding process everywhere under src/repro.
         source = "import gc\n\ngc.collect()\n"
-        for path in ("analysis/runtime.py", "bench/throughput.py", "common/rng.py"):
+        for path in ("analysis/runtime.py", "bench/runner.py", "common/rng.py"):
             assert codes(lint_source(source, path)) == ["D005"], path
 
     def test_read_only_introspection_is_fine(self):
@@ -165,6 +165,63 @@ class TestD005CollectorState:
 
     def test_pragma_suppresses(self):
         source = "import gc\n\ngc.collect()  # det: allow(D005)\n"
+        assert lint_source(source, "engine/executor.py") == []
+
+
+class TestF401UnusedImport:
+    def test_import_nothing_reads(self):
+        source = "import os\nfrom repro.bench import service, skew\n\nskew.run_skew()\n"
+        found = lint_source(source, "bench/__main__.py")
+        assert [(f.code, f.line) for f in found] == [("F401", 1), ("F401", 2)]
+        assert "service" in found[1].message
+
+    def test_reads_reexports_and_quoted_annotations_count(self):
+        source = (
+            "from __future__ import annotations\n"
+            "from typing import TYPE_CHECKING\n"
+            "import a.b\n"
+            "from m import exported, appended, explicit as explicit\n"
+            "if TYPE_CHECKING:\n"
+            "    from t import Quoted\n"
+            "__all__ = ['exported']\n"
+            "__all__.append('appended')\n"
+            "def f(x: 'Quoted | None'):\n"
+            "    return a.b.c(x)\n"
+        )
+        assert lint_source(source, "lang/__init__.py") == []
+
+
+class TestF821UndefinedName:
+    def test_reference_stranded_by_a_deleted_import(self):
+        source = (
+            "from repro.bench import skew\n\n"
+            "def run(args):\n"
+            "    return skew.run_skew(), service.BASELINE_PATH\n"
+        )
+        found = lint_source(source, "bench/__main__.py")
+        assert [(f.code, f.line) for f in found] == [("F821", 4)]
+        assert "service" in found[0].message
+
+    def test_every_kind_of_binding_resolves(self):
+        source = (
+            "import os\n"
+            "LIMIT = 3\n"
+            "def outer(a, *rest, key=None, **extra):\n"
+            "    global counter\n"
+            "    counter = len(rest)\n"
+            "    def inner():\n"
+            "        return a, key, extra, later, LIMIT, __name__\n"
+            "    later = [y for x in rest for y in x if (z := y)]\n"
+            "    try:\n"
+            "        with open(os.devnull) as handle:\n"
+            "            return inner, handle, z\n"
+            "    except OSError as error:\n"
+            "        return error, counter\n"
+            "class K:\n"
+            "    size = LIMIT\n"
+            "    def method(self):\n"
+            "        return lambda q: (q, self, K, outer)\n"
+        )
         assert lint_source(source, "engine/executor.py") == []
 
 

@@ -186,20 +186,20 @@ class TestFailedQueryAccounting:
         assert "SimulatedFailure" in failed_events[0].label
 
     def test_throughput_table_keeps_failed_rows(self):
-        from repro.bench.throughput import _lines_for
-
+        """Everything a per-query table needs about a failed query is on
+        its handle: the label, the error and the work charged before dying."""
         session = build_star_session()
         doomed = session.submit(star_query(), PlannerSpec.of("dynamic", fail_after_jobs=2), label="doomed")
         healthy = session.submit(star_query(), label="healthy")
         session.run_all()
 
-        lines = _lines_for([doomed, healthy])
-        assert [line.label for line in lines] == ["doomed", "healthy"]
-        assert lines[0].error is not None
-        assert "SimulatedFailure" in lines[0].error
-        assert lines[0].seconds > 0.0
-        assert lines[1].error is None
-        assert lines[1].rows > 0
+        assert [handle.label for handle in (doomed, healthy)] == ["doomed", "healthy"]
+        assert doomed.failed
+        assert "SimulatedFailure" in doomed.schedule.error
+        assert doomed.schedule.busy_seconds > 0.0
+        assert not healthy.failed
+        assert healthy.schedule.error is None
+        assert len(healthy.result().rows) > 0
 
 
 class TestFailureUnderSpaceSharing:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.bench.runner import run_query, workbench_for_query
-from repro.bench.verify import verify_cell
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 from tests.engine.equivalence import run_fingerprint
@@ -23,9 +22,14 @@ class TestByteDeterminism:
 class TestVerifierClean:
     @pytest.mark.parametrize("label", ("J1", "J2", "J3"))
     def test_job_suite_zero_diagnostics(self, label):
-        row = verify_cell(label, 10, "sketch_online")
-        assert row.clean
-        assert row.jobs_verified >= 1
+        stats = workbench_for_query(label, 10).session.executor.verifier_stats
+        jobs_before, found_before = stats.jobs_verified, stats.diagnostics_found
+        # A finding would raise PlanVerificationError out of the run.
+        result = run_query(label, 10, "sketch_online")
+        assert result.trace.verifications
+        assert all(not record.codes for record in result.trace.verifications)
+        assert stats.jobs_verified > jobs_before
+        assert stats.diagnostics_found == found_before
 
 
 class TestCorrectness:
