@@ -93,9 +93,6 @@ class PlanEstimator:
 
     # -- cardinalities ------------------------------------------------------
 
-    def leaf_estimate(self, leaf: LeafNode) -> NodeEstimate:
-        return self.estimate(leaf)
-
     def estimate(self, node: PlanNode) -> NodeEstimate:
         found = self._estimates.get(node)
         if found is None:
@@ -185,12 +182,19 @@ class PlanEstimator:
     def plan_cost(self, node: PlanNode) -> float:
         """Movement-aware execution-cost estimate of a full plan (mirrors the
         engine's cost model; used by ablations, not the paper baseline)."""
-        cost, _ = self._cost(node)
-        return cost
+        return self._cost(node, leaf_scans=True)[0]
 
-    def _cost(self, node: PlanNode) -> tuple[float, NodeEstimate]:
+    def join_phase_cost(self, node: PlanNode) -> float:
+        """The joins' share of :meth:`plan_cost`: exchange, build, probe and
+        spill of every join in the tree, with no leaf scan in it — what is
+        still to run once the inputs are read, whichever job reads them."""
+        return self._cost(node, leaf_scans=False)[0]
+
+    def _cost(self, node: PlanNode, leaf_scans: bool) -> tuple[float, NodeEstimate]:
         if isinstance(node, LeafNode):
-            estimate = self.leaf_estimate(node)
+            estimate = self.estimate(node)
+            if not leaf_scans:
+                return 0.0, estimate
             stats = self.statistics.get(self.alias_datasets[node.alias])
             modeled = stats.row_count * stats.scale
             seconds = self.cost.scan(modeled, stats.row_width)
@@ -199,24 +203,25 @@ class PlanEstimator:
             return seconds, estimate
         if not isinstance(node, JoinNode):
             raise PlanError(f"cannot cost node type {type(node).__name__}")
-        build_cost, build = self._cost(node.build)
-        probe_cost, probe = self._cost(node.probe)
+        build_cost, build = self._cost(node.build, leaf_scans)
+        probe_cost, probe = self._cost(node.probe, leaf_scans)
         out = self.estimate(node)
-        seconds = build_cost + probe_cost
         if node.algorithm is JoinAlgorithm.HASH:
+            seconds = build_cost + probe_cost
             seconds += self.cost.hash_exchange(build.modeled_rows, build.row_width)
             seconds += self.cost.hash_exchange(probe.modeled_rows, probe.row_width)
             seconds += self.cost.hash_build(build.modeled_rows)
             seconds += self.cost.probe(probe.modeled_rows + out.modeled_rows)
             seconds += self.cost.spill(build.byte_size, probe.byte_size)
         elif node.algorithm is JoinAlgorithm.BROADCAST:
+            seconds = build_cost + probe_cost
             seconds += self.cost.broadcast_exchange(
                 build.modeled_rows, build.row_width
             )
             seconds += self.cost.broadcast_build(build.modeled_rows)
             seconds += self.cost.probe(probe.modeled_rows + out.modeled_rows)
-        else:  # INL: no scan of the inner side — subtract the probe scan cost.
-            seconds -= probe_cost
+        else:  # INL looks its inner side up through the index: no scan of it.
+            seconds = build_cost
             seconds += self.cost.broadcast_exchange(
                 build.modeled_rows, build.row_width
             )

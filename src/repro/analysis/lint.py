@@ -54,6 +54,7 @@ Run from the command line (CI's ``analysis`` job does)::
 
     PYTHONPATH=src python -m repro.analysis.lint            # lints src/repro
     PYTHONPATH=src python -m repro.analysis.lint path/      # or explicit paths
+    PYTHONPATH=src python -m repro.analysis.lint --select F401,F821 tests benchmarks/*.py
     PYTHONPATH=src python -m repro.analysis.lint --format json     # machine-readable
     PYTHONPATH=src python -m repro.analysis.lint --format github   # CI annotations
 
@@ -707,8 +708,16 @@ def main(argv: list[str] | None = None) -> int:
         help="output format: human-readable text (default), a JSON document, "
         "or GitHub Actions workflow-command annotations",
     )
+    parser.add_argument(
+        "--select",
+        metavar="CODES",
+        help="report only these comma-separated rule codes, e.g. F401,F821 "
+        "over tests/ (the D-rules are invariants of library code only)",
+    )
     args = parser.parse_args(argv)
     findings = lint_paths(list(args.paths))
+    if args.select:
+        findings = [f for f in findings if f.code in args.select.split(",")]
     if args.format == "json":
         print(
             json.dumps(

@@ -20,6 +20,7 @@ generators of concurrent queries on a shared simulated clock.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -28,6 +29,7 @@ from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.analysis.runtime import verify_plan_before_jobgen
 from repro.common.errors import OptimizationError
+from repro.common.types import Schema
 from repro.core.planner import (
     PlannedJoin,
     Planner,
@@ -40,9 +42,8 @@ from repro.core.predicate_transfer import transfer_stages
 from repro.core.reconstruction import reconstruct_after_join
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
-from repro.lang.ast import Query
+from repro.lang.ast import Query, split_column
 from repro.optimizers.base import Optimizer, final_job_stages
-from repro.stats.catalog import StatisticsCatalog
 from repro.stats.collector import StatisticsCollector
 
 if TYPE_CHECKING:
@@ -87,28 +88,16 @@ def original_leaves(
     }
 
 
-def greedy_full_plan(
-    query: Query,
-    session: Session,
-    statistics: StatisticsCatalog,
-    inl_enabled: bool,
-    broadcast_budget_bytes: float | None = None,
-) -> PlanNode:
+def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
     """Estimate-only greedy join tree (no execution between decisions).
 
-    Used by the push-down-only mode (Figure 6 right): after predicate
-    materialization refines the statistics, the remaining joins are planned
-    in one shot by repeatedly merging the pair with the smallest estimated
-    result — the same greedy policy as the loop, minus the feedback.
+    Every join of the toolkit's query planned in one shot by repeatedly
+    merging the pair with the smallest estimated result — the same greedy
+    policy as the loop, minus the feedback. The push-down-only mode (Figure 6
+    right) and the fuse rule run it over the statistics measured so far;
+    ``greedy_static`` over the ingestion-time ones.
     """
-    toolkit = PlannerToolkit(
-        query,
-        session,
-        statistics,
-        inl_enabled,
-        broadcast_budget_bytes=broadcast_budget_bytes,
-    )
-    nodes: list[PlanNode] = [toolkit.leaf(alias) for alias in query.aliases]
+    nodes: list[PlanNode] = [toolkit.leaf(alias) for alias in toolkit.query.aliases]
     while len(nodes) > 1:
         best = None
         for i in range(len(nodes)):
@@ -126,6 +115,19 @@ def greedy_full_plan(
         _, i, j, joined = best
         nodes = [n for k, n in enumerate(nodes) if k not in (i, j)] + [joined]
     return nodes[0]
+
+
+def _row_width(toolkit: PlannerToolkit, columns: tuple[str, ...]) -> int:
+    """Serialized bytes per row of a projection onto qualified ``columns``."""
+    lookup = toolkit.session.datasets.schema_lookup
+    fields = []
+    for column in columns:
+        alias = toolkit.resolver.provider(column)
+        schema = lookup(toolkit.query.table(alias).dataset)
+        # intermediates keep qualified field names, base datasets plain ones
+        name = column if schema.has_field(column) else split_column(column)[1]
+        fields.append((column, schema.field_type(name)))
+    return Schema.of(*fields).row_width
 
 
 @dataclass
@@ -152,10 +154,9 @@ class DriverState:
     #: start (possibly from the session's FeedbackLog); checkpointed so a
     #: resumed run keeps the thresholds it started with.
     thresholds: RuntimeThresholds = field(default_factory=RuntimeThresholds)
-    #: feedback-policy decisions taken so far (surfaced on ExecutionResult).
+    #: decisions taken so far — the feedback policy's and the fuse rule's
+    #: (surfaced on ExecutionResult).
     policy_log: list[PolicyDecision] = field(default_factory=list)
-    #: measured Q-errors of completed materialized stages, oldest first.
-    q_history: list[float] = field(default_factory=list)
     #: a bad miss armed the widened (bounded-enumeration) next pick.
     widen_pending: bool = False
 
@@ -219,6 +220,75 @@ class DynamicOptimizer(Optimizer):
         """
         yield from ()
 
+    def fuse_plan(
+        self,
+        state: DriverState,
+        toolkit: PlannerToolkit,
+        picked: PlannedJoin,
+        keep: tuple[str, ...],
+        stats_columns: tuple[str, ...],
+    ) -> PlanNode | None:
+        """The plan to run as the final job *now*, or ``None`` to take the
+        re-optimization point after ``picked``.
+
+        A point has to pay for itself. Its price is the cost model's own
+        charge: one more job start-up, the Sink writing the picked join's
+        estimated output at its kept width, the next job reading it back, the
+        sketches over ``stats_columns``. All it can improve is the joins
+        still to run — exchange, build, probe and spill of the greedy plan
+        over what is left; leaf scans happen either way. That side is an
+        estimate, so it is multiplied by the worst Q-error this run has
+        measured, and an unbounded miss on record means it cannot be priced
+        at all: the point is taken. Strategies that by definition make no
+        result estimates override this to keep the fixed schedule.
+        """
+        factor = 1.0
+        for record in state.run.tracer.estimates:
+            if not math.isfinite(record.q_error):
+                return None
+            factor = max(factor, record.q_error)
+        estimator = toolkit.estimator
+        cost = estimator.cost
+        rows = picked.node.estimated_rows
+        width = _row_width(toolkit, keep)
+        point = (
+            cost.job_startup()
+            + cost.materialize(rows, width)
+            + cost.read_materialized(rows, width)
+            + cost.statistics(rows, len(stats_columns))
+        )
+        # Every remaining input tuple passes at least one build or probe (a
+        # possible INL inner side, a predicate-free base table, is looked up
+        # instead), which bounds the joins from below without planning them;
+        # at the paper's scales that settles nearly every point.
+        leaves = (toolkit.leaf(alias) for alias in state.current.aliases)
+        floor = cost.probe(
+            sum(
+                estimator.estimate(leaf).modeled_rows
+                for leaf in leaves
+                if not self.inl_enabled or leaf.is_intermediate or leaf.predicates
+            )
+        )
+        if point <= floor * factor:
+            return None
+        plan = greedy_full_plan(toolkit)
+        remaining = estimator.join_phase_cost(plan)
+        if point <= remaining * factor:
+            return None
+        state.policy_log.append(
+            PolicyDecision(
+                phase=f"join-{state.iteration}",
+                action="fuse",
+                q_error=factor,
+                # the Q-error factor at which the point would have been taken
+                threshold=point / remaining if remaining > 0.0 else math.inf,
+                detail=f"one more point costs {point:.3f}s, the "
+                f"{len(plan.join_nodes())} joins still to run "
+                f"{remaining:.3f}s x {factor:.2f}: fused into the final job",
+            )
+        )
+        return plan
+
     # -- main entry -------------------------------------------------------------
 
     def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
@@ -257,9 +327,10 @@ class DynamicOptimizer(Optimizer):
 
         if not self.reoptimize_joins:
             # Push-down-only mode: one job for all joins, planned greedily.
+            plan = greedy_full_plan(self._toolkit(state, session))
             return (
                 yield from self._final_stages(
-                    state, session, greedy=True, phase="single-shot"
+                    state, session, plan=plan, phase="single-shot"
                 )
             )
         return (yield from self.resume_stages(state, session))
@@ -281,30 +352,9 @@ class DynamicOptimizer(Optimizer):
         while True:
             toolkit = self._toolkit(state, session)
             planner = Planner(toolkit, self.rank)
-            joins_remaining = len(toolkit.join_graph())
-            if joins_remaining <= 2:
+            if len(toolkit.join_graph()) <= 2:
                 break
-            if policy.may_fuse(state.q_history, joins_remaining):
-                # Every stage so far landed under fuse_qerror: the remaining
-                # re-optimization points are unlikely to change anything, so
-                # skip them and fuse the rest into the endgame job.
-                state.policy_log.append(
-                    PolicyDecision(
-                        phase=f"join-{state.iteration}",
-                        action="fuse",
-                        q_error=max(state.q_history),
-                        threshold=policy.fuse_qerror,
-                        detail=f"{joins_remaining} remaining joins fused into "
-                        "the final job",
-                    )
-                )
-                return (yield from self._final_stages(state, session, greedy=True))
             picked = self._pick_join(state, planner, toolkit, policy)
-            # Plan-time verification (DESIGN.md §14): check the picked join's
-            # logical subtree at the re-optimization point that produced it,
-            # before jobgen — the compiled job re-verifies at the launch gate.
-            verify_plan_before_jobgen(session.executor, picked.node, run.statistics)
-            name = f"{run.namespace}__join_{state.iteration}"
             keep, stats_columns = self._sink_columns(state.current, toolkit, picked)
             tables_after = len(state.current.tables) - 1
             if (
@@ -315,6 +365,14 @@ class DynamicOptimizer(Optimizer):
                 # "we know that we are not going to further re-optimize". The
                 # paper's fixed cutoff is 3; adaptive policies move it.
                 stats_columns = ()
+            fused = self.fuse_plan(state, toolkit, picked, keep, stats_columns)
+            if fused is not None:
+                return (yield from self._final_stages(state, session, plan=fused))
+            # Plan-time verification (DESIGN.md §14): check the picked join's
+            # logical subtree at the re-optimization point that produced it,
+            # before jobgen — the compiled job re-verifies at the launch gate.
+            verify_plan_before_jobgen(session.executor, picked.node, run.statistics)
+            name = f"{run.namespace}__join_{state.iteration}"
             job = build_sink_job(
                 picked.node,
                 name,
@@ -354,22 +412,14 @@ class DynamicOptimizer(Optimizer):
         state: DriverState,
         session: Session,
         *,
-        greedy: bool = False,
+        plan: PlanNode | None = None,
         phase: str = "final",
     ) -> Stages:
-        """The endgame job: at most two remaining joins — or, when
-        ``greedy``, all remaining joins planned in one shot without feedback
-        (the policy's early-fuse action and the push-down-only mode)."""
+        """The job that returns rows to the user: ``plan`` over everything
+        still unjoined (the fuse rule's and the push-down-only mode's greedy
+        tree), or by default the endgame ordering of at most two joins."""
         run = state.run
-        if greedy:
-            plan = greedy_full_plan(
-                state.current,
-                session,
-                run.statistics,
-                self.inl_enabled,
-                broadcast_budget_bytes=state.thresholds.broadcast_budget_bytes,
-            )
-        else:
+        if plan is None:
             plan = Planner(self._toolkit(state, session), self.rank).final_plan()
         verify_plan_before_jobgen(session.executor, plan, run.statistics)
         self.last_tree = resolve_logical(plan, state.registry)
@@ -434,7 +484,7 @@ class DynamicOptimizer(Optimizer):
             PolicyDecision(
                 phase=f"join-{state.iteration}",
                 action="widen",
-                q_error=state.q_history[-1] if state.q_history else 1.0,
+                q_error=state.policy_log[-1].q_error,  # the miss that armed it
                 threshold=state.thresholds.qerror_threshold,
                 detail="enumeration picked "
                 + "+".join(sorted(a.removeprefix(strip) for a in widened.pair))
@@ -464,7 +514,6 @@ class DynamicOptimizer(Optimizer):
         if record is None:
             return
         q = record.q_error
-        state.q_history.append(q)
         if not policy.is_bad_miss(q, state.thresholds):
             return
         details = []

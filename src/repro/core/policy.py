@@ -13,9 +13,9 @@ module closes that loop:
   mis-estimated intermediate when the fixed schedule had skipped them (an
   extra re-optimization, charged to the clock), and (b) optionally widen the
   *next* planning step from the greedy rule to a bounded bushy enumeration.
-  A run whose stages all landed under ``fuse_qerror`` may instead fuse the
-  remaining joins into the endgame job early, skipping redundant
-  re-optimization points.
+  (Whether a re-optimization point is taken at all is not policy: the
+  driver's cost rule, ``DynamicOptimizer.fuse_plan``, decides that for every
+  run and records a ``fuse`` decision here when it fires.)
 - :class:`FeedbackLog` — a per-:class:`~repro.session.Session` accumulator
   of misestimate/spill history *across* queries. Adaptive policies derive
   their :class:`RuntimeThresholds` from it: the trigger threshold converges
@@ -49,6 +49,9 @@ DEFAULT_STATS_CUTOFF = 3
 #: The paper's push-down rule: tables with at least this many local
 #: predicates (or any complex one) are pre-executed.
 DEFAULT_PUSHDOWN_MIN_PREDICATES = 2
+#: A session whose median Q-error is at most this has tight estimates: the
+#: adaptive statistics cutoff relaxes.
+TIGHT_QERROR = 1.5
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,14 @@ class RuntimeThresholds:
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """One consult of the policy that changed (or shaped) the schedule."""
+    """One decision that changed (or shaped) the schedule."""
 
     phase: str
     #: "replan" (bad miss: refresh + extra re-optimization), "widen"
-    #: (next pick came from bounded enumeration), "fuse" (remaining joins
-    #: fused into the endgame job early).
+    #: (next pick came from bounded enumeration), "fuse" (one more point
+    #: would not pay for itself: remaining joins run as the final job; here
+    #: ``q_error`` is the factor applied and ``threshold`` the factor at
+    #: which the point would have been taken).
     action: str
     q_error: float
     threshold: float
@@ -114,13 +119,6 @@ class ReplanPolicy:
     widen_search: bool = True
     #: enumeration bound: fall back to greedy beyond this many tables.
     widen_max_tables: int = 8
-    #: fuse the remaining joins into the endgame job once every observed
-    #: stage landed under ``fuse_qerror`` (skip redundant re-opt points).
-    early_fuse: bool = False
-    #: max Q-error a stage may have and still count as well-predicted.
-    fuse_qerror: float = 1.5
-    #: only fuse when at most this many joins remain.
-    fuse_max_joins: int = 3
     #: derive RuntimeThresholds from the session's FeedbackLog.
     adaptive: bool = False
     #: finite Q-error observations required before adaptation kicks in.
@@ -129,12 +127,8 @@ class ReplanPolicy:
     def __post_init__(self) -> None:
         if self.qerror_threshold < 1.0:
             raise OptimizationError("qerror_threshold must be >= 1 (a Q-error)")
-        if self.fuse_qerror < 1.0:
-            raise OptimizationError("fuse_qerror must be >= 1 (a Q-error)")
         if self.widen_max_tables < 3:
             raise OptimizationError("widen_max_tables must be >= 3")
-        if self.fuse_max_joins < 2:
-            raise OptimizationError("fuse_max_joins must be >= 2")
         if self.min_history < 1:
             raise OptimizationError("min_history must be >= 1")
 
@@ -147,13 +141,13 @@ class ReplanPolicy:
 
     @classmethod
     def default(cls, qerror_threshold: float = 4.0) -> ReplanPolicy:
-        """Static trigger threshold, refresh + widen on a miss, no fusing."""
+        """Static trigger threshold, refresh + widen on a miss."""
         return cls(qerror_threshold=qerror_threshold)
 
     @classmethod
     def adaptive_policy(cls, min_history: int = 8) -> ReplanPolicy:
         """Thresholds derived at runtime from the session's FeedbackLog."""
-        return cls(adaptive=True, early_fuse=True, min_history=min_history)
+        return cls(adaptive=True, min_history=min_history)
 
     # -- resolution -----------------------------------------------------------
 
@@ -193,16 +187,6 @@ class ReplanPolicy:
         if not self.enabled or q_error is None or not math.isfinite(q_error):
             return False
         return q_error > thresholds.qerror_threshold
-
-    def may_fuse(self, q_history: list[float], joins_remaining: int) -> bool:
-        """May the remaining joins fuse into the endgame job early?"""
-        if not self.enabled or not self.early_fuse or not q_history:
-            return False
-        if joins_remaining > self.fuse_max_joins:
-            return False
-        return all(
-            math.isfinite(q) and q <= self.fuse_qerror for q in q_history
-        )
 
 
 class FeedbackLog:
@@ -368,7 +352,7 @@ class FeedbackLog:
             if median > threshold:
                 cutoff = 2  # chronic misses: keep sketching to the endgame
                 min_predicates = 1  # and measure every predicated table
-            elif median <= policy.fuse_qerror:
+            elif median <= TIGHT_QERROR:
                 cutoff = 4  # estimates are tight: skip sketches earlier
 
         return RuntimeThresholds(

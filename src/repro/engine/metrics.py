@@ -99,9 +99,9 @@ class ExecutionResult:
     #: queueing delay charged under saturation. None for direct
     #: (unscheduled) execution; never affects ``metrics``.
     schedule: ScheduleInfo | None = None
-    #: feedback-policy decisions (repro.core.policy.PolicyDecision) taken
-    #: during this run: replan triggers, widened picks, early fusing. Empty
-    #: for runs without a policy (or with ReplanPolicy.off()).
+    #: decisions (repro.core.policy.PolicyDecision) taken during this run:
+    #: the feedback policy's replan triggers and widened picks, and the
+    #: driver's cost rule fusing the remaining joins. Empty when none fired.
     decisions: tuple = ()
 
     @property
@@ -123,6 +123,10 @@ class ExecutionResult:
             if self.trace is None
             else self.trace.explain_analyze()
         )
+        # Why the schedule is what it is: replans, widened picks, the fuse
+        # rule's inequality. Nothing is printed for a run that decided nothing.
+        for decision in self.decisions:
+            body += f"\n-- decision: {decision.describe()}"
         schedule = self.schedule
         if schedule is None:
             return body

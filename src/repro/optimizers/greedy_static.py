@@ -15,6 +15,7 @@ feedback; comparing it against cost_based isolates search quality.
 
 from __future__ import annotations
 
+from repro.algebra.toolkit import PlannerToolkit
 from repro.core.driver import greedy_full_plan
 from repro.lang.ast import Query
 from repro.optimizers.base import Optimizer, single_job_stages
@@ -31,7 +32,9 @@ class GreedyStaticOptimizer(Optimizer):
 
     def stages(self, query: Query, session, namespace: str = ""):
         plan = greedy_full_plan(
-            query, session, session.statistics.copy(), self.inl_enabled
+            PlannerToolkit(
+                query, session, session.statistics.copy(), self.inl_enabled
+            )
         )
         self.last_tree = plan
         return (yield from single_job_stages(plan, query, session, label="greedy-static"))

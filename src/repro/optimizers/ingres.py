@@ -28,3 +28,7 @@ class IngresLikeOptimizer(DynamicOptimizer):
             collect_online_sketches=False,
             policy=policy,
         )
+
+    def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
+        """No result estimates to price a point with: the fixed schedule."""
+        return None

@@ -76,6 +76,11 @@ class PilotRunOptimizer(DynamicOptimizer):
         )
         self.sample_limit = sample_limit
 
+    def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
+        """Sample-scaled estimates are what the points are there to correct,
+        not something to price them with: the fixed schedule."""
+        return None
+
     def prepare_stages(self, run: QueryRun, session):
         """Per-table pilot sampling as virtual-cost stages.
 

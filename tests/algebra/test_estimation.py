@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from repro.algebra.estimation import PlanEstimator
 from repro.algebra.plan import JoinNode, LeafNode
 from repro.algebra.toolkit import PlannerToolkit
+from repro.bench.runner import SWEEP_QUERIES, workbench_for_query
 from repro.common.errors import PlanError
 from repro.common.types import DataType, Schema
+from repro.core.driver import DynamicOptimizer
 from repro.engine.operators.joins import JoinAlgorithm
-from repro.lang.ast import ComparisonPredicate, UdfPredicate
 from repro.lang.builder import QueryBuilder
 from repro.optimizers.enumeration import best_bushy_plan
 from repro.session import Session
@@ -34,17 +35,17 @@ def make_join_node(toolkit, a, b):
 
 class TestLeafEstimates:
     def test_unfiltered_leaf_is_row_count(self, toolkit):
-        estimate = toolkit.estimator.leaf_estimate(toolkit.leaf("fact"))
+        estimate = toolkit.estimator.estimate(toolkit.leaf("fact"))
         assert estimate.rows == 2000
         assert estimate.scale == 10_000.0
 
     def test_simple_filter_uses_histogram(self, toolkit):
-        estimate = toolkit.estimator.leaf_estimate(toolkit.leaf("da"))
+        estimate = toolkit.estimator.estimate(toolkit.leaf("da"))
         # a_attr = 2 over 7 values of 50 rows ~ 7-8 rows
         assert estimate.rows == pytest.approx(50 / 7, rel=0.6)
 
     def test_udf_filter_uses_default(self, toolkit):
-        estimate = toolkit.estimator.leaf_estimate(toolkit.leaf("db"))
+        estimate = toolkit.estimator.estimate(toolkit.leaf("db"))
         assert estimate.rows == pytest.approx(40 * DEFAULT_EQUALITY_SELECTIVITY)
 
 
@@ -81,7 +82,7 @@ class TestJoinEstimates:
             toolkit.estimator.estimate(node)
 
     def test_modeled_rows(self, toolkit):
-        estimate = toolkit.estimator.leaf_estimate(toolkit.leaf("fact"))
+        estimate = toolkit.estimator.estimate(toolkit.leaf("fact"))
         assert estimate.modeled_rows == 2000 * 10_000.0
         assert estimate.byte_size == estimate.modeled_rows * estimate.row_width
 
@@ -110,6 +111,53 @@ class TestCosts:
         assert hash_cost > 0 and bcast_cost > 0
         # tiny filtered dim vs big fact: broadcast must be cheaper
         assert bcast_cost < hash_cost
+
+
+class TestJoinPhaseCost:
+    """``plan_cost`` is leaf scans plus per-join terms; ``join_phase_cost`` is
+    the second half alone — the driver's fuse rule prices "the joins still to
+    run" with it, so no join may contribute nothing or less (an INL join
+    drops its inner side's *scan*, never anything a child charged)."""
+
+    @pytest.fixture(scope="class", params=sorted(SWEEP_QUERIES))
+    def suite_plan(self, request):
+        bench = workbench_for_query(request.param, 100)
+        bench.ensure_indexes()
+        query = bench.query(request.param)
+        optimizer = DynamicOptimizer(inl_enabled=True)
+        try:
+            optimizer.execute(query, bench.session)
+        finally:
+            bench.session.reset_intermediates()
+        toolkit = PlannerToolkit(query, bench.session, inl_enabled=True)
+        return toolkit.estimator, optimizer.last_tree
+
+    def test_every_join_costs_at_least_what_it_reads(self, suite_plan):
+        estimator, plan = suite_plan
+        for node in plan.join_nodes():
+            inl = node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP
+            assert isinstance(node.probe, LeafNode) or not inl
+            read = [node.build] if inl else [node.build, node.probe]
+            assert estimator.plan_cost(node) >= sum(map(estimator.plan_cost, read))
+            assert estimator.join_phase_cost(node) > (
+                estimator.join_phase_cost(node.build)
+                + estimator.join_phase_cost(node.probe)
+            )
+
+    def test_plan_cost_is_scans_plus_join_phase(self, suite_plan):
+        estimator, plan = suite_plan
+        inner = {
+            node.probe
+            for node in plan.join_nodes()
+            if node.algorithm is JoinAlgorithm.INDEX_NESTED_LOOP
+        }
+        scans = sum(
+            estimator.plan_cost(leaf) for leaf in plan.leaves() if leaf not in inner
+        )
+        assert estimator.join_phase_cost(plan) > 0.0
+        assert estimator.plan_cost(plan) == pytest.approx(
+            scans + estimator.join_phase_cost(plan)
+        )
 
 
 class TestCompositeRules:

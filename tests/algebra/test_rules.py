@@ -1,7 +1,5 @@
 """JoinAlgorithmRule and PushDownPredicateRule tests."""
 
-import pytest
-
 from repro.algebra.rules.join_algorithm import JoinSide, choose_algorithm
 from repro.algebra.rules.pushdown import (
     needs_pushdown,

@@ -330,11 +330,31 @@ class TestCLIFormats:
         assert capsys.readouterr().out.startswith("::error file=")
 
 
+    def test_select_reports_only_the_named_codes(self, tmp_path, capsys):
+        target = tmp_path / "test_something.py"
+        target.write_text("import random\nimport os\n\nrandom.seed(1)\n")
+        assert main([str(target)]) == 1
+        assert {"D002", "F401"} <= set(capsys.readouterr().out.split())
+        assert main([str(target), "--select", "F401,F821"]) == 1
+        out = capsys.readouterr().out
+        assert "F401" in out and "D002" not in out
+        assert main([str(target), "--select", "F821"]) == 0
+        capsys.readouterr()
+
+
 class TestCleanTree:
     def test_src_repro_is_lint_clean(self):
         """The engine's own source must satisfy its own determinism lint."""
         root = Path(__file__).resolve().parents[2] / "src" / "repro"
         findings = lint_paths([root])
+        assert findings == [], "\n".join(f.render() for f in findings)
+
+    def test_tests_and_paper_figures_strand_no_import_or_name(self):
+        """F401 / F821 over ``tests/`` and ``benchmarks/*.py``; the D-rules
+        are invariants of library code and do not apply to them."""
+        repo = Path(__file__).resolve().parents[2]
+        roots = [repo / "tests", *sorted((repo / "benchmarks").glob("*.py"))]
+        findings = [f for f in lint_paths(roots) if f.code in ("F401", "F821")]
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_one_constructor_of_requests_and_results(self):

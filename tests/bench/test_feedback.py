@@ -21,10 +21,11 @@ class TestFeedbackExperiment:
         assert report.skew_order_changed  # the endgame flipped
         assert report.skew_improvement > 0.0  # and paid for the refresh
 
-        fuse_fixed, fuse_policy = report.fuse
-        assert fuse_fixed.rows == fuse_policy.rows
-        assert any(d.action == "fuse" for d in fuse_policy.decisions)
-        assert fuse_policy.seconds < fuse_fixed.seconds
+        every_point, fused = report.fuse
+        assert every_point.rows == fused.rows
+        assert every_point.decisions == ()
+        assert [d.action for d in fused.decisions] == ["fuse"]  # plain dynamic
+        assert fused.seconds < every_point.seconds
 
         assert len(report.adaptive) == 3
         # history accumulated: later runs derive different thresholds

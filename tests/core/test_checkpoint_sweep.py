@@ -40,6 +40,12 @@ FACT_SCHEMA = Schema.of(
 DIMENSIONS = (("d1", 40), ("d2", 30), ("d3", 20), ("d4", 15), ("d5", 10))
 
 
+#: modeled rows per stored fact row: large enough that every one of the three
+#: re-optimization points still costs less than the joins behind it (at
+#: scale 1 the driver's cost rule fuses them all into the final job).
+FACT_SCALE = 1_000_000
+
+
 def build_sweep_session(seed: int = 11) -> Session:
     rng = random.Random(seed)
     session = Session(small_cluster())
@@ -58,6 +64,7 @@ def build_sweep_session(seed: int = 11) -> Session:
             }
             for i in range(1500)
         ],
+        scale=FACT_SCALE,
     )
     for prefix, count in DIMENSIONS:
         schema = Schema.of(

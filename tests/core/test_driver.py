@@ -3,6 +3,7 @@
 import pytest
 
 from repro.algebra.plan import JoinNode
+from repro.algebra.toolkit import PlannerToolkit
 from repro.core.driver import DynamicOptimizer, greedy_full_plan, resolve_logical
 from repro.algebra.plan import LeafNode
 from repro.testing import evaluate_reference, rows_equal_unordered
@@ -128,7 +129,7 @@ class TestResolveLogical:
 class TestGreedyFullPlan:
     def test_covers_all_aliases(self, session):
         query = star_query()
-        plan = greedy_full_plan(query, session, session.statistics.copy(), False)
+        plan = greedy_full_plan(PlannerToolkit(query, session))
         assert plan.aliases == frozenset(query.aliases)
 
     def test_disconnected_rejected(self, session):
@@ -140,4 +141,4 @@ class TestGreedyFullPlan:
             tables=(TableRef("da", "da"), TableRef("db", "db")),
         )
         with pytest.raises(OptimizationError):
-            greedy_full_plan(query, session, session.statistics.copy(), False)
+            greedy_full_plan(PlannerToolkit(query, session))

@@ -3,19 +3,22 @@
 The contract under test: with the policy *off* every execution is
 byte-identical to the fixed paper schedule; with it *on*, a bad Q-error miss
 buys one extra re-optimization job (sketch refresh) that can flip the
-endgame join order and pay for itself; a well-predicted run may fuse its
-remaining joins early; and adaptive thresholds converge to the session's
-observed history without a single unbounded (inf) record poisoning them.
+endgame join order and pay for itself; adaptive thresholds converge to the
+session's observed history without a single unbounded (inf) record poisoning
+them. Policy or no policy, the driver's cost rule fuses the remaining joins
+into the final job when one more re-optimization point would cost more than
+they do — and says so in a decision carrying both sides of the inequality.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 
 import pytest
 
-from repro.bench.feedback import fuse_query, load_universe, skew_query
+from repro.bench.feedback import EveryPoint, fuse_query, load_universe, skew_query
 from repro.common.errors import OptimizationError
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.core.policy import FeedbackLog, ReplanPolicy, RuntimeThresholds
@@ -34,8 +37,16 @@ def universe():
     return session
 
 
-def run(session, query, policy=None) -> "ExecutionResult":  # noqa: F821
-    optimizer = DynamicOptimizer(policy=policy)
+@pytest.fixture(scope="module")
+def full_universe():
+    """The same universe at the size ``bench feedback`` reports."""
+    session = Session()
+    load_universe(session)
+    return session
+
+
+def run(session, query, policy=None, optimizer=None) -> "ExecutionResult":  # noqa: F821
+    optimizer = optimizer or DynamicOptimizer(policy=policy)
     try:
         return optimizer.execute(query, session)
     finally:
@@ -47,16 +58,14 @@ class TestPolicyValidation:
         assert not ReplanPolicy.off().enabled
         assert ReplanPolicy.default(6.0).qerror_threshold == 6.0
         adaptive = ReplanPolicy.adaptive_policy(min_history=3)
-        assert adaptive.adaptive and adaptive.early_fuse
+        assert adaptive.adaptive
         assert adaptive.min_history == 3
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"qerror_threshold": 0.5},
-            {"fuse_qerror": 0.99},
             {"widen_max_tables": 2},
-            {"fuse_max_joins": 1},
             {"min_history": 0},
         ],
     )
@@ -72,15 +81,6 @@ class TestPolicyValidation:
         assert not policy.is_bad_miss(None, thresholds)
         assert not policy.is_bad_miss(float("nan"), thresholds)
         assert ReplanPolicy.off().is_bad_miss(100.0, thresholds) is False
-
-    def test_may_fuse(self):
-        policy = ReplanPolicy(early_fuse=True, fuse_qerror=1.5, fuse_max_joins=3)
-        assert policy.may_fuse([1.1, 1.4], 3)
-        assert not policy.may_fuse([], 3)  # no evidence yet
-        assert not policy.may_fuse([1.1], 4)  # too many joins left
-        assert not policy.may_fuse([1.1, 2.0], 3)  # one stage missed
-        assert not policy.may_fuse([float("inf")], 2)  # unbounded miss
-        assert not ReplanPolicy.default().may_fuse([1.0], 2)  # fusing off
 
     def test_resolve_defaults(self):
         assert ReplanPolicy.off().resolve(None) == RuntimeThresholds()
@@ -275,22 +275,72 @@ class TestQErrorTrigger:
         assert "replan" in text and "q=" in text
 
 
+class InfOnRecord(DynamicOptimizer):
+    """``dynamic`` whose run starts with one unbounded miss on its record."""
+
+    def prepare_stages(self, run, session):
+        run.tracer.record_estimate("prepare", "σ(nothing)", 0.0, 5.0)
+        yield from ()
+
+
 class TestEarlyFuse:
+    """The driver's cost rule: fuse when one more point costs more than the
+    joins still to run (DESIGN.md §8); no policy is involved."""
+
     def test_tight_estimates_fuse_the_tail(self, universe):
-        fixed = run(universe, fuse_query())
-        policy = ReplanPolicy(early_fuse=True, fuse_max_joins=3)
-        fused = run(universe, fuse_query(), policy=policy)
+        every_point = run(universe, fuse_query(), optimizer=EveryPoint())
+        fused = run(universe, fuse_query())  # no policy: the rule is the driver's
 
-        assert [d.action for d in fused.decisions] == ["fuse"]
-        # one materialization point was skipped
-        assert len(fused.phases) == len(fixed.phases) - 1
-        assert rows_equal_unordered(fused.rows, fixed.rows)
-        assert fused.seconds < fixed.seconds
+        assert every_point.decisions == ()
+        (decision,) = fused.decisions
+        assert decision.action == "fuse" and decision.phase == "join-0"
+        # both sides of the inequality, the factor and the joins fused
+        point, remaining, factor = (
+            float(number)
+            for number in re.findall(r"(\d+\.\d+)(?:s| x|:)", decision.detail)
+        )
+        assert "the 4 joins still to run" in decision.detail
+        assert factor == pytest.approx(decision.q_error, abs=0.005)
+        assert point > remaining * factor
+        assert decision.threshold == pytest.approx(point / remaining, rel=0.01)
+        assert decision.describe() in fused.explain_analyze()
+        # both materialization points were skipped: push-downs + one final job
+        assert len(fused.phases) == len(every_point.phases) - 2
+        assert not any(phase.startswith("join:") for phase in fused.phases)
+        assert rows_equal_unordered(fused.rows, every_point.rows)
+        assert fused.seconds < every_point.seconds
 
-    def test_skewed_run_never_fuses(self, universe):
-        policy = ReplanPolicy(early_fuse=True, fuse_max_joins=3)
-        result = run(universe, skew_query(), policy=policy)
-        assert "fuse" not in [d.action for d in result.decisions]
+    def test_policy_does_not_change_the_rule(self, universe):
+        plain = run(universe, fuse_query())
+        with_policy = run(universe, fuse_query(), policy=ReplanPolicy.default())
+        assert with_policy.decisions == plain.decisions
+        assert with_policy.seconds == plain.seconds
+
+    def test_an_unbounded_miss_on_record_never_fuses(self, universe):
+        every_point = run(universe, fuse_query(), optimizer=EveryPoint())
+        result = run(universe, fuse_query(), optimizer=InfOnRecord())
+        assert result.decisions == ()
+        assert result.phases == every_point.phases
+        assert result.seconds == every_point.seconds
+
+    def test_skewed_run_never_fuses(self, full_universe):
+        """Each point there costs about a second against several seconds of
+        joins behind it, so the schedule the replan policy repairs still
+        runs — and the repair's 139.1 -> 62.9 s survives the rule."""
+        fixed = run(full_universe, skew_query())
+        replanned = run(full_universe, skew_query(), policy=ReplanPolicy.default())
+        assert fixed.decisions == ()
+        assert [d.action for d in replanned.decisions] == ["replan"]
+        assert fixed.seconds == pytest.approx(139.14, abs=0.01)
+        assert replanned.seconds == pytest.approx(62.88, abs=0.01)
+        assert rows_equal_unordered(replanned.rows, fixed.rows)
+
+    def test_fixed_schedule_comparators_take_every_point(self, universe):
+        for name in ("ingres", "pilot_run"):
+            result = universe.execute(fuse_query(), name)
+            universe.reset_intermediates()
+            assert result.decisions == ()
+            assert sum(phase.startswith("join:") for phase in result.phases) == 2
 
 
 class TestAdaptiveSession:

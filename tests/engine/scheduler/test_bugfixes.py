@@ -14,9 +14,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.driver import DynamicOptimizer, SimulatedFailure
+from repro.core.driver import DynamicOptimizer
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler import JobScheduler, SchedulerConfig
 from repro.engine.scheduler.request import JobOutcome, JobRequest, QueryRun

@@ -1,7 +1,5 @@
 """Sink, DistributeResult and tail operator tests."""
 
-import pytest
-
 from repro.engine.job import Job
 from repro.engine.operators.scan import ScanOp
 from repro.engine.operators.sink import DistributeResultOp, SinkOp
@@ -37,8 +35,6 @@ class TestSink:
         assert metrics.stats > 0
 
     def test_statistics_catalog_override(self, star_session):
-        from repro.stats.catalog import StatisticsCatalog
-
         private = star_session.statistics.copy()
         sink = SinkOp(ScanOp("da", "da"), "inter4", ("da.a_id",))
         star_session.executor.execute(Job(sink), statistics=private)

@@ -1,7 +1,5 @@
 """Figure 4: the original job splits into phase 1/2/3 subjobs."""
 
-import pytest
-
 from repro.core.driver import DynamicOptimizer
 from repro.bench.runner import workbench_for_query
 

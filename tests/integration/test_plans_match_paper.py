@@ -5,8 +5,6 @@ calibrated to: which tables get broadcast at which scale factors, where INL
 triggers, and how the optimizers' plans differ.
 """
 
-import pytest
-
 from repro.bench.runner import run_query, workbench_for_query
 from repro.core.driver import DynamicOptimizer
 

@@ -10,7 +10,6 @@ under hash and broadcast joins) and the full reconstruction machinery at once.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 

@@ -182,11 +182,12 @@ class TestZeroCost:
     def test_tracer_does_not_change_metrics(self):
         """Tracing only reads JobMetrics: same job, same simulated time."""
         from repro.algebra.jobgen import build_final_job
+        from repro.algebra.toolkit import PlannerToolkit
         from repro.core.driver import greedy_full_plan
 
         session = build_star_session()
         query = star_query()
-        plan = greedy_full_plan(query, session, session.statistics.copy(), False)
+        plan = greedy_full_plan(PlannerToolkit(query, session))
         job = build_final_job(plan, query, session.datasets)
         data_plain, metrics_plain = session.executor.execute(
             job, query.parameters, session.statistics.copy()

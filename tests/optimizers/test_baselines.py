@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.algebra.plan import is_right_deep
 from repro.algebra.toolkit import PlannerToolkit
 from repro.core.driver import DynamicOptimizer
 from repro.optimizers.best_order import BestOrderOptimizer

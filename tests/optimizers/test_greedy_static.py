@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.driver import DynamicOptimizer
 from repro.optimizers.greedy_static import GreedyStaticOptimizer
 from repro.testing import evaluate_reference, rows_equal_unordered
 

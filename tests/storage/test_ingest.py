@@ -7,7 +7,6 @@ from repro.common.errors import CatalogError
 from repro.common.types import DataType, Schema
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
-from repro.storage.dataset import Dataset
 from repro.storage.ingest import load_dataset, register_intermediate
 
 SCHEMA = Schema.of(("id", DataType.INT), ("v", DataType.INT), primary_key=("id",))

@@ -11,7 +11,6 @@ from repro.workloads.tpcds import (
     query_17,
     query_50,
     row_counts,
-    scale_unit,
 )
 from repro.workloads.tpcds.generator import day_fields
 from repro.workloads.tpcds.schema import CALENDAR_DAYS, real_row_counts
