@@ -18,6 +18,7 @@ catalog.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,7 +26,7 @@ from repro.algebra.jobgen import build_pushdown_job
 from repro.algebra.rules.pushdown import pushdown_candidates
 from repro.core.reconstruction import replace_filtered_table
 from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
-from repro.lang.ast import Query
+from repro.lang.ast import ParameterPredicate, Predicate, Query
 from repro.lang.binding import ColumnResolver
 from repro.stats.estimation import filtered_cardinality
 
@@ -46,16 +47,32 @@ def intermediate_name_for(alias: str, namespace: str = "") -> str:
     return f"{namespace}__filtered_{alias}"
 
 
+def bound_parameters(
+    predicates: Iterable[Predicate], parameters: dict | None
+) -> list[tuple[str, str]]:
+    """The sorted ``(name, repr(value))`` bindings ``predicates`` read.
+
+    Only a :class:`~repro.lang.ast.ParameterPredicate` reads a query
+    parameter, so a cache token binds those and no other: a push-down over a
+    dimension keeps its identity while the fact table's window moves.
+    """
+    read = {p.parameter for p in predicates if isinstance(p, ParameterPredicate)}
+    return sorted((k, repr(v)) for k, v in (parameters or {}).items() if k in read)
+
+
 def pushdown_cache_token(candidate, stats_columns, parameters) -> str:
     """Namespace-free identity of one push-down materialization.
 
     Two requests with equal tokens perform byte-identical work over the same
-    base dataset (same predicates, projection, sketched columns, and bound
-    parameter values), so the service's intermediate cache may replay one's
-    output for the other. The query's namespace and alias are deliberately
+    base dataset (same predicates, projection, sketched columns, and values
+    of the parameters those predicates read), so the service's intermediate
+    cache may replay one's output for the other. The query's namespace is
     excluded — the replay re-registers under the requesting query's names.
+    The alias is not: the predicates and kept columns are alias-qualified,
+    and so are the intermediate's physical columns, so a replay under
+    another alias would hand the rewritten query columns it cannot resolve.
     """
-    bound = sorted((k, repr(v)) for k, v in (parameters or {}).items())
+    bound = bound_parameters(candidate.predicates, parameters)
     return "|".join(
         [
             "pushdown",

@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Any
 from repro.algebra.jobgen import build_transfer_job
 from repro.algebra.rules.pushdown import surviving_columns
 from repro.analysis.dataflow import JobDataflow, TransferSummary
-from repro.core.predicate_pushdown import join_columns_of
+from repro.core.predicate_pushdown import bound_parameters, join_columns_of
 from repro.core.reconstruction import replace_filtered_table
 from repro.engine import vector
 from repro.engine.bloom import DEFAULT_FPP, BloomFilter, bloom_size_bytes
@@ -121,8 +121,10 @@ def transfer_cache_token(
     the transferred filters folded in by content fingerprint: two queries
     reducing the same base dataset under byte-identical filters (same
     partners, same filter contents) may replay each other's materialization.
+    Parameters are scoped the same way, to those ``predicates`` read; a
+    partner's parameters reach the reduction only through its filters.
     """
-    bound = sorted((k, repr(v)) for k, v in (parameters or {}).items())
+    bound = bound_parameters(predicates, parameters)
     filter_ids = ",".join(
         f"{column}:{bloom.fingerprint()}" for column, bloom in filters
     )

@@ -37,14 +37,18 @@ it opens the phase span, runs the job (or applies a pre-computed virtual
 cost), applies refunds and scan-sharing discounts, merges the job's metrics
 into the run's cumulative total, and records the request's estimate-accuracy
 point. Keeping all of that here means the pump and the scheduler cannot
-drift apart.
+drift apart. The two differ only in *when* things happen on their clocks:
+each looks a cacheable request up once (:func:`cached_replay`) before it
+would run — the pump right away, the scheduler when the request becomes
+ready — and reports a finished job (:func:`complete_request`) when its clock
+reaches the job's end, which is when what it stored becomes replayable.
 """
 
 from __future__ import annotations
 
 from collections.abc import Generator, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from repro.analysis.runtime import record_replay_dataflow, verify_before_launch
 from repro.common.errors import ReproError
@@ -201,36 +205,49 @@ def _apply_scan_share(metrics: JobMetrics, position: int, count: int) -> None:
         metrics.tuples_scanned = base
 
 
+def cached_replay(
+    executor: Executor, request: JobRequest
+) -> tuple[Any, JobMetrics] | None:
+    """Look ``request`` up in the intermediate cache, once.
+
+    Returns the replayed ``(data, metrics)`` pair for :func:`run_request`,
+    or ``None`` — on a miss, for a request without a ``cache_token``, and
+    always outside a query service (``executor.cache`` is ``None``). A hit
+    has already re-registered the stored materialization under the
+    request's own names; every lookup counts as one hit or one miss.
+    """
+    cache = executor.cache
+    if cache is None or request.cache_token is None:
+        return None
+    return cache.fetch_intermediate(executor, request)
+
+
+def complete_request(executor: Executor, request: JobRequest) -> None:
+    """The request's job has completed on the clock driving it: what it
+    stored in the intermediate cache may be replayed from now on."""
+    cache = executor.cache
+    if cache is not None and request.cache_token is not None:
+        cache.publish_intermediate(request.cache_token)
+
+
 def _perform(
     executor: Executor,
     request: JobRequest,
     scan_share: tuple[int, int] | None,
     partitions: int | None,
+    replayed: tuple[Any, JobMetrics] | None,
 ) -> JobOutcome:
-    # Intermediate cache (query-service runs only; ``executor.cache`` is
-    # None everywhere else). A cacheable request launched on its own —
-    # never as a branch of a merged scan, whose 1/n discounting assumes
-    # every branch physically shares the scan — may replay a previously
-    # materialized pushdown result: the intermediate dataset and its
-    # statistics are re-registered under this request's names at zero
-    # simulated cost, and on a miss the fresh materialization is stored.
     run = request.run
-    cacheable = (
-        request.cache_token is not None
-        and request.virtual_cost is None
-        and scan_share is None
-    )
-    cache = executor.cache if cacheable else None
-    if cache is not None:
-        replayed = cache.fetch_intermediate(executor, request)
-        if replayed is not None:
-            data, job_metrics = replayed
-            # The replay never reaches the launch gate, but the query-level
-            # dataflow ledger still needs the job's writes registered or the
-            # Q001/Q002 checks would flag the replayed intermediate.
-            record_replay_dataflow(request)
-            run.metrics.merge(job_metrics)
-            return JobOutcome(data=data, metrics=job_metrics, shared_with=1)
+    if replayed is not None:
+        # An intermediate-cache hit (query-service runs only): the stored
+        # materialization is already registered under this request's names
+        # and charges nothing. The replay never reaches the launch gate, but
+        # the query-level dataflow ledger still needs the job's writes or the
+        # Q001/Q002 checks would flag the replayed intermediate.
+        data, job_metrics = replayed
+        record_replay_dataflow(request)
+        run.metrics.merge(job_metrics)
+        return JobOutcome(data=data, metrics=job_metrics)
     if request.virtual_cost is not None:
         # Virtual-cost requests carry a driver-computed metrics delta (pilot
         # sampling, sketch refresh); the charge is applied as given — those
@@ -251,8 +268,12 @@ def _perform(
             tracer=run.tracer,
             partitions=partitions,
         )
-        if cache is not None:
-            cache.store_intermediate(executor, request)
+        # Every executed cacheable request stores its materialization, solo
+        # or as a merged-scan branch: a branch's Sink output is its own (the
+        # 1/n discount below covers only the shared scan). The entry is
+        # replayable once :func:`complete_request` reports the job done.
+        if executor.cache is not None and request.cache_token is not None:
+            executor.cache.store_intermediate(executor, request)
     shared_with = 1
     if scan_share is not None and scan_share[1] > 1:
         _apply_scan_share(job_metrics, *scan_share)
@@ -268,6 +289,7 @@ def run_request(
     request: JobRequest,
     scan_share: tuple[int, int] | None = None,
     partitions: int | None = None,
+    replayed: tuple[Any, JobMetrics] | None = None,
 ) -> JobOutcome:
     """Execute one request: phase span, job, refunds, merge, estimate record.
 
@@ -279,11 +301,13 @@ def run_request(
     run's cumulative metrics reflect the discounted share.
     ``partitions`` runs the job on a partition slice of the cluster (the
     space-shared scheduler's allotment); ``None`` means the full cluster.
+    ``replayed`` is a :func:`cached_replay` hit: the request is answered
+    from it at zero charge instead of executing.
     """
     run = request.run
     tracer = run.tracer
     with tracer.phase(request.phase):
-        outcome = _perform(executor, request, scan_share, partitions)
+        outcome = _perform(executor, request, scan_share, partitions, replayed)
         tracer.sync(run.metrics.total_seconds)
     if request.estimate is not None and outcome.data is not None:
         operator, estimated_rows = request.estimate
@@ -308,9 +332,19 @@ def drive_stages(stages: Stages, executor: Executor):
         except StopIteration as stop:
             return stop.value
         if isinstance(item, JobRequest):
-            payload = run_request(executor, item)
+            payload = _run_now(executor, item)
         else:
-            payload = [run_request(executor, r) for r in _as_requests(item)]
+            payload = [_run_now(executor, r) for r in _as_requests(item)]
+
+
+def _run_now(executor: Executor, request: JobRequest) -> JobOutcome:
+    """Look up, run and complete one request: nothing else is on the pump's
+    clock, so the job is done the moment it returns."""
+    outcome = run_request(
+        executor, request, replayed=cached_replay(executor, request)
+    )
+    complete_request(executor, request)
+    return outcome
 
 
 def _as_requests(item: Iterable[JobRequest]) -> list[JobRequest]:

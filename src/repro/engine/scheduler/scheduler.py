@@ -40,6 +40,10 @@ different queries on one shared simulated clock. There is one schedule:
   branches, while each branch keeps its own select/sink work, intermediate,
   statistics catalog and trace. Merging happens at launch time, so a merged
   scan occupies a single slot while unrelated jobs overlap in the others.
+  Under a query service a request the intermediate cache can answer never
+  gets that far: every cacheable request is looked up once, when it becomes
+  ready, and a hit is replayed at that instant — no slot, no cluster job, no
+  narrower slice for the jobs launched beside it.
 - **Query ids.** Every query materializes into its own ``__q<id>__``
   catalog namespace. Ids count up from 1 per scheduler, skipping any whose
   namespace is live, so the schedulers of one stack (the shared one, the
@@ -68,7 +72,13 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AdmissionError, ReproError
 from repro.engine.metrics import ExecutionResult
-from repro.engine.scheduler.request import JobOutcome, JobRequest, run_request
+from repro.engine.scheduler.request import (
+    JobOutcome,
+    JobRequest,
+    cached_replay,
+    complete_request,
+    run_request,
+)
 from repro.obs.timeline import ClusterTimeline, TimelineEvent
 
 if TYPE_CHECKING:
@@ -397,7 +407,11 @@ class JobScheduler:
                 finished.append(handle)
 
     def _advance(self, handle: QueryHandle, first: bool = False) -> None:
-        """Send the collected outcome(s) in; park at the next request."""
+        """Send the collected outcome(s) in; park at the next request.
+
+        Requests the intermediate cache answers are replayed on arrival, so
+        the handle parks only at work that needs the cluster.
+        """
         payload = None if first else handle._payload()
         while True:
             try:
@@ -421,7 +435,30 @@ class JobScheduler:
             handle._outcomes = [None] * len(handle._requests)
             handle._cursor = 0
             handle.ready_since = self.now
-            return
+            try:
+                self._replay_cached(handle)
+            except BaseException as exc:
+                self._fail(handle, exc)
+                return
+            if handle._has_pending():
+                return
+            payload = handle._payload()  # every request replayed
+
+    def _replay_cached(self, handle: QueryHandle) -> None:
+        """Answer the parked requests the intermediate cache holds, now.
+
+        Each cacheable request is looked up exactly once, when it becomes
+        ready — before any batching or slot assignment. A hit runs through
+        :func:`run_request` at this instant at zero charge: it takes no
+        slot, launches no cluster job and narrows no other job's slice.
+        """
+        for index, request in enumerate(handle._requests):
+            replayed = cached_replay(self.executor, request)
+            if replayed is None:
+                continue
+            outcome = run_request(self.executor, request, replayed=replayed)
+            handle._record_outcome(index, outcome)
+            self._mark(handle, "cache-replay", f"{request.phase} replayed")
 
     def _service_order(self) -> list[QueryHandle]:
         """Priority first, then longest-waiting, then admission order."""
@@ -610,6 +647,7 @@ class JobScheduler:
         for handle, index, outcome in job.performed:
             self._busy.discard((handle.query_id, index))
             handle._record_outcome(index, outcome)
+            complete_request(self.executor, handle._requests[index])
         for handle in job.participants:
             if handle.status != "running":
                 continue  # failed by a sibling launch while this job flew

@@ -12,7 +12,13 @@ Two caches, both LRU-bounded and both validated against
   queries: a :class:`~repro.engine.scheduler.request.JobRequest` whose
   ``cache_token`` matches a previously stored materialization re-registers
   the stored partitions and statistics under the requesting query's own
-  namespace at zero cost, skipping the scan entirely.
+  namespace at zero cost, skipping the scan entirely. The token binds only
+  the parameters the request's own predicates read. Each cacheable request
+  is looked up once, when it becomes ready and before any scan batching
+  (one hit or one miss in :class:`CacheStats`); every executed one stores
+  its materialization, solo or as a merged-scan branch; and an entry is
+  served only after a job that produced it has completed on the shared
+  clock (:meth:`ServiceCache.publish_intermediate`).
 
 Invalidation is two-layered: every entry records the ``(dataset, version)``
 pairs it was computed from and is revalidated on fetch, and the owning
@@ -88,6 +94,10 @@ class _CachedIntermediate:
     stats: DatasetStatistics
     modeled_rows: float
     deps: tuple[tuple[str, int], ...]
+    #: set once a job that produced this content has completed on the
+    #: shared clock; until then a lookup is a miss. A flag, not a
+    #: timestamp: ``reset_scheduler`` restarts the clock at zero.
+    visible: bool = False
 
 
 class _ReplayedData:
@@ -178,16 +188,17 @@ class ServiceCache:
     # -- intermediate (pushdown) cache ----------------------------------------
 
     def fetch_intermediate(self, executor, request):
-        """Replay a stored materialization for ``request``, if fresh.
+        """Replay a stored materialization for ``request``, if visible and fresh.
 
         On a hit the stored partitions are re-registered as an intermediate
         dataset under the request's own sink name, its statistics land in the
         run's working catalog, and the returned ``(data, metrics)`` pair
-        charges nothing. Returns ``None`` on miss/stale.
+        charges nothing. Returns ``None`` on miss/stale, and while the job
+        that stored the entry is still in flight.
         """
         token = request.cache_token
         entry = self._intermediates.get(token)
-        if entry is None:
+        if entry is None or not entry.visible:
             self.stats.intermediate_misses += 1
             return None
         if not self._fresh(entry.deps):
@@ -220,16 +231,26 @@ class ServiceCache:
         return _ReplayedData(entry.modeled_rows), JobMetrics()
 
     def store_intermediate(self, executor, request) -> None:
-        """Capture the materialization the request's sink just registered."""
+        """Capture the materialization the request's sink just registered.
+
+        The entry stays hidden until :meth:`publish_intermediate`. A fresh
+        entry already under the token holds the same content and is kept
+        (a second producer must not hide a visible one).
+        """
+        token = request.cache_token
+        base = request.batch_key
+        deps = self._deps_for((base,)) if base is not None else ()
+        existing = self._intermediates.get(token)
+        if existing is not None and existing.deps == deps:
+            self._intermediates.move_to_end(token)
+            return
         name = request.job.root.name
         dataset = executor.datasets.get(name)
         working = request.run.statistics
         if not working.has(name):
             return  # nothing to replay without statistics: skip caching
         stats = working.get(name)
-        base = request.batch_key
-        deps = self._deps_for((base,)) if base is not None else ()
-        self._intermediates[request.cache_token] = _CachedIntermediate(
+        self._intermediates[token] = _CachedIntermediate(
             schema=dataset.schema,
             partitions=dataset.partitions,
             partition_key=dataset.partition_key,
@@ -245,6 +266,12 @@ class ServiceCache:
             modeled_rows=dataset.modeled_rows,
             deps=deps,
         )
-        self._intermediates.move_to_end(request.cache_token)
+        self._intermediates.move_to_end(token)
         while len(self._intermediates) > self.intermediate_entries:
             self._intermediates.popitem(last=False)
+
+    def publish_intermediate(self, token: str) -> None:
+        """A job that stored ``token``'s content has completed: serve it."""
+        entry = self._intermediates.get(token)
+        if entry is not None:
+            entry.visible = True

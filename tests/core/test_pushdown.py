@@ -2,12 +2,17 @@
 
 import pytest
 
+from repro.algebra.rules.pushdown import PushdownCandidate
 from repro.core.predicate_pushdown import (
     execute_pushdowns,
     intermediate_name_for,
     join_columns_of,
+    pushdown_cache_token,
 )
+from repro.core.predicate_transfer import transfer_cache_token
+from repro.engine.bloom import BloomFilter
 from repro.engine.scheduler.request import QueryRun
+from repro.lang.ast import ParameterPredicate, TableRef, UdfPredicate
 
 from tests.conftest import build_star_session, star_query
 
@@ -86,3 +91,53 @@ class TestPushdownExecution:
         assert outcome.executed_aliases == []
         assert metrics.jobs == 0
         assert outcome.query == query
+
+
+class TestCacheTokens:
+    """A token names the work, so a cached materialization replays only for
+    byte-identical work: the parameters it reads, under the alias it uses."""
+
+    @staticmethod
+    def candidate(alias: str = "db") -> PushdownCandidate:
+        return PushdownCandidate(
+            TableRef("db", alias),
+            (
+                UdfPredicate(f"{alias}.b_attr", "mymod10", "=", 1),
+                ParameterPredicate(f"{alias}.b_id", ">=", "first"),
+            ),
+            (f"{alias}.b_id",),
+        )
+
+    def test_pushdown_token_binds_only_the_parameters_it_reads(self):
+        stats = ("db.b_id",)
+        token = pushdown_cache_token(self.candidate(), stats, {"first": 3, "low": 0})
+        # a fact-table window the push-down never reads
+        assert token == pushdown_cache_token(
+            self.candidate(), stats, {"first": 3, "low": 500, "high": 549}
+        )
+        assert token != pushdown_cache_token(self.candidate(), stats, {"first": 4})
+
+    def test_pushdown_token_keeps_the_alias(self):
+        # predicates, kept columns and the intermediate's physical columns
+        # are alias-qualified: a replay under another alias cannot resolve
+        parameters = {"first": 3}
+        assert pushdown_cache_token(
+            self.candidate("b1"), ("b1.b_id",), parameters
+        ) != pushdown_cache_token(self.candidate("b2"), ("b2.b_id",), parameters)
+
+    def test_transfer_token_binds_only_the_parameters_it_reads(self):
+        candidate = self.candidate()
+        filters = (("db.b_id", BloomFilter.build(range(10), 10)),)
+
+        def token(parameters):
+            return transfer_cache_token(
+                "db",
+                candidate.predicates,
+                candidate.keep_columns,
+                ("db.b_id",),
+                filters,
+                parameters,
+            )
+
+        assert token({"first": 3, "low": 0}) == token({"first": 3, "low": 500})
+        assert token({"first": 3}) != token({"first": 4})
