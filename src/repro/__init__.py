@@ -8,9 +8,8 @@ Public entry points:
   under any of the registered optimization strategies.
 - :class:`repro.PlannerSpec` — typed strategy selection (name + validated
   options), accepted by every Session entry point.
-- :class:`repro.ReplanPolicy` / :class:`repro.FeedbackLog` — feedback-driven
-  re-planning: Q-error-triggered re-optimization and per-session adaptive
-  thresholds.
+- :class:`repro.ReplanPolicy` — Q-error-triggered re-planning: a bad miss
+  re-sketches the intermediate and widens the next pick.
 - :class:`repro.QueryBuilder` — construct multi-join queries with simple,
   parameterized, and UDF predicates.
 - :mod:`repro.workloads` — TPC-H / TPC-DS style generators and the paper's
@@ -22,14 +21,14 @@ Public entry points:
   :class:`repro.PlanVerificationError`) and the engine determinism lint.
 - :class:`repro.QueryService` / :class:`repro.ServiceConfig` — the
   multi-tenant query service: one shared scheduler and persistent
-  feedback/sketch store serving many tenant sessions, with result and
+  sketch store serving many tenant sessions, with result and
   intermediate caching under admission control (DESIGN.md §11).
 """
 
 from repro.analysis.diagnostics import Diagnostic, PlanVerificationError
 from repro.cluster.config import ClusterConfig, default_cluster
 from repro.common.errors import AdmissionError
-from repro.core.policy import FeedbackLog, PolicyDecision, ReplanPolicy
+from repro.core.policy import PolicyDecision, ReplanPolicy
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.lang.builder import QueryBuilder
 from repro.lang.udf import UdfRegistry, default_registry
@@ -47,7 +46,6 @@ __all__ = [
     "Diagnostic",
     "ExecutionResult",
     "ExplainReport",
-    "FeedbackLog",
     "JobMetrics",
     "PlanVerificationError",
     "PlannerSpec",

@@ -24,18 +24,9 @@ class PushdownCandidate:
     keep_columns: tuple[str, ...]
 
 
-def needs_pushdown(
-    predicates: tuple[Predicate, ...], min_predicates: int = 2
-) -> bool:
-    """Algorithm 1 lines 6-9: enough simple predicates, or any complex one.
-
-    The paper's rule is ``min_predicates=2`` ("more than one predicate, or
-    any complex one"). Feedback policies may lower it to 1 — pre-executing
-    *every* predicated table — when the session's misestimate history shows
-    chronic estimation error: exact post-predicate cardinalities are the
-    cheapest estimate repair available.
-    """
-    if len(predicates) >= max(1, min_predicates):
+def needs_pushdown(predicates: tuple[Predicate, ...]) -> bool:
+    """Algorithm 1 lines 6-9: more than one predicate, or any complex one."""
+    if len(predicates) >= 2:
         return True
     return any(p.is_complex for p in predicates)
 
@@ -65,7 +56,6 @@ def surviving_columns(query: Query, alias_columns: set[str]) -> tuple[str, ...]:
 def pushdown_candidates(
     query: Query,
     columns_of_alias: dict[str, set[str]],
-    min_predicates: int = 2,
 ) -> list[PushdownCandidate]:
     """All FROM entries qualifying for predicate pre-execution.
 
@@ -75,7 +65,7 @@ def pushdown_candidates(
     candidates = []
     for table in query.tables:
         predicates = query.predicates_for(table.alias)
-        if not predicates or not needs_pushdown(predicates, min_predicates):
+        if not predicates or not needs_pushdown(predicates):
             continue
         keep = surviving_columns(query, columns_of_alias[table.alias])
         candidates.append(PushdownCandidate(table, predicates, keep))

@@ -37,35 +37,18 @@ class PlannerToolkit:
         statistics: StatisticsCatalog | None = None,
         inl_enabled: bool = False,
         composite_rule: str = "max",
-        broadcast_budget_bytes: float | None = None,
     ) -> None:
         self.query = query
         self.session = session
         self.statistics = statistics if statistics is not None else session.statistics
         self.inl_enabled = inl_enabled
         self.resolver = ColumnResolver(query, session.datasets.schema_lookup)
-        # Planning-side view of the cluster: a feedback policy may hand the
-        # planner a tighter broadcast/join-memory budget than the cluster's
-        # configured one (execution-side charging is unchanged).
-        cluster = session.cluster
-        cost = session.executor.cost
-        if broadcast_budget_bytes is not None:
-            from dataclasses import replace
-
-            from repro.cluster.cost import CostModel
-
-            cluster = replace(
-                cluster, broadcast_budget_bytes=broadcast_budget_bytes
-            )
-            cost = CostModel(
-                cluster, cost.params, join_budget_bytes=broadcast_budget_bytes
-            )
-        self.cluster = cluster
+        self.cluster = session.cluster
         self.estimator = PlanEstimator(
             self.statistics,
             {t.alias: self._stats_name(t.alias, t.dataset) for t in query.tables},
-            cluster,
-            cost,
+            self.cluster,
+            session.executor.cost,
             composite_rule=composite_rule,
         )
 

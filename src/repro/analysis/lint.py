@@ -92,7 +92,7 @@ HOT_PATHS = (
     "engine/bloom",
     # A stored partition fixes the row order every scan and planner pass sees.
     "storage/",
-    # The service layer orders admissions, cache evictions and feedback
+    # The service layer orders admissions, cache evictions and sketch
     # persistence — schedule-visible decisions, so hot-path rules apply.
     "service/",
 )

@@ -21,10 +21,6 @@ repairing it mid-run:
   intermediate than all four joins cost, so plain ``dynamic`` runs them as
   one final job (the driver's cost rule; the row beside it is the same
   driver made to take every point).
-- **Adaptive thresholds**: the skewed query repeated on one session; the
-  session's :class:`~repro.FeedbackLog` accumulates the observed Q-errors
-  and an adaptive policy's trigger threshold converges from the static 4.0
-  default to the measured tail of the workload.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from dataclasses import dataclass
 from repro.common.rng import derive
 from repro.common.types import DataType, Schema
 from repro.core.driver import DynamicOptimizer
-from repro.core.policy import ReplanPolicy, RuntimeThresholds
+from repro.core.policy import ReplanPolicy
 from repro.lang.ast import Query
 from repro.lang.builder import QueryBuilder
 from repro.session import Session
@@ -267,20 +263,9 @@ class ModeRun:
 
 
 @dataclass(frozen=True)
-class AdaptiveRun:
-    """One repetition of the adaptive-threshold segment."""
-
-    run: int
-    thresholds: RuntimeThresholds
-    seconds: float
-    triggers: int
-
-
-@dataclass(frozen=True)
 class FeedbackReport:
     skew: tuple[ModeRun, ModeRun]  # (fixed, policy)
     fuse: tuple[ModeRun, ModeRun]  # (every point taken, plain dynamic)
-    adaptive: tuple[AdaptiveRun, ...]
 
     @property
     def skew_order_changed(self) -> bool:
@@ -321,7 +306,7 @@ def _run(
 
 
 def run_feedback(smoke: bool = False, seed: int = 42) -> FeedbackReport:
-    """Run all three segments; fresh sessions so feedback never leaks."""
+    """Run both segments on one session."""
     fixed_spec = PlannerSpec.of("dynamic")
     policy_spec = PlannerSpec.of("dynamic", policy=ReplanPolicy.default())
 
@@ -335,26 +320,7 @@ def run_feedback(smoke: bool = False, seed: int = 42) -> FeedbackReport:
         _run(session, fuse_query(), EveryPoint(), "fixed"),
         _run(session, fuse_query(), fixed_spec, "dynamic"),
     )
-
-    # Adaptive segment on its own session: the FeedbackLog starts empty and
-    # is fed by the runs themselves.
-    adaptive_session = Session()
-    load_universe(adaptive_session, smoke, seed)
-    policy = ReplanPolicy.adaptive_policy(min_history=4)
-    adaptive_spec = PlannerSpec.of("dynamic", policy=policy)
-    adaptive = []
-    for run in range(1, 4):
-        thresholds = policy.resolve(adaptive_session)
-        outcome = _run(adaptive_session, skew_query(), adaptive_spec, "adaptive")
-        adaptive.append(
-            AdaptiveRun(
-                run=run,
-                thresholds=thresholds,
-                seconds=outcome.seconds,
-                triggers=sum(1 for d in outcome.decisions if d.action == "replan"),
-            )
-        )
-    return FeedbackReport(skew=skew, fuse=fuse, adaptive=tuple(adaptive))
+    return FeedbackReport(skew=skew, fuse=fuse)
 
 
 def format_feedback(report: FeedbackReport) -> str:
@@ -384,16 +350,4 @@ def format_feedback(report: FeedbackReport) -> str:
     )
     lines.append("")
     segment("Uniform star (tight estimates; a point does not pay):", report.fuse)
-    lines.append("")
-    lines.append("Adaptive thresholds (skewed query repeated on one session):")
-    for run in report.adaptive:
-        t = run.thresholds
-        budget = "-" if t.broadcast_budget_bytes is None else f"{t.broadcast_budget_bytes:.0f}"
-        lines.append(
-            f"  run {run.run}: trigger={t.qerror_threshold:.2f}"
-            f" stats_cutoff={t.stats_cutoff}"
-            f" pushdown_min_preds={t.pushdown_min_predicates}"
-            f" budget={budget}"
-            f" -> {run.seconds:.2f}s, {run.triggers} trigger(s)"
-        )
     return "\n".join(lines)

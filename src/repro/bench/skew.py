@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.bench.runner import run_query
-from repro.core.policy import RuntimeThresholds
+from repro.core.policy import REPLAN_QERROR
 from repro.obs.report import qerror_stats
 from repro.optimizers import available_strategies
 
@@ -54,11 +54,6 @@ SMOKE_CELLS = ((0.0, 0.0), (1.3, 0.9))
 STATIC_OPTIMIZERS = ("cost_based", "from_order", "worst_order", "greedy_static")
 #: strategies that measure the filtered data before (or while) ordering joins
 ADAPTIVE_OPTIMIZERS = ("dynamic", "sketch_online")
-
-#: the feedback policy's bad-miss threshold — a static plan whose worst
-#: Q-error exceeds it would have triggered a replan under the dynamic driver
-REPLAN_TRIGGER = RuntimeThresholds().qerror_threshold
-
 
 @dataclass(frozen=True)
 class SkewCell:
@@ -147,7 +142,7 @@ def skew_ok(cells: list[SkewCell]) -> bool:
         if not all(seconds[name] < static_floor for name in ADAPTIVE_OPTIMIZERS):
             continue
         cost = next(c for c in group if c.optimizer == "cost_based")
-        if cost.worst_qerror is not None and cost.worst_qerror > REPLAN_TRIGGER:
+        if cost.worst_qerror is not None and cost.worst_qerror > REPLAN_QERROR:
             return True
     return False
 
@@ -186,7 +181,7 @@ def format_skew(cells: list[SkewCell]) -> str:
             )
     verdict = (
         "adaptive planners beat every static strategy in an adversarial cell "
-        f"with cost_based worst Q-error > {REPLAN_TRIGGER:g} (replan trigger)"
+        f"with cost_based worst Q-error > {REPLAN_QERROR:g} (replan trigger)"
         if skew_ok(cells)
         else "SEPARATION NOT SHOWN: no adversarial cell met the acceptance "
         "condition"

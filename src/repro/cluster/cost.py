@@ -63,15 +63,10 @@ class CostModel:
         self,
         cluster: ClusterConfig,
         params: CostParameters | None = None,
-        join_budget_bytes: float | None = None,
         partitions: int | None = None,
     ) -> None:
         self.cluster = cluster
         self.params = params or CostParameters()
-        #: optional override of the cluster-derived join build budget —
-        #: feedback policies shrink it when observed spills show the
-        #: cluster-derived default was too optimistic.
-        self.join_budget_bytes = join_budget_bytes
         if partitions is not None and partitions < 1:
             raise ReproError("a partition slice needs at least one partition")
         self._partitions = partitions
@@ -95,7 +90,6 @@ class CostModel:
         return CostModel(
             self.cluster,
             self.params,
-            join_budget_bytes=self.join_budget_bytes,
             partitions=min(max(1, partitions), self.cluster.partitions),
         )
 
@@ -136,12 +130,8 @@ class CostModel:
 
         Each partition may hold as much build data as one broadcast build
         (the same budget the broadcast rule checks), so the partitioned
-        build capacity is that budget times the partition count. An
-        explicit ``join_budget_bytes`` (per-partition) takes precedence
-        over the cluster-derived default.
+        build capacity is that budget times the partition count.
         """
-        if self.join_budget_bytes is not None:
-            return self.join_budget_bytes * self.partitions
         return self.cluster.broadcast_threshold_bytes * self.partitions
 
     def spill(self, build_bytes: float, probe_bytes: float) -> float:

@@ -36,7 +36,12 @@ from repro.core.planner import (
     RankFunction,
     rank_by_result_cardinality,
 )
-from repro.core.policy import PolicyDecision, ReplanPolicy, RuntimeThresholds
+from repro.core.policy import (
+    REPLAN_QERROR,
+    WIDEN_MAX_TABLES,
+    PolicyDecision,
+    ReplanPolicy,
+)
 from repro.core.predicate_pushdown import join_columns_of, pushdown_stages
 from repro.core.predicate_transfer import transfer_stages
 from repro.core.reconstruction import reconstruct_after_join
@@ -150,10 +155,6 @@ class DriverState:
     current: Query
     registry: dict[str, PlanNode] = field(default_factory=dict)
     iteration: int = 0
-    #: planning constants this run executes under, resolved once at query
-    #: start (possibly from the session's FeedbackLog); checkpointed so a
-    #: resumed run keeps the thresholds it started with.
-    thresholds: RuntimeThresholds = field(default_factory=RuntimeThresholds)
     #: decisions taken so far — the feedback policy's and the fuse rule's
     #: (surfaced on ExecutionResult).
     policy_log: list[PolicyDecision] = field(default_factory=list)
@@ -201,8 +202,8 @@ class DynamicOptimizer(Optimizer):
         self.collect_online_sketches = collect_online_sketches
         self.rank = rank
         #: feedback policy consulted after every materialized stage; None
-        #: (or ReplanPolicy.off()) reproduces the fixed paper schedule.
-        self.policy = policy if policy is not None else ReplanPolicy.off()
+        #: reproduces the fixed paper schedule.
+        self.policy = policy
         #: failure injector: raise SimulatedFailure once this many jobs have
         #: completed (testing the Section-8 checkpoint/resume story)
         self.fail_after_jobs = fail_after_jobs
@@ -295,14 +296,7 @@ class DynamicOptimizer(Optimizer):
         """The full dynamic run as one resumable stage generator."""
         run = QueryRun(query, session, self.name, namespace)
         yield from self.prepare_stages(run, session)
-        state = DriverState(
-            run=run,
-            current=query,
-            # Resolved once per run: adaptive policies read the session's
-            # FeedbackLog here; the fixed schedule gets the paper constants.
-            # Dataset-keyed stores narrow the history to this query's group.
-            thresholds=self.policy.resolve(session, query=query),
-        )
+        state = DriverState(run=run, current=query)
 
         prelude = None
         if self.pre_filter == "transfer":
@@ -311,9 +305,7 @@ class DynamicOptimizer(Optimizer):
             # push-down would be redundant work on top.
             prelude = transfer_stages(run, session)
         elif self.pushdown_enabled:
-            prelude = pushdown_stages(
-                run, session, state.thresholds.pushdown_min_predicates
-            )
+            prelude = pushdown_stages(run, session)
         if prelude is not None:
             outcome = yield from prelude
             state.current = outcome.query
@@ -348,22 +340,17 @@ class DynamicOptimizer(Optimizer):
     def resume_stages(self, state: DriverState, session: Session) -> Stages:
         """The re-optimization loop from a checkpoint, one stage per join."""
         run = state.run
-        policy = self.policy
         while True:
             toolkit = self._toolkit(state, session)
             planner = Planner(toolkit, self.rank)
             if len(toolkit.join_graph()) <= 2:
                 break
-            picked = self._pick_join(state, planner, toolkit, policy)
+            picked = self._pick_join(state, planner, toolkit)
             keep, stats_columns = self._sink_columns(state.current, toolkit, picked)
             tables_after = len(state.current.tables) - 1
-            if (
-                not self.collect_online_sketches
-                or tables_after <= state.thresholds.stats_cutoff
-            ):
+            if not self.collect_online_sketches or tables_after <= 3:
                 # Online statistics are skipped in the last loop iteration(s):
-                # "we know that we are not going to further re-optimize". The
-                # paper's fixed cutoff is 3; adaptive policies move it.
+                # "we know that we are not going to further re-optimize".
                 stats_columns = ()
             fused = self.fuse_plan(state, toolkit, picked, keep, stats_columns)
             if fused is not None:
@@ -396,12 +383,12 @@ class DynamicOptimizer(Optimizer):
                 state.current, toolkit.resolver, picked.pair, name
             )
             state.iteration += 1
-            if policy.enabled:
+            if self.policy is not None:
                 # Consult before the failure injector: the consult (and any
                 # refresh it buys) belongs to the stage, so a checkpoint taken
                 # here already carries the stage's feedback.
                 yield from self._consult_policy(
-                    state, session, policy, name, phase_name, bool(stats_columns)
+                    state, session, name, phase_name, bool(stats_columns)
                 )
             self._maybe_fail(state)
 
@@ -446,13 +433,9 @@ class DynamicOptimizer(Optimizer):
     # -- feedback policy --------------------------------------------------------
 
     def _toolkit(self, state: DriverState, session: Session) -> PlannerToolkit:
-        """Planning toolkit under the run's resolved thresholds."""
+        """Planning toolkit over the run's current query and statistics."""
         return PlannerToolkit(
-            state.current,
-            session,
-            state.run.statistics,
-            self.inl_enabled,
-            broadcast_budget_bytes=state.thresholds.broadcast_budget_bytes,
+            state.current, session, state.run.statistics, self.inl_enabled
         )
 
     def _pick_join(
@@ -460,7 +443,6 @@ class DynamicOptimizer(Optimizer):
         state: DriverState,
         planner: Planner,
         toolkit: PlannerToolkit,
-        policy: ReplanPolicy,
     ) -> PlannedJoin:
         """The next join: greedy, or the widened pick after a bad miss.
 
@@ -475,7 +457,7 @@ class DynamicOptimizer(Optimizer):
         state.widen_pending = False
         from repro.optimizers.enumeration import bounded_first_join
 
-        widened = bounded_first_join(toolkit, policy.widen_max_tables)
+        widened = bounded_first_join(toolkit, WIDEN_MAX_TABLES)
         greedy = planner.cheapest_join()
         if widened is None or widened.pair == greedy.pair:
             return greedy
@@ -485,7 +467,7 @@ class DynamicOptimizer(Optimizer):
                 phase=f"join-{state.iteration}",
                 action="widen",
                 q_error=state.policy_log[-1].q_error,  # the miss that armed it
-                threshold=state.thresholds.qerror_threshold,
+                threshold=REPLAN_QERROR,
                 detail="enumeration picked "
                 + "+".join(sorted(a.removeprefix(strip) for a in widened.pair))
                 + " over greedy "
@@ -498,7 +480,6 @@ class DynamicOptimizer(Optimizer):
         self,
         state: DriverState,
         session: Session,
-        policy: ReplanPolicy,
         name: str,
         phase_name: str,
         had_sketches: bool,
@@ -514,28 +495,23 @@ class DynamicOptimizer(Optimizer):
         if record is None:
             return
         q = record.q_error
-        if not policy.is_bad_miss(q, state.thresholds):
+        if not self.policy.is_bad_miss(q):
             return
         details = []
-        if (
-            policy.refresh_sketches
-            and not had_sketches
-            and self.collect_online_sketches
-        ):
+        if not had_sketches and self.collect_online_sketches:
             refreshed = yield from self._refresh_stages(state, session, name)
             if refreshed:
                 details.append(
                     f"refreshed sketches on {name.removeprefix(state.run.namespace)}"
                 )
-        if policy.widen_search:
-            state.widen_pending = True
-            details.append("widened next pick to bounded enumeration")
+        state.widen_pending = True
+        details.append("widened next pick to bounded enumeration")
         state.policy_log.append(
             PolicyDecision(
                 phase=phase_name,
                 action="replan",
                 q_error=q,
-                threshold=state.thresholds.qerror_threshold,
+                threshold=REPLAN_QERROR,
                 detail="; ".join(details),
             )
         )

@@ -93,24 +93,19 @@ def join_columns_of(query: Query) -> set[str]:
     return columns
 
 
-def pushdown_stages(
-    run: QueryRun, session: Session, min_predicates: int = 2
-) -> Stages:
+def pushdown_stages(run: QueryRun, session: Session) -> Stages:
     """Yield every qualifying single-variable query as one request group.
 
     Statistics for the filtered datasets are registered into the run's
     working catalog under the intermediate's name (the paper "updates the
     statistics attached to the base unfiltered datasets to depict the new
     cardinalities" — here the rewrite points the alias at the new entry).
-    ``min_predicates`` parameterizes the candidate rule (the paper's fixed
-    "two simple predicates or any complex one" corresponds to 2; adaptive
-    policies may lower it). Returns the :class:`PushdownOutcome` with the
-    rewritten query.
+    Returns the :class:`PushdownOutcome` with the rewritten query.
     """
     query = run.query
     resolver = ColumnResolver(query, session.datasets.schema_lookup)
     columns_of_alias = {alias: resolver.columns_of(alias) for alias in query.aliases}
-    candidates = pushdown_candidates(query, columns_of_alias, min_predicates)
+    candidates = pushdown_candidates(query, columns_of_alias)
     join_columns = join_columns_of(query)
 
     requests = []

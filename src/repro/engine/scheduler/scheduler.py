@@ -24,8 +24,8 @@ different queries on one shared simulated clock. There is one schedule:
 - **Slice costing.** A job launched on an ``n``-partition slice is costed
   against :meth:`repro.cluster.cost.CostModel.with_partitions`: partitioned
   work divides by ``n`` instead of the full cluster and the join memory
-  budget shrinks with the slice, so narrow slices raise spill pressure —
-  feeding the session's cross-query spill feedback. A full-width slice is
+  budget shrinks with the slice, so narrow slices raise spill pressure. A
+  full-width slice is
   the cluster's own cost model. Data placement (and therefore every query's
   answer) is unaffected.
 - **Queueing delay.** A query is charged delay only for time the cluster had
@@ -696,19 +696,12 @@ class JobScheduler:
                 handle, result.metrics.total_seconds, cache_hit=cache_hit
             )
             if cache_hit:
-                # A cached answer ran no cluster job: it must not feed the
-                # feedback history (no trace, zero cost — it would dilute
-                # the spill ratio) and there is nothing new to cache. A
-                # zero-length timeline event keeps it visible per tenant.
+                # A cached answer ran no cluster job and there is nothing new
+                # to cache. A zero-length timeline event keeps it visible per
+                # tenant.
                 self._mark(handle, "cache-hit", "cache-hit")
-            else:
-                # Feed the finished run into the owning session's cross-query
-                # feedback history (misestimates + spills). Pure observation:
-                # it never mutates the result and charges nothing.
-                datasets = sorted({table.dataset for table in handle.query.tables})
-                handle.session.feedback.observe_result(result, tuple(datasets))
-                if self.on_finish is not None:
-                    self.on_finish(handle, result)
+            elif self.on_finish is not None:
+                self.on_finish(handle, result)
         self._release_namespace(handle)
 
     def _close_schedule(

@@ -133,8 +133,8 @@ def qerror_stats(trace: QueryTrace | None) -> dict:
     job), ``worst`` and ``mean`` — the numbers the bench harness tabulates
     per optimizer — plus ``infinite``, the count of unbounded misses
     (zero-estimate or zero-actual stages). ``worst``/``mean`` aggregate the
-    *finite* records only, so downstream consumers (the feedback policy's
-    adaptive thresholds, the bench summaries) never ingest ``inf``/``NaN``;
+    *finite* records only, so downstream consumers (the bench summaries)
+    never ingest ``inf``/``NaN``;
     an all-infinite trace yields ``None`` aggregates with a nonzero
     ``infinite`` count. An execution without estimate records (or without a
     trace) yields zeros/None so callers can render a placeholder.

@@ -6,13 +6,13 @@ Public surface:
   catalogs + caches serving many tenant sessions.
 - :class:`ServiceCache` / :class:`CacheStats` — result + intermediate
   caching with invalidation on dataset ingest.
-- :class:`ServiceStore` / :class:`StoredFeedback` — persistent per-dataset
-  feedback and ingestion-sketch store with JSON round-tripping.
+- :class:`ServiceStore` — persistent per-dataset ingestion-sketch store
+  with JSON round-tripping.
 """
 
 from repro.service.cache import CacheStats, ServiceCache
 from repro.service.service import QueryService, ServiceConfig
-from repro.service.store import ServiceStore, StoredFeedback, ingest_token
+from repro.service.store import ServiceStore, ingest_token
 
 __all__ = [
     "CacheStats",
@@ -20,6 +20,5 @@ __all__ = [
     "ServiceCache",
     "ServiceConfig",
     "ServiceStore",
-    "StoredFeedback",
     "ingest_token",
 ]

@@ -11,7 +11,7 @@ tail latency report key on.
 The service adds two things a lone session does not have:
 
 - a :class:`~repro.service.store.ServiceStore` (persistent per-dataset
-  feedback + ingestion sketches, ``save_store``/``load_store``),
+  ingestion sketches, ``save_store``/``load_store``),
 - a :class:`~repro.service.cache.ServiceCache` (result + intermediate
   caching with invalidation on ingest), installed via the scheduler's
   ``on_admit``/``on_finish`` hooks and the executor's ``cache`` attribute.
@@ -44,7 +44,7 @@ from repro.storage.ingest import load_dataset
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Caching and feedback policy of one query service."""
+    """Caching policy of one query service."""
 
     #: answer repeated (query, parameters, spec) submissions from cache.
     result_cache: bool = True
@@ -52,8 +52,6 @@ class ServiceConfig:
     intermediate_cache: bool = True
     result_cache_entries: int = 128
     intermediate_cache_entries: int = 64
-    #: window of the persistent feedback store (per group and combined).
-    feedback_window: int = 64
 
 
 class QueryService:
@@ -78,10 +76,8 @@ class QueryService:
         self.udfs = stack.udfs
         self.executor = stack.executor
         self.scheduler_config = stack.scheduler_config
-        #: persistent feedback + sketches; ``feedback`` aliases its log so
-        #: the scheduler's observe path finds it like a session's.
-        self.store = ServiceStore(self.config.feedback_window)
-        self.feedback = self.store.feedback
+        #: persistent ingestion sketches.
+        self.store = ServiceStore()
         self.cache: ServiceCache | None = None
         if self.config.result_cache or self.config.intermediate_cache:
             self.cache = ServiceCache(
@@ -183,11 +179,11 @@ class QueryService:
     # -- persistence ----------------------------------------------------------
 
     def save_store(self, path: str) -> None:
-        """Persist feedback history + ingestion sketches as JSON."""
+        """Persist the ingestion sketches as JSON."""
         self.store.save(path)
 
     def load_store(self, path: str) -> None:
-        """Restore a saved store (thresholds + sketches survive restarts)."""
+        """Restore a saved store (sketches survive restarts)."""
         self.store.load(path)
 
     # -- scheduler hooks ------------------------------------------------------
@@ -211,8 +207,6 @@ class QueryService:
             "tenants": self.tenants(),
             "datasets": self.datasets.names(),
             "sketched": self.store.sketched_datasets(),
-            "feedback_queries": self.feedback.queries,
-            "feedback_groups": sorted(self.feedback.groups),
         }
         if self.cache is not None:
             info["cache"] = asdict(self.cache.stats)

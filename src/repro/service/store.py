@@ -1,26 +1,15 @@
-"""Persistent per-dataset feedback and sketch store.
+"""Persistent ingestion-sketch store.
 
-A :class:`~repro.session.Session`'s :class:`~repro.core.policy.FeedbackLog`
-dies with the process, and its ingestion-time GK/HLL sketches are recollected
-on every restart. The query service keys both by *dataset* instead:
-
-- :class:`StoredFeedback` is a drop-in ``FeedbackLog`` that additionally
-  routes every observation into a per-dataset-group sub-log (the sorted
-  FROM-clause datasets of the observed query). Adaptive policies resolving
-  thresholds for a query whose dataset group has enough history derive from
-  that group's window — TPC-H misestimates stop inflating the trigger
-  threshold of TPC-DS queries — and fall back to the combined window below
-  ``min_history``.
-- :class:`ServiceStore` bundles the feedback log with persisted ingestion
-  sketches keyed by dataset name + a *content token*, plus JSON
-  ``save``/``load`` round-tripping. Restoring sketches is only sound when
-  the dataset's rows are byte-identical to the ones they describe — which is
-  exactly what the content token proves — so a restored service derives the
-  same :class:`~repro.core.policy.RuntimeThresholds` and the same
-  cardinality estimates as the process that saved it. The store serialises
-  on save: an ingestion hands over its live entry (sketches built on first
-  read, DESIGN.md §5c) and ``to_state()``, which reads every one, runs when
-  the state is asked for.
+A :class:`~repro.session.Session`'s ingestion-time GK/HLL sketches are
+recollected on every restart. The query service keeps them in a
+:class:`ServiceStore` instead, keyed by dataset name + a *content token*,
+with JSON ``save``/``load`` round-tripping. Restoring sketches is only sound
+when the dataset's rows are byte-identical to the ones they describe — which
+is exactly what the content token proves — so a restored service makes the
+same cardinality estimates as the process that saved it. The store
+serialises on save: an ingestion hands over its live entry (sketches built
+on first read, DESIGN.md §5c) and ``to_state()``, which reads every one,
+runs when the state is asked for.
 """
 
 from __future__ import annotations
@@ -30,28 +19,13 @@ import os
 import warnings
 from collections.abc import Iterable
 
-from repro.cluster.config import ClusterConfig
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash, stable_hash_of_repr
 from repro.common.types import Schema
-from repro.core.policy import FeedbackLog, ReplanPolicy, RuntimeThresholds
-from repro.engine.metrics import ExecutionResult
-from repro.lang.ast import Query
 from repro.stats.catalog import DatasetStatistics
 
 #: bump when the on-disk layout changes; mismatched files are rejected.
-STORE_FORMAT_VERSION = 1
-
-
-def dataset_group_key(datasets: tuple[str, ...]) -> str:
-    """Stable key for one dataset group (sorted names joined by ``+``)."""
-    return "+".join(sorted(datasets))
-
-
-def query_group_key(query: object) -> str:
-    """The dataset-group key of a query's FROM clause."""
-    tables = getattr(query, "tables", ())
-    return dataset_group_key(tuple({table.dataset for table in tables}))
+STORE_FORMAT_VERSION = 2
 
 
 def _row_shape(keys: tuple) -> tuple[list, str]:
@@ -97,66 +71,10 @@ def ingest_token(schema: Schema, rows: Iterable[dict], scale: float) -> str:
     return f"{acc:016x}"
 
 
-class StoredFeedback(FeedbackLog):
-    """Feedback history keyed by dataset group, drop-in for ``FeedbackLog``.
-
-    The combined (superclass) window still sees every observation, so code
-    that reads ``session.feedback`` aggregates keeps working; per-group
-    sub-logs narrow adaptive derivation to the datasets the query touches.
-    """
-
-    def __init__(self, window: int = 64) -> None:
-        super().__init__(window)
-        #: dataset-group key -> that group's own history window.
-        self.groups: dict[str, FeedbackLog] = {}
-
-    def observe_result(self, result: ExecutionResult, datasets: tuple[str, ...] = ()) -> None:
-        super().observe_result(result, datasets=datasets)
-        if not datasets:
-            return
-        key = dataset_group_key(datasets)
-        group = self.groups.get(key)
-        if group is None:
-            group = self.groups[key] = FeedbackLog(self.window)
-        group.observe_result(result, datasets=datasets)
-
-    def derive(
-        self, policy: ReplanPolicy, cluster: ClusterConfig | None = None, query: Query | None = None
-    ) -> RuntimeThresholds:
-        """Thresholds from the query's dataset group when it has history.
-
-        Falls back to the combined window when the query is unknown or its
-        group has fewer than ``policy.min_history`` finite records — a cold
-        group behaves exactly like a plain session-wide log.
-        """
-        if query is not None:
-            group = self.groups.get(query_group_key(query))
-            if group is not None and group.records >= policy.min_history:
-                return group.derive(policy, cluster)
-        return super().derive(policy, cluster)
-
-    # -- persistence ----------------------------------------------------------
-
-    def to_state(self) -> dict:
-        state = super().to_state()
-        state["groups"] = {
-            key: log.to_state() for key, log in sorted(self.groups.items())
-        }
-        return state
-
-    def restore_state(self, state: dict) -> None:
-        super().restore_state(state)
-        self.groups = {
-            key: FeedbackLog.from_state(group_state)
-            for key, group_state in state.get("groups", {}).items()
-        }
-
-
 class ServiceStore:
-    """Feedback + ingestion-sketch persistence for one query service."""
+    """Ingestion-sketch persistence for one query service."""
 
-    def __init__(self, window: int = 64) -> None:
-        self.feedback = StoredFeedback(window)
+    def __init__(self) -> None:
         #: dataset name -> {"token": content token, "stats": live entry or state}.
         self._sketches: dict[str, dict] = {}
 
@@ -198,7 +116,6 @@ class ServiceStore:
     def to_state(self) -> dict:
         return {
             "version": STORE_FORMAT_VERSION,
-            "feedback": self.feedback.to_state(),
             "sketches": {
                 name: self._state_of(self._sketches[name])
                 for name in sorted(self._sketches)
@@ -212,7 +129,6 @@ class ServiceStore:
                 f"unsupported service-store format {version!r} "
                 f"(this build reads version {STORE_FORMAT_VERSION})"
             )
-        self.feedback.restore_state(state["feedback"])
         sketches = dict(state["sketches"])
         # Sketch states stay dicts until an ingestion asks for them; rebuild
         # each once here so a damaged one fails the load (where ``open``
@@ -242,17 +158,17 @@ class ServiceStore:
             self.restore_state(json.load(handle))
 
     @classmethod
-    def open(cls, path: str, window: int = 64) -> ServiceStore:
+    def open(cls, path: str) -> ServiceStore:
         """A store loaded from ``path`` when it exists, else a fresh one.
 
         An unreadable store (truncated or corrupt JSON from a crashed
         writer, a wrong-format file, an unsupported version) degrades to a
-        fresh store with a warning: persisted feedback is an optimization,
-        never a correctness input, so refusing to start over it would be
+        fresh store with a warning: persisted sketches are an optimization,
+        never a correctness input, so refusing to start over them would be
         strictly worse than starting cold. ``load`` may have partially
         mutated the store before raising, so the fallback is a new instance.
         """
-        store = cls(window)
+        store = cls()
         if os.path.exists(path):
             try:
                 store.load(path)
@@ -263,5 +179,5 @@ class ServiceStore:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                return cls(window)
+                return cls()
         return store

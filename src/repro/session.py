@@ -20,7 +20,7 @@ session catalogs; call :meth:`Session.reset_intermediates` between
 experiment runs (the benchmark harness does this automatically).
 
 This constructor is the only place an execution stack (catalogs, executor,
-scheduler, feedback log) is built. A :class:`~repro.service.QueryService`
+scheduler) is built. A :class:`~repro.service.QueryService`
 owns one, and a *tenant handle* opened against it (``Session(service=svc,
 tenant="alice")``, i.e. ``svc.session("alice")``) is a view of it with the
 same API: submissions carry the tenant name for fair admission and
@@ -37,7 +37,6 @@ from repro.cluster.config import ClusterConfig, default_cluster
 from repro.cluster.cost import CostParameters
 from repro.common.errors import OptimizationError
 from repro.common.types import Schema
-from repro.core.policy import FeedbackLog
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
@@ -87,7 +86,6 @@ class Session:
             self.executor = service.executor
             self.scheduler_config = service.scheduler_config
             self.scheduler = service.scheduler
-            self.feedback: FeedbackLog = service.feedback
             return
         self.cluster = cluster or default_cluster()
         self.scheduler_config = scheduler_config or SchedulerConfig()
@@ -104,10 +102,6 @@ class Session:
             cost_parameters,
         )
         self.scheduler = JobScheduler(self.executor, self.scheduler_config)
-        #: cross-query misestimate/spill history; every execution that runs
-        #: through a scheduler (execute/submit both do) is folded in, and
-        #: adaptive ReplanPolicy instances derive their thresholds from it.
-        self.feedback = FeedbackLog()
 
     # -- data management ----------------------------------------------------
 

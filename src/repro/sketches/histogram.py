@@ -29,9 +29,9 @@ class Bucket:
 class EquiHeightHistogram:
     """Equi-height histogram over a numeric attribute.
 
-    Built from a GK sketch (the paper's pipeline) or directly from values
-    (convenience for tests). Selectivity estimates are returned as fractions
-    of the total row count in [0, 1].
+    Built from a GK sketch's quantile borders (the paper's pipeline).
+    Selectivity estimates are returned as fractions of the total row count
+    in [0, 1].
     """
 
     def __init__(self, buckets: list[Bucket], minimum: float, total: int) -> None:
@@ -58,23 +58,6 @@ class EquiHeightHistogram:
             buckets.append(Bucket(lower, border, per_bucket))
             lower = border
         return cls(buckets, sketch.minimum, total)
-
-    @classmethod
-    def from_values(cls, values, bucket_count: int = 32) -> EquiHeightHistogram:
-        """Convenience constructor: exact equi-height histogram from values."""
-        data = sorted(values)
-        if not data:
-            raise StatisticsError("cannot build a histogram from no values")
-        total = len(data)
-        bucket_count = min(bucket_count, total)
-        buckets = []
-        lower = data[0]
-        for i in range(bucket_count):
-            hi_idx = int(round((i + 1) * total / bucket_count)) - 1
-            upper = data[hi_idx]
-            buckets.append(Bucket(lower, upper, total / bucket_count))
-            lower = upper
-        return cls(buckets, data[0], total)
 
     # -- selectivity estimation -------------------------------------------------
 

@@ -27,15 +27,9 @@ class TestFeedbackExperiment:
         assert [d.action for d in fused.decisions] == ["fuse"]  # plain dynamic
         assert fused.seconds < every_point.seconds
 
-        assert len(report.adaptive) == 3
-        # history accumulated: later runs derive different thresholds
-        assert report.adaptive[1].thresholds != report.adaptive[0].thresholds
-        assert all(run.triggers >= 1 for run in report.adaptive)
-
         text = format_feedback(report)
         assert "join order changed mid-run: True" in text
         assert "replan" in text and "fuse" in text
-        assert "run 3:" in text
 
     def test_cli_wires_the_experiment(self, capsys):
         from repro.bench.__main__ import main

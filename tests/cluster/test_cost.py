@@ -144,12 +144,6 @@ class TestPartitionSlices:
         narrow = cost.with_partitions(cost.cluster.partitions // 2)
         assert narrow.spill(build, build) > 0.0
 
-    def test_slice_keeps_explicit_join_budget_override(self):
-        model = CostModel(default_cluster(), join_budget_bytes=1e6)
-        sliced = model.with_partitions(10)
-        assert sliced.join_budget_bytes == 1e6
-        assert sliced.join_memory_bytes == pytest.approx(1e6 * 10)
-
     def test_slice_clamped_to_cluster(self, cost):
         wide = cost.with_partitions(5).with_partitions(10_000)
         assert wide.partitions == cost.cluster.partitions

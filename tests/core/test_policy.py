@@ -1,32 +1,28 @@
 """Feedback-driven re-planning (DESIGN.md §8).
 
-The contract under test: with the policy *off* every execution is
-byte-identical to the fixed paper schedule; with it *on*, a bad Q-error miss
-buys one extra re-optimization job (sketch refresh) that can flip the
-endgame join order and pay for itself; adaptive thresholds converge to the
-session's observed history without a single unbounded (inf) record poisoning
-them. Policy or no policy, the driver's cost rule fuses the remaining joins
-into the final job when one more re-optimization point would cost more than
-they do — and says so in a decision carrying both sides of the inequality.
+The contract under test: without a policy every execution is the fixed
+paper schedule; with one, a bad Q-error miss buys one extra re-optimization
+job (sketch refresh) that can flip the endgame join order and pay for itself,
+and an unbounded (inf) miss never triggers. Policy or no policy, the driver's
+cost rule fuses the remaining joins into the final job when one more
+re-optimization point would cost more than they do — and says so in a
+decision carrying both sides of the inequality.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import asdict
+from dataclasses import replace
 
 import pytest
 
 from repro.bench.feedback import EveryPoint, fuse_query, load_universe, skew_query
-from repro.common.errors import OptimizationError
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
-from repro.core.policy import FeedbackLog, ReplanPolicy, RuntimeThresholds
+from repro.core.policy import REPLAN_QERROR, ReplanPolicy
+from repro.obs.trace import Tracer
 from repro.session import Session
-from repro.spec import PlannerSpec
 from repro.testing import rows_equal_unordered
-
-from tests.conftest import build_star_session, small_cluster, star_query
 
 
 @pytest.fixture(scope="module")
@@ -55,11 +51,7 @@ def run(session, query, policy=None, optimizer=None) -> "ExecutionResult":  # no
 
 class TestPolicyValidation:
     def test_constructors(self):
-        assert not ReplanPolicy.off().enabled
-        assert ReplanPolicy.default(6.0).qerror_threshold == 6.0
-        adaptive = ReplanPolicy.adaptive_policy(min_history=3)
-        assert adaptive.adaptive
-        assert adaptive.min_history == 3
+        assert ReplanPolicy.default() == ReplanPolicy()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -70,171 +62,53 @@ class TestPolicyValidation:
         ],
     )
     def test_invalid_parameters_raise(self, kwargs):
-        with pytest.raises(OptimizationError):
+        # the policy has no settings: the trigger and bound are constants
+        with pytest.raises(TypeError):
             ReplanPolicy(**kwargs)
 
     def test_is_bad_miss(self):
-        thresholds = RuntimeThresholds(qerror_threshold=4.0)
         policy = ReplanPolicy.default()
-        assert policy.is_bad_miss(4.01, thresholds)
-        assert not policy.is_bad_miss(4.0, thresholds)
-        assert not policy.is_bad_miss(None, thresholds)
-        assert not policy.is_bad_miss(float("nan"), thresholds)
-        assert ReplanPolicy.off().is_bad_miss(100.0, thresholds) is False
-
-    def test_resolve_defaults(self):
-        assert ReplanPolicy.off().resolve(None) == RuntimeThresholds()
-        assert ReplanPolicy.default(7.0).resolve(None) == RuntimeThresholds(
-            qerror_threshold=7.0
-        )
-
-    def test_resolve_adaptive_without_history_is_static(self):
-        session = Session(small_cluster())
-        thresholds = ReplanPolicy.adaptive_policy().resolve(session)
-        assert thresholds == RuntimeThresholds()
+        assert REPLAN_QERROR == 4.0
+        assert policy.is_bad_miss(4.01)
+        assert not policy.is_bad_miss(4.0)
+        assert not policy.is_bad_miss(None)
+        assert not policy.is_bad_miss(float("nan"))
 
 
 class TestNonFiniteQError:
     """Regression: ``is_bad_miss`` guarded NaN but not inf, so a degenerate
     zero-estimate stage (infinite Q-error) bought a replan on every
-    remaining join — while ``observe_qerror`` correctly refused to keep the
-    same value. Both sides now apply the same isfinite rule."""
-
-    THRESHOLDS = RuntimeThresholds()
+    remaining join. The trigger now applies an isfinite rule."""
 
     def test_inf_is_not_a_bad_miss(self):
         policy = ReplanPolicy.default()
-        assert not policy.is_bad_miss(float("inf"), self.THRESHOLDS)
+        assert not policy.is_bad_miss(float("inf"))
 
     def test_nan_and_none_still_ignored(self):
         policy = ReplanPolicy.default()
-        assert not policy.is_bad_miss(float("nan"), self.THRESHOLDS)
-        assert not policy.is_bad_miss(None, self.THRESHOLDS)
+        assert not policy.is_bad_miss(float("nan"))
+        assert not policy.is_bad_miss(None)
 
     def test_finite_miss_still_triggers(self):
         policy = ReplanPolicy.default()
-        assert policy.is_bad_miss(
-            self.THRESHOLDS.qerror_threshold * 2, self.THRESHOLDS
-        )
+        assert policy.is_bad_miss(REPLAN_QERROR * 2)
 
-    def test_all_inf_trace_never_replans(self):
-        """An all-inf Q-error history pins the decision: the trigger stays
-        silent on every stage, matching what the adaptive window (which
-        counts but never keeps inf) would derive."""
-        policy = ReplanPolicy.default()
-        log = FeedbackLog()
-        for _ in range(16):
-            log.observe_qerror(float("inf"))
-        assert log.records == 0 and log.infinite_records == 16
-        assert not any(
-            policy.is_bad_miss(float("inf"), self.THRESHOLDS) for _ in range(16)
-        )
+    def test_all_inf_trace_never_replans(self, universe, monkeypatch):
+        """Every stage the policy consults reports an unbounded miss: the
+        trigger stays silent and the run is the fixed schedule's."""
+        fixed = run(universe, skew_query())
+        latest = Tracer.latest_estimate
 
+        def unbounded(self, phase=None):
+            record = latest(self, phase)
+            return None if record is None else replace(record, estimated_rows=0.0)
 
-class TestFeedbackLog:
-    def test_infinite_records_are_counted_not_kept(self):
-        log = FeedbackLog()
-        log.observe_qerror(float("inf"))
-        log.observe_qerror(float("nan"))
-        log.observe_qerror(2.0)
-        assert log.records == 1
-        assert log.infinite_records == 2
-        assert log.qerror_quantile(0.5) == 2.0
-
-    def test_window_bounds_history(self):
-        log = FeedbackLog(window=4)
-        for q in (1.0, 2.0, 3.0, 4.0, 5.0):
-            log.observe_qerror(q)
-        assert log.records == 4
-        assert min(log.q_errors) == 2.0
-
-    def test_derive_waits_for_min_history(self):
-        log = FeedbackLog()
-        policy = ReplanPolicy.adaptive_policy(min_history=8)
-        for _ in range(7):
-            log.observe_qerror(40.0)
-        assert log.derive(policy) == RuntimeThresholds(
-            qerror_threshold=policy.qerror_threshold
-        )
-
-    def test_derive_chronic_misses_deepen_everything(self):
-        log = FeedbackLog()
-        policy = ReplanPolicy.adaptive_policy(min_history=8)
-        for _ in range(12):
-            log.observe_qerror(40.0)
-        thresholds = log.derive(policy, small_cluster())
-        # tail clamps at 8x the base, median stays above it: chronic misses
-        assert thresholds.qerror_threshold == policy.qerror_threshold * 8.0
-        assert thresholds.stats_cutoff == 2
-        assert thresholds.pushdown_min_predicates == 1
-
-    def test_derive_tight_estimates_relax_the_cutoff(self):
-        log = FeedbackLog()
-        policy = ReplanPolicy.adaptive_policy(min_history=8)
-        for _ in range(12):
-            log.observe_qerror(1.1)
-        thresholds = log.derive(policy, small_cluster())
-        assert thresholds.qerror_threshold == 2.0  # floor
-        assert thresholds.stats_cutoff == 4
-        assert thresholds.pushdown_min_predicates == 2
-
-    def test_derive_budget_shrinks_with_spills(self):
-        log = FeedbackLog()
-        policy = ReplanPolicy.adaptive_policy(min_history=4)
-        for _ in range(6):
-            log.observe_qerror(2.0)
-        log.query_costs.append((5.0, 100.0))  # spilled
-        log.query_costs.append((0.0, 80.0))
-        cluster = small_cluster()
-        thresholds = log.derive(policy, cluster)
-        assert log.spill_ratio == 0.5
-        assert thresholds.broadcast_budget_bytes == pytest.approx(
-            cluster.broadcast_threshold_bytes * 0.5
-        )
-
-    def test_derive_budget_floor(self):
-        log = FeedbackLog()
-        policy = ReplanPolicy.adaptive_policy(min_history=4)
-        for _ in range(6):
-            log.observe_qerror(2.0)
-        for _ in range(5):
-            log.query_costs.append((1.0, 10.0))  # every query spilled
-        cluster = small_cluster()
-        thresholds = log.derive(policy, cluster)
-        assert thresholds.broadcast_budget_bytes == pytest.approx(
-            cluster.broadcast_threshold_bytes * 0.25
-        )
-
-    def test_sessions_feed_the_log_through_the_scheduler(self):
-        session = build_star_session()
-        assert session.feedback.queries == 0
-        session.execute(star_query())
-        session.reset_intermediates()
-        assert session.feedback.queries == 1
-        assert session.feedback.records > 0
-
-
-class TestPolicyOffDeterminism:
-    """ReplanPolicy.off() (and no policy at all) is the fixed schedule."""
-
-    def test_off_matches_no_policy(self, universe):
-        baseline = run(universe, skew_query())
-        off = run(universe, skew_query(), policy=ReplanPolicy.off())
-        assert off.rows == baseline.rows
-        assert off.plan_description == baseline.plan_description
-        assert off.phases == baseline.phases
-        assert asdict(off.metrics) == asdict(baseline.metrics)
-        assert off.seconds == baseline.seconds
-        assert off.decisions == () and baseline.decisions == ()
-
-    def test_high_threshold_never_triggers(self, universe):
-        baseline = run(universe, skew_query())
-        lenient = run(
-            universe, skew_query(), policy=ReplanPolicy.default(qerror_threshold=100.0)
-        )
-        assert lenient.decisions == ()
-        assert lenient.phases == baseline.phases
-        assert lenient.seconds == baseline.seconds
+        monkeypatch.setattr(Tracer, "latest_estimate", unbounded)
+        assert math.isinf(replace(fixed.trace.estimates[0], estimated_rows=0.0).q_error)
+        result = run(universe, skew_query(), policy=ReplanPolicy.default())
+        assert result.decisions == ()
+        assert result.phases == fixed.phases
+        assert result.seconds == fixed.seconds
 
 
 class TestQErrorTrigger:
@@ -255,19 +129,12 @@ class TestQErrorTrigger:
         assert rows_equal_unordered(replanned.rows, fixed.rows)
         assert replanned.seconds < fixed.seconds
 
-    def test_refresh_can_be_disabled(self, universe):
-        policy = ReplanPolicy(refresh_sketches=False, widen_search=False)
-        result = run(universe, skew_query(), policy=policy)
-        # the miss is still logged, but no refresh job ran
-        assert [d.action for d in result.decisions] == ["replan"]
-        assert not any(p.startswith("replan:") for p in result.phases)
-
     def test_widened_pick_still_answers_correctly(self, universe):
         fixed = run(universe, skew_query())
-        policy = ReplanPolicy(refresh_sketches=False, widen_search=True)
-        widened = run(universe, skew_query(), policy=policy)
+        widened = run(universe, skew_query(), policy=ReplanPolicy.default())
         assert rows_equal_unordered(widened.rows, fixed.rows)
-        assert any(d.action == "replan" for d in widened.decisions)
+        (trigger,) = (d for d in widened.decisions if d.action == "replan")
+        assert "widened next pick to bounded enumeration" in trigger.detail
 
     def test_decisions_describe_readably(self, universe):
         result = run(universe, skew_query(), policy=ReplanPolicy.default())
@@ -343,29 +210,6 @@ class TestEarlyFuse:
             assert sum(phase.startswith("join:") for phase in result.phases) == 2
 
 
-class TestAdaptiveSession:
-    def test_threshold_converges_to_observed_history(self):
-        session = Session()
-        load_universe(session, smoke=True)
-        policy = ReplanPolicy.adaptive_policy(min_history=4)
-        spec = PlannerSpec.of("dynamic", policy=policy)
-
-        first = policy.resolve(session)
-        assert first == RuntimeThresholds()  # no history yet
-
-        session.execute(skew_query(), spec)
-        session.reset_intermediates()
-        adapted = policy.resolve(session)
-        assert adapted != first
-        assert adapted.qerror_threshold >= 2.0
-        assert adapted.qerror_threshold <= policy.qerror_threshold * 8.0
-
-        # the adapted run still answers correctly and still triggers
-        result = session.execute(skew_query(), spec)
-        session.reset_intermediates()
-        assert any(d.action == "replan" for d in result.decisions)
-
-
 class TestCheckpointWithPolicy:
     def test_resume_preserves_thresholds_and_answer(self, universe):
         clean = run(universe, skew_query(), policy=ReplanPolicy.default())
@@ -376,8 +220,6 @@ class TestCheckpointWithPolicy:
         with pytest.raises(SimulatedFailure) as excinfo:
             optimizer.execute(skew_query(), universe)
         checkpoint = excinfo.value.checkpoint
-        # the checkpoint carries the resolved thresholds and policy state
-        assert checkpoint.thresholds == RuntimeThresholds(qerror_threshold=4.0)
         resumed = optimizer.resume(checkpoint, universe)
         universe.reset_intermediates()
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.common.errors import OptimizationError, ReproError
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
-from repro.core.policy import ReplanPolicy
 from repro.engine.scheduler import JobScheduler, SchedulerConfig
 from repro.optimizers import make_optimizer
 from repro.spec import PlannerSpec
@@ -39,23 +38,6 @@ class TestDeterminismGuard:
         assert scheduled.phases == direct.phases
         assert asdict(scheduled.metrics) == asdict(direct.metrics)
         assert scheduled.seconds == direct.seconds
-
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_policy_off_matches_no_policy(self, name):
-        """An explicit ReplanPolicy.off() never perturbs any strategy."""
-        try:
-            spec_off = PlannerSpec.of(name, policy=ReplanPolicy.off())
-        except OptimizationError:
-            pytest.skip(f"{name} does not take a policy")
-        baseline = build_star_session().execute(star_query(), PlannerSpec.of(name))
-        session = build_star_session()
-        result = session.execute(star_query(), spec_off)
-        assert result.rows == baseline.rows
-        assert result.plan_description == baseline.plan_description
-        assert result.phases == baseline.phases
-        assert asdict(result.metrics) == asdict(baseline.metrics)
-        assert result.seconds == baseline.seconds
-        assert result.decisions == ()
 
     def test_direct_execution_has_no_schedule(self):
         session = build_star_session()

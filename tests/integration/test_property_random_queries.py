@@ -13,7 +13,9 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.feedback import EveryPoint
 from repro.common.types import DataType, Schema
+from repro.core.policy import ReplanPolicy
 from repro.lang.builder import QueryBuilder
 from repro.optimizers import available_strategies
 from repro.session import Session
@@ -29,10 +31,11 @@ OPTIMIZERS = available_strategies()
 
 
 @st.composite
-def universe(draw):
-    """A fact table + 1-3 dimensions, with random sizes and predicates."""
+def universe(draw, max_dims=3):
+    """A fact table + 1-``max_dims`` dimensions, with random sizes and
+    predicates."""
     rng_seed = draw(st.integers(min_value=0, max_value=10_000))
-    dim_count = draw(st.integers(min_value=1, max_value=3))
+    dim_count = draw(st.integers(min_value=1, max_value=max_dims))
     fact_rows = draw(st.integers(min_value=0, max_value=400))
     dim_sizes = [draw(st.integers(min_value=1, max_value=40)) for _ in range(dim_count)]
     null_every = draw(st.sampled_from([0, 7, 13]))
@@ -131,3 +134,26 @@ def test_dynamic_with_inl_matches_oracle(case):
     result = session.execute(query, PlannerSpec.of("dynamic", inl_enabled=True))
     session.reset_intermediates()
     assert rows_equal_unordered(result.rows, reference)
+
+
+@settings(max_examples=15, deadline=None)
+@given(universe(max_dims=5))
+def test_replan_policy_and_every_point_match_oracle(case):
+    """The re-optimization loop's two variants: the Q-error policy (refresh
+    + widened pick) and ``dynamic`` made to take every point. Up to five
+    dimensions, so the loop runs (a query of at most three joins is all
+    endgame). Both equal the oracle, and ``dynamic`` — which may fuse the
+    loop into its final job — returns the same rows as taking every point."""
+    session, query = build_case(*case)
+    reference = evaluate_reference(query, session)
+    policy = session.execute(
+        query, PlannerSpec.of("dynamic", policy=ReplanPolicy.default())
+    )
+    session.reset_intermediates()
+    every_point = EveryPoint().execute(query, session)
+    session.reset_intermediates()
+    dynamic = session.execute(query, "dynamic")
+    session.reset_intermediates()
+    assert rows_equal_unordered(policy.rows, reference)
+    assert rows_equal_unordered(every_point.rows, reference)
+    assert rows_equal_unordered(dynamic.rows, every_point.rows)

@@ -39,7 +39,6 @@ class TestTenantSessions:
         a, b = service.session("a"), service.session("b")
         assert a.executor is b.executor is service.executor
         assert a.scheduler is b.scheduler is service.scheduler
-        assert a.feedback is service.feedback
         assert a.dataset_rows("fact") == 2000
 
 
@@ -128,16 +127,6 @@ class TestResultCache:
         assert not second.schedule.cache_hit
         assert service.cache.stats.invalidations >= 1
         assert second.result().rows == first.result().rows
-
-    def test_cache_hits_do_not_feed_the_feedback_log(self):
-        service = build_service()
-        tenant = service.session("a")
-        tenant.submit(star_query(), "dynamic")
-        service.run_all()
-        observed = service.feedback.queries
-        tenant.submit(star_query(), "dynamic")
-        service.run_all()
-        assert service.feedback.queries == observed
 
 
 class TestIntermediateCache:

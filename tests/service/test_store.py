@@ -1,4 +1,4 @@
-"""Persistent feedback/sketch store: round-trips, tokens, versioning."""
+"""Persistent sketch store: round-trips, tokens, versioning."""
 
 import hashlib
 import json
@@ -8,9 +8,8 @@ import pytest
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash
 from repro.common.types import DataType, Schema
-from repro.core.policy import ReplanPolicy
 from repro.service import QueryService, ServiceConfig, ServiceStore, ingest_token
-from repro.service.store import STORE_FORMAT_VERSION, StoredFeedback
+from repro.service.store import STORE_FORMAT_VERSION
 from repro.workloads import get_workload
 
 from tests.conftest import load_star_data, small_cluster, star_query
@@ -106,24 +105,6 @@ class TestStoreRoundTrip:
         restored.save(str(second))
         assert first.read_bytes() == second.read_bytes()
         assert restored.sketched_datasets() == ["da", "db", "dc", "fact"]
-        assert restored.feedback.queries == service.feedback.queries
-
-    def test_restored_feedback_derives_identical_thresholds(self, tmp_path):
-        service = build_service()
-        tenant = service.session("alice")
-        for _ in range(3):
-            tenant.submit(star_query(), "dynamic")
-            service.run_all()
-            tenant.reset_intermediates()
-
-        path = tmp_path / "store.json"
-        service.save_store(str(path))
-        restored = ServiceStore.open(str(path))
-
-        policy = ReplanPolicy.adaptive_policy(min_history=1)
-        query = star_query()
-        original = service.feedback.derive(policy, service.cluster, query)
-        assert restored.feedback.derive(policy, service.cluster, query) == original
 
     def test_restored_sketches_skip_recollection_with_equal_estimates(
         self, tmp_path
@@ -265,7 +246,7 @@ class TestSaveCrashCleanup:
 
 class TestOpenCorruptStore:
     """``open`` must degrade to a fresh store on unreadable files — the
-    persisted feedback is an optimization, never a correctness input."""
+    persisted sketches are an optimization, never a correctness input."""
 
     def test_truncated_json_warns_and_starts_fresh(self, tmp_path):
         path = tmp_path / "store.json"
@@ -274,7 +255,6 @@ class TestOpenCorruptStore:
         with pytest.warns(RuntimeWarning, match="starting fresh"):
             store = ServiceStore.open(str(path))
         assert store.sketched_datasets() == []
-        assert store.feedback.queries == 0
 
     def test_garbage_warns_and_starts_fresh(self, tmp_path):
         path = tmp_path / "store.json"
@@ -318,6 +298,30 @@ class TestOpenCorruptStore:
             opened = ServiceStore.open(str(path))
         assert opened.sketched_datasets() == []
 
+    def test_version_one_file_with_feedback_starts_fresh(self, tmp_path):
+        """A file written before the feedback half was deleted: version 1,
+        a ``"feedback"`` block beside intact sketches. It is not read."""
+        path = tmp_path / "store.json"
+        build_service().save_store(str(path))
+        state = json.loads(path.read_text())
+        assert STORE_FORMAT_VERSION == 2 and state["sketches"]
+        state["version"] = 1
+        state["feedback"] = {
+            "window": 64,
+            "q_errors": [1.5],
+            "query_costs": [[0.0, 1.0]],
+            "infinite_records": 0,
+            "queries": 1,
+            "groups": {},
+        }
+        path.write_text(json.dumps(state))
+
+        with pytest.warns(RuntimeWarning, match="starting fresh"):
+            opened = ServiceStore.open(str(path))
+        assert opened.sketched_datasets() == []
+        with pytest.raises(StatisticsError, match="format 1"):
+            QueryService(small_cluster()).load_store(str(path))
+
     def test_healthy_file_loads_without_warning(self, tmp_path):
         import warnings as warnings_module
 
@@ -326,18 +330,6 @@ class TestOpenCorruptStore:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             ServiceStore.open(str(path))
-
-
-class TestStoredFeedbackGroups:
-    def test_observations_route_into_dataset_groups(self):
-        service = build_service()
-        tenant = service.session("alice")
-        tenant.submit(star_query(), "dynamic")
-        service.run_all()
-        assert isinstance(service.feedback, StoredFeedback)
-        assert "da+db+dc+fact" in service.feedback.groups
-        # the combined window still sees everything
-        assert service.feedback.queries >= 1
 
 
 class TestDeterminismGuard:

@@ -1,4 +1,8 @@
-"""Equi-height histogram selectivity tests."""
+"""Equi-height histogram selectivity tests.
+
+Every histogram here is built the way the planner builds one: from the
+quantile borders of a :class:`GKQuantileSketch` (default epsilon).
+"""
 
 import random
 
@@ -11,25 +15,21 @@ from repro.sketches.gk import GKQuantileSketch
 from repro.sketches.histogram import EquiHeightHistogram
 
 
+def sketched_histogram(values, buckets):
+    sketch = GKQuantileSketch()
+    sketch.extend(values)
+    return EquiHeightHistogram.from_sketch(sketch, buckets)
+
+
 def uniform_histogram(n=10_000, buckets=32, seed=1):
     rng = random.Random(seed)
-    return EquiHeightHistogram.from_values(
-        [rng.uniform(0, 100) for _ in range(n)], buckets
-    )
+    return sketched_histogram([rng.uniform(0, 100) for _ in range(n)], buckets)
 
 
 class TestConstruction:
-    def test_empty_values_rejected(self):
-        with pytest.raises(StatisticsError):
-            EquiHeightHistogram.from_values([])
-
     def test_empty_sketch_rejected(self):
         with pytest.raises(StatisticsError):
             EquiHeightHistogram.from_sketch(GKQuantileSketch())
-
-    def test_bucket_count_capped_by_values(self):
-        histogram = EquiHeightHistogram.from_values([1.0, 2.0], 32)
-        assert len(histogram.buckets) == 2
 
     def test_from_sketch_covers_range(self):
         sketch = GKQuantileSketch(0.01)
@@ -87,7 +87,7 @@ class TestSelectivity:
     def test_integer_equality_on_small_domain(self):
         # d_moy-like column: 12 distinct ints, equality ~1/12.
         values = [i % 12 + 1 for i in range(12_000)]
-        histogram = EquiHeightHistogram.from_values(values, 12)
+        histogram = sketched_histogram(values, 12)
         assert histogram.selectivity_equals(6) == pytest.approx(1 / 12, abs=0.1)
 
     @settings(max_examples=30, deadline=None)
@@ -97,14 +97,14 @@ class TestSelectivity:
         st.floats(min_value=-1e6, max_value=1e6),
     )
     def test_fraction_leq_monotone_property(self, values, a, b):
-        histogram = EquiHeightHistogram.from_values(values, 8)
+        histogram = sketched_histogram(values, 8)
         lo, hi = min(a, b), max(a, b)
         assert histogram._fraction_leq(lo) <= histogram._fraction_leq(hi) + 1e-9
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=5, max_size=300))
     def test_selectivities_clamped_property(self, values):
-        histogram = EquiHeightHistogram.from_values(values, 8)
+        histogram = sketched_histogram(values, 8)
         for op in ("=", "!=", "<", "<=", ">", ">="):
             sel = histogram.selectivity_comparison(op, 500.0)
             assert 0.0 <= sel <= 1.0
