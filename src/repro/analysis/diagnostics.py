@@ -42,6 +42,7 @@ LINT_RULES: dict[str, str] = {
     "D003": "unordered-set-iteration",
     "D004": "queue-delay-in-jobmetrics",
     "D005": "collector-state-in-library-code",
+    "D006": "interpreter-object-size",
     "F401": "unused-import",
     "F821": "undefined-name",
     "W001": "stale-suppression-pragma",

@@ -30,6 +30,10 @@ code      rule                          invariant
                                         cycle collector belongs to the embedding
                                         process; fix the heap, not the collector
                                         (DESIGN.md §10.3)
+``D006``  interpreter-object-size       no ``sys.getsizeof`` call under
+                                        ``src/repro`` — a size that feeds a
+                                        decision (a cache eviction) is an explicit
+                                        formula, identical on every Python version
 ``F401``  unused-import                 every imported name is read, re-exported
                                         through ``__all__`` or spelled ``import x
                                         as x`` — a deletion strands no import
@@ -161,6 +165,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
         findings.extend(_check_set_iteration(tree, normalized))
     findings.extend(_check_queue_delay(tree, normalized))
     findings.extend(_check_collector_state(tree, normalized))
+    findings.extend(_check_object_sizes(tree, normalized))
     findings.extend(_check_unused_imports(tree, normalized))
     findings.extend(_check_undefined_names(tree, normalized))
 
@@ -326,6 +331,10 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "D005": f"collector state touched from library code ({what}()) — the "
         "cycle collector belongs to the embedding process; keep fewer "
         "tracked containers alive instead",
+        "D006": f"object size from the interpreter ({what}()) — it follows "
+        "the Python version's object layout, so anything sized by it (a cache "
+        "eviction, and with it the simulated clock) moves between versions; "
+        "size by an explicit formula",
         "F401": f"{what} imported but never read, re-exported through "
         "__all__ or spelled `import x as x`",
         "F821": f"undefined name {what} — no builtin, module-level binding "
@@ -511,36 +520,48 @@ def _check_queue_delay(tree: ast.Module, path: str) -> list[Diagnostic]:
     return findings
 
 
-# -- D005: collector state -----------------------------------------------------
+# -- D005 / D006: calls of a module's functions --------------------------------
 
 
-def _check_collector_state(tree: ast.Module, path: str) -> list[Diagnostic]:
+def _module_calls(tree: ast.Module, module: str, names: frozenset[str]):
+    """``(call, function name)`` for every call of ``module.<name>``, through
+    ``import module [as alias]`` or ``from module import name [as alias]``."""
     modules: set[str] = set()
     functions: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules.update(a.asname or a.name for a in node.names if a.name == "gc")
-        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            modules.update(a.asname or a.name for a in node.names if a.name == module)
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
             functions.update(
-                (a.asname or a.name, a.name)
-                for a in node.names
-                if a.name in COLLECTOR_STATE_FUNCS
+                (a.asname or a.name, a.name) for a in node.names if a.name in names
             )
-    findings: list[Diagnostic] = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Name) and func.id in functions:
-            findings.append(_source_diag("D005", f"gc.{functions[func.id]}", node, path))
+            yield node, functions[func.id]
         elif (
             isinstance(func, ast.Attribute)
-            and func.attr in COLLECTOR_STATE_FUNCS
+            and func.attr in names
             and isinstance(func.value, ast.Name)
             and func.value.id in modules
         ):
-            findings.append(_source_diag("D005", f"gc.{func.attr}", node, path))
-    return findings
+            yield node, func.attr
+
+
+def _check_collector_state(tree: ast.Module, path: str) -> list[Diagnostic]:
+    return [
+        _source_diag("D005", f"gc.{name}", node, path)
+        for node, name in _module_calls(tree, "gc", COLLECTOR_STATE_FUNCS)
+    ]
+
+
+def _check_object_sizes(tree: ast.Module, path: str) -> list[Diagnostic]:
+    return [
+        _source_diag("D006", f"sys.{name}", node, path)
+        for node, name in _module_calls(tree, "sys", frozenset({"getsizeof"}))
+    ]
 
 
 # -- F401 / F821: import hygiene -----------------------------------------------
@@ -693,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine source lint (rules D001-D005, F401, F821, W001).",
+        description="Engine source lint (rules D001-D006, F401, F821, W001).",
     )
     parser.add_argument(
         "paths",

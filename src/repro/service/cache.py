@@ -20,6 +20,13 @@ Two caches, both LRU-bounded and both validated against
   served only after a job that produced it has completed on the shared
   clock (:meth:`ServiceCache.publish_intermediate`).
 
+The result cache is bounded in entries, the intermediate cache in bytes:
+each entry's size is fixed when it is stored, by a formula that does not
+depend on the interpreter (:func:`intermediate_nbytes`: 8 bytes per stored
+value, plus each field's sketch bytes — HLL registers, 24 per GK entry).
+Storing evicts least-recently-used entries until the held total is within
+the budget again, and an entry larger than the whole budget is not stored.
+
 Invalidation is two-layered: every entry records the ``(dataset, version)``
 pairs it was computed from and is revalidated on fetch, and the owning
 service subscribes the cache to the dataset catalog so a re-ingest evicts
@@ -41,9 +48,23 @@ from repro.storage.dataset import StoredPartition
 from repro.storage.ingest import register_intermediate
 
 
+#: Bytes charged per stored value (one row of one kept column).
+VALUE_BYTES = 8
+#: Default byte budget of the intermediate cache.
+INTERMEDIATE_BYTES = 4 << 20
+
+
+def intermediate_nbytes(dataset, stats: DatasetStatistics) -> int:
+    """What an intermediate cache entry holds, by a fixed formula:
+    :data:`VALUE_BYTES` per stored value plus every field's sketch bytes
+    (:attr:`~repro.stats.collector.FieldStatistics.nbytes`)."""
+    values = dataset.row_count * len(dataset.schema.fields)
+    return VALUE_BYTES * values + sum(f.nbytes for f in stats.fields.values())
+
+
 @dataclass
 class CacheStats:
-    """Hit/miss/invalidation counters for one service cache."""
+    """Counters for one service cache, plus the bytes its intermediates hold."""
 
     result_hits: int = 0
     result_misses: int = 0
@@ -52,6 +73,12 @@ class CacheStats:
     #: entries evicted because a dependency dataset was re-ingested (both
     #: eager subscription evictions and stale-on-fetch drops).
     invalidations: int = 0
+    #: intermediates evicted to bring the held bytes within the budget.
+    evictions: int = 0
+    #: intermediates not stored because they alone exceed the budget.
+    oversized: int = 0
+    #: bytes the stored intermediates hold now (:func:`intermediate_nbytes`).
+    held_bytes: int = 0
 
     @property
     def result_hit_rate(self) -> float:
@@ -94,6 +121,8 @@ class _CachedIntermediate:
     stats: DatasetStatistics
     modeled_rows: float
     deps: tuple[tuple[str, int], ...]
+    #: size charged against the byte budget, fixed when stored.
+    nbytes: int
     #: set once a job that produced this content has completed on the
     #: shared clock; until then a lookup is a miss. A flag, not a
     #: timestamp: ``reset_scheduler`` restarts the clock at zero.
@@ -121,13 +150,13 @@ class ServiceCache:
         self,
         datasets,
         result_entries: int = 128,
-        intermediate_entries: int = 64,
+        intermediate_bytes: int = INTERMEDIATE_BYTES,
     ) -> None:
-        if result_entries < 1 or intermediate_entries < 1:
+        if result_entries < 1 or intermediate_bytes < 1:
             raise ValueError("cache capacities must be >= 1")
         self.datasets = datasets
         self.result_entries = result_entries
-        self.intermediate_entries = intermediate_entries
+        self.intermediate_bytes = intermediate_bytes
         self.stats = CacheStats()
         self._results: OrderedDict[object, _CachedResult] = OrderedDict()
         self._intermediates: OrderedDict[str, _CachedIntermediate] = OrderedDict()
@@ -149,7 +178,7 @@ class ServiceCache:
             t for t, e in self._intermediates.items() if self._depends(e, name)
         ]
         for token in doomed_tokens:
-            del self._intermediates[token]
+            self._drop_intermediate(token)
         self.stats.invalidations += len(doomed) + len(doomed_tokens)
 
     @staticmethod
@@ -202,7 +231,7 @@ class ServiceCache:
             self.stats.intermediate_misses += 1
             return None
         if not self._fresh(entry.deps):
-            del self._intermediates[token]
+            self._drop_intermediate(token)
             self.stats.invalidations += 1
             self.stats.intermediate_misses += 1
             return None
@@ -235,7 +264,9 @@ class ServiceCache:
 
         The entry stays hidden until :meth:`publish_intermediate`. A fresh
         entry already under the token holds the same content and is kept
-        (a second producer must not hide a visible one).
+        (a second producer must not hide a visible one); a stale one is
+        replaced. Least-recently-used entries are evicted until the held
+        bytes fit the budget; an entry over the whole budget is not stored.
         """
         token = request.cache_token
         base = request.batch_key
@@ -249,7 +280,13 @@ class ServiceCache:
         working = request.run.statistics
         if not working.has(name):
             return  # nothing to replay without statistics: skip caching
+        if existing is not None:
+            self._drop_intermediate(token)
         stats = working.get(name)
+        nbytes = intermediate_nbytes(dataset, stats)
+        if nbytes > self.intermediate_bytes:
+            self.stats.oversized += 1
+            return
         self._intermediates[token] = _CachedIntermediate(
             schema=dataset.schema,
             partitions=dataset.partitions,
@@ -265,10 +302,15 @@ class ServiceCache:
             ),
             modeled_rows=dataset.modeled_rows,
             deps=deps,
+            nbytes=nbytes,
         )
-        self._intermediates.move_to_end(token)
-        while len(self._intermediates) > self.intermediate_entries:
-            self._intermediates.popitem(last=False)
+        self.stats.held_bytes += nbytes
+        while self.stats.held_bytes > self.intermediate_bytes:
+            self._drop_intermediate(next(iter(self._intermediates)))
+            self.stats.evictions += 1
+
+    def _drop_intermediate(self, token: str) -> None:
+        self.stats.held_bytes -= self._intermediates.pop(token).nbytes
 
     def publish_intermediate(self, token: str) -> None:
         """A job that stored ``token``'s content has completed: serve it."""

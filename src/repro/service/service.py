@@ -34,7 +34,7 @@ from repro.common.types import Schema
 from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.udf import UdfRegistry
-from repro.service.cache import ServiceCache
+from repro.service.cache import INTERMEDIATE_BYTES, ServiceCache
 from repro.service.store import ServiceStore, ingest_token
 from repro.session import Session
 from repro.spec import PlannerSpec
@@ -51,7 +51,8 @@ class ServiceConfig:
     #: replay materialized pushdown filters across queries.
     intermediate_cache: bool = True
     result_cache_entries: int = 128
-    intermediate_cache_entries: int = 64
+    #: byte budget of the intermediate cache (``cache.intermediate_nbytes``).
+    intermediate_cache_bytes: int = INTERMEDIATE_BYTES
 
 
 class QueryService:
@@ -83,7 +84,7 @@ class QueryService:
             self.cache = ServiceCache(
                 self.datasets,
                 result_entries=self.config.result_cache_entries,
-                intermediate_entries=self.config.intermediate_cache_entries,
+                intermediate_bytes=self.config.intermediate_cache_bytes,
             )
             self.datasets.subscribe(self.cache.invalidate_dataset)
             if self.config.intermediate_cache:

@@ -24,6 +24,9 @@ from repro.common.errors import StatisticsError
 if TYPE_CHECKING:
     from repro.sketches.histogram import EquiHeightHistogram
 
+#: Bytes one ``(value, g, delta)`` summary entry is charged in :attr:`nbytes`.
+ENTRY_BYTES = 24
+
 
 class GKQuantileSketch:
     """Streaming epsilon-approximate quantiles (Greenwald-Khanna 2001).
@@ -234,6 +237,12 @@ class GKQuantileSketch:
         """Number of retained summary entries (space bound check)."""
         self._flush()
         return len(self._values)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by a fixed formula: :data:`ENTRY_BYTES` per summary
+        entry, a buffered value counting as one. Flushes nothing."""
+        return ENTRY_BYTES * (len(self._values) + len(self._buffer))
 
     # -- persistence ----------------------------------------------------------
 

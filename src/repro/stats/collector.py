@@ -113,6 +113,13 @@ class FieldStatistics:
         self._quantiles, self._unread = other._quantiles, other._unread
 
     @property
+    def nbytes(self) -> int:
+        """Bytes the sketches hold: the HLL's registers plus the GK entries
+        built so far — a GK sketch never read counts as empty, and this
+        builds none."""
+        return self.distinct.nbytes + self._quantiles.nbytes
+
+    @property
     def distinct_count(self) -> float:
         """HLL estimate of the number of distinct non-null values."""
         return max(1.0, self.distinct.cardinality())

@@ -1,4 +1,4 @@
-"""Mutation tests for the source lint (D001-D005, F401, F821, W001) + the clean tree.
+"""Mutation tests for the source lint (D001-D006, F401, F821, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -166,6 +166,45 @@ class TestD005CollectorState:
     def test_pragma_suppresses(self):
         source = "import gc\n\ngc.collect()  # det: allow(D005)\n"
         assert lint_source(source, "engine/executor.py") == []
+
+
+class TestD006InterpreterObjectSize:
+    def test_getsizeof_sizing_an_eviction(self):
+        source = (
+            "import sys\n\n"
+            "def entry_bytes(entry):\n"
+            "    return sys.getsizeof(entry.partitions)\n"
+        )
+        found = lint_source(source, "service/cache.py")
+        assert [(f.code, f.line) for f in found] == [("D006", 4)]
+        assert "sys.getsizeof" in found[0].message
+
+    def test_from_import_and_alias(self):
+        source = (
+            "from sys import getsizeof as size\n"
+            "import sys as system\n\n"
+            "size(1)\n"
+            "system.getsizeof(2)\n"
+        )
+        assert codes(lint_source(source, "sketches/hyperloglog.py")) == ["D006", "D006"]
+
+    def test_no_path_is_exempt(self):
+        source = "import sys\n\nsys.getsizeof([])\n"
+        for path in ("analysis/runtime.py", "bench/runner.py", "common/rng.py"):
+            assert codes(lint_source(source, path)) == ["D006"], path
+
+    def test_other_sys_reads_and_formulas_are_fine(self):
+        source = (
+            "import sys\n\n"
+            "def entry_bytes(rows, columns, sketch):\n"
+            "    assert sys.version_info >= (3, 10)\n"
+            "    return 8 * rows * columns + sketch.nbytes\n"
+        )
+        assert lint_source(source, "service/cache.py") == []
+
+    def test_pragma_suppresses(self):
+        source = "import sys\n\nsys.getsizeof(0)  # det: allow(D006)\n"
+        assert lint_source(source, "service/cache.py") == []
 
 
 class TestF401UnusedImport:

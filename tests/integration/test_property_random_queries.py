@@ -10,6 +10,9 @@ under hash and broadcast joins) and the full reconstruction machinery at once.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import product
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from repro.common.types import DataType, Schema
 from repro.core.policy import ReplanPolicy
 from repro.lang.builder import QueryBuilder
 from repro.optimizers import available_strategies
+from repro.service import QueryService, ServiceConfig
 from repro.session import Session
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
@@ -52,12 +56,21 @@ def universe(draw, max_dims=3):
 
 
 def build_case(
-    rng_seed, fact_rows, dim_sizes, null_every, predicate_kinds, float_keys, scale
+    rng_seed,
+    fact_rows,
+    dim_sizes,
+    null_every,
+    predicate_kinds,
+    float_keys,
+    scale,
+    session=None,
 ):
+    """Load the drawn universe into ``session`` (a fresh :class:`Session`
+    by default; anything with ``load``) and build its query."""
     import random
 
     rng = random.Random(rng_seed)
-    session = Session(small_cluster())
+    session = session or Session(small_cluster())
     fact_fields = [("f_id", DataType.INT)] + [
         (f"fk{i}", DataType.INT) for i in range(len(dim_sizes))
     ]
@@ -157,3 +170,51 @@ def test_replan_policy_and_every_point_match_oracle(case):
     assert rows_equal_unordered(policy.rows, reference)
     assert rows_equal_unordered(every_point.rows, reference)
     assert rows_equal_unordered(dynamic.rows, every_point.rows)
+
+
+def serve(case, config, bindings, strategies):
+    """Every binding x strategy through two tenants of one service, drained
+    twice: the second round repeats the first, so where the caches are on it
+    is answered from them, except what read ``dim0`` — re-ingested with the
+    same rows in between. Returns the service and every handle's rows."""
+    service, query = build_case(
+        *case, session=QueryService(small_cluster(), config=config)
+    )
+    submissions = list(product(bindings, strategies))
+    handles = []
+    for round_ in range(2):
+        for i, (value, strategy) in enumerate(submissions):
+            bound = replace(query, parameters={"p": value})
+            handle = service.session(f"t{i % 2}").submit(bound, strategy)
+            handles.append((bound, handle))
+        service.run_all()
+        for tenant in service.tenants():
+            service.session(tenant).reset_intermediates()
+        service.reset_scheduler()
+        if not round_:
+            dim = service.datasets.get("dim0")
+            rows = list(dim.rows())
+            service.load("dim0", dim.schema, rows, scale=dim.scale, replace=True)
+    return service, [(bound, handle.result().rows) for bound, handle in handles]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    universe(max_dims=4),
+    st.lists(st.integers(0, 5), min_size=1, max_size=3),
+    st.lists(st.sampled_from(OPTIMIZERS), min_size=1, max_size=3, unique=True),
+)
+def test_service_caches_on_and_off_match_oracle(case, bindings, strategies):
+    """Caches off, the default caches, and an intermediate cache whose
+    budget holds about one entry (so evictions happen mid-run) answer every
+    submission with the same rows, and those are the oracle's."""
+    off = ServiceConfig(result_cache=False, intermediate_cache=False)
+    _, expected = serve(case, off, bindings, strategies)
+    default, answered = serve(case, ServiceConfig(), bindings, strategies)
+    held = [entry.nbytes for entry in default.cache._intermediates.values()]
+    tight = ServiceConfig(intermediate_cache_bytes=max([1, *held]))
+    _, squeezed = serve(case, tight, bindings, strategies)
+    assert answered == expected
+    assert squeezed == expected
+    for bound, rows in expected:
+        assert rows_equal_unordered(rows, evaluate_reference(bound, default))

@@ -129,6 +129,17 @@ class TestResultCache:
         assert second.result().rows == first.result().rows
 
 
+def one_entry_budget() -> int:
+    """A byte budget that holds any one of ``star_query``'s pushdown
+    materializations and never two."""
+    probe = build_service(config=ServiceConfig(result_cache=False))
+    probe.session("a").submit(star_query(), "dynamic")
+    probe.run_all()
+    sizes = sorted(entry.nbytes for entry in probe.cache._intermediates.values())
+    assert len(sizes) >= 2 and sizes[-1] < sizes[0] + sizes[1]
+    return sizes[-1]
+
+
 class TestIntermediateCache:
     def test_pushdown_replay_is_free_and_answer_preserving(self):
         service = build_service(
@@ -151,7 +162,7 @@ class TestIntermediateCache:
         )
 
     def test_forced_eviction_recomputes_instead_of_crashing(self):
-        """Regression guard: with a capacity-1 intermediate cache, each
+        """Regression guard: with a one-entry intermediate cache, each
         query's own pushdown materializations evict one another, so a token
         a queued query resolved against is usually gone by fetch time.
         Every such lookup must fall back to recomputing the materialization
@@ -160,7 +171,7 @@ class TestIntermediateCache:
             config=ServiceConfig(
                 result_cache=False,
                 intermediate_cache=True,
-                intermediate_cache_entries=1,
+                intermediate_cache_bytes=one_entry_budget(),
             )
         )
         baseline = build_service(
@@ -187,7 +198,7 @@ class TestIntermediateCache:
             config=ServiceConfig(
                 result_cache=False,
                 intermediate_cache=True,
-                intermediate_cache_entries=1,
+                intermediate_cache_bytes=one_entry_budget(),
             )
         )
         tenant = service.session("a")
@@ -227,6 +238,81 @@ class TestIntermediateCache:
         assert stats.invalidations >= 1
         assert stats.intermediate_misses >= 1
         assert stats.intermediate_hits >= hits_before
+
+
+def assert_held_bytes_add_up(cache) -> None:
+    held = sum(entry.nbytes for entry in cache._intermediates.values())
+    assert cache.stats.held_bytes == held <= cache.intermediate_bytes
+
+
+class TestByteBudget:
+    def test_held_bytes_follow_every_store_and_removal(self, monkeypatch):
+        service = build_service(
+            config=ServiceConfig(
+                result_cache=False, intermediate_cache_bytes=one_entry_budget()
+            )
+        )
+        cache = service.cache
+        calls = []
+        for name in ("store_intermediate", "fetch_intermediate"):
+
+            def checked(*args, _name=name, _method=getattr(cache, name)):
+                outcome = _method(*args)
+                assert_held_bytes_add_up(cache)
+                calls.append(_name)
+                return outcome
+
+            monkeypatch.setattr(cache, name, checked)
+        tenant = service.session("a")
+
+        def run_once():
+            handle = tenant.submit(star_query(), "dynamic")
+            service.run_all()
+            tenant.reset_intermediates()
+            service.reset_scheduler()
+            return handle.result().rows
+
+        expected = run_once()
+        assert run_once() == expected
+        assert cache.stats.evictions >= 1  # two entries never fit one's budget
+        assert cache.stats.held_bytes > 0
+        # eager invalidation: the catalog listener drops dependents
+        db_rows = [{"b_id": i, "b_attr": i % 5} for i in range(40)]
+        dc_rows = [{"c_id": i, "c_attr": i % 3} for i in range(30)]
+        service.load("db", dim_schema("b"), db_rows, replace=True)
+        service.load("dc", dim_schema("c"), dc_rows, replace=True)
+        assert_held_bytes_add_up(cache)
+        assert cache.stats.held_bytes == 0
+        run_once()
+        # stale on fetch: a re-ingest the cache was not told about
+        service.datasets._listeners.remove(cache.invalidate_dataset)
+        invalidations = cache.stats.invalidations
+        service.load("db", dim_schema("b"), db_rows, replace=True)
+        service.load("dc", dim_schema("c"), dc_rows, replace=True)
+        run_once()
+        assert cache.stats.invalidations > invalidations
+        assert {"store_intermediate", "fetch_intermediate"} <= set(calls)
+        described = service.describe()["cache"]
+        assert described["held_bytes"] == cache.stats.held_bytes
+        assert described["evictions"] == cache.stats.evictions
+        assert described["oversized"] == 0
+
+    def test_an_entry_over_the_whole_budget_is_not_stored(self):
+        service = build_service(
+            config=ServiceConfig(result_cache=False, intermediate_cache_bytes=1)
+        )
+        baseline = build_service(
+            config=ServiceConfig(result_cache=False, intermediate_cache=False)
+        )
+        expected = baseline.session("a").submit(star_query(), "dynamic")
+        baseline.run_all()
+        handle = service.session("a").submit(star_query(), "dynamic")
+        service.run_all()
+        assert handle.result().rows == expected.result().rows
+        stats = service.cache.stats
+        assert stats.oversized >= 2
+        assert stats.held_bytes == stats.evictions == 0
+        assert not service.cache._intermediates
 
 
 class TestAdmissionControl:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash
-from repro.sketches.hyperloglog import HyperLogLog, _alpha
+from repro.sketches.hyperloglog import PAIR_BYTES, HyperLogLog, _alpha
 from tests.conftest import mixed_column_batches
 
 
@@ -113,6 +113,17 @@ class TestMerge:
         assert len(hll) == 7
 
 
+def registers_of(sketch: HyperLogLog) -> bytes:
+    """One byte per register, in whichever form the sketch holds them."""
+    return bytes.fromhex(sketch.to_state()["registers"])
+
+
+def smaller_form_nbytes(registers) -> int:
+    """Bytes of the smaller form: a pair per set register, or the array."""
+    pairs = PAIR_BYTES * (len(registers) - registers.count(0))
+    return pairs if pairs < len(registers) else len(registers)
+
+
 def bit_loop_registers(precision: int, values) -> bytearray:
     """Registers by the textbook per-value loop (the pre-batch ``add``)."""
     registers = bytearray(1 << precision)
@@ -141,7 +152,7 @@ class TestBatch:
         assert batched.to_state() == single.to_state()
         assert len(batched) == len(single) == len(column)
         assert batched.cardinality() == single.cardinality()
-        assert batched._registers == bit_loop_registers(precision, column)
+        assert registers_of(batched) == bit_loop_registers(precision, column)
 
     def test_equal_values_that_hash_apart_stay_apart(self):
         # 1 == 1.0 == True and 0.0 == -0.0, but stable_hash encodes ints by
@@ -149,13 +160,14 @@ class TestBatch:
         column = [1, 1.0, True, 0.0, -0.0, float("nan"), float("nan"), (1,), (1.0,)]
         hll = HyperLogLog(12)
         hll.extend(column)
-        assert hll._registers == bit_loop_registers(12, column)
-        assert sum(1 for register in hll._registers if register) == 7
+        registers = registers_of(hll)
+        assert registers == bit_loop_registers(12, column)
+        assert sum(1 for register in registers if register) == 7
 
     def test_all_zero_remainder_takes_the_top_rank(self):
         hll = HyperLogLog(4)
         hll._observe((0b0101,))
-        assert hll._registers[0b0101] == 61
+        assert registers_of(hll)[0b0101] == 61
 
     def test_extend_accepts_a_generator(self):
         hll = HyperLogLog()
@@ -238,7 +250,7 @@ class TestRegisterAlgebra:
         merged = left.merge(right)
 
         expected = bytearray(map(max, left_registers, right_registers))
-        assert merged._registers == expected
+        assert registers_of(merged) == expected
         assert len(merged) == left_count + right_count
         assert (left.to_state(), right.to_state()) == before
         assert merged.cardinality() == exact_cardinality(expected)
@@ -258,8 +270,9 @@ class TestRegisterAlgebra:
     def test_sketches_built_from_values_stay_in_the_exact_regime(self):
         hll = HyperLogLog(12)
         hll.extend(range(200_000))
-        assert 12 + max(hll._registers) <= 53
-        assert hll.cardinality() == sequential_cardinality(hll._registers)
+        registers = registers_of(hll)
+        assert 12 + max(registers) <= 53
+        assert hll.cardinality() == sequential_cardinality(registers)
 
     def test_beyond_53_bits_the_loop_rounds_and_the_estimate_does_not(self):
         # 2048 registers at rank 50 after 2048 at rank 1: each 2**-50 is
@@ -268,3 +281,105 @@ class TestRegisterAlgebra:
         estimate = sketch_of(12, registers).cardinality()
         assert estimate == exact_cardinality(registers)
         assert estimate != sequential_cardinality(registers)
+
+
+# -- the sparse form: same registers, fewer bytes --------------------------------
+
+
+@st.composite
+def sparse_register_arrays(draw, precision: int) -> bytearray:
+    """A register array with at most 2**p / 4 registers set."""
+    m, top = 1 << precision, 65 - precision
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    registers = bytearray(m)
+    for index in rng.sample(range(m), draw(st.integers(0, m // 4))):
+        registers[index] = rng.randint(1, top)
+    return registers
+
+
+@st.composite
+def dense_register_arrays(draw, precision: int) -> bytearray:
+    """A register array with more than 2**p / 4 registers set."""
+    registers = draw(register_arrays(precision))
+    quarter = (len(registers) >> 2) + 1
+    registers[:quarter] = bytes(max(1, register) for register in registers[:quarter])
+    return registers
+
+
+def arrays_in(precision: int, sparse: bool):
+    return (sparse_register_arrays if sparse else dense_register_arrays)(precision)
+
+
+class TestSparseForm:
+    @pytest.mark.parametrize(
+        "left_sparse, right_sparse", [(True, True), (True, False), (False, False)]
+    )
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_merge_in_every_pair_of_forms(self, left_sparse, right_sparse, data):
+        precision = data.draw(st.integers(4, 18))
+        left_registers = data.draw(arrays_in(precision, left_sparse))
+        right_registers = data.draw(arrays_in(precision, right_sparse))
+        left = sketch_of(precision, left_registers, 3)
+        right = sketch_of(precision, right_registers, 4)
+        assert left.nbytes == smaller_form_nbytes(left_registers)
+        assert right.nbytes == smaller_form_nbytes(right_registers)
+
+        merged = left.merge(right)
+
+        expected = bytearray(map(max, left_registers, right_registers))
+        assert registers_of(merged) == expected
+        assert merged.nbytes == smaller_form_nbytes(expected)
+        assert len(merged) == 7
+        assert merged.cardinality() == exact_cardinality(expected)
+        assert right.merge(left).to_state() == merged.to_state()
+        assert registers_of(left) == left_registers
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(4, 18).flatmap(lambda p: st.tuples(st.just(p), sparse_register_arrays(p))))
+    def test_cardinality_and_round_trip_of_the_sparse_form(self, drawn):
+        precision, registers = drawn
+        sketch = sketch_of(precision, registers, 11)
+        assert sketch.nbytes == PAIR_BYTES * (len(registers) - registers.count(0))
+        assert sketch.cardinality() == exact_cardinality(registers)
+        if precision + max(registers) <= 53:
+            assert sketch.cardinality() == sequential_cardinality(registers)
+        state = sketch.to_state()
+        assert state["registers"] == registers.hex()
+        restored = HyperLogLog.from_state(state)
+        assert restored.to_state() == state
+        assert restored.nbytes == sketch.nbytes
+        assert restored.cardinality() == sketch.cardinality()
+
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_column_batches(), st.sampled_from([4, 6, 8]))
+    def test_sparse_to_dense_switch_keeps_the_registers(self, batches, precision):
+        batched, single = HyperLogLog(precision), HyperLogLog(precision)
+        column = []
+        for batch in batches:
+            batched.extend(batch)
+            for value in batch:
+                single.add(value)
+                column.append(value)
+                registers = registers_of(single)
+                assert single.nbytes == smaller_form_nbytes(registers)
+            expected = bit_loop_registers(precision, column)
+            assert registers_of(batched) == registers_of(single) == expected
+            assert batched.nbytes == smaller_form_nbytes(expected)
+            assert batched.cardinality() == exact_cardinality(expected)
+
+    def test_the_form_switches_where_the_pairs_reach_the_array(self):
+        hll = HyperLogLog(4)  # 16 registers: pairs while at most 3 are set
+        seen = []
+        for value in range(200):
+            hll.add(value)
+            seen.append(registers_of(hll).count(0))
+            set_count = 16 - seen[-1]
+            assert hll.nbytes == (PAIR_BYTES * set_count if set_count < 4 else 16)
+        assert 16 - max(seen) < 4 <= 16 - min(seen)  # both forms were held
+
+    def test_fifty_distinct_values_hold_a_few_hundred_bytes(self):
+        hll = HyperLogLog(12)
+        hll.extend(range(50))
+        assert hll.nbytes <= 512
+        assert abs(hll.cardinality() - 50) <= 2
