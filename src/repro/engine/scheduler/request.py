@@ -30,11 +30,11 @@ Two consumers drive these generators:
 - :class:`~repro.engine.scheduler.scheduler.JobScheduler` — the concurrent
   admission loop. It parks each admitted query at its pending request,
   interleaves requests of different queries on the shared simulated clock,
-  and merges batchable pushdown scans.
+  and lets several of them share one cluster launch.
 
 :func:`run_request` is the single place a request turns into executed work:
 it opens the phase span, runs the job (or applies a pre-computed virtual
-cost), applies refunds and scan-sharing discounts, merges the job's metrics
+cost), applies refunds and launch-sharing discounts, merges the job's metrics
 into the run's cumulative total, and records the request's estimate-accuracy
 point. Keeping all of that here means the pump and the scheduler cannot
 drift apart. The two differ only in *when* things happen on their clocks:
@@ -174,11 +174,24 @@ class JobOutcome:
     """What a driver receives back for one :class:`JobRequest`."""
 
     data: ColumnarData | None
-    #: this job's own charge, *after* refunds and scan-sharing discounts —
-    #: already merged into the run's cumulative metrics.
+    #: this job's own charge, *after* refunds and launch-sharing
+    #: discounts — already merged into the run's cumulative metrics.
     metrics: JobMetrics
-    #: queries whose scans were merged with this one (>1 means batched).
+    #: branches of the launch this job rode in (>1 means a shared launch).
     shared_with: int = 1
+
+
+@dataclass(frozen=True)
+class LaunchShare:
+    """One branch's place in a shared launch (:func:`_apply_scan_share`)."""
+
+    #: branches the launch carries; its start-up is split across all of them.
+    branches: int
+    #: this branch's position among the launch's branches that scan the same
+    #: base dataset (``batch_key``), and their count: the scan is split
+    #: across those only.
+    scan_position: int = 0
+    scan_count: int = 1
 
 
 #: What stage generators yield: one request or a list of independent ones.
@@ -186,20 +199,24 @@ StageItem = "JobRequest | list[JobRequest]"
 Stages = Generator  # Generator[StageItem, JobOutcome | list[JobOutcome], T]
 
 
-def _apply_scan_share(metrics: JobMetrics, position: int, count: int) -> None:
-    """Discount a batched pushdown branch to its share of the merged scan.
+def _apply_scan_share(metrics: JobMetrics, share: LaunchShare) -> None:
+    """Discount a shared-launch branch to its share of the launch.
 
-    The merged job scans the base dataset once and launches once; every
-    participating branch is charged an even ``1/count`` share of that scan
-    and startup. Branch-specific work (predicate evaluation, materialize,
+    The launch starts once, so every branch is charged an even
+    ``1/branches`` share of the start-up. Branches over the same base
+    dataset scan it once, so each is charged ``1/scan_count`` of that scan.
+    Branch-specific work (predicate evaluation, joins, materialize,
     sketches) stays fully charged to its own query. The integer
     tuples-scanned counter is split evenly with the remainder assigned to
-    the first branch so cluster-wide totals are conserved.
+    the first branch of the scan, so cluster-wide totals are conserved.
     """
+    metrics.startup = metrics.startup / share.branches
+    count = share.scan_count
+    if count == 1:
+        return
     metrics.scan = metrics.scan / count
-    metrics.startup = metrics.startup / count
     base = metrics.tuples_scanned // count
-    if position == 0:
+    if share.scan_position == 0:
         metrics.tuples_scanned = metrics.tuples_scanned - base * (count - 1)
     else:
         metrics.tuples_scanned = base
@@ -233,7 +250,7 @@ def complete_request(executor: Executor, request: JobRequest) -> None:
 def _perform(
     executor: Executor,
     request: JobRequest,
-    scan_share: tuple[int, int] | None,
+    share: LaunchShare | None,
     partitions: int | None,
     replayed: tuple[Any, JobMetrics] | None,
 ) -> JobOutcome:
@@ -269,15 +286,16 @@ def _perform(
             partitions=partitions,
         )
         # Every executed cacheable request stores its materialization, solo
-        # or as a merged-scan branch: a branch's Sink output is its own (the
-        # 1/n discount below covers only the shared scan). The entry is
-        # replayable once :func:`complete_request` reports the job done.
+        # or as a shared-launch branch: a branch's Sink output is its own
+        # (the discount below covers only the shared start-up and scan). The
+        # entry is replayable once :func:`complete_request` reports the job
+        # done.
         if executor.cache is not None and request.cache_token is not None:
             executor.cache.store_intermediate(executor, request)
     shared_with = 1
-    if scan_share is not None and scan_share[1] > 1:
-        _apply_scan_share(job_metrics, *scan_share)
-        shared_with = scan_share[1]
+    if share is not None and share.branches > 1:
+        _apply_scan_share(job_metrics, share)
+        shared_with = share.branches
     if request.refund_stats:
         job_metrics.stats = 0.0
     run.metrics.merge(job_metrics)
@@ -287,18 +305,18 @@ def _perform(
 def run_request(
     executor: Executor,
     request: JobRequest,
-    scan_share: tuple[int, int] | None = None,
+    share: LaunchShare | None = None,
     partitions: int | None = None,
     replayed: tuple[Any, JobMetrics] | None = None,
 ) -> JobOutcome:
     """Execute one request: phase span, job, refunds, merge, estimate record.
 
-    ``scan_share`` is ``(position, count)`` when this request runs as one
-    branch of a merged pushdown scan; the shared scan + startup cost is
-    split evenly across the ``count`` branches. Note that the operator spans
-    inside the phase show the *undiscounted* in-job clock (the scan did
-    physically happen once at full width); the phase span end and the
-    run's cumulative metrics reflect the discounted share.
+    ``share`` places this request in a shared launch: the launch's start-up
+    is split across its branches and a base scan across the branches that
+    share it. Note that the operator spans inside the phase show the
+    *undiscounted* in-job clock (the scan did physically happen once at
+    full width); the phase span end and the run's cumulative metrics
+    reflect the discounted share.
     ``partitions`` runs the job on a partition slice of the cluster (the
     space-shared scheduler's allotment); ``None`` means the full cluster.
     ``replayed`` is a :func:`cached_replay` hit: the request is answered
@@ -307,7 +325,7 @@ def run_request(
     run = request.run
     tracer = run.tracer
     with tracer.phase(request.phase):
-        outcome = _perform(executor, request, scan_share, partitions, replayed)
+        outcome = _perform(executor, request, share, partitions, replayed)
         tracer.sync(run.metrics.total_seconds)
     if request.estimate is not None and outcome.data is not None:
         operator, estimated_rows = request.estimate

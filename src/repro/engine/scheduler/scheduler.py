@@ -34,16 +34,21 @@ different queries on one shared simulated clock. There is one schedule:
   workload fitting inside the slot pool — accrues zero delay. Delay lands on
   the per-query schedule record, never on its
   :class:`~repro.engine.metrics.JobMetrics`.
-- **Pushdown scan batching.** Pending pushdown requests (same or different
-  queries) that scan the same base dataset merge into one cluster job: the
-  base scan and job launch are charged once and split evenly across the
-  branches, while each branch keeps its own select/sink work, intermediate,
-  statistics catalog and trace. Merging happens at launch time, so a merged
-  scan occupies a single slot while unrelated jobs overlap in the others.
-  Under a query service a request the intermediate cache can answer never
-  gets that far: every cacheable request is looked up once, when it becomes
-  ready, and a hit is replayed at that instant — no slot, no cluster job, no
-  narrower slice for the jobs launched beside it.
+- **Shared launches.** One cluster job carries the leader's ready request,
+  its consecutive same-dataset requests, and every other running query's
+  next ready request that scans the launch's base dataset or is *light* —
+  its job reads, at full width, less than one job start-up. A launch holds
+  at most one heavy scan group, and one that does also carries every other
+  ready light request, so no light job launches beside it to halve its
+  slice. Virtual-cost (coordinator-side) work never shares. The start-up is charged once and split evenly across the
+  branches, a base scan across the branches that read it, while each branch
+  keeps its own work, intermediate, statistics catalog and trace. Sharing
+  happens at launch time, so a shared launch occupies a single slot while
+  unrelated jobs overlap in the others. Under a query service a request the
+  intermediate cache can answer never gets that far: every cacheable
+  request is looked up once, when it becomes ready, and a hit is replayed
+  at that instant — no slot, no cluster job, no narrower slice for the jobs
+  launched beside it.
 - **Query ids.** Every query materializes into its own ``__q<id>__``
   catalog namespace. Ids count up from 1 per scheduler, skipping any whose
   namespace is live, so the schedulers of one stack (the shared one, the
@@ -72,9 +77,11 @@ from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AdmissionError, ReproError
 from repro.engine.metrics import ExecutionResult
+from repro.engine.operators.scan import ReaderOp, ScanOp
 from repro.engine.scheduler.request import (
     JobOutcome,
     JobRequest,
+    LaunchShare,
     cached_replay,
     complete_request,
     run_request,
@@ -95,7 +102,8 @@ class SchedulerConfig:
 
     #: queries allowed past admission at once; submissions beyond this wait.
     max_concurrent_queries: int = 4
-    #: merge pending pushdown scans over the same base dataset into one job.
+    #: let one launch carry several ready requests (same-dataset scans and
+    #: light jobs, DESIGN.md §7); False runs every request as its own job.
     batch_pushdown_scans: bool = True
     #: partition-slice slots: how many cluster jobs may run concurrently.
     #: 1 is the serial schedule (every job alone on the full cluster); >1
@@ -267,7 +275,7 @@ class JobScheduler:
         self.config = config or SchedulerConfig()
         #: the shared simulated clock (latest completion processed so far)
         self.now = 0.0
-        #: cluster jobs actually launched (merged scans count once)
+        #: cluster jobs actually launched (a shared launch counts once)
         self.cluster_jobs = 0
         #: base-dataset scans avoided by merging pushdown jobs
         self.scans_saved = 0
@@ -448,9 +456,9 @@ class JobScheduler:
         """Answer the parked requests the intermediate cache holds, now.
 
         Each cacheable request is looked up exactly once, when it becomes
-        ready — before any batching or slot assignment. A hit runs through
-        :func:`run_request` at this instant at zero charge: it takes no
-        slot, launches no cluster job and narrows no other job's slice.
+        ready — before any launch sharing or slot assignment. A hit runs
+        through :func:`run_request` at this instant at zero charge: it takes
+        no slot, launches no cluster job and narrows no other job's slice.
         """
         for index, request in enumerate(handle._requests):
             replayed = cached_replay(self.executor, request)
@@ -467,50 +475,114 @@ class JobScheduler:
             key=lambda h: (-h.priority, h.ready_since, h.query_id),
         )
 
+    def _ready_indices(self, handle: QueryHandle) -> list[int]:
+        """The handle's unanswered, not-in-flight request indexes, in order."""
+        return [
+            index
+            for index in range(handle._cursor, len(handle._requests))
+            if handle._outcomes[index] is None
+            and (handle.query_id, index) not in self._busy
+        ]
+
     def _first_ready_index(self, handle: QueryHandle) -> int | None:
         """The lowest unanswered, not-in-flight request index, if any."""
-        for index in range(handle._cursor, len(handle._requests)):
-            if (
-                handle._outcomes[index] is None
-                and (handle.query_id, index) not in self._busy
-            ):
-                return index
-        return None
+        return next(iter(self._ready_indices(handle)), None)
 
     def _gather_batch(
         self, leader: QueryHandle, lead_index: int
     ) -> list[tuple[QueryHandle, int]]:
-        """The merged-scan party for the leader's ready request.
+        """The party of one launch, led by the leader's ready request.
 
-        Eligible mates are consecutive same-dataset requests of the leader's
-        own group, plus every other running query's *next* ready request
-        (never out of order within a query) over the same base dataset.
+        The party is the leader's request and its consecutive same-dataset
+        requests, plus every other running query's *next* ready request
+        (never out of order within a query) when that request scans the
+        launch's base dataset — with its own same-dataset run — or is
+        :meth:`_light`. A launch holds at most one heavy scan group: when
+        the leader is light, the first heavy request in service order brings
+        its group along and its dataset becomes the launch's. A virtual-cost
+        request is coordinator-side work: it never shares a launch.
+
+        A launch with a heavy group also carries every other ready light
+        request of every running query, in service order, not only the
+        next ones. A light job left out would launch in another slot, and
+        the heavy launch would then run on half the cluster for its whole
+        length. Which requests happen to be next differs from one mix of
+        queries to the next, so the slice width, and with it the tail
+        latency, would be a matter of chance.
         """
-        key = leader._requests[lead_index].batch_key
-        if key is None or not self.config.batch_pushdown_scans:
+        lead = leader._requests[lead_index]
+        if lead.virtual_cost is not None or not self.config.batch_pushdown_scans:
             return [(leader, lead_index)]
+        key = lead.batch_key
+        heavy = not self._light(lead)
         entries = self._same_scan_run(leader, lead_index, key)
         for other in self._service_order():
             if other is leader:
                 continue
             mate = self._first_ready_index(other)
-            if mate is not None:
+            if mate is None:
+                continue
+            request = other._requests[mate]
+            if request.virtual_cost is not None:
+                continue
+            if key is not None and request.batch_key == key:
                 entries += self._same_scan_run(other, mate, key)
+            elif self._light(request):
+                entries.append((other, mate))
+            elif not heavy:
+                heavy, key = True, request.batch_key
+                entries += self._same_scan_run(other, mate, key)
+        if not heavy:
+            return entries
+        taken = set(entries)
+        for handle in self._service_order():
+            entries += [
+                (handle, index)
+                for index in self._ready_indices(handle)
+                if (handle, index) not in taken
+                and self._light(handle._requests[index])
+            ]
         return entries
 
     def _same_scan_run(
-        self, handle: QueryHandle, start: int, key: str
+        self, handle: QueryHandle, start: int, key: str | None
     ) -> list[tuple[QueryHandle, int]]:
-        """The handle's consecutive ready ``key``-scan requests from ``start``."""
-        end = start
+        """The handle's ready request at ``start`` and the consecutive ready
+        ``key``-scan requests after it (none when ``key`` is ``None``)."""
+        end = start + 1
         while (
-            end < len(handle._requests)
+            key is not None
+            and end < len(handle._requests)
             and handle._outcomes[end] is None
             and (handle.query_id, end) not in self._busy
             and handle._requests[end].batch_key == key
         ):
             end += 1
         return [(handle, index) for index in range(start, end)]
+
+    def _light(self, request: JobRequest) -> bool:
+        """True when the request's job reads less than one start-up.
+
+        The read is the cost model's full-cluster scan charge over the job's
+        base and materialized inputs — catalog facts only, so the answer
+        does not depend on which slots are busy. Such a job's launch is
+        mostly start-up, which sharing a launch splits.
+        """
+        if request.job is None:
+            return False
+        cost = self.executor.cost
+        datasets = self.executor.datasets
+        read = 0.0
+        stack = [request.job.root]
+        while stack:
+            operator = stack.pop()
+            if isinstance(operator, (ScanOp, ReaderOp)):
+                if not datasets.has(operator.dataset):
+                    return False  # the launch fails on its own; keep it alone
+                dataset = datasets.get(operator.dataset)
+                read += cost.scan(dataset.modeled_rows, dataset.schema.row_width)
+            stack.extend(operator.children)
+        return read < cost.job_startup()
 
     # -- launching ------------------------------------------------------------
 
@@ -554,19 +626,27 @@ class JobScheduler:
     ) -> None:
         count = len(entries)
         start = self.now
+        scans: dict[str, list[int]] = {}
+        for position, (handle, index) in enumerate(entries):
+            key = handle._requests[index].batch_key
+            if key is not None:
+                scans.setdefault(key, []).append(position)
 
         performed: list[tuple[QueryHandle, int, JobOutcome]] = []
         failed: list[QueryHandle] = []
         for position, (handle, index) in enumerate(entries):
             if handle.status != "running":
                 continue  # an earlier entry of this very handle failed
-            share = (position, count) if count > 1 else None
+            request = handle._requests[index]
+            same_scan = scans.get(request.batch_key, [position])
+            share = (
+                LaunchShare(count, same_scan.index(position), len(same_scan))
+                if count > 1
+                else None
+            )
             try:
                 outcome = run_request(
-                    self.executor,
-                    handle._requests[index],
-                    share,
-                    partitions=slice_partitions,
+                    self.executor, request, share, partitions=slice_partitions
                 )
             except BaseException as exc:  # executor/operator errors
                 self._fail(handle, exc)
@@ -595,26 +675,32 @@ class JobScheduler:
                 if delay > 0.0:
                     delays[handle.query_id] = delay
         self.cluster_jobs += 1
-        if count > 1:
-            self.scans_saved += count - 1
+        self.scans_saved += sum(len(group) - 1 for group in scans.values())
 
         lead_handle, lead_index, _ = performed[0]
         lead_request = lead_handle._requests[lead_index]
-        label = (
-            lead_request.phase
-            if count == 1
-            else f"scan[{lead_request.batch_key}] ×{count}"
-        )
+        if count == 1:
+            label, kind = lead_request.phase, lead_request.kind
+        elif [len(group) for group in scans.values()] == [count]:
+            label, kind = f"scan[{lead_request.batch_key}] ×{count}", "batched-scan"
+        else:
+            label, kind = f"launch ×{count}", "shared-launch"
         slot = heapq.heappop(self._free_slots)
         end = start + duration
         self.timeline.record(
             TimelineEvent(
                 label=label,
-                kind=lead_request.kind if count == 1 else "batched-scan",
+                kind=kind,
                 start_seconds=start,
                 end_seconds=end,
                 queries=tuple(h.query_id for h in participants),
-                batched=count > 1,
+                branches=(
+                    tuple(
+                        (h.query_id, h._requests[i].phase) for h, i, _ in performed
+                    )
+                    if count > 1
+                    else ()
+                ),
                 queue_delays=delays,
                 slot=slot,
                 # one slot has no lanes to show: its timeline keeps the

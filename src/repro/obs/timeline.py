@@ -4,9 +4,9 @@ Per-query traces (:mod:`repro.obs.trace`) position spans on the query's
 *own* cumulative cost clock — deliberately, so a query's trace is identical
 whether it ran alone or interleaved with others. The scheduler's view is the
 complement: one :class:`TimelineEvent` per cluster job on the *shared*
-simulated clock, tagged with the queries it served, whether it was a merged
-pushdown scan, and how much queueing delay each participant had accrued
-waiting for the slot. Under the space-shared executor events may overlap:
+simulated clock, tagged with the queries it served, the branches of a shared
+launch (one job carrying several requests), and how much queueing delay
+each participant had accrued waiting for the slot. Under the space-shared executor events may overlap:
 each carries the slot (partition-slice lane) it ran in and the width of its
 slice. Exportable as a Chrome/Perfetto trace with one track per query
 (queueing rendered as explicit ``wait`` events) plus, when space sharing was
@@ -26,9 +26,8 @@ class TimelineEvent:
     kind: str
     start_seconds: float
     end_seconds: float
-    #: query ids whose work this event carried (len > 1 for merged scans)
+    #: query ids whose work this event carried (len > 1 for shared launches)
     queries: tuple[int, ...]
-    batched: bool = False
     #: queue delay charged to each participant at this event's start
     #: (time between the query's request becoming ready and this start).
     queue_delays: dict[int, float] = field(default_factory=dict)
@@ -42,10 +41,19 @@ class TimelineEvent:
     #: (query-service schedules only; empty outside a service, which keeps
     #: the single-tenant render and exports byte-identical).
     tenants: tuple[str, ...] = ()
+    #: (query id, phase) of every branch a shared launch carried, in launch
+    #: order; empty for a job that carried one request.
+    branches: tuple[tuple[int, str], ...] = ()
 
     @property
     def duration_seconds(self) -> float:
         return max(0.0, self.end_seconds - self.start_seconds)
+
+    @property
+    def batched(self) -> bool:
+        """True for a shared launch: a merged scan or any launch carrying
+        several requests."""
+        return bool(self.branches)
 
 
 @dataclass
@@ -114,8 +122,9 @@ class ClusterTimeline:
     def to_chrome_trace(self) -> str:
         """Chrome ``chrome://tracing`` / Perfetto JSON on the shared clock.
 
-        One ``tid`` per query; merged scans emit one event per participant
-        so each query's track shows its share, and queueing shows up as
+        One ``tid`` per query; a shared launch emits one event per
+        participant, each listing every branch's phase, so each query's track
+        shows what it rode with; queueing shows up as
         explicit ``wait`` events preceding the job they delayed. When the
         schedule was space-shared, a second process groups the same jobs by
         slice lane (``pid`` 2, one ``tid`` per slot) so the overlap across
@@ -159,6 +168,10 @@ class ClusterTimeline:
                     "batched": event.batched,
                     "queries": list(event.queries),
                 }
+                if event.branches:
+                    args["branches"] = [
+                        {"query": qid, "phase": phase} for qid, phase in event.branches
+                    ]
                 if event.slice_partitions is not None:
                     args["slot"] = event.slot
                     args["slice_partitions"] = event.slice_partitions
@@ -246,5 +259,7 @@ class ClusterTimeline:
             row += f" {queries:12s} {event.kind:13s}{marker}{event.label}"
             lines.append(row)
         if any(event.batched for event in self.events):
-            lines.append("(* = merged scan serving several queries)")
+            lines.append(
+                "(* = merged scan or shared launch serving several queries)"
+            )
         return "\n".join(lines)

@@ -14,18 +14,19 @@ Two caches, both LRU-bounded and both validated against
   the stored partitions and statistics under the requesting query's own
   namespace at zero cost, skipping the scan entirely. The token binds only
   the parameters the request's own predicates read. Each cacheable request
-  is looked up once, when it becomes ready and before any scan batching
+  is looked up once, when it becomes ready and before any launch sharing
   (one hit or one miss in :class:`CacheStats`); every executed one stores
-  its materialization, solo or as a merged-scan branch; and an entry is
+  its materialization, solo or as a shared-launch branch; and an entry is
   served only after a job that produced it has completed on the shared
   clock (:meth:`ServiceCache.publish_intermediate`).
 
-The result cache is bounded in entries, the intermediate cache in bytes:
-each entry's size is fixed when it is stored, by a formula that does not
-depend on the interpreter (:func:`intermediate_nbytes`: 8 bytes per stored
-value, plus each field's sketch bytes — HLL registers, 24 per GK entry).
-Storing evicts least-recently-used entries until the held total is within
-the budget again, and an entry larger than the whole budget is not stored.
+Both caches are bounded in bytes. Each entry's size is fixed when it is
+stored, by a formula that does not depend on the interpreter: 8 bytes per
+stored value (:func:`result_nbytes`), plus, for an intermediate, each
+field's sketch bytes — HLL registers, 24 per GK entry
+(:func:`intermediate_nbytes`). Storing evicts the cache's least-recently-used
+entries until its held total is within its budget again, and an entry larger
+than the whole budget is not stored.
 
 Invalidation is two-layered: every entry records the ``(dataset, version)``
 pairs it was computed from and is revalidated on fetch, and the owning
@@ -52,6 +53,15 @@ from repro.storage.ingest import register_intermediate
 VALUE_BYTES = 8
 #: Default byte budget of the intermediate cache.
 INTERMEDIATE_BYTES = 4 << 20
+#: Default byte budget of the result cache.
+RESULT_BYTES = 1 << 20
+
+
+def result_nbytes(rows: list[dict]) -> int:
+    """What a result cache entry holds, by a fixed formula:
+    :data:`VALUE_BYTES` per stored value, and one value's worth for an empty
+    answer, so that every entry counts against the budget."""
+    return VALUE_BYTES * max(1, sum(len(row) for row in rows))
 
 
 def intermediate_nbytes(dataset, stats: DatasetStatistics) -> int:
@@ -64,7 +74,7 @@ def intermediate_nbytes(dataset, stats: DatasetStatistics) -> int:
 
 @dataclass
 class CacheStats:
-    """Counters for one service cache, plus the bytes its intermediates hold."""
+    """Counters for one service cache, plus the bytes each of its caches holds."""
 
     result_hits: int = 0
     result_misses: int = 0
@@ -73,12 +83,14 @@ class CacheStats:
     #: entries evicted because a dependency dataset was re-ingested (both
     #: eager subscription evictions and stale-on-fetch drops).
     invalidations: int = 0
-    #: intermediates evicted to bring the held bytes within the budget.
+    #: entries evicted to bring a cache's held bytes within its budget.
     evictions: int = 0
-    #: intermediates not stored because they alone exceed the budget.
+    #: entries not stored because they alone exceed their cache's budget.
     oversized: int = 0
     #: bytes the stored intermediates hold now (:func:`intermediate_nbytes`).
     held_bytes: int = 0
+    #: bytes the stored results hold now (:func:`result_nbytes`).
+    result_held_bytes: int = 0
 
     @property
     def result_hit_rate(self) -> float:
@@ -98,6 +110,8 @@ class _CachedResult:
     rows: list[dict]
     plan_description: str
     deps: tuple[tuple[str, int], ...]
+    #: size charged against the byte budget, fixed when stored.
+    nbytes: int
 
     def materialize(self) -> ExecutionResult:
         """A fresh result object per hit (the scheduler sets ``schedule``
@@ -149,13 +163,13 @@ class ServiceCache:
     def __init__(
         self,
         datasets,
-        result_entries: int = 128,
+        result_bytes: int = RESULT_BYTES,
         intermediate_bytes: int = INTERMEDIATE_BYTES,
     ) -> None:
-        if result_entries < 1 or intermediate_bytes < 1:
+        if result_bytes < 1 or intermediate_bytes < 1:
             raise ValueError("cache capacities must be >= 1")
         self.datasets = datasets
-        self.result_entries = result_entries
+        self.result_bytes = result_bytes
         self.intermediate_bytes = intermediate_bytes
         self.stats = CacheStats()
         self._results: OrderedDict[object, _CachedResult] = OrderedDict()
@@ -173,7 +187,7 @@ class ServiceCache:
         """Evict every entry computed from ``name`` (catalog listener)."""
         doomed = [k for k, e in self._results.items() if self._depends(e, name)]
         for key in doomed:
-            del self._results[key]
+            self._drop_result(key)
         doomed_tokens = [
             t for t, e in self._intermediates.items() if self._depends(e, name)
         ]
@@ -194,7 +208,7 @@ class ServiceCache:
             self.stats.result_misses += 1
             return None
         if not self._fresh(entry.deps):
-            del self._results[key]
+            self._drop_result(key)
             self.stats.invalidations += 1
             self.stats.result_misses += 1
             return None
@@ -205,14 +219,28 @@ class ServiceCache:
     def store_result(
         self, key, result: ExecutionResult, datasets: tuple[str, ...]
     ) -> None:
+        """Store ``result`` under ``key``, replacing any entry there, then
+        evict least-recently-used results until the held bytes fit the
+        budget; a result over the whole budget is not stored."""
+        if key in self._results:
+            self._drop_result(key)
+        nbytes = result_nbytes(result.rows)
+        if nbytes > self.result_bytes:
+            self.stats.oversized += 1
+            return
         self._results[key] = _CachedResult(
             rows=list(result.rows),
             plan_description=result.plan_description,
             deps=self._deps_for(datasets),
+            nbytes=nbytes,
         )
-        self._results.move_to_end(key)
-        while len(self._results) > self.result_entries:
-            self._results.popitem(last=False)
+        self.stats.result_held_bytes += nbytes
+        while self.stats.result_held_bytes > self.result_bytes:
+            self._drop_result(next(iter(self._results)))
+            self.stats.evictions += 1
+
+    def _drop_result(self, key) -> None:
+        self.stats.result_held_bytes -= self._results.pop(key).nbytes
 
     # -- intermediate (pushdown) cache ----------------------------------------
 

@@ -34,7 +34,7 @@ from repro.common.types import Schema
 from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.udf import UdfRegistry
-from repro.service.cache import INTERMEDIATE_BYTES, ServiceCache
+from repro.service.cache import INTERMEDIATE_BYTES, RESULT_BYTES, ServiceCache
 from repro.service.store import ServiceStore, ingest_token
 from repro.session import Session
 from repro.spec import PlannerSpec
@@ -50,7 +50,8 @@ class ServiceConfig:
     result_cache: bool = True
     #: replay materialized pushdown filters across queries.
     intermediate_cache: bool = True
-    result_cache_entries: int = 128
+    #: byte budget of the result cache (``cache.result_nbytes``).
+    result_cache_bytes: int = RESULT_BYTES
     #: byte budget of the intermediate cache (``cache.intermediate_nbytes``).
     intermediate_cache_bytes: int = INTERMEDIATE_BYTES
 
@@ -83,7 +84,7 @@ class QueryService:
         if self.config.result_cache or self.config.intermediate_cache:
             self.cache = ServiceCache(
                 self.datasets,
-                result_entries=self.config.result_cache_entries,
+                result_bytes=self.config.result_cache_bytes,
                 intermediate_bytes=self.config.intermediate_cache_bytes,
             )
             self.datasets.subscribe(self.cache.invalidate_dataset)

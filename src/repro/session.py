@@ -191,10 +191,10 @@ class Session:
 
         Runs as a single-query schedule on a private scheduler — the same
         code path as concurrent submission with nobody to contend with, hence
-        zero queue delay. Scan batching and space sharing are off here
+        zero queue delay. Shared launches and space sharing are off here
         (``job_slots=1``): a solo run owns the full cluster and is charged
-        exactly what a direct ``Optimizer.execute`` is; merge discounts and
-        partition slices belong to :meth:`submit`/:meth:`run_all`.
+        exactly what a direct ``Optimizer.execute`` is; launch-sharing
+        discounts and partition slices belong to :meth:`submit`/:meth:`run_all`.
         """
         spec = resolve_planner(planner, optimizer, options, entry="execute")
         config = replace(

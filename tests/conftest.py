@@ -44,7 +44,9 @@ def dim_schema(prefix: str) -> Schema:
     )
 
 
-def load_star_data(target, fact_rows: int = 2000, seed: int = 7) -> None:
+def load_star_data(
+    target, fact_rows: int = 2000, seed: int = 7, fact_scale: float = 10_000.0
+) -> None:
     """Load the star universe into anything with ``.load`` (Session/service)."""
     rng = random.Random(seed)
     target.load(
@@ -60,7 +62,7 @@ def load_star_data(target, fact_rows: int = 2000, seed: int = 7) -> None:
             }
             for i in range(fact_rows)
         ],
-        scale=10_000.0,
+        scale=fact_scale,
     )
     target.load(
         "da", dim_schema("a"), [{"a_id": i, "a_attr": i % 7} for i in range(50)]

@@ -218,3 +218,41 @@ def test_service_caches_on_and_off_match_oracle(case, bindings, strategies):
     assert squeezed == expected
     for bound, rows in expected:
         assert rows_equal_unordered(rows, evaluate_reference(bound, default))
+
+
+def submit_together(stack, submissions, tenant=None):
+    """Submit every ``(query, strategy)`` at once, drain, return the rows."""
+    handles = [
+        (stack.session(tenant(i)) if tenant else stack).submit(query, strategy)
+        for i, (query, strategy) in enumerate(submissions)
+    ]
+    stack.run_all()
+    return [handle.result().rows for handle in handles]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    universe(max_dims=4),
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(OPTIMIZERS)), min_size=4, max_size=6
+    ),
+)
+def test_concurrent_submissions_match_oracle(case, drawn):
+    """Four to six generated queries in flight at once, so their jobs share
+    launches: one session at one and at two job slots, and tenants of a
+    service with its caches on. Every handle returns the oracle's rows, and
+    one slot or two changes no row."""
+    session, query = build_case(*case)
+    submissions = [
+        (replace(query, parameters={"p": value}), strategy) for value, strategy in drawn
+    ]
+    expected = [evaluate_reference(bound, session) for bound, _ in submissions]
+    answers = {}
+    for job_slots in (1, 2):
+        stack, _ = build_case(*case, session=Session(small_cluster(), job_slots=job_slots))
+        answers[job_slots] = submit_together(stack, submissions)
+    service, _ = build_case(*case, session=QueryService(small_cluster(), job_slots=2))
+    served = submit_together(service, submissions, tenant=lambda i: f"t{i % 3}")
+    assert answers[1] == answers[2]
+    for rows, reference in zip([*answers[1], *served], expected * 2):
+        assert rows_equal_unordered(rows, reference)

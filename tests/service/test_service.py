@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import AdmissionError, OptimizationError
 from repro.engine.scheduler import SchedulerConfig
 from repro.service import QueryService, ServiceConfig
+from repro.service.cache import VALUE_BYTES, result_nbytes
 from repro.spec import PlannerSpec
 
 from tests.conftest import dim_schema, load_star_data, small_cluster, star_query
@@ -313,6 +314,54 @@ class TestByteBudget:
         assert stats.oversized >= 2
         assert stats.held_bytes == stats.evictions == 0
         assert not service.cache._intermediates
+
+
+    def test_results_are_charged_by_value_and_evicted_by_bytes(self, monkeypatch):
+        """One star result's bytes as the whole budget: a second answer
+        evicts the first, held bytes add up after every store and removal,
+        and a budget below one answer stores nothing."""
+        solo = build_service().session("a").execute(star_query(), "dynamic")
+        budget = result_nbytes(solo.rows)
+        assert budget == VALUE_BYTES * 2 * len(solo.rows)  # two columns a row
+        service = build_service(
+            config=ServiceConfig(intermediate_cache=False, result_cache_bytes=budget)
+        )
+        cache = service.cache
+
+        def checked(*args, _store=cache.store_result):
+            _store(*args)
+            held = sum(entry.nbytes for entry in cache._results.values())
+            assert cache.stats.result_held_bytes == held <= cache.result_bytes
+
+        monkeypatch.setattr(cache, "store_result", checked)
+        tenant = service.session("a")
+
+        def submit(strategy):
+            handle = tenant.submit(star_query(), strategy)
+            service.run_all()
+            return handle
+
+        submit("dynamic")
+        submit("cost_based")  # same rows, another key: evicts dynamic's
+        assert cache.stats.evictions == 1
+        assert submit("cost_based").schedule.cache_hit
+        assert not submit("dynamic").schedule.cache_hit
+        service.load(
+            "da",
+            dim_schema("a"),
+            [{"a_id": i, "a_attr": i % 7} for i in range(50)],
+            replace=True,
+        )
+        assert cache.stats.result_held_bytes == 0
+        assert service.describe()["cache"]["result_held_bytes"] == 0
+
+        tight = build_service(
+            config=ServiceConfig(intermediate_cache=False, result_cache_bytes=budget - 1)
+        )
+        tight.session("a").submit(star_query(), "dynamic")
+        tight.run_all()
+        assert tight.cache.stats.oversized == 1
+        assert not tight.cache._results
 
 
 class TestAdmissionControl:
