@@ -65,7 +65,6 @@ def main() -> None:
     print("== execution-time consequence (TPC-H Q9 @ SF 100) ==")
     for optimizer in ("dynamic", "cost_based"):
         result = session.execute(q9, PlannerSpec.of(optimizer))
-        session.reset_intermediates()
         print(f"  {optimizer:11s} {result.seconds:8.1f} simulated seconds"
               f"   plan: {result.plan_description}")
 

@@ -100,7 +100,6 @@ def main() -> None:
     baseline = None
     for optimizer in session.optimizer_names():
         result = session.execute(query, PlannerSpec.of(optimizer))
-        session.reset_intermediates()
         if baseline is None:
             baseline = len(result.rows)
         assert len(result.rows) == baseline, "optimizers must agree!"

@@ -36,16 +36,18 @@ def main() -> None:
         print(f"  {i}. {phase}")
     print()
 
+    # The run's Sink operators; the scheduler dropped what they wrote from
+    # the catalog when the query finished.
     print("Materialized intermediates at re-optimization points:")
-    for name in session.datasets.names():
-        if not name.startswith("__"):
-            continue
-        dataset = session.datasets.get(name)
-        print(
-            f"  {name:18s} {dataset.row_count:8d} stored rows"
-            f"  ({dataset.modeled_rows:14,.0f} modeled)"
-            f"  columns: {', '.join(dataset.schema.field_names)}"
-        )
+    namespace = f"__q{result.schedule.query_id}"
+    for span in result.trace.root.walk():
+        if span.kind == "operator" and span.name.startswith("Sink ("):
+            name = span.name.removeprefix("Sink (").removesuffix(")")
+            print(
+                f"  {name.removeprefix(namespace):18s}"
+                f" {span.counters['rows_materialized']:8d} stored rows"
+                f"  ({span.modeled_rows_out:14,.0f} modeled)"
+            )
     print()
 
     print(f"Final plan: {result.plan_description}")
@@ -67,7 +69,6 @@ def main() -> None:
     print()
 
     # Replay the captured plan as one job: the dynamic overhead is the delta.
-    session.reset_intermediates()
     replay = execute_tree(optimizer.last_tree, query, session)
     overhead = result.seconds - replay.seconds
     print(
@@ -75,7 +76,6 @@ def main() -> None:
         f"-> dynamic overhead {overhead:.1f}s "
         f"({overhead / result.seconds * 100:.1f}% of the dynamic run)"
     )
-    session.reset_intermediates()
 
 
 if __name__ == "__main__":

@@ -54,7 +54,6 @@ def main() -> None:
 
     bound = parse_query(PARAMETRIC_SQL, floor=300_000.0)
     result = session.execute(bound, PlannerSpec.of("dynamic"))
-    session.reset_intermediates()
     print(
         f"Parameterized query returned {len(result.rows)} rows "
         f"in {result.seconds:.1f} simulated seconds"

@@ -25,7 +25,7 @@ code      rule                        invariant
                                       *earlier* job of the same query — never by a
                                       concurrent query's namespace, which may be
                                       released at any moment
-``Q003``  namespace-leak              every intermediate a scheduled query writes
+``Q003``  namespace-leak              every intermediate a query writes
                                       lives under its ``__q<id>__`` prefix, so the
                                       scheduler's end-of-query release can drop it
 ``Q004``  cache-token-collision       cache tokens are namespace-free and map to one
@@ -178,26 +178,24 @@ def dataflow_of(job: Job, request: "JobRequest | None" = None) -> JobDataflow:
 
 def verify_query_dataflow(
     records: list[DataflowRecord],
-    namespace: str = "",
-    preexisting: frozenset[str] = frozenset(),
+    namespace: str,
     token_registry: dict[str, tuple[str, ...]] | None = None,
     trace: object | None = None,
     metrics_total: float | None = None,
 ) -> list[Diagnostic]:
     """Verify one query's whole job sequence; returns Q001–Q006 diagnostics.
 
-    ``records`` is the per-query dataflow sequence in execution order.
-    A non-empty ``namespace`` (``__q<id>``) selects the *runtime* mode the
-    scheduler uses: writes must live under the namespace (Q003) and reads of
-    foreign ``__q`` namespaces are cross-query hazards (Q002). With an empty
-    namespace (the static/test mode), reads must resolve against earlier
-    writes or ``preexisting`` names instead. ``token_registry`` is a
-    cache-token → scan-signature map persisted *across* queries by the owning
-    scheduler, so Q004 sees collisions between concurrent queries.
-    ``trace``/``metrics_total`` feed the Q005 charge-conservation audit.
+    ``records`` is the per-query dataflow sequence in execution order and
+    ``namespace`` (``__q<id>``) the query's intermediate prefix: writes must
+    live under it (Q003), reads under it must follow the write (Q002), and
+    reads of foreign ``__q`` namespaces are cross-query hazards (Q002).
+    ``token_registry`` is a cache-token → scan-signature map persisted
+    *across* queries by the owning scheduler, so Q004 sees collisions
+    between concurrent queries. ``trace``/``metrics_total`` feed the Q005
+    charge-conservation audit.
     """
     diagnostics: list[Diagnostic] = []
-    diagnostics.extend(_check_ordering(records, namespace, preexisting))
+    diagnostics.extend(_check_ordering(records, namespace))
     diagnostics.extend(_check_dead_sinks(records))
     diagnostics.extend(_check_tokens(records, token_registry))
     diagnostics.extend(_check_transfer(records))
@@ -218,50 +216,37 @@ def _diag(code: str, message: str, label: str = "", phase: str = "") -> Diagnost
 
 
 def _check_ordering(
-    records: list[DataflowRecord],
-    namespace: str,
-    preexisting: frozenset[str],
+    records: list[DataflowRecord], namespace: str
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
-    prefix = f"{namespace}__" if namespace else ""
+    prefix = f"{namespace}__"
     written: set[str] = set()
     for record in _job_records(records):
         for read in record.reads:
-            if namespace:
-                if read.startswith(prefix):
-                    if read not in written:
-                        findings.append(
-                            _diag(
-                                "Q002",
-                                f"job reads intermediate {read!r} before any "
-                                "earlier job of this query wrote it",
-                                record.label,
-                                record.phase,
-                            )
-                        )
-                elif read.startswith("__q"):
+            if read.startswith(prefix):
+                if read not in written:
                     findings.append(
                         _diag(
                             "Q002",
-                            f"job reads {read!r} from a foreign query "
-                            f"namespace (this query is {namespace!r}) — the "
-                            "owner may release it at any moment",
+                            f"job reads intermediate {read!r} before any "
+                            "earlier job of this query wrote it",
                             record.label,
                             record.phase,
                         )
                     )
-            elif read not in written and read not in preexisting:
+            elif read.startswith("__q"):
                 findings.append(
                     _diag(
                         "Q002",
-                        f"job reads intermediate {read!r} that no earlier "
-                        "job wrote and is not preexisting",
+                        f"job reads {read!r} from a foreign query "
+                        f"namespace (this query is {namespace!r}) — the "
+                        "owner may release it at any moment",
                         record.label,
                         record.phase,
                     )
                 )
         for write in record.writes:
-            if namespace and not write.startswith(prefix):
+            if not write.startswith(prefix):
                 findings.append(
                     _diag(
                         "Q003",

@@ -3,8 +3,8 @@
 :func:`verify_before_launch` is called from
 :func:`repro.engine.scheduler.request.run_request` — the single place a
 :class:`~repro.engine.scheduler.request.JobRequest` turns into executed work
-— so both the synchronous pump and the concurrent scheduler pass through the
-same gate. Verification:
+— so every job the scheduler launches, concurrent or alone, passes through
+the same gate. Verification:
 
 - charges **zero simulated seconds** (it never touches
   :class:`~repro.engine.metrics.JobMetrics` or the clock, so schedules,
@@ -24,7 +24,8 @@ Three query-level entry points extend the same contract (DESIGN.md §14):
   (:func:`record_replay_dataflow` does the same for cache-replayed jobs,
   which never reach the gate);
 - :func:`verify_query_completion` replays the recorded sequence through the
-  Q001–Q006 dataflow verifier when the scheduler finishes a query;
+  Q001–Q006 dataflow verifier when the scheduler finishes a query — every
+  finished query, since every query runs on a scheduler;
 - :func:`verify_plan_before_jobgen` runs the P-rule plan checks on logical
   :class:`~repro.algebra.plan.PlanNode` trees at plan time, before jobgen.
 

@@ -289,20 +289,17 @@ class EveryPoint(DynamicOptimizer):
 def _run(
     session: Session, query: Query, planner: PlannerSpec | DynamicOptimizer, mode: str
 ) -> ModeRun:
-    try:
-        if isinstance(planner, PlannerSpec):
-            result = session.execute(query, planner)
-        else:
-            result = planner.execute(query, session)
-        return ModeRun(
-            mode=mode,
-            seconds=result.seconds,
-            rows=len(result.rows),
-            plan=result.plan_description,
-            decisions=result.decisions,
-        )
-    finally:
-        session.reset_intermediates()
+    if isinstance(planner, PlannerSpec):
+        result = session.execute(query, planner)
+    else:
+        result = planner.execute(query, session)
+    return ModeRun(
+        mode=mode,
+        seconds=result.seconds,
+        rows=len(result.rows),
+        plan=result.plan_description,
+        decisions=result.decisions,
+    )
 
 
 def run_feedback(smoke: bool = False, seed: int = 42) -> FeedbackReport:

@@ -25,11 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace as dc_replace
 
 from repro.algebra.plan import JoinNode, LeafNode, PlanNode
-from repro.bench.runner import Workbench, workbench_for_query
+from repro.bench.runner import workbench_for_query
 from repro.core.driver import DynamicOptimizer
-from repro.core.predicate_pushdown import execute_pushdowns
-from repro.engine.scheduler.request import QueryRun
-from repro.optimizers.base import execute_tree
+from repro.core.predicate_pushdown import pushdown_stages
+from repro.engine.metrics import ExecutionResult
+from repro.engine.scheduler import QueryRun, run_solo
+from repro.optimizers.base import execute_tree, final_job_stages
 
 
 @dataclass(frozen=True)
@@ -82,14 +83,22 @@ def _tree_with_materialized_filters(
     )
 
 
-def _pushdown_variant_seconds(bench: Workbench, query, tree: PlanNode) -> float:
-    """Push-down materialization + same plan over the materialized leaves."""
-    session = bench.session
-    run = QueryRun(query, session, "pushdown")
-    outcome = execute_pushdowns(run, session)
-    swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
-    result = execute_tree(swapped, outcome.query, session)
-    return run.metrics.total_seconds + result.seconds
+def pushdown_variant(query, session, tree: PlanNode) -> ExecutionResult:
+    """Push-down materialization + same plan over the materialized leaves,
+    as one run: the push-down jobs, then ``tree`` with its filtered leaves
+    swapped for their materializations as the single final job."""
+
+    def stages(namespace: str):
+        run = QueryRun(query, session, "pushdown", namespace)
+        outcome = yield from pushdown_stages(run, session)
+        swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
+        return (
+            yield from final_job_stages(
+                run, swapped, outcome.query, session, phase="single-job", kind="single"
+            )
+        )
+
+    return run_solo(query, stages, session)
 
 
 def overhead_report(query_label: str, scale_factor: int, seed: int = 42) -> OverheadReport:
@@ -97,29 +106,20 @@ def overhead_report(query_label: str, scale_factor: int, seed: int = 42) -> Over
     bench = workbench_for_query(query_label, scale_factor, seed)
     query = bench.query(query_label)
     session = bench.session
-    try:
-        dynamic = DynamicOptimizer()
-        full = dynamic.execute(query, session)
-        tree = dynamic.last_tree
-        session.reset_intermediates()
-
-        upfront = execute_tree(tree, query, session)
-        session.reset_intermediates()
-
-        no_stats = DynamicOptimizer(charge_online_stats=False).execute(query, session)
-        session.reset_intermediates()
-
-        pushdown_seconds = _pushdown_variant_seconds(bench, query, tree)
-        return OverheadReport(
-            query=query_label,
-            scale_factor=scale_factor,
-            full_seconds=full.seconds,
-            upfront_seconds=upfront.seconds,
-            no_online_stats_seconds=no_stats.seconds,
-            pushdown_variant_seconds=pushdown_seconds,
-        )
-    finally:
-        session.reset_intermediates()
+    dynamic = DynamicOptimizer()
+    full = dynamic.execute(query, session)
+    tree = dynamic.last_tree
+    upfront = execute_tree(tree, query, session)
+    no_stats = DynamicOptimizer(charge_online_stats=False).execute(query, session)
+    pushdown = pushdown_variant(query, session, tree)
+    return OverheadReport(
+        query=query_label,
+        scale_factor=scale_factor,
+        full_seconds=full.seconds,
+        upfront_seconds=upfront.seconds,
+        no_online_stats_seconds=no_stats.seconds,
+        pushdown_variant_seconds=pushdown.seconds,
+    )
 
 
 def figure6(scale_factors=(100, 1000), seed: int = 42) -> list[OverheadReport]:

@@ -138,16 +138,13 @@ def run_query(
     correlation: float = 0.0,
     **options,
 ) -> ExecutionResult:
-    """Execute one evaluation query under one strategy; cleans up after."""
+    """Execute one evaluation query under one strategy."""
     bench = workbench_for_query(label, scale_factor, seed, skew, correlation)
     if inl_enabled:
         bench.ensure_indexes()
         options["inl_enabled"] = True
     query = bench.query(label)
-    try:
-        return bench.session.execute(query, PlannerSpec.of(optimizer, **options))
-    finally:
-        bench.session.reset_intermediates()
+    return bench.session.execute(query, PlannerSpec.of(optimizer, **options))
 
 
 # -- estimate accuracy ---------------------------------------------------------

@@ -9,7 +9,6 @@ from repro.core.planner import (
 )
 from repro.core.predicate_pushdown import (
     PushdownOutcome,
-    execute_pushdowns,
     intermediate_name_for,
     pushdown_stages,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "PlannedJoin",
     "Planner",
     "PushdownOutcome",
-    "execute_pushdowns",
     "greedy_full_plan",
     "intermediate_name_for",
     "pushdown_stages",

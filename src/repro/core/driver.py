@@ -12,10 +12,10 @@ The driver is written as *resumable stage generators* over one
 stage ``yield``s a request the run builds and receives the
 :class:`~repro.engine.scheduler.request.JobOutcome` back. The run owns what
 the loop accrues (working statistics, cumulative metrics, trace); the
-checkpoint, :class:`DriverState`, is that run plus where the loop is.
-``execute``/``resume`` pump the generator synchronously, while the
-:class:`~repro.engine.scheduler.scheduler.JobScheduler` interleaves the
-generators of concurrent queries on a shared simulated clock.
+checkpoint, :class:`DriverState`, is that run plus where the loop is. The
+:class:`~repro.engine.scheduler.scheduler.JobScheduler` drives the
+generators, interleaving concurrent queries on a shared simulated clock;
+``execute``/``resume`` are one-query schedules on a private one.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from repro.core.predicate_pushdown import join_columns_of, pushdown_stages
 from repro.core.predicate_transfer import transfer_stages
 from repro.core.reconstruction import reconstruct_after_join
 from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
+from repro.engine.scheduler.request import QueryRun, Stages
+from repro.engine.scheduler.scheduler import run_solo
 from repro.lang.ast import Query, split_column
 from repro.optimizers.base import Optimizer, final_job_stages
 from repro.stats.collector import StatisticsCollector
@@ -333,9 +334,17 @@ class DynamicOptimizer(Optimizer):
         The intermediates the checkpoint references must still exist in the
         session's dataset catalog (they do, unless ``reset_intermediates``
         ran) — this is the paper's Section-8 recovery story: completed join
-        stages are never repeated after a failure.
+        stages are never repeated after a failure. The resumed query runs
+        under the namespace those intermediates live in, so it is verified
+        and released as the one query it is.
         """
-        return drive_stages(self.resume_stages(state, session), session.executor)
+        run = state.run
+        return run_solo(
+            run.query,
+            lambda namespace: self.resume_stages(state, session),
+            session,
+            namespace=run.namespace,
+        )
 
     def resume_stages(self, state: DriverState, session: Session) -> Stages:
         """The re-optimization loop from a checkpoint, one stage per join."""
@@ -368,8 +377,8 @@ class DynamicOptimizer(Optimizer):
                 session.datasets,
                 phase=f"join-{state.iteration}",
             )
-            # Phase names strip the namespace so a scheduled run's phase list
-            # matches a direct run's (join:__join_0+dc either way).
+            # Phase names strip the namespace so a run's phase list does not
+            # depend on its query id (join:__join_0+dc under any __q<id>).
             pair = sorted(a.removeprefix(run.namespace) for a in picked.pair)
             phase_name = f"join:{'+'.join(pair)}"
             yield run.job(

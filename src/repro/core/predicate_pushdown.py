@@ -9,10 +9,10 @@ the materialization (Section 5.1's Q1 -> Q1').
 Push-down jobs are independent of each other, so :func:`pushdown_stages`
 yields them as one *group* of requests built by the
 :class:`~repro.engine.scheduler.request.QueryRun` it is handed, each tagged
-with the base dataset it scans (``batch_key``). The synchronous pump runs
-them in order; the job scheduler may merge same-dataset scans — from this
-query or a concurrently admitted one — into a single cluster job whose scan
-cost is shared. The filtered datasets' statistics land in the run's working
+with the base dataset it scans (``batch_key``). The job scheduler may merge
+same-dataset scans — from this query or a concurrently admitted one — into a
+single cluster job whose scan cost is shared; a blocking run launches them
+one by one. The filtered datasets' statistics land in the run's working
 catalog.
 """
 
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro.algebra.jobgen import build_pushdown_job
 from repro.algebra.rules.pushdown import pushdown_candidates
 from repro.core.reconstruction import replace_filtered_table
-from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
+from repro.engine.scheduler.request import QueryRun, Stages
 from repro.lang.ast import ParameterPredicate, Predicate, Query
 from repro.lang.binding import ColumnResolver
 from repro.stats.estimation import filtered_cardinality
@@ -149,8 +149,3 @@ def pushdown_stages(run: QueryRun, session: Session) -> Stages:
     if requests:
         yield requests
     return PushdownOutcome(current, list(intermediates), intermediates)
-
-
-def execute_pushdowns(run: QueryRun, session: Session) -> PushdownOutcome:
-    """Run every qualifying push-down immediately; return the rewritten query."""
-    return drive_stages(pushdown_stages(run, session), session.executor)

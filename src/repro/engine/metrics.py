@@ -94,10 +94,11 @@ class ExecutionResult:
     #: estimated-vs-actual cardinality records; None only for results
     #: assembled outside the traced execution paths.
     trace: QueryTrace | None = None
-    #: scheduling record when the query ran through a JobScheduler:
-    #: admission/finish instants on the shared cluster clock and the
-    #: queueing delay charged under saturation. None for direct
-    #: (unscheduled) execution; never affects ``metrics``.
+    #: scheduling record stamped by the JobScheduler that ran the query
+    #: (every query runs on one): admission/finish instants on the shared
+    #: cluster clock and the queueing delay charged under saturation. None
+    #: only for results assembled outside a scheduler; never affects
+    #: ``metrics``.
     schedule: ScheduleInfo | None = None
     #: decisions (repro.core.policy.PolicyDecision) taken during this run:
     #: the feedback policy's replan triggers and widened picks, and the

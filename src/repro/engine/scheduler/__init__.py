@@ -4,7 +4,6 @@ from repro.engine.scheduler.request import (
     JobOutcome,
     JobRequest,
     QueryRun,
-    drive_stages,
     run_request,
 )
 from repro.engine.scheduler.scheduler import (
@@ -12,6 +11,7 @@ from repro.engine.scheduler.scheduler import (
     QueryHandle,
     ScheduleInfo,
     SchedulerConfig,
+    run_solo,
 )
 
 __all__ = [
@@ -22,6 +22,6 @@ __all__ = [
     "QueryRun",
     "ScheduleInfo",
     "SchedulerConfig",
-    "drive_stages",
     "run_request",
+    "run_solo",
 ]

@@ -22,26 +22,18 @@ the trace's phase spans*, not kept beside them, so no strategy can report a
 phase list that disagrees with what ran. (The service's cached answer in
 ``service/cache.py`` is the one other result constructor; it ran nothing.)
 
-Two consumers drive these generators:
-
-- :func:`drive_stages` — the synchronous pump. It executes every request
-  immediately, in order, on the given executor. ``Optimizer.execute`` is
-  this pump, and it is the reference the scheduler is compared against.
-- :class:`~repro.engine.scheduler.scheduler.JobScheduler` — the concurrent
-  admission loop. It parks each admitted query at its pending request,
-  interleaves requests of different queries on the shared simulated clock,
-  and lets several of them share one cluster launch.
+One consumer drives these generators: the
+:class:`~repro.engine.scheduler.scheduler.JobScheduler`. It parks each
+admitted query at its pending request, interleaves requests of different
+queries on the shared simulated clock and lets several of them share one
+cluster launch; a blocking run is the one-query case
+(:func:`~repro.engine.scheduler.scheduler.run_solo`).
 
 :func:`run_request` is the single place a request turns into executed work:
 it opens the phase span, runs the job (or applies a pre-computed virtual
-cost), applies refunds and launch-sharing discounts, merges the job's metrics
-into the run's cumulative total, and records the request's estimate-accuracy
-point. Keeping all of that here means the pump and the scheduler cannot
-drift apart. The two differ only in *when* things happen on their clocks:
-each looks a cacheable request up once (:func:`cached_replay`) before it
-would run — the pump right away, the scheduler when the request becomes
-ready — and reports a finished job (:func:`complete_request`) when its clock
-reaches the job's end, which is when what it stored becomes replayable.
+cost, or a cache replay the scheduler looked up), applies refunds and
+launch-sharing discounts, merges the job's metrics into the run's cumulative
+total, and records the request's estimate-accuracy point.
 """
 
 from __future__ import annotations
@@ -68,7 +60,7 @@ class QueryRun:
     """One query execution's state, carried from stage to stage."""
 
     def __init__(
-        self, query: Query, session: Session, label: str, namespace: str = ""
+        self, query: Query, session: Session, label: str, namespace: str
     ) -> None:
         #: the query as submitted; every job binds its ``parameters``
         self.query = query
@@ -77,8 +69,9 @@ class QueryRun:
         #: ingestion statistics
         self.statistics = session.statistics.copy()
         #: intermediate-name prefix (e.g. ``__q3``) isolating this run's
-        #: materializations from concurrently scheduled queries; empty for
-        #: direct (non-scheduled) execution
+        #: materializations from every other query's: the namespace of the
+        #: scheduler handle that drives the run, which releases it when the
+        #: query finishes
         self.namespace = namespace
         #: cumulative charge of every request run so far
         self.metrics = JobMetrics()
@@ -222,31 +215,6 @@ def _apply_scan_share(metrics: JobMetrics, share: LaunchShare) -> None:
         metrics.tuples_scanned = base
 
 
-def cached_replay(
-    executor: Executor, request: JobRequest
-) -> tuple[Any, JobMetrics] | None:
-    """Look ``request`` up in the intermediate cache, once.
-
-    Returns the replayed ``(data, metrics)`` pair for :func:`run_request`,
-    or ``None`` — on a miss, for a request without a ``cache_token``, and
-    always outside a query service (``executor.cache`` is ``None``). A hit
-    has already re-registered the stored materialization under the
-    request's own names; every lookup counts as one hit or one miss.
-    """
-    cache = executor.cache
-    if cache is None or request.cache_token is None:
-        return None
-    return cache.fetch_intermediate(executor, request)
-
-
-def complete_request(executor: Executor, request: JobRequest) -> None:
-    """The request's job has completed on the clock driving it: what it
-    stored in the intermediate cache may be replayed from now on."""
-    cache = executor.cache
-    if cache is not None and request.cache_token is not None:
-        cache.publish_intermediate(request.cache_token)
-
-
 def _perform(
     executor: Executor,
     request: JobRequest,
@@ -288,8 +256,8 @@ def _perform(
         # Every executed cacheable request stores its materialization, solo
         # or as a shared-launch branch: a branch's Sink output is its own
         # (the discount below covers only the shared start-up and scan). The
-        # entry is replayable once :func:`complete_request` reports the job
-        # done.
+        # entry is replayable once the scheduler's clock reaches the job's
+        # end.
         if executor.cache is not None and request.cache_token is not None:
             executor.cache.store_intermediate(executor, request)
     shared_with = 1
@@ -319,8 +287,8 @@ def run_request(
     reflect the discounted share.
     ``partitions`` runs the job on a partition slice of the cluster (the
     space-shared scheduler's allotment); ``None`` means the full cluster.
-    ``replayed`` is a :func:`cached_replay` hit: the request is answered
-    from it at zero charge instead of executing.
+    ``replayed`` is an intermediate-cache hit the scheduler looked up: the
+    request is answered from it at zero charge instead of executing.
     """
     run = request.run
     tracer = run.tracer
@@ -333,43 +301,3 @@ def run_request(
             request.phase, operator, estimated_rows, outcome.data.modeled_rows
         )
     return outcome
-
-
-def drive_stages(stages: Stages, executor: Executor):
-    """Synchronously pump a stage generator to completion.
-
-    Every yielded request executes immediately, in order, and the
-    generator's return value (normally an
-    :class:`~repro.engine.metrics.ExecutionResult`) is returned. Exceptions
-    raised inside the generator (e.g. ``SimulatedFailure``) propagate.
-    """
-    payload: object = None
-    while True:
-        try:
-            item = stages.send(payload)
-        except StopIteration as stop:
-            return stop.value
-        if isinstance(item, JobRequest):
-            payload = _run_now(executor, item)
-        else:
-            payload = [_run_now(executor, r) for r in _as_requests(item)]
-
-
-def _run_now(executor: Executor, request: JobRequest) -> JobOutcome:
-    """Look up, run and complete one request: nothing else is on the pump's
-    clock, so the job is done the moment it returns."""
-    outcome = run_request(
-        executor, request, replayed=cached_replay(executor, request)
-    )
-    complete_request(executor, request)
-    return outcome
-
-
-def _as_requests(item: Iterable[JobRequest]) -> list[JobRequest]:
-    requests = list(item)
-    for request in requests:
-        if not isinstance(request, JobRequest):
-            raise TypeError(
-                f"stage generators must yield JobRequest items, got {request!r}"
-            )
-    return requests

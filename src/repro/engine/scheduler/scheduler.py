@@ -49,11 +49,17 @@ different queries on one shared simulated clock. There is one schedule:
   request is looked up once, when it becomes ready, and a hit is replayed
   at that instant — no slot, no cluster job, no narrower slice for the jobs
   launched beside it.
-- **Query ids.** Every query materializes into its own ``__q<id>__``
-  catalog namespace. Ids count up from 1 per scheduler, skipping any whose
-  namespace is live, so the schedulers of one stack (the shared one, the
-  private one behind each ``Session.execute``, a fresh one after
-  ``reset_scheduler``) never write into a retained checkpoint.
+- **Query ids.** Every query materializes into its own catalog namespace,
+  ``__q<id>`` unless it resumes a checkpoint, whose intermediates already
+  live under the namespace of the run that failed. Ids count up from 1 per
+  scheduler, skipping any whose namespace is live, so the schedulers of one
+  stack (the shared one, the private one behind each blocking run, a fresh
+  one after ``reset_scheduler``) never write into a retained checkpoint.
+- **Blocking runs.** :func:`run_solo` is the one-query case: a private
+  scheduler with one slot and no shared launches, so the query owns the full
+  cluster and waits for nothing. ``Session.execute``, ``Optimizer.execute``,
+  ``execute_tree`` and ``DynamicOptimizer.resume`` all run through it; there
+  is no other driver of a stage generator.
 
 A :class:`~repro.service.QueryService` additionally installs
 ``on_admit``/``on_finish`` hooks to answer repeated queries from its result
@@ -72,7 +78,8 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AdmissionError, ReproError
@@ -82,18 +89,18 @@ from repro.engine.scheduler.request import (
     JobOutcome,
     JobRequest,
     LaunchShare,
-    cached_replay,
-    complete_request,
+    Stages,
     run_request,
 )
 from repro.obs.timeline import ClusterTimeline, TimelineEvent
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     from repro.engine.executor import Executor
     from repro.lang.ast import Query
     from repro.session import Session
+
+#: builds a query's stage generator, given the namespace it writes under
+StageSource = Callable[[str], Stages]
 
 
 @dataclass(frozen=True)
@@ -163,18 +170,23 @@ class QueryHandle:
         self,
         query_id: int,
         query: Query,
-        strategy,
+        stages: StageSource,
         session: Session,
         priority: int,
         label: str,
         submitted_at: float,
-        tenant: str = "",
+        tenant: str,
+        namespace: str,
     ) -> None:
         #: unique per scheduler and increasing in submission order
         self.query_id = query_id
         self.query = query
-        self.strategy = strategy
         self.session = session
+        #: the catalog prefix every intermediate of this query lives under;
+        #: the driver writes, the completion pass verifies and the release
+        #: drops exactly this one namespace
+        self.namespace = namespace
+        self._stages = stages
         self.priority = priority
         self.label = label or f"q{query_id}"
         self.tenant = tenant
@@ -193,7 +205,7 @@ class QueryHandle:
         self.schedule: ScheduleInfo | None = None
         #: shared-clock instant since which the query's next work is ready
         self.ready_since = submitted_at
-        self._generator: Any = None  # the strategy's stage generator
+        self._generator: Any = None  # the query's stage generator
         self._group = False
         self._requests: list[JobRequest] = []
         self._outcomes: list[JobOutcome | None] = []
@@ -307,18 +319,24 @@ class JobScheduler:
     def submit(
         self,
         query: Query,
-        strategy,
+        stages: StageSource,
         session: Session,
         priority: int = 0,
         label: str = "",
         tenant: str = "",
+        namespace: str = "",
     ) -> QueryHandle:
-        """Queue one described query (strategy + priority) for execution.
+        """Queue one query for execution.
 
-        Nothing runs until :meth:`run_all`; higher ``priority`` is admitted
-        and serviced first, round-robin across tenants within a priority
-        level, FIFO within a tenant. A full queue (``max_queued``) rejects
-        the submission with :class:`~repro.common.errors.AdmissionError`.
+        ``stages`` builds the query's stage generator from the namespace it
+        is to write under (for a strategy,
+        ``lambda ns: strategy.stages(query, session, namespace=ns)``). The
+        namespace is ``__q<id>`` unless ``namespace`` names the one a
+        resumed checkpoint's intermediates live in. Nothing runs until
+        :meth:`run_all`; higher ``priority`` is admitted and serviced first,
+        round-robin across tenants within a priority level, FIFO within a
+        tenant. A full queue (``max_queued``) rejects the submission with
+        :class:`~repro.common.errors.AdmissionError`.
         """
         if len(self._waiting) >= self.config.max_queued:
             raise AdmissionError(
@@ -336,12 +354,13 @@ class JobScheduler:
         handle = QueryHandle(
             query_id=self._next_id,
             query=query,
-            strategy=strategy,
+            stages=stages,
             session=session,
             priority=priority,
             label=label,
             submitted_at=self.now,
             tenant=tenant,
+            namespace=namespace or f"__q{self._next_id}",
         )
         self._next_id += 1
         self._waiting.append(handle)
@@ -405,9 +424,7 @@ class JobScheduler:
                     self._finish(handle, cached, cache_hit=True)
                     finished.append(handle)
                     continue
-            handle._generator = handle.strategy.stages(
-                handle.query, handle.session, namespace=f"__q{handle.query_id}"
-            )
+            handle._generator = handle._stages(handle.namespace)
             self._advance(handle, first=True)
             if handle.status == "running":
                 self._running.append(handle)
@@ -456,12 +473,19 @@ class JobScheduler:
         """Answer the parked requests the intermediate cache holds, now.
 
         Each cacheable request is looked up exactly once, when it becomes
-        ready — before any launch sharing or slot assignment. A hit runs
+        ready — before any launch sharing or slot assignment; every lookup
+        counts as one hit or one miss. A hit has already re-registered the
+        stored materialization under the request's own names, and runs
         through :func:`run_request` at this instant at zero charge: it takes
         no slot, launches no cluster job and narrows no other job's slice.
         """
+        cache = self.executor.cache
+        if cache is None:
+            return  # outside a query service nothing is cached
         for index, request in enumerate(handle._requests):
-            replayed = cached_replay(self.executor, request)
+            if request.cache_token is None:
+                continue
+            replayed = cache.fetch_intermediate(self.executor, request)
             if replayed is None:
                 continue
             outcome = run_request(self.executor, request, replayed=replayed)
@@ -730,10 +754,15 @@ class JobScheduler:
         job = heapq.heappop(self._in_flight)
         self.now = job.end_seconds
         heapq.heappush(self._free_slots, job.slot)
+        cache = self.executor.cache
         for handle, index, outcome in job.performed:
             self._busy.discard((handle.query_id, index))
             handle._record_outcome(index, outcome)
-            complete_request(self.executor, handle._requests[index])
+            # What the job stored in the intermediate cache may be replayed
+            # from now on: its end is when the clock has it.
+            token = handle._requests[index].cache_token
+            if cache is not None and token is not None:
+                cache.publish_intermediate(token)
         for handle in job.participants:
             if handle.status != "running":
                 continue  # failed by a sibling launch while this job flew
@@ -763,7 +792,7 @@ class JobScheduler:
             diagnostics = verify_query_completion(
                 self.executor,
                 result.trace,
-                namespace=f"__q{handle.query_id}",
+                namespace=handle.namespace,
                 metrics_total=result.metrics.total_seconds,
                 token_registry=self._dataflow_tokens,
                 job_label=handle.label,
@@ -855,10 +884,33 @@ class JobScheduler:
             self._release_namespace(handle)
 
     def _release_namespace(self, handle: QueryHandle) -> None:
-        """Drop the query's ``__q<id>`` intermediates + their statistics."""
+        """Drop the query's namespaced intermediates + their statistics."""
         session = handle.session
-        prefix = f"__q{handle.query_id}__"
+        prefix = f"{handle.namespace}__"
         for name in session.datasets.names():
             if name.startswith(prefix):
                 session.datasets.drop(name)
                 session.statistics.remove(name)
+
+
+def run_solo(
+    query: Query, stages: StageSource, session: Session, namespace: str = ""
+):
+    """Run one query to completion, blocking, and return what it returns.
+
+    The query is a one-query schedule on a private scheduler built from the
+    session's configuration with one slot and no shared launches: it owns
+    the full cluster, waits for nothing, and is charged what it would be
+    charged alone. It is verified, carries a schedule record and releases
+    its namespace like any scheduled query, and a failure re-raises here.
+    ``namespace`` is as for :meth:`JobScheduler.submit`.
+    """
+    config = replace(
+        session.scheduler_config, batch_pushdown_scans=False, job_slots=1
+    )
+    scheduler = JobScheduler(session.executor, config)
+    handle = scheduler.submit(
+        query, stages, session, tenant=session.tenant, namespace=namespace
+    )
+    scheduler.run_all()
+    return handle.result()

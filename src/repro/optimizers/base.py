@@ -9,9 +9,9 @@ returns the run's :class:`~repro.engine.metrics.ExecutionResult`, whose
 metrics cover the whole execution (including any overhead jobs the strategy
 ran). Every strategy ends the same way — one job that returns rows to the
 user — so that tail is written once, in :func:`final_job_stages`.
-:meth:`Optimizer.execute` pumps the generator synchronously on the session's
-executor; the job scheduler drives the same generator when queries run
-concurrently — one code path, two drivers.
+:meth:`Optimizer.execute` runs the generator as a one-query schedule on a
+private job scheduler, the same driver that interleaves concurrent queries:
+one code path, one driver.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import TYPE_CHECKING
 from repro.algebra.jobgen import build_final_job
 from repro.algebra.plan import PlanNode
 from repro.engine.metrics import ExecutionResult
-from repro.engine.scheduler.request import QueryRun, Stages, drive_stages
+from repro.engine.scheduler.request import QueryRun, Stages
+from repro.engine.scheduler.scheduler import run_solo
 from repro.lang.ast import Query
 
 if TYPE_CHECKING:
@@ -37,14 +38,19 @@ class Optimizer:
 
     def execute(self, query: Query, session: Session) -> ExecutionResult:
         """Run the strategy to completion, blocking (the serial entry)."""
-        return drive_stages(self.stages(query, session), session.executor)
+        return run_solo(
+            query,
+            lambda namespace: self.stages(query, session, namespace=namespace),
+            session,
+        )
 
     def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
         """The strategy as a resumable stage generator.
 
-        ``namespace`` prefixes any intermediate dataset names so concurrent
-        queries scheduled together cannot collide; strategies that
-        materialize nothing may ignore it.
+        ``namespace`` is the scheduler handle's: it prefixes every
+        intermediate dataset name, so queries scheduled together cannot
+        collide and the scheduler can drop what the query wrote once it
+        finishes.
         """
         raise NotImplementedError
 
@@ -74,11 +80,11 @@ def final_job_stages(
 
 
 def single_job_stages(
-    tree: PlanNode, query: Query, session: Session, label: str = ""
+    tree: PlanNode, query: Query, session: Session, namespace: str, label: str = ""
 ) -> Stages:
     """Stage generator running a fully annotated plan tree as one job."""
     phase = label or "single-job"
-    run = QueryRun(query, session, phase)
+    run = QueryRun(query, session, phase, namespace)
     return (
         yield from final_job_stages(
             run, tree, query, session, phase=phase, kind="single"
@@ -98,6 +104,8 @@ def execute_tree(
     an estimate record per join operator, so static plans' estimate accuracy
     is directly comparable with the dynamic approach's.
     """
-    return drive_stages(
-        single_job_stages(tree, query, session, label), session.executor
+    return run_solo(
+        query,
+        lambda namespace: single_job_stages(tree, query, session, namespace, label),
+        session,
     )

@@ -36,17 +36,15 @@ class BestOrderOptimizer(Optimizer):
         if tree is None:
             from repro.core.driver import DynamicOptimizer  # avoids a cycle
 
-            # The scout runs synchronously before the first yield, so under
-            # the scheduler it is atomic; its cleanup is scoped to exactly
-            # the datasets it materialized, leaving any concurrently
-            # scheduled query's intermediates untouched.
-            before = set(session.datasets.names())
+            # The scout is a blocking run of its own before the first yield:
+            # its private scheduler drops what it materialized when it
+            # finishes, leaving every other query's intermediates untouched.
             scout = DynamicOptimizer(inl_enabled=self.inl_enabled)
             scout.execute(query, session)
             tree = scout.last_tree
-            for name in sorted(set(session.datasets.names()) - before):
-                session.datasets.drop(name)
-                if session.statistics.has(name):
-                    session.statistics.remove(name)
         self.last_tree = tree
-        return (yield from single_job_stages(tree, query, session, label="best-order"))
+        return (
+            yield from single_job_stages(
+                tree, query, session, namespace, label="best-order"
+            )
+        )

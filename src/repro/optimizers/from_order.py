@@ -71,4 +71,8 @@ class FromOrderOptimizer(Optimizer):
         )
         plan = from_order_plan(toolkit, force_hash=self.force_hash)
         self.last_tree = plan
-        return (yield from single_job_stages(plan, query, session, label="from-order"))
+        return (
+            yield from single_job_stages(
+                plan, query, session, namespace, label="from-order"
+            )
+        )

@@ -37,4 +37,8 @@ class GreedyStaticOptimizer(Optimizer):
             )
         )
         self.last_tree = plan
-        return (yield from single_job_stages(plan, query, session, label="greedy-static"))
+        return (
+            yield from single_job_stages(
+                plan, query, session, namespace, label="greedy-static"
+            )
+        )

@@ -42,4 +42,8 @@ class CostBasedOptimizer(Optimizer):
         )
         plan = best_bushy_plan(toolkit, movement_aware=self.movement_aware)
         self.last_tree = plan
-        return (yield from single_job_stages(plan, query, session, label="cost-based"))
+        return (
+            yield from single_job_stages(
+                plan, query, session, namespace, label="cost-based"
+            )
+        )

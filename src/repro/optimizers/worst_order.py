@@ -140,4 +140,8 @@ class WorstOrderOptimizer(Optimizer):
                 build_side="left",
             )
         self.last_tree = current
-        return (yield from single_job_stages(current, query, session, label="worst-order"))
+        return (
+            yield from single_job_stages(
+                current, query, session, namespace, label="worst-order"
+            )
+        )

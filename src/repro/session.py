@@ -9,15 +9,17 @@ the UDF registry, and the executor. Typical use::
     result = session.execute(query, PlannerSpec.of("dynamic"))
     print(result.seconds, result.plan_description)
 
-Concurrent execution goes through the job scheduler: :meth:`Session.submit`
-queues queries (with priorities) and :meth:`Session.run_all` drains them on
-the shared simulated cluster clock. The blocking :meth:`Session.execute` is
-the same path with a single-query schedule, so serial and concurrent
-execution cannot drift apart.
+Every query runs through the job scheduler: :meth:`Session.submit` queues
+queries (with priorities) and :meth:`Session.run_all` drains them on the
+shared simulated cluster clock. The blocking :meth:`Session.execute`,
+:meth:`Session.explain` and :meth:`Session.explain_analyze` are the same
+path with a one-query schedule on a private scheduler, so serial and
+concurrent execution cannot drift apart.
 
-Intermediates created by re-optimization points are registered into the
-session catalogs; call :meth:`Session.reset_intermediates` between
-experiment runs (the benchmark harness does this automatically).
+Intermediates created by re-optimization points live in the session
+catalogs under their query's namespace while it runs; the scheduler drops
+them when the query finishes. Only a failed run's checkpoint outlives it
+(:meth:`Session.reset_intermediates` drops those too).
 
 This constructor is the only place an execution stack (catalogs, executor,
 scheduler) is built. A :class:`~repro.service.QueryService`
@@ -151,20 +153,6 @@ class Session:
         for name in self.datasets.drop_intermediates():
             self.statistics.remove(name)
 
-    def _execute_aside(self, spec: PlannerSpec, query: Query) -> ExecutionResult:
-        """Run ``query`` off-schedule, then drop exactly what it materialized.
-
-        What the catalogs held before (say, the checkpoint another tenant's
-        failure retained) stays.
-        """
-        before = set(self.datasets.names())
-        try:
-            return spec.make().execute(query, self)
-        finally:
-            for name in set(self.datasets.names()) - before:
-                self.datasets.drop(name)
-                self.statistics.remove(name)
-
     # -- query execution ------------------------------------------------------
 
     def execute(
@@ -189,21 +177,15 @@ class Session:
         :class:`~repro.common.errors.OptimizationError` with the equivalent
         spec spelled out.
 
-        Runs as a single-query schedule on a private scheduler — the same
-        code path as concurrent submission with nobody to contend with, hence
-        zero queue delay. Shared launches and space sharing are off here
-        (``job_slots=1``): a solo run owns the full cluster and is charged
-        exactly what a direct ``Optimizer.execute`` is; launch-sharing
+        Runs as a one-query schedule on a private scheduler
+        (:meth:`~repro.optimizers.base.Optimizer.execute`) — the same code
+        path as concurrent submission with nobody to contend with, hence zero
+        queue delay. Shared launches and space sharing are off here
+        (``job_slots=1``): a solo run owns the full cluster; launch-sharing
         discounts and partition slices belong to :meth:`submit`/:meth:`run_all`.
         """
         spec = resolve_planner(planner, optimizer, options, entry="execute")
-        config = replace(
-            self.scheduler_config, batch_pushdown_scans=False, job_slots=1
-        )
-        scheduler = JobScheduler(self.executor, config)
-        handle = scheduler.submit(query, spec.make(), self, tenant=self.tenant)
-        scheduler.run_all()
-        return handle.result()
+        return spec.make().execute(query, self)
 
     def submit(
         self,
@@ -226,8 +208,13 @@ class Session:
         cache key.
         """
         spec = resolve_planner(planner, optimizer, options, entry="submit")
+        strategy = spec.make()
         handle = self.scheduler.submit(
-            query, spec.make(), self, priority=priority, label=label,
+            query,
+            lambda namespace: strategy.stages(query, self, namespace=namespace),
+            self,
+            priority=priority,
+            label=label,
             tenant=self.tenant,
         )
         if self.service is not None:
@@ -265,28 +252,31 @@ class Session:
         """The plan the chosen strategy would (or did) use, without keeping state.
 
         Runtime dynamic optimization only *has* a final plan after running —
-        that is the paper's point — so for the feedback-driven strategies
-        this executes the query on the side and reports the captured tree;
-        static strategies plan without executing side effects either way.
-        Intermediates created along the way are cleaned up.
+        that is the paper's point — so this executes the query as
+        :meth:`execute` does and reports the captured tree; the scheduler
+        drops what the run materialized when it finishes.
 
         Returns an :class:`~repro.obs.report.ExplainReport`;
         ``str(report)`` is the plan description, so callers that treated the
         return value as text keep working.
         """
         spec = resolve_planner(planner, optimizer, options, entry="explain")
-        result = self._execute_aside(spec, query)
-        verifications = result.trace.verifications if result.trace else []
+        result = spec.make().execute(query, self)
+        # the launch gate's records, one per job: the completion pass adds
+        # one more record for the whole query (phase "query")
+        jobs = [
+            record
+            for record in (result.trace.verifications if result.trace else [])
+            if record.phase != "query"
+        ]
         return ExplainReport(
             strategy=spec.strategy,
             plan_description=result.plan_description,
             simulated_seconds=result.seconds,
             phases=tuple(result.phases),
             decisions=tuple(result.decisions),
-            verified_jobs=len(verifications),
-            diagnostics=tuple(
-                code for record in verifications for code in record.codes
-            ),
+            verified_jobs=len(jobs),
+            diagnostics=tuple(code for record in jobs for code in record.codes),
         )
 
     def explain_analyze(
@@ -301,12 +291,12 @@ class Session:
 
         Every execution records a :class:`repro.obs.QueryTrace` (hierarchical
         phase/operator spans plus estimated-vs-actual cardinalities per
-        re-optimization point); this convenience runs the query, renders the
-        report, and cleans up intermediates — the EXPLAIN ANALYZE of the
-        simulated engine.
+        re-optimization point); this convenience runs the query as
+        :meth:`execute` does and renders the report — the EXPLAIN ANALYZE of
+        the simulated engine.
         """
         spec = resolve_planner(planner, optimizer, options, entry="explain_analyze")
-        return self._execute_aside(spec, query).explain_analyze()
+        return spec.make().execute(query, self).explain_analyze()
 
     # -- introspection --------------------------------------------------------
 

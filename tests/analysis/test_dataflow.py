@@ -25,6 +25,11 @@ from repro.spec import PlannerSpec
 from tests.conftest import build_star_session, star_query
 
 
+#: the namespace every query-level case runs under, as the scheduler's
+#: third query would
+NS = "__q3"
+
+
 def codes(diagnostics) -> list[str]:
     return [d.code for d in diagnostics]
 
@@ -44,22 +49,24 @@ def job(phase, label, reads=(), writes=(), scans=(), probes=(), builds=(), **kw)
 
 def clean_sequence() -> list[JobDataflow]:
     return [
-        job("join-1", "j1", scans=("fact", "da"), writes=("i0",)),
-        job("join-2", "j2", reads=("i0",), scans=("db",), writes=("i1",)),
-        job("final", "f", reads=("i1",), scans=("dc",)),
+        job("join-1", "j1", scans=("fact", "da"), writes=("__q3__i0",)),
+        job(
+            "join-2", "j2", reads=("__q3__i0",), scans=("db",), writes=("__q3__i1",)
+        ),
+        job("final", "f", reads=("__q3__i1",), scans=("dc",)),
     ]
 
 
 class TestCleanBaseline:
     def test_clean_sequence_has_no_findings(self):
-        assert verify_query_dataflow(clean_sequence()) == []
+        assert verify_query_dataflow(clean_sequence(), NS) == []
 
     def test_clean_namespaced_sequence(self):
         records = [
             job("join-1", "j1", scans=("fact",), writes=("__q3__i0",)),
             job("final", "f", reads=("__q3__i0",)),
         ]
-        assert verify_query_dataflow(records, namespace="__q3") == []
+        assert verify_query_dataflow(records, NS) == []
 
     def test_rule_count_constant(self):
         assert QUERY_RULES_CHECKED == 6
@@ -69,40 +76,39 @@ class TestQ001DeadSink:
     def test_unread_intermediate(self):
         records = clean_sequence()
         records[1] = job(
-            "join-2", "j2", reads=("i0",), scans=("db",), writes=("i1", "i_dead")
+            "join-2",
+            "j2",
+            reads=("__q3__i0",),
+            scans=("db",),
+            writes=("__q3__i1", "__q3__i_dead"),
         )
-        assert "Q001" in codes(verify_query_dataflow(records))
+        assert "Q001" in codes(verify_query_dataflow(records, NS))
 
     def test_final_phase_write_is_dead(self):
         records = clean_sequence()
-        records[2] = job("final", "f", reads=("i1",), writes=("i2",))
-        assert "Q001" in codes(verify_query_dataflow(records))
+        records[2] = job("final", "f", reads=("__q3__i1",), writes=("__q3__i2",))
+        assert "Q001" in codes(verify_query_dataflow(records, NS))
 
 
 class TestQ002ReadBeforeWrite:
     def test_read_of_never_written_intermediate(self):
-        records = [job("final", "f", reads=("i9",))]
-        assert "Q002" in codes(verify_query_dataflow(records))
+        records = [job("final", "f", reads=("__q3__i9",))]
+        assert "Q002" in codes(verify_query_dataflow(records, NS))
 
     def test_read_before_the_write_happens(self):
         records = [
-            job("join-1", "j1", reads=("i0",), writes=("i1",)),
-            job("join-2", "j2", scans=("fact",), writes=("i0",)),
-            job("final", "f", reads=("i1", "i0")),
+            job("join-1", "j1", reads=("__q3__i0",), writes=("__q3__i1",)),
+            job("join-2", "j2", scans=("fact",), writes=("__q3__i0",)),
+            job("final", "f", reads=("__q3__i1", "__q3__i0")),
         ]
-        assert "Q002" in codes(verify_query_dataflow(records))
-
-    def test_preexisting_names_are_fine(self):
-        records = [job("final", "f", reads=("warm",))]
-        found = verify_query_dataflow(records, preexisting=frozenset(("warm",)))
-        assert found == []
+        assert "Q002" in codes(verify_query_dataflow(records, NS))
 
     def test_foreign_namespace_read(self):
         records = [
             job("join-1", "j1", scans=("fact",), writes=("__q3__i0",)),
             job("final", "f", reads=("__q3__i0", "__q7__i0")),
         ]
-        found = verify_query_dataflow(records, namespace="__q3")
+        found = verify_query_dataflow(records, NS)
         assert codes(found) == ["Q002"]
         assert "foreign" in found[0].message
 
@@ -113,7 +119,7 @@ class TestQ003NamespaceLeak:
             job("join-1", "j1", scans=("fact",), writes=("i0",)),
             job("final", "f", reads=("i0",)),
         ]
-        found = verify_query_dataflow(records, namespace="__q3")
+        found = verify_query_dataflow(records, NS)
         assert "Q003" in codes(found)
 
     def test_wrong_namespace_write(self):
@@ -121,14 +127,14 @@ class TestQ003NamespaceLeak:
             job("join-1", "j1", scans=("fact",), writes=("__q7__i0",)),
             job("final", "f", reads=("__q7__i0",)),
         ]
-        found = verify_query_dataflow(records, namespace="__q3")
+        found = verify_query_dataflow(records, NS)
         assert "Q003" in codes(found)
 
 
 class TestQ004CacheTokens:
     def test_batch_key_of_unscanned_dataset(self):
         records = [job("final", "f", scans=("fact",), batch_key="db")]
-        assert "Q004" in codes(verify_query_dataflow(records))
+        assert "Q004" in codes(verify_query_dataflow(records, NS))
 
     def test_namespaced_cache_token(self):
         records = [
@@ -136,29 +142,37 @@ class TestQ004CacheTokens:
                 "join-1",
                 "j1",
                 scans=("fact",),
-                writes=("i0",),
+                writes=("__q3__i0",),
                 cache_token="tt:__q3__fact:abc",
             ),
-            job("final", "f", reads=("i0",)),
+            job("final", "f", reads=("__q3__i0",)),
         ]
-        assert "Q004" in codes(verify_query_dataflow(records))
+        assert "Q004" in codes(verify_query_dataflow(records, NS))
 
     def test_token_collision_within_query(self):
         records = [
-            job("join-1", "j1", scans=("fact",), writes=("i0",), cache_token="t1"),
-            job("join-2", "j2", reads=("i0",), scans=("db",), writes=("i1",),
-                cache_token="t1"),
-            job("final", "f", reads=("i1",)),
+            job(
+                "join-1", "j1", scans=("fact",), writes=("__q3__i0",), cache_token="t1"
+            ),
+            job(
+                "join-2",
+                "j2",
+                reads=("__q3__i0",),
+                scans=("db",),
+                writes=("__q3__i1",),
+                cache_token="t1",
+            ),
+            job("final", "f", reads=("__q3__i1",)),
         ]
-        assert "Q004" in codes(verify_query_dataflow(records))
+        assert "Q004" in codes(verify_query_dataflow(records, NS))
 
     def test_token_collision_across_queries_via_registry(self):
         registry = {"t1": ("da", "fact")}
         records = [
-            job("join-1", "j1", scans=("db",), writes=("i0",), cache_token="t1"),
-            job("final", "f", reads=("i0",)),
+            job("join-1", "j1", scans=("db",), writes=("__q3__i0",), cache_token="t1"),
+            job("final", "f", reads=("__q3__i0",)),
         ]
-        found = verify_query_dataflow(records, token_registry=registry)
+        found = verify_query_dataflow(records, NS, token_registry=registry)
         assert "Q004" in codes(found)
         # The pass republishes the latest signature for future queries.
         assert registry["t1"] == ("db",)
@@ -166,10 +180,12 @@ class TestQ004CacheTokens:
     def test_consistent_reuse_is_fine(self):
         registry = {"t1": ("fact",)}
         records = [
-            job("join-1", "j1", scans=("fact",), writes=("i0",), cache_token="t1"),
-            job("final", "f", reads=("i0",)),
+            job(
+                "join-1", "j1", scans=("fact",), writes=("__q3__i0",), cache_token="t1"
+            ),
+            job("final", "f", reads=("__q3__i0",)),
         ]
-        assert verify_query_dataflow(records, token_registry=registry) == []
+        assert verify_query_dataflow(records, NS, token_registry=registry) == []
 
 
 class FakeTrace:
@@ -192,14 +208,14 @@ class TestQ005ChargeAttribution:
         trace = self.make_trace(
             [phase_span("join-1", 0.0, 5.0), phase_span("final", 5.0, 9.0)], 9.0
         )
-        found = verify_query_dataflow([], trace=trace, metrics_total=9.0)
+        found = verify_query_dataflow([], NS, trace=trace, metrics_total=9.0)
         assert found == []
 
     def test_gap_between_spans_leaks(self):
         trace = self.make_trace(
             [phase_span("join-1", 0.0, 5.0), phase_span("final", 6.5, 9.0)], 9.0
         )
-        found = verify_query_dataflow([], trace=trace, metrics_total=9.0)
+        found = verify_query_dataflow([], NS, trace=trace, metrics_total=9.0)
         assert "Q005" in codes(found)
         assert "no span" in found[0].message
 
@@ -208,17 +224,17 @@ class TestQ005ChargeAttribution:
         trace = self.make_trace(
             [phase_span("join-1", 0.0, 5.0), phase_span("final", 4.0, 9.0)], 9.0
         )
-        assert verify_query_dataflow([], trace=trace, metrics_total=9.0) == []
+        assert verify_query_dataflow([], NS, trace=trace, metrics_total=9.0) == []
 
     def test_total_mismatch_leaks(self):
         trace = self.make_trace([phase_span("final", 0.0, 9.0)], 9.0)
-        found = verify_query_dataflow([], trace=trace, metrics_total=11.0)
+        found = verify_query_dataflow([], NS, trace=trace, metrics_total=11.0)
         assert "Q005" in codes(found)
         assert "bypassed" in found[0].message
 
     def test_audit_needs_both_trace_and_total(self):
         trace = self.make_trace([phase_span("final", 0.0, 9.0)], 9.0)
-        assert verify_query_dataflow([], trace=trace, metrics_total=None) == []
+        assert verify_query_dataflow([], NS, trace=trace, metrics_total=None) == []
 
 
 class TestQ006TransferSoundness:
@@ -230,24 +246,24 @@ class TestQ006TransferSoundness:
                 "r",
                 scans=("fact",),
                 probes=("fp1",),
-                writes=("__t_fact_1",),
+                writes=("__q3__t_fact_1",),
             ),
             TransferSummary(
                 reduced=("fact",),
-                intermediates=(("fact", "__t_fact_1"),),
+                intermediates=(("fact", "__q3__t_fact_1"),),
                 original_tables=(("da", "da"), ("fact", "fact")),
-                rewritten_tables=(("da", "da"), ("fact", "__t_fact_1")),
+                rewritten_tables=(("da", "da"), ("fact", "__q3__t_fact_1")),
             ),
-            job("final", "f", reads=("__t_fact_1",), scans=("da",)),
+            job("final", "f", reads=("__q3__t_fact_1",), scans=("da",)),
         ]
 
     def test_sound_transfer_is_clean(self):
-        assert verify_query_dataflow(self.transfer_records()) == []
+        assert verify_query_dataflow(self.transfer_records(), NS) == []
 
     def test_probe_before_build(self):
         records = self.transfer_records()
         records[0], records[1] = records[1], records[0]
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_probe_of_unbuilt_filter(self):
         records = self.transfer_records()
@@ -256,46 +272,46 @@ class TestQ006TransferSoundness:
             "r",
             scans=("fact",),
             probes=("fp_ghost",),
-            writes=("__t_fact_1",),
+            writes=("__q3__t_fact_1",),
         )
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_reduced_without_intermediate(self):
         records = self.transfer_records()
         records[2] = TransferSummary(
             reduced=("fact", "da"),
-            intermediates=(("fact", "__t_fact_1"),),
+            intermediates=(("fact", "__q3__t_fact_1"),),
             original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("da", "da"), ("fact", "__t_fact_1")),
+            rewritten_tables=(("da", "da"), ("fact", "__q3__t_fact_1")),
         )
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_rewrite_dropped_an_alias(self):
         records = self.transfer_records()
         records[2] = TransferSummary(
             reduced=("fact",),
-            intermediates=(("fact", "__t_fact_1"),),
+            intermediates=(("fact", "__q3__t_fact_1"),),
             original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("fact", "__t_fact_1"),),
+            rewritten_tables=(("fact", "__q3__t_fact_1"),),
         )
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_rewrite_missed_a_reduced_alias(self):
         records = self.transfer_records()
         records[2] = TransferSummary(
             reduced=("fact",),
-            intermediates=(("fact", "__t_fact_1"),),
+            intermediates=(("fact", "__q3__t_fact_1"),),
             original_tables=(("da", "da"), ("fact", "fact")),
             rewritten_tables=(("da", "da"), ("fact", "fact")),
         )
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_unmaterialized_intermediate(self):
         records = self.transfer_records()
         records[1] = job(
             "transfer:reduce:fact", "r", scans=("fact",), probes=("fp1",)
         )
-        found = verify_query_dataflow(records)
+        found = verify_query_dataflow(records, NS)
         assert "Q006" in codes(found)
         assert any("never materialized" in d.message for d in found)
 
@@ -303,11 +319,11 @@ class TestQ006TransferSoundness:
         records = self.transfer_records()
         records[2] = TransferSummary(
             reduced=("fact",),
-            intermediates=(("fact", "__t_fact_1"),),
+            intermediates=(("fact", "__q3__t_fact_1"),),
             original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("da", "elsewhere"), ("fact", "__t_fact_1")),
+            rewritten_tables=(("da", "elsewhere"), ("fact", "__q3__t_fact_1")),
         )
-        assert "Q006" in codes(verify_query_dataflow(records))
+        assert "Q006" in codes(verify_query_dataflow(records, NS))
 
 
 class TestDataflowExtraction:
@@ -324,11 +340,11 @@ class TestDataflowExtraction:
         assert record.replayed is False
 
     def test_scans_are_sorted_and_deduped(self):
-        j = Job(SinkOp(ScanOp("fact", "fact"), "i0", ()), phase="join-1")
+        j = Job(SinkOp(ScanOp("fact", "fact"), "__q3__i0", ()), phase="join-1")
         assert dataflow_of(j).scans == ("fact",)
 
     def test_to_dict_round_trip_is_deterministic(self):
-        record = job("join-1", "j1", scans=("fact",), writes=("i0",))
+        record = job("join-1", "j1", scans=("fact",), writes=("__q3__i0",))
         assert record.to_dict() == record.to_dict()
 
 

@@ -1,7 +1,7 @@
 """Verify-on-compile gate: always on, zero simulated cost.
 
-The gate sits in ``run_request`` — the single execution seam — so these
-tests cover both drive paths (direct pump and scheduler), the
+The gate sits in ``run_request`` — the single execution seam, which only
+the scheduler calls — so these tests cover blocking and scheduled runs, the
 raise-on-diagnostics behavior, and the load-bearing guarantee: verification
 never changes a single byte of schedules, metrics, or traces. There is no
 switch to turn it off; the zero-cost test stubs the three gate entry points
@@ -33,7 +33,8 @@ def broken_request(session) -> JobRequest:
     job = Job(
         SinkOp(ReaderOp("__q1_i0"), "i1", ()), label="broken", phase="join-1"
     )
-    return QueryRun(star_query(), session, "broken").job("join-1", job, kind="join")
+    run = QueryRun(star_query(), session, "broken", "__q1")
+    return run.job("join-1", job, kind="join")
 
 
 class TestGateDefaultOn:
@@ -54,7 +55,7 @@ class TestGateDefaultOn:
 
     def test_virtual_cost_requests_skip_gate(self):
         session = build_star_session()
-        run = QueryRun(star_query(), session, "pilot")
+        run = QueryRun(star_query(), session, "pilot", "__q1")
         request = run.charge("pilot", JobMetrics(), kind="pilot")
         verify_before_launch(session.executor, request)
         assert session.executor.verifier_stats.jobs_verified == 0

@@ -417,6 +417,22 @@ class TestCleanTree:
                         callers[name].add(path.relative_to(root).as_posix())
         assert callers == allowed
 
+    def test_one_driver_of_stage_generators(self):
+        """Only the job scheduler resumes a stage generator (``.send``) or
+        turns a request into work (``run_request``): a blocking run is a
+        one-query schedule, so there is no second driver to drift from it."""
+        import ast
+
+        root = Path(__file__).resolve().parents[2] / "src" / "repro"
+        drivers: set[str] = set()
+        for path in root.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in ("send", "run_request"):
+                        drivers.add(path.relative_to(root).as_posix())
+        assert drivers == {"engine/scheduler/scheduler.py"}
+
     def test_rows_are_an_ingest_and_a_result_format_nothing_in_between(self):
         """Storage is the one place that knows a partition's format, so: the
         engine never asks which partition class it was handed; nothing but

@@ -84,6 +84,17 @@ def build_star_session(
     return session
 
 
+def submit_strategy(scheduler, query, strategy, session, **options):
+    """Queue ``strategy``'s run of ``query`` on ``scheduler``, the way
+    ``Session.submit`` does: its stage generator under the handle's namespace."""
+    return scheduler.submit(
+        query,
+        lambda namespace: strategy.stages(query, session, namespace=namespace),
+        session,
+        **options,
+    )
+
+
 def star_query(**kwargs):
     """Three-join star query with a mix of predicate kinds."""
     builder = (

@@ -38,8 +38,9 @@ class TestCheckpointResume:
         optimizer, checkpoint = self.run_with_failure(
             bench.session, query, fail_after=5
         )
-        # completed stages are on disk already
-        assert any(n.startswith("__join") for n in bench.session.datasets.names())
+        # completed stages are on disk already, under the run's namespace
+        prefix = f"{checkpoint.run.namespace}__join"
+        assert any(n.startswith(prefix) for n in bench.session.datasets.names())
         result = optimizer.resume(checkpoint, bench.session)
         reference_session_rows = result.rows
         bench.session.reset_intermediates()

@@ -129,7 +129,7 @@ class TestCheckpointSweep:
         materialized = [
             name
             for name in session.datasets.names()
-            if name.startswith("__join_")
+            if name.startswith(f"{checkpoint.run.namespace}__join_")
         ]
         assert len(materialized) == checkpoint.iteration
 

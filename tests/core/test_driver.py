@@ -4,7 +4,12 @@ import pytest
 
 from repro.algebra.plan import JoinNode
 from repro.algebra.toolkit import PlannerToolkit
-from repro.core.driver import DynamicOptimizer, greedy_full_plan, resolve_logical
+from repro.core.driver import (
+    DynamicOptimizer,
+    SimulatedFailure,
+    greedy_full_plan,
+    resolve_logical,
+)
 from repro.algebra.plan import LeafNode
 from repro.testing import evaluate_reference, rows_equal_unordered
 
@@ -100,8 +105,12 @@ class TestDriverEndToEnd:
         assert rows_equal_unordered(result.rows, evaluate_reference(query, session))
 
     def test_intermediates_cleaned_by_reset(self, session):
+        # a finished run leaves nothing; a failed run keeps its checkpoint
         DynamicOptimizer().execute(star_query(), session)
-        assert any(n.startswith("__") for n in session.datasets.names())
+        assert not any(n.startswith("__") for n in session.datasets.names())
+        with pytest.raises(SimulatedFailure):
+            DynamicOptimizer(fail_after_jobs=2).execute(star_query(), session)
+        assert any(n.startswith("__q") for n in session.datasets.names())
         session.reset_intermediates()
         assert not any(n.startswith("__") for n in session.datasets.names())
 

@@ -4,14 +4,14 @@ import pytest
 
 from repro.algebra.rules.pushdown import PushdownCandidate
 from repro.core.predicate_pushdown import (
-    execute_pushdowns,
     intermediate_name_for,
     join_columns_of,
     pushdown_cache_token,
+    pushdown_stages,
 )
 from repro.core.predicate_transfer import transfer_cache_token
 from repro.engine.bloom import BloomFilter
-from repro.engine.scheduler.request import QueryRun
+from repro.engine.scheduler import QueryRun, run_solo
 from repro.lang.ast import ParameterPredicate, TableRef, UdfPredicate
 
 from tests.conftest import build_star_session, star_query
@@ -23,23 +23,37 @@ def session():
 
 
 def run_pushdowns(session, query):
-    run = QueryRun(query, session, "pushdown")
-    outcome = execute_pushdowns(run, session)
+    """Run the push-down group alone, as query 1 of a one-query schedule.
+
+    The scheduler drops the query's intermediates when it finishes, so the
+    materialized datasets are kept here, by name, before it does.
+    """
+    materialized = {}
+
+    def stages(namespace):
+        run = QueryRun(query, session, "pushdown", namespace)
+        outcome = yield from pushdown_stages(run, session)
+        for name in outcome.intermediates.values():
+            materialized[name] = session.datasets.get(name)
+        return outcome, run
+
+    outcome, run = run_solo(query, stages, session)
+    assert not [n for n in session.datasets.names() if n.startswith("__q")]
     phases = [span.name for span in run.tracer.finish().phase_spans()]
-    return outcome, run.statistics, run.metrics, phases
+    return outcome, run.statistics, run.metrics, phases, materialized
 
 
 class TestPushdownExecution:
     def test_only_qualifying_tables_pushed(self, session):
         # da: single simple predicate -> no; db: single UDF -> yes;
         # dc: two simple predicates -> yes
-        outcome, _, _, phases = run_pushdowns(session, star_query())
+        outcome, _, _, phases, _ = run_pushdowns(session, star_query())
         assert sorted(outcome.executed_aliases) == ["db", "dc"]
         assert phases == [f"pushdown:{a}" for a in outcome.executed_aliases]
 
     def test_intermediates_materialized_and_filtered(self, session):
-        outcome, _, _, _ = run_pushdowns(session, star_query())
-        filtered_db = session.datasets.get(intermediate_name_for("db"))
+        _, _, _, _, materialized = run_pushdowns(session, star_query())
+        filtered_db = materialized[intermediate_name_for("db", "__q1")]
         assert filtered_db.is_intermediate
         rows = list(filtered_db.rows())
         # mymod10(b_attr) = 1 keeps b_attr == 1 -> 8 of 40 rows
@@ -48,24 +62,24 @@ class TestPushdownExecution:
         assert all(set(row) == {"db.b_id"} for row in rows)
 
     def test_statistics_updated(self, session):
-        outcome, working, _, _ = run_pushdowns(session, star_query())
-        stats = working.get(intermediate_name_for("dc"))
+        _, working, _, _, _ = run_pushdowns(session, star_query())
+        stats = working.get(intermediate_name_for("dc", "__q1"))
         assert stats.row_count == 10  # c_attr == 1 keeps 10 of 30
         # sketches collected on join-participating columns
         assert "dc.c_id" in stats.fields
         # session statistics untouched
-        assert not session.statistics.has(intermediate_name_for("dc"))
+        assert not session.statistics.has(intermediate_name_for("dc", "__q1"))
 
     def test_query_rewritten(self, session):
-        outcome, _, _, _ = run_pushdowns(session, star_query())
+        outcome, _, _, _, _ = run_pushdowns(session, star_query())
         rewritten = outcome.query
-        assert rewritten.table("db").dataset == intermediate_name_for("db")
+        assert rewritten.table("db").dataset == intermediate_name_for("db", "__q1")
         assert rewritten.predicates_for("db") == ()
         # da keeps its estimable single predicate
         assert len(rewritten.predicates_for("da")) == 1
 
     def test_costs_charged(self, session):
-        _, _, metrics, _ = run_pushdowns(session, star_query())
+        _, _, metrics, _, _ = run_pushdowns(session, star_query())
         assert metrics.jobs == 2
         assert metrics.startup > 0
         assert metrics.materialize > 0
@@ -87,7 +101,7 @@ class TestPushdownExecution:
             .join("fact.f_a", "da.a_id")
             .build()
         )
-        outcome, _, metrics, phases = run_pushdowns(session, query)
+        outcome, _, metrics, _, _ = run_pushdowns(session, query)
         assert outcome.executed_aliases == []
         assert metrics.jobs == 0
         assert outcome.query == query

@@ -138,9 +138,11 @@ def run_fingerprint(
     )
     try:
         scheduler = JobScheduler(session.executor, config)
+        query = bench.query(label)
+        strategy = PlannerSpec.of(optimizer, **options).make()
         handle = scheduler.submit(
-            bench.query(label),
-            PlannerSpec.of(optimizer, **options).make(),
+            query,
+            lambda namespace: strategy.stages(query, session, namespace=namespace),
             session,
         )
         scheduler.run_all()

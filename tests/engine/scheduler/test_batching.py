@@ -18,10 +18,16 @@ import pytest
 
 from repro.engine.scheduler import JobScheduler, SchedulerConfig
 from repro.lang.builder import QueryBuilder
-from repro.optimizers import available_strategies, make_optimizer
+from repro.optimizers import make_optimizer
 from repro.session import Session
 
-from tests.conftest import build_star_session, load_star_data, small_cluster, star_query
+from tests.conftest import (
+    build_star_session,
+    load_star_data,
+    small_cluster,
+    star_query,
+    submit_strategy,
+)
 from tests.service.test_intermediate_replay import AfterWarmUp, db_query
 
 
@@ -89,7 +95,8 @@ def run_pair(session, first, second):
     """Submit two ``(query, strategy)`` pairs on one fresh scheduler."""
     scheduler = JobScheduler(session.executor, SchedulerConfig())
     handles = [
-        scheduler.submit(query, strategy, session) for query, strategy in (first, second)
+        submit_strategy(scheduler, query, strategy, session)
+        for query, strategy in (first, second)
     ]
     scheduler.run_all()
     return scheduler, handles
@@ -149,7 +156,7 @@ class TestCrossQueryBatching:
             session.executor, SchedulerConfig(batch_pushdown_scans=False)
         )
         handles = [
-            scheduler.submit(star_query(), make_optimizer("dynamic"), session)
+            submit_strategy(scheduler, star_query(), make_optimizer("dynamic"), session)
             for _ in range(2)
         ]
         scheduler.run_all()
@@ -182,35 +189,29 @@ class TestSameQueryBatching:
         assert scheduled.metrics.tuples_scanned < direct.metrics.tuples_scanned
 
     def test_solo_star_query_never_batches(self):
-        # Candidates scan distinct datasets (db, dc): nothing to merge, so
-        # the scheduled run stays byte-identical to the direct one.
-        direct = make_optimizer("dynamic").execute(
-            star_query(), build_star_session()
-        )
-        scheduled = build_star_session().execute(star_query())
-        assert asdict(scheduled.metrics) == asdict(direct.metrics)
-
-    @pytest.mark.parametrize("query", [star_query, double_db_query])
-    @pytest.mark.parametrize("strategy", available_strategies())
-    def test_session_execute_charges_what_optimizer_execute_charges(
-        self, strategy, query
-    ):
-        # Session.execute runs one request per job, so no launch is shared:
-        # its charge is the synchronous pump's, component by component.
-        direct = make_optimizer(strategy).execute(query(), build_star_session())
-        solo = build_star_session().execute(query(), strategy)
-        assert asdict(solo.metrics) == asdict(direct.metrics)
-        assert solo.rows == direct.rows
+        # Candidates scan distinct datasets (db, dc): nothing to merge, so a
+        # lone submission stays byte-identical to the blocking run.
+        direct = build_star_session().execute(star_query())
+        session = build_star_session()
+        handle = session.submit(star_query())
+        session.run_all()
+        assert session.scheduler.scans_saved == 0
+        assert asdict(handle.result().metrics) == asdict(direct.metrics)
 
     def test_solo_execute_never_batches_even_shared_datasets(self):
-        # Session.execute disables scan merging even when the query's own
-        # pushdown scans share a dataset: a solo run's accounting must match
-        # the pre-scheduler path exactly (the win belongs to submit/run_all).
+        # A blocking run disables scan merging even when the query's own
+        # pushdown scans share a dataset: it is charged what a scheduler
+        # without shared launches charges (the win belongs to submit/run_all).
         query = double_db_query()
-        direct = make_optimizer("dynamic").execute(query, build_star_session())
+        session = build_star_session()
+        unbatched = JobScheduler(
+            session.executor, SchedulerConfig(batch_pushdown_scans=False)
+        )
+        handle = submit_strategy(unbatched, query, make_optimizer("dynamic"), session)
+        unbatched.run_all()
         solo = build_star_session().execute(query)
-        assert asdict(solo.metrics) == asdict(direct.metrics)
-        assert solo.rows == direct.rows
+        assert asdict(solo.metrics) == asdict(handle.result().metrics)
+        assert solo.rows == handle.result().rows
 
 
 class TestSharedLaunch:
@@ -261,7 +262,9 @@ class TestSharedLaunch:
         session = build_star_session()
         scheduler = JobScheduler(session.executor, SchedulerConfig(job_slots=2))
         handles = [
-            scheduler.submit(fact_db_query(), make_optimizer("dynamic"), session)
+            submit_strategy(
+                scheduler, fact_db_query(), make_optimizer("dynamic"), session
+            )
             for _ in range(2)
         ]
         scheduler.run_all()

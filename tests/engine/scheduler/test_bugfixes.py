@@ -22,7 +22,7 @@ from repro.engine.scheduler.scheduler import QueryHandle
 from repro.optimizers import make_optimizer
 from repro.spec import PlannerSpec
 
-from tests.conftest import build_star_session, star_query
+from tests.conftest import build_star_session, star_query, submit_strategy
 
 
 class FalsyOutcome(JobOutcome):
@@ -34,7 +34,7 @@ class FalsyOutcome(JobOutcome):
 
 class TestOutcomeCursorBug:
     def test_falsy_outcome_still_advances_cursor(self):
-        handle = QueryHandle(1, None, None, None, 0, "q", 0.0)
+        handle = QueryHandle(1, None, None, None, 0, "q", 0.0, "", "__q1")
         handle._group = True
         handle._requests = [object(), object()]
         handle._outcomes = [None, None]
@@ -85,9 +85,9 @@ class TestFailureLeaks:
     def test_executor_error_fails_handle_instead_of_crashing_run_all(self):
         session = build_star_session()
         scheduler = JobScheduler(session.executor, SchedulerConfig())
-        doomed = scheduler.submit(star_query(), DoomedStrategy(), session)
-        healthy = scheduler.submit(
-            star_query(), make_optimizer("dynamic"), session
+        doomed = submit_strategy(scheduler, star_query(), DoomedStrategy(), session)
+        healthy = submit_strategy(
+            scheduler, star_query(), make_optimizer("dynamic"), session
         )
         scheduler.run_all()  # must not propagate the executor error
         assert doomed.failed
@@ -97,7 +97,7 @@ class TestFailureLeaks:
         session = build_star_session()
         scheduler = JobScheduler(session.executor, SchedulerConfig())
         strategy = DoomedStrategy()
-        scheduler.submit(star_query(), strategy, session)
+        submit_strategy(scheduler, star_query(), strategy, session)
         scheduler.run_all()
         # The driver's finally-block ran even though the failure happened in
         # the executor, not in the generator.
@@ -106,7 +106,7 @@ class TestFailureLeaks:
     def test_failed_query_namespace_is_released(self):
         session = build_star_session()
         scheduler = JobScheduler(session.executor, SchedulerConfig())
-        doomed = scheduler.submit(star_query(), DoomedStrategy(), session)
+        doomed = submit_strategy(scheduler, star_query(), DoomedStrategy(), session)
         scheduler.run_all()
         assert doomed.failed
         leftovers = [n for n in session.datasets.names() if n.startswith("__q1__")]
@@ -205,9 +205,9 @@ class TestFailureUnderSpaceSharing:
         solo = build_star_session().execute(star_query())
         session = build_star_session()
         scheduler = JobScheduler(session.executor, SchedulerConfig(job_slots=2))
-        doomed = scheduler.submit(star_query(), DoomedStrategy(), session)
-        healthy = scheduler.submit(
-            star_query(), make_optimizer("dynamic"), session
+        doomed = submit_strategy(scheduler, star_query(), DoomedStrategy(), session)
+        healthy = submit_strategy(
+            scheduler, star_query(), make_optimizer("dynamic"), session
         )
         scheduler.run_all()
         assert doomed.failed

@@ -26,7 +26,13 @@ from repro.engine.scheduler import JobScheduler, SchedulerConfig
 from repro.optimizers import available_strategies, make_optimizer
 from repro.service import QueryService, ServiceConfig
 
-from tests.conftest import build_star_session, load_star_data, small_cluster, star_query
+from tests.conftest import (
+    build_star_session,
+    load_star_data,
+    small_cluster,
+    star_query,
+    submit_strategy,
+)
 
 GOLDEN_PATH = Path(__file__).with_name("golden_schedules.json")
 
@@ -56,7 +62,9 @@ def run_batch(config: SchedulerConfig, submissions: list[tuple[str, int]]):
     session = build_star_session()
     scheduler = JobScheduler(session.executor, config)
     handles = [
-        scheduler.submit(star_query(), make_optimizer(name), session, priority=priority)
+        submit_strategy(
+            scheduler, star_query(), make_optimizer(name), session, priority=priority
+        )
         for name, priority in submissions
     ]
     scheduler.run_all()

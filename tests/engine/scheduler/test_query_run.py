@@ -21,13 +21,19 @@ import pytest
 from repro.common.errors import OptimizationError
 from repro.core.driver import SimulatedFailure
 from repro.core.policy import ReplanPolicy
-from repro.engine.scheduler import JobScheduler, SchedulerConfig
-from repro.engine.scheduler.request import JobRequest, drive_stages
+from repro.engine.scheduler import JobScheduler, SchedulerConfig, run_solo
+from repro.engine.scheduler.request import JobRequest
 from repro.optimizers import available_strategies
 from repro.service import QueryService, ServiceConfig
 from repro.spec import PlannerSpec
 
-from tests.conftest import build_star_session, load_star_data, small_cluster, star_query
+from tests.conftest import (
+    build_star_session,
+    load_star_data,
+    small_cluster,
+    star_query,
+    submit_strategy,
+)
 
 STRATEGIES = sorted(available_strategies())
 VARIANTS = {
@@ -60,6 +66,14 @@ class Recording:
     def stages(self, query, session, namespace=""):
         return self.forward(self.inner.stages(query, session, namespace=namespace))
 
+    def run_solo(self, query, session):
+        """Run blocking, as ``Optimizer.execute`` does."""
+        return run_solo(
+            query,
+            lambda namespace: self.stages(query, session, namespace=namespace),
+            session,
+        )
+
     def forward(self, stages):
         payload = None
         while True:
@@ -82,9 +96,10 @@ def assert_read_off_the_run(result, runs) -> None:
 
 @pytest.mark.parametrize("spec", specs())
 def test_direct_pump(spec):
+    """A blocking run pumps the generator as a one-query schedule."""
     session = build_star_session()
     strategy = Recording(spec)
-    result = drive_stages(strategy.stages(star_query(), session), session.executor)
+    result = strategy.run_solo(star_query(), session)
     assert_read_off_the_run(result, strategy.runs)
 
 
@@ -93,7 +108,10 @@ def test_concurrent_on_two_job_slots(spec):
     session = build_star_session()
     scheduler = JobScheduler(session.executor, SchedulerConfig(job_slots=2))
     strategies = [Recording(spec) for _ in range(3)]
-    handles = [scheduler.submit(star_query(), s, session) for s in strategies]
+    handles = [
+        submit_strategy(scheduler, star_query(), strategy, session)
+        for strategy in strategies
+    ]
     scheduler.run_all()
     for handle, strategy in zip(handles, strategies):
         assert_read_off_the_run(handle.result(), strategy.runs)
@@ -114,8 +132,12 @@ def test_service_with_both_caches(spec):
 
     def submit(tenant, planner):
         strategy = Recording(planner)
-        handle = service.scheduler.submit(
-            star_query(), strategy, service.session(tenant), tenant=tenant
+        handle = submit_strategy(
+            service.scheduler,
+            star_query(),
+            strategy,
+            service.session(tenant),
+            tenant=tenant,
         )
         handle.cache_key = service.cache_key_for(star_query(), planner)
         return handle, strategy
@@ -147,17 +169,19 @@ def test_fail_at_every_job_then_resume(variant):
             PlannerSpec.of("dynamic", fail_after_jobs=fail_after, **options)
         )
         try:
-            result = drive_stages(
-                strategy.stages(star_query(), session), session.executor
-            )
+            result = strategy.run_solo(star_query(), session)
         except SimulatedFailure as failure:
             # Fired at the first re-optimization point with >= fail_after jobs.
             checkpoint = failure.checkpoint
             assert fail_after <= checkpoint.run.metrics.jobs == len(strategy.runs)
-            resumed = strategy.forward(
-                strategy.inner.resume_stages(checkpoint, session)
+            result = run_solo(
+                star_query(),
+                lambda namespace: strategy.forward(
+                    strategy.inner.resume_stages(checkpoint, session)
+                ),
+                session,
+                namespace=checkpoint.run.namespace,
             )
-            result = drive_stages(resumed, session.executor)
             assert result.metrics is checkpoint.run.metrics
             resumed_runs += 1
         assert_read_off_the_run(result, strategy.runs)

@@ -18,20 +18,26 @@ from repro.engine.scheduler import JobScheduler, SchedulerConfig
 from repro.optimizers import make_optimizer
 from repro.spec import PlannerSpec
 
-from tests.conftest import build_star_session, star_query
+from tests.conftest import build_star_session, star_query, submit_strategy
 from tests.engine.equivalence import ALL_STRATEGIES
 
 
+def lone_submission(name: str):
+    """One query submitted to a session's shared scheduler, drained."""
+    session = build_star_session()
+    handle = session.submit(star_query(), PlannerSpec.of(name))
+    session.run_all()
+    return handle.result()
+
+
 class TestDeterminismGuard:
-    """Scheduled serial execution is byte-identical to the direct path."""
+    """A lone submission on a session's scheduler (shared launches on) is
+    byte-identical to the blocking run on a private one."""
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_scheduled_matches_direct(self, name):
-        direct_session = build_star_session()
-        direct = make_optimizer(name).execute(star_query(), direct_session)
-
-        scheduled_session = build_star_session()
-        scheduled = scheduled_session.execute(star_query(), PlannerSpec.of(name))
+        direct = make_optimizer(name).execute(star_query(), build_star_session())
+        scheduled = lone_submission(name)
 
         assert scheduled.rows == direct.rows
         assert scheduled.plan_description == direct.plan_description
@@ -39,15 +45,9 @@ class TestDeterminismGuard:
         assert asdict(scheduled.metrics) == asdict(direct.metrics)
         assert scheduled.seconds == direct.seconds
 
-    def test_direct_execution_has_no_schedule(self):
-        session = build_star_session()
-        result = DynamicOptimizer().execute(star_query(), session)
-        assert result.schedule is None
-
     def test_scheduled_trace_matches_direct(self):
         direct = DynamicOptimizer().execute(star_query(), build_star_session())
-        session = build_star_session()
-        scheduled = session.execute(star_query())
+        scheduled = lone_submission("dynamic")
         direct_spans = [(s.name, s.end_seconds) for s in direct.trace.phase_spans()]
         scheduled_spans = [
             (s.name, s.end_seconds) for s in scheduled.trace.phase_spans()
@@ -121,8 +121,10 @@ class TestConcurrentAdmission:
         scheduler = JobScheduler(
             session.executor, SchedulerConfig(max_concurrent_queries=1)
         )
-        first = scheduler.submit(star_query(), make_optimizer("dynamic"), session)
-        second = scheduler.submit(star_query(), make_optimizer("dynamic"), session)
+        first, second = (
+            submit_strategy(scheduler, star_query(), make_optimizer("dynamic"), session)
+            for _ in range(2)
+        )
         scheduler.run_all()
 
         assert first.done and second.done
@@ -141,11 +143,21 @@ class TestConcurrentAdmission:
         scheduler = JobScheduler(
             session.executor, SchedulerConfig(max_concurrent_queries=1)
         )
-        low = scheduler.submit(
-            star_query(), make_optimizer("dynamic"), session, priority=0, label="low"
+        low = submit_strategy(
+            scheduler,
+            star_query(),
+            make_optimizer("dynamic"),
+            session,
+            priority=0,
+            label="low",
         )
-        high = scheduler.submit(
-            star_query(), make_optimizer("dynamic"), session, priority=5, label="high"
+        high = submit_strategy(
+            scheduler,
+            star_query(),
+            make_optimizer("dynamic"),
+            session,
+            priority=5,
+            label="high",
         )
         finished = scheduler.run_all()
 

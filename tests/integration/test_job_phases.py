@@ -2,8 +2,26 @@
 
 from repro.core.driver import DynamicOptimizer
 from repro.bench.runner import workbench_for_query
+from repro.engine.scheduler import run_solo
 
 from tests.conftest import build_star_session, star_query
+
+
+def materialized_by(optimizer, query, session) -> dict:
+    """Run ``query`` blocking; return the intermediates it wrote, named
+    without the query's namespace and looked up after its final job, just
+    before the scheduler drops them."""
+    written = {}
+
+    def stages(namespace):
+        result = yield from optimizer.stages(query, session, namespace=namespace)
+        for name in session.datasets.names():
+            if name.startswith(f"{namespace}__"):
+                written[name.removeprefix(namespace)] = session.datasets.get(name)
+        return result
+
+    run_solo(query, stages, session)
+    return written
 
 
 class TestFigure4Phases:
@@ -42,24 +60,18 @@ class TestFigure4Phases:
 
     def test_intermediates_registered_then_consumed(self):
         session = build_star_session()
-        optimizer = DynamicOptimizer()
-        optimizer.execute(star_query(), session)
-        names = [n for n in session.datasets.names() if n.startswith("__")]
+        written = materialized_by(DynamicOptimizer(), star_query(), session)
         # 2 pushdown materializations + 1 join materialization
-        assert len(names) == 3
-        for name in names:
-            assert session.datasets.get(name).is_intermediate
-        session.reset_intermediates()
+        assert len(written) == 3
+        assert all(dataset.is_intermediate for dataset in written.values())
+        # ...all consumed: the finished query left none behind
+        assert not [n for n in session.datasets.names() if n.startswith("__")]
 
     def test_online_stats_skipped_in_last_iteration(self):
         # Q50: first loop iteration (5 tables -> 4) collects sketches; the
         # second (4 -> 3) must register row counts only.
         bench = workbench_for_query("Q50", 10)
-        optimizer = DynamicOptimizer()
-        optimizer.execute(bench.query("Q50"), bench.session)
-        first = bench.session.datasets.get("__join_0")
-        assert first is not None
+        written = materialized_by(DynamicOptimizer(), bench.query("Q50"), bench.session)
         # statistics for __join_1 live in the driver's working catalog, not
         # the session's; check the materialized datasets instead
-        assert bench.session.datasets.has("__join_1")
-        bench.session.reset_intermediates()
+        assert "__join_0" in written and "__join_1" in written

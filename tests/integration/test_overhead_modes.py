@@ -5,11 +5,12 @@ import pytest
 from repro.bench.overhead import (
     _tree_with_materialized_filters,
     overhead_report,
+    pushdown_variant,
 )
 from repro.bench.runner import workbench_for_query
 from repro.core.driver import DynamicOptimizer
 from repro.core.predicate_pushdown import intermediate_name_for
-from repro.optimizers.base import execute_tree
+from repro.testing import rows_equal_unordered
 
 
 class TestOverheadModes:
@@ -43,18 +44,6 @@ class TestOverheadModes:
         query = bench.query("Q50")
         optimizer = DynamicOptimizer()
         baseline = optimizer.execute(query, bench.session)
-        tree = optimizer.last_tree
-        bench.session.reset_intermediates()
-
-        from repro.core.predicate_pushdown import execute_pushdowns
-        from repro.engine.scheduler.request import QueryRun
-
-        outcome = execute_pushdowns(
-            QueryRun(query, bench.session, "pushdown"), bench.session
-        )
-        swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
-        replay = execute_tree(swapped, outcome.query, bench.session)
-        bench.session.reset_intermediates()
-        from repro.testing import rows_equal_unordered
-
+        replay = pushdown_variant(query, bench.session, optimizer.last_tree)
+        assert replay.phases[-1] == "single-job"
         assert rows_equal_unordered(replay.rows, baseline.rows)

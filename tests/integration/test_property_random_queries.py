@@ -12,13 +12,18 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.feedback import EveryPoint
 from repro.common.types import DataType, Schema
 from repro.core.policy import ReplanPolicy
+from repro.engine.scheduler import scheduler as scheduler_module
+from repro.engine.scheduler.request import run_request
+from repro.lang.ast import BetweenPredicate, ComparisonPredicate, UdfPredicate
 from repro.lang.builder import QueryBuilder
 from repro.optimizers import available_strategies
 from repro.service import QueryService, ServiceConfig
@@ -32,6 +37,9 @@ from tests.conftest import small_cluster
 #: used to name 6 of the 10, which is how predicate_transfer's Bloom false
 #: negative on INT = DOUBLE keys went unseen.)
 OPTIMIZERS = available_strategies()
+#: ...plus the variants that change the dataflow: ``dynamic`` with the
+#: predicate-transfer prelude in place of plain push-down
+PLANNERS = (*OPTIMIZERS, PlannerSpec.of("dynamic", pre_filter="transfer"))
 
 
 @st.composite
@@ -131,10 +139,9 @@ def build_case(
 def test_all_optimizers_match_oracle(case):
     session, query = build_case(*case)
     reference = evaluate_reference(query, session)
-    for optimizer in OPTIMIZERS:
-        result = session.execute(query, optimizer)
-        session.reset_intermediates()
-        assert rows_equal_unordered(result.rows, reference), optimizer
+    for planner in PLANNERS:
+        result = session.execute(query, planner)
+        assert rows_equal_unordered(result.rows, reference), planner
 
 
 @settings(max_examples=10, deadline=None)
@@ -256,3 +263,134 @@ def test_concurrent_submissions_match_oracle(case, drawn):
     assert answers[1] == answers[2]
     for rows, reference in zip([*answers[1], *served], expected * 2):
         assert rows_equal_unordered(rows, reference)
+
+
+#: one step of a service's life: ``(op, binding, planner, tenant)`` or ``(op,)``
+SERVICE_STEPS = st.one_of(
+    st.tuples(
+        st.sampled_from(["submit", "execute", "explain_analyze"]),
+        st.integers(0, 5),
+        st.sampled_from(PLANNERS),
+        st.integers(0, 2),
+    ),
+    st.tuples(st.sampled_from(["run_all", "reset_scheduler"])),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(universe(max_dims=4), st.lists(SERVICE_STEPS, min_size=1, max_size=8))
+def test_service_interleavings_match_oracle(case, steps):
+    """A drawn sequence of tenant submissions, drains, blocking executes,
+    EXPLAIN ANALYZEs and scheduler resets on one service with both caches
+    on, drained at the end. Every answer is the oracle's; the intermediate
+    cache counts each lookup once, as one hit or one miss (every cacheable
+    request is looked up once and then run once, replayed or launched); and
+    no query's namespace is left in the catalog."""
+    config = ServiceConfig(result_cache=True, intermediate_cache=True)
+    service, query = build_case(
+        *case, session=QueryService(small_cluster(), config=config)
+    )
+    cacheable_runs = []
+
+    def counting(executor, request, *args, **kwargs):
+        if request.cache_token is not None:
+            cacheable_runs.append(request)
+        return run_request(executor, request, *args, **kwargs)
+
+    answers, queued = [], []
+    with mock.patch.object(scheduler_module, "run_request", counting):
+        for op, *arguments in [*steps, ("run_all",)]:
+            if op == "run_all":
+                service.run_all()
+                answers += [(bound, handle.result().rows) for bound, handle in queued]
+                queued.clear()
+            elif op == "reset_scheduler":
+                service.reset_scheduler()
+                queued.clear()  # discarded with the old scheduler, never run
+            else:
+                value, planner, tenant = arguments
+                bound = replace(query, parameters={"p": value})
+                session = service.session(f"t{tenant}")
+                if op == "submit":
+                    queued.append((bound, session.submit(bound, planner)))
+                elif op == "execute":
+                    answers.append((bound, session.execute(bound, planner).rows))
+                else:
+                    session.explain_analyze(bound, planner)
+    for bound, rows in answers:
+        assert rows_equal_unordered(rows, evaluate_reference(bound, service))
+    stats = service.cache.stats
+    assert stats.intermediate_hits + stats.intermediate_misses == len(cacheable_runs)
+    assert not [name for name in service.datasets.names() if name.startswith("__q")]
+
+
+#: a second local predicate per dimension, so a table's predicates have an
+#: order that could matter
+SECOND_PREDICATES = {
+    "none": None,
+    "lt": lambda column: ComparisonPredicate(column, "<", 4),
+    "udf": lambda column: UdfPredicate(column, "mymod10", "!=", 3),
+    "between": lambda column: BetweenPredicate(column, 0, 3),
+}
+
+
+def with_second_predicates(query, kinds):
+    extra = [
+        SECOND_PREDICATES[kind](f"dim{d}.d{d}_v")
+        for d, kind in enumerate(kinds[: len(query.tables) - 1])
+        if kind != "none"
+    ]
+    return replace(query, predicates=(*query.predicates, *extra))
+
+
+def reordered(query, order):
+    """``query`` with its FROM entries in ``order`` (positions) and each
+    table's predicates reversed."""
+    tables = tuple(query.tables[i] for i in order)
+    predicates = tuple(
+        p for t in tables for p in reversed(query.predicates_for(t.alias))
+    )
+    return replace(query, tables=tables, predicates=predicates)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    universe(max_dims=4),
+    st.lists(st.sampled_from(sorted(SECOND_PREDICATES)), min_size=4, max_size=4),
+    st.permutations(range(5)),
+)
+def test_from_and_predicate_order_move_no_row(case, kinds, permutation):
+    """Metamorphic: permuting the FROM clause and reversing each table's
+    predicates leaves every planner's rows unchanged, and reordering the
+    predicates alone leaves ``dynamic``'s simulated seconds unchanged. (The
+    FROM order can move the clock: see the pinned case below.)"""
+    session, query = build_case(*case)
+    query = with_second_predicates(query, kinds)
+    positions = range(len(query.tables))
+    permuted = reordered(query, [i for i in permutation if i in positions])
+    reference = evaluate_reference(query, session)
+    for planner in PLANNERS:
+        for variant in (query, permuted):
+            rows = session.execute(variant, planner).rows
+            assert rows_equal_unordered(rows, reference), planner
+    before = session.execute(query, "dynamic").seconds
+    assert session.execute(reordered(query, positions), "dynamic").seconds == before
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="greedy_full_plan breaks equal estimates by FROM position (ROADMAP item 1)",
+)
+def test_from_order_moves_no_simulated_second():
+    """Minimised from the metamorphic test: one fact row, dimensions of 1, 1
+    and 2 rows, no predicates. ``dynamic`` fuses its three joins into one
+    greedy final plan; every join is estimated at one row, and
+    ``greedy_full_plan`` takes the first of equals in FROM order, so listing
+    ``dim2`` second joins it first and the clock moves (1.000018 s against
+    1.000017 s). ``Planner.ranked_joins`` breaks the same tie by alias
+    names, which is why the loop's own picks do not move."""
+    session, query = build_case(0, 1, [1, 1, 2], 0, ["none"] * 3, [False] * 3, 1.0)
+    dynamic = session.execute(query, "dynamic")
+    assert [d.action for d in dynamic.decisions] == ["fuse"]
+    permuted = session.execute(reordered(query, (0, 3, 1, 2)), "dynamic")
+    assert permuted.seconds == dynamic.seconds

@@ -4,7 +4,7 @@ import pytest
 
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
-from repro.engine.scheduler.request import QueryRun, drive_stages
+from repro.engine.scheduler import QueryRun, run_solo
 from repro.optimizers.ingres import IngresLikeOptimizer
 from repro.optimizers.pilot_run import PilotRunOptimizer, ScaledFieldStatistics
 from repro.stats.collector import FieldStatistics
@@ -35,10 +35,14 @@ class TestScaledFieldStatistics:
 
 
 def pilot_run(optimizer, session) -> QueryRun:
-    """Pump the pilot stages alone; the run holds what they produced."""
-    run = QueryRun(star_query(), session, optimizer.name)
-    drive_stages(optimizer.prepare_stages(run, session), session.executor)
-    return run
+    """Run the pilot stages alone; the run holds what they produced."""
+
+    def stages(namespace):
+        run = QueryRun(star_query(), session, optimizer.name, namespace)
+        yield from optimizer.prepare_stages(run, session)
+        return run
+
+    return run_solo(star_query(), stages, session)
 
 
 class TestPilotRun:

@@ -17,7 +17,7 @@ from repro.service import QueryService, ServiceConfig
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 
-from tests.conftest import load_star_data, small_cluster
+from tests.conftest import load_star_data, small_cluster, submit_strategy
 
 
 def window_query(low: int, *, dc_high: int = 1, parameterized: bool = True):
@@ -185,8 +185,12 @@ class TestReplayOnTheSharedClock:
         db job is still running in the other slot: it must run its own."""
         service = build_service(job_slots=2, result_cache=False)
         producer = service.session("a").submit(db_query(), "dynamic")
-        consumer = service.scheduler.submit(
-            db_query(), AfterWarmUp(), service.session("b"), tenant="b"
+        consumer = submit_strategy(
+            service.scheduler,
+            db_query(),
+            AfterWarmUp(),
+            service.session("b"),
+            tenant="b",
         )
         service.run_all()
         assert service.cache.stats.intermediate_hits == 0
