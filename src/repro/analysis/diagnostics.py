@@ -43,6 +43,7 @@ LINT_RULES: dict[str, str] = {
     "D004": "queue-delay-in-jobmetrics",
     "D005": "collector-state-in-library-code",
     "D006": "interpreter-object-size",
+    "D007": "binary-decoder",
     "F401": "unused-import",
     "F821": "undefined-name",
     "W001": "stale-suppression-pragma",

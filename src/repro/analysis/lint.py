@@ -34,6 +34,11 @@ code      rule                          invariant
                                         ``src/repro`` — a size that feeds a
                                         decision (a cache eviction) is an explicit
                                         formula, identical on every Python version
+``D007``  binary-decoder                no ``marshal.load``/``loads`` or
+                                        ``pickle.load``/``loads`` call under
+                                        ``src/repro`` — the content token
+                                        encodes with ``marshal`` and nothing
+                                        decodes it; persisted state is JSON
 ``F401``  unused-import                 every imported name is read, re-exported
                                         through ``__all__`` or spelled ``import x
                                         as x`` — a deletion strands no import
@@ -166,6 +171,7 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     findings.extend(_check_queue_delay(tree, normalized))
     findings.extend(_check_collector_state(tree, normalized))
     findings.extend(_check_object_sizes(tree, normalized))
+    findings.extend(_check_binary_decoders(tree, normalized))
     findings.extend(_check_unused_imports(tree, normalized))
     findings.extend(_check_undefined_names(tree, normalized))
 
@@ -335,6 +341,10 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "the Python version's object layout, so anything sized by it (a cache "
         "eviction, and with it the simulated clock) moves between versions; "
         "size by an explicit formula",
+        "D007": f"binary decoder ({what}()) in library code — marshal and "
+        "pickle bytes are only ever encoded here (the content token); a "
+        "decoder trusts its input to be well-formed, and persisted state is "
+        "JSON",
         "F401": f"{what} imported but never read, re-exported through "
         "__all__ or spelled `import x as x`",
         "F821": f"undefined name {what} — no builtin, module-level binding "
@@ -520,7 +530,7 @@ def _check_queue_delay(tree: ast.Module, path: str) -> list[Diagnostic]:
     return findings
 
 
-# -- D005 / D006: calls of a module's functions --------------------------------
+# -- D005 / D006 / D007: calls of a module's functions -------------------------
 
 
 def _module_calls(tree: ast.Module, module: str, names: frozenset[str]):
@@ -561,6 +571,14 @@ def _check_object_sizes(tree: ast.Module, path: str) -> list[Diagnostic]:
     return [
         _source_diag("D006", f"sys.{name}", node, path)
         for node, name in _module_calls(tree, "sys", frozenset({"getsizeof"}))
+    ]
+
+
+def _check_binary_decoders(tree: ast.Module, path: str) -> list[Diagnostic]:
+    return [
+        _source_diag("D007", f"{module}.{name}", node, path)
+        for module in ("marshal", "pickle")
+        for node, name in _module_calls(tree, module, frozenset({"load", "loads"}))
     ]
 
 
@@ -714,7 +732,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine source lint (rules D001-D006, F401, F821, W001).",
+        description="Engine source lint (rules D001-D007, F401, F821, W001).",
     )
     parser.add_argument(
         "paths",

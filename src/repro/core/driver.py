@@ -99,7 +99,9 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
 
     Every join of the toolkit's query planned in one shot by repeatedly
     merging the pair with the smallest estimated result — the same greedy
-    policy as the loop, minus the feedback. The push-down-only mode (Figure 6
+    policy as the loop, minus the feedback, and the same tie-break as
+    :meth:`Planner.ranked_joins` (the sorted alias names), so the FROM order
+    never picks between equal estimates. The push-down-only mode (Figure 6
     right) and the fuse rule run it over the statistics measured so far;
     ``greedy_static`` over the ingestion-time ones.
     """
@@ -114,8 +116,12 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
                 if not conditions:
                     continue
                 candidate = toolkit.make_join(nodes[i], nodes[j], conditions)
-                if best is None or candidate.estimated_rows < best[0]:
-                    best = (candidate.estimated_rows, i, j, candidate)
+                key = (
+                    candidate.estimated_rows,
+                    tuple(sorted(nodes[i].aliases | nodes[j].aliases)),
+                )
+                if best is None or key < best[0]:
+                    best = (key, i, j, candidate)
         if best is None:
             raise OptimizationError("join graph is disconnected (cross product)")
         _, i, j, joined = best

@@ -119,17 +119,17 @@ class QueryService:
         """Ingest a dataset service-wide, reusing persisted sketches.
 
         When the store holds ingestion statistics whose content token
-        matches these exact rows, the persisted GK/HLL sketches are
-        registered and none is rebuilt from the rows — the restart
-        round-trip. Fresh statistics go to the store as they are (built on
-        first read, serialised on save). ``replace=True`` re-ingests an
-        existing name, bumping its catalog version (which invalidates cached
-        results computed from it). ``rows`` is snapshotted once: token,
-        partitions and statistics see the same rows.
+        matches these exact rows, each persisted sketch is adopted instead of
+        being built from the rows — the restart round-trip; a field half that
+        was not persisted is built on first read, as for any ingestion. The
+        entry goes to the store as it is (built on first read, what was
+        built persisted on save). ``replace=True`` re-ingests an existing
+        name, bumping its catalog version (which invalidates cached results
+        computed from it). ``rows`` is snapshotted once: token, partitions
+        and statistics see the same rows.
         """
         rows = tuple(rows)
         token = ingest_token(schema, rows, scale)
-        precollected = self.store.sketches_for(name, token)
         dataset = load_dataset(
             name,
             schema,
@@ -139,10 +139,9 @@ class QueryService:
             self.statistics,
             scale=scale,
             replace=replace,
-            precollected=precollected,
+            precollected=self.store.sketches_for(name, token),
         )
-        if precollected is None:
-            self.store.remember_sketches(name, token, self.statistics.get(name))
+        self.store.remember_sketches(name, token, self.statistics.get(name))
         return dataset
 
     def create_index(self, dataset: str, field_name: str) -> None:

@@ -9,6 +9,7 @@ entry (Section 5.3, "Online Statistics").
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.common.errors import CatalogError
@@ -50,7 +51,16 @@ class DatasetStatistics:
     # -- persistence ----------------------------------------------------------
 
     def to_state(self) -> dict:
-        """JSON-serializable snapshot (used by the service's sketch store)."""
+        """JSON-serializable snapshot, every sketch built."""
+        return self._state_with(FieldStatistics.to_state)
+
+    def built_state(self) -> dict:
+        """:meth:`to_state` holding only the sketches built so far
+        (:meth:`FieldStatistics.built_state`) — what the service's sketch
+        store persists."""
+        return self._state_with(FieldStatistics.built_state)
+
+    def _state_with(self, field_state: Callable[[FieldStatistics], dict]) -> dict:
         return {
             "name": self.name,
             "row_count": self.row_count,
@@ -58,23 +68,9 @@ class DatasetStatistics:
             "predicates_applied": self.predicates_applied,
             "scale": self.scale,
             "fields": {
-                name: stats.to_state() for name, stats in sorted(self.fields.items())
+                name: field_state(stats) for name, stats in sorted(self.fields.items())
             },
         }
-
-    @classmethod
-    def from_state(cls, state: dict) -> DatasetStatistics:
-        return cls(
-            name=state["name"],
-            row_count=state["row_count"],
-            row_width=int(state["row_width"]),
-            fields={
-                name: FieldStatistics.from_state(field_state)
-                for name, field_state in state["fields"].items()
-            },
-            predicates_applied=bool(state["predicates_applied"]),
-            scale=state["scale"],
-        )
 
 
 class StatisticsCatalog:

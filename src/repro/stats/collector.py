@@ -166,6 +166,30 @@ class FieldStatistics:
         restored._distinct = HyperLogLog.from_state(state["distinct"])
         return restored
 
+    def built_state(self) -> dict:
+        """The halves :meth:`to_state` would write that are built already —
+        null count with HLL once nothing is uncounted, the GK sketch once
+        nothing is unread — and builds neither."""
+        state: dict = {"field_name": self.field_name}
+        if not self._uncounted:
+            state["null_count"] = self._null_count
+            state["distinct"] = self._distinct.to_state()
+        if not self._unread:
+            state["quantiles"] = self._quantiles.to_state()
+        return state
+
+    def adopt_state(self, state: dict) -> None:
+        """Take each half a :meth:`built_state` holds instead of building it
+        from the queue, which that half then drops; a half the state lacks
+        stays queued, to be built on first read."""
+        if "distinct" in state:
+            self._distinct = HyperLogLog.from_state(state["distinct"])
+            self._null_count = int(state["null_count"])
+            self._uncounted = []
+        if "quantiles" in state:
+            self._quantiles = GKQuantileSketch.from_state(state["quantiles"])
+            self._unread = []
+
 
 class StatisticsCollector:
     """Collects per-field sketches plus the row count for one dataset.

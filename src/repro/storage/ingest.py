@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 from repro.cluster.config import ClusterConfig
 from repro.common.types import Schema
-from repro.stats.catalog import DatasetStatistics, StatisticsCatalog
+from repro.stats.catalog import StatisticsCatalog
 from repro.stats.collector import StatisticsCollector
 from repro.storage.catalog import DatasetCatalog
 from repro.storage.dataset import Dataset, StoredPartition, partition_rows
@@ -31,7 +31,7 @@ def load_dataset(
     tracked_fields: list[str] | None = None,
     scale: float = 1.0,
     replace: bool = False,
-    precollected: DatasetStatistics | None = None,
+    precollected: dict[str, dict] | None = None,
 ) -> Dataset:
     """Load ``rows`` as a new base dataset and register its statistics.
 
@@ -42,10 +42,11 @@ def load_dataset(
     query"). ``scale`` is the modeled full-scale rows per stored row
     (DESIGN.md §2). ``replace`` permits re-ingesting an existing name
     (bumping its catalog version, which invalidates cached results that
-    depended on it). ``precollected`` registers the given statistics entry
-    instead of a fresh one — the service's sketch store uses this to restore
-    persisted ingestion sketches, which is only
-    sound because the store keys them by dataset *content*.
+    depended on it). ``precollected`` maps field names to persisted halves
+    (:meth:`~repro.stats.collector.FieldStatistics.built_state`), each
+    adopted onto the fresh entry in place of building it from the rows — the
+    service's sketch store restores persisted sketches this way, which is
+    only sound because the store keys them by dataset *content*.
     """
     partition_key = schema.primary_key[0] if schema.primary_key else None
     dataset = Dataset(
@@ -60,13 +61,12 @@ def load_dataset(
     else:
         datasets.register(dataset)
 
-    if precollected is not None:
-        precollected.name = name
-        statistics.register(precollected)
-    else:
-        collector = StatisticsCollector(tracked_fields or list(schema.field_names))
-        collector.observe_rows(rows)
-        statistics.register_from_collector(name, collector, schema.row_width, scale)
+    collector = StatisticsCollector(tracked_fields or list(schema.field_names))
+    collector.observe_rows(rows)
+    for field_name, state in (precollected or {}).items():
+        if field_name in collector.fields:
+            collector.fields[field_name].adopt_state(state)
+    statistics.register_from_collector(name, collector, schema.row_width, scale)
     return dataset
 
 

@@ -1,4 +1,4 @@
-"""Mutation tests for the source lint (D001-D006, F401, F821, W001) + the clean tree.
+"""Mutation tests for the source lint (D001-D007, F401, F821, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -205,6 +205,28 @@ class TestD006InterpreterObjectSize:
     def test_pragma_suppresses(self):
         source = "import sys\n\nsys.getsizeof(0)  # det: allow(D006)\n"
         assert lint_source(source, "service/cache.py") == []
+
+
+class TestD007BinaryDecoder:
+    def test_decoding_marshal_or_pickle_bytes(self):
+        source = (
+            "import marshal\n"
+            "from pickle import load as unpickle, loads\n\n"
+            "def restore(data, handle):\n"
+            "    return marshal.loads(data), unpickle(handle), loads(data)\n"
+        )
+        found = lint_source(source, "service/store.py")
+        assert codes(found) == ["D007"] * 3
+        assert {f.line for f in found} == {5}
+        assert "marshal.loads" in found[0].message
+
+    def test_encoding_is_fine(self):
+        source = (
+            "import marshal\nimport pickle\nimport json\n\n"
+            "def token(chunk, state):\n"
+            "    return marshal.dumps(chunk, 2), pickle.dumps(chunk), json.loads(state)\n"
+        )
+        assert lint_source(source, "service/store.py") == []
 
 
 class TestF401UnusedImport:

@@ -14,7 +14,6 @@ from dataclasses import replace
 from itertools import product
 from unittest import mock
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -156,8 +155,17 @@ def test_dynamic_with_inl_matches_oracle(case):
     assert rows_equal_unordered(result.rows, reference)
 
 
+#: One draw at two scales: modeled small, ``dynamic`` fuses its loop into the
+#: final job; modeled large, it takes every point (DESIGN.md §8).
+FUSED_DRAW = (1, 400, [40, 30, 20, 10, 5], 7, ["eq", "udf", "range", "param", "none"],
+              [False, True, False, False, False], 1.0)  # fmt: skip
+EVERY_POINT_DRAW = (*FUSED_DRAW[:-1], 1e6)
+
+
 @settings(max_examples=15, deadline=None)
 @given(universe(max_dims=5))
+@example(case=FUSED_DRAW)
+@example(case=EVERY_POINT_DRAW)
 def test_replan_policy_and_every_point_match_oracle(case):
     """The re-optimization loop's two variants: the Q-error policy (refresh
     + widened pick) and ``dynamic`` made to take every point. Up to five
@@ -177,6 +185,20 @@ def test_replan_policy_and_every_point_match_oracle(case):
     assert rows_equal_unordered(policy.rows, reference)
     assert rows_equal_unordered(every_point.rows, reference)
     assert rows_equal_unordered(dynamic.rows, every_point.rows)
+
+
+def test_the_pinned_draws_reach_both_sides_of_the_fuse_rule():
+    """The oracle comparison above covers a fired rule and an unfired one."""
+    session, query = build_case(*FUSED_DRAW)
+    fused = session.execute(query, "dynamic")
+    assert [d.action for d in fused.decisions] == ["fuse"]
+    session, query = build_case(*EVERY_POINT_DRAW)
+    dynamic = session.execute(query, "dynamic")
+    session.reset_intermediates()
+    every_point = EveryPoint().execute(query, session)
+    assert dynamic.decisions == ()
+    assert list(dynamic.phases) == list(every_point.phases)
+    assert dynamic.seconds == every_point.seconds
 
 
 def serve(case, config, bindings, strategies):
@@ -377,18 +399,13 @@ def test_from_and_predicate_order_move_no_row(case, kinds, permutation):
     assert session.execute(reordered(query, positions), "dynamic").seconds == before
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="greedy_full_plan breaks equal estimates by FROM position (ROADMAP item 1)",
-)
 def test_from_order_moves_no_simulated_second():
     """Minimised from the metamorphic test: one fact row, dimensions of 1, 1
     and 2 rows, no predicates. ``dynamic`` fuses its three joins into one
-    greedy final plan; every join is estimated at one row, and
-    ``greedy_full_plan`` takes the first of equals in FROM order, so listing
-    ``dim2`` second joins it first and the clock moves (1.000018 s against
-    1.000017 s). ``Planner.ranked_joins`` breaks the same tie by alias
-    names, which is why the loop's own picks do not move."""
+    greedy final plan, and every join is estimated at one row. Listing
+    ``dim2`` second moved the clock (1.000018 s against 1.000017 s) while
+    ``greedy_full_plan`` took the first of equals in FROM order; it breaks
+    the tie by alias names now, as ``Planner.ranked_joins`` does."""
     session, query = build_case(0, 1, [1, 1, 2], 0, ["none"] * 3, [False] * 3, 1.0)
     dynamic = session.execute(query, "dynamic")
     assert [d.action for d in dynamic.decisions] == ["fuse"]

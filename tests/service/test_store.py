@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import marshal
+from decimal import Decimal
 
 import pytest
 
@@ -9,10 +11,13 @@ from repro.common.errors import StatisticsError
 from repro.common.rng import stable_hash
 from repro.common.types import DataType, Schema
 from repro.service import QueryService, ServiceConfig, ServiceStore, ingest_token
-from repro.service.store import STORE_FORMAT_VERSION
+from repro.service.store import STORE_FORMAT_VERSION, TOKEN_CHUNK_ROWS
+from repro.sketches.gk import GKQuantileSketch
+from repro.sketches.hyperloglog import HyperLogLog
 from repro.workloads import get_workload
 
-from tests.conftest import load_star_data, small_cluster, star_query
+from tests.conftest import load_star_data, same_state, small_cluster, star_query
+from tests.stats.reference_collector import EagerCollector
 
 
 def build_service(**kwargs) -> QueryService:
@@ -52,9 +57,67 @@ class TestIngestToken:
             self.SCHEMA, self.ROWS, 2.0
         )
 
+    def test_key_order_changes_token(self):
+        # stricter than equal content needs: a false miss costs a recollection
+        assert ingest_token(self.SCHEMA, [{"x": 1, "y": 2}], 1.0) != ingest_token(
+            self.SCHEMA, [{"y": 2, "x": 1}], 1.0
+        )
+
+    def test_a_list_a_tuple_and_a_generator_give_one_token(self):
+        rows = [{"x": i, "y": i % 7} for i in range(2 * TOKEN_CHUNK_ROWS + 5)]
+        tokens = {
+            ingest_token(self.SCHEMA, rows, 1.0),
+            ingest_token(self.SCHEMA, tuple(rows), 1.0),
+            ingest_token(self.SCHEMA, (row for row in rows), 1.0),
+        }
+        assert len(tokens) == 1
+
+    def test_equal_values_of_other_types_give_other_tokens(self):
+        def token(value) -> str:
+            return ingest_token(self.SCHEMA, [{"x": value, "y": 0}], 1.0)
+
+        assert len({token(1), token(1.0), token(True)}) == 3
+        assert len({token(0.0), token(-0.0)}) == 2
+
+    def test_values_marshal_refuses_give_one_token_on_every_call(self):
+        class Row(dict):
+            pass
+
+        for make in (lambda: [Row(x=1, y=2)], lambda: [{"x": Decimal("1.5"), "y": 2}]):
+            with pytest.raises(ValueError):
+                marshal.dumps(tuple(make()), 2)
+            assert len({ingest_token(self.SCHEMA, make(), 1.0) for _ in range(3)}) == 1
+
     @staticmethod
-    def per_row_token(schema: Schema, rows: list[dict], scale: float) -> str:
-        """The token as first written: sort and repr every row's items."""
+    def reference_token(schema: Schema, rows: list[dict], scale: float) -> str:
+        """The token spelled out: one ``blake2b`` over the header and then
+        each 4096-row slice as a tuple, each tagged and length-prefixed,
+        ``marshal`` format 2 or else ``repr``."""
+
+        def encoded(value: tuple) -> bytes:
+            try:
+                tag, body = b"m", marshal.dumps(value, 2)
+            except ValueError:
+                tag, body = b"r", repr(value).encode()
+            return tag + len(body).to_bytes(8, "big") + body
+
+        header = (
+            tuple(schema.field_names),
+            schema.row_width,
+            tuple(schema.primary_key),
+            repr(scale),
+        )
+        data = encoded(header) + b"".join(
+            encoded(tuple(rows[start : start + 4096]))
+            for start in range(0, len(rows), 4096)
+        )
+        return hashlib.blake2b(data, digest_size=8).hexdigest()
+
+    @staticmethod
+    def format_2_token(schema: Schema, rows: list[dict], scale: float) -> str:
+        """The token of store format 2: a ``stable_hash`` fold over every
+        row's sorted, ``repr``-ed items — what ``SUITE_SKETCHES_SHA256``'s
+        entries were recorded under."""
         acc = stable_hash(
             (
                 tuple(schema.field_names),
@@ -74,19 +137,19 @@ class TestIngestToken:
     ]  # fmt: skip
 
     def test_token_strings_are_frozen(self):
-        # Recorded before the per-key-set templates: a persisted ServiceStore
-        # is only a hit while these strings stay what they were.
+        # Recorded for store format 3: a persisted ServiceStore is only a hit
+        # while these strings stay what they are.
         schema = Schema.of(("a", DataType.INT), ("b", DataType.STRING), primary_key=("a",))
-        assert ingest_token(schema, self.RAGGED, 1.0) == "76411cd830226a00"
-        assert ingest_token(schema, self.RAGGED, 2.5) == "d7944c1ef29d6e07"
-        assert ingest_token(schema, [], 1.0) == "d1adb0f25acbd723"
+        assert ingest_token(schema, self.RAGGED, 1.0) == "47651f190cac38e0"
+        assert ingest_token(schema, self.RAGGED, 2.5) == "f54b04636d4d9240"
+        assert ingest_token(schema, [], 1.0) == "7bde93c6a65dbd6c"
 
     def test_token_equals_per_row_fold(self, suite_tables):
         for _, schema, rows, scale in suite_tables:
-            assert ingest_token(schema, rows, scale) == self.per_row_token(
+            assert ingest_token(schema, rows, scale) == self.reference_token(
                 schema, rows, scale
             )
-        assert ingest_token(self.SCHEMA, self.RAGGED, 1.0) == self.per_row_token(
+        assert ingest_token(self.SCHEMA, self.RAGGED, 1.0) == self.reference_token(
             self.SCHEMA, self.RAGGED, 1.0
         )
 
@@ -110,15 +173,18 @@ class TestStoreRoundTrip:
         self, tmp_path
     ):
         saver = build_service()
+        read_every_field(saver)  # so every sketch is in the file
         path = tmp_path / "store.json"
         saver.save_store(str(path))
 
         fresh = QueryService(small_cluster())
         fresh.load_store(str(path))
         load_star_data(fresh)  # byte-identical rows: tokens match
-        # the persisted sketches were registered, not recollected, and they
+        # the persisted sketches were adopted, not recollected, and they
         # describe the data identically to the original collection pass
         for name in ("fact", "da", "db", "dc"):
+            fields = fresh.statistics.get(name).fields.values()
+            assert not any(stats._uncounted or stats._unread for stats in fields)
             assert canonical(fresh.statistics.get(name).to_state()) == canonical(
                 saver.statistics.get(name).to_state()
             )
@@ -149,8 +215,9 @@ class TestStoreRoundTrip:
 
 
 #: SHA-256 over the persisted sketch entries of the 21 suite tables at SF 10,
-#: seed 42, one service per universe — recorded at 041abe1, where every sketch
-#: was built and serialised inside ``load`` (see ``tests/stats/test_golden_state.py``).
+#: seed 42, one service per universe, every field read — recorded at 041abe1,
+#: where every sketch was built and serialised inside ``load`` and the
+#: entries carried the format-2 token (see ``tests/stats/test_golden_state.py``).
 SUITE_SKETCHES_SHA256 = "b1ae1e77aa2b5ce052552b01ccd85284278be8e34e5e019bfd365261f818c183"
 
 
@@ -159,48 +226,161 @@ def persisted_sketches(service: QueryService, path) -> bytes:
     return json.dumps(json.loads(path.read_text())["sketches"], sort_keys=True).encode()
 
 
+def read_every_field(service: QueryService) -> None:
+    for name in service.statistics.names():
+        service.statistics.get(name).to_state()
+
+
+class Reingest:
+    """A service whose ``load`` replaces: the same rows ingested again."""
+
+    def __init__(self, service: QueryService) -> None:
+        self.service = service
+
+    def load(self, *args, **kwargs):
+        return self.service.load(*args, replace=True, **kwargs)
+
+
 class TestStoreSerialisesOnSave:
     def test_sketch_entries_are_the_eager_ones_whatever_ran_in_between(
         self, suite_universes, tmp_path
     ):
-        digest = hashlib.sha256()
+        digest, built, halves = hashlib.sha256(), 0, 0
         for universe, tables in suite_universes.items():
             service = QueryService()
             for name, schema, rows, scale in tables:
                 service.load(name, schema, rows, scale=scale)
             path = tmp_path / f"{universe}.json"
-            ingested = persisted_sketches(service, path)
+            ingested = json.loads(persisted_sketches(service, path))
+            for entry in ingested.values():  # nothing read, nothing persisted
+                fields = entry["stats"]["fields"].values()
+                assert all(list(state) == ["field_name"] for state in fields)
 
             tenant = service.session("tenant")
             for build_query in get_workload(universe, 10, 42).queries.values():
                 for strategy in ("dynamic", "cost_based"):
                     tenant.submit(build_query(), strategy)
             assert all(handle.error is None for handle in service.run_all())
-            assert persisted_sketches(service, path) == ingested
+            queried = persisted_sketches(service, path)
+            assert persisted_sketches(service, path) == queried  # a save builds nothing
+            queried = json.loads(queried)
+            for name, entry in queried.items():  # exactly what the queries built
+                for field, stats in service.statistics.get(name).fields.items():
+                    state = entry["stats"]["fields"][field]
+                    counted = "distinct" in state
+                    assert counted == ("null_count" in state) == (not stats._uncounted)
+                    assert ("quantiles" in state) == (not stats._unread)
+                    built += counted + ("quantiles" in state)
+                    halves += 2
+
+            read_every_field(service)
+            full = json.loads(persisted_sketches(service, path))
+            for name, schema, rows, scale in tables:
+                assert full[name]["token"] == ingest_token(schema, rows, scale)
+                for field, state in queried[name]["stats"]["fields"].items():
+                    for half, value in state.items():  # each as eagerly built
+                        assert canonical(value) == canonical(
+                            full[name]["stats"]["fields"][field][half]
+                        )
+                full[name]["token"] = TestIngestToken.format_2_token(schema, rows, scale)
+            digest.update(json.dumps(full, sort_keys=True).encode())
 
             restarted = QueryService()
             restarted.load_store(str(path))
             for name, schema, rows, scale in tables:
                 restarted.load(name, schema, rows, scale=scale)
-            assert persisted_sketches(restarted, tmp_path / "again.json") == ingested
-            digest.update(ingested)
+            again = json.loads(persisted_sketches(restarted, tmp_path / "again.json"))
+            for name, schema, rows, scale in tables:
+                again[name]["token"] = TestIngestToken.format_2_token(schema, rows, scale)
+            assert again == full
         assert digest.hexdigest() == SUITE_SKETCHES_SHA256
+        assert 0 < built < halves  # the queries read some halves, not all
 
     def test_a_hit_on_a_live_never_read_entry_restores_what_a_restored_one_does(
         self, tmp_path
     ):
         path = tmp_path / "store.json"
         build_service().save_store(str(path))
-        restored = ServiceStore.open(str(path))
+        restored = QueryService(small_cluster())
+        restored.load_store(str(path))
+        load_star_data(restored)
         live = build_service()
         for name in live.store.sketched_datasets():
             fields = live.statistics.get(name).fields.values()
             assert all(stats._uncounted and stats._unread for stats in fields)
-            token = live.store._sketches[name]["token"]
-            hit = live.store.sketches_for(name, token)
-            assert hit is not live.statistics.get(name)
-            assert canonical(hit.to_state()) == canonical(
-                restored.sketches_for(name, token).to_state()
+        load_star_data(Reingest(live))  # hits on the live, never-read entries
+        for name in live.store.sketched_datasets():
+            fields = live.statistics.get(name).fields
+            assert all(stats._uncounted and stats._unread for stats in fields.values())
+            for field, stats in fields.items():
+                twin = restored.statistics.get(name).fields[field]
+                assert stats.null_count == twin.null_count
+                assert stats.distinct_count == twin.distinct_count
+                assert same_state(stats.quantiles.to_state(), twin.quantiles.to_state())
+
+
+class TestRestartBuildsWhatIsRead:
+    """A restart adopts the halves the saver built and builds the others from
+    the re-ingested rows on first read — each ending in the eager state."""
+
+    def test_a_restart_from_a_store_nothing_read_builds_each_half_on_first_read(
+        self, suite_universes, tmp_path, monkeypatch
+    ):
+        builds = []
+        for cls in (HyperLogLog, GKQuantileSketch):
+            extend = cls.extend
+
+            def spy(sketch, values, _extend=extend, _name=cls.__name__):
+                builds.append(_name)
+                _extend(sketch, values)
+
+            monkeypatch.setattr(cls, "extend", spy)
+        built_on_read = set()
+        for universe, tables in suite_universes.items():
+            builds.clear()
+            saver = QueryService()
+            for name, schema, rows, scale in tables:
+                saver.load(name, schema, rows, scale=scale)
+            path = tmp_path / f"{universe}.json"
+            saver.save_store(str(path))
+            restarted = QueryService()
+            restarted.load_store(str(path))
+            for name, schema, rows, scale in tables:
+                restarted.load(name, schema, rows, scale=scale)
+            assert builds == []
+            for name, schema, rows, scale in tables:
+                fields = restarted.statistics.get(name).fields
+                assert all(stats._uncounted and stats._unread for stats in fields.values())
+                eager = EagerCollector(schema.field_names)
+                eager.observe_rows(rows)
+                for field, stats in fields.items():
+                    assert same_state(stats.to_state(), eager.fields[field].to_state())
+            built_on_read.update(builds)
+        assert built_on_read == {"HyperLogLog", "GKQuantileSketch"}
+
+    def test_a_half_read_before_the_save_is_adopted_and_its_twin_stays_queued(
+        self, tmp_path
+    ):
+        saver = build_service()
+        fact = saver.statistics.get("fact").fields
+        assert fact["f_a"].null_count == 0  # builds the null count and the HLL
+        assert len(fact["f_val"].quantiles) > 0  # builds the GK sketch
+        path = tmp_path / "store.json"
+        saver.save_store(str(path))
+
+        fresh = QueryService(small_cluster())
+        fresh.load_store(str(path))
+        load_star_data(fresh)
+        fields = fresh.statistics.get("fact").fields
+        assert not fields["f_a"]._uncounted and fields["f_a"]._unread
+        assert fields["f_val"]._uncounted and not fields["f_val"]._unread
+        for name, stats in fields.items():
+            if name not in ("f_a", "f_val"):
+                assert stats._uncounted and stats._unread
+        for name in ("fact", "da", "db", "dc"):
+            assert same_state(
+                fresh.statistics.get(name).to_state(),
+                saver.statistics.get(name).to_state(),
             )
 
 
@@ -284,7 +464,9 @@ class TestOpenCorruptStore:
         """A register no hash can produce would merge and count silently
         wrong; it is caught when the file is loaded, not at a later ingest."""
         path = tmp_path / "store.json"
-        build_service().save_store(str(path))
+        saver = build_service()
+        read_every_field(saver)  # so the corrupted sketch is in the file
+        saver.save_store(str(path))
         state = json.loads(path.read_text())
         sketch = state["sketches"]["fact"]["stats"]["fields"]["f_a"]["distinct"]
         registers = bytearray.fromhex(sketch["registers"])
@@ -302,9 +484,11 @@ class TestOpenCorruptStore:
         """A file written before the feedback half was deleted: version 1,
         a ``"feedback"`` block beside intact sketches. It is not read."""
         path = tmp_path / "store.json"
-        build_service().save_store(str(path))
+        saver = build_service()
+        read_every_field(saver)  # intact sketches in the file
+        saver.save_store(str(path))
         state = json.loads(path.read_text())
-        assert STORE_FORMAT_VERSION == 2 and state["sketches"]
+        assert STORE_FORMAT_VERSION == 3 and state["sketches"]
         state["version"] = 1
         state["feedback"] = {
             "window": 64,
@@ -321,6 +505,19 @@ class TestOpenCorruptStore:
         assert opened.sketched_datasets() == []
         with pytest.raises(StatisticsError, match="format 1"):
             QueryService(small_cluster()).load_store(str(path))
+
+    def test_version_two_file_starts_fresh(self, tmp_path):
+        """A file written under the format-2 token: its tokens never hit."""
+        path = tmp_path / "store.json"
+        saver = build_service()
+        read_every_field(saver)
+        saver.save_store(str(path))
+        state = json.loads(path.read_text())
+        state["version"] = 2
+        path.write_text(json.dumps(state))
+        with pytest.warns(RuntimeWarning, match="starting fresh"):
+            opened = ServiceStore.open(str(path))
+        assert opened.sketched_datasets() == []
 
     def test_healthy_file_loads_without_warning(self, tmp_path):
         import warnings as warnings_module
