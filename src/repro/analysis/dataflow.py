@@ -350,10 +350,9 @@ def _check_charges(trace: object, metrics_total: float) -> list[Diagnostic]:
     (operator-cost sums are deliberately not compared — a batched scan's
     operator spans legitimately show the undiscounted in-job clock):
 
-    - a **positive gap** between consecutive phase spans (or before the
-      first): seconds charged with no owning span — the PR 4 queue-delay
-      leak class. Negative gaps are fine: explicit refunds (the Figure-6
-      "no online statistics" mode) move the clock backward between phases;
+    - a **gap** between consecutive phase spans (or before the first):
+      positive, seconds charged with no owning span (the queue-delay leak
+      class); negative, seconds taken back or owned by two spans;
     - a **total mismatch**: the trace's end differs from the metrics total,
       i.e. some charge bypassed the tracer entirely.
     """
@@ -366,16 +365,17 @@ def _check_charges(trace: object, metrics_total: float) -> list[Diagnostic]:
     cursor = 0.0
     for span in spans:
         gap = span.start_seconds - cursor
-        if gap > tolerance:
-            findings.append(
-                _diag(
-                    "Q005",
-                    f"{gap:.6f} simulated second(s) charged before phase "
-                    f"{span.name!r} are owned by no span — a silent cost "
-                    "leak (the queue-delay-in-metrics class)",
-                    phase=span.name,
-                )
+        if abs(gap) > tolerance:
+            message = (
+                f"{gap:.6f} simulated second(s) charged before phase "
+                f"{span.name!r} are owned by no span — a silent cost leak "
+                "(the queue-delay-in-metrics class)"
+                if gap > 0
+                else f"phase {span.name!r} starts {-gap:.6f} simulated "
+                "second(s) before the previous phase ended — a charge taken "
+                "back, or seconds owned by two spans"
             )
+            findings.append(_diag("Q005", message, phase=span.name))
         cursor = span.end_seconds
     if abs(root.end_seconds - metrics_total) > tolerance:
         findings.append(

@@ -46,11 +46,6 @@ def stable_hash(value: object) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
-def stable_hash_of_repr(text: str) -> int:
-    """``stable_hash(value)`` of a non-int ``value``, given ``repr(value)``."""
-    return int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
-
-
 def _hash_distinct(values) -> tuple[list, dict]:
     """Per-value dedupe keys, and the ``stable_hash`` of each distinct key.
 

@@ -101,9 +101,9 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
     merging the pair with the smallest estimated result — the same greedy
     policy as the loop, minus the feedback, and the same tie-break as
     :meth:`Planner.ranked_joins` (the sorted alias names), so the FROM order
-    never picks between equal estimates. The push-down-only mode (Figure 6
-    right) and the fuse rule run it over the statistics measured so far;
-    ``greedy_static`` over the ingestion-time ones.
+    never picks between equal estimates. The fuse rule and the single-shot
+    ablation run it over the statistics measured so far; ``greedy_static``
+    over the ingestion-time ones.
     """
     nodes: list[PlanNode] = [toolkit.leaf(alias) for alias in toolkit.query.aliases]
     while len(nodes) > 1:
@@ -185,10 +185,6 @@ class DynamicOptimizer(Optimizer):
     def __init__(
         self,
         inl_enabled: bool = False,
-        pushdown_enabled: bool = True,
-        reoptimize_joins: bool = True,
-        charge_online_stats: bool = True,
-        collect_online_sketches: bool = True,
         rank: RankFunction = rank_by_result_cardinality,
         fail_after_jobs: int | None = None,
         policy: ReplanPolicy | None = None,
@@ -203,10 +199,6 @@ class DynamicOptimizer(Optimizer):
         #: predicate push-down before the re-optimization loop starts.
         self.pre_filter = pre_filter
         self.inl_enabled = inl_enabled
-        self.pushdown_enabled = pushdown_enabled
-        self.reoptimize_joins = reoptimize_joins
-        self.charge_online_stats = charge_online_stats
-        self.collect_online_sketches = collect_online_sketches
         self.rank = rank
         #: feedback policy consulted after every materialized stage; None
         #: reproduces the fixed paper schedule.
@@ -220,13 +212,27 @@ class DynamicOptimizer(Optimizer):
     # -- hooks for subclasses ---------------------------------------------------
 
     def prepare_stages(self, run: QueryRun, session: Session) -> Stages:
-        """Stages that refine ``run.statistics`` before planning starts.
+        """Stages that run before the loop plans its first join; returns
+        their rewritten query and intermediates, or ``None``.
 
-        The base strategy plans from the ingestion-time sketches the run
-        already copied and charges nothing, so it yields no requests;
-        pilot-run overrides this with per-table sampling stages.
+        The base strategy runs predicate push-down, or with
+        ``pre_filter="transfer"`` the transfer passes, whose reduce jobs
+        apply each alias's local predicates on their first reduction;
+        pilot-run samples each table instead.
         """
-        yield from ()
+        if self.pre_filter == "transfer":
+            return (yield from transfer_stages(run, session))
+        return (yield from pushdown_stages(run, session))
+
+    def sketch_columns(
+        self, state: DriverState, stats_columns: tuple[str, ...]
+    ) -> tuple[str, ...]:
+        """Which of ``stats_columns`` (the picked join's columns later joins
+        read) its Sink sketches. None in the last loop iteration(s): "we
+        know that we are not going to further re-optimize"."""
+        if len(state.current.tables) - 1 <= 3:
+            return ()
+        return stats_columns
 
     def fuse_plan(
         self,
@@ -302,36 +308,12 @@ class DynamicOptimizer(Optimizer):
     def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
         """The full dynamic run as one resumable stage generator."""
         run = QueryRun(query, session, self.name, namespace)
-        yield from self.prepare_stages(run, session)
         state = DriverState(run=run, current=query)
-
-        prelude = None
-        if self.pre_filter == "transfer":
-            # Predicate-transfer prelude: the transfer reduce jobs apply each
-            # alias's local predicates on their first reduction, so plain
-            # push-down would be redundant work on top.
-            prelude = transfer_stages(run, session)
-        elif self.pushdown_enabled:
-            prelude = pushdown_stages(run, session)
-        if prelude is not None:
-            outcome = yield from prelude
+        outcome = yield from self.prepare_stages(run, session)
+        if outcome is not None:
             state.current = outcome.query
             state.registry.update(original_leaves(query, outcome.intermediates))
-            if not self.charge_online_stats:
-                # The Figure-6 "no online statistics" execution: sketches are
-                # still collected (identical plans) but their cost is refunded.
-                run.metrics.stats = 0.0
-                run.tracer.sync(run.metrics.total_seconds)
         self._maybe_fail(state)
-
-        if not self.reoptimize_joins:
-            # Push-down-only mode: one job for all joins, planned greedily.
-            plan = greedy_full_plan(self._toolkit(state, session))
-            return (
-                yield from self._final_stages(
-                    state, session, plan=plan, phase="single-shot"
-                )
-            )
         return (yield from self.resume_stages(state, session))
 
     def resume(self, state: DriverState, session: Session) -> ExecutionResult:
@@ -362,14 +344,10 @@ class DynamicOptimizer(Optimizer):
                 break
             picked = self._pick_join(state, planner, toolkit)
             keep, stats_columns = self._sink_columns(state.current, toolkit, picked)
-            tables_after = len(state.current.tables) - 1
-            if not self.collect_online_sketches or tables_after <= 3:
-                # Online statistics are skipped in the last loop iteration(s):
-                # "we know that we are not going to further re-optimize".
-                stats_columns = ()
+            stats_columns = self.sketch_columns(state, stats_columns)
             fused = self.fuse_plan(state, toolkit, picked, keep, stats_columns)
             if fused is not None:
-                return (yield from self._final_stages(state, session, plan=fused))
+                return (yield from self._final_stages(state, session, fused))
             # Plan-time verification (DESIGN.md §14): check the picked join's
             # logical subtree at the re-optimization point that produced it,
             # before jobgen — the compiled job re-verifies at the launch gate.
@@ -387,12 +365,7 @@ class DynamicOptimizer(Optimizer):
             # depend on its query id (join:__join_0+dc under any __q<id>).
             pair = sorted(a.removeprefix(run.namespace) for a in picked.pair)
             phase_name = f"join:{'+'.join(pair)}"
-            yield run.job(
-                phase_name,
-                job,
-                kind="join",
-                refund_stats=not self.charge_online_stats,
-            )
+            yield run.job(phase_name, job, kind="join")
             state.registry[name] = resolve_logical(picked.node, state.registry)
             state.current = reconstruct_after_join(
                 state.current, toolkit.resolver, picked.pair, name
@@ -410,16 +383,11 @@ class DynamicOptimizer(Optimizer):
         return (yield from self._final_stages(state, session))
 
     def _final_stages(
-        self,
-        state: DriverState,
-        session: Session,
-        *,
-        plan: PlanNode | None = None,
-        phase: str = "final",
+        self, state: DriverState, session: Session, plan: PlanNode | None = None
     ) -> Stages:
         """The job that returns rows to the user: ``plan`` over everything
-        still unjoined (the fuse rule's and the push-down-only mode's greedy
-        tree), or by default the endgame ordering of at most two joins."""
+        still unjoined (the fuse rule's greedy tree), or by default the
+        endgame ordering of at most two joins."""
         run = state.run
         if plan is None:
             plan = Planner(self._toolkit(state, session), self.rank).final_plan()
@@ -431,7 +399,6 @@ class DynamicOptimizer(Optimizer):
                 plan,
                 state.current,
                 session,
-                phase=phase,
                 described=self.last_tree,
                 decisions=state.policy_log,
             )
@@ -513,8 +480,8 @@ class DynamicOptimizer(Optimizer):
         if not self.policy.is_bad_miss(q):
             return
         details = []
-        if not had_sketches and self.collect_online_sketches:
-            refreshed = yield from self._refresh_stages(state, session, name)
+        if not had_sketches:
+            refreshed = yield from self.refresh_stages(state, session, name)
             if refreshed:
                 details.append(
                     f"refreshed sketches on {name.removeprefix(state.run.namespace)}"
@@ -531,7 +498,7 @@ class DynamicOptimizer(Optimizer):
             )
         )
 
-    def _refresh_stages(
+    def refresh_stages(
         self, state: DriverState, session: Session, name: str
     ) -> Stages:
         """Extra re-optimization: re-sketch a mis-estimated intermediate.

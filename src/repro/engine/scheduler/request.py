@@ -31,9 +31,9 @@ cluster launch; a blocking run is the one-query case
 
 :func:`run_request` is the single place a request turns into executed work:
 it opens the phase span, runs the job (or applies a pre-computed virtual
-cost, or a cache replay the scheduler looked up), applies refunds and
-launch-sharing discounts, merges the job's metrics into the run's cumulative
-total, and records the request's estimate-accuracy point.
+cost, or a cache replay the scheduler looked up), applies launch-sharing
+discounts, merges the job's metrics into the run's cumulative total, and
+records the request's estimate-accuracy point.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class QueryRun:
         estimate: tuple[str, float] | None = None,
         batch_key: str | None = None,
         cache_token: str | None = None,
-        refund_stats: bool = False,
     ) -> JobRequest:
         """A request to run one compiled cluster job as phase ``phase``."""
         return JobRequest(
@@ -97,7 +96,6 @@ class QueryRun:
             estimate=estimate,
             batch_key=batch_key,
             cache_token=cache_token,
-            refund_stats=refund_stats,
         )
 
     def charge(self, phase: str, delta: JobMetrics, *, kind: str) -> JobRequest:
@@ -143,9 +141,6 @@ class JobRequest:
     run: QueryRun
     job: Job | None = None
     virtual_cost: JobMetrics | None = None
-    #: zero out the job's online-statistics charge before merging (the
-    #: Figure-6 "no online statistics" refund).
-    refund_stats: bool = False
     #: (operator label, estimated rows) to record against the job output's
     #: measured modeled rows once the phase closes.
     estimate: tuple[str, float] | None = None
@@ -167,8 +162,8 @@ class JobOutcome:
     """What a driver receives back for one :class:`JobRequest`."""
 
     data: ColumnarData | None
-    #: this job's own charge, *after* refunds and launch-sharing
-    #: discounts — already merged into the run's cumulative metrics.
+    #: this job's own charge, *after* launch-sharing discounts — already
+    #: merged into the run's cumulative metrics.
     metrics: JobMetrics
     #: branches of the launch this job rode in (>1 means a shared launch).
     shared_with: int = 1
@@ -264,8 +259,6 @@ def _perform(
     if share is not None and share.branches > 1:
         _apply_scan_share(job_metrics, share)
         shared_with = share.branches
-    if request.refund_stats:
-        job_metrics.stats = 0.0
     run.metrics.merge(job_metrics)
     return JobOutcome(data=data, metrics=job_metrics, shared_with=shared_with)
 
@@ -277,7 +270,7 @@ def run_request(
     partitions: int | None = None,
     replayed: tuple[Any, JobMetrics] | None = None,
 ) -> JobOutcome:
-    """Execute one request: phase span, job, refunds, merge, estimate record.
+    """Execute one request: phase span, job, discounts, merge, estimate record.
 
     ``share`` places this request in a shared launch: the launch's start-up
     is split across its branches and a base scan across the branches that

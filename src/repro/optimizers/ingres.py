@@ -21,14 +21,19 @@ class IngresLikeOptimizer(DynamicOptimizer):
 
     def __init__(self, inl_enabled: bool = False, policy=None) -> None:
         super().__init__(
-            inl_enabled=inl_enabled,
-            rank=rank_by_input_cardinality,
-            # Intermediates keep row counts only — INGRES has no sketch
-            # framework, so no online quantile/HLL collection (or cost).
-            collect_online_sketches=False,
-            policy=policy,
+            inl_enabled=inl_enabled, rank=rank_by_input_cardinality, policy=policy
         )
 
     def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
         """No result estimates to price a point with: the fixed schedule."""
         return None
+
+    def sketch_columns(self, state, stats_columns):
+        """Intermediates keep row counts only — INGRES has no sketch
+        framework, so no online quantile/HLL collection (or cost)."""
+        return ()
+
+    def refresh_stages(self, state, session, name):
+        """No sketches to refresh after a bad miss either."""
+        yield from ()
+        return False

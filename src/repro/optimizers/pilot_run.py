@@ -68,12 +68,7 @@ class PilotRunOptimizer(DynamicOptimizer):
         sample_limit: int = 100,
         policy=None,
     ) -> None:
-        # Pilot runs *estimate* predicate selectivities from the sample; the
-        # main execution evaluates local predicates inline (no push-down
-        # materialization — that is the dynamic approach's addition).
-        super().__init__(
-            inl_enabled=inl_enabled, pushdown_enabled=False, policy=policy
-        )
+        super().__init__(inl_enabled=inl_enabled, policy=policy)
         self.sample_limit = sample_limit
 
     def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
@@ -82,7 +77,10 @@ class PilotRunOptimizer(DynamicOptimizer):
         return None
 
     def prepare_stages(self, run: QueryRun, session):
-        """Per-table pilot sampling as virtual-cost stages.
+        """Per-table pilot sampling as virtual-cost stages, in place of the
+        push-down prelude: the main execution evaluates local predicates
+        inline (no push-down materialization — the dynamic approach's
+        addition), so there is no prelude outcome to return.
 
         The rows are gathered here (the sample drives the statistics), but
         the charge is submitted as a pre-computed cost delta so a scheduler

@@ -219,12 +219,15 @@ class TestQ005ChargeAttribution:
         assert "Q005" in codes(found)
         assert "no span" in found[0].message
 
-    def test_negative_gap_is_a_refund_not_a_leak(self):
-        # The Figure-6 refund mode legitimately moves the clock backward.
+    def test_negative_gap_leaks(self):
+        # A clock that moves backward between phases means a charge was
+        # taken back after its span closed, or two spans own the same seconds.
         trace = self.make_trace(
             [phase_span("join-1", 0.0, 5.0), phase_span("final", 4.0, 9.0)], 9.0
         )
-        assert verify_query_dataflow([], NS, trace=trace, metrics_total=9.0) == []
+        found = verify_query_dataflow([], NS, trace=trace, metrics_total=9.0)
+        assert codes(found) == ["Q005"]
+        assert "before the previous phase ended" in found[0].message
 
     def test_total_mismatch_leaks(self):
         trace = self.make_trace([phase_span("final", 0.0, 9.0)], 9.0)

@@ -8,7 +8,6 @@ from repro.common.rng import (
     derive,
     distinct_stable_hashes,
     stable_hash,
-    stable_hash_of_repr,
     stable_hashes,
 )
 from tests.conftest import mixed_column_batches
@@ -100,10 +99,6 @@ class TestStableHashFrozen:
         values += [1.0, -0.0, 0.0, float("nan"), float("inf"), "", "x", (1, 2), (), None]
         for value in values:
             assert stable_hash(value) == sized_buffer_hash(value), value
-
-    def test_hash_of_repr_is_the_non_int_branch(self):
-        for value in (1.5, "x", (1, "y"), None, float("nan")):
-            assert stable_hash_of_repr(repr(value)) == stable_hash(value)
 
 
 class TestBatchHashes:

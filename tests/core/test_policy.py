@@ -147,7 +147,7 @@ class InfOnRecord(DynamicOptimizer):
 
     def prepare_stages(self, run, session):
         run.tracer.record_estimate("prepare", "σ(nothing)", 0.0, 5.0)
-        yield from ()
+        return (yield from super().prepare_stages(run, session))
 
 
 class TestEarlyFuse:

@@ -22,6 +22,46 @@ class TestOverheadModes:
         assert report.full_seconds >= report.no_online_stats_seconds - 1e-9
         assert report.no_online_stats_seconds >= report.upfront_seconds - 1e-9
 
+    #: (full, upfront, no online statistics, push-down variant) seconds at
+    #: SF 10, recorded when the "no online statistics" figure was a second
+    #: dynamic run with its statistics charge refunded job by job.
+    REFUNDED_RUN_FIGURES = {
+        "Q17": (
+            15.71885157377671,
+            7.151437754680821,
+            15.390950566927396,
+            10.154745973776713,
+        ),
+        "Q50": (
+            7.82648616549178,
+            4.777680017552054,
+            7.804786098368493,
+            5.77790056549178,
+        ),
+        "Q8": (
+            18.19924435875,
+            11.178103682749999,
+            17.70924410875,
+            12.929603682749999,
+        ),
+        "Q9": (
+            21.838220474999996,
+            16.166831674999997,
+            21.556020474999997,
+            18.381060474999998,
+        ),
+    }
+
+    @pytest.mark.parametrize("query", sorted(REFUNDED_RUN_FIGURES))
+    def test_fold_reproduces_the_refunded_run(self, query):
+        report = overhead_report(query, 10)
+        assert (
+            report.full_seconds,
+            report.upfront_seconds,
+            report.no_online_stats_seconds,
+            report.pushdown_variant_seconds,
+        ) == self.REFUNDED_RUN_FIGURES[query]
+
     def test_tree_swap_replaces_filtered_leaves(self):
         bench = workbench_for_query("Q17", 10)
         optimizer = DynamicOptimizer()

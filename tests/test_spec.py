@@ -54,9 +54,24 @@ class TestPlannerSpecValidation:
         assert spec.policy == ReplanPolicy.default()
 
     def test_specs_are_hashable_and_order_insensitive(self):
-        a = PlannerSpec.of("dynamic", inl_enabled=True, pushdown_enabled=False)
-        b = PlannerSpec.of("dynamic", pushdown_enabled=False, inl_enabled=True)
+        a = PlannerSpec.of("dynamic", inl_enabled=True, pre_filter="transfer")
+        b = PlannerSpec.of("dynamic", pre_filter="transfer", inl_enabled=True)
         assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize(
+        "name",
+        (
+            "charge_online_stats",
+            "pushdown_enabled",
+            "reoptimize_joins",
+            "collect_online_sketches",
+        ),
+    )
+    def test_removed_driver_options_raise(self, name):
+        # Fig. 6 and the ablations are folds and stage compositions over
+        # one run, not constructor variants of the driver.
+        with pytest.raises(OptimizationError, match=name):
+            PlannerSpec.of("dynamic", **{name: False})
 
     def test_with_options_and_as_dict(self):
         spec = PlannerSpec.of("dynamic", inl_enabled=False)
