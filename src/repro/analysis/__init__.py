@@ -14,9 +14,10 @@ Four tools live here, all producing typed records with stable rule codes
   cross-query cache-token collisions, charge-attribution conservation
   against the tracer's clock, and transfer-pass soundness;
 - the **determinism lint** (:mod:`repro.analysis.lint`, rules
-  ``D001``–``D004`` plus ``W001``) is an AST pass over the engine source
-  enforcing the simulated-clock / seeded-RNG / ordered-iteration rules the
-  scheduler's byte-identity guarantees depend on;
+  ``D001``–``D008``, ``F401``, ``F821`` plus ``W001``) is an AST pass over
+  the engine source enforcing the simulated-clock / seeded-RNG /
+  ordered-iteration rules the scheduler's byte-identity guarantees depend
+  on;
 - the **plan-quality diagnosis engine** (:mod:`repro.analysis.diagnose`)
   routes the tracer's per-re-opt-point Q-errors through a hypothesis table
   and emits ranked "why was this plan bad" candidates into

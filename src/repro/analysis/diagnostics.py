@@ -44,6 +44,7 @@ LINT_RULES: dict[str, str] = {
     "D005": "collector-state-in-library-code",
     "D006": "interpreter-object-size",
     "D007": "binary-decoder",
+    "D008": "per-value-digest",
     "F401": "unused-import",
     "F821": "undefined-name",
     "W001": "stale-suppression-pragma",

@@ -39,6 +39,13 @@ code      rule                          invariant
                                         ``src/repro`` — the content token
                                         encodes with ``marshal`` and nothing
                                         decodes it; persisted state is JSON
+``D008``  per-value-digest              no ``hashlib.blake2b(...)`` call under
+                                        ``src/repro`` outside ``common/rng.py``
+                                        (the stable-hash kernel),
+                                        ``service/store.py`` and
+                                        ``engine/bloom.py`` (one digest per
+                                        call each) — per-value hashing has one
+                                        definition, the kernel's copied state
 ``F401``  unused-import                 every imported name is read, re-exported
                                         through ``__all__`` or spelled ``import x
                                         as x`` — a deletion strands no import
@@ -84,6 +91,9 @@ from repro.analysis.diagnostics import Diagnostic
 #: the wall-clock and randomness rules.
 CLOCK_EXEMPT = ("common/rng.py", "analysis/")
 RANDOM_EXEMPT = ("common/rng.py",)
+#: D008: the stable-hash kernel, the store's content token and the Bloom
+#: filter's fingerprint each digest once per call; nothing else calls blake2b.
+DIGEST_EXEMPT = ("common/rng.py", "service/store.py", "engine/bloom.py")
 
 #: D003 applies only inside planner/optimizer/scheduler hot paths — the code
 #: whose iteration order feeds plan choices and schedules. The engine's
@@ -172,6 +182,8 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     findings.extend(_check_collector_state(tree, normalized))
     findings.extend(_check_object_sizes(tree, normalized))
     findings.extend(_check_binary_decoders(tree, normalized))
+    if not _exempt(normalized, DIGEST_EXEMPT):
+        findings.extend(_check_digests(tree, normalized))
     findings.extend(_check_unused_imports(tree, normalized))
     findings.extend(_check_undefined_names(tree, normalized))
 
@@ -345,6 +357,9 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "pickle bytes are only ever encoded here (the content token); a "
         "decoder trusts its input to be well-formed, and persisted state is "
         "JSON",
+        "D008": f"{what}() called outside the stable-hash kernel — per-value "
+        "hashing goes through repro.common.rng (stable_hash, stable_hashes), "
+        "whose one digest step copies a prepared state",
         "F401": f"{what} imported but never read, re-exported through "
         "__all__ or spelled `import x as x`",
         "F821": f"undefined name {what} — no builtin, module-level binding "
@@ -582,6 +597,16 @@ def _check_binary_decoders(tree: ast.Module, path: str) -> list[Diagnostic]:
     ]
 
 
+# -- D008: per-value digest ----------------------------------------------------
+
+
+def _check_digests(tree: ast.Module, path: str) -> list[Diagnostic]:
+    return [
+        _source_diag("D008", "hashlib.blake2b", node, path)
+        for node, _ in _module_calls(tree, "hashlib", frozenset({"blake2b"}))
+    ]
+
+
 # -- F401 / F821: import hygiene -----------------------------------------------
 
 
@@ -732,7 +757,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine source lint (rules D001-D007, F401, F821, W001).",
+        description="Engine source lint (rules D001-D008, F401, F821, W001).",
     )
     parser.add_argument(
         "paths",

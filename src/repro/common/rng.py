@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
 
 _INT128_LIMIT = 1 << 127
+_INT_KINDS = frozenset({int, bool})
 
 
 def derive(seed: int, *labels: str | int) -> random.Random:
@@ -27,61 +30,107 @@ def derive(seed: int, *labels: str | int) -> random.Random:
     return random.Random(int.from_bytes(digest.digest()[:8], "big"))
 
 
+#: The prepared state of the one digest step. Every stable hash copies it and
+#: feeds the copy one encoding: the same 8 bytes as ``blake2b(data,
+#: digest_size=8)``, without parsing that constructor's keywords per key.
+_BLAKE2B_8 = hashlib.blake2b(digest_size=8)
+
+
+def _encode_key(key: int | str) -> bytes:
+    """The bytes a dedupe key is digested as: the one encoder.
+
+    A key is what :func:`stable_hash` tells values apart by — an int (or
+    bool) by value, anything else by its ``repr``. An int takes a fixed
+    16-byte two's complement; out past it, which hypothesis finds, the buffer
+    is sized to the value (-2**127 has always taken 17 bytes, so it stays on
+    that side).
+    """
+    if isinstance(key, str):
+        return key.encode()
+    if -_INT128_LIMIT < key < _INT128_LIMIT:
+        return key.to_bytes(16, "big", signed=True)
+    return key.to_bytes((key.bit_length() + 8) // 8, "big", signed=True)
+
+
+def _digests(blobs: Iterable[bytes]) -> list[int]:
+    """The one digest step of a batch: each blob's 8-byte blake2b, big-endian."""
+    copy, from_bytes = _BLAKE2B_8.copy, int.from_bytes
+    digests: list[int] = []
+    append = digests.append
+    for data in blobs:
+        state = copy()
+        state.update(data)
+        append(from_bytes(state.digest(), "big"))
+    return digests
+
+
 def stable_hash(value: object) -> int:
     """A hash that is stable across processes (unlike ``hash`` for str).
 
     Used for hash partitioning and HyperLogLog so results do not depend on
     ``PYTHONHASHSEED``.
     """
-    if isinstance(value, int):
-        if -_INT128_LIMIT < value < _INT128_LIMIT:
-            data = value.to_bytes(16, "big", signed=True)
-        else:
-            # A fixed 16-byte encoding overflows out here, which hypothesis
-            # finds: size the buffer to the value (-2**127 has always taken
-            # 17 bytes, so it stays on this side).
-            data = value.to_bytes((value.bit_length() + 8) // 8, "big", signed=True)
-    else:
-        data = repr(value).encode()
-    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
+    state = _BLAKE2B_8.copy()  # the digest step of one value
+    state.update(_encode_key(value if isinstance(value, int) else repr(value)))
+    return int.from_bytes(state.digest(), "big")
 
 
-def _hash_distinct(values) -> tuple[list, dict]:
-    """Per-value dedupe keys, and the ``stable_hash`` of each distinct key.
+# Batch encoders: :func:`_encode_key` of every key of an iterable, a uniform
+# batch's as C-level maps with no Python call per key.
 
-    "Distinct" is by what :func:`stable_hash` encodes — ints (and bools) by
-    value, everything else by ``repr`` — not by ``==``: ``1``/``1.0``/``True``
-    and ``0.0``/``-0.0`` compare equal but hash apart, NaNs the reverse.
+
+def _per_key(keys: Iterable[int | str]) -> Iterator[bytes]:
+    return map(_encode_key, keys)
+
+
+def _strings(strings: Iterable[str]) -> Iterator[bytes]:
+    return map(str.encode, map(repr, strings))
+
+
+def _small_ints(ints: Iterable[int]) -> Iterator[bytes]:
+    # in [0, 2**127) the unsigned 16-byte encoding is the signed one
+    return map(int.to_bytes, ints, repeat(16), repeat("big"))
+
+
+def _batch_keys(values) -> tuple[list, set, Callable[[Iterable], Iterator[bytes]]]:
+    """``(keys, distinct keys, batch encoder)`` of a list, tuple or iterable.
+
+    Each value's key is what :func:`stable_hash` encodes — an int (or bool)
+    by value, anything else by ``repr`` — so "distinct" is not ``==``:
+    ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` compare equal but hash apart,
+    NaNs the reverse. Strings dedupe before paying for ``repr`` (equal
+    strings have equal reprs). An all-int batch checks the 16-byte range
+    once, over its distinct keys.
     """
     keys = values if isinstance(values, (list, tuple)) else list(values)
-    from_bytes, blake2b = int.from_bytes, hashlib.blake2b
     kinds = set(map(type, keys))
     if kinds == {str}:
-        # Equal strings have equal reprs, so dedupe before paying for repr.
-        return keys, {
-            text: from_bytes(blake2b(repr(text).encode(), digest_size=8).digest(), "big")
-            for text in set(keys)
-        }
-    if not kinds <= {int, bool}:
-        keys = [v if isinstance(v, int) else repr(v) for v in keys]
-    table = {}
-    for key in set(keys):
-        if isinstance(key, str):
-            data = key.encode()
-        elif -_INT128_LIMIT < key < _INT128_LIMIT:
-            data = key.to_bytes(16, "big", signed=True)
-        else:
-            data = key.to_bytes((key.bit_length() + 8) // 8, "big", signed=True)
-        table[key] = from_bytes(blake2b(data, digest_size=8).digest(), "big")
-    return keys, table
+        return keys, set(keys), _strings
+    if kinds <= _INT_KINDS:
+        distinct = set(keys)
+        small = not distinct or (min(distinct) >= 0 and max(distinct) < _INT128_LIMIT)
+        return keys, distinct, _small_ints if small else _per_key
+    keys = [v if isinstance(v, int) else repr(v) for v in keys]
+    return keys, set(keys), _per_key
 
 
 def stable_hashes(values) -> list[int]:
-    """``[stable_hash(v) for v in values]``, digesting each distinct input once."""
-    keys, table = _hash_distinct(values)
-    return [table[key] for key in keys]
+    """``[stable_hash(v) for v in values]``.
+
+    A batch at least three quarters distinct is digested in order; otherwise
+    each distinct key is digested once and looked up. A key table costs more
+    per distinct key than a digest, and more the larger it grows: the two
+    paths cost the same at about 4/5 distinct in 1,024-key batches and about
+    1/2 in 150k-key ones.
+    """
+    keys, distinct, encode = _batch_keys(values)
+    if 4 * len(distinct) >= 3 * len(keys):
+        return _digests(encode(keys))
+    table = dict(zip(distinct, _digests(encode(distinct))))
+    return list(map(table.__getitem__, keys))
 
 
-def distinct_stable_hashes(values):
-    """``{stable_hash(v) for v in values}`` as an iterable, one digest each."""
-    return _hash_distinct(values)[1].values()
+def distinct_stable_hashes(values) -> list[int]:
+    """``{stable_hash(v) for v in values}`` as a list, one digest each."""
+    _, distinct, encode = _batch_keys(values)
+    return _digests(encode(distinct))

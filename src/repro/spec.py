@@ -24,9 +24,16 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import cache
 
 from repro.common.errors import OptimizationError
 from repro.core.policy import ReplanPolicy
+
+
+@cache
+def _accepted_options(cls: type) -> frozenset[str]:
+    """The option names ``cls``'s constructor accepts, read once per class."""
+    return frozenset(inspect.signature(cls.__init__).parameters) - {"self"}
 
 
 @dataclass(frozen=True)
@@ -44,11 +51,7 @@ class PlannerSpec:
         from repro.optimizers import optimizer_class  # late import: avoids a cycle
 
         cls = optimizer_class(self.strategy)  # raises on unknown strategies
-        allowed = {
-            name
-            for name in inspect.signature(cls.__init__).parameters
-            if name != "self"
-        }
+        allowed = _accepted_options(cls)
         unknown = sorted(key for key, _ in self.options if key not in allowed)
         if unknown:
             raise OptimizationError(

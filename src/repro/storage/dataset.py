@@ -177,12 +177,10 @@ def partition_rows(
     Without: round-robin, which is what raw ingest without a primary key or a
     re-used materialized file gives you.
     """
-    partitions: list[list[dict]] = [[] for _ in range(partition_count)]
     if partition_key is None:
-        for i, row in enumerate(rows):
-            partitions[i % partition_count].append(row)
-    else:
-        hashes = stable_hashes([row.get(partition_key) for row in rows])
-        for row, key_hash in zip(rows, hashes):
-            partitions[key_hash % partition_count].append(row)
+        return [list(rows[i::partition_count]) for i in range(partition_count)]
+    partitions: list[list[dict]] = [[] for _ in range(partition_count)]
+    keys = [row.get(partition_key) for row in rows]
+    for row, key_hash in zip(rows, stable_hashes(keys)):
+        partitions[key_hash % partition_count].append(row)
     return partitions

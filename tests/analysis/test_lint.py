@@ -1,4 +1,4 @@
-"""Mutation tests for the source lint (D001-D007, F401, F821, W001) + the clean tree.
+"""Mutation tests for the source lint (D001-D008, F401, F821, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -227,6 +227,23 @@ class TestD007BinaryDecoder:
             "    return marshal.dumps(chunk, 2), pickle.dumps(chunk), json.loads(state)\n"
         )
         assert lint_source(source, "service/store.py") == []
+
+
+class TestD008PerValueDigest:
+    def test_blake2b_outside_the_kernel(self):
+        source = (
+            "import hashlib\n"
+            "from hashlib import blake2b as b2\n\n"
+            "def route(keys):\n"
+            "    return [hashlib.blake2b(k, digest_size=8) for k in keys], b2(b'x')\n"
+        )
+        found = lint_source(source, "storage/dataset.py")
+        assert [(f.code, f.line) for f in found] == [("D008", 5), ("D008", 5)]
+
+    def test_the_kernel_token_and_fingerprint_are_exempt(self):
+        source = "import hashlib\n\nhashes = [hashlib.blake2b(k) for k in (b'a',)]\n"
+        for path in ("common/rng.py", "service/store.py", "engine/bloom.py"):
+            assert lint_source(source, path) == []
 
 
 class TestF401UnusedImport:

@@ -1,8 +1,11 @@
 """Deterministic randomness helpers."""
 
 import hashlib
+from enum import IntEnum
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.rng import (
     derive,
@@ -10,7 +13,7 @@ from repro.common.rng import (
     stable_hash,
     stable_hashes,
 )
-from tests.conftest import mixed_column_batches
+from tests.conftest import count_digests, mixed_column_batches
 
 
 class TestDerive:
@@ -101,6 +104,65 @@ class TestStableHashFrozen:
             assert stable_hash(value) == sized_buffer_hash(value), value
 
 
+class Flag(IntEnum):
+    OFF = 0
+    ON = 1
+
+
+def digest_key(value: object) -> object:
+    """What ``stable_hash`` tells values apart by."""
+    return value if isinstance(value, int) else repr(value)
+
+
+_EDGE = 2**127
+
+#: Each kind of batch the kernel has a path for, with the values on its edges.
+BATCH_KINDS = [
+    st.integers(0, 2**20),
+    st.one_of(
+        st.sampled_from([_EDGE + d for d in range(-3, 4)] + [-_EDGE + d for d in range(-3, 4)]),
+        st.integers(-(2**20), 2**20),
+    ),
+    st.one_of(st.booleans(), st.integers(-2, 2)),
+    st.one_of(
+        st.sampled_from(["", "'", '"', "a'b", "\\", "é", "日本", "\x00"]),
+        st.text(max_size=4),
+    ),
+    st.one_of(
+        st.sampled_from([0.0, -0.0, float("nan"), 1.0, None, (), (1, "x", None), (True,)]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    st.one_of(
+        st.sampled_from([_EDGE, -_EDGE - 1, True, 1, 1.0, -0.0, float("nan"), None, "1", "é"]),
+        st.integers(-5, 5),
+        st.tuples(st.integers(-1, 1), st.sampled_from([1, 1.0, True, "1", None])),
+    ),
+]
+
+
+@st.composite
+def hash_batches(draw) -> tuple[list, bool]:
+    """``(batch, mostly distinct?)``: a batch of one kind whose keys are all
+    distinct, or drawn from a few distinct values so most of them repeat."""
+    values = st.sampled_from(BATCH_KINDS).flatmap(lambda kind: kind)
+    kind = draw(st.sampled_from(BATCH_KINDS))
+    if draw(st.booleans()):
+        return draw(st.lists(kind, max_size=120, unique_by=digest_key)), True
+    pool = draw(st.lists(kind, min_size=1, max_size=4, unique_by=digest_key))
+    if draw(st.booleans()):  # a stray value of another kind among the repeats
+        pool.append(draw(values))
+    length = draw(st.integers(3 * len(pool), 160))
+    return [draw(st.sampled_from(pool)) for _ in range(length)], False
+
+
+def counted_digests(call, *args) -> tuple[object, int]:
+    """``call(*args)``, and how many digests it took."""
+    digests = []
+    with pytest.MonkeyPatch.context() as patch:
+        count_digests(patch, digests)
+        return call(*args), len(digests)
+
+
 class TestBatchHashes:
     @settings(max_examples=60, deadline=None)
     @given(mixed_column_batches())
@@ -119,3 +181,33 @@ class TestBatchHashes:
             [],
         ):
             assert stable_hashes(column) == [stable_hash(value) for value in column]
+
+    @settings(max_examples=200, deadline=None)
+    @given(hash_batches())
+    def test_batch_equals_per_value_on_either_path(self, drawn):
+        batch, mostly_distinct = drawn
+        expected = [stable_hash(value) for value in batch]
+        distinct = {digest_key(value) for value in batch}
+        hashes, digests = counted_digests(stable_hashes, batch)
+        assert hashes == expected
+        assert stable_hashes(iter(batch)) == expected
+        # in order when at least 3/4 distinct, else one digest per distinct key
+        in_order = 4 * len(distinct) >= 3 * len(batch)
+        assert in_order == mostly_distinct
+        assert digests == (len(batch) if in_order else len(distinct))
+        for source in (batch, iter(batch)):
+            unique, digests = counted_digests(distinct_stable_hashes, source)
+            assert len(unique) == digests == len(distinct)
+            assert set(unique) == set(expected)
+
+    def test_an_int_subclass_hashes_by_value(self):
+        for batch in ([Flag.ON, Flag.OFF], [Flag.ON, 1.0, "x"], [Flag.ON] * 5):
+            assert stable_hashes(batch) == [stable_hash(v) for v in batch]
+        assert stable_hash(Flag.ON) == stable_hash(1)
+
+    def test_each_edge_value_alone_and_beside_ints(self):
+        edges = [_EDGE + d for d in range(-3, 4)] + [-_EDGE + d for d in range(-3, 4)]
+        for value in [*edges, True, False, -0.0, float("nan"), "'", "é", (1,), None]:
+            for batch in ([value], [value, 0, 1, 2], [value, value, value, 7]):
+                assert stable_hashes(batch) == [stable_hash(v) for v in batch]
+                assert stable_hash(value) == sized_buffer_hash(value)

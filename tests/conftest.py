@@ -10,6 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterConfig
+from repro.common import rng
 
 # Property-test budgets: CI runs a capped profile (select it with
 # `pytest --hypothesis-profile=ci`); the default stays at hypothesis's
@@ -181,6 +182,19 @@ def quantile_rank_gap(sketch, ordered: list, q: float) -> float:
         target - bisect.bisect_right(ordered, estimate),
         0,
     )
+
+
+def count_digests(patch: pytest.MonkeyPatch, digests: list) -> None:
+    """Append to ``digests`` at every stable-hash digest, through the kernel's
+    one digest seam: each digest copies ``rng._BLAKE2B_8`` exactly once."""
+    prepared = rng._BLAKE2B_8
+
+    class Counting:
+        def copy(self):
+            digests.append(1)
+            return prepared.copy()
+
+    patch.setattr(rng, "_BLAKE2B_8", Counting())
 
 
 def same_state(left: dict, right: dict) -> bool:

@@ -10,6 +10,16 @@ class TestJobMetrics:
         metrics = JobMetrics(startup=1.0, scan=2.0, network=3.0, spill=0.5)
         assert metrics.total_seconds == pytest.approx(6.5)
 
+    def test_total_is_a_left_to_right_fold(self):
+        # A compensated sum (Python 3.12's built-in) gives 1.0 here; the
+        # recorded clocks are left-to-right folds, as 3.11's sum was.
+        metrics = JobMetrics(startup=1e16, scan=1.0, compute=-1e16)
+        assert metrics.total_seconds == 0.0
+
+    def test_total_reads_every_time_field(self):
+        powers = {name: 2.0**i for i, name in enumerate(JobMetrics._TIME_FIELDS)}
+        assert JobMetrics(**powers).total_seconds == 2.0 ** len(powers) - 1
+
     def test_counters_not_in_total(self):
         metrics = JobMetrics(tuples_scanned=100, rows_out=5)
         assert metrics.total_seconds == 0.0

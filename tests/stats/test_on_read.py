@@ -14,7 +14,6 @@ snapshot of the ingested rows, not the caller's containers.
 from __future__ import annotations
 
 import gc
-import hashlib
 import random
 import weakref
 
@@ -45,6 +44,7 @@ from repro.storage import ingest
 from tests.conftest import (
     _MIXED_VALUE,
     build_star_session,
+    count_digests,
     load_star_data,
     same_state,
     small_cluster,
@@ -220,17 +220,6 @@ SPIED_STRATEGIES = (
 )
 
 
-def counting_blake2b(digests: list):
-    """``hashlib.blake2b``, appending to ``digests`` at every call."""
-    blake2b = hashlib.blake2b
-
-    def counting(*args, **kwargs):
-        digests.append(1)
-        return blake2b(*args, **kwargs)
-
-    return counting
-
-
 def distinct_digest_inputs(batches) -> int:
     """Distinct non-null values as ``stable_hash`` tells them apart."""
     return len(
@@ -265,7 +254,7 @@ class TestNothingReadNothingBuilt:
         def counting_observe_columns(collector, columns, length):
             digests = []
             with monkeypatch.context() as patch:
-                patch.setattr(hashlib, "blake2b", counting_blake2b(digests))
+                count_digests(patch, digests)
                 observe_columns(collector, columns, length)
             expected = sum(
                 distinct_digest_inputs(columns[name]) for name in collector.fields
@@ -287,14 +276,16 @@ class TestNothingReadNothingBuilt:
         self, monkeypatch
     ):
         clear_cache()  # the suite tables are ingested under the spy
-        digests, extends = [], []
+        digests, extends, routed = [], [], []
         partition_rows = ingest.partition_rows
         extend = GKQuantileSketch.extend
 
-        def routing_excepted(*args):
+        def routing_excepted(rows, partition_count, partition_key):
             before = len(digests)
-            partitions = partition_rows(*args)
-            del digests[before:]  # ``stable_hashes`` of the partition key
+            partitions = partition_rows(rows, partition_count, partition_key)
+            if partition_key is not None:  # ``stable_hashes`` of the key, seen
+                routed.append(len(digests) - before)
+            del digests[before:]
             return partitions
 
         def counting_extend(sketch, values):
@@ -303,12 +294,14 @@ class TestNothingReadNothingBuilt:
 
         with monkeypatch.context() as patch:
             patch.setattr(ingest, "partition_rows", routing_excepted)
-            patch.setattr(hashlib, "blake2b", counting_blake2b(digests))
+            count_digests(patch, digests)
             patch.setattr(GKQuantileSketch, "extend", counting_extend)
             sessions = {
                 workbench_for_query(label, GOLDEN_SCALE_FACTOR).session
                 for label in SWEEP_QUERIES
             }
+        # not vacuous: the spy sees every keyed table's routing digests
+        assert len(routed) > 10 and 0 not in routed
         assert (digests, extends) == ([], [])
 
         joined, filtered = set(), set()  # (dataset, field) the queries name
@@ -342,7 +335,7 @@ class TestNothingReadNothingBuilt:
         assert len(set(column)) == 40 < len(column)
         digests = []
         sink = SinkOp(ScanOp("fact", "fact"), "__kept", ("fact.f_k1",), ("fact.f_k1",))
-        monkeypatch.setattr(hashlib, "blake2b", counting_blake2b(digests))
+        count_digests(monkeypatch, digests)
         session.executor.execute(Job(sink, label="sink"), {})
         assert len(digests) == 40
 

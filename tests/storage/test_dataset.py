@@ -1,12 +1,15 @@
 """Dataset / partitioning / index tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SchemaError
 from repro.common.rng import stable_hash
 from repro.common.types import DataType, Schema
 from repro.storage.dataset import Dataset, partition_rows
 from repro.storage.index import SecondaryIndex
+from tests.conftest import mixed_sparse_rows
 
 SCHEMA = Schema.of(
     ("id", DataType.INT), ("grp", DataType.INT), primary_key=("id",)
@@ -53,6 +56,21 @@ class TestPartitioning:
             for row in rows:
                 expected[stable_hash(row.get(key)) % 8].append(row)
             assert partition_rows(rows, 8, key) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_sparse_rows(), st.integers(1, 9))
+    def test_layout_is_per_row_stable_hash_on_generated_rows(self, drawn, count):
+        fields, _, rows = drawn
+        for key in (*fields, "absent"):  # rows free to miss the key
+            expected = [[] for _ in range(count)]
+            for row in rows:
+                expected[stable_hash(row.get(key)) % count].append(row)
+            assert partition_rows(rows, count, key) == expected
+            assert partition_rows(tuple(rows), count, key) == expected
+        round_robin = [[] for _ in range(count)]
+        for position, row in enumerate(rows):
+            round_robin[position % count].append(row)
+        assert partition_rows(tuple(rows), count, None) == round_robin
 
     def test_colocation_of_equal_keys(self):
         rows = [{"id": 7, "grp": i} for i in range(20)]
