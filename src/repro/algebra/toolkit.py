@@ -16,6 +16,7 @@ from repro.algebra.estimation import PlanEstimator
 from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.algebra.rules.join_algorithm import JoinSide, choose_algorithm
 from repro.common.errors import OptimizationError
+from repro.engine.operators.joins import JoinAlgorithm
 from repro.lang.ast import JoinCondition, Query, split_column
 from repro.lang.binding import ColumnResolver
 from repro.stats.catalog import StatisticsCatalog
@@ -207,11 +208,9 @@ class PlannerToolkit:
             )
             build_is_left = choice.build_is_left
             algorithm = choice.algorithm
-            from repro.engine.operators.joins import JoinAlgorithm as _JA
-
             if (
                 build_side == "left"
-                and algorithm is _JA.HASH
+                and algorithm is JoinAlgorithm.HASH
                 and not (honor_hints_only and right_side.broadcast_hint)
             ):
                 # Right-deep compilation: the accumulated (left) input feeds
@@ -224,8 +223,6 @@ class PlannerToolkit:
         else:
             build, probe = right, left
             build_keys, probe_keys = right_keys, left_keys
-
-        from repro.engine.operators.joins import JoinAlgorithm
 
         if estimated_rows is None:
             estimate = self.estimator.estimate(

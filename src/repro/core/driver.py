@@ -101,30 +101,31 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
     merging the pair with the smallest estimated result — the same greedy
     policy as the loop, minus the feedback, and the same tie-break as
     :meth:`Planner.ranked_joins` (the sorted alias names), so the FROM order
-    never picks between equal estimates. The fuse rule and the single-shot
+    never picks between equal estimates. A round ranks its candidates on
+    unannotated joins (formula (1) does not depend on which input builds)
+    and annotates only the merge it takes. The fuse rule and the single-shot
     ablation run it over the statistics measured so far; ``greedy_static``
     over the ingestion-time ones.
     """
+    estimate = toolkit.estimator.estimate
     nodes: list[PlanNode] = [toolkit.leaf(alias) for alias in toolkit.query.aliases]
     while len(nodes) > 1:
         best = None
         for i in range(len(nodes)):
             for j in range(i + 1, len(nodes)):
-                conditions = toolkit.conditions_across(
-                    nodes[i].aliases, nodes[j].aliases
-                )
+                left, right = nodes[i], nodes[j]
+                conditions = toolkit.conditions_across(left.aliases, right.aliases)
                 if not conditions:
                     continue
-                candidate = toolkit.make_join(nodes[i], nodes[j], conditions)
-                key = (
-                    candidate.estimated_rows,
-                    tuple(sorted(nodes[i].aliases | nodes[j].aliases)),
-                )
+                left_keys, right_keys = toolkit.oriented_keys(conditions, left.aliases)
+                rows = estimate(JoinNode(left, right, left_keys, right_keys)).modeled_rows
+                key = (rows, tuple(sorted(left.aliases | right.aliases)))
                 if best is None or key < best[0]:
-                    best = (key, i, j, candidate)
+                    best = (key, i, j, conditions)
         if best is None:
             raise OptimizationError("join graph is disconnected (cross product)")
-        _, i, j, joined = best
+        (rows, _), i, j, conditions = best
+        joined = toolkit.make_join(nodes[i], nodes[j], conditions, estimated_rows=rows)
         nodes = [n for k, n in enumerate(nodes) if k not in (i, j)] + [joined]
     return nodes[0]
 

@@ -40,12 +40,18 @@ def rank_by_input_cardinality(
 
 
 @dataclass(frozen=True)
-class PlannedJoin:
-    """The planner's pick for the next join to execute."""
+class RankedJoin:
+    """One candidate join and its rank; nothing is annotated yet."""
 
     pair: frozenset
     conditions: tuple[JoinCondition, ...]
     rank: float
+
+
+@dataclass(frozen=True)
+class PlannedJoin(RankedJoin):
+    """The planner's pick for the next join to execute, annotated."""
+
     node: JoinNode
 
 
@@ -60,29 +66,28 @@ class Planner:
         self.toolkit = toolkit
         self.rank = rank
 
-    def ranked_joins(self) -> list[PlannedJoin]:
+    def ranked_joins(self) -> list[RankedJoin]:
         """All candidate joins, cheapest first (ties broken by alias names)."""
-        graph = self.toolkit.join_graph()
-        if not graph:
-            return []
-        planned = []
-        for pair, conditions in graph.items():
+        ranked = []
+        for pair, conditions in self.toolkit.join_graph().items():
             a, b = sorted(pair)
-            node = self.toolkit.make_join(
-                self.toolkit.leaf(a), self.toolkit.leaf(b), conditions
+            ranked.append(
+                RankedJoin(pair, tuple(conditions), self.rank(self.toolkit, a, b, conditions))
             )
-            planned.append(
-                PlannedJoin(pair, tuple(conditions), self.rank(self.toolkit, a, b, conditions), node)
-            )
-        planned.sort(key=lambda p: (p.rank, tuple(sorted(p.pair))))
-        return planned
+        ranked.sort(key=lambda r: (r.rank, tuple(sorted(r.pair))))
+        return ranked
 
     def cheapest_join(self) -> PlannedJoin:
-        """Algorithm 1 line 28: the join with the minimum rank."""
+        """Algorithm 1 line 28: the join with the minimum rank, annotated
+        (orientation + algorithm) — the only candidate that is."""
         joins = self.ranked_joins()
         if not joins:
             raise OptimizationError("query has no joins to plan")
-        return joins[0]
+        best = joins[0]
+        a, b = sorted(best.pair)
+        toolkit = self.toolkit
+        node = toolkit.make_join(toolkit.leaf(a), toolkit.leaf(b), best.conditions)
+        return PlannedJoin(best.pair, best.conditions, best.rank, node)
 
     def final_plan(self) -> PlanNode:
         """Endgame planning once at most two joins remain.

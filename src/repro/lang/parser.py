@@ -32,11 +32,18 @@ Supported grammar (case-insensitive keywords)::
 
 Everything compiles onto :class:`~repro.lang.builder.QueryBuilder`, so the
 parser accepts exactly what the engine can execute.
+
+A service sees the same few statement texts over and over with different
+parameter values, so each distinct text is parsed once: the parsed
+:class:`Query` is immutable apart from its ``parameters`` dict, which every
+call binds afresh.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
+from functools import lru_cache
 
 from repro.common.errors import ParseError
 from repro.lang.ast import Query
@@ -222,10 +229,10 @@ class _Parser:
             return token
         raise ParseError(f"expected comparison operator, got {token!r}")
 
-    def _value(self):
+    def _value(self) -> object:
         return self._literal(self.next())
 
-    def _literal(self, token: str):
+    def _literal(self, token: str) -> object:
         if token.startswith("'") and token.endswith("'"):
             return token[1:-1]
         try:
@@ -236,13 +243,23 @@ class _Parser:
             raise ParseError(f"expected literal value, got {token!r}") from None
 
 
-def parse_query(text: str, **parameters) -> Query:
-    """Parse SQL text into a :class:`Query`, binding ``parameters``."""
-    query = _Parser(_tokenize(text)).parse()
-    if parameters:
-        bound = dict(query.parameters)
-        bound.update(parameters)
-        from dataclasses import replace
+#: Distinct statement texts whose parse is kept (least recently used first
+#: out); a service's working set of texts is a few dozen.
+STATEMENT_CACHE_SIZE = 1024
 
-        query = replace(query, parameters=bound)
-    return query
+
+@lru_cache(maxsize=STATEMENT_CACHE_SIZE)
+def _parse_statement(text: str) -> Query:
+    """The parse of one text, shared by every call that passes it (a text
+    that fails to parse is not cached: it raises again on every call)."""
+    return _Parser(_tokenize(text)).parse()
+
+
+def parse_query(text: str, **parameters: object) -> Query:
+    """Parse SQL text into a :class:`Query`, binding ``parameters``.
+
+    Every call returns its own ``parameters`` dict, so binding or mutating
+    one query's parameters never reaches another parse of the same text.
+    """
+    query = _parse_statement(text)
+    return replace(query, parameters={**query.parameters, **parameters})

@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 #: JobMetrics attribute names mirrored into span cost / counter deltas.
 TIME_COMPONENTS = (
@@ -48,6 +49,8 @@ COUNTER_COMPONENTS = (
     "index_lookups",
     "rows_out",
 )
+_TIMES = attrgetter(*TIME_COMPONENTS)
+_COUNTERS = attrgetter(*COUNTER_COMPONENTS)
 
 
 def q_error(estimated_rows: float, actual_rows: float) -> float:
@@ -162,6 +165,11 @@ class Span:
         return out
 
 
+#: An open operator span and the metrics' time and counter components at its
+#: start (in TIME_COMPONENTS / COUNTER_COMPONENTS order).
+OperatorToken = tuple[Span, tuple, tuple]
+
+
 class Tracer:
     """Builds one :class:`QueryTrace` while a query executes.
 
@@ -212,7 +220,7 @@ class Tracer:
 
     # -- operators ------------------------------------------------------------
 
-    def begin_operator(self, label: str, metrics) -> tuple[Span, dict]:
+    def begin_operator(self, label: str, metrics) -> OperatorToken:
         """Open an operator span; returns the span and a metrics snapshot."""
         span = Span(
             name=label,
@@ -221,15 +229,11 @@ class Tracer:
         )
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        snapshot = {name: getattr(metrics, name) for name in TIME_COMPONENTS}
-        snapshot.update(
-            {name: getattr(metrics, name) for name in COUNTER_COMPONENTS}
-        )
-        return span, snapshot
+        return span, _TIMES(metrics), _COUNTERS(metrics)
 
     def end_operator(
         self,
-        token: tuple[Span, dict],
+        token: OperatorToken,
         metrics,
         rows_out: int,
         modeled_rows_out: float,
@@ -242,24 +246,27 @@ class Tracer:
         If the operator carried a compile-time cardinality estimate, an
         :class:`EstimateRecord` for the enclosing phase is appended.
         """
-        span, snapshot = token
+        span, times, counters = token
         span.end_seconds = self.base_seconds + metrics.total_seconds
         # Exclusive deltas: subtract everything the child *subtrees* charged
-        # (each descendant span already holds its own exclusive share).
+        # (each descendant span already holds its own exclusive share),
+        # summed in pre-order as ``walk`` visits them.
         child_cost: dict[str, float] = {}
         child_counters: dict[str, int] = {}
-        for child in span.children:
-            for descendant in child.walk():
-                for key, value in descendant.cost.items():
-                    child_cost[key] = child_cost.get(key, 0.0) + value
-                for key, value in descendant.counters.items():
-                    child_counters[key] = child_counters.get(key, 0) + value
-        for name in TIME_COMPONENTS:
-            delta = getattr(metrics, name) - snapshot[name] - child_cost.get(name, 0.0)
+        pending = span.children[::-1]
+        while pending:
+            descendant = pending.pop()
+            for key, value in descendant.cost.items():
+                child_cost[key] = child_cost.get(key, 0.0) + value
+            for key, value in descendant.counters.items():
+                child_counters[key] = child_counters.get(key, 0) + value
+            pending.extend(reversed(descendant.children))
+        for name, now, before in zip(TIME_COMPONENTS, _TIMES(metrics), times):
+            delta = now - before - child_cost.get(name, 0.0)
             if delta:
                 span.cost[name] = delta
-        for name in COUNTER_COMPONENTS:
-            delta = getattr(metrics, name) - snapshot[name] - child_counters.get(name, 0)
+        for name, now, before in zip(COUNTER_COMPONENTS, _COUNTERS(metrics), counters):
+            delta = now - before - child_counters.get(name, 0)
             if delta:
                 span.counters[name] = delta
         span.rows_out = rows_out

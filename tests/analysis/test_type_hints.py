@@ -27,6 +27,8 @@ FULLY_ANNOTATED = (
     "repro.stats.collector",
     "repro.storage.ingest",
     "repro.service.store",
+    "repro.lang.parser",
+    "repro.core.planner",
 )
 
 

@@ -206,6 +206,20 @@ MIXED_KEYS = st.one_of(
     st.integers(0, 4).map(float),
     st.sampled_from([0.5, -0.0, 2.5]),
 )
+#: the values Python equality conflates across types: ``-0.0 == 0 == 0.0 ==
+#: False`` and ``1 == 1.0 == True``
+EDGE_KEYS = st.sampled_from([None, -0.0, 0, 0.0, False, 1, 1.0, True, 2])
+#: a key column that is mostly null, with int, double, bool and string values
+NULL_HEAVY_KEYS = st.sampled_from([None, None, None, None, None, 0, 1.0, True, "a"])
+
+
+@st.composite
+def mixed_sides(draw):
+    """``join_sides`` over one or two keys (composite), each column drawn
+    from the mixed-type, conflated-value or null-heavy value sets."""
+    key_sets = [MIXED_KEYS, EDGE_KEYS, NULL_HEAVY_KEYS]
+    keys = draw(st.lists(st.sampled_from(key_sets), min_size=1, max_size=2))
+    return draw(join_sides(key_values=keys))
 
 
 def nested_loop(build: ColumnarData, probe: ColumnarData, build_keys, probe_keys):
@@ -219,8 +233,8 @@ def nested_loop(build: ColumnarData, probe: ColumnarData, build_keys, probe_keys
     return sorted(pairs)
 
 
-@settings(max_examples=200, deadline=None)
-@given(join_sides(key_values=[MIXED_KEYS]), st.booleans())
+@settings(max_examples=500, deadline=None)
+@given(mixed_sides(), st.booleans())
 def test_cross_type_keys_match_a_nested_loop(case, broadcast):
     partition_count, build, probe, build_keys, probe_keys = case
     physical = set(build.partitions[0].columns) | set(probe.partitions[0].columns)

@@ -9,7 +9,7 @@ from repro.lang.ast import (
     ParameterPredicate,
     UdfPredicate,
 )
-from repro.lang.parser import parse_query
+from repro.lang.parser import STATEMENT_CACHE_SIZE, _parse_statement, parse_query
 
 
 class TestParserBasics:
@@ -114,6 +114,47 @@ class TestErrors:
     def test_rejects(self, text):
         with pytest.raises((ParseError, ValueError)):
             parse_query(text)
+
+
+class TestStatementCache:
+    """Each distinct text is parsed once; every call binds its own
+    ``parameters`` dict."""
+
+    TEXT = "SELECT t.x FROM t WHERE t.m = $moy AND t.y > 3"
+
+    def test_parameters_are_bound_per_call(self):
+        first = parse_query(self.TEXT, moy=9)
+        second = parse_query(self.TEXT, moy=10)
+        assert first == second  # parameters take no part in equality
+        assert first.parameters == {"moy": 9}
+        assert second.parameters == {"moy": 10}
+
+    def test_a_text_without_parameters_gets_a_fresh_dict(self):
+        first = parse_query("SELECT t.x FROM t")
+        second = parse_query("SELECT t.x FROM t")
+        assert first.parameters == second.parameters == {}
+        assert first.parameters is not second.parameters
+        first.parameters["moy"] = 9
+        assert parse_query("SELECT t.x FROM t").parameters == {}
+
+    def test_a_bad_text_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ParseError):
+                parse_query("SELECT t.x FROM t WHERE")
+
+    def test_the_least_recently_used_text_is_evicted(self):
+        _parse_statement.cache_clear()
+        texts = [
+            f"SELECT t.x FROM t WHERE t.x = {i}" for i in range(STATEMENT_CACHE_SIZE + 1)
+        ]
+        for text in texts:
+            parse_query(text)
+        held = _parse_statement.cache_info()
+        assert held.currsize == STATEMENT_CACHE_SIZE
+        parse_query(texts[1])  # the oldest text still held
+        assert _parse_statement.cache_info().hits == held.hits + 1
+        parse_query(texts[0])  # evicted: parsed again
+        assert _parse_statement.cache_info().misses == held.misses + 1
 
 
 class TestEndToEnd:
