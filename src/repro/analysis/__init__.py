@@ -14,7 +14,7 @@ Four tools live here, all producing typed records with stable rule codes
   cross-query cache-token collisions, charge-attribution conservation
   against the tracer's clock, and transfer-pass soundness;
 - the **determinism lint** (:mod:`repro.analysis.lint`, rules
-  ``D001``–``D008``, ``F401``, ``F821`` plus ``W001``) is an AST pass over
+  ``D001``–``D009``, ``F401``, ``F821`` plus ``W001``) is an AST pass over
   the engine source enforcing the simulated-clock / seeded-RNG /
   ordered-iteration rules the scheduler's byte-identity guarantees depend
   on;

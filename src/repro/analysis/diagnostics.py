@@ -45,6 +45,7 @@ LINT_RULES: dict[str, str] = {
     "D006": "interpreter-object-size",
     "D007": "binary-decoder",
     "D008": "per-value-digest",
+    "D009": "stable-hash-outside-kernel",
     "F401": "unused-import",
     "F821": "undefined-name",
     "W001": "stale-suppression-pragma",

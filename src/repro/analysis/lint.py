@@ -46,6 +46,13 @@ code      rule                          invariant
                                         ``engine/bloom.py`` (one digest per
                                         call each) — per-value hashing has one
                                         definition, the kernel's copied state
+``D009``  stable-hash-outside-kernel    no ``stable_hash``/``stable_hashes`` call
+                                        from ``repro.common.rng`` outside
+                                        ``common/rng.py``,
+                                        ``sketches/hyperloglog.py`` and
+                                        ``engine/bloom.py`` — routing has one
+                                        definition, ``partition_slots`` and
+                                        its memo
 ``F401``  unused-import                 every imported name is read, re-exported
                                         through ``__all__`` or spelled ``import x
                                         as x`` — a deletion strands no import
@@ -94,6 +101,9 @@ RANDOM_EXEMPT = ("common/rng.py",)
 #: D008: the stable-hash kernel, the store's content token and the Bloom
 #: filter's fingerprint each digest once per call; nothing else calls blake2b.
 DIGEST_EXEMPT = ("common/rng.py", "service/store.py", "engine/bloom.py")
+#: D009: the kernel, the HLL and the Bloom filter hash values; everything else
+#: that needs a slot routes through ``partition_slots``.
+STABLE_HASH_EXEMPT = ("common/rng.py", "sketches/hyperloglog.py", "engine/bloom.py")
 
 #: D003 applies only inside planner/optimizer/scheduler hot paths — the code
 #: whose iteration order feeds plan choices and schedules. The engine's
@@ -184,6 +194,8 @@ def lint_source(source: str, path: str = "<string>") -> list[Diagnostic]:
     findings.extend(_check_binary_decoders(tree, normalized))
     if not _exempt(normalized, DIGEST_EXEMPT):
         findings.extend(_check_digests(tree, normalized))
+    if not _exempt(normalized, STABLE_HASH_EXEMPT):
+        findings.extend(_check_stable_hashes(tree, normalized))
     findings.extend(_check_unused_imports(tree, normalized))
     findings.extend(_check_undefined_names(tree, normalized))
 
@@ -360,6 +372,9 @@ def _source_diag(code: str, what: str, node: ast.AST, path: str) -> Diagnostic:
         "D008": f"{what}() called outside the stable-hash kernel — per-value "
         "hashing goes through repro.common.rng (stable_hash, stable_hashes), "
         "whose one digest step copies a prepared state",
+        "D009": f"{what}() called outside the kernel, the HLL and the Bloom "
+        "filter — a partition slot comes from repro.common.rng.partition_slots, "
+        "the one routing definition and its memo",
         "F401": f"{what} imported but never read, re-exported through "
         "__all__ or spelled `import x as x`",
         "F821": f"undefined name {what} — no builtin, module-level binding "
@@ -550,12 +565,16 @@ def _check_queue_delay(tree: ast.Module, path: str) -> list[Diagnostic]:
 
 def _module_calls(tree: ast.Module, module: str, names: frozenset[str]):
     """``(call, function name)`` for every call of ``module.<name>``, through
-    ``import module [as alias]`` or ``from module import name [as alias]``."""
+    ``import module [as alias]``, ``from package import module [as alias]`` or
+    ``from module import name [as alias]``."""
+    package, _, leaf = module.rpartition(".")
     modules: set[str] = set()
     functions: dict[str, str] = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update(a.asname or a.name for a in node.names if a.name == module)
+        elif isinstance(node, ast.ImportFrom) and package and node.module == package:
+            modules.update(a.asname or a.name for a in node.names if a.name == leaf)
         elif isinstance(node, ast.ImportFrom) and node.module == module:
             functions.update(
                 (a.asname or a.name, a.name) for a in node.names if a.name in names
@@ -604,6 +623,18 @@ def _check_digests(tree: ast.Module, path: str) -> list[Diagnostic]:
     return [
         _source_diag("D008", "hashlib.blake2b", node, path)
         for node, _ in _module_calls(tree, "hashlib", frozenset({"blake2b"}))
+    ]
+
+
+# -- D009: stable hash outside the kernel ---------------------------------------
+
+
+def _check_stable_hashes(tree: ast.Module, path: str) -> list[Diagnostic]:
+    return [
+        _source_diag("D009", name, node, path)
+        for node, name in _module_calls(
+            tree, "repro.common.rng", frozenset({"stable_hash", "stable_hashes"})
+        )
     ]
 
 
@@ -757,7 +788,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.lint",
-        description="Engine source lint (rules D001-D008, F401, F821, W001).",
+        description="Engine source lint (rules D001-D009, F401, F821, W001).",
     )
     parser.add_argument(
         "paths",

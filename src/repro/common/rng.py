@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import random
 from collections.abc import Callable, Iterable, Iterator
-from itertools import repeat
+from itertools import chain, repeat
 
 _INT128_LIMIT = 1 << 127
 _INT_KINDS = frozenset({int, bool})
@@ -134,3 +134,42 @@ def distinct_stable_hashes(values) -> list[int]:
     """``{stable_hash(v) for v in values}`` as a list, one digest each."""
     _, distinct, encode = _batch_keys(values)
     return _digests(encode(distinct))
+
+
+#: Process-wide route memos, one per partition count. Routing is a pure
+#: function of (key, partition count), so a slot outlives any one load,
+#: exchange or query.
+_ROUTES: dict[int, dict] = {}
+
+#: Key kinds a route memo may be keyed by: for these, two keys share a dict
+#: slot only when ``stable_hash`` agrees on them too (``True == 1`` hash
+#: alike). A float does not qualify — ``0 == 0.0`` but they hash apart — and
+#: inside a tuple neither does a bool, because ``repr((True,)) != repr((1,))``.
+_UNALIASED = frozenset({int, bool, str, type(None)})
+_UNALIASED_IN_TUPLES = frozenset({int, str, type(None)})
+
+
+def partition_slots(keys, partition_count: int) -> list[int]:
+    """``[stable_hash(k) % partition_count for k in keys]``: the one routing
+    definition — of ingestion, join placement and the exchange alike —
+    whatever the process routed before.
+
+    A batch whose key kinds cannot alias in a dict reads the process-wide
+    memo, and its distinct missing keys are digested in one batch; any other
+    batch (floats, int subclasses, tuples holding either or a bool) is
+    digested without touching the memo.
+    """
+    kinds = set(map(type, keys))
+    if not (
+        kinds <= _UNALIASED
+        or kinds == {tuple}
+        and set(map(type, chain.from_iterable(keys))) <= _UNALIASED_IN_TUPLES
+    ):
+        return [h % partition_count for h in stable_hashes(keys)]
+    memo = _ROUTES.setdefault(partition_count, {})
+    slots = list(map(memo.get, keys))
+    if None in slots:
+        missing = list({key for key, slot in zip(keys, slots) if slot is None})
+        memo.update(zip(missing, [h % partition_count for h in stable_hashes(missing)]))
+        slots = list(map(memo.__getitem__, keys))
+    return slots

@@ -41,9 +41,8 @@ def columnar_hash_exchange(
         {name: [] for name in names} for _ in range(partition_count)
     ]
     out_lengths = [0] * partition_count
-    route_cache = vector.shared_route_cache(partition_count)
     for partition, keys in zip(partitions, route_keys, strict=True):
-        routes = vector.route_partitions(keys, partition_count, route_cache)
+        routes = vector.route_partitions(keys, partition_count)
         buckets: list[list[int]] = [[] for _ in range(partition_count)]
         for position, slot in enumerate(routes):
             buckets[slot].append(position)

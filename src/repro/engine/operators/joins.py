@@ -91,9 +91,7 @@ def _placed_by_route(
     fanned out to its matches: an expanding join has far more output rows."""
     matches_per_row = Counter(probe_idx)  # ascending probe row -> match count
     slots: Iterable[int] = vector.route_partitions(
-        vector.gather(route_column, matches_per_row),
-        partition_count,
-        vector.shared_route_cache(partition_count),
+        vector.gather(route_column, matches_per_row), partition_count
     )
     if len(matches_per_row) != len(probe_idx):  # expanding: fan each slot out
         slots = chain.from_iterable(map(repeat, slots, matches_per_row.values()))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, repeat
 
-from repro.common.rng import stable_hash, stable_hashes
+from repro.common.rng import partition_slots
 from repro.engine.data import ColumnPartition
 
 #: Rows per chunk in the fused scan/filter/project kernel. Chunk size never
@@ -213,50 +213,12 @@ def gather(column: Sequence, positions: Iterable[int]) -> list:
 
 # -- exchange routing ----------------------------------------------------------
 
-#: Per-partition-count route memos shared across exchanges. Routing is a pure
-#: function of (key value, partition count) — ``stable_hash(key) % count`` —
-#: so the cache can outlive any single exchange or query.
-_route_caches: dict[int, dict] = {}
 
-#: Key types a route memo may be keyed by: for these, two keys share a dict
-#: slot only when ``stable_hash`` agrees on them too (``True == 1`` hash
-#: alike). A float does not qualify — ``0 == 0.0`` but they hash apart — and
-#: inside a tuple neither does a bool, because ``repr((True,)) != repr((1,))``.
-_MEMO_SCALARS = frozenset({int, bool, str, type(None)})
-_MEMO_TUPLE_PARTS = frozenset({int, str, type(None)})
+def route_partitions(key_values: Sequence, partition_count: int) -> list[int]:
+    """Destination partition per row of an engine exchange or join placement:
+    :func:`repro.common.rng.partition_slots`, the one routing definition.
 
-
-def shared_route_cache(partition_count: int) -> dict:
-    return _route_caches.setdefault(partition_count, {})
-
-
-def _memo_safe(key_values: list) -> bool:
-    kinds = set(map(type, key_values))
-    if kinds <= _MEMO_SCALARS:
-        return True
-    return kinds == {tuple} and (
-        set(map(type, chain.from_iterable(key_values))) <= _MEMO_TUPLE_PARTS
-    )
-
-
-def route_partitions(key_values: list, partition_count: int, cache: dict) -> list[int]:
-    """Destination partition per row: ``stable_hash(key) % partition_count``.
-
-    This is the routing definition — whatever the process routed before.
-    Repeated keys reuse the cached slot instead of re-hashing, but only in a
-    batch whose key types cannot alias in a dict (``_MEMO_SCALARS``); any
-    other batch (DOUBLE or mixed-type keys) is hashed without touching the
-    memo, one digest per distinct key.
+    A function of its own rather than an alias, so that engine routing is
+    timed apart from ingestion's, which calls the definition directly.
     """
-    if not _memo_safe(key_values):
-        return [h % partition_count for h in stable_hashes(key_values)]
-    routes = list(map(cache.get, key_values))
-    if None in routes:
-        for position, slot in enumerate(routes):
-            if slot is None:
-                key = key_values[position]
-                slot = cache.get(key)  # an earlier miss of this batch may have set it
-                if slot is None:
-                    slot = cache[key] = stable_hash(key) % partition_count
-                routes[position] = slot
-    return routes
+    return partition_slots(key_values, partition_count)

@@ -19,7 +19,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
-from repro.common.rng import stable_hashes
+from repro.common.rng import partition_slots
 from repro.common.types import Schema
 from repro.storage.index import SecondaryIndex
 
@@ -181,6 +181,6 @@ def partition_rows(
         return [list(rows[i::partition_count]) for i in range(partition_count)]
     partitions: list[list[dict]] = [[] for _ in range(partition_count)]
     keys = [row.get(partition_key) for row in rows]
-    for row, key_hash in zip(rows, stable_hashes(keys)):
-        partitions[key_hash % partition_count].append(row)
+    for row, slot in zip(rows, partition_slots(keys, partition_count)):
+        partitions[slot].append(row)
     return partitions

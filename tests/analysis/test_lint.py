@@ -1,4 +1,4 @@
-"""Mutation tests for the source lint (D001-D008, F401, F821, W001) + the clean tree.
+"""Mutation tests for the source lint (D001-D009, F401, F821, W001) + the clean tree.
 
 Each rule gets a minimal source snippet that trips it, the nearest
 non-violation that must NOT trip it, and its documented escape hatches
@@ -243,6 +243,28 @@ class TestD008PerValueDigest:
     def test_the_kernel_token_and_fingerprint_are_exempt(self):
         source = "import hashlib\n\nhashes = [hashlib.blake2b(k) for k in (b'a',)]\n"
         for path in ("common/rng.py", "service/store.py", "engine/bloom.py"):
+            assert lint_source(source, path) == []
+
+
+class TestD009StableHashOutsideKernel:
+    def test_hashing_a_key_outside_the_kernel(self):
+        source = (
+            "from repro.common import rng\n"
+            "from repro.common.rng import stable_hashes as hashes\n\n"
+            "def route(keys, n):\n"
+            "    return [h % n for h in hashes(keys)], rng.stable_hash(keys[0])\n"
+        )
+        found = lint_source(source, "storage/dataset.py")
+        assert [(f.code, f.line) for f in found] == [("D009", 5), ("D009", 5)]
+        called = {f.message.split("()")[0] for f in found}
+        assert called == {"stable_hash", "stable_hashes"}
+
+    def test_the_kernel_hll_and_bloom_filter_are_exempt(self):
+        source = (
+            "from repro.common.rng import stable_hash, stable_hashes\n\n"
+            "hashes = stable_hashes([1, 2]) + [stable_hash(3)]\n"
+        )
+        for path in ("common/rng.py", "sketches/hyperloglog.py", "engine/bloom.py"):
             assert lint_source(source, path) == []
 
 

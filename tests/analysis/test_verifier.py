@@ -252,7 +252,7 @@ class TestDiagnostics:
     def test_rule_tables_cover_all_codes(self):
         assert set(PLAN_RULES) == {f"P00{i}" for i in range(1, 8)}
         assert set(QUERY_RULES) == {f"Q00{i}" for i in range(1, 7)}
-        assert set(LINT_RULES) == {f"D00{i}" for i in range(1, 9)} | {"F401", "F821", "W001"}
+        assert set(LINT_RULES) == {f"D00{i}" for i in range(1, 10)} | {"F401", "F821", "W001"}
         assert RULES == {**PLAN_RULES, **QUERY_RULES, **LINT_RULES}
 
     def test_error_payload(self):

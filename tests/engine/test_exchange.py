@@ -1,9 +1,16 @@
 """Exchange connector tests."""
 
+from enum import IntEnum
+from unittest import mock
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.common import rng
 from repro.common.rng import stable_hash
 from repro.engine.data import ColumnPartition
 from repro.engine.exchange import columnar_broadcast_exchange, columnar_hash_exchange
-from repro.engine.vector import route_partitions, shared_route_cache
+from repro.storage.dataset import partition_rows
 
 
 def part(**columns) -> ColumnPartition:
@@ -14,6 +21,50 @@ def route_on(partitions, name, partition_count):
     return columnar_hash_exchange(
         partitions, [p.column(name) for p in partitions], partition_count
     )
+
+
+class Suit(IntEnum):
+    ONE = 1
+
+
+#: Keys that compare equal but hash apart (``1``/``1.0``/``True``/``Suit.ONE``,
+#: ``0.0``/``-0.0``, ``(1,)``/``(1.0,)``/``(True,)``) or the reverse (NaN).
+_ALIASING_KEYS = (
+    1, 1.0, True, Suit.ONE, 0, 0.0, -0.0, False, float("nan"), None, "1", "",
+    (1,), (1.0,), (True,), (1, "a"), ("1", None), (None,),
+)  # fmt: skip
+
+
+@st.composite
+def routed_batches(draw) -> list[list]:
+    """1-4 batches over one small pool of keys, so batches repeat each other's
+    keys; a pool of ints, strings, None and their tuples is memo-safe."""
+    pool = draw(
+        st.lists(
+            st.one_of(
+                st.sampled_from(_ALIASING_KEYS),
+                st.integers(-3, 3),
+                st.text(max_size=2),
+                st.tuples(st.integers(-2, 2), st.text(max_size=1)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    batch = st.lists(st.sampled_from(pool), max_size=30)
+    return draw(st.lists(batch, min_size=1, max_size=4))
+
+
+def exchanged(batch: list, count: int) -> list[list[int]]:
+    """Source positions per destination of a hash exchange on ``batch``."""
+    out = columnar_hash_exchange([part(at=list(range(len(batch))))], [batch], count)
+    return [partition.column("at") for partition in out]
+
+
+def ingested(batch: list, count: int) -> list[list[int]]:
+    """Source positions per partition of ingesting rows keyed by ``batch``."""
+    rows = [{"at": position, "k": key} for position, key in enumerate(batch)]
+    return [[row["at"] for row in held] for held in partition_rows(rows, count, "k")]
 
 
 class TestHashExchange:
@@ -47,22 +98,32 @@ class TestHashExchange:
         out = route_on([part(k=[1, 2], v=[10, 20]), part(k=[1, 3])], "k", 1)
         assert out[0].columns == {"k": [1, 2, 1, 3], "v": [10, 20, None, None]}
 
-    def test_routing_ignores_what_the_process_routed_before(self):
-        """The process-global memo must not alias keys ``stable_hash`` tells
-        apart: ``0 == 0.0 == False`` and ``(2,) == (2.0,)`` share a dict slot."""
-        cache = shared_route_cache(8)
-        ints = list(range(200))
-        assert route_partitions(ints, 8, cache) == [stable_hash(i) % 8 for i in ints]
-        for batch in (
-            [float(i) for i in ints],
-            [(float(i),) for i in ints],
-            [(i,) for i in ints],
+    @settings(max_examples=100, deadline=None)
+    @example(
+        [
+            list(range(200)),
+            [float(i) for i in range(200)],
+            [(float(i),) for i in range(200)],
+            [(i,) for i in range(200)],
             [(True,), (1,), (False, "x"), (0, "x")],
             [0, 0.0, False, "0", None, -0.0, (0,), (0.0,), 1, True],
-        ):
-            expected = [stable_hash(key) % 8 for key in batch]
-            assert route_partitions(batch, 8, cache) == expected
-            assert route_partitions(batch, 8, cache) == expected  # memo hit path
+        ],
+        8,
+    )
+    @given(routed_batches(), st.integers(1, 9))
+    def test_routing_ignores_what_the_process_routed_before(self, batches, count):
+        """The process-wide route memo must not alias keys ``stable_hash``
+        tells apart (``0 == 0.0 == False`` and ``(2,) == (2.0,)`` share a dict
+        slot): every layout of the exchange and of ingestion, whichever
+        routed a key first, is the per-row ``stable_hash(key) % n``."""
+        for routes in ((exchanged, ingested), (ingested, exchanged)):
+            with mock.patch.dict(rng._ROUTES, clear=True):
+                for batch in batches:
+                    expected = [[] for _ in range(count)]
+                    for position, key in enumerate(batch):
+                        expected[stable_hash(key) % count].append(position)
+                    for route in routes:
+                        assert route(batch, count) == expected
 
 
 class TestBroadcastExchange:

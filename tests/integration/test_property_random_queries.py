@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from repro.bench.feedback import EveryPoint
 from repro.common.types import DataType, Schema
 from repro.core.policy import ReplanPolicy
+from repro.engine.bloom import BloomFilter
 from repro.engine.scheduler import scheduler as scheduler_module
 from repro.engine.scheduler.request import run_request
 from repro.lang.ast import BetweenPredicate, ComparisonPredicate, UdfPredicate
@@ -141,6 +142,37 @@ def test_all_optimizers_match_oracle(case):
     for planner in PLANNERS:
         result = session.execute(query, planner)
         assert rows_equal_unordered(result.rows, reference), planner
+
+
+#: the two entry points of predicate transfer
+TRANSFER_PLANNERS = (
+    "predicate_transfer",
+    PlannerSpec.of("dynamic", pre_filter="transfer"),
+)
+
+
+@settings(max_examples=10, deadline=None)
+@given(universe())
+@example(case=(3, 60, [8, 5], 0, ["eq", "range"], [False, True], 1.0))
+def test_saturated_bloom_filters_move_no_row(case):
+    """Predicate Transfer's soundness argument as a metamorphic relation: a
+    filter at 100% false positives (every bit set) passes every probe row, so
+    a transfer run returns the rows its exact filters give; only cost moves."""
+    session, query = build_case(*case)
+    exact = [session.execute(query, planner).rows for planner in TRANSFER_PLANNERS]
+    build, saturated = BloomFilter.build.__func__, []
+
+    def build_saturated(cls, *args, **kwargs):
+        bloom = build(cls, *args, **kwargs)
+        bloom._bytes[:] = b"\xff" * len(bloom._bytes)
+        saturated.append(bloom)
+        return bloom
+
+    with mock.patch.object(BloomFilter, "build", classmethod(build_saturated)):
+        forced = [session.execute(query, planner).rows for planner in TRANSFER_PLANNERS]
+    assert saturated and all(bloom.might_contain(object()) for bloom in saturated)
+    for planner, rows, forced_rows in zip(TRANSFER_PLANNERS, exact, forced):
+        assert rows_equal_unordered(forced_rows, rows), planner
 
 
 @settings(max_examples=10, deadline=None)

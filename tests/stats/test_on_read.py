@@ -27,6 +27,7 @@ from repro.bench.runner import (
     run_query,
     workbench_for_query,
 )
+from repro.common import rng
 from repro.common.types import DataType, Schema
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.core.policy import ReplanPolicy
@@ -277,14 +278,18 @@ class TestNothingReadNothingBuilt:
     ):
         clear_cache()  # the suite tables are ingested under the spy
         digests, extends, routed = [], [], []
+        earlier: dict[int, set] = {}  # partition count -> keys routed so far
         partition_rows = ingest.partition_rows
         extend = GKQuantileSketch.extend
 
         def routing_excepted(rows, partition_count, partition_key):
             before = len(digests)
             partitions = partition_rows(rows, partition_count, partition_key)
-            if partition_key is not None:  # ``stable_hashes`` of the key, seen
-                routed.append(len(digests) - before)
+            if partition_key is not None:  # the route memo's misses, seen
+                keys = {row.get(partition_key) for row in rows}  # ints and strs
+                routed_before = earlier.setdefault(partition_count, set())
+                routed.append((len(digests) - before, len(keys - routed_before)))
+                routed_before |= keys
             del digests[before:]
             return partitions
 
@@ -293,6 +298,7 @@ class TestNothingReadNothingBuilt:
             extend(sketch, values)
 
         with monkeypatch.context() as patch:
+            patch.setattr(rng, "_ROUTES", {})  # nothing routed before the test
             patch.setattr(ingest, "partition_rows", routing_excepted)
             count_digests(patch, digests)
             patch.setattr(GKQuantileSketch, "extend", counting_extend)
@@ -300,8 +306,11 @@ class TestNothingReadNothingBuilt:
                 workbench_for_query(label, GOLDEN_SCALE_FACTOR).session
                 for label in SWEEP_QUERIES
             }
-        # not vacuous: the spy sees every keyed table's routing digests
-        assert len(routed) > 10 and 0 not in routed
+        # not vacuous: the spy sees every keyed table's routing digests — one
+        # per key no earlier load routed, so a load of keys that an earlier
+        # one routed (``partsupp``'s, as ``part``'s) digests none
+        assert len(routed) > 10 and {seen == 0 for seen, _ in routed} == {True, False}
+        assert [seen for seen, _ in routed] == [missed for _, missed in routed]
         assert (digests, extends) == ([], [])
 
         joined, filtered = set(), set()  # (dataset, field) the queries name
