@@ -20,8 +20,10 @@ Index derivation uses Kirsch-Mitzenmacher double hashing: one 64-bit hash
 split into two halves drives all ``hash_count`` probes, so each add/probe
 costs a single blake2b invocation regardless of ``hash_count`` — and, since
 both directions work a column at a time (:meth:`BloomFilter.add_all`,
-:meth:`BloomFilter.might_contain_all`), one invocation per *distinct* key of
-the column, deduplicated by what :func:`stable_hash` encodes.
+:meth:`BloomFilter.might_contain_all`), one test per *distinct* key of the
+column, deduplicated by what :func:`stable_hash` encodes. The semi-join
+kernel probes a filter once per operator, so the column is the surviving
+keys of all the operator's partitions.
 
 Both directions see keys **as the join compares them** (:func:`_as_compared`):
 a filter may keep too much, never too little, so two keys the join would

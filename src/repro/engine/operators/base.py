@@ -42,7 +42,7 @@ class ExecState:
     metrics: JobMetrics
     #: optional observer; operators open a span around each ``run``
     tracer: Tracer | None = None
-    #: rows per chunk for the filter kernels; never affects results
+    #: rows per chunk for the filter kernel; never affects results
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def charge(self, component: str, seconds: float) -> None:

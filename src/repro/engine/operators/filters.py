@@ -13,6 +13,11 @@ Semantics mirror the join the filter stands in for:
   always contains every row the real join would keep — the reduction is
   sound for the inner equi-joins this engine executes.
 
+The operator makes one :func:`~repro.engine.vector.semi_join_filter` call
+over all its partitions: each filter is probed once, over the keys that
+survived the filters before it, so a key several partitions hold is
+digested once.
+
 Cost charges are computed from the *input* data's modeled cardinality: the
 filters ship once per job (network, at the filters' modeled wire size), then
 every input row probes every filter (CPU). The filtering itself is the probe
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from repro.engine import vector
 from repro.engine.bloom import BloomFilter
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -41,13 +46,9 @@ class SemiJoinFilterOp(PhysicalOperator):
 
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
-        chunk_size = state.chunk_size
-        filtered: list[ColumnPartition] = []
-        for partition in data.partitions:
-            columns, length = vector.semi_join_filter(
-                partition.columns, partition.length, self.filters, chunk_size
-            )
-            filtered.append(ColumnPartition(columns, length))
+        filtered, _ = vector.semi_join_filter(
+            data.partitions, data.row_count, self.filters
+        )
         total_bytes = sum(bloom.charge_bytes for _, bloom in self.filters)
         state.charge("network", state.cost.bloom_transfer(total_bytes))
         state.charge(

@@ -15,7 +15,7 @@ monkeypatch them to prove the golden-fingerprint harness
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 
 from repro.common.rng import partition_slots
 from repro.engine.data import ColumnPartition
@@ -90,40 +90,44 @@ def _take(column: Sequence, positions: list[int] | range) -> Sequence:
 
 
 def semi_join_filter(
-    columns: Mapping[str, Sequence],
-    length: int,
+    partitions: Sequence[ColumnPartition],
+    rows: int,
     filters: tuple,
-    chunk_size: int,
-) -> tuple[dict[str, list], int]:
-    """Bloom semi-join filter over a columnar partition, chunk by chunk.
+) -> tuple[list[ColumnPartition], int]:
+    """Bloom semi-join filter over a dataflow's partitions, filter by filter.
 
     ``filters`` is an ordered tuple of ``(qualified column, BloomFilter)``
     pairs; a row survives only when every filter column is non-null and its
     value might be in the corresponding filter (null join keys never match,
     so they are dropped exactly like the join itself would drop them). A
-    filter column absent from the partition reads as all-null and eliminates
-    the chunk.
+    filter column absent from a partition reads as all-null and eliminates
+    that partition. Each filter is probed once, over the surviving keys of
+    every partition, so a key several partitions hold is digested once, and
+    a later filter sees only an earlier one's survivors. ``rows`` is the row
+    count probed, passed for the caller's record and not read here.
     """
-    sources = dict(columns)
-    filter_cols = [sources.get(column) for column, _ in filters]
-    out: dict[str, list] = {name: [] for name in sources}
-    out_length = 0
-    for start in range(0, length, chunk_size):
-        stop = min(start + chunk_size, length)
-        survivors: list[int] | range = range(start, stop)
-        for (_, bloom), col in zip(filters, filter_cols):
-            if not survivors:
-                break
-            if col is None:
-                survivors = []
-                break
-            present = [i for i in survivors if col[i] is not None]
-            verdicts = bloom.might_contain_all([col[i] for i in present])
-            survivors = list(compress(present, verdicts))
-        out_length += len(survivors)
-        for name, col in sources.items():
-            out[name].extend(_take(col, survivors))
-    return out, out_length
+    survivors: list[Sequence[int]] = [range(p.length) for p in partitions]
+    for column, bloom in filters:
+        present: list[list[int]] = []
+        keys: list = []
+        for partition, kept in zip(partitions, survivors):
+            col = partition.columns.get(column)
+            positions = [] if col is None else [i for i in kept if col[i] is not None]
+            present.append(positions)
+            keys.extend([col[i] for i in positions])
+        verdicts = iter(bloom.might_contain_all(keys))
+        survivors = [
+            list(compress(positions, islice(verdicts, len(positions))))
+            for positions in present
+        ]
+    out = [
+        ColumnPartition(
+            {name: gather(col, kept) for name, col in partition.columns.items()},
+            len(kept),
+        )
+        for partition, kept in zip(partitions, survivors)
+    ]
+    return out, sum(map(len, survivors))
 
 
 # -- hash-join kernels ---------------------------------------------------------

@@ -1,21 +1,31 @@
 """Deterministic Bloom filter tests (repro.engine.bloom)."""
 
 import hashlib
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cost import CostModel
 from repro.common.errors import ReproError
 from repro.common.rng import stable_hash
+from repro.common.types import DataType
 from repro.engine.bloom import (
     BloomFilter,
     bloom_bit_count,
     bloom_hash_count,
     bloom_size_bytes,
 )
+from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.metrics import JobMetrics
+from repro.engine.operators.base import ExecState, PhysicalOperator
+from repro.engine.operators.filters import SemiJoinFilterOp
 from repro.engine.vector import semi_join_filter
-from tests.conftest import mixed_column_batches
+from repro.lang.ast import EvaluationContext
+from repro.stats.catalog import StatisticsCatalog
+from repro.storage.catalog import DatasetCatalog
+from tests.conftest import count_digests, mixed_column_batches, small_cluster
 
 
 class TestSizing:
@@ -157,8 +167,11 @@ class TestColumnAtATime:
         st.sampled_from([1, 7, 1024]),
     )
     def test_build_and_probe_match_the_per_value_filter(
-        self, build_batches, probe_batches, chunk_size
+        self, build_batches, probe_batches, partition_rows
     ):
+        # Re-pinned when the probe went from one kernel call per chunk of a
+        # partition to one call per operator: the chunk-size axis is now the
+        # probe column cut into partitions of that many rows.
         build = [value for batch in build_batches for value in batch]
         # probing the build column too makes true positives certain
         probe = [value for batch in probe_batches for value in batch] + build
@@ -167,20 +180,31 @@ class TestColumnAtATime:
         assert bloom.fingerprint() == twin.fingerprint()
         assert bloom.bits_set == bin(twin.bits).count("1")
 
-        columns = {"key": probe, "position": list(range(len(probe)))}
-        kept, kept_length = semi_join_filter(
-            columns, len(probe), (("key", bloom),), chunk_size
-        )
-        expected = [
-            position
-            for position, value in enumerate(probe)
-            if value is not None and twin.might_contain(value)
+        positions = list(range(len(probe)))
+        cuts = [
+            positions[start : start + partition_rows]
+            for start in range(0, len(probe), partition_rows)
         ]
-        assert kept["position"] == expected
-        assert kept_length == len(expected)
-        assert [repr(value) for value in kept["key"]] == [
-            repr(probe[position]) for position in expected
+        partitions = [
+            ColumnPartition({"key": [probe[p] for p in cut], "position": cut}, len(cut))
+            for cut in cuts
         ]
+        kept, kept_length = semi_join_filter(partitions, len(probe), (("key", bloom),))
+        assert len(kept) == len(partitions)
+        total = 0
+        for partition, out in zip(partitions, kept):
+            expected = [
+                position
+                for position in partition.columns["position"]
+                if probe[position] is not None and twin.might_contain(probe[position])
+            ]
+            assert out.columns["position"] == expected
+            assert out.length == len(expected)
+            assert [repr(value) for value in out.columns["key"]] == [
+                repr(probe[position]) for position in expected
+            ]
+            total += len(expected)
+        assert kept_length == total
 
     @settings(max_examples=30, deadline=None)
     @given(mixed_column_batches())
@@ -229,6 +253,155 @@ class TestColumnAtATime:
         assert BloomFilter.build(values, expected=100).fingerprint() == bloom.fingerprint()
 
     def test_a_null_filter_column_eliminates_the_partition(self):
+        # Re-pinned for the one-call-per-operator kernel: a sibling partition
+        # that holds the column keeps its rows.
         bloom = BloomFilter.build([1, 2], expected=2)
-        kept, length = semi_join_filter({"v": [1, 2]}, 2, (("key", bloom),), 1024)
-        assert (kept, length) == ({"v": []}, 0)
+        partitions = [
+            ColumnPartition({"v": [1, 2]}, 2),
+            ColumnPartition({"v": [3, 4], "key": [1, 2]}, 2),
+        ]
+        kept, length = semi_join_filter(partitions, 4, (("key", bloom),))
+        assert [(out.columns, out.length) for out in kept] == [
+            ({"v": []}, 0),
+            ({"v": [3, 4], "key": [1, 2]}, 2),
+        ]
+        assert length == 2
+
+
+# -- one probe per operator against the per-partition, chunked kernel ---------------
+
+
+def per_partition_semi_join_filter(columns, length, filters, chunk_size):
+    """The semi-join kernel as it was before it probed once per operator: one
+    call per partition, a ``might_contain_all`` per filter per chunk."""
+    sources = dict(columns)
+    filter_cols = [sources.get(column) for column, _ in filters]
+    out = {name: [] for name in sources}
+    out_length = 0
+    for start in range(0, length, chunk_size):
+        survivors = range(start, min(start + chunk_size, length))
+        for (_, bloom), col in zip(filters, filter_cols):
+            if not survivors:
+                break
+            if col is None:
+                survivors = []
+                break
+            present = [i for i in survivors if col[i] is not None]
+            verdicts = bloom.might_contain_all([col[i] for i in present])
+            survivors = list(compress(present, verdicts))
+        out_length += len(survivors)
+        for name, col in sources.items():
+            out[name].extend(col[i] for i in survivors)
+    return out, out_length
+
+
+class _Given(PhysicalOperator):
+    """A child operator that returns fixed data."""
+
+    def __init__(self, data: ColumnarData) -> None:
+        self.data = data
+
+    def execute(self, state: ExecState) -> ColumnarData:
+        return self.data
+
+
+def run_semi_join(partitions, filters) -> ColumnarData:
+    cluster = small_cluster()
+    state = ExecState(
+        cluster=cluster,
+        cost=CostModel(cluster),
+        datasets=DatasetCatalog(),
+        statistics=StatisticsCatalog(),
+        evaluation=EvaluationContext(),
+        metrics=JobMetrics(),
+    )
+    data = ColumnarData(partitions, {"t.k": DataType.INT})
+    return SemiJoinFilterOp(_Given(data), filters).execute(state)
+
+
+_KEY = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, float("nan"), None, "1", "k", 2, 3])
+
+
+@st.composite
+def drawn_filter(draw) -> BloomFilter:
+    """A filter over a few keys: exact, lossy, or saturated (every bit set,
+    so every probe is a positive and only the null rule drops a row)."""
+    bloom = BloomFilter.build(
+        draw(st.lists(_KEY, max_size=8)),
+        expected=draw(st.integers(1, 8)),
+        fpp=draw(st.sampled_from([1e-9, 0.01, 0.5])),
+    )
+    if draw(st.booleans()):
+        bloom._bytes[:] = b"\xff" * len(bloom._bytes)
+    return bloom
+
+
+@st.composite
+def filtered_partitions(draw):
+    """``(partitions, filters)``: 1–3 filters over columns ``a``/``b``/``c``,
+    and partitions (some empty) each holding a subset of those columns."""
+    filters = tuple(
+        (draw(st.sampled_from("abc")), draw(drawn_filter()))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    partitions = []
+    for _ in range(draw(st.integers(0, 6))):
+        length = draw(st.integers(0, 12))
+        held = draw(st.lists(st.sampled_from("abc"), unique=True))
+        columns = {"pos": list(range(length))}
+        for name in held:
+            columns[name] = draw(st.lists(_KEY, min_size=length, max_size=length))
+        partitions.append(ColumnPartition(columns, length))
+    return partitions, filters
+
+
+class TestOneProbePerOperator:
+    def test_an_operator_digests_each_surviving_key_once(self, monkeypatch):
+        # 40 partitions share 3 keys: the per-partition kernel digested the
+        # 3 keys in each of them, 120 digests for one filter.
+        partitions = [ColumnPartition({"t.k": [1, 2, 3, 1]}, 4) for _ in range(40)]
+        first = BloomFilter.build([1, 2], expected=2, fpp=1e-9)
+        second = BloomFilter.build([1, 2, 3], expected=3)
+        assert not first.might_contain(3)
+        probed = []
+        might_contain_all = BloomFilter.might_contain_all
+
+        def recording(bloom, values):
+            probed.append((bloom, list(values)))
+            return might_contain_all(bloom, values)
+
+        monkeypatch.setattr(BloomFilter, "might_contain_all", recording)
+        digests = []
+        count_digests(monkeypatch, digests)
+
+        out = run_semi_join(partitions, (("t.k", first),))
+        assert len(digests) == 3 and [bloom for bloom, _ in probed] == [first]
+        assert out.row_count == 40 * 3
+
+        digests.clear()
+        probed.clear()
+        out = run_semi_join(partitions, (("t.k", first), ("t.k", second)))
+        # the second filter sees only the first one's survivors: 1 and 2
+        assert len(digests) == 3 + 2
+        assert [bloom for bloom, _ in probed] == [first, second]
+        assert 3 not in probed[1][1] and len(probed[1][1]) == 40 * 3
+        assert out.row_count == 40 * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(filtered_partitions(), st.sampled_from([1, 3, 1024]))
+    def test_equals_the_per_partition_chunked_kernel(self, case, chunk_size):
+        partitions, filters = case
+        rows = sum(partition.length for partition in partitions)
+        kept, kept_rows = semi_join_filter(partitions, rows, filters)
+        assert len(kept) == len(partitions)
+        total = 0
+        for partition, out in zip(partitions, kept):
+            columns, length = per_partition_semi_join_filter(
+                partition.columns, partition.length, filters, chunk_size
+            )
+            assert out.length == length
+            assert out.columns["pos"] == columns["pos"]
+            # repr keeps 1 / 1.0 / True and 0.0 / -0.0 apart and NaN equal
+            assert repr(out.columns) == repr(columns)
+            total += length
+        assert kept_rows == total
