@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro import PlannerSpec, Session
 from repro.lang import parse_query
-from repro.stats import discover_correlations
 from repro.workloads import get_workload
 
 Q9_SQL = """
@@ -58,21 +57,6 @@ def main() -> None:
         f"Parameterized query returned {len(result.rows)} rows "
         f"in {result.seconds:.1f} simulated seconds"
     )
-    print()
-
-    # Bonus: CORDS-style correlation discovery on the base data — the
-    # offline alternative the paper contrasts with runtime measurement.
-    orders = session.datasets.get("orders")
-    for correlation in discover_correlations(
-        orders,
-        [("o_orderdate", "o_orderstatus"), ("o_custkey", "o_orderstatus")],
-        sample_limit=None,
-    ):
-        verdict = "CORRELATED" if correlation.is_correlated else "independent"
-        print(
-            f"orders: {correlation.column_a} vs {correlation.column_b}: "
-            f"strength {correlation.correlation_strength:.2f} -> {verdict}"
-        )
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from repro.engine.scheduler.scheduler import (
     ScheduleInfo,
     SchedulerConfig,
     run_solo,
+    solo_scheduler,
 )
 
 __all__ = [
@@ -24,4 +25,5 @@ __all__ = [
     "SchedulerConfig",
     "run_request",
     "run_solo",
+    "solo_scheduler",
 ]

@@ -13,65 +13,41 @@ different queries on one shared simulated clock. There is one schedule:
   fewest admissions so far (a deficit round-robin: no tenant's flood starves
   another), FIFO within a tenant. A plain session is the one-tenant case
   (tenant ``""``), where this *is* priority/FIFO order.
-- **Space sharing.** The cluster is a pool of ``job_slots`` partition-slice
-  slots. Each launched cluster job is assigned a slice — an even split of
-  the cluster's partitions across the jobs active at launch time, the full
-  cluster when alone — and jobs in different slots overlap on the shared
-  clock. The event loop is event-driven: launches happen whenever a slot is
-  free and some query has a ready request; otherwise the clock jumps to the
-  earliest completion in a min-heap of in-flight jobs. With one slot every
-  job runs alone on the full cluster: the serial schedule.
-- **Slice costing.** A job launched on an ``n``-partition slice is costed
-  against :meth:`repro.cluster.cost.CostModel.with_partitions`: partitioned
-  work divides by ``n`` instead of the full cluster and the join memory
-  budget shrinks with the slice, so narrow slices raise spill pressure. A
-  full-width slice is
-  the cluster's own cost model. Data placement (and therefore every query's
-  answer) is unaffected.
-- **Queueing delay.** A query is charged delay only for time the cluster had
-  *no free slice* for its ready request (or while it waited for admission).
-  Ready work launches the moment a slot is free, so a solo query — or any
-  workload fitting inside the slot pool — accrues zero delay. Delay lands on
-  the per-query schedule record, never on its
-  :class:`~repro.engine.metrics.JobMetrics`.
-- **Shared launches.** One cluster job carries the leader's ready request,
-  its consecutive same-dataset requests, and every other running query's
-  next ready request that scans the launch's base dataset or is *light* —
-  its job reads, at full width, less than one job start-up. A launch holds
-  at most one heavy scan group, and one that does also carries every other
-  ready light request, so no light job launches beside it to halve its
-  slice. Virtual-cost (coordinator-side) work never shares. The start-up is charged once and split evenly across the
-  branches, a base scan across the branches that read it, while each branch
-  keeps its own work, intermediate, statistics catalog and trace. Sharing
-  happens at launch time, so a shared launch occupies a single slot while
-  unrelated jobs overlap in the others. Under a query service a request the
-  intermediate cache can answer never gets that far: every cacheable
-  request is looked up once, when it becomes ready, and a hit is replayed
-  at that instant — no slot, no cluster job, no narrower slice for the jobs
-  launched beside it.
+- **Launches.** The cluster is a pool of ``job_slots`` slots. Whenever one
+  is free and a query has a ready request, the launch rule
+  (:func:`~.launch.plan_launches`) says which requests share each new
+  launch and how wide its slice is; otherwise the clock jumps to the
+  earliest in-flight completion. A job on an ``n``-partition slice is costed
+  against :meth:`repro.cluster.cost.CostModel.with_partitions`; every answer
+  is unaffected. A shared launch's start-up is split evenly across its
+  branches, a base scan across the branches that read it; each branch keeps
+  its own work, intermediate, statistics catalog and trace.
+- **Cache replay.** Under a query service every cacheable request is looked
+  up once, when it becomes ready, and a hit is replayed at that instant: no
+  slot, no cluster job, no narrower slice for the jobs launched beside it.
+- **Queueing delay.** A query is charged delay only while the cluster had
+  *no free slice* for its ready request, or while it waited for admission,
+  so a solo query accrues none. Delay lands on the per-query schedule
+  record, never on its :class:`~repro.engine.metrics.JobMetrics`.
 - **Query ids.** Every query materializes into its own catalog namespace,
   ``__q<id>`` unless it resumes a checkpoint, whose intermediates already
   live under the namespace of the run that failed. Ids count up from 1 per
   scheduler, skipping any whose namespace is live, so the schedulers of one
   stack (the shared one, the private one behind each blocking run, a fresh
   one after ``reset_scheduler``) never write into a retained checkpoint.
-- **Blocking runs.** :func:`run_solo` is the one-query case: a private
-  scheduler with one slot and no shared launches, so the query owns the full
-  cluster and waits for nothing. ``Session.execute``, ``Optimizer.execute``,
-  ``execute_tree`` and ``DynamicOptimizer.resume`` all run through it; there
-  is no other driver of a stage generator.
+- **Blocking runs.** :func:`run_solo` is the one-query case, on a
+  :func:`solo_scheduler`: one slot, and a rule
+  (:func:`~.launch.plan_alone`) that launches every request by itself.
+  ``Session.execute``, ``Optimizer.execute``, ``execute_tree`` and
+  ``DynamicOptimizer.resume`` all run through it; there is no other driver
+  of a stage generator.
 
-A :class:`~repro.service.QueryService` additionally installs
-``on_admit``/``on_finish`` hooks to answer repeated queries from its result
-cache at admission time.
-
-Per-query results are the ordinary :class:`ExecutionResult`; the scheduler
-annotates each with a :class:`ScheduleInfo` (failed queries get one too,
-with the error recorded) and records every cluster job in a
-:class:`~repro.obs.timeline.ClusterTimeline`. A finished or failed query's
-namespaced intermediates are dropped from the session catalogs so sustained
-traffic cannot grow them without bound — except after a failure that carries
-a resumable checkpoint, whose intermediates are the recovery state.
+A :class:`~repro.service.QueryService` installs ``on_admit``/``on_finish``
+hooks to answer repeated queries from its result cache. Each query gets a
+:class:`ScheduleInfo`, failed ones too, and each cluster job an event in a
+:class:`~repro.obs.timeline.ClusterTimeline`. A query's namespaced
+intermediates are dropped when it ends, unless it failed with a resumable
+checkpoint: those are the recovery state.
 """
 
 from __future__ import annotations
@@ -79,12 +55,18 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
 from repro.common.errors import AdmissionError, ReproError
 from repro.engine.metrics import ExecutionResult
-from repro.engine.operators.scan import ReaderOp, ScanOp
+from repro.engine.scheduler.launch import (
+    LaunchRule,
+    ReadyRequest,
+    plan_alone,
+    plan_launches,
+    read_seconds,
+)
 from repro.engine.scheduler.request import (
     JobOutcome,
     JobRequest,
@@ -105,13 +87,10 @@ StageSource = Callable[[str], Stages]
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    """Admission, space-sharing and batching policy of one scheduler."""
+    """Admission and space-sharing policy of one scheduler."""
 
     #: queries allowed past admission at once; submissions beyond this wait.
     max_concurrent_queries: int = 4
-    #: let one launch carry several ready requests (same-dataset scans and
-    #: light jobs, DESIGN.md §7); False runs every request as its own job.
-    batch_pushdown_scans: bool = True
     #: partition-slice slots: how many cluster jobs may run concurrently.
     #: 1 is the serial schedule (every job alone on the full cluster); >1
     #: space-shares it, splitting partitions evenly across active jobs.
@@ -209,7 +188,10 @@ class QueryHandle:
         self._group = False
         self._requests: list[JobRequest] = []
         self._outcomes: list[JobOutcome | None] = []
-        self._cursor = 0
+        #: index -> (batch key, virtual, read seconds) of each request neither
+        #: answered nor launched: its :class:`ReadyRequest`'s fixed part,
+        #: taken when it became ready
+        self._ready: dict[int, tuple[str | None, bool, float]] = {}
         self._result: ExecutionResult | None = None
         self._error: BaseException | None = None
 
@@ -240,19 +222,11 @@ class QueryHandle:
     # -- scheduler internals --------------------------------------------------
 
     def _has_pending(self) -> bool:
-        return self._cursor < len(self._requests)
+        return any(outcome is None for outcome in self._outcomes)
 
     def _record_outcome(self, index: int, outcome: JobOutcome) -> None:
         self._outcomes[index] = outcome
         self.charged_seconds += outcome.metrics.total_seconds
-        # Compare against None, not truthiness: a JobOutcome subclass (or a
-        # future slotted outcome) may legitimately be falsy, and a truthiness
-        # check would park the cursor on it forever, wedging the query.
-        while (
-            self._cursor < len(self._outcomes)
-            and self._outcomes[self._cursor] is not None
-        ):
-            self._cursor += 1
 
     def _payload(self):
         outcomes = self._outcomes
@@ -264,19 +238,16 @@ def _tenants_of(handles) -> tuple[str, ...]:
     return tuple(dict.fromkeys(h.tenant for h in handles if h.tenant))
 
 
-@dataclass
+@dataclass(order=True)
 class _InFlightJob:
     """One launched cluster job awaiting its completion instant."""
 
     end_seconds: float
     order: int  # launch sequence; heap tie-break keeps pops deterministic
-    slot: int
+    slot: int = field(compare=False)
     #: (query, request index, outcome) per branch the job carried
-    performed: list[tuple[QueryHandle, int, JobOutcome]]
-    participants: list[QueryHandle]
-
-    def __lt__(self, other: _InFlightJob) -> bool:
-        return (self.end_seconds, self.order) < (other.end_seconds, other.order)
+    performed: list[tuple[QueryHandle, int, JobOutcome]] = field(compare=False)
+    participants: list[QueryHandle] = field(compare=False)
 
 
 class JobScheduler:
@@ -296,13 +267,13 @@ class JobScheduler:
         self._running: list[QueryHandle] = []
         #: min-heap of launched jobs keyed by (end time, launch order)
         self._in_flight: list[_InFlightJob] = []
-        #: (query_id, request_index) pairs currently launched
-        self._busy: set[tuple[int, int]] = set()
         #: free slice-lane ids (min-heap so lanes fill lowest-first)
         self._free_slots: list[int] = list(range(self.config.job_slots))
         heapq.heapify(self._free_slots)
         self._launch_order = 0
         self._next_id = 1
+        #: which ready requests share a launch, and how wide (DESIGN.md §7)
+        self.plan: LaunchRule = plan_launches
         #: lifetime admissions per tenant (fair-admission bookkeeping).
         self._tenant_admissions: Counter[str] = Counter()
         #: service hooks, ``None`` outside a QueryService: ``on_admit`` may
@@ -417,10 +388,8 @@ class JobScheduler:
             if self.on_admit is not None:
                 cached = self.on_admit(handle)
                 if cached is not None:
-                    # Result-cache hit: the query is answered without ever
-                    # creating its driver or launching a job. It still paid
-                    # any admission wait (the delay is real); it charges
-                    # zero busy seconds.
+                    # Result-cache hit: answered without a driver or a job;
+                    # any admission wait is still charged as delay.
                     self._finish(handle, cached, cache_hit=True)
                     finished.append(handle)
                     continue
@@ -458,7 +427,6 @@ class JobScheduler:
                 handle._group = True
                 handle._requests = requests
             handle._outcomes = [None] * len(handle._requests)
-            handle._cursor = 0
             handle.ready_since = self.now
             try:
                 self._replay_cached(handle)
@@ -466,6 +434,16 @@ class JobScheduler:
                 self._fail(handle, exc)
                 return
             if handle._has_pending():
+                datasets, cost = self.executor.datasets, self.executor.cost
+                handle._ready = {
+                    index: (
+                        request.batch_key,
+                        request.virtual_cost is not None,
+                        read_seconds(request.job, datasets, cost),
+                    )
+                    for index, request in enumerate(handle._requests)
+                    if handle._outcomes[index] is None
+                }
                 return
             payload = handle._payload()  # every request replayed
 
@@ -473,11 +451,9 @@ class JobScheduler:
         """Answer the parked requests the intermediate cache holds, now.
 
         Each cacheable request is looked up exactly once, when it becomes
-        ready — before any launch sharing or slot assignment; every lookup
-        counts as one hit or one miss. A hit has already re-registered the
+        ready: one hit or one miss. A hit has already re-registered the
         stored materialization under the request's own names, and runs
-        through :func:`run_request` at this instant at zero charge: it takes
-        no slot, launches no cluster job and narrows no other job's slice.
+        through :func:`run_request` at zero charge.
         """
         cache = self.executor.cache
         if cache is None:
@@ -492,155 +468,28 @@ class JobScheduler:
             handle._record_outcome(index, outcome)
             self._mark(handle, "cache-replay", f"{request.phase} replayed")
 
-    def _service_order(self) -> list[QueryHandle]:
-        """Priority first, then longest-waiting, then admission order."""
-        return sorted(
-            self._running,
-            key=lambda h: (-h.priority, h.ready_since, h.query_id),
-        )
-
-    def _ready_indices(self, handle: QueryHandle) -> list[int]:
-        """The handle's unanswered, not-in-flight request indexes, in order."""
-        return [
-            index
-            for index in range(handle._cursor, len(handle._requests))
-            if handle._outcomes[index] is None
-            and (handle.query_id, index) not in self._busy
-        ]
-
-    def _first_ready_index(self, handle: QueryHandle) -> int | None:
-        """The lowest unanswered, not-in-flight request index, if any."""
-        return next(iter(self._ready_indices(handle)), None)
-
-    def _gather_batch(
-        self, leader: QueryHandle, lead_index: int
-    ) -> list[tuple[QueryHandle, int]]:
-        """The party of one launch, led by the leader's ready request.
-
-        The party is the leader's request and its consecutive same-dataset
-        requests, plus every other running query's *next* ready request
-        (never out of order within a query) when that request scans the
-        launch's base dataset — with its own same-dataset run — or is
-        :meth:`_light`. A launch holds at most one heavy scan group: when
-        the leader is light, the first heavy request in service order brings
-        its group along and its dataset becomes the launch's. A virtual-cost
-        request is coordinator-side work: it never shares a launch.
-
-        A launch with a heavy group also carries every other ready light
-        request of every running query, in service order, not only the
-        next ones. A light job left out would launch in another slot, and
-        the heavy launch would then run on half the cluster for its whole
-        length. Which requests happen to be next differs from one mix of
-        queries to the next, so the slice width, and with it the tail
-        latency, would be a matter of chance.
-        """
-        lead = leader._requests[lead_index]
-        if lead.virtual_cost is not None or not self.config.batch_pushdown_scans:
-            return [(leader, lead_index)]
-        key = lead.batch_key
-        heavy = not self._light(lead)
-        entries = self._same_scan_run(leader, lead_index, key)
-        for other in self._service_order():
-            if other is leader:
-                continue
-            mate = self._first_ready_index(other)
-            if mate is None:
-                continue
-            request = other._requests[mate]
-            if request.virtual_cost is not None:
-                continue
-            if key is not None and request.batch_key == key:
-                entries += self._same_scan_run(other, mate, key)
-            elif self._light(request):
-                entries.append((other, mate))
-            elif not heavy:
-                heavy, key = True, request.batch_key
-                entries += self._same_scan_run(other, mate, key)
-        if not heavy:
-            return entries
-        taken = set(entries)
-        for handle in self._service_order():
-            entries += [
-                (handle, index)
-                for index in self._ready_indices(handle)
-                if (handle, index) not in taken
-                and self._light(handle._requests[index])
-            ]
-        return entries
-
-    def _same_scan_run(
-        self, handle: QueryHandle, start: int, key: str | None
-    ) -> list[tuple[QueryHandle, int]]:
-        """The handle's ready request at ``start`` and the consecutive ready
-        ``key``-scan requests after it (none when ``key`` is ``None``)."""
-        end = start + 1
-        while (
-            key is not None
-            and end < len(handle._requests)
-            and handle._outcomes[end] is None
-            and (handle.query_id, end) not in self._busy
-            and handle._requests[end].batch_key == key
-        ):
-            end += 1
-        return [(handle, index) for index in range(start, end)]
-
-    def _light(self, request: JobRequest) -> bool:
-        """True when the request's job reads less than one start-up.
-
-        The read is the cost model's full-cluster scan charge over the job's
-        base and materialized inputs — catalog facts only, so the answer
-        does not depend on which slots are busy. Such a job's launch is
-        mostly start-up, which sharing a launch splits.
-        """
-        if request.job is None:
-            return False
-        cost = self.executor.cost
-        datasets = self.executor.datasets
-        read = 0.0
-        stack = [request.job.root]
-        while stack:
-            operator = stack.pop()
-            if isinstance(operator, (ScanOp, ReaderOp)):
-                if not datasets.has(operator.dataset):
-                    return False  # the launch fails on its own; keep it alone
-                dataset = datasets.get(operator.dataset)
-                read += cost.scan(dataset.modeled_rows, dataset.schema.row_width)
-            stack.extend(operator.children)
-        return read < cost.job_startup()
-
     # -- launching ------------------------------------------------------------
 
     def _launch_wave(self, finished: list[QueryHandle]) -> int:
-        """Fill free slots with ready work; returns the number of launches.
-
-        All launches of one wave happen at the same clock instant, and the
-        slice width is an even split of the cluster's partitions across the
-        jobs active once the wave is up (in-flight jobs keep the slice they
-        were launched with) — the full cluster when a job runs alone.
-        """
-        plans: list[list[tuple[QueryHandle, int]]] = []
-        while len(self._in_flight) + len(plans) < self.config.job_slots:
-            ready = self._next_ready()
-            if ready is None:
-                break
-            entries = self._gather_batch(*ready)
-            for handle, index in entries:
-                self._busy.add((handle.query_id, index))
-            plans.append(entries)
-        if not plans:
-            return 0
-        active = len(self._in_flight) + len(plans)
-        width = max(1, self.executor.cluster.partitions // active)
-        for entries in plans:
-            self._launch_job(entries, width, finished)
-        return len(plans)
-
-    def _next_ready(self) -> tuple[QueryHandle, int] | None:
-        for handle in self._service_order():
-            index = self._first_ready_index(handle)
-            if index is not None:
-                return handle, index
-        return None
+        """Launch, at this instant, what the launch rule plans over every
+        running query's ready requests; returns the number of launches."""
+        running = {handle.query_id: handle for handle in self._running}
+        ready = [
+            ReadyRequest(h.query_id, index, h.priority, h.ready_since, *fixed)
+            for h in self._running
+            for index, fixed in h._ready.items()
+        ]
+        launches = self.plan(
+            ready,
+            len(self._in_flight),
+            self.config.job_slots,
+            self.executor.cluster.partitions,
+            self.executor.cost.job_startup(),
+        )
+        for launch in launches:
+            entries = [(running[q], index) for q, index in launch.branches]
+            self._launch_job(entries, launch.partitions, finished)
+        return len(launches)
 
     def _launch_job(
         self,
@@ -652,12 +501,12 @@ class JobScheduler:
         start = self.now
         scans: dict[str, list[int]] = {}
         for position, (handle, index) in enumerate(entries):
+            del handle._ready[index]
             key = handle._requests[index].batch_key
             if key is not None:
                 scans.setdefault(key, []).append(position)
 
         performed: list[tuple[QueryHandle, int, JobOutcome]] = []
-        failed: list[QueryHandle] = []
         for position, (handle, index) in enumerate(entries):
             if handle.status != "running":
                 continue  # an earlier entry of this very handle failed
@@ -674,15 +523,10 @@ class JobScheduler:
                 )
             except BaseException as exc:  # executor/operator errors
                 self._fail(handle, exc)
-                failed.append(handle)
+                self._running.remove(handle)
+                finished.append(handle)
                 continue
             performed.append((handle, index, outcome))
-        for handle in failed:
-            self._busy = {
-                (qid, i) for (qid, i) in self._busy if qid != handle.query_id
-            }
-            self._running.remove(handle)
-            finished.append(handle)
         if not performed:
             return  # every branch failed before doing chargeable work
 
@@ -711,6 +555,7 @@ class JobScheduler:
             label, kind = f"launch ×{count}", "shared-launch"
         slot = heapq.heappop(self._free_slots)
         end = start + duration
+        branches = tuple((h.query_id, h._requests[i].phase) for h, i, _ in performed)
         self.timeline.record(
             TimelineEvent(
                 label=label,
@@ -718,33 +563,19 @@ class JobScheduler:
                 start_seconds=start,
                 end_seconds=end,
                 queries=tuple(h.query_id for h in participants),
-                branches=(
-                    tuple(
-                        (h.query_id, h._requests[i].phase) for h, i, _ in performed
-                    )
-                    if count > 1
-                    else ()
-                ),
+                branches=branches if count > 1 else (),
                 queue_delays=delays,
                 slot=slot,
                 # one slot has no lanes to show: its timeline keeps the
                 # plain four-column render (``space_shared`` stays False).
-                slice_partitions=(
-                    slice_partitions if self.config.job_slots > 1 else None
-                ),
+                slice_partitions=slice_partitions if self.config.job_slots > 1 else None,
                 tenants=_tenants_of(participants),
             )
         )
         self._launch_order += 1
         heapq.heappush(
             self._in_flight,
-            _InFlightJob(
-                end_seconds=end,
-                order=self._launch_order,
-                slot=slot,
-                performed=performed,
-                participants=participants,
-            ),
+            _InFlightJob(end, self._launch_order, slot, performed, participants),
         )
 
     # -- completion -----------------------------------------------------------
@@ -756,7 +587,6 @@ class JobScheduler:
         heapq.heappush(self._free_slots, job.slot)
         cache = self.executor.cache
         for handle, index, outcome in job.performed:
-            self._busy.discard((handle.query_id, index))
             handle._record_outcome(index, outcome)
             # What the job stored in the intermediate cache may be replayed
             # from now on: its end is when the clock has it.
@@ -775,12 +605,10 @@ class JobScheduler:
         self._admit(finished)
 
     def _finish(self, handle: QueryHandle, result, cache_hit: bool = False) -> None:
-        # Query-level verification (DESIGN.md §14): before the namespace is
-        # released, replay the query's recorded dataflow ledger through the
-        # Q001-Q006 checks. Zero simulated cost (host time metered on
-        # VerifierStats); a finding routes through the ordinary failure path
-        # so ``result()`` re-raises a PlanVerificationError. Cache hits ran
-        # no jobs, and traceless results recorded no ledger to audit.
+        # Query-level verification (DESIGN.md §14), at zero simulated cost:
+        # the recorded dataflow ledger goes through Q001-Q006 before the
+        # namespace is released, and a finding fails the query. Cache hits
+        # and traceless results recorded no ledger to audit.
         if (
             not cache_hit
             and isinstance(result, ExecutionResult)
@@ -878,8 +706,7 @@ class JobScheduler:
         # A checkpoint-carrying failure (SimulatedFailure) keeps its
         # intermediates: they *are* the Section-8 recovery state that
         # ``DynamicOptimizer.resume`` continues from. Anything else is
-        # garbage no one can reach — drop it so sustained traffic with
-        # failures cannot grow the session catalogs without bound.
+        # unreachable: dropping it keeps failures from growing the catalogs.
         if getattr(error, "checkpoint", None) is None:
             self._release_namespace(handle)
 
@@ -893,22 +720,28 @@ class JobScheduler:
                 session.statistics.remove(name)
 
 
+def solo_scheduler(session: Session) -> JobScheduler:
+    """A private scheduler built from the session's configuration with one
+    slot, whose launch rule runs every request by itself."""
+    scheduler = JobScheduler(
+        session.executor, replace(session.scheduler_config, job_slots=1)
+    )
+    scheduler.plan = plan_alone
+    return scheduler
+
+
 def run_solo(
     query: Query, stages: StageSource, session: Session, namespace: str = ""
 ):
     """Run one query to completion, blocking, and return what it returns.
 
-    The query is a one-query schedule on a private scheduler built from the
-    session's configuration with one slot and no shared launches: it owns
+    The query is a one-query schedule on a :func:`solo_scheduler`: it owns
     the full cluster, waits for nothing, and is charged what it would be
     charged alone. It is verified, carries a schedule record and releases
     its namespace like any scheduled query, and a failure re-raises here.
     ``namespace`` is as for :meth:`JobScheduler.submit`.
     """
-    config = replace(
-        session.scheduler_config, batch_pushdown_scans=False, job_slots=1
-    )
-    scheduler = JobScheduler(session.executor, config)
+    scheduler = solo_scheduler(session)
     handle = scheduler.submit(
         query, stages, session, tenant=session.tenant, namespace=namespace
     )

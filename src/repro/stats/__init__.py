@@ -25,11 +25,3 @@ __all__ = [
     "join_cardinality",
     "predicate_selectivity",
 ]
-
-from repro.stats.correlation import (  # noqa: E402
-    ColumnCorrelation,
-    CorrelationDetector,
-    discover_correlations,
-)
-
-__all__ += ["ColumnCorrelation", "CorrelationDetector", "discover_correlations"]

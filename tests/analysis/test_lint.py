@@ -494,6 +494,30 @@ class TestCleanTree:
                         drivers.add(path.relative_to(root).as_posix())
         assert drivers == {"engine/scheduler/scheduler.py"}
 
+    def test_the_launch_rule_is_a_function_of_its_arguments(self):
+        """``engine/scheduler/launch.py`` imports nothing from the scheduler
+        and assigns no attribute, global or nonlocal: which requests share a
+        launch depends on the ready set it is handed and nothing else."""
+        import ast
+
+        path = Path(__file__).resolve().parents[2] / "src/repro/engine/scheduler/launch.py"
+        imported: list[str] = []
+        writes: list[str] = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported.append("." * node.level + (node.module or ""))
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                writes.append(ast.unparse(node))
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                writes += node.names
+            elif isinstance(node, ast.Call) and ast.unparse(node.func).endswith("setattr"):
+                writes.append(ast.unparse(node))
+        assert not [m for m in imported if "scheduler" in m or m.startswith(".")]
+        assert "repro.engine.operators.scan" in imported  # the walk saw the imports
+        assert writes == []
+
     def test_rows_are_an_ingest_and_a_result_format_nothing_in_between(self):
         """Storage is the one place that knows a partition's format, so: the
         engine never asks which partition class it was handed; nothing but

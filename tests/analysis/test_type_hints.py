@@ -29,6 +29,7 @@ FULLY_ANNOTATED = (
     "repro.service.store",
     "repro.lang.parser",
     "repro.core.planner",
+    "repro.engine.scheduler.launch",
 )
 
 

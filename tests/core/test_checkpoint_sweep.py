@@ -47,9 +47,15 @@ FACT_SCALE = 1_000_000
 
 
 def build_sweep_session(seed: int = 11) -> Session:
-    rng = random.Random(seed)
     session = Session(small_cluster())
-    session.load(
+    load_sweep_data(session, seed)
+    return session
+
+
+def load_sweep_data(target, seed: int = 11) -> None:
+    """Load the sweep universe into anything with ``.load`` (Session/service)."""
+    rng = random.Random(seed)
+    target.load(
         "fact",
         FACT_SCHEMA,
         [
@@ -72,12 +78,11 @@ def build_sweep_session(seed: int = 11) -> Session:
             (f"{prefix}_attr", DataType.INT),
             primary_key=(f"{prefix}_id",),
         )
-        session.load(
+        target.load(
             prefix,
             schema,
             [{f"{prefix}_id": i, f"{prefix}_attr": i % 4} for i in range(count)],
         )
-    return session
 
 
 def sweep_query():

@@ -28,11 +28,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 from repro.bench.runner import SWEEP_QUERIES, workbench_for_query
-from repro.engine.scheduler import JobScheduler
+from repro.engine.scheduler import solo_scheduler
 from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
 
@@ -124,20 +124,17 @@ def run_fingerprint(
 ) -> dict[str, str]:
     """Execute one bench query; return its observable state, facet by facet.
 
-    Runs through a single-slot :class:`JobScheduler` — the same path as
-    ``Session.execute`` — but keeps the scheduler so the cluster timeline
-    and chrome trace land in the fingerprint too.
+    Runs on a :func:`solo_scheduler` — the same path as ``Session.execute``
+    — but keeps the scheduler so the cluster timeline and chrome trace land
+    in the fingerprint too.
     """
     bench = workbench_for_query(label, scale_factor, seed)
     session = bench.session
     if inl_enabled:
         bench.ensure_indexes()
         options["inl_enabled"] = True
-    config = replace(
-        session.scheduler_config, batch_pushdown_scans=False, job_slots=1
-    )
     try:
-        scheduler = JobScheduler(session.executor, config)
+        scheduler = solo_scheduler(session)
         query = bench.query(label)
         strategy = PlannerSpec.of(optimizer, **options).make()
         handle = scheduler.submit(

@@ -6,7 +6,8 @@ job start-up) rides the launch of another query's job: fewer cluster jobs,
 the start-up split across the branches, a shared scan split across the
 branches that read it, and byte-identical rows. Two heavy jobs over
 different datasets never share, nor does coordinator-side (virtual-cost)
-work. Disabling the config knob restores solo-run charges exactly.
+work. A blocking run's scheduler, whose rule launches every request by
+itself, restores solo-run charges exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.engine.scheduler import JobScheduler, SchedulerConfig
+from repro.engine.scheduler import JobScheduler, SchedulerConfig, solo_scheduler
 from repro.lang.builder import QueryBuilder
 from repro.optimizers import make_optimizer
 from repro.session import Session
@@ -152,9 +153,7 @@ class TestCrossQueryBatching:
         solo = build_star_session().execute(star_query())
 
         session = build_star_session()
-        scheduler = JobScheduler(
-            session.executor, SchedulerConfig(batch_pushdown_scans=False)
-        )
+        scheduler = solo_scheduler(session)
         handles = [
             submit_strategy(scheduler, star_query(), make_optimizer("dynamic"), session)
             for _ in range(2)
@@ -199,14 +198,12 @@ class TestSameQueryBatching:
         assert asdict(handle.result().metrics) == asdict(direct.metrics)
 
     def test_solo_execute_never_batches_even_shared_datasets(self):
-        # A blocking run disables scan merging even when the query's own
-        # pushdown scans share a dataset: it is charged what a scheduler
-        # without shared launches charges (the win belongs to submit/run_all).
+        # A blocking run merges no scan even when the query's own pushdown
+        # scans share a dataset: it is charged what a scheduler without
+        # shared launches charges (the win belongs to submit/run_all).
         query = double_db_query()
         session = build_star_session()
-        unbatched = JobScheduler(
-            session.executor, SchedulerConfig(batch_pushdown_scans=False)
-        )
+        unbatched = solo_scheduler(session)
         handle = submit_strategy(unbatched, query, make_optimizer("dynamic"), session)
         unbatched.run_all()
         solo = build_star_session().execute(query)

@@ -33,19 +33,17 @@ class FalsyOutcome(JobOutcome):
 
 
 class TestOutcomeCursorBug:
-    def test_falsy_outcome_still_advances_cursor(self):
+    def test_falsy_outcome_counts_as_answered(self):
         handle = QueryHandle(1, None, None, None, 0, "q", 0.0, "", "__q1")
         handle._group = True
         handle._requests = [object(), object()]
         handle._outcomes = [None, None]
-        handle._cursor = 0
 
         handle._record_outcome(0, FalsyOutcome(data=None, metrics=JobMetrics()))
-        # The cursor must move past any *answered* slot, falsy or not;
-        # parking on it would make the scheduler re-launch request 0 forever.
-        assert handle._cursor == 1
+        # Any *answered* slot counts, falsy or not; a truthiness test would
+        # leave the query waiting on request 0 forever.
+        assert handle._has_pending()
         handle._record_outcome(1, FalsyOutcome(data=None, metrics=JobMetrics()))
-        assert handle._cursor == 2
         assert not handle._has_pending()
 
 
