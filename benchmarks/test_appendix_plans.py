@@ -11,8 +11,10 @@ from __future__ import annotations
 import pytest
 
 from repro.algebra.plan import is_bushy, is_right_deep
-from repro.bench.plans import format_matrix, plan_matrix
+from repro.bench.comparison import figure7
+from repro.bench.plans import format_matrix
 from repro.bench.runner import workbench_for_query
+from repro.bench.sweep import Sweep
 from repro.core.driver import DynamicOptimizer
 from repro.optimizers.worst_order import WorstOrderOptimizer
 
@@ -45,7 +47,6 @@ def test_worst_order_plans_are_right_deep_hash_only(query):
 
 
 def test_plan_matrix_renders():
-    entries = plan_matrix((100,), False, ("Q50",))
-    text = format_matrix(entries)
+    text = format_matrix(Sweep().run(figure7((100,), ("Q50",))))
     assert "Q50 @ SF 100" in text
     assert "dynamic" in text and "worst_order" in text

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.comparison import comparison_row
+from repro.bench.comparison import figure7
 from repro.bench.runner import QUERIES
+from repro.bench.sweep import Sweep
 
 SCALE_FACTORS = (10, 100, 1000)
 
@@ -24,10 +25,10 @@ SCALE_FACTORS = (10, 100, 1000)
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
 def test_fig7_group(query, scale_factor):
-    cells = comparison_row(query, scale_factor)
-    timings = {cell.optimizer: cell.seconds for cell in cells}
+    cells = Sweep().run(figure7((scale_factor,), (query,)))
+    timings = {cell.key.variant: cell.seconds for cell in cells}
 
-    rows = {cell.result_rows for cell in cells}
+    rows = {cell.rows for cell in cells}
     assert len(rows) == 1, f"optimizers disagree on result size: {rows}"
 
     dynamic = timings["dynamic"]

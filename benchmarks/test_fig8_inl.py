@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.comparison import comparison_row
+from repro.bench.comparison import figure8
 from repro.bench.runner import QUERIES, run_query
+from repro.bench.sweep import Sweep
 
 SCALE_FACTORS = (10, 100, 1000)
 
@@ -24,12 +25,12 @@ SCALE_FACTORS = (10, 100, 1000)
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
 def test_fig8_group(query, scale_factor):
-    cells = comparison_row(query, scale_factor, True)
-    assert all(cell.optimizer != "worst_order" for cell in cells)
-    rows = {cell.result_rows for cell in cells}
+    cells = Sweep().run(figure8((scale_factor,), (query,)))
+    assert all(cell.key.variant != "worst_order" for cell in cells)
+    rows = {cell.rows for cell in cells}
     assert len(rows) == 1, f"optimizers disagree on result size: {rows}"
 
-    dynamic = next(cell for cell in cells if cell.optimizer == "dynamic")
+    dynamic = next(cell for cell in cells if cell.key.variant == "dynamic")
     if query in ("Q17", "Q50"):
         assert "⋈i" in dynamic.plan, f"expected INL in dynamic plan: {dynamic.plan}"
     if query == "Q8":

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import sys
 
-from repro.bench import figure7, format_cells, format_rows, improvement_rows
+from repro.bench import Sweep, figure7, format_cells, format_rows, improvement_rows
 
 
 def main() -> None:
     scale_factors = tuple(int(a) for a in sys.argv[1:]) or (100,)
-    cells = figure7(scale_factors=scale_factors)
+    cells = Sweep().run(figure7(scale_factors))
     print(format_cells(cells))
     print()
     table_sfs = tuple(sf for sf in scale_factors if sf in (100, 1000))

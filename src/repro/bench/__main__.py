@@ -6,116 +6,135 @@ Usage::
     python -m repro.bench all             # everything (slow: full sweep)
     python -m repro.bench fig6 table1     # selected experiments
     python -m repro.bench fig7 --sf 100   # one scale factor only
-    python -m repro.bench skew --smoke    # CI-sized adversarial sweep
 
 Each experiment lives in one :class:`Experiment` entry of the
 :data:`REGISTRY` below — the argument parser, the printed experiment list,
 the unknown-name error and the dispatch loop all derive from it, so adding
-an experiment means adding exactly one entry.
+an experiment means adding exactly one entry. Every experiment but fig6
+reads cells of one :class:`~repro.bench.sweep.Sweep`, so a cell two of them
+share runs once per invocation.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
-from repro.bench import (
-    comparison,
-    feedback,
-    overhead,
-    plans,
-    runner,
-    skew,
-    table1,
-    transfer,
+from repro.bench import comparison, overhead, plans, table1
+from repro.bench.sweep import (
+    FEEDBACK,
+    Cell,
+    Key,
+    Sweep,
+    feedback_ok,
+    format_sweep,
+    skew_keys,
+    skew_ok,
+    transfer_keys,
+    transfer_ok,
 )
+from repro.core.policy import REPLAN_QERROR
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One registered bench experiment.
 
-    ``run(args, shared)`` prints its report and returns True on failure;
-    ``shared`` is a per-invocation scratch dict experiments use to reuse
-    expensive intermediates (fig7 and table1 share the comparison cells).
+    ``run(args, sweep)`` prints its report and returns True on failure;
+    ``sweep`` is the invocation's one runner.
     """
 
     name: str
     description: str
-    run: Callable[[argparse.Namespace, dict], bool]
+    run: Callable[[argparse.Namespace, Sweep], bool]
 
 
 def _comparison_sfs(args) -> tuple[int, ...]:
     return tuple(args.sf) if args.sf else (10, 100, 1000)
 
 
-def _comparison_cells(args, shared):
-    if "fig7_cells" not in shared:
-        shared["fig7_cells"] = comparison.figure7(_comparison_sfs(args), seed=args.seed)
-    return shared["fig7_cells"]
-
-
-def _run_fig6(args, shared) -> bool:
+def _run_fig6(args, sweep: Sweep) -> bool:
     sfs = tuple(args.sf) if args.sf else (100, 1000)
     print("=== Figure 6: re-optimization / online statistics / push-down overheads ===")
     print(overhead.format_reports(overhead.figure6(sfs, seed=args.seed)))
     return False
 
 
-def _run_fig7(args, shared) -> bool:
+def _run_fig7(args, sweep: Sweep) -> bool:
     print("=== Figure 7: execution time comparison ===")
-    print(comparison.format_cells(_comparison_cells(args, shared)))
+    print(comparison.format_cells(sweep.run(comparison.figure7(_comparison_sfs(args)))))
     return False
 
 
-def _run_table1(args, shared) -> bool:
+def _run_table1(args, sweep: Sweep) -> bool:
     print("=== Table 1: average improvement of the dynamic approach ===")
     table_sfs = tuple(sf for sf in _comparison_sfs(args) if sf in (100, 1000)) or (100,)
-    cells = _comparison_cells(args, shared)
-    print(table1.format_rows(table1.improvement_rows(cells, table_sfs)))
+    figure = sweep.run(comparison.figure7(_comparison_sfs(args)))
+    print(table1.format_rows(table1.improvement_rows(figure, table_sfs)))
     return False
 
 
-def _run_fig8(args, shared) -> bool:
+def _run_fig8(args, sweep: Sweep) -> bool:
     print("=== Figure 8: comparison with INL join enabled ===")
-    print(comparison.format_cells(comparison.figure8(_comparison_sfs(args), seed=args.seed)))
+    print(comparison.format_cells(sweep.run(comparison.figure8(_comparison_sfs(args)))))
     return False
 
 
-def _run_qerror(args, shared) -> bool:
+def _run_qerror(args, sweep: Sweep) -> bool:
     print("=== Estimate accuracy: Q-error per optimizer at the final stage ===")
     qerror_sfs = tuple(args.sf) if args.sf else (10,)
-    print(runner.format_qerror(runner.qerror_rows(qerror_sfs, seed=args.seed)))
+    print(comparison.format_qerror(sweep.run(comparison.qerror(qerror_sfs))))
     return False
 
 
-def _run_feedback(args, shared) -> bool:
-    print("=== Feedback-driven re-planning: fixed schedule vs ReplanPolicy ===")
-    print(feedback.format_feedback(feedback.run_feedback(smoke=args.smoke, seed=args.seed)))
-    return False
-
-
-def _run_skew(args, shared) -> bool:
-    print("=== Adversarial skew sweep: all strategies x (skew, correlation) grid ===")
-    cells = skew.run_skew(seed=args.seed, smoke=args.smoke)
-    print(skew.format_skew(cells))
-    return not skew.skew_ok(cells)
-
-
-def _run_transfer(args, shared) -> bool:
-    print("=== Predicate transfer: pre-filtering vs runtime re-optimization ===")
-    cells = transfer.run_transfer(seed=args.seed, smoke=args.smoke)
-    print(transfer.format_transfer(cells))
-    return not transfer.transfer_ok(cells)
-
-
-def _run_plans(args, shared) -> bool:
+def _run_plans(args, sweep: Sweep) -> bool:
     print("=== Appendix: plans generated per optimizer (Figures 11-23) ===")
     sfs = _comparison_sfs(args)
-    print(plans.format_matrix(plans.plan_matrix(sfs, seed=args.seed)))
-    print(plans.format_matrix(plans.plan_matrix(sfs, inl_enabled=True, seed=args.seed)))
+    keys = comparison.figure7(sfs) + comparison.figure8(sfs)
+    print(plans.format_matrix(sweep.run(keys)))
     return False
+
+
+def _contest(
+    title: str,
+    keys: Sequence[Key],
+    holds: Callable[[Sequence[Cell]], bool],
+    claim: str,
+) -> Callable[[argparse.Namespace, Sweep], bool]:
+    """An extension experiment: its cells, then whether they show its claim."""
+
+    def run(args, sweep: Sweep) -> bool:
+        print(f"=== {title} ===")
+        measured = sweep.run(keys)
+        print(format_sweep(measured))
+        shown = holds(measured)
+        print(("shown: " if shown else "NOT SHOWN: ") + claim)
+        return not shown
+
+    return run
+
+
+_run_feedback = _contest(
+    "Feedback-driven re-planning: fixed schedule vs ReplanPolicy",
+    FEEDBACK,
+    feedback_ok,
+    "the policy replans, changes the join order mid-run and saves simulated "
+    "seconds; plain dynamic fuses the uniform star and beats every_point",
+)
+_run_skew = _contest(
+    "Adversarial skew sweep: all strategies x (skew, correlation) grid",
+    skew_keys(),
+    skew_ok,
+    "adaptive planners beat every static strategy in an adversarial cell "
+    f"with cost_based worst Q-error > {REPLAN_QERROR:g} (replan trigger)",
+)
+_run_transfer = _contest(
+    "Predicate transfer: pre-filtering vs runtime re-optimization",
+    transfer_keys(),
+    transfer_ok,
+    "transfer beats dynamic somewhere and loses to it somewhere",
+)
 
 
 #: the single source of truth: list printing, parsing and dispatch all
@@ -171,11 +190,6 @@ def parse_args(argv: list[str] | None = None) -> tuple[argparse.Namespace, list[
         help="restrict to these scale factors (repeatable)",
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny fast configuration (what tests/bench runs in tier-1)",
-    )
     args = parser.parse_args(argv)
     chosen = list(EXPERIMENTS) if args.experiments == ["all"] else args.experiments
     unknown = [e for e in chosen if e not in EXPERIMENTS]
@@ -191,11 +205,11 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     failed = False
-    shared: dict = {}
+    sweep = Sweep(args.seed)
     for experiment in REGISTRY:
         if experiment.name not in chosen:
             continue
-        failed = experiment.run(args, shared) or failed
+        failed = experiment.run(args, sweep) or failed
         print()
     return 1 if failed else 0
 

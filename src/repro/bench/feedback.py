@@ -1,9 +1,10 @@
-"""The ``feedback`` experiment: fixed schedule vs feedback-driven re-planning.
+"""The ``feedback`` experiment's universe: where the fixed schedule goes wrong.
 
-This experiment is not from the paper — it evaluates the feedback extension
+The experiment is not from the paper — it evaluates the feedback extension
 (DESIGN.md §8) on a purpose-built universe where the paper's *fixed* dynamic
 schedule provably goes wrong, and shows the :class:`~repro.ReplanPolicy`
-repairing it mid-run:
+repairing it mid-run. Its cells and verdict are in :mod:`repro.bench.sweep`;
+this module holds the two stars and their queries:
 
 - **Skewed star** (``clicks``): the fact table's join key to the filtered
   ``users`` dimension is *correlated with the predicate* — the kept users are
@@ -25,16 +26,11 @@ repairing it mid-run:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.common.rng import derive
 from repro.common.types import DataType, Schema
-from repro.core.driver import DynamicOptimizer
-from repro.core.policy import ReplanPolicy
 from repro.lang.ast import Query
 from repro.lang.builder import QueryBuilder
 from repro.session import Session
-from repro.spec import PlannerSpec
 
 EVENTS = Schema.of(
     ("e_id", DataType.INT),
@@ -104,47 +100,48 @@ BADGE_DUP = 14
 BADGE_KEYS = 60
 #: campaign ids kept by the c_id range predicates
 CAMP_KEEP = 150
+#: stored rows per table; the facts carry ``FACT_SCALE`` modeled rows each.
+#: Modeled much smaller, a re-optimization point costs more than the joins
+#: behind it and ``dynamic`` never takes the ones the skewed star needs.
+SIZES = {
+    "events": 4_000,
+    "users": 200,
+    "camps": 2_000,
+    "sales": 2_400,
+    "badges": BADGE_KEYS * BADGE_DUP,
+    "dim": 100,
+}
+FACT_SCALE = 25_000
+#: the universe has one size; its sweep cells carry this scale factor
+SCALE_FACTOR = 1
 
 
-def sizes(smoke: bool) -> dict[str, int]:
-    """Stored row counts for one configuration. The facts' modeled scale is
-    the same in both: modeled much smaller, a re-optimization point costs
-    more than the joins behind it and ``dynamic`` never takes the ones the
-    skewed star needs."""
-    if smoke:
-        sizes = {"events": 800, "users": 200, "camps": 500, "sales": 600}
-    else:
-        sizes = {"events": 4_000, "users": 200, "camps": 2_000, "sales": 2_400}
-    return {**sizes, "badges": BADGE_KEYS * BADGE_DUP, "dim": 100, "scale": 25_000}
-
-
-def generate(smoke: bool = False, seed: int = 42) -> dict[str, list[dict]]:
+def generate(seed: int = 42) -> dict[str, list[dict]]:
     """Both universes: the skewed clickstream star and the uniform sales star."""
-    n = sizes(smoke)
     rng = derive(seed, "feedback", "skew")
-    hot_cut = int(n["events"] * HOT_FRACTION)
+    hot_cut = int(SIZES["events"] * HOT_FRACTION)
     events = []
-    for i in range(n["events"]):
+    for i in range(SIZES["events"]):
         if i < hot_cut:
             # hot rows: owned by the kept users, badge keys inside the kept
             # tier, campaigns uniform (so only the campaign join is selective)
             user = i % HOT_USERS
             badge = rng.randrange(HOT_USERS)
         else:
-            user = rng.randrange(HOT_USERS, n["users"])
+            user = rng.randrange(HOT_USERS, SIZES["users"])
             badge = rng.randrange(HOT_USERS, BADGE_KEYS)
         events.append(
             {
                 "e_id": i,
                 "e_user": user,
                 "e_badge": badge,
-                "e_camp": rng.randrange(n["camps"]),
+                "e_camp": rng.randrange(SIZES["camps"]),
                 "e_val": round(rng.uniform(0.0, 100.0), 2),
             }
         )
     users = [
         {"u_id": i, "u_seg": i // HOT_USERS, "u_name": f"user-{i:04d}"}
-        for i in range(n["users"])
+        for i in range(SIZES["users"])
     ]
     badges = [
         {
@@ -153,24 +150,24 @@ def generate(smoke: bool = False, seed: int = 42) -> dict[str, list[dict]]:
             "b_tier": (i // BADGE_DUP) // HOT_USERS,
             "b_label": f"badge-{i:04d}",
         }
-        for i in range(n["badges"])
+        for i in range(SIZES["badges"])
     ]
     camps = [
         {"c_id": i, "c_kind": i % 7, "c_name": f"camp-{i:04d}"}
-        for i in range(n["camps"])
+        for i in range(SIZES["camps"])
     ]
 
     rng = derive(seed, "feedback", "uniform")
     sales = [
         {
             "s_id": i,
-            "s_d1": rng.randrange(n["dim"]),
-            "s_d2": rng.randrange(n["dim"]),
-            "s_d3": rng.randrange(n["dim"]),
-            "s_d4": rng.randrange(n["dim"]),
+            "s_d1": rng.randrange(SIZES["dim"]),
+            "s_d2": rng.randrange(SIZES["dim"]),
+            "s_d3": rng.randrange(SIZES["dim"]),
+            "s_d4": rng.randrange(SIZES["dim"]),
             "s_amt": round(rng.uniform(1.0, 500.0), 2),
         }
-        for i in range(n["sales"])
+        for i in range(SIZES["sales"])
     ]
     tables = {
         "events": events,
@@ -186,15 +183,14 @@ def generate(smoke: bool = False, seed: int = 42) -> dict[str, list[dict]]:
                 f"d{k}_band": i // 10,
                 f"d{k}_name": f"d{k}-{i:03d}",
             }
-            for i in range(n["dim"])
+            for i in range(SIZES["dim"])
         ]
     return tables
 
 
-def load_universe(session: Session, smoke: bool = False, seed: int = 42) -> None:
+def load_universe(session: Session, seed: int = 42) -> None:
     """Generate and ingest both universes; facts carry the modeled scale."""
-    n = sizes(smoke)
-    tables = generate(smoke, seed)
+    tables = generate(seed)
     schemas = {
         "events": EVENTS,
         "users": USERS,
@@ -204,7 +200,7 @@ def load_universe(session: Session, smoke: bool = False, seed: int = 42) -> None
         **{f"dim{k}": DIMS[k] for k in DIMS},
     }
     for name, rows in tables.items():
-        scale = n["scale"] if name in ("events", "sales") else 1
+        scale = FACT_SCALE if name in ("events", "sales") else 1
         session.load(name, schemas[name], rows, scale=scale)
 
 
@@ -248,103 +244,5 @@ def fuse_query() -> Query:
     return builder.build()
 
 
-# -- the experiment -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeRun:
-    """One (query, policy-mode) execution."""
-
-    mode: str
-    seconds: float
-    rows: int
-    plan: str
-    decisions: tuple
-
-
-@dataclass(frozen=True)
-class FeedbackReport:
-    skew: tuple[ModeRun, ModeRun]  # (fixed, policy)
-    fuse: tuple[ModeRun, ModeRun]  # (every point taken, plain dynamic)
-
-    @property
-    def skew_order_changed(self) -> bool:
-        fixed, policy = self.skew
-        return fixed.plan != policy.plan
-
-    @property
-    def skew_improvement(self) -> float:
-        fixed, policy = self.skew
-        return fixed.seconds - policy.seconds
-
-
-class EveryPoint(DynamicOptimizer):
-    """``dynamic`` made to take every re-optimization point (the fixed
-    schedule the cost rule's fuse is measured against)."""
-
-    def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
-        return None
-
-
-def _run(
-    session: Session, query: Query, planner: PlannerSpec | DynamicOptimizer, mode: str
-) -> ModeRun:
-    if isinstance(planner, PlannerSpec):
-        result = session.execute(query, planner)
-    else:
-        result = planner.execute(query, session)
-    return ModeRun(
-        mode=mode,
-        seconds=result.seconds,
-        rows=len(result.rows),
-        plan=result.plan_description,
-        decisions=result.decisions,
-    )
-
-
-def run_feedback(smoke: bool = False, seed: int = 42) -> FeedbackReport:
-    """Run both segments on one session."""
-    fixed_spec = PlannerSpec.of("dynamic")
-    policy_spec = PlannerSpec.of("dynamic", policy=ReplanPolicy.default())
-
-    session = Session()
-    load_universe(session, smoke, seed)
-    skew = (
-        _run(session, skew_query(), fixed_spec, "fixed"),
-        _run(session, skew_query(), policy_spec, "policy"),
-    )
-    fuse = (
-        _run(session, fuse_query(), EveryPoint(), "fixed"),
-        _run(session, fuse_query(), fixed_spec, "dynamic"),
-    )
-    return FeedbackReport(skew=skew, fuse=fuse)
-
-
-def format_feedback(report: FeedbackReport) -> str:
-    lines = []
-
-    def segment(title: str, runs: tuple[ModeRun, ModeRun]) -> None:
-        lines.append(title)
-        lines.append(f"  {'mode':8s} {'seconds':>9s} {'rows':>6s}  plan")
-        for run in runs:
-            lines.append(
-                f"  {run.mode:8s} {run.seconds:9.2f} {run.rows:6d}  {run.plan}"
-            )
-        decisions = [d for run in runs for d in run.decisions]
-        if decisions:
-            lines.append("  policy decisions:")
-            for decision in decisions:
-                lines.append(f"    - {decision.describe()}")
-
-    segment(
-        "Skewed star (hot-key correlation; stage-1 estimate misses ~17x):",
-        report.skew,
-    )
-    fixed, policy = report.skew
-    lines.append(
-        f"  join order changed mid-run: {report.skew_order_changed}; "
-        f"policy saves {report.skew_improvement:.2f} simulated seconds"
-    )
-    lines.append("")
-    segment("Uniform star (tight estimates; a point does not pay):", report.fuse)
-    return "\n".join(lines)
+#: the sweep's query labels for this universe
+QUERIES = {"skewed_star": skew_query, "uniform_star": fuse_query}

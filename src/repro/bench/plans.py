@@ -2,60 +2,26 @@
 
 The paper's appendix renders, per query / scale factor / optimizer, the join
 tree with algorithm markers (plain hash, 'b' broadcast, 'i' indexed nested
-loop). ``plan_matrix`` regenerates that information from the same runs the
-comparison figures use, and ``format_matrix`` prints it in the appendix's
-per-query blocks.
+loop). The plans are read off the Figure 7 and Figure 8 cells, and
+``format_matrix`` prints them in the appendix's per-query blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
-from repro.bench.runner import COMPARISON_OPTIMIZERS, QUERIES, run_query
-
-
-@dataclass(frozen=True)
-class PlanEntry:
-    query: str
-    scale_factor: int
-    optimizer: str
-    inl_enabled: bool
-    plan: str
+from repro.bench.sweep import Cell
 
 
-def plan_matrix(
-    scale_factors=(10, 100, 1000),
-    inl_enabled: bool = False,
-    queries: tuple[str, ...] | None = None,
-    seed: int = 42,
-) -> list[PlanEntry]:
-    """Plans for every (query, scale factor, optimizer) combination."""
-    optimizers = COMPARISON_OPTIMIZERS
-    if inl_enabled:
-        optimizers = tuple(o for o in optimizers if o != "worst_order")
-    entries = []
-    for scale_factor in scale_factors:
-        for query in queries or tuple(QUERIES):
-            for optimizer in optimizers:
-                result = run_query(
-                    query, scale_factor, optimizer, inl_enabled=inl_enabled, seed=seed
-                )
-                entries.append(
-                    PlanEntry(
-                        query, scale_factor, optimizer, inl_enabled, result.plan_description
-                    )
-                )
-    return entries
-
-
-def format_matrix(entries: list[PlanEntry]) -> str:
+def format_matrix(cells: Sequence[Cell]) -> str:
     lines = []
     current = None
-    for entry in entries:
-        header = (entry.query, entry.scale_factor, entry.inl_enabled)
+    for cell in cells:
+        key = cell.key
+        header = (key.query, key.scale_factor, key.inl_enabled)
         if header != current:
             current = header
-            suffix = " (INL enabled)" if entry.inl_enabled else ""
-            lines.append(f"-- {entry.query} @ SF {entry.scale_factor}{suffix}")
-        lines.append(f"   {entry.optimizer:12s} {entry.plan}")
+            suffix = " (INL enabled)" if key.inl_enabled else ""
+            lines.append(f"-- {key.query} @ SF {key.scale_factor}{suffix}")
+        lines.append(f"   {key.variant:12s} {cell.plan}")
     return "\n".join(lines)

@@ -128,6 +128,22 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+def prepared_query(
+    label: str,
+    scale_factor: int,
+    seed: int = 42,
+    skew: float = 0.0,
+    correlation: float = 0.0,
+    inl_enabled: bool = False,
+) -> tuple[Query, Session]:
+    """One evaluation query and the cached session it runs on (with the
+    Figure-8 indexes when the indexed nested loop join is enabled)."""
+    bench = workbench_for_query(label, scale_factor, seed, skew, correlation)
+    if inl_enabled:
+        bench.ensure_indexes()
+    return bench.query(label), bench.session
+
+
 def run_query(
     label: str,
     scale_factor: int,
@@ -139,83 +155,9 @@ def run_query(
     **options,
 ) -> ExecutionResult:
     """Execute one evaluation query under one strategy."""
-    bench = workbench_for_query(label, scale_factor, seed, skew, correlation)
+    query, session = prepared_query(
+        label, scale_factor, seed, skew, correlation, inl_enabled
+    )
     if inl_enabled:
-        bench.ensure_indexes()
         options["inl_enabled"] = True
-    query = bench.query(label)
-    return bench.session.execute(query, PlannerSpec.of(optimizer, **options))
-
-
-# -- estimate accuracy ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QErrorRow:
-    """Per-(query, scale factor, optimizer) estimate-accuracy summary."""
-
-    query: str
-    scale_factor: int
-    optimizer: str
-    records: int
-    final: float | None
-    worst: float | None
-    mean: float | None
-
-
-def qerror_rows(
-    scale_factors=(10,),
-    queries: tuple[str, ...] | None = None,
-    optimizers: tuple[str, ...] = QERROR_OPTIMIZERS,
-    seed: int = 42,
-) -> list[QErrorRow]:
-    """Collect the paper's headline observability signal: how far each
-    strategy's cardinality estimates land from the measured actuals."""
-    from repro.obs.report import qerror_stats
-
-    rows = []
-    for scale_factor in scale_factors:
-        for label in queries or tuple(QUERIES):
-            for optimizer in optimizers:
-                result = run_query(label, scale_factor, optimizer, seed=seed)
-                stats = qerror_stats(result.trace)
-                rows.append(
-                    QErrorRow(
-                        query=label,
-                        scale_factor=scale_factor,
-                        optimizer=optimizer,
-                        records=stats["records"],
-                        final=stats["final"],
-                        worst=stats["worst"],
-                        mean=stats["mean"],
-                    )
-                )
-    return rows
-
-
-def format_qerror(rows: list[QErrorRow]) -> str:
-    """Render Q-error summaries grouped like the Figure 7 bar groups."""
-
-    def fmt(value: float | None) -> str:
-        if value is None:
-            return "-"
-        if value == float("inf"):
-            return "inf"
-        return f"{value:.2f}"
-
-    lines = []
-    groups: dict[tuple[int, str], list[QErrorRow]] = {}
-    for row in rows:
-        groups.setdefault((row.scale_factor, row.query), []).append(row)
-    for (scale_factor, query), group in sorted(groups.items()):
-        lines.append(f"{query} @ SF {scale_factor} — estimate accuracy (Q-error)")
-        lines.append(
-            f"  {'optimizer':12s} {'points':>6s} {'final':>8s}"
-            f" {'worst':>8s} {'mean':>8s}"
-        )
-        for row in group:
-            lines.append(
-                f"  {row.optimizer:12s} {row.records:6d} {fmt(row.final):>8s}"
-                f" {fmt(row.worst):>8s} {fmt(row.mean):>8s}"
-            )
-    return "\n".join(lines)
+    return session.execute(query, PlannerSpec.of(optimizer, **options))

@@ -11,8 +11,10 @@ of each method's execution time divided by the dynamic approach's:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.bench.comparison import ComparisonCell, figure7
+from repro.bench.comparison import figure7
+from repro.bench.sweep import Cell, Sweep, grouped
 
 #: the paper's Table 1, for side-by-side reporting
 PAPER_TABLE1 = {
@@ -40,33 +42,25 @@ class ImprovementRow:
 
 
 def improvement_rows(
-    cells: list[ComparisonCell] | None = None,
+    cells: Sequence[Cell] | None = None,
     scale_factors=(100, 1000),
     seed: int = 42,
 ) -> list[ImprovementRow]:
     """Compute Table 1 from Figure 7 cells (running them if not supplied)."""
     if cells is None:
-        cells = figure7(scale_factors=scale_factors, seed=seed)
-    by_group: dict[tuple[int, str], dict[str, float]] = {}
-    for cell in cells:
-        by_group.setdefault((cell.scale_factor, cell.query), {})[cell.optimizer] = (
-            cell.seconds
-        )
+        cells = Sweep(seed).run(figure7(scale_factors))
     rows = []
     for scale_factor in scale_factors:
-        sums: dict[str, float] = {}
-        counts: dict[str, int] = {}
-        for (sf, _), timings in by_group.items():
-            if sf != scale_factor or "dynamic" not in timings:
+        ratios: dict[str, list[float]] = {}
+        for (sf, *_), group in grouped(cells).items():
+            if sf != scale_factor or "dynamic" not in group:
                 continue
-            base = timings["dynamic"]
-            for optimizer, seconds in timings.items():
-                if optimizer == "dynamic":
-                    continue
-                sums[optimizer] = sums.get(optimizer, 0.0) + seconds / base
-                counts[optimizer] = counts.get(optimizer, 0) + 1
-        ratios = {opt: sums[opt] / counts[opt] for opt in sums}
-        rows.append(ImprovementRow(scale_factor, ratios))
+            for optimizer, cell in group.items():
+                if optimizer != "dynamic":
+                    ratio = cell.seconds / group["dynamic"].seconds
+                    ratios.setdefault(optimizer, []).append(ratio)
+        averages = {opt: sum(values) / len(values) for opt, values in ratios.items()}
+        rows.append(ImprovementRow(scale_factor, averages))
     return rows
 
 

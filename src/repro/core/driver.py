@@ -576,3 +576,18 @@ class DynamicOptimizer(Optimizer):
             keep = picked.node.probe_keys
         stats_columns = tuple(sorted(pair_columns & future_join_columns))
         return keep, stats_columns
+
+
+class EveryPoint(DynamicOptimizer):
+    """``dynamic`` on the paper's fixed schedule: it takes every
+    re-optimization point (the run the cost rule's fuse is measured against)."""
+
+    def fuse_plan(
+        self,
+        state: DriverState,
+        toolkit: PlannerToolkit,
+        picked: PlannedJoin,
+        keep: tuple[str, ...],
+        stats_columns: tuple[str, ...],
+    ) -> PlanNode | None:
+        return None

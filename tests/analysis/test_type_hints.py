@@ -30,6 +30,7 @@ FULLY_ANNOTATED = (
     "repro.lang.parser",
     "repro.core.planner",
     "repro.engine.scheduler.launch",
+    "repro.bench.sweep",
 )
 
 

@@ -66,10 +66,10 @@ class TestDocumentedCommands:
     def test_extraction(self):
         text = (
             "run `python -m repro.bench\nfig7 --sf 100` or (python -m repro.bench)\n"
-            "```\npython -m repro.bench skew [--smoke]  # comment\n```\n"
+            "```\npython -m repro.bench fig6 [--sf 10]  # comment\n```\n"
         )
         assert documented_commands(text) == [
-            ["fig7", "--sf", "100"], [], ["skew", "[--smoke]"],
+            ["fig7", "--sf", "100"], [], ["fig6", "[--sf", "10]"],
         ]  # fmt: skip
 
     @pytest.mark.parametrize("doc", DOCS)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.bench.comparison import comparison_row, format_cells
+from repro.bench.comparison import figure7, figure8, format_cells
 from repro.bench.overhead import OverheadReport, format_reports, overhead_report
-from repro.bench.plans import format_matrix, plan_matrix
+from repro.bench.plans import format_matrix
 from repro.bench.runner import (
     COMPARISON_OPTIMIZERS,
     QUERIES,
@@ -12,7 +12,10 @@ from repro.bench.runner import (
     workbench,
     workbench_for_query,
 )
+from repro.bench.sweep import Sweep
 from repro.bench.table1 import PAPER_TABLE1, improvement_rows, format_rows
+
+SWEEP = Sweep()
 
 
 class TestRunner:
@@ -47,17 +50,18 @@ class TestRunner:
 
 class TestComparison:
     def test_row_covers_all_optimizers(self):
-        cells = comparison_row("Q50", 10)
-        assert [c.optimizer for c in cells] == list(COMPARISON_OPTIMIZERS)
+        cells = SWEEP.run(figure7((10,), ("Q50",)))
+        assert [c.key.variant for c in cells] == list(COMPARISON_OPTIMIZERS)
         assert all(c.seconds > 0 for c in cells)
 
     def test_inl_excludes_worst_order(self):
-        cells = comparison_row("Q50", 10, inl_enabled=True)
-        assert "worst_order" not in [c.optimizer for c in cells]
+        keys = figure8((10,), ("Q50",))
+        assert all(key.inl_enabled for key in keys)
+        assert "worst_order" not in [key.variant for key in keys]
 
     def test_format(self):
-        text = format_cells(comparison_row("Q50", 10, optimizers=("dynamic",)))
-        assert "Q50 @ SF 10" in text and "dynamic" in text
+        text = format_cells(SWEEP.run(figure7((10,), ("Q50",))))
+        assert "Q50 @ SF 10" in text and "1.00x dynamic" in text
 
 
 class TestOverhead:
@@ -76,7 +80,7 @@ class TestOverhead:
 
 class TestTable1:
     def test_rows_from_given_cells(self):
-        cells = comparison_row("Q50", 100)
+        cells = SWEEP.run(figure7((100,), ("Q50",)))
         (row,) = improvement_rows(cells, scale_factors=(100,))
         assert set(row.ratios) == {
             "cost_based",
@@ -98,14 +102,14 @@ class TestTable1:
             }
 
     def test_format_includes_paper_row(self):
-        cells = comparison_row("Q50", 100)
+        cells = SWEEP.run(figure7((100,), ("Q50",)))
         text = format_rows(improvement_rows(cells, scale_factors=(100,)))
         assert "paper" in text
 
 
 class TestPlans:
     def test_matrix_and_format(self):
-        entries = plan_matrix((10,), queries=("Q50",))
-        assert len(entries) == len(COMPARISON_OPTIMIZERS)
-        text = format_matrix(entries)
-        assert "Q50 @ SF 10" in text
+        cells = SWEEP.run(figure7((10,), ("Q50",)) + figure8((10,), ("Q50",)))
+        assert len(cells) == 2 * len(COMPARISON_OPTIMIZERS) - 1
+        text = format_matrix(cells)
+        assert "-- Q50 @ SF 10\n" in text and "-- Q50 @ SF 10 (INL enabled)" in text

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import pytest
 
 from repro.cluster.config import ClusterConfig
-from repro.core.driver import DynamicOptimizer
+from repro.core.driver import DynamicOptimizer, EveryPoint
 from repro.engine.metrics import ExecutionResult
 from repro.lang.builder import QueryBuilder
 from repro.session import Session
@@ -30,13 +30,6 @@ from tests.conftest import FACT_SCHEMA, dim_schema
 FACT_ROWS = 2_000
 #: modeled fact-table rows, service regime to SF-1000-like
 SIZES = (6e6, 8e6, 1e7, 2e7, 6e7, 2e8, 6e8, 2e9, 6e9)
-
-
-class EveryPoint(DynamicOptimizer):
-    """``dynamic`` on the fixed schedule: the method ``ingres`` overrides."""
-
-    def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
-        return None
 
 
 def build_session(modeled_fact_rows: float) -> Session:

@@ -19,8 +19,8 @@ from hypothesis import example, given, settings
 
 from repro.algebra.plan import JoinNode, PlanNode
 from repro.algebra.toolkit import PlannerToolkit
-from repro.bench.feedback import EveryPoint
 from repro.core import driver
+from repro.core.driver import EveryPoint
 from repro.core.planner import Planner
 from repro.core.policy import ReplanPolicy
 from repro.optimizers import greedy_static

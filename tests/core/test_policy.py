@@ -17,8 +17,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.bench.feedback import EveryPoint, fuse_query, load_universe, skew_query
-from repro.core.driver import DynamicOptimizer, SimulatedFailure
+from repro.bench.feedback import fuse_query, load_universe, skew_query
+from repro.core.driver import DynamicOptimizer, EveryPoint, SimulatedFailure
 from repro.core.policy import REPLAN_QERROR, ReplanPolicy
 from repro.obs.trace import Tracer
 from repro.session import Session
@@ -27,15 +27,8 @@ from repro.testing import rows_equal_unordered
 
 @pytest.fixture(scope="module")
 def universe():
-    """The engineered skew/uniform universe (smoke size), shared per module."""
-    session = Session()
-    load_universe(session, smoke=True)
-    return session
-
-
-@pytest.fixture(scope="module")
-def full_universe():
-    """The same universe at the size ``bench feedback`` reports."""
+    """The engineered skew/uniform universe ``bench feedback`` reports on,
+    shared per module."""
     session = Session()
     load_universe(session)
     return session
@@ -190,12 +183,12 @@ class TestEarlyFuse:
         assert result.phases == every_point.phases
         assert result.seconds == every_point.seconds
 
-    def test_skewed_run_never_fuses(self, full_universe):
+    def test_skewed_run_never_fuses(self, universe):
         """Each point there costs about a second against several seconds of
         joins behind it, so the schedule the replan policy repairs still
         runs — and the repair's 139.1 -> 62.9 s survives the rule."""
-        fixed = run(full_universe, skew_query())
-        replanned = run(full_universe, skew_query(), policy=ReplanPolicy.default())
+        fixed = run(universe, skew_query())
+        replanned = run(universe, skew_query(), policy=ReplanPolicy.default())
         assert fixed.decisions == ()
         assert [d.action for d in replanned.decisions] == ["replan"]
         assert fixed.seconds == pytest.approx(139.14, abs=0.01)

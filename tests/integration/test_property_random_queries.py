@@ -17,8 +17,8 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.feedback import EveryPoint
 from repro.common.types import DataType, Schema
+from repro.core.driver import EveryPoint
 from repro.core.policy import ReplanPolicy
 from repro.engine.bloom import BloomFilter
 from repro.engine.scheduler import scheduler as scheduler_module
