@@ -139,11 +139,10 @@ class PlannerToolkit:
 
     # -- algorithm annotation -----------------------------------------------------
 
-    def side_for(self, node: PlanNode, rows: float | None = None) -> JoinSide:
+    def side_for(self, node: PlanNode) -> JoinSide:
         """Describe one join input for the JoinAlgorithmRule."""
         estimate = self.estimator.estimate(node)
-        if rows is None:
-            rows = estimate.rows
+        rows = estimate.rows
         byte_size = rows * estimate.row_width * estimate.scale
         if isinstance(node, LeafNode):
             dataset = self.session.datasets.get(node.dataset)

@@ -250,11 +250,9 @@ def diagnose_records(
     return hypotheses
 
 
-def diagnose_trace(
-    trace: "QueryTrace", threshold: float = DEFAULT_THRESHOLD
-) -> list[Hypothesis]:
+def diagnose_trace(trace: "QueryTrace") -> list[Hypothesis]:
     """Ranked hypotheses for one finished query trace."""
-    return diagnose_records(list(trace.estimates), threshold)
+    return diagnose_records(list(trace.estimates))
 
 
 def format_diagnosis(hypotheses: list[Hypothesis]) -> str:

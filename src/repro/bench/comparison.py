@@ -54,12 +54,9 @@ def figure8(
     return _bars(scale_factors, queries, optimizers, inl_enabled=True)
 
 
-def qerror(
-    scale_factors: Sequence[int] = (10,),
-    queries: Sequence[str] = tuple(QUERIES),
-) -> list[Key]:
+def qerror(scale_factors: Sequence[int] = (10,)) -> list[Key]:
     """Every row of the Q-error report."""
-    return _bars(scale_factors, queries, QERROR_OPTIMIZERS)
+    return _bars(scale_factors, tuple(QUERIES), QERROR_OPTIMIZERS)
 
 
 def format_cells(cells: Sequence[Cell]) -> str:

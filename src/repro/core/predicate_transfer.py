@@ -170,7 +170,7 @@ def _gather_filters(
 
 
 def transfer_stages(
-    run: QueryRun, session: Session, fpp: float = DEFAULT_FPP
+    run: QueryRun, session: Session
 ) -> Generator[JobRequest, Any, TransferOutcome]:
     """Run the two-pass transfer schedule over ``run.query``; return the
     rewritten query.
@@ -274,7 +274,7 @@ def transfer_stages(
     def build_stage(alias: str) -> Iterator[JobRequest]:
         """Build (or rebuild) the alias's filters from its current rows."""
         entry, delta = _build_filters(
-            query, alias, current[alias], session, context, adjacency, fpp
+            query, alias, current[alias], session, context, adjacency
         )
         if entry is None:
             return
@@ -349,7 +349,6 @@ def _build_filters(
     session: Any,
     context: EvaluationContext,
     adjacency: dict[str, list[tuple[str, str, str]]],
-    fpp: float,
 ) -> tuple[dict[str, BloomFilter] | None, JobMetrics | None]:
     """One in-process filter-build pass over the alias's current rows.
 
@@ -389,7 +388,7 @@ def _build_filters(
     survivors = 0
     for partition in scan_partitions(dataset, prefix):
         kept, length = vector.fused_filter_project(
-            partition, predicates, own_columns, context, session.executor.chunk_size
+            partition, predicates, own_columns, context
         )
         survivors += length
         for column in own_columns:
@@ -399,10 +398,10 @@ def _build_filters(
     delta.compute += cost.bloom_build(modeled_survivors, len(own_columns))
     delta.tuples_scanned = dataset.row_count
 
-    charge = bloom_size_bytes(max(1.0, modeled_survivors), fpp)
+    charge = bloom_size_bytes(max(1.0, modeled_survivors), DEFAULT_FPP)
     built = {
         column: BloomFilter.build(
-            values[column], max(1, survivors), fpp, charge_bytes=charge
+            values[column], max(1, survivors), DEFAULT_FPP, charge_bytes=charge
         )
         for column in own_columns
     }

@@ -148,11 +148,10 @@ class ColumnarData:
             )
         return rows
 
-    def schema(self, primary_key: tuple[str, ...] = ()) -> Schema:
+    def schema(self) -> Schema:
         """Materialization schema for these columns (qualified names kept)."""
         return Schema(
-            tuple(Field(name, dtype) for name, dtype in self.columns.items()),
-            primary_key,
+            tuple(Field(name, dtype) for name, dtype in self.columns.items())
         )
 
     def project(self, names: list[str] | tuple[str, ...]) -> ColumnarData:

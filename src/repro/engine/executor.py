@@ -13,14 +13,13 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.runtime import VerifierStats
 from repro.cluster.config import ClusterConfig
-from repro.cluster.cost import CostModel, CostParameters
+from repro.cluster.cost import CostModel
 from repro.engine.data import ColumnarData
 from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.base import ExecState
-from repro.engine.vector import DEFAULT_CHUNK_SIZE
 from repro.lang.ast import EvaluationContext
-from repro.lang.udf import UdfRegistry, default_registry
+from repro.lang.udf import UdfRegistry
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
@@ -36,21 +35,17 @@ class Executor:
         cluster: ClusterConfig,
         datasets: DatasetCatalog,
         statistics: StatisticsCatalog,
-        udfs: UdfRegistry | None = None,
-        cost_parameters: CostParameters | None = None,
+        udfs: UdfRegistry,
     ) -> None:
         self.cluster = cluster
         self.datasets = datasets
         self.statistics = statistics
-        self.udfs = udfs or default_registry()
-        self.cost = CostModel(cluster, cost_parameters)
+        self.udfs = udfs
+        self.cost = CostModel(cluster)
         #: verify-on-compile gate (DESIGN.md §9): every scheduled job is
         #: checked against rules P001-P007 before it launches. Zero simulated
         #: cost; host wall time accrues here.
         self.verifier_stats = VerifierStats()
-        #: rows per chunk handed to the filter kernels; never affects results
-        #: or simulated cost (the chunking property test varies it here)
-        self.chunk_size = DEFAULT_CHUNK_SIZE
         #: intermediate-result cache (set by the query service; ``None`` for
         #: plain sessions). Consulted by the scheduler's request runner, not
         #: by ``execute`` itself, so the executor stays stateless per job.
@@ -90,7 +85,6 @@ class Executor:
             evaluation=EvaluationContext(parameters or {}, self.udfs),
             metrics=metrics,
             tracer=tracer,
-            chunk_size=self.chunk_size,
         )
         data = job.root.run(state)
         return data, metrics

@@ -21,7 +21,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel
 from repro.engine.data import ColumnarData
 from repro.engine.metrics import JobMetrics
-from repro.engine.vector import DEFAULT_CHUNK_SIZE
 from repro.lang.ast import EvaluationContext
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
@@ -42,8 +41,6 @@ class ExecState:
     metrics: JobMetrics
     #: optional observer; operators open a span around each ``run``
     tracer: Tracer | None = None
-    #: rows per chunk for the filter kernel; never affects results
-    chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def charge(self, component: str, seconds: float) -> None:
         setattr(self.metrics, component, getattr(self.metrics, component) + seconds)

@@ -6,9 +6,10 @@ and filtered. Query compilation usually folds the UDF into the predicate
 directly, but the split form is available for plan fidelity and tests.
 
 ``SelectOp`` runs the fused filter+project kernel
-(:func:`repro.engine.vector.fused_filter_project`) — one pass per chunk that
-filters on predicate columns and gathers the partition's physical columns
-(over a scan: its live set, read from storage only here) for surviving rows.
+(:func:`repro.engine.vector.fused_filter_project`) — one pass per partition
+that filters on predicate columns and gathers the partition's physical
+columns (over a scan: its live set, read from storage only here) for
+surviving rows.
 """
 
 from __future__ import annotations
@@ -30,15 +31,10 @@ class SelectOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         evaluation = state.evaluation
-        chunk_size = state.chunk_size
         filtered: list[ColumnPartition] = []
         for partition in data.partitions:
             columns, length = vector.fused_filter_project(
-                partition,
-                self.predicates,
-                tuple(partition.columns),
-                evaluation,
-                chunk_size,
+                partition, self.predicates, tuple(partition.columns), evaluation
             )
             filtered.append(ColumnPartition(columns, length))
         state.charge(

@@ -2,8 +2,8 @@
 
 Rows flow between operators as parallel columns
 (:class:`~repro.engine.data.ColumnarData`); scans read only referenced
-columns from storage, filter+project fuse into one pass per fixed-size
-chunk, and joins build/probe over key columns instead of per-row dicts. The cost clock
+columns from storage, filter+project fuse into one pass per partition, and
+joins build/probe over key columns instead of per-row dicts. The cost clock
 charges from row counts and the logical column map, never from what a
 kernel physically touched.
 
@@ -16,15 +16,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress, islice, repeat
+from typing import TYPE_CHECKING
 
 from repro.common.rng import partition_slots
 from repro.engine.data import ColumnPartition
 
-#: Rows per chunk in the fused scan/filter/project kernel. Chunk size never
-#: leaks into results or simulated cost (pinned by the chunking property
-#: test); it only bounds the working set of one kernel invocation.
-DEFAULT_CHUNK_SIZE = 1024
-
+if TYPE_CHECKING:
+    from repro.lang.ast import EvaluationContext
 
 # -- fused scan + filter + project ---------------------------------------------
 
@@ -33,53 +31,40 @@ def fused_filter_project(
     partition: ColumnPartition,
     predicates: tuple,
     live: tuple[str, ...],
-    evaluation,
-    chunk_size: int,
-) -> tuple[dict[str, list], int]:
-    """One pass over a partition in chunks: filter, then project.
+    evaluation: EvaluationContext,
+) -> tuple[dict[str, Sequence], int]:
+    """One pass over a partition: filter, then project.
 
     The one filter kernel: ``SelectOp`` and the planner-side pre-filtering
-    passes both run it. Per chunk the survivors are refined predicate by
-    predicate (a short-circuiting conjunction: a later predicate never sees
-    a row an earlier one rejected); ``live`` names the columns to gather for
-    them — the projection part of the fusion. Over a scan's partition only
-    the predicate and ``live`` columns are ever read from storage. While the
-    survivors are still the chunk's ``range``, a column is read as a slice.
+    passes both run it. The survivors start as the partition's ``range`` and
+    are refined predicate by predicate (a short-circuiting conjunction: a
+    later predicate never sees a row an earlier one rejected); ``live`` names
+    the columns to gather for them — the projection part of the fusion. Over
+    a scan's partition only the predicate and ``live`` columns are ever read
+    from storage. While the survivors are still the ``range``, a column is
+    read as a slice.
     """
-    pred_cols = [partition.column(predicate.column) for predicate in predicates]
-    sources = {name: partition.column(name) for name in live}
-    out: dict[str, list] = {name: [] for name in sources}
-    out_length = 0
-    length = partition.length
-    for start in range(0, length, chunk_size):
-        survivors: list[int] | range = range(start, min(start + chunk_size, length))
-        for predicate, col in zip(predicates, pred_cols):
-            if not survivors:
-                break
-            mask = predicate.evaluate_batch(_take(col, survivors), evaluation)
-            survivors = list(compress(survivors, mask))
-        if survivors:
-            out_length += len(survivors)
-            for name, col in sources.items():
-                out[name].extend(_take(col, survivors))
-    return out, out_length
+    survivors: list[int] | range = range(partition.length)
+    for predicate in predicates:
+        if not survivors:
+            break
+        values = _take(partition.column(predicate.column), survivors)
+        mask = predicate.evaluate_batch(values, evaluation)
+        survivors = list(compress(survivors, mask))
+    columns = {name: _take(partition.column(name), survivors) for name in live}
+    return columns, len(survivors)
 
 
 def filter_columns(
     columns: Mapping[str, Sequence],
     length: int,
     predicates: tuple,
-    evaluation,
-    chunk_size: int,
-) -> tuple[dict[str, list], int]:
+    evaluation: EvaluationContext,
+) -> tuple[dict[str, Sequence], int]:
     """:func:`fused_filter_project` keeping every physical column. No caller
     in ``src/``: ``benchmarks/e2e/spans.py`` wraps both names."""
     return fused_filter_project(
-        ColumnPartition(columns, length),
-        predicates,
-        tuple(columns),
-        evaluation,
-        chunk_size,
+        ColumnPartition(columns, length), predicates, tuple(columns), evaluation
     )
 
 

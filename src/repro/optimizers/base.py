@@ -92,9 +92,7 @@ def single_job_stages(
     )
 
 
-def execute_tree(
-    tree: PlanNode, query: Query, session: Session, label: str = ""
-) -> ExecutionResult:
+def execute_tree(tree: PlanNode, query: Query, session: Session) -> ExecutionResult:
     """Run a fully annotated plan tree as one pipelined job.
 
     This is how the best-order baseline and the Figure-6 "statistics
@@ -106,6 +104,6 @@ def execute_tree(
     """
     return run_solo(
         query,
-        lambda namespace: single_job_stages(tree, query, session, namespace, label),
+        lambda namespace: single_job_stages(tree, query, session, namespace),
         session,
     )

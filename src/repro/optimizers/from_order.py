@@ -19,9 +19,7 @@ from repro.lang.ast import Query
 from repro.optimizers.base import Optimizer, single_job_stages
 
 
-def from_order_plan(
-    toolkit: PlannerToolkit, honor_hints: bool = True, force_hash: bool = False
-) -> PlanNode:
+def from_order_plan(toolkit: PlannerToolkit, honor_hints: bool = True) -> PlanNode:
     """Fold the FROM clause into a linear join tree.
 
     Tables join in FROM order; a table with no join condition against the
@@ -48,8 +46,7 @@ def from_order_plan(
             current,
             toolkit.leaf(alias),
             conditions,
-            honor_hints_only=honor_hints and not force_hash,
-            force_hash=force_hash,
+            honor_hints_only=honor_hints,
             build_side="left",
         )
     return current
@@ -60,16 +57,15 @@ class FromOrderOptimizer(Optimizer):
 
     name = "from_order"
 
-    def __init__(self, inl_enabled: bool = False, force_hash: bool = False) -> None:
+    def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        self.force_hash = force_hash
         self.last_tree = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         toolkit = PlannerToolkit(
             query, session, session.statistics.copy(), self.inl_enabled
         )
-        plan = from_order_plan(toolkit, force_hash=self.force_hash)
+        plan = from_order_plan(toolkit)
         self.last_tree = plan
         return (
             yield from single_job_stages(

@@ -19,10 +19,8 @@ class IngresLikeOptimizer(DynamicOptimizer):
 
     name = "ingres"
 
-    def __init__(self, inl_enabled: bool = False, policy=None) -> None:
-        super().__init__(
-            inl_enabled=inl_enabled, rank=rank_by_input_cardinality, policy=policy
-        )
+    def __init__(self, inl_enabled: bool = False) -> None:
+        super().__init__(inl_enabled=inl_enabled, rank=rank_by_input_cardinality)
 
     def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
         """No result estimates to price a point with: the fixed schedule."""
@@ -32,8 +30,3 @@ class IngresLikeOptimizer(DynamicOptimizer):
         """Intermediates keep row counts only — INGRES has no sketch
         framework, so no online quantile/HLL collection (or cost)."""
         return ()
-
-    def refresh_stages(self, state, session, name):
-        """No sketches to refresh after a bad miss either."""
-        yield from ()
-        return False

@@ -62,13 +62,8 @@ class PilotRunOptimizer(DynamicOptimizer):
 
     name = "pilot_run"
 
-    def __init__(
-        self,
-        inl_enabled: bool = False,
-        sample_limit: int = 100,
-        policy=None,
-    ) -> None:
-        super().__init__(inl_enabled=inl_enabled, policy=policy)
+    def __init__(self, inl_enabled: bool = False, sample_limit: int = 100) -> None:
+        super().__init__(inl_enabled=inl_enabled)
         self.sample_limit = sample_limit
 
     def fuse_plan(self, state, toolkit, picked, keep, stats_columns):
@@ -119,7 +114,7 @@ class PilotRunOptimizer(DynamicOptimizer):
                 partition.length,
             )
             kept, _ = vector.fused_filter_project(
-                numbered, predicates, (_ROW,), context, session.executor.chunk_size
+                numbered, predicates, (_ROW,), context
             )
             rows = kept[_ROW][: limit - sampled]
             for name in names:

@@ -47,10 +47,10 @@ from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import FieldStatistics
 
 
-def _survivors(dataset, prefix, predicates, context, chunk_size, live):
+def _survivors(dataset, prefix, predicates, context, live):
     """One pre-filtering scan: ``(kept columns, length)`` per stored partition."""
     for partition in scan_partitions(dataset, prefix):
-        yield vector.fused_filter_project(partition, predicates, live, context, chunk_size)
+        yield vector.fused_filter_project(partition, predicates, live, context)
 
 
 class _SurvivingColumn:
@@ -114,7 +114,7 @@ class SketchOnlineOptimizer(Optimizer):
         predicates = query.predicates_for(alias)
         columns = self._join_columns(query, alias)
         prefix = f"{alias}."
-        scan = (dataset, prefix, predicates, context, session.executor.chunk_size)
+        scan = (dataset, prefix, predicates, context)
 
         survivors = list(_survivors(*scan, tuple(prefix + name for name in columns)))
         qualified_rows = sum(length for _, length in survivors)

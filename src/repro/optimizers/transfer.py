@@ -31,7 +31,6 @@ from repro.algebra.toolkit import PlannerToolkit
 from repro.analysis.runtime import verify_plan_before_jobgen
 from repro.core.driver import original_leaves, resolve_logical
 from repro.core.predicate_transfer import transfer_stages
-from repro.engine.bloom import DEFAULT_FPP
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import Query
 from repro.optimizers.base import Optimizer, final_job_stages
@@ -43,15 +42,14 @@ class PredicateTransferOptimizer(Optimizer):
 
     name = "predicate_transfer"
 
-    def __init__(self, inl_enabled: bool = False, fpp: float = DEFAULT_FPP) -> None:
+    def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        self.fpp = fpp
         #: the planned join tree of the last execution (plan capture)
         self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         run = QueryRun(query, session, self.name, namespace)
-        outcome = yield from transfer_stages(run, session, fpp=self.fpp)
+        outcome = yield from transfer_stages(run, session)
 
         toolkit = PlannerToolkit(
             outcome.query, session, run.statistics, self.inl_enabled

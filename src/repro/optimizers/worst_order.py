@@ -31,9 +31,7 @@ def true_filtered_rows(query: Query, alias: str, session) -> float:
     context = EvaluationContext(query.parameters, session.udfs)
     return float(
         sum(
-            vector.fused_filter_project(
-                partition, predicates, (), context, session.executor.chunk_size
-            )[1]
+            vector.fused_filter_project(partition, predicates, (), context)[1]
             for partition in scan_partitions(dataset, f"{alias}.")
         )
     )

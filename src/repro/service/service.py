@@ -29,11 +29,9 @@ from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.cost import CostParameters
 from repro.common.types import Schema
 from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
-from repro.lang.udf import UdfRegistry
 from repro.service.cache import INTERMEDIATE_BYTES, RESULT_BYTES, ServiceCache
 from repro.service.store import ServiceStore, ingest_token
 from repro.session import Session
@@ -62,8 +60,6 @@ class QueryService:
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
-        udfs: UdfRegistry | None = None,
-        cost_parameters: CostParameters | None = None,
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
         config: ServiceConfig | None = None,
@@ -71,7 +67,7 @@ class QueryService:
         self.config = config or ServiceConfig()
         # Session is the one constructor of an execution stack; the service
         # owns this one and every tenant handle is a view of it.
-        stack = Session(cluster, udfs, cost_parameters, scheduler_config, job_slots)
+        stack = Session(cluster, scheduler_config, job_slots)
         self.cluster = stack.cluster
         self.datasets = stack.datasets
         self.statistics = stack.statistics
@@ -97,8 +93,6 @@ class QueryService:
 
     def session(self, tenant: str) -> Session:
         """The tenant's session handle (created on first use, then reused)."""
-        if not tenant:
-            raise ValueError("tenant name must be non-empty")
         if tenant not in self._sessions:
             self._sessions[tenant] = Session(service=self, tenant=tenant)
         return self._sessions[tenant]
@@ -159,8 +153,6 @@ class QueryService:
         if self.config.result_cache:
             self.scheduler.on_admit = self._on_admit
             self.scheduler.on_finish = self._on_finish
-        for session in self._sessions.values():
-            session.scheduler = self.scheduler
         return self.scheduler
 
     def cache_key_for(self, query, spec: PlannerSpec):

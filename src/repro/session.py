@@ -36,14 +36,13 @@ from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from repro.cluster.config import ClusterConfig, default_cluster
-from repro.cluster.cost import CostParameters
 from repro.common.errors import OptimizationError
 from repro.common.types import Schema
 from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.ast import Query
-from repro.lang.udf import UdfRegistry, default_registry
+from repro.lang.udf import default_registry
 from repro.obs.report import ExplainReport
 from repro.spec import PlannerSpec, resolve_planner
 from repro.stats.catalog import StatisticsCatalog
@@ -61,8 +60,6 @@ class Session:
     def __init__(
         self,
         cluster: ClusterConfig | None = None,
-        udfs: UdfRegistry | None = None,
-        cost_parameters: CostParameters | None = None,
         scheduler_config: SchedulerConfig | None = None,
         job_slots: int | None = None,
         service: QueryService | None = None,
@@ -75,19 +72,20 @@ class Session:
             # constructor arguments describe a private stack and are
             # meaningless here — reject them so a misconfigured tenant fails
             # loudly instead of silently ignoring its cluster/config.
-            private = (cluster, udfs, cost_parameters, scheduler_config, job_slots)
+            private = (cluster, scheduler_config, job_slots)
             if any(argument is not None for argument in private):
                 raise OptimizationError(
                     "Session(service=...) shares the service's stack; "
                     "configure cluster/scheduler on the QueryService"
                 )
+            if not tenant:
+                raise ValueError("tenant name must be non-empty")
             self.cluster = service.cluster
             self.datasets = service.datasets
             self.statistics = service.statistics
             self.udfs = service.udfs
             self.executor = service.executor
             self.scheduler_config = service.scheduler_config
-            self.scheduler = service.scheduler
             return
         self.cluster = cluster or default_cluster()
         self.scheduler_config = scheduler_config or SchedulerConfig()
@@ -95,15 +93,19 @@ class Session:
             self.scheduler_config = replace(self.scheduler_config, job_slots=job_slots)
         self.datasets = DatasetCatalog()
         self.statistics = StatisticsCatalog()
-        self.udfs = udfs or default_registry()
+        self.udfs = default_registry()
         self.executor = Executor(
-            self.cluster,
-            self.datasets,
-            self.statistics,
-            self.udfs,
-            cost_parameters,
+            self.cluster, self.datasets, self.statistics, self.udfs
         )
-        self.scheduler = JobScheduler(self.executor, self.scheduler_config)
+        self._scheduler = JobScheduler(self.executor, self.scheduler_config)
+
+    @property
+    def scheduler(self) -> JobScheduler:
+        """The scheduler :meth:`submit` queues on — on a tenant handle, the
+        service's current one, so a reset reaches every handle."""
+        if self.service is not None:
+            return self.service.scheduler
+        return self._scheduler
 
     # -- data management ----------------------------------------------------
 
@@ -159,9 +161,6 @@ class Session:
         self,
         query: Query,
         planner: PlannerSpec | str | None = None,
-        *,
-        optimizer: str | None = None,
-        **options,
     ) -> ExecutionResult:
         """Optimize + execute ``query`` with one of the registered strategies.
 
@@ -172,10 +171,7 @@ class Session:
         ``greedy_static``, ``sketch_online``, ``predicate_transfer`` — plus
         validated options, e.g.
         ``PlannerSpec.of("dynamic", policy=ReplanPolicy.default())``; a bare
-        strategy name is also accepted. The legacy ``optimizer="name"`` +
-        loose keyword form was removed and raises
-        :class:`~repro.common.errors.OptimizationError` with the equivalent
-        spec spelled out.
+        strategy name is also accepted.
 
         Runs as a one-query schedule on a private scheduler
         (:meth:`~repro.optimizers.base.Optimizer.execute`) — the same code
@@ -184,7 +180,7 @@ class Session:
         (``job_slots=1``): a solo run owns the full cluster; launch-sharing
         discounts and partition slices belong to :meth:`submit`/:meth:`run_all`.
         """
-        spec = resolve_planner(planner, optimizer, options, entry="execute")
+        spec = resolve_planner(planner, entry="execute")
         return spec.make().execute(query, self)
 
     def submit(
@@ -193,21 +189,17 @@ class Session:
         planner: PlannerSpec | str | None = None,
         priority: int = 0,
         label: str = "",
-        *,
-        optimizer: str | None = None,
-        **options,
     ) -> QueryHandle:
         """Queue ``query`` on the session's shared scheduler.
 
         Nothing executes until :meth:`run_all`; the returned handle exposes
         status, the queueing delay charged under saturation, and (once run)
         the :class:`~repro.engine.metrics.ExecutionResult`. An invalid
-        :class:`~repro.spec.PlannerSpec` (or removed legacy keyword) raises
-        immediately, not at run time. On a tenant session the submission
-        carries the tenant name and, when the service caches results, its
-        cache key.
+        :class:`~repro.spec.PlannerSpec` raises immediately, not at run
+        time. On a tenant session the submission carries the tenant name
+        and, when the service caches results, its cache key.
         """
-        spec = resolve_planner(planner, optimizer, options, entry="submit")
+        spec = resolve_planner(planner, entry="submit")
         strategy = spec.make()
         handle = self.scheduler.submit(
             query,
@@ -228,13 +220,13 @@ class Session:
     def reset_scheduler(self) -> JobScheduler:
         """Fresh scheduler (clock at zero); the old timeline is discarded.
 
-        On a tenant session this resets the *service's* shared scheduler —
-        every tenant handle is repointed at the fresh one.
+        On a tenant session this resets the *service's* shared scheduler,
+        which every tenant handle reads.
         """
         if self.service is not None:
             return self.service.reset_scheduler()
-        self.scheduler = JobScheduler(self.executor, self.scheduler_config)
-        return self.scheduler
+        self._scheduler = JobScheduler(self.executor, self.scheduler_config)
+        return self._scheduler
 
     def optimizer_names(self) -> list[str]:
         from repro.optimizers import OPTIMIZERS
@@ -245,9 +237,6 @@ class Session:
         self,
         query: Query,
         planner: PlannerSpec | str | None = None,
-        *,
-        optimizer: str | None = None,
-        **options,
     ) -> ExplainReport:
         """The plan the chosen strategy would (or did) use, without keeping state.
 
@@ -260,7 +249,7 @@ class Session:
         ``str(report)`` is the plan description, so callers that treated the
         return value as text keep working.
         """
-        spec = resolve_planner(planner, optimizer, options, entry="explain")
+        spec = resolve_planner(planner, entry="explain")
         result = spec.make().execute(query, self)
         # the launch gate's records, one per job: the completion pass adds
         # one more record for the whole query (phase "query")
@@ -283,9 +272,6 @@ class Session:
         self,
         query: Query,
         planner: PlannerSpec | str | None = None,
-        *,
-        optimizer: str | None = None,
-        **options,
     ) -> str:
         """Execute ``query`` and render its trace as a plan-with-actuals report.
 
@@ -295,7 +281,7 @@ class Session:
         :meth:`execute` does and renders the report — the EXPLAIN ANALYZE of
         the simulated engine.
         """
-        spec = resolve_planner(planner, optimizer, options, entry="explain_analyze")
+        spec = resolve_planner(planner, entry="explain_analyze")
         return spec.make().execute(query, self).explain_analyze()
 
     # -- introspection --------------------------------------------------------

@@ -1,18 +1,14 @@
 """Typed planner specification: the public optimizer-selection API.
 
-:class:`PlannerSpec` replaces the stringly-typed
-``Session.execute(query, optimizer="dynamic", **options)`` surface: a frozen
-dataclass naming a registered strategy plus validated options (including a
-:class:`~repro.core.policy.ReplanPolicy`). Construction validates eagerly —
-an unknown strategy or an option the strategy's constructor does not accept
-raises :class:`~repro.common.errors.OptimizationError` at spec-build time,
-not when the query runs. All four :class:`~repro.session.Session` entry
-points (``execute``/``submit``/``explain``/``explain_analyze``) resolve their
-arguments through :func:`resolve_planner`, so they validate identically. A
-bare strategy-name string is still accepted positionally; the old
-``optimizer=``/loose-keyword form (deprecated since the spec landed) was
-removed and now fails fast with the equivalent spec spelled out in the
-error.
+:class:`PlannerSpec` is a frozen dataclass naming a registered strategy plus
+validated options (including a :class:`~repro.core.policy.ReplanPolicy`).
+Construction validates eagerly — an unknown strategy or an option the
+strategy's constructor does not accept raises
+:class:`~repro.common.errors.OptimizationError` at spec-build time, not when
+the query runs. All four :class:`~repro.session.Session` entry points
+(``execute``/``submit``/``explain``/``explain_analyze``) take the spec, or a
+bare strategy-name string, as their one planner argument and resolve it
+through :func:`resolve_planner`, so they validate identically.
 
     from repro import PlannerSpec, ReplanPolicy, Session
 
@@ -25,9 +21,13 @@ from __future__ import annotations
 import inspect
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 from repro.common.errors import OptimizationError
 from repro.core.policy import ReplanPolicy
+
+if TYPE_CHECKING:
+    from repro.optimizers.base import Optimizer
 
 
 @cache
@@ -91,7 +91,7 @@ class PlannerSpec:
         value = dict(self.options).get("policy")
         return value if isinstance(value, ReplanPolicy) else None
 
-    def make(self):
+    def make(self) -> Optimizer:
         """Instantiate the configured optimizer strategy."""
         from repro.optimizers import make_optimizer
 
@@ -99,38 +99,16 @@ class PlannerSpec:
 
 
 def resolve_planner(
-    planner=None,
-    optimizer: str | None = None,
-    options: dict | None = None,
-    entry: str = "execute",
+    planner: PlannerSpec | str | None = None, entry: str = "execute"
 ) -> PlannerSpec:
-    """Normalize any Session entry-point arguments into a :class:`PlannerSpec`.
+    """The :class:`PlannerSpec` a Session entry point's ``planner`` names.
 
     ``planner`` may be a spec (the usual API), a strategy name string
     (positional shorthand for an option-less spec), or ``None`` (the default
-    spec). The removed legacy ``optimizer=`` keyword and loose ``**options``
-    fail fast with :class:`~repro.common.errors.OptimizationError` spelling
-    out the equivalent :meth:`PlannerSpec.of` call.
+    spec).
     """
-    options = dict(options or {})
     if isinstance(planner, PlannerSpec):
-        if optimizer is not None or options:
-            raise OptimizationError(
-                f"Session.{entry}: pass options inside the PlannerSpec, "
-                "not alongside it"
-            )
         return planner
-    if optimizer is not None or options:
-        name = optimizer if optimizer is not None else planner
-        rendered = ", ".join(
-            [repr(name if isinstance(name, str) else "dynamic")]
-            + [f"{key}=..." for key in sorted(options)]
-        )
-        raise OptimizationError(
-            f"Session.{entry}: the legacy optimizer=/keyword-option form was "
-            f"removed; pass a PlannerSpec instead, e.g. "
-            f"PlannerSpec.of({rendered})"
-        )
     if planner is None:
         return PlannerSpec()
     if not isinstance(planner, str):

@@ -56,9 +56,7 @@ def resolve_field(stats: DatasetStatistics, column: str) -> FieldStatistics | No
     return stats.field_statistics(bare)
 
 
-def predicate_selectivity(
-    stats: DatasetStatistics, predicate: Predicate, histogram_buckets: int = 32
-) -> float:
+def predicate_selectivity(stats: DatasetStatistics, predicate: Predicate) -> float:
     """Estimated selectivity of one local predicate against one dataset.
 
     Complex predicates return the default factor; estimable predicates use
@@ -69,7 +67,7 @@ def predicate_selectivity(
         return default_selectivity(getattr(predicate, "op", "="))
     if isinstance(predicate, BetweenPredicate):
         field = resolve_field(stats, predicate.column)
-        histogram = field.histogram(histogram_buckets) if field is not None else None
+        histogram = field.histogram() if field is not None else None
         if histogram is None:
             return DEFAULT_INEQUALITY_SELECTIVITY
         low = _numeric(predicate.low)
@@ -87,7 +85,7 @@ def predicate_selectivity(
             if predicate.op == "=" and len(field.distinct) > 0:
                 return _clamp(1.0 / field.distinct_count)
             return default_selectivity(predicate.op)
-        histogram = field.histogram(histogram_buckets)
+        histogram = field.histogram()
         if histogram is None:
             if predicate.op == "=" and len(field.distinct) > 0:
                 return _clamp(1.0 / field.distinct_count)
@@ -96,9 +94,7 @@ def predicate_selectivity(
     return DEFAULT_INEQUALITY_SELECTIVITY
 
 
-def conjunctive_selectivity(
-    stats: DatasetStatistics, predicates, histogram_buckets: int = 32
-) -> float:
+def conjunctive_selectivity(stats: DatasetStatistics, predicates) -> float:
     """Independence-assumption product of individual selectivities.
 
     "Traditional optimizers assume predicate independence and thus the total
@@ -109,7 +105,7 @@ def conjunctive_selectivity(
     """
     selectivity = 1.0
     for predicate in predicates:
-        selectivity *= predicate_selectivity(stats, predicate, histogram_buckets)
+        selectivity *= predicate_selectivity(stats, predicate)
     return _clamp(selectivity)
 
 

@@ -28,7 +28,6 @@ def load_dataset(
     cluster: ClusterConfig,
     datasets: DatasetCatalog,
     statistics: StatisticsCatalog,
-    tracked_fields: list[str] | None = None,
     scale: float = 1.0,
     replace: bool = False,
     precollected: dict[str, dict] | None = None,
@@ -36,11 +35,11 @@ def load_dataset(
     """Load ``rows`` as a new base dataset and register its statistics.
 
     ``rows`` is walked more than once; a tuple (``Session.load`` passes one)
-    is what the statistics replay from, without a copy. ``tracked_fields``
-    defaults to every field in the schema (Section 4: "we collect these types
-    of statistics for every field of a dataset that may participate in any
-    query"). ``scale`` is the modeled full-scale rows per stored row
-    (DESIGN.md §2). ``replace`` permits re-ingesting an existing name
+    is what the statistics replay from, without a copy. Every field in the
+    schema is tracked (Section 4: "we collect these types of statistics for
+    every field of a dataset that may participate in any query"). ``scale``
+    is the modeled full-scale rows per stored row (DESIGN.md §2).
+    ``replace`` permits re-ingesting an existing name
     (bumping its catalog version, which invalidates cached results that
     depended on it). ``precollected`` maps field names to persisted halves
     (:meth:`~repro.stats.collector.FieldStatistics.built_state`), each
@@ -61,7 +60,7 @@ def load_dataset(
     else:
         datasets.register(dataset)
 
-    collector = StatisticsCollector(tracked_fields or list(schema.field_names))
+    collector = StatisticsCollector(list(schema.field_names))
     collector.observe_rows(rows)
     for field_name, state in (precollected or {}).items():
         if field_name in collector.fields:

@@ -31,6 +31,8 @@ FULLY_ANNOTATED = (
     "repro.core.planner",
     "repro.engine.scheduler.launch",
     "repro.bench.sweep",
+    "repro.engine.vector",
+    "repro.spec",
 )
 
 

@@ -38,23 +38,23 @@ def test_clean_baseline_passes():
 
 
 def _inverted_mask(original):
-    def inverted(partition, predicates, live, evaluation, chunk_size):
+    def inverted(partition, predicates, live, evaluation):
         flipped = tuple(_NegatedPredicate(p) for p in predicates)
-        return original(partition, flipped, live, evaluation, chunk_size)
+        return original(partition, flipped, live, evaluation)
 
     return inverted
 
 
 def _dropped_predicate(original):
-    def drops_last(partition, predicates, live, evaluation, chunk_size):
-        return original(partition, predicates[:-1], live, evaluation, chunk_size)
+    def drops_last(partition, predicates, live, evaluation):
+        return original(partition, predicates[:-1], live, evaluation)
 
     return drops_last
 
 
 def _projection_off_by_one(original):
-    def skips_first_survivor(partition, predicates, live, evaluation, chunk_size):
-        columns, length = original(partition, predicates, live, evaluation, chunk_size)
+    def skips_first_survivor(partition, predicates, live, evaluation):
+        columns, length = original(partition, predicates, live, evaluation)
         if length:
             return {n: col[1:] for n, col in columns.items()}, length - 1
         return columns, length
@@ -63,8 +63,8 @@ def _projection_off_by_one(original):
 
 
 def _dead_column_gather(original):
-    def drops_a_live_column(partition, predicates, live, evaluation, chunk_size):
-        columns, length = original(partition, predicates, live, evaluation, chunk_size)
+    def drops_a_live_column(partition, predicates, live, evaluation):
+        columns, length = original(partition, predicates, live, evaluation)
         if columns:
             columns.pop(sorted(columns)[0])
         return columns, length
@@ -162,8 +162,9 @@ class _NegatedPredicate:
 
 class TestFilterColumnsMutation:
     """A Select over an already-extracted input (no scan under it) is not on
-    the bench-query path, so the kernel's chunk handling there is pinned by
-    a direct operator-level check against an inline expected row list."""
+    the bench-query path, so the kernel's handling of partition ends there is
+    pinned by a direct operator-level check against an inline expected row
+    list."""
 
     VALUES = [(i % 5, i) for i in range(97)]
     EXPECTED = [{"t.a": a, "t.v": v} for a, v in VALUES if a <= 2]
@@ -172,10 +173,10 @@ class TestFilterColumnsMutation:
     def _partitions(self) -> list[ColumnPartition]:
         return [
             ColumnPartition(
-                {"t.a": [a for a, _ in chunk], "t.v": [v for _, v in chunk]},
-                len(chunk),
+                {"t.a": [a for a, _ in part], "t.v": [v for _, v in part]},
+                len(part),
             )
-            for chunk in (self.VALUES[:50], self.VALUES[50:])
+            for part in (self.VALUES[:50], self.VALUES[50:])
         ]
 
     def _select(self) -> list[dict]:
@@ -190,11 +191,11 @@ class TestFilterColumnsMutation:
     def test_chunk_boundary_mutation_is_caught(self, monkeypatch):
         original = vector.fused_filter_project
 
-        def drops_chunk_tail(partition, predicates, live, evaluation, chunk_size):
+        def drops_last_row(partition, predicates, live, evaluation):
             shorter = ColumnPartition(partition.columns, max(0, partition.length - 1))
-            return original(shorter, predicates, live, evaluation, chunk_size)
+            return original(shorter, predicates, live, evaluation)
 
-        monkeypatch.setattr(vector, "fused_filter_project", drops_chunk_tail)
+        monkeypatch.setattr(vector, "fused_filter_project", drops_last_row)
         assert self._select() != self.EXPECTED
 
     def test_filter_columns_is_the_same_kernel(self, monkeypatch):
@@ -203,12 +204,39 @@ class TestFilterColumnsMutation:
         partition = self._partitions()[0]
         predicates, context = (self.PREDICATE,), EvaluationContext()
         assert vector.filter_columns(
-            partition.columns, partition.length, predicates, context, 16
-        ) == vector.fused_filter_project(
-            partition, predicates, ("t.a", "t.v"), context, 16
-        )
+            partition.columns, partition.length, predicates, context
+        ) == vector.fused_filter_project(partition, predicates, ("t.a", "t.v"), context)
         monkeypatch.setattr(vector, "fused_filter_project", lambda *_: "the kernel")
-        assert vector.filter_columns({}, 0, predicates, context, 16) == "the kernel"
+        assert vector.filter_columns({}, 0, predicates, context) == "the kernel"
+
+
+class _CountingPredicate:
+    """Wrapper counting the batches a predicate is asked to evaluate."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.column = inner.column
+        self.calls = 0
+
+    def evaluate_batch(self, values, context):
+        self.calls += 1
+        return self.inner.evaluate_batch(values, context)
+
+
+class TestOnePassPerPartition:
+    def test_each_predicate_evaluates_one_batch_per_partition(self):
+        rows = 3000
+        predicates = (
+            _CountingPredicate(ComparisonPredicate("t.a", "<", 2)),
+            _CountingPredicate(ComparisonPredicate("t.v", ">=", 100)),
+        )
+        partition = ColumnPartition(
+            {"t.a": [i % 5 for i in range(rows)], "t.v": list(range(rows))}, rows
+        )
+        data = ColumnarData([partition], {"t.a": DataType.INT, "t.v": DataType.INT})
+        out = SelectOp(_Stub(data), predicates).execute(_state())
+        assert [p.calls for p in predicates] == [1, 1]
+        assert out.row_count == sum(1 for i in range(100, rows) if i % 5 < 2)
 
 
 class _Stub:
@@ -230,5 +258,4 @@ def _state() -> ExecState:
         statistics=StatisticsCatalog(),
         evaluation=EvaluationContext(),
         metrics=JobMetrics(),
-        chunk_size=16,
     )

@@ -15,7 +15,7 @@ from ``src/``.
 from __future__ import annotations
 
 from repro.algebra.toolkit import alias_stats_key
-from repro.engine.bloom import BloomFilter, bloom_size_bytes
+from repro.engine.bloom import DEFAULT_FPP, BloomFilter, bloom_size_bytes
 from repro.engine.metrics import JobMetrics
 from repro.lang.ast import split_column
 from repro.optimizers.pilot_run import ScaledFieldStatistics
@@ -72,7 +72,7 @@ def sketch_pass(optimizer, query, alias, session, context):
     return entry, delta, survivors
 
 
-def build_filters(query, alias, current_name, session, context, adjacency, fpp):
+def build_filters(query, alias, current_name, session, context, adjacency):
     """``predicate_transfer._build_filters``: one Bloom filter per join column
     over the alias's base rows (local predicates applied) or its latest
     transfer intermediate."""
@@ -109,10 +109,10 @@ def build_filters(query, alias, current_name, session, context, adjacency, fpp):
     modeled_survivors = survivors * dataset.scale
     delta.compute += cost.bloom_build(modeled_survivors, len(own_columns))
     delta.tuples_scanned = dataset.row_count
-    charge = bloom_size_bytes(max(1.0, modeled_survivors), fpp)
+    charge = bloom_size_bytes(max(1.0, modeled_survivors), DEFAULT_FPP)
     built = {
         column: BloomFilter.build(
-            values[column], max(1, survivors), fpp, charge_bytes=charge
+            values[column], max(1, survivors), DEFAULT_FPP, charge_bytes=charge
         )
         for column in own_columns
     }

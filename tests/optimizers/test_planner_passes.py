@@ -4,9 +4,9 @@
 prefix sample and worst-order's exact count scan stored columns through the
 engine's filter kernel; ``tests/optimizers/reference_passes.py`` keeps each as
 the row-at-a-time loop it replaces. On generated universes — sparse rows,
-nulls, UDF / parameter / BETWEEN / null-valued predicates, any chunk size —
-both must produce the same sketch state, the same Bloom filters, the same
-sample and the same virtual charge, bit for bit.
+nulls, UDF / parameter / BETWEEN / null-valued predicates — both must
+produce the same sketch state, the same Bloom filters, the same sample and
+the same virtual charge, bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from repro.common.types import DataType, Schema
 from repro.core.predicate_transfer import _build_filters, transfer_adjacency
-from repro.engine.bloom import DEFAULT_FPP
 from repro.engine.job import Job
 from repro.engine.operators.scan import ScanOp
 from repro.engine.operators.select import SelectOp
@@ -64,9 +63,8 @@ _predicate = st.one_of(
 )  # fmt: skip
 
 
-def _universe(t_rows, d_attrs, predicates, parameter, chunk_size):
+def _universe(t_rows, d_attrs, predicates, parameter):
     session = Session(small_cluster())
-    session.executor.chunk_size = chunk_size
     session.load(
         "t",
         T,
@@ -110,7 +108,6 @@ universes = given(
     d_attrs=st.lists(st.integers(0, 6), min_size=1, max_size=12),
     predicates=st.lists(_predicate, max_size=3),
     parameter=st.integers(-3, 12),
-    chunk_size=st.sampled_from([1, 3, 1024]),
 )
 
 
@@ -162,7 +159,7 @@ class TestGeneratedUniverses:
         )
         session.executor.execute(Job(sink, label="reduce"), query.parameters)
         for alias, current in (("t", None), ("d", None), ("t", "__reduced_t")):
-            arguments = (query, alias, current, session, context, adjacency, DEFAULT_FPP)
+            arguments = (query, alias, current, session, context, adjacency)
             built, delta = _build_filters(*arguments)
             expected, charge = reference.build_filters(*arguments)
             assert {c: b.fingerprint() for c, b in built.items()} == {
@@ -198,16 +195,15 @@ class TestGeneratedUniverses:
 
 
 class TestPilotStopsWhereTheRowScanDid:
-    """37 rows round-robin over 4 partitions (10 + 9 + 9 + 9), chunks of 4:
-    the limit lands mid-chunk, on a chunk end, mid-partition, exactly on a
-    partition end, on the last row, and nowhere."""
+    """37 rows round-robin over 4 partitions (10 + 9 + 9 + 9): the limit
+    lands mid-partition, exactly on a partition end, on the last row, and
+    nowhere."""
 
     ROWS = 37
     LIMITS = (1, 3, 4, 7, 10, 12, 19, 37, 38)
 
     def _session(self):
         session = Session(small_cluster())
-        session.executor.chunk_size = 4
         session.load("r", R, [{"v": i} for i in range(self.ROWS)])
         session.load("d", D, [{"d_id": i, "attr": i} for i in range(5)])
         return session

@@ -28,6 +28,26 @@ class TestTenantSessions:
         with pytest.raises(ValueError):
             QueryService(small_cluster()).session("")
 
+    def test_directly_built_empty_tenant_rejected(self):
+        from repro.session import Session
+
+        with pytest.raises(ValueError, match="non-empty"):
+            Session(service=QueryService(small_cluster()), tenant="")
+
+    def test_directly_built_handle_follows_a_scheduler_reset(self):
+        from repro.session import Session
+
+        service = build_service()
+        direct = Session(service=service, tenant="alice")
+        opened = service.session("bob")
+        service.reset_scheduler()
+        assert direct.scheduler is opened.scheduler is service.scheduler
+        handles = [
+            handle.submit(star_query(), "cost_based") for handle in (direct, opened)
+        ]
+        service.run_all()
+        assert [h.status for h in handles] == ["done", "done"]
+
     def test_tenant_session_rejects_private_stack_arguments(self):
         from repro.session import Session
 

@@ -1,10 +1,8 @@
 """PlannerSpec: the typed optimizer-selection API.
 
-Contract: every Session entry point resolves its arguments through
+Contract: every Session entry point resolves its planner argument through
 ``resolve_planner``; an invalid spec fails at construction time; a bare
-strategy-name string still resolves positionally; the removed legacy
-``optimizer="name"`` + loose-kwargs form fails fast with the equivalent
-``PlannerSpec.of`` call spelled out in the error.
+strategy-name string still resolves positionally.
 """
 
 from __future__ import annotations
@@ -59,19 +57,29 @@ class TestPlannerSpecValidation:
         assert a == b and hash(a) == hash(b)
 
     @pytest.mark.parametrize(
-        "name",
+        "strategy, name",
         (
-            "charge_online_stats",
-            "pushdown_enabled",
-            "reoptimize_joins",
-            "collect_online_sketches",
+            # Fig. 6 and the ablations are folds and stage compositions over
+            # one run, not constructor variants of the driver.
+            *(
+                pytest.param("dynamic", name, id=name)
+                for name in (
+                    "charge_online_stats",
+                    "pushdown_enabled",
+                    "reoptimize_joins",
+                    "collect_online_sketches",
+                )
+            ),
+            # options no caller set to anything but their default
+            ("from_order", "force_hash"),
+            ("predicate_transfer", "fpp"),
+            ("ingres", "policy"),
+            ("pilot_run", "policy"),
         ),
     )
-    def test_removed_driver_options_raise(self, name):
-        # Fig. 6 and the ablations are folds and stage compositions over
-        # one run, not constructor variants of the driver.
+    def test_removed_driver_options_raise(self, strategy, name):
         with pytest.raises(OptimizationError, match=name):
-            PlannerSpec.of("dynamic", **{name: False})
+            PlannerSpec.of(strategy, **{name: None})
 
     def test_with_options_and_as_dict(self):
         spec = PlannerSpec.of("dynamic", inl_enabled=False)
@@ -93,16 +101,6 @@ class TestResolvePlanner:
         spec = PlannerSpec.of("ingres")
         assert resolve_planner(spec) is spec
 
-    def test_spec_plus_legacy_kwargs_is_an_error(self):
-        with pytest.raises(OptimizationError, match="inside the PlannerSpec"):
-            resolve_planner(PlannerSpec(), optimizer="dynamic")
-        with pytest.raises(OptimizationError, match="inside the PlannerSpec"):
-            resolve_planner(PlannerSpec(), options={"inl_enabled": True})
-
-    def test_string_plus_legacy_keyword_raises(self):
-        with pytest.raises(OptimizationError, match="removed"):
-            resolve_planner("dynamic", optimizer="ingres")
-
     def test_non_string_planner_raises(self):
         with pytest.raises(OptimizationError, match="PlannerSpec or a"):
             resolve_planner(42)
@@ -111,20 +109,6 @@ class TestResolvePlanner:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_planner() == PlannerSpec()
-
-    def test_legacy_keyword_fails_fast_with_migration_hint(self):
-        with pytest.raises(OptimizationError) as excinfo:
-            resolve_planner(optimizer="ingres", entry="execute")
-        message = str(excinfo.value)
-        assert "removed" in message
-        assert "PlannerSpec.of('ingres')" in message
-
-    def test_loose_options_fail_fast_with_option_names(self):
-        with pytest.raises(OptimizationError) as excinfo:
-            resolve_planner("pilot_run", options={"sample_limit": 100})
-        message = str(excinfo.value)
-        assert "removed" in message
-        assert "PlannerSpec.of('pilot_run', sample_limit=...)" in message
 
     def test_bare_string_resolves_without_error(self):
         with warnings.catch_warnings():
@@ -147,13 +131,6 @@ class TestStringFormEquivalence:
         assert by_name.phases == spec.phases
         assert asdict(by_name.metrics) == asdict(spec.metrics)
         assert by_name.seconds == spec.seconds
-
-    def test_legacy_execute_keyword_fails_fast(self):
-        session = build_star_session()
-        with pytest.raises(OptimizationError, match="removed"):
-            session.execute(star_query(), optimizer="cost_based")
-        with pytest.raises(OptimizationError, match="removed"):
-            session.submit(star_query(), "dynamic", inl_enabled=True)
 
     def test_invalid_option_fails_at_submit_time(self):
         session = build_star_session()
