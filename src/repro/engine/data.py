@@ -20,7 +20,7 @@ stored partition (:class:`StoredColumns`) instead of a dict of lists.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -75,7 +75,7 @@ class StoredColumns(Mapping):
             raise KeyError(name)
         return self._stored.column(name.removeprefix(self._prefix))
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[str]:
         return iter(self._names)
 
     def __len__(self) -> int:

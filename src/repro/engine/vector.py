@@ -3,9 +3,10 @@
 Rows flow between operators as parallel columns
 (:class:`~repro.engine.data.ColumnarData`); scans read only referenced
 columns from storage, filter+project fuse into one pass per partition, and
-joins build/probe over key columns instead of per-row dicts. The cost clock
-charges from row counts and the logical column map, never from what a
-kernel physically touched.
+joins build/probe over key columns instead of per-row dicts, through a table
+whose containers do not grow with its key count (:class:`HashTable`). The
+cost clock charges from row counts and the logical column map, never from
+what a kernel physically touched.
 
 The kernels here are free functions on purpose: the mutation tests
 monkeypatch them to prove the golden-fingerprint harness
@@ -14,9 +15,11 @@ monkeypatch them to prove the golden-fingerprint harness
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import chain, compress, islice, repeat
-from typing import TYPE_CHECKING
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import sub
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.common.rng import partition_slots
 from repro.engine.data import ColumnPartition
@@ -156,43 +159,72 @@ def probe_key_column(
     return parts[0] if len(parts) == 1 else zip(*parts)
 
 
-def build_hash_table(key_column: Sequence) -> tuple[dict, bool]:
-    """``(table, unique)`` over the build keys; null keys never match (SQL).
+class HashTable(NamedTuple):
+    """A join's build side, keyed for :func:`probe_hash_table`.
 
-    Non-null keys all distinct: key -> position, ``unique`` true. Otherwise
-    key -> positions in build order. The first shape keeps no list per key
-    alive for the cycle collector to track (DESIGN.md §10.3).
+    Non-null build keys all distinct: ``positions`` maps key -> build
+    position and ``groups`` is ``None``. Otherwise ``positions`` maps key ->
+    group id (1, 2, ... in first-occurrence order) and ``groups`` is
+    ``(order, bounds)``: the non-null build positions stably sorted by group
+    id, and group ``g``'s slice of them, ``order[bounds[g - 1]:bounds[g]]``.
     """
-    table: dict = dict(zip(key_column, range(len(key_column))))
+
+    positions: dict
+    groups: tuple[list[int], list[int]] | None
+
+
+def build_hash_table(key_column: Sequence) -> HashTable:
+    """The table over the build keys; null keys never match (SQL).
+
+    Either shape is a fixed number of containers, however many distinct keys
+    there are, so the cycle collector has no per-key object to count or walk
+    (DESIGN.md §10.3). Duplicate keys are grouped by one stable sort of the
+    build positions by group id; null rows take an id past the last group,
+    sort to the end and are cut off.
+    """
+    length = len(key_column)
+    positions: dict = dict(zip(key_column, range(length)))
     nulls = key_column.count(None)
-    table.pop(None, None)
-    if len(table) == len(key_column) - nulls:
-        return table, True
-    table = {}
-    for position, key in enumerate(key_column):
-        table.setdefault(key, []).append(position)
-    table.pop(None, None)
-    return table, False
+    positions.pop(None, None)
+    if len(positions) == length - nulls:
+        return HashTable(positions, None)
+    # each key's value becomes its group id: the keys are already in
+    # first-occurrence order, and new values leave the iteration alone
+    positions.update(zip(positions, count(1)))
+    null_group = positions[None] = len(positions) + 1  # null rows sort last
+    codes = list(map(positions.__getitem__, key_column))
+    del positions[None]
+    order = sorted(range(length), key=codes.__getitem__)  # stable
+    del order[length - nulls :]
+    sizes = Counter(codes)  # first occurrences: groups 1, 2, ... in order
+    sizes.pop(null_group, None)
+    return HashTable(positions, (order, list(accumulate(sizes.values(), initial=0))))
 
 
 def probe_hash_table(
-    table: tuple[dict, bool], key_column: Iterable
+    table: HashTable, key_column: Iterable
 ) -> tuple[list[int], list[int]]:
     """Batched probe: (build positions, probe positions) per output row, in
     nested-loop order: probe rows in order, each one's matches in build order.
     The table holds no ``None`` key, so a null probe key misses like any other.
     """
-    positions, unique = table
+    positions, groups = table
     hits = list(map(positions.get, key_column))
-    if unique:  # a hit is a position, and position 0 is falsy
+    if groups is None:  # a hit is a position, and position 0 is falsy
         probe_idx = [row for row, hit in enumerate(hits) if hit is not None]
         return [hits[row] for row in probe_idx], probe_idx
-    # a hit is a non-empty position list, so it is truthy
-    matches = list(compress(hits, hits))
-    matched_rows = compress(range(len(hits)), hits)
+    # a hit is a group id, at least 1, so it is truthy
+    order, bounds = groups
+    matched = list(compress(hits, hits))
+    ends = list(map(bounds.__getitem__, matched))
+    starts = list(map(bounds.__getitem__, map((-1).__add__, matched)))
     return (
-        list(chain.from_iterable(matches)),
-        list(chain.from_iterable(map(repeat, matched_rows, map(len, matches)))),
+        list(chain.from_iterable(map(order.__getitem__, map(slice, starts, ends)))),
+        list(
+            chain.from_iterable(
+                map(repeat, compress(range(len(hits)), hits), map(sub, ends, starts))
+            )
+        ),
     )
 
 

@@ -15,7 +15,7 @@ Scan/Reader, the planner-side pre-filtering passes, index builds — asks a
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
@@ -136,7 +136,7 @@ class Dataset:
         """One field's stored tuples themselves, one per partition."""
         return [partition.column(field_name) for partition in self.partitions]
 
-    def rows(self):
+    def rows(self) -> Iterator[dict]:
         """Iterate all rows across partitions (test/inspection helper)."""
         for partition in self.partitions:
             yield from partition.rows()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -92,7 +93,7 @@ STR_KEYS = st.one_of(st.none(), st.sampled_from(["a", "b", "c", "dd", ""]))
 
 
 @st.composite
-def join_sides(draw, key_values=None):
+def join_sides(draw, key_values=None, max_group=1):
     """(partition count, build, probe, build_keys, probe_keys).
 
     Each side is ``ColumnarData`` over ``partition_count`` partitions with
@@ -100,7 +101,9 @@ def join_sides(draw, key_values=None):
     tag), ``shared`` (on both sides) and a dead logical column no partition
     physically holds. A side is either laid out truthfully on its first key
     (``partitioned_on`` set) or scattered arbitrarily (``partitioned_on``
-    unset, so the plan moves it).
+    unset, so the plan moves it). With ``max_group`` above 1, each drawn
+    build key is repeated in 1 to ``max_group`` rows and the build rows are
+    shuffled, so null keys and other groups fall between a group's rows.
     """
     partition_count = draw(st.integers(1, 5))
     if key_values is None:
@@ -115,6 +118,18 @@ def join_sides(draw, key_values=None):
                 max_size=max_rows,
             )
         )
+        if side == "b" and max_group > 1:
+            sizes = draw(
+                st.lists(
+                    st.integers(1, max_group), min_size=len(rows), max_size=len(rows)
+                )
+            )
+            grouped = [
+                (*row[:arity], value)
+                for row, size in zip(rows, sizes)
+                for value in range(row[arity], row[arity] + size)
+            ]
+            rows = draw(st.permutations(grouped))
         truthful = draw(st.booleans())
         buckets: list[list[tuple]] = [[] for _ in range(partition_count)]
         for number, row in enumerate(rows):
@@ -172,6 +187,25 @@ def test_broadcast_join_equals_gathered_build_per_partition(case):
     assert snapshot(op.execute(state), state) == snapshot(expected, expected_state)
 
 
+@settings(max_examples=100, deadline=None)
+@given(join_sides(max_group=50), st.booleans())
+def test_grouped_build_equals_exchange_then_local_join(case, broadcast):
+    """Groups of 1-50 build rows per key, nulls between them, and composite
+    keys with one null component: each output row in the reference's
+    position, so a group's matches come in build order."""
+    partition_count, build, probe, build_keys, probe_keys = case
+    cls, reference = (
+        (BroadcastJoinOp, reference_broadcast_join)
+        if broadcast
+        else (HashJoinOp, reference_hash_join)
+    )
+    expected_state = make_state(partition_count)
+    expected = reference(build, probe, build_keys, probe_keys, expected_state)
+    state = make_state(partition_count)
+    op = cls(Stub(build), Stub(probe), build_keys, probe_keys)
+    assert snapshot(op.execute(state), state) == snapshot(expected, expected_state)
+
+
 def test_expanding_join_keeps_reference_order():
     """Many-to-many on one hot key spread over every partition: 12 x 15
     matches, both sides moved, each output row in the reference's position."""
@@ -206,9 +240,11 @@ MIXED_KEYS = st.one_of(
     st.integers(0, 4).map(float),
     st.sampled_from([0.5, -0.0, 2.5]),
 )
+#: one NaN object: it is never ``==`` itself, but a dict finds it by identity
+NAN = float("nan")
 #: the values Python equality conflates across types: ``-0.0 == 0 == 0.0 ==
-#: False`` and ``1 == 1.0 == True``
-EDGE_KEYS = st.sampled_from([None, -0.0, 0, 0.0, False, 1, 1.0, True, 2])
+#: False`` and ``1 == 1.0 == True``; and the NaN object
+EDGE_KEYS = st.sampled_from([None, -0.0, 0, 0.0, False, 1, 1.0, True, 2, NAN])
 #: a key column that is mostly null, with int, double, bool and string values
 NULL_HEAVY_KEYS = st.sampled_from([None, None, None, None, None, 0, 1.0, True, "a"])
 
@@ -216,19 +252,23 @@ NULL_HEAVY_KEYS = st.sampled_from([None, None, None, None, None, 0, 1.0, True, "
 @st.composite
 def mixed_sides(draw):
     """``join_sides`` over one or two keys (composite), each column drawn
-    from the mixed-type, conflated-value or null-heavy value sets."""
+    from the mixed-type, conflated-value or null-heavy value sets, the build
+    keys sometimes in groups of up to 8 rows."""
     key_sets = [MIXED_KEYS, EDGE_KEYS, NULL_HEAVY_KEYS]
     keys = draw(st.lists(st.sampled_from(key_sets), min_size=1, max_size=2))
-    return draw(join_sides(key_values=keys))
+    return draw(join_sides(key_values=keys, max_group=draw(st.sampled_from([1, 8]))))
 
 
 def nested_loop(build: ColumnarData, probe: ColumnarData, build_keys, probe_keys):
-    """Multiset of (build tag, probe tag) pairs under SQL equality."""
+    """Multiset of (build tag, probe tag) pairs: nulls never match, and
+    non-null keys match under Python's container equality (identity, then
+    ``==``), which is what a dict lookup decides — so one NaN object matches
+    itself."""
     pairs = []
     for b in build.all_rows():
         for p in probe.all_rows():
             values = [(b.get(bk), p.get(pk)) for bk, pk in zip(build_keys, probe_keys)]
-            if all(x is not None and y is not None and x == y for x, y in values):
+            if all(x is not None and (x is y or x == y) for x, y in values):
                 pairs.append((b.get("b.v"), p.get("p.v")))
     return sorted(pairs)
 
@@ -250,3 +290,29 @@ def test_cross_type_keys_match_a_nested_loop(case, broadcast):
         for slot, partition in enumerate(out.partitions):
             for value in partition.column("p.k0"):
                 assert stable_hash(value) % partition_count == slot
+
+
+@pytest.mark.parametrize("cls", [HashJoinOp, BroadcastJoinOp])
+def test_cross_type_group_and_nan_match_a_nested_loop(cls):
+    """``1``, ``1.0`` and ``True`` are one build group, a null sits between
+    them, and the one NaN object is a group of two that only it matches."""
+    keys = [1, None, 1.0, NAN, True, 2, NAN, None]
+    build = ColumnarData(
+        [ColumnPartition({"b.k0": keys, "b.v": [f"b{i}" for i in range(8)]}, 8)],
+        {"b.k0": DataType.DOUBLE, "b.v": DataType.STRING},
+    )
+    probe_keys = [True, NAN, float("nan"), None, 1, 2.0]
+    probe = ColumnarData(
+        [ColumnPartition({"p.k0": probe_keys, "p.v": [f"p{i}" for i in range(6)]}, 6)],
+        {"p.k0": DataType.DOUBLE, "p.v": DataType.STRING},
+    )
+    out = cls(Stub(build), Stub(probe), ("b.k0",), ("p.k0",)).execute(make_state(1))
+    got = [(row["b.v"], row["p.v"]) for row in out.all_rows()]
+    expected = [
+        ("b0", "p0"), ("b2", "p0"), ("b4", "p0"),
+        ("b3", "p1"), ("b6", "p1"),
+        ("b0", "p4"), ("b2", "p4"), ("b4", "p4"),
+        ("b5", "p5"),
+    ]
+    assert got == expected  # one partition: nested-loop order
+    assert sorted(got) == nested_loop(build, probe, ("b.k0",), ("p.k0",))

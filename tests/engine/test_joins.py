@@ -1,5 +1,6 @@
 """Join operator correctness: every algorithm must equal brute force."""
 
+import gc
 import random
 
 import pytest
@@ -151,6 +152,34 @@ class TestJoinKeyColumn:
 
     def test_an_absent_key_column_reads_as_nulls(self):
         assert vector.join_key_column(self.COLUMNS, 3, ("a", "ghost")) == [None] * 3
+
+
+class TestBuildTableContainers:
+    """A duplicate-key build allocates a fixed number of containers for the
+    cycle collector, however many distinct keys it holds (DESIGN.md §10.3)."""
+
+    @staticmethod
+    def tracked_objects_added(rows: int) -> int:
+        keys = [row // 4 for row in range(rows)]  # each key four times
+        random.Random(rows).shuffle(keys)
+        keys[::7] = [None] * len(keys[::7])
+        vector.build_hash_table([0, 0])  # a first call fills interpreter caches
+        enabled = gc.isenabled()
+        gc.disable()  # a collection mid-build would untrack what it counts
+        try:
+            before = len(gc.get_objects())
+            table = vector.build_hash_table(keys)
+            added = len(gc.get_objects()) - before
+        finally:
+            if enabled:
+                gc.enable()
+        assert table.groups is not None
+        return added
+
+    def test_tracked_objects_do_not_grow_with_the_key_count(self):
+        small = self.tracked_objects_added(1_000)
+        large = self.tracked_objects_added(100_000)
+        assert small == large <= 8
 
 
 class TestBroadcastJoin:

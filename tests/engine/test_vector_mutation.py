@@ -148,6 +148,23 @@ class TestJoinKernelMutations:
         with pytest.raises(AssertionError, match="diverges from the golden"):
             assert_matches_golden(CASE)
 
+    def test_unstable_group_order_is_caught(self, monkeypatch):
+        """Each key's build rows come out in reverse build order, as an
+        unstable sort by group id could leave them."""
+        original = vector.build_hash_table
+
+        def unstable(key_column):
+            table = original(key_column)
+            if table.groups is not None:
+                order, bounds = table.groups
+                for start, end in zip(bounds, bounds[1:]):
+                    order[start:end] = order[start:end][::-1]
+            return table
+
+        monkeypatch.setattr(vector, "build_hash_table", unstable)
+        with pytest.raises(AssertionError, match="diverges from the golden"):
+            assert_matches_golden(CASE)
+
 
 class _NegatedPredicate:
     """Wrapper flipping a predicate's batch verdicts (the planted bug)."""
