@@ -12,8 +12,10 @@ Public entry points:
   re-sketches the intermediate and widens the next pick.
 - :class:`repro.QueryBuilder` — construct multi-join queries with simple,
   parameterized, and UDF predicates.
-- :mod:`repro.workloads` — TPC-H / TPC-DS style generators and the paper's
-  four evaluation queries.
+- :mod:`repro.workloads` — :func:`repro.workloads.get_workload`, the one
+  way to generate and load a named universe: TPC-H / TPC-DS style
+  generators with the paper's four evaluation queries, and the JOB-style
+  workload whose skew/correlation knobs the skew sweep turns.
 - :mod:`repro.bench` — harness regenerating every table and figure of the
   paper's evaluation section.
 - :mod:`repro.analysis` — static analysis: the plan/job verifier behind the

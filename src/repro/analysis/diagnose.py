@@ -42,6 +42,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.common.errors import CatalogError
+
 if TYPE_CHECKING:
     from repro.obs.trace import EstimateRecord, QueryTrace
 
@@ -304,8 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         choices=("transfer",),
         help="optional dynamic pre-filtering prelude",
     )
-    parser.add_argument("--skew", type=float, default=0.0)
-    parser.add_argument("--correlation", type=float, default=0.0)
+    parser.add_argument("--skew", type=float, default=0.0, help="J1-J3 only")
+    parser.add_argument("--correlation", type=float, default=0.0, help="J1-J3 only")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--threshold",
@@ -324,15 +326,18 @@ def main(argv: list[str] | None = None) -> int:
         options: dict[str, object] = {}
         if args.pre_filter is not None:
             options["pre_filter"] = args.pre_filter
-        result = run_query(
-            args.query,
-            args.sf,
-            args.optimizer,
-            seed=args.seed,
-            skew=args.skew,
-            correlation=args.correlation,
-            **options,
-        )
+        try:
+            result = run_query(
+                args.query,
+                args.sf,
+                args.optimizer,
+                seed=args.seed,
+                skew=args.skew,
+                correlation=args.correlation,
+                **options,
+            )
+        except CatalogError as error:  # e.g. a knob on a TPC query
+            parser.error(str(error))
         records = list(result.trace.estimates) if result.trace else []
         source = (
             f"{args.query} @ SF {args.sf} under {args.optimizer}"

@@ -4,7 +4,6 @@ from repro.workloads.job.generator import (
     create_secondary_indexes,
     generate,
     hot_title_count,
-    load_into,
     scale_unit,
     zipf_picker,
 )
@@ -16,7 +15,6 @@ __all__ = [
     "create_secondary_indexes",
     "generate",
     "hot_title_count",
-    "load_into",
     "query_j1",
     "query_j2",
     "query_j3",

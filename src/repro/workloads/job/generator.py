@@ -30,10 +30,8 @@ from repro.common.rng import derive
 from repro.workloads.job.schema import (
     QUERY_YEAR_HIGH,
     QUERY_YEAR_LOW,
-    SCHEMAS,
     YEAR_HIGH,
     YEAR_LOW,
-    real_row_counts,
     row_counts,
 )
 
@@ -188,24 +186,6 @@ def generate(
         "movie_companies": movie_companies,
         "movie_keyword": movie_keyword,
     }
-
-
-def load_into(
-    session,
-    scale_factor: int,
-    seed: int = 42,
-    skew: float = 0.0,
-    correlation: float = 0.0,
-) -> None:
-    """Generate and ingest all JOB tables into a session.
-
-    Each table carries its per-row scale (modeled IMDB rows per stored row)
-    so cost and broadcast decisions reflect the nominal scale factor.
-    """
-    tables = generate(scale_factor, seed, skew=skew, correlation=correlation)
-    real = real_row_counts(scale_factor)
-    for name, rows in tables.items():
-        session.load(name, SCHEMAS[name], rows, scale=real[name] / max(1, len(rows)))
 
 
 def create_secondary_indexes(session) -> None:

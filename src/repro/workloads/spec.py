@@ -1,10 +1,9 @@
 """Typed workload specifications: the public workload-selection API.
 
-:class:`WorkloadSpec` replaces the ad-hoc per-module imports
-(``from repro.workloads import tpch; tpch.load_into(session, 100)``) with one
-uniform surface over every registered workload: schemas, the generated
-tables, session loading, secondary indexes and the named query suite all
-hang off a single frozen value built by :func:`get_workload`::
+:class:`WorkloadSpec` is the one surface over every registered workload:
+schemas, the generated tables, session loading, secondary indexes and the
+named query suite all hang off a single frozen value built by
+:func:`get_workload`::
 
     from repro.workloads import get_workload
 
@@ -12,17 +11,17 @@ hang off a single frozen value built by :func:`get_workload`::
     spec.load_into(session)
     result = session.execute(spec.query("J1"))
 
-The ``skew``/``correlation`` knobs are uniform across workloads: the JOB
-generator takes them natively, while the TPC universes are re-skinned by
-:mod:`repro.workloads.adversarial` post-generation. Knobs at their 0 defaults
-are the identity — ``get_workload("tpch", 100).load_into(session)`` ingests
-byte-identical rows to the legacy ``tpch.load_into(session, 100)``.
+Only the JOB generator takes the ``skew``/``correlation`` knobs. The TPC
+universes are the paper's stock ones: a non-zero knob there, a negative or
+non-finite ``skew`` and a ``correlation`` outside [0, 1] are rejected when
+the spec is built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.common.errors import CatalogError
 from repro.lang.ast import Query
@@ -30,6 +29,9 @@ from repro.workloads import job, tpcds, tpch
 from repro.workloads.job import schema as job_schema
 from repro.workloads.tpcds import schema as tpcds_schema
 from repro.workloads.tpch import schema as tpch_schema
+
+if TYPE_CHECKING:
+    from repro.session import Session
 
 
 @dataclass(frozen=True)
@@ -39,13 +41,11 @@ class _Provider:
     schemas: Mapping[str, object]
     generate: Callable[..., dict[str, list[dict]]]
     real_row_counts: Callable[[int], dict[str, int]]
-    row_counts: Callable[[int], dict[str, int]]
     scale_unit: Callable[[int], int]
     create_secondary_indexes: Callable
     queries: Mapping[str, Callable[[], Query]]
-    #: the generator accepts skew/correlation directly (JOB); otherwise the
-    #: adversarial rewriter applies the knobs post-generation.
-    native_knobs: bool = False
+    #: the generator takes the skew/correlation knobs (JOB only)
+    takes_knobs: bool = False
 
 
 _PROVIDERS: dict[str, _Provider] = {
@@ -53,7 +53,6 @@ _PROVIDERS: dict[str, _Provider] = {
         schemas=tpch_schema.SCHEMAS,
         generate=tpch.generate,
         real_row_counts=tpch_schema.real_row_counts,
-        row_counts=tpch_schema.row_counts,
         scale_unit=tpch.scale_unit,
         create_secondary_indexes=tpch.create_secondary_indexes,
         queries={"Q8": tpch.query_8, "Q9": tpch.query_9},
@@ -62,7 +61,6 @@ _PROVIDERS: dict[str, _Provider] = {
         schemas=tpcds_schema.SCHEMAS,
         generate=tpcds.generate,
         real_row_counts=tpcds_schema.real_row_counts,
-        row_counts=tpcds_schema.row_counts,
         scale_unit=tpcds.scale_unit,
         create_secondary_indexes=tpcds.create_secondary_indexes,
         queries={"Q17": tpcds.query_17, "Q50": tpcds.query_50},
@@ -71,11 +69,10 @@ _PROVIDERS: dict[str, _Provider] = {
         schemas=job_schema.SCHEMAS,
         generate=job.generate,
         real_row_counts=job_schema.real_row_counts,
-        row_counts=job_schema.row_counts,
         scale_unit=job.scale_unit,
         create_secondary_indexes=job.create_secondary_indexes,
         queries={"J1": job.query_j1, "J2": job.query_j2, "J3": job.query_j3},
-        native_knobs=True,
+        takes_knobs=True,
     ),
 }
 
@@ -107,6 +104,17 @@ class WorkloadSpec:
             raise CatalogError("build WorkloadSpec via get_workload(...)")
         # validates the scale factor eagerly, like PlannerSpec validates names
         self._provider.scale_unit(self.scale_factor)
+        if not (math.isfinite(self.skew) and self.skew >= 0):
+            raise CatalogError(f"skew must be finite and >= 0, got {self.skew!r}")
+        if not 0 <= self.correlation <= 1:
+            raise CatalogError(
+                f"correlation must lie in [0, 1], got {self.correlation!r}"
+            )
+        if (self.skew or self.correlation) and not self._provider.takes_knobs:
+            raise CatalogError(
+                f"workload {self.name!r} takes no skew/correlation knobs; "
+                "only 'job' does"
+            )
 
     # -- data -------------------------------------------------------------------
 
@@ -115,31 +123,19 @@ class WorkloadSpec:
         """Table name -> :class:`~repro.common.types.Schema`."""
         return self._provider.schemas
 
-    @property
-    def adversarial(self) -> bool:
-        """True when either knob moves the universe off the stock one."""
-        return self.skew > 0 or self.correlation > 0
-
     def generate(self) -> dict[str, list[dict]]:
         """All tables of this universe, keyed by table name."""
-        provider = self._provider
-        if provider.native_knobs:
-            return provider.generate(
+        if self._provider.takes_knobs:
+            return self._provider.generate(
                 self.scale_factor, self.seed,
                 skew=self.skew, correlation=self.correlation,
             )
-        tables = provider.generate(self.scale_factor, self.seed)
-        if self.adversarial:
-            from repro.workloads.adversarial import rewrite
+        return self._provider.generate(self.scale_factor, self.seed)
 
-            rewrite(
-                self.name, tables, self.scale_factor, self.seed,
-                self.skew, self.correlation,
-            )
-        return tables
-
-    def load_into(self, session) -> None:
-        """Generate and ingest every table, carrying modeled per-row scale."""
+    def load_into(self, session: Session) -> None:
+        """Generate and ingest every table, carrying modeled per-row scale
+        (modeled rows per stored row), so the cost clock and broadcast
+        decisions reflect the nominal scale factor."""
         real = self._provider.real_row_counts(self.scale_factor)
         for name, rows in self.generate().items():
             session.load(
@@ -149,7 +145,7 @@ class WorkloadSpec:
                 scale=real[name] / max(1, len(rows)),
             )
 
-    def create_secondary_indexes(self, session) -> None:
+    def create_secondary_indexes(self, session: Session) -> None:
         """The workload's INL indexes (idempotence is the session's concern)."""
         self._provider.create_secondary_indexes(session)
 
@@ -181,8 +177,10 @@ def get_workload(
 ) -> WorkloadSpec:
     """Build a :class:`WorkloadSpec` for a registered workload.
 
-    Raises :class:`~repro.common.errors.CatalogError` for unknown names —
-    at spec-build time, not when the data is first touched.
+    Raises :class:`~repro.common.errors.CatalogError` for unknown names and
+    out-of-range knobs — at spec-build time, not when the data is first
+    touched. The knobs are stored as floats, so ``skew=1`` and ``skew=1.0``
+    name one universe.
     """
     try:
         provider = _PROVIDERS[name]
@@ -194,7 +192,7 @@ def get_workload(
         name=name,
         scale_factor=scale_factor,
         seed=seed,
-        skew=skew,
-        correlation=correlation,
+        skew=float(skew),
+        correlation=float(correlation),
         _provider=provider,
     )

@@ -3,7 +3,6 @@
 from repro.workloads.tpcds.generator import (
     create_secondary_indexes,
     generate,
-    load_into,
     scale_unit,
 )
 from repro.workloads.tpcds.queries import query_17, query_50
@@ -14,7 +13,6 @@ __all__ = [
     "create_secondary_indexes",
     "customer_population",
     "generate",
-    "load_into",
     "query_17",
     "query_50",
     "row_counts",

@@ -18,9 +18,7 @@ from repro.common.rng import derive
 from repro.workloads.tpcds.schema import (
     CALENDAR_DAYS,
     CALENDAR_YEARS,
-    SCHEMAS,
     customer_population,
-    real_row_counts,
     row_counts,
 )
 
@@ -138,18 +136,6 @@ def generate(scale_factor: int, seed: int = 42) -> dict[str, list[dict]]:
         "store_returns": store_returns,
         "catalog_sales": catalog_sales,
     }
-
-
-def load_into(session, scale_factor: int, seed: int = 42) -> None:
-    """Generate and ingest all TPC-DS tables into a session.
-
-    Each table carries its per-row scale (modeled TPC-DS rows per stored
-    row) so cost and broadcast decisions reflect the real scale factor.
-    """
-    tables = generate(scale_factor, seed)
-    real = real_row_counts(scale_factor)
-    for name, rows in tables.items():
-        session.load(name, SCHEMAS[name], rows, scale=real[name] / max(1, len(rows)))
 
 
 def create_secondary_indexes(session) -> None:

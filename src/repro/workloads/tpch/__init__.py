@@ -3,7 +3,6 @@
 from repro.workloads.tpch.generator import (
     create_secondary_indexes,
     generate,
-    load_into,
     scale_unit,
 )
 from repro.workloads.tpch.queries import query_8, query_9
@@ -13,7 +12,6 @@ __all__ = [
     "SCHEMAS",
     "create_secondary_indexes",
     "generate",
-    "load_into",
     "query_8",
     "query_9",
     "row_counts",

@@ -17,12 +17,7 @@ the paper's evaluation depends on are engineered in:
 from __future__ import annotations
 
 from repro.common.rng import derive
-from repro.workloads.tpch.schema import (
-    CALENDAR_DAYS,
-    SCHEMAS,
-    real_row_counts,
-    row_counts,
-)
+from repro.workloads.tpch.schema import CALENDAR_DAYS, row_counts
 
 REGION_NAMES = ("AFRICA", "AMERICA", "ASIA", "EUROPE", "MIDDLE EAST")
 PART_TYPES = tuple(
@@ -143,19 +138,6 @@ def generate(scale_factor: int, seed: int = 42) -> dict[str, list[dict]]:
         "orders": orders,
         "lineitem": lineitem,
     }
-
-
-def load_into(session, scale_factor: int, seed: int = 42) -> None:
-    """Generate and ingest all TPC-H tables into a session.
-
-    Each table is loaded with its per-row scale (modeled TPC-H rows per
-    stored row), so the cost clock and broadcast decisions reflect the real
-    scale factor.
-    """
-    tables = generate(scale_factor, seed)
-    real = real_row_counts(scale_factor)
-    for name, rows in tables.items():
-        session.load(name, SCHEMAS[name], rows, scale=real[name] / max(1, len(rows)))
 
 
 def create_secondary_indexes(session) -> None:

@@ -223,6 +223,12 @@ class TestCLI:
         ranked = [line for line in out.splitlines() if line.lstrip().startswith("1. ")]
         assert ranked, out
 
+    def test_a_knob_on_a_tpc_query_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--query", "Q8", "--skew", "0.9"])
+        assert exit_.value.code == 2
+        assert "only 'job'" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("direction", ["under", "over"])
 def test_hypothesis_is_frozen(direction):

@@ -450,10 +450,14 @@ class TestCleanTree:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_tests_and_paper_figures_strand_no_import_or_name(self):
-        """F401 / F821 over ``tests/`` and ``benchmarks/*.py``; the D-rules
-        are invariants of library code and do not apply to them."""
+        """F401 / F821 over ``tests/``, ``benchmarks/*.py`` and ``examples/``;
+        the D-rules are invariants of library code and do not apply to them."""
         repo = Path(__file__).resolve().parents[2]
-        roots = [repo / "tests", *sorted((repo / "benchmarks").glob("*.py"))]
+        roots = [
+            repo / "tests",
+            *sorted((repo / "benchmarks").glob("*.py")),
+            repo / "examples",
+        ]
         findings = [f for f in lint_paths(roots) if f.code in ("F401", "F821")]
         assert findings == [], "\n".join(f.render() for f in findings)
 

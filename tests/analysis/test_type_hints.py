@@ -37,6 +37,7 @@ FULLY_ANNOTATED = (
     "repro.engine.exchange",
     "repro.engine.data",
     "repro.storage.dataset",
+    "repro.workloads.spec",
 )
 
 

@@ -12,7 +12,9 @@ names behind is caught here:
 - ``Name.attr`` (optionally ``repro.``-qualified, optionally called) names a
   class or function defined under ``src/repro`` and, for a class, a member
   that is a method, property, class attribute or dataclass field;
-- a bare CamelCase ``Name`` is defined under ``src/repro`` (or is a builtin).
+- a bare CamelCase ``Name`` is defined under ``src/repro`` (or is a builtin);
+- a dotted ``repro.a.b[.c]`` path imports as a module, or names an attribute
+  of one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ _TEST = re.compile(r"^(Test\w+)::(test_\w+)")
 _CAMEL = r"[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+"
 _API = re.compile(rf"^(?:repro\.)?({_CAMEL})\.(\w+)(?:\(.*\))?$")
 _NAME = re.compile(rf"^(?:repro\.)?({_CAMEL})$")
+_DOTTED = re.compile(r"^repro(?:\.\w+)+$")
 
 
 def inline_spans(text: str) -> list[str]:
@@ -103,6 +106,25 @@ def _has_member(obj: object, attr: str) -> bool:
     )
 
 
+def _resolve_dotted(dotted: str) -> str | None:
+    """Why ``dotted`` names no module and no attribute of one, or ``None``."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(module)
+        except ModuleNotFoundError as error:
+            if error.name != module and not module.startswith(f"{error.name}."):
+                raise  # the module exists but one of its imports does not
+            continue
+        for attr in parts[cut:]:
+            if not _has_member(obj, attr):
+                return f"{module} has no attribute {attr}"
+            obj = getattr(obj, attr, None)
+        return None
+    return "no such module"
+
+
 def unresolved(span: str) -> str | None:
     """Why ``span`` does not resolve, or ``None`` when it does (or is not a
     reference this test checks)."""
@@ -133,6 +155,9 @@ def unresolved(span: str) -> str | None:
         name = match.group(1)
         if name not in definitions() and not hasattr(builtins, name):
             return f"nothing under src/repro defines {name}"
+        return None
+    if _DOTTED.match(span):
+        return _resolve_dotted(span)
     return None
 
 
@@ -159,6 +184,10 @@ class TestExtraction:
             "PlanEstimator.join_phase_cost",
             "ValueError",
             "BENCH_24.json",
+            "repro.engine",
+            "repro.common.rng.partition_slots",
+            "repro.core.driver.EveryPoint",
+            "repro.bench.sweep.Key.skew",
         ],
     )
     def test_live_references_resolve(self, span):
@@ -178,6 +207,10 @@ class TestExtraction:
             "NoSuchClass",
             "repro.NoSuchClass",
             "NoSuchClass.derive",
+            "repro.nosuchpackage",
+            "repro.workloads.nosuchmodule",
+            "repro.workloads.nosuchmodule.rewrite",
+            "repro.common.rng.no_such_function",
         ],
     )
     def test_deleted_references_are_caught(self, span):

@@ -6,11 +6,11 @@ import pytest
 
 from repro.common.rng import derive
 from repro.session import Session
+from repro.workloads import get_workload
 from repro.workloads.job import (
     SCHEMAS,
     generate,
     hot_title_count,
-    load_into,
     query_j1,
     query_j2,
     query_j3,
@@ -153,7 +153,7 @@ class TestCorrelationKnob:
 class TestLoadInto:
     def test_scales_assigned(self):
         session = Session()
-        load_into(session, 10)
+        get_workload("job", 10).load_into(session)
         title = session.datasets.get("title")
         stored = row_counts(scale_unit(10))["title"]
         assert title.scale == pytest.approx(real_row_counts(10)["title"] / stored)

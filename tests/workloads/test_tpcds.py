@@ -3,11 +3,11 @@
 import pytest
 
 from repro.session import Session
+from repro.workloads import get_workload
 from repro.workloads.tpcds import (
     SCHEMAS,
     customer_population,
     generate,
-    load_into,
     query_17,
     query_50,
     row_counts,
@@ -111,7 +111,7 @@ class TestGeneratedData:
 class TestLoadInto:
     def test_scales(self):
         session = Session()
-        load_into(session, 100)
+        get_workload("tpcds", 100).load_into(session)
         ss = session.datasets.get("store_sales")
         assert ss.scale == pytest.approx(288_000_000 / 6000)
         assert session.datasets.get("date_dim").scale == pytest.approx(

@@ -3,10 +3,10 @@
 import pytest
 
 from repro.session import Session
+from repro.workloads import get_workload
 from repro.workloads.tpch import (
     SCHEMAS,
     generate,
-    load_into,
     query_8,
     query_9,
     row_counts,
@@ -91,7 +91,7 @@ class TestGeneratedData:
 class TestLoadInto:
     def test_scales_assigned(self):
         session = Session()
-        load_into(session, 10)
+        get_workload("tpch", 10).load_into(session)
         lineitem = session.datasets.get("lineitem")
         assert lineitem.scale == pytest.approx(60_000_000 / 600)
         assert session.datasets.get("nation").scale == 1.0
