@@ -128,7 +128,8 @@ def compile_plan(
     if required is not None:
         keep = sorted(required & node_provides(plan, datasets))
         if keep:
-            op = ProjectOp(op, tuple(keep))
+            op.kept_columns = tuple(keep)
+            op = ProjectOp(op, op.kept_columns)
     return op
 
 

@@ -46,7 +46,7 @@ from repro.core.predicate_pushdown import bound_parameters, join_columns_of
 from repro.core.reconstruction import replace_filtered_table
 from repro.engine import vector
 from repro.engine.bloom import DEFAULT_FPP, BloomFilter, bloom_size_bytes
-from repro.engine.data import scan_partitions
+from repro.engine.data import scan_batch
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import JobRequest, QueryRun
 from repro.lang.ast import EvaluationContext, Predicate, Query, split_column
@@ -384,15 +384,10 @@ def _build_filters(
         delta.scan = cost.read_materialized(
             dataset.modeled_rows, dataset.schema.row_width
         )
-    values: dict[str, list[object]] = {column: [] for column in own_columns}
-    survivors = 0
-    for partition in scan_partitions(dataset, prefix):
-        kept, length = vector.fused_filter_project(
-            partition, predicates, own_columns, context
-        )
-        survivors += length
-        for column in own_columns:
-            values[column].extend(kept[column])
+    kept = vector.fused_filter_project(
+        scan_batch(dataset, prefix), predicates, own_columns, context
+    )
+    survivors, values = kept.length, kept.columns
 
     modeled_survivors = survivors * dataset.scale
     delta.compute += cost.bloom_build(modeled_survivors, len(own_columns))

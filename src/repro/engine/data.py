@@ -1,27 +1,30 @@
 """In-flight partitioned data between operators.
 
-Rows travel between operators as :class:`ColumnarData` — per-partition
-parallel column lists under *qualified* column names (``alias.field``).
-Alongside the payload it carries the column-type map (so intermediate
-schemas and byte widths can be derived) and the partitioning property (so
-the engine can skip re-partitioning when a join input is already
-hash-partitioned on the join key — the optimization the paper's Hash Join
-description calls out for key/foreign-key joins).
+Rows travel between operators as :class:`ColumnarData` — one batch of flat
+columns under *qualified* column names (``alias.field``), partition after
+partition, plus the offsets where each cluster partition starts
+(:class:`ColumnBatch`). Alongside the payload it carries the column-type
+map (so intermediate schemas and byte widths can be derived) and the
+partitioning property (so the engine can skip re-partitioning when a join
+input is already hash-partitioned on the join key — the optimization the
+paper's Hash Join description calls out for key/foreign-key joins).
+
+The modeled cluster keeps its partitions: ``bounds`` says which rows each
+one holds, every charge is priced per modeled partition, and a Sink writes
+one stored partition per slice. The host runs each kernel once per
+operator over the whole batch (DESIGN.md §10.1).
 
 ``ColumnarData.columns`` always holds the *full* logical column map — even
 when only a subset is physically materialized — so every cost-model charge
 derived from widths and counts is independent of projection pushdown
 (DESIGN.md §10).
-
-One partition type is in flight, :class:`ColumnPartition`. What a Scan or
-Reader emits differs only in its ``columns``: a lazy read-only view of the
-stored partition (:class:`StoredColumns`) instead of a dict of lists.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.common.types import DataType, Field, Schema
@@ -30,50 +33,71 @@ if TYPE_CHECKING:
     from repro.storage.dataset import Dataset, StoredPartition
 
 
-class ColumnPartition:
-    """One partition as parallel column sequences.
+class ColumnBatch:
+    """A dataflow's rows as parallel flat columns in partition-major order.
 
     ``columns`` maps qualified names to equal-length value sequences (lists,
     or stored tuples — never mutated in place); the set of physically
     present columns may be narrower than the data's logical column map when
     projection pushdown marked the rest dead. Reading an absent column
-    yields nulls — the columnar analogue of ``row.get``.
+    yields nulls — the columnar analogue of ``row.get``. Partition ``p``
+    holds rows ``bounds[p]:bounds[p + 1]``; ``bounds[-1]`` is the length.
     """
 
-    __slots__ = ("columns", "length")
+    __slots__ = ("columns", "bounds")
 
-    def __init__(self, columns: Mapping[str, Sequence], length: int) -> None:
+    def __init__(self, columns: Mapping[str, Sequence], bounds: list[int]) -> None:
         self.columns = columns
-        self.length = length
+        self.bounds = bounds
+
+    @property
+    def length(self) -> int:
+        return self.bounds[-1]
 
     def column(self, name: str) -> Sequence:
         col = self.columns.get(name)
         if col is None:
-            return [None] * self.length
+            return [None] * self.bounds[-1]
         return col
 
 
 class StoredColumns(Mapping):
-    """A scan's ``columns``: qualified name -> stored column, read lazily.
+    """A scan's ``columns``: qualified name -> flat stored column, read lazily.
 
     Iterates ``names`` — the pushed-down live set, or every schema column —
-    and asks the stored partition for a column only when a consumer reads
-    it, so a Select above the scan touches only referenced columns.
+    and concatenates the stored partitions' tuples of a column only when a
+    consumer reads it (once per scan), so a Select above the scan touches
+    only referenced columns. A single-partition dataset hands over its
+    stored tuple itself.
     """
 
-    __slots__ = ("_stored", "_prefix", "_names")
+    __slots__ = ("_stored", "_prefix", "_names", "_read")
 
     def __init__(
-        self, stored: StoredPartition, prefix: str, names: tuple[str, ...]
+        self, stored: list[StoredPartition], prefix: str, names: tuple[str, ...]
     ) -> None:
         self._stored = stored
         self._prefix = prefix
         self._names = names
+        self._read: dict[str, Sequence] = {}
 
-    def __getitem__(self, name: str) -> tuple:
-        if name not in self._names:
-            raise KeyError(name)
-        return self._stored.column(name.removeprefix(self._prefix))
+    def __getitem__(self, name: str) -> Sequence:
+        column = self._read.get(name)
+        if column is None:
+            if name not in self._names:
+                raise KeyError(name)
+            field = name.removeprefix(self._prefix)
+            if len(self._stored) == 1:
+                column = self._stored[0].column(field)
+            else:
+                column = []
+                for stored in self._stored:
+                    column += stored.column(field)  # a C-level copy per tuple
+            self._read[name] = column
+        return column
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)
@@ -82,26 +106,27 @@ class StoredColumns(Mapping):
         return len(self._names)
 
 
-def scan_partitions(
+def scan_batch(
     dataset: Dataset, prefix: str, live: tuple[str, ...] | None = None
-) -> list[ColumnPartition]:
-    """A stored dataset's partitions in flight, names qualified by ``prefix``
-    (the scan alias plus a dot; empty for intermediates, whose stored names
-    are already qualified). The one way operators and planner-side passes
-    read storage. ``live`` of ``None`` keeps every schema column."""
+) -> ColumnBatch:
+    """A stored dataset in flight, names qualified by ``prefix`` (the scan
+    alias plus a dot; empty for intermediates, whose stored names are
+    already qualified): what Scan, Reader and the planner-side filter passes
+    read. ``live`` of ``None`` keeps every schema column."""
     if live is None:
         live = tuple(prefix + name for name in dataset.schema.field_names)
-    return [
-        ColumnPartition(StoredColumns(stored, prefix, live), stored.length)
-        for stored in dataset.partitions
-    ]
+    stored = dataset.partitions
+    return ColumnBatch(
+        StoredColumns(stored, prefix, live),
+        list(accumulate((p.length for p in stored), initial=0)),
+    )
 
 
 @dataclass
 class ColumnarData:
     """Rows spread over cluster partitions plus their physical properties."""
 
-    partitions: list[ColumnPartition]
+    batch: ColumnBatch
     #: the *logical* column map, regardless of which columns are physically
     #: materialized: ``row_width`` (and with it every width-derived charge)
     #: never depends on what projection pushdown marked dead.
@@ -114,11 +139,11 @@ class ColumnarData:
 
     @property
     def partition_count(self) -> int:
-        return len(self.partitions)
+        return len(self.batch.bounds) - 1
 
     @property
     def row_count(self) -> int:
-        return sum(p.length for p in self.partitions)
+        return self.batch.bounds[-1]
 
     @property
     def modeled_rows(self) -> float:
@@ -134,19 +159,13 @@ class ColumnarData:
         return self.row_count * self.row_width
 
     def all_rows(self) -> list[dict]:
-        """Every row as a dict — the result format. Key order inside each
-        dict follows the physical column order."""
-        rows: list[dict] = []
-        for partition in self.partitions:
-            names = tuple(partition.columns)
-            if not names:
-                rows.extend({} for _ in range(partition.length))
-                continue
-            rows.extend(
-                dict(zip(names, values))
-                for values in zip(*partition.columns.values())
-            )
-        return rows
+        """Every row as a dict, partition by partition — the result format.
+        Key order inside each dict follows the physical column order."""
+        columns = self.batch.columns
+        names = tuple(columns)
+        if not names:
+            return [{} for _ in range(self.row_count)]
+        return [dict(zip(names, values)) for values in zip(*columns.values())]
 
     def schema(self) -> Schema:
         """Materialization schema for these columns (qualified names kept)."""
@@ -156,10 +175,8 @@ class ColumnarData:
 
     def project(self, names: list[str] | tuple[str, ...]) -> ColumnarData:
         keep = [n for n in names if n in self.columns]
-        projected = [
-            ColumnPartition({n: partition.column(n) for n in keep}, partition.length)
-            for partition in self.partitions
-        ]
+        batch = self.batch
+        projected = ColumnBatch({n: batch.column(n) for n in keep}, batch.bounds)
         part_key = self.partitioned_on if self.partitioned_on in keep else None
         return ColumnarData(
             projected, {n: self.columns[n] for n in keep}, part_key, self.scale

@@ -54,6 +54,10 @@ class PhysicalOperator:
     #: compile-time cardinality estimate (modeled rows) for join operators;
     #: set by ``compile_plan`` so the tracer can record estimate accuracy.
     estimated_rows: float | None = None
+    #: for join operators: the columns of the ``ProjectOp`` that
+    #: ``compile_plan`` puts above, the only ones the join gathers (the
+    #: logical map, and with it every charge, stays whole); ``None`` -> all
+    kept_columns: tuple[str, ...] | None = None
 
     def run(self, state: ExecState) -> ColumnarData:
         """Execute the operator, wrapped in a trace span when tracing is on.

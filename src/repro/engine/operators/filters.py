@@ -14,7 +14,7 @@ Semantics mirror the join the filter stands in for:
   sound for the inner equi-joins this engine executes.
 
 The operator makes one :func:`~repro.engine.vector.semi_join_filter` call
-over all its partitions: each filter is probed once, over the keys that
+over its dataflow's batch: each filter is probed once, over the keys that
 survived the filters before it, so a key several partitions hold is
 digested once.
 
@@ -47,7 +47,7 @@ class SemiJoinFilterOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         filtered, _ = vector.semi_join_filter(
-            data.partitions, data.row_count, self.filters
+            data.batch, data.row_count, self.filters
         )
         total_bytes = sum(bloom.charge_bytes for _, bloom in self.filters)
         state.charge("network", state.cost.bloom_transfer(total_bytes))

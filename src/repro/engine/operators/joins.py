@@ -21,19 +21,15 @@ broadcast joins match globally and move only the rows that join (DESIGN.md §10.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
 
 from repro.common.errors import ExecutionError
 from repro.engine import vector
-from repro.engine.data import ColumnarData, ColumnPartition, scan_partitions
-from repro.engine.exchange import columnar_broadcast_exchange, concat_partitions
+from repro.engine.data import ColumnarData, ColumnBatch
+from repro.engine.exchange import columnar_broadcast_exchange
 from repro.engine.operators.base import ExecState, PhysicalOperator
-
-#: per output partition: (build positions, probe positions) into the flat inputs
-Placement = list[tuple[list[int], list[int]]]
 
 
 class JoinAlgorithm(enum.Enum):
@@ -47,59 +43,31 @@ class JoinAlgorithm(enum.Enum):
         return {"broadcast": "b", "inl": "i"}.get(self.value, "")
 
 
-def _gather_join_output(
-    columns: dict,
-    build_rows: ColumnPartition,
-    probe_rows: ColumnPartition,
-    build_idx: list[int],
-    probe_idx: list[int],
-) -> ColumnPartition:
-    """One join output partition from matched position pairs. Physical columns
-    follow the logical map's order; a name on both sides reads the build's."""
-    out: dict[str, Sequence] = {}
-    for name in columns:
-        if name in build_rows.columns:
-            out[name] = vector.gather(build_rows.columns[name], build_idx)
-        elif name in probe_rows.columns:
-            out[name] = vector.gather(probe_rows.columns[name], probe_idx)
-    return ColumnPartition(out, len(build_idx))
+def _output_names(op: PhysicalOperator, columns: dict) -> Iterable[str]:
+    """The logical columns a join gathers: all of them, or only those the
+    Project above it keeps (``kept_columns``), in logical-map order."""
+    kept = op.kept_columns
+    return columns if kept is None else [name for name in columns if name in kept]
 
 
-def _placed_where_probed(
-    probe_parts: list[ColumnPartition], build_idx: list[int], probe_idx: list[int]
-) -> Placement:
-    """Matches stay in their probe row's partition: ``probe_idx`` ascends, so
-    each partition owns one contiguous run of the output."""
-    placed: Placement = []
-    lo = offset = 0
-    for partition in probe_parts:
-        offset += partition.length
-        hi = bisect_left(probe_idx, offset, lo)
-        placed.append((build_idx[lo:hi], probe_idx[lo:hi]))
-        lo = hi
-    return placed
-
-
-def _placed_by_route(
+def _routed(
     route_column: Sequence,
     partition_count: int,
     build_idx: list[int],
     probe_idx: list[int],
-) -> Placement:
-    """Matches land on ``stable_hash(route value) % partition_count``, output
-    order kept within a destination. Routed once per matched probe *row* and
-    fanned out to its matches: an expanding join has far more output rows."""
+) -> tuple[list[int], list[int], list[int]]:
+    """Matches moved to ``stable_hash(route value) % partition_count``,
+    output order kept within a destination: (build positions, probe
+    positions, bounds). Routed once per matched probe *row* and fanned out to
+    its matches: an expanding join has far more output rows."""
     matches_per_row = Counter(probe_idx)  # ascending probe row -> match count
-    slots: Iterable[int] = vector.route_partitions(
+    slots = vector.route_partitions(
         vector.gather(route_column, matches_per_row), partition_count
     )
     if len(matches_per_row) != len(probe_idx):  # expanding: fan each slot out
-        slots = chain.from_iterable(map(repeat, slots, matches_per_row.values()))
-    placed: Placement = [([], []) for _ in range(partition_count)]
-    for slot, build_position, probe_position in zip(slots, build_idx, probe_idx):
-        placed[slot][0].append(build_position)
-        placed[slot][1].append(probe_position)
-    return placed
+        slots = list(chain.from_iterable(map(repeat, slots, matches_per_row.values())))
+    order, bounds = vector.partition_order(slots, partition_count)
+    return vector.gather(build_idx, order), vector.gather(probe_idx, order), bounds
 
 
 class _BuildProbeJoinOp(PhysicalOperator):
@@ -108,11 +76,12 @@ class _BuildProbeJoinOp(PhysicalOperator):
     One table over the build rows in source order (partition, then position)
     is probed by the probe rows in source order; only the *matches* are then
     placed — routed on ``probe_keys[0]`` when the modeled plan moves the probe
-    side, left in the probe row's partition when it does not. Every output
-    partition holds the rows, in the order, that exchanging the inputs and
-    joining partition by partition would give, and the simulated clock is
-    charged from logical row counts and widths as if they had moved.
-    ``build_keys[i]`` joins against ``probe_keys[i]`` by tuple equality.
+    side, left in the probe row's partition when it does not — and each
+    output column is gathered once. Every output partition holds the rows,
+    in the order, that exchanging the inputs and joining partition by
+    partition would give, and the simulated clock is charged from logical
+    row counts and widths as if they had moved. ``build_keys[i]`` joins
+    against ``probe_keys[i]`` by tuple equality.
     """
 
     algorithm: JoinAlgorithm
@@ -138,7 +107,7 @@ class _BuildProbeJoinOp(PhysicalOperator):
 
         probe_moves = hashed and probe.partitioned_on != self.probe_keys[0]
         if hashed:
-            build_rows = concat_partitions(build.partitions)
+            build_rows = build.batch
             if build.partitioned_on != self.build_keys[0]:
                 state.charge(
                     "network", cost.hash_exchange(build.modeled_rows, build.row_width)
@@ -150,14 +119,13 @@ class _BuildProbeJoinOp(PhysicalOperator):
             state.charge("compute", cost.hash_build(build.modeled_rows))
         else:
             # One shared copy stands in for the replicas the cost model charges.
-            build_rows = columnar_broadcast_exchange(build.partitions)
+            build_rows = columnar_broadcast_exchange((build.batch,))
             state.charge(
                 "network", cost.broadcast_exchange(build.modeled_rows, build.row_width)
             )
             state.charge("compute", cost.broadcast_build(build.modeled_rows))
 
-        probe_parts = probe.partitions
-        probe_rows = concat_partitions(probe_parts)
+        probe_rows = probe.batch
         build_idx, probe_idx = vector.probe_hash_table(
             vector.build_hash_table(
                 vector.join_key_column(
@@ -169,19 +137,21 @@ class _BuildProbeJoinOp(PhysicalOperator):
             ),
         )
         if probe_moves:
-            placed = _placed_by_route(
+            build_idx, probe_idx, bounds = _routed(
                 probe_rows.column(self.probe_keys[0]),
                 state.cluster.partitions,
                 build_idx,
                 probe_idx,
             )
-        else:
-            placed = _placed_where_probed(probe_parts, build_idx, probe_idx)
+        else:  # probe_idx ascends: each partition owns one run of the output
+            bounds = vector.rebound(probe_rows.bounds, probe_idx)
         columns = {**probe.columns, **build.columns}  # build overwrites overlaps
-        out_partitions = [
-            _gather_join_output(columns, build_rows, probe_rows, *positions)
-            for positions in placed
-        ]
+        out: dict[str, Sequence] = {}
+        for name in _output_names(self, columns):
+            if name in build_rows.columns:
+                out[name] = vector.gather(build_rows.columns[name], build_idx)
+            elif name in probe_rows.columns:
+                out[name] = vector.gather(probe_rows.columns[name], probe_idx)
 
         out_rows = len(build_idx)
         out_scale = max(build.scale, probe.scale)
@@ -197,7 +167,9 @@ class _BuildProbeJoinOp(PhysicalOperator):
         state.metrics.tuples_joined += out_rows
         # A broadcast join's probe side never moved: its partitioning survives.
         partitioned_on = self.probe_keys[0] if hashed else probe.partitioned_on
-        return ColumnarData(out_partitions, columns, partitioned_on, out_scale)
+        return ColumnarData(
+            ColumnBatch(out, bounds), columns, partitioned_on, out_scale
+        )
 
     def label(self) -> str:
         pairs = ", ".join(
@@ -261,7 +233,7 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
                 f"{self.inner_dataset}.{index_field}"
             )
 
-        gathered = columnar_broadcast_exchange(build.partitions)
+        gathered = columnar_broadcast_exchange((build.batch,))
         state.charge(
             "network",
             state.cost.broadcast_exchange(build.modeled_rows, build.row_width),
@@ -270,22 +242,27 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         prefix = f"{self.inner_alias}."
         key_column = gathered.column(self.build_keys[0])
         residual_columns = [
-            (gathered.column(bk), prefix + f)
+            (gathered.column(bk), f)
             for bk, f in zip(self.build_keys[1:], self.inner_fields[1:], strict=True)
         ]
         columns = {prefix + f.name: f.dtype for f in dataset.schema.fields}
         inner_names = tuple(columns)
         columns.update(build.columns)
         build_names = gathered.columns.keys()
+        kept = set(_output_names(self, columns))
+        inner_out = {
+            name: [] for name in inner_names if name in kept and name not in build_names
+        }
 
-        out_partitions: list[ColumnPartition] = []
-        out_rows = 0
+        # The build rows probe each partition's own index, partition by
+        # partition: the output is partition-major like every batch.
+        build_idx: list[int] = []
+        bounds = [0]
         lookups = 0
-        for partition_id, inner in enumerate(scan_partitions(dataset, prefix)):
+        for partition_id, stored in enumerate(dataset.partitions):
             index = dataset.index_for(index_field, partition_id)
-            residuals = [(col, inner.column(name)) for col, name in residual_columns]
+            residuals = [(col, stored.column(f)) for col, f in residual_columns]
             inner_idx: list[int] = []
-            build_idx: list[int] = []
             for i in range(gathered.length):
                 lookups += 1
                 for position in index.lookup(key_column[i]):
@@ -295,15 +272,18 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
                         continue
                     inner_idx.append(position)
                     build_idx.append(i)
-            out_rows += len(build_idx)
-            cols: dict[str, list] = {}
-            for name in columns:
-                if name in build_names:
-                    cols[name] = vector.gather(gathered.columns[name], build_idx)
-            for name in inner_names:
-                if name not in build_names:
-                    cols[name] = vector.gather(inner.column(name), inner_idx)
-            out_partitions.append(ColumnPartition(cols, len(build_idx)))
+            bounds.append(len(build_idx))
+            for name, values in inner_out.items():
+                values.extend(
+                    vector.gather(stored.column(name.removeprefix(prefix)), inner_idx)
+                )
+        out: dict[str, Sequence] = {
+            name: vector.gather(gathered.columns[name], build_idx)
+            for name in columns
+            if name in kept and name in build_names
+        }
+        out.update(inner_out)
+        out_rows = len(build_idx)
 
         # Every partition performs the full set of (modeled) lookups, in
         # parallel with the other partitions.
@@ -318,7 +298,9 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         partitioned_on = (
             prefix + dataset.partition_key if dataset.partition_key else None
         )
-        return ColumnarData(out_partitions, columns, partitioned_on, out_scale)
+        return ColumnarData(
+            ColumnBatch(out, bounds), columns, partitioned_on, out_scale
+        )
 
     def label(self) -> str:
         pairs = ", ".join(

@@ -6,10 +6,10 @@ alias. ``ReaderOp`` reads a previously materialized intermediate (Figure 4:
 datasource is not a base dataset") — its columns are already qualified and it
 is charged materialized-read I/O instead of base-scan I/O.
 
-Both return partitions whose columns are read from storage lazily
-(:func:`repro.engine.data.scan_partitions`): no column is touched until a
+Both return a batch whose columns are read from storage lazily
+(:func:`repro.engine.data.scan_batch`): no column is touched until a
 consumer reads it, so the fused select/project kernel above the scan reads
-only referenced columns (and non-predicate columns only for surviving rows).
+only referenced columns.
 ``live`` — attached by job generation's projection pushdown — names the
 columns the rest of the job can ever need; ``None`` means "no pushdown
 information, keep everything".
@@ -18,7 +18,7 @@ information, keep everything".
 from __future__ import annotations
 
 from repro.common.errors import ExecutionError
-from repro.engine.data import ColumnarData, scan_partitions
+from repro.engine.data import ColumnarData, scan_batch
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
 
@@ -49,8 +49,8 @@ class ScanOp(PhysicalOperator):
             "scan", state.cost.scan(dataset.modeled_rows, dataset.schema.row_width)
         )
         state.metrics.tuples_scanned += dataset.row_count
-        partitions = scan_partitions(dataset, prefix, self.live)
-        return ColumnarData(partitions, columns, partitioned_on, dataset.scale)
+        batch = scan_batch(dataset, prefix, self.live)
+        return ColumnarData(batch, columns, partitioned_on, dataset.scale)
 
     def label(self) -> str:
         return f"Scan {self.alias}" if self.alias == self.dataset else f"Scan {self.dataset} AS {self.alias}"
@@ -74,10 +74,8 @@ class ReaderOp(PhysicalOperator):
             "materialize",
             state.cost.read_materialized(dataset.modeled_rows, dataset.schema.row_width),
         )
-        partitions = scan_partitions(dataset, "", self.live)
-        return ColumnarData(
-            partitions, columns, dataset.partition_key, dataset.scale
-        )
+        batch = scan_batch(dataset, "", self.live)
+        return ColumnarData(batch, columns, dataset.partition_key, dataset.scale)
 
     def label(self) -> str:
         return f"Reader {self.dataset}"

@@ -6,17 +6,17 @@ and filtered. Query compilation usually folds the UDF into the predicate
 directly, but the split form is available for plan fidelity and tests.
 
 ``SelectOp`` runs the fused filter+project kernel
-(:func:`repro.engine.vector.fused_filter_project`) — one pass per partition
-that filters on predicate columns and gathers the partition's physical
+(:func:`repro.engine.vector.fused_filter_project`) — one pass over the
+dataflow's batch that filters on predicate columns and gathers its physical
 columns (over a scan: its live set, read from storage only here) for
-surviving rows.
+surviving rows, each of which stays in its partition.
 """
 
 from __future__ import annotations
 
 from repro.common.types import DataType
 from repro.engine import vector
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData, ColumnBatch
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.lang.ast import Predicate
 
@@ -30,13 +30,10 @@ class SelectOp(PhysicalOperator):
 
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
-        evaluation = state.evaluation
-        filtered: list[ColumnPartition] = []
-        for partition in data.partitions:
-            columns, length = vector.fused_filter_project(
-                partition, self.predicates, tuple(partition.columns), evaluation
-            )
-            filtered.append(ColumnPartition(columns, length))
+        batch = data.batch
+        filtered = vector.fused_filter_project(
+            batch, self.predicates, tuple(batch.columns), state.evaluation
+        )
         state.charge(
             "compute",
             state.cost.predicate_eval(data.modeled_rows, len(self.predicates)),
@@ -61,11 +58,10 @@ class AssignOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         fn = state.evaluation.udfs.get(self.udf)
-        assigned: list[ColumnPartition] = []
-        for partition in data.partitions:
-            out = dict(partition.columns)
-            out[self.target] = [fn(v) for v in partition.column(self.column)]
-            assigned.append(ColumnPartition(out, partition.length))
+        batch = data.batch
+        out = dict(batch.columns)
+        out[self.target] = [fn(v) for v in batch.column(self.column)]
+        assigned = ColumnBatch(out, batch.bounds)
         columns = dict(data.columns)
         columns[self.target] = DataType.DOUBLE
         state.charge("compute", state.cost.predicate_eval(data.modeled_rows, 1))

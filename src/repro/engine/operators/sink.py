@@ -8,9 +8,11 @@ is what keeps intermediates narrow), writes per-partition temp data, and,
 when requested, registers fresh sketches for the attributes participating in
 subsequent join stages.
 
-Intermediates are stored as the columns the sink already holds — one tuple
-per kept column per partition (:class:`repro.storage.dataset.StoredPartition`),
-no dict per row. Statistics are collected after the store, from the stored
+Intermediates are stored as the columns the sink already holds, sliced back
+into the modeled partitions by the batch's bounds — one tuple per kept column
+per partition (:class:`repro.storage.dataset.StoredPartition`), no dict per
+row. The Sink is where the batch meets storage: the one operator that works
+partition by partition. Statistics are collected after the store, from the stored
 tuples of the whole Sink in one call: row count, null counts and one HLL per
 tracked column at once (a value is digested once however many partitions
 hold it), the quantile sketch on first read, if ever. The clock charges both.
@@ -43,12 +45,16 @@ class SinkOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         projected = data.project(self.keep_columns)
+        bounds = projected.batch.bounds
+        flat = {name: tuple(col) for name, col in projected.batch.columns.items()}
         stored = register_intermediate(
             name=self.name,
             schema=projected.schema(),
             partitions=[
-                StoredPartition.of_columns(partition.columns, partition.length)
-                for partition in projected.partitions
+                StoredPartition.of_columns(
+                    {name: col[lo:hi] for name, col in flat.items()}, hi - lo
+                )
+                for lo, hi in zip(bounds, bounds[1:])
             ],
             partition_key=projected.partitioned_on,
             datasets=state.datasets,

@@ -5,15 +5,20 @@ selections have been completed". The reproduction supports the tails the four
 evaluation queries need: GROUP BY with an implicit COUNT(*), global ORDER BY,
 and LIMIT.
 
-Groups appear in first-occurrence order (insertion-ordered dicts), the global
-sort is a stable index sort over the ``_sort_key`` total order, and LIMIT
-slices columns in partition order.
+Groups appear partition by partition in first-occurrence order
+(insertion-ordered dicts), the global sort is a stable index sort over the
+``_sort_key`` total order, and LIMIT slices the batch's columns in
+partition order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain, repeat
+from operator import sub
+
 from repro.common.types import DataType
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData, ColumnBatch
 from repro.engine.exchange import columnar_hash_exchange
 from repro.engine.operators.base import ExecState, PhysicalOperator
 
@@ -28,40 +33,39 @@ class GroupByOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         keys = self.keys
-        partitions = data.partitions
+        batch = data.batch
         if data.partitioned_on not in keys:
-            key_cols = [[p.column(k) for k in keys] for p in partitions]
-            route_keys = [
-                [tuple(col[i] for col in cols) for i in range(p.length)]
-                for p, cols in zip(partitions, key_cols, strict=True)
-            ]
-            partitions = columnar_hash_exchange(
-                partitions, route_keys, state.cluster.partitions
+            batch = columnar_hash_exchange(
+                (batch,),
+                list(zip(*(batch.column(k) for k in keys))),
+                state.cluster.partitions,
             )
             state.charge(
                 "network", state.cost.hash_exchange(data.modeled_rows, data.row_width)
             )
-        out_partitions: list[ColumnPartition] = []
-        for partition in partitions:
-            cols = [partition.column(k) for k in keys]
-            counts: dict[tuple, int] = {}
-            for i in range(partition.length):
-                key = tuple(col[i] for col in cols)
-                counts[key] = counts.get(key, 0) + 1
-            out: dict[str, list] = {k: [] for k in keys}
-            out["count"] = []
-            for key, count in counts.items():
-                for k, value in zip(keys, key, strict=True):
-                    out[k].append(value)
-                out["count"].append(count)
-            out_partitions.append(ColumnPartition(out, len(counts)))
+        # Each partition groups its own rows: a group is (partition, key), so
+        # groups come out partition by partition, each in first-occurrence order.
+        bounds = batch.bounds
+        owners = chain.from_iterable(
+            map(repeat, range(len(bounds) - 1), map(sub, bounds[1:], bounds))
+        )
+        counts: dict[tuple, int] = {}
+        for group in zip(owners, zip(*(batch.column(k) for k in keys))):
+            counts[group] = counts.get(group, 0) + 1
+        groups = list(counts)
+        out: dict[str, list] = {
+            k: [key[i] for _, key in groups] for i, k in enumerate(keys)
+        }
+        out["count"] = list(counts.values())
+        owner_of_group = [owner for owner, _ in groups]
+        out_bounds = list(map(bisect_left, repeat(owner_of_group), range(len(bounds))))
         state.charge("compute", state.cost.probe(data.modeled_rows))
 
         # Group counts are per modeled group; the number of *groups* does not
         # scale with the fact tables, so the output is unscaled.
         columns = {k: data.columns.get(k, DataType.STRING) for k in keys}
         columns["count"] = DataType.BIGINT
-        return ColumnarData(out_partitions, columns, None)
+        return ColumnarData(ColumnBatch(out, out_bounds), columns, None)
 
     def label(self) -> str:
         return "GroupBy " + ", ".join(self.keys)
@@ -76,33 +80,21 @@ class OrderByOp(PhysicalOperator):
 
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
-        names: list[str] = []
-        for partition in data.partitions:
-            for name in partition.columns:
-                if name not in names:
-                    names.append(name)
-        gathered = {name: [] for name in names}
-        for partition in data.partitions:
-            for name in names:
-                gathered[name].extend(partition.column(name))
-        total = data.row_count
-        key_cols = [
-            gathered.get(k, [None] * total) for k in self.keys
-        ]
+        batch = data.batch
+        key_cols = [batch.column(k) for k in self.keys]
         order = sorted(
-            range(total),
+            range(batch.length),
             key=lambda i: tuple(_sort_key(col[i]) for col in key_cols),
         )
         state.charge("compute", state.cost.probe(data.modeled_rows) * 2)
         sorted_cols = {
-            name: [column[i] for i in order] for name, column in gathered.items()
+            name: [column[i] for i in order] for name, column in batch.columns.items()
         }
-        partitions: list[ColumnPartition] = [
-            ColumnPartition({name: [] for name in names}, 0)
-            for _ in range(data.partition_count)
-        ]
-        partitions[0] = ColumnPartition(sorted_cols, total)
-        return ColumnarData(partitions, data.columns, None, data.scale)
+        # every row on the first partition, the others empty
+        bounds = [0] + [batch.length] * data.partition_count
+        return ColumnarData(
+            ColumnBatch(sorted_cols, bounds), data.columns, None, data.scale
+        )
 
     def label(self) -> str:
         return "OrderBy " + ", ".join(self.keys)
@@ -126,20 +118,13 @@ class LimitOp(PhysicalOperator):
 
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
-        remaining = self.n
-        partitions: list[ColumnPartition] = []
-        for partition in data.partitions:
-            take = min(remaining, partition.length)
-            remaining -= take
-            partitions.append(
-                ColumnPartition(
-                    {n: col[:take] for n, col in partition.columns.items()},
-                    take,
-                )
-            )
-        return ColumnarData(
-            partitions, data.columns, data.partitioned_on, data.scale
+        batch = data.batch
+        n = self.n
+        kept = ColumnBatch(
+            {name: col[:n] for name, col in batch.columns.items()},
+            [min(bound, n) for bound in batch.bounds],
         )
+        return ColumnarData(kept, data.columns, data.partitioned_on, data.scale)
 
     def label(self) -> str:
         return f"Limit {self.n}"

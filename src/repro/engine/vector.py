@@ -1,8 +1,9 @@
 """Execution kernels of the data plane (DESIGN.md §10).
 
-Rows flow between operators as parallel columns
-(:class:`~repro.engine.data.ColumnarData`); scans read only referenced
-columns from storage, filter+project fuse into one pass per partition, and
+Rows flow between operators as one batch of flat columns
+(:class:`~repro.engine.data.ColumnarData`), and every kernel runs once per
+operator over the whole batch, never once per partition: scans read only
+referenced columns from storage, filter+project fuse into one pass, and
 joins build/probe over key columns instead of per-row dicts, through a table
 whose containers do not grow with its key count (:class:`HashTable`). The
 cost clock charges from row counts and the logical column map, never from
@@ -15,14 +16,15 @@ monkeypatch them to prove the golden-fingerprint harness
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import sub
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.common.rng import partition_slots
-from repro.engine.data import ColumnPartition
+from repro.engine.data import ColumnBatch
 
 if TYPE_CHECKING:
     from repro.lang.ast import EvaluationContext
@@ -31,31 +33,33 @@ if TYPE_CHECKING:
 
 
 def fused_filter_project(
-    partition: ColumnPartition,
+    batch: ColumnBatch,
     predicates: tuple,
     live: tuple[str, ...],
     evaluation: EvaluationContext,
-) -> tuple[dict[str, Sequence], int]:
-    """One pass over a partition: filter, then project.
+) -> ColumnBatch:
+    """One pass over a dataflow's batch: filter, then project.
 
     The one filter kernel: ``SelectOp`` and the planner-side pre-filtering
-    passes both run it. The survivors start as the partition's ``range`` and
-    are refined predicate by predicate (a short-circuiting conjunction: a
-    later predicate never sees a row an earlier one rejected); ``live`` names
-    the columns to gather for them — the projection part of the fusion. Over
-    a scan's partition only the predicate and ``live`` columns are ever read
-    from storage. While the survivors are still the ``range``, a column is
-    read as a slice.
+    passes both run it, once per operator or pass whatever the partition
+    count. The survivors start as the batch's ``range`` and are refined
+    predicate by predicate (a short-circuiting conjunction: a later
+    predicate never sees a row an earlier one rejected); ``live`` names the
+    columns to gather for them — the projection part of the fusion. Over a
+    scan's batch only the predicate and ``live`` columns are ever read from
+    storage. While the survivors are still the ``range``, a column is handed
+    over as it is. Each partition keeps its survivors: the new bounds come
+    from bisecting them.
     """
-    survivors: list[int] | range = range(partition.length)
+    survivors: list[int] | range = range(batch.length)
     for predicate in predicates:
         if not survivors:
             break
-        values = _take(partition.column(predicate.column), survivors)
+        values = _take(batch.column(predicate.column), survivors)
         mask = predicate.evaluate_batch(values, evaluation)
         survivors = list(compress(survivors, mask))
-    columns = {name: _take(partition.column(name), survivors) for name in live}
-    return columns, len(survivors)
+    columns = {name: _take(batch.column(name), survivors) for name in live}
+    return ColumnBatch(columns, rebound(batch.bounds, survivors))
 
 
 def filter_columns(
@@ -63,59 +67,58 @@ def filter_columns(
     length: int,
     predicates: tuple,
     evaluation: EvaluationContext,
-) -> tuple[dict[str, Sequence], int]:
-    """:func:`fused_filter_project` keeping every physical column. No caller
-    in ``src/``: ``benchmarks/e2e/spans.py`` wraps both names."""
+) -> ColumnBatch:
+    """:func:`fused_filter_project` over one partition, keeping every
+    physical column. No caller in ``src/``: ``benchmarks/e2e/spans.py``
+    wraps both names."""
     return fused_filter_project(
-        ColumnPartition(columns, length), predicates, tuple(columns), evaluation
+        ColumnBatch(columns, [0, length]), predicates, tuple(columns), evaluation
     )
 
 
 def _take(column: Sequence, positions: list[int] | range) -> Sequence:
+    # a range is only ever the whole batch: no predicate has run yet
     if type(positions) is range:
-        return column[positions.start : positions.stop]
+        return column
     return gather(column, positions)
 
 
+def rebound(bounds: list[int], positions: Sequence[int]) -> list[int]:
+    """The partition offsets of the rows at ascending ``positions``: each
+    kept row stays in its partition, in order."""
+    if type(positions) is range:
+        return bounds
+    return list(map(bisect_left, repeat(positions), bounds))
+
+
 def semi_join_filter(
-    partitions: Sequence[ColumnPartition],
+    batch: ColumnBatch,
     rows: int,
     filters: tuple,
-) -> tuple[list[ColumnPartition], int]:
-    """Bloom semi-join filter over a dataflow's partitions, filter by filter.
+) -> tuple[ColumnBatch, int]:
+    """Bloom semi-join filter over a dataflow's batch, filter by filter.
 
     ``filters`` is an ordered tuple of ``(qualified column, BloomFilter)``
     pairs; a row survives only when every filter column is non-null and its
     value might be in the corresponding filter (null join keys never match,
     so they are dropped exactly like the join itself would drop them). A
-    filter column absent from a partition reads as all-null and eliminates
-    that partition. Each filter is probed once, over the surviving keys of
-    every partition, so a key several partitions hold is digested once, and
-    a later filter sees only an earlier one's survivors. ``rows`` is the row
-    count probed, passed for the caller's record and not read here.
+    filter column absent from the batch reads as all-null and eliminates
+    every row. Each filter is probed once, over the surviving keys, so a key
+    several partitions hold is digested once, and a later filter sees only
+    an earlier one's survivors. ``rows`` is the row count probed, passed for
+    the caller's record and not read here.
     """
-    survivors: list[Sequence[int]] = [range(p.length) for p in partitions]
+    survivors: Sequence[int] = range(batch.length)
     for column, bloom in filters:
-        present: list[list[int]] = []
-        keys: list = []
-        for partition, kept in zip(partitions, survivors):
-            col = partition.columns.get(column)
-            positions = [] if col is None else [i for i in kept if col[i] is not None]
-            present.append(positions)
-            keys.extend([col[i] for i in positions])
-        verdicts = iter(bloom.might_contain_all(keys))
-        survivors = [
-            list(compress(positions, islice(verdicts, len(positions))))
-            for positions in present
-        ]
-    out = [
-        ColumnPartition(
-            {name: gather(col, kept) for name, col in partition.columns.items()},
-            len(kept),
-        )
-        for partition, kept in zip(partitions, survivors)
-    ]
-    return out, sum(map(len, survivors))
+        col = batch.columns.get(column)
+        present = [] if col is None else [i for i in survivors if col[i] is not None]
+        verdicts = bloom.might_contain_all([col[i] for i in present])
+        survivors = list(compress(present, verdicts))
+    out = ColumnBatch(
+        {name: gather(col, survivors) for name, col in batch.columns.items()},
+        rebound(batch.bounds, survivors),
+    )
+    return out, len(survivors)
 
 
 # -- hash-join kernels ---------------------------------------------------------
@@ -243,3 +246,14 @@ def route_partitions(key_values: Sequence, partition_count: int) -> list[int]:
     timed apart from ingestion's, which calls the definition directly.
     """
     return partition_slots(key_values, partition_count)
+
+
+def partition_order(
+    slots: Sequence[int], partition_count: int
+) -> tuple[list[int], list[int]]:
+    """Rows regrouped by destination: the positions stably sorted by slot
+    (source order kept within a destination) and the destinations' bounds."""
+    order = sorted(range(len(slots)), key=slots.__getitem__)
+    sizes = Counter(slots)
+    bounds = list(accumulate(map(sizes.__getitem__, range(partition_count)), initial=0))
+    return order, bounds

@@ -27,16 +27,7 @@ OPTIMIZERS = {
 }
 
 _LAZY_EXPORTS = {
-    "DynamicOptimizer": ("repro.core.driver", "DynamicOptimizer"),
-    "CostBasedOptimizer": ("repro.optimizers.static_cost", "CostBasedOptimizer"),
-    "FromOrderOptimizer": ("repro.optimizers.from_order", "FromOrderOptimizer"),
-    "BestOrderOptimizer": ("repro.optimizers.best_order", "BestOrderOptimizer"),
-    "WorstOrderOptimizer": ("repro.optimizers.worst_order", "WorstOrderOptimizer"),
-    "PilotRunOptimizer": ("repro.optimizers.pilot_run", "PilotRunOptimizer"),
-    "IngresLikeOptimizer": ("repro.optimizers.ingres", "IngresLikeOptimizer"),
-    "GreedyStaticOptimizer": ("repro.optimizers.greedy_static", "GreedyStaticOptimizer"),
-    "SketchOnlineOptimizer": ("repro.optimizers.sketch_online", "SketchOnlineOptimizer"),
-    "PredicateTransferOptimizer": ("repro.optimizers.transfer", "PredicateTransferOptimizer"),
+    **{class_name: (module, class_name) for module, class_name in OPTIMIZERS.values()},
     "PlannerToolkit": ("repro.algebra.toolkit", "PlannerToolkit"),
     "alias_stats_key": ("repro.algebra.toolkit", "alias_stats_key"),
     "best_bushy_plan": ("repro.optimizers.enumeration", "best_bushy_plan"),

@@ -21,20 +21,21 @@ Two deliberate weaknesses carried over from the paper's analysis:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import ChainMap
 from dataclasses import dataclass
 
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
 from repro.engine import vector
-from repro.engine.data import ColumnPartition, scan_partitions
+from repro.engine.data import ColumnBatch, StoredColumns, scan_batch
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query
 from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import FieldStatistics, StatisticsCollector
 
-#: the row-number column a pilot adds to each partition it filters (not a
+#: the row-number column a pilot adds to the batch it filters (not a
 #: qualified name, so it shadows no stored column)
 _ROW = "#"
 
@@ -97,7 +98,9 @@ class PilotRunOptimizer(DynamicOptimizer):
     def _pilot_entry(
         self, query: Query, alias: str, session, context: EvaluationContext
     ) -> tuple[DatasetStatistics, int]:
-        """Run one pilot: prefix-scan until ``sample_limit`` qualifying rows."""
+        """Run one pilot: the first ``sample_limit`` qualifying rows in
+        storage order, and the prefix they span (what the modeled pilot
+        scans) — one filter pass over the dataset's batch."""
         table = query.table(alias)
         dataset = session.datasets.get(table.dataset)
         predicates = query.predicates_for(alias)
@@ -106,27 +109,25 @@ class PilotRunOptimizer(DynamicOptimizer):
         # at least one row is sampled whatever the limit says
         limit = max(1, self.sample_limit)
         names = dataset.schema.field_names
-        sample: dict[str, list[list]] = {name: [] for name in names}  # batches
-        sampled = scanned = 0
-        for partition in scan_partitions(dataset, prefix):
-            numbered = ColumnPartition(
-                ChainMap({_ROW: range(partition.length)}, partition.columns),
-                partition.length,
-            )
-            kept, _ = vector.fused_filter_project(
-                numbered, predicates, (_ROW,), context
-            )
-            rows = kept[_ROW][: limit - sampled]
-            for name in names:
-                column = partition.column(prefix + name)
-                sample[name].append(vector.gather(column, rows))
-            sampled += len(rows)
-            if sampled >= limit:
-                scanned += rows[-1] + 1
-                break
-            scanned += partition.length
+        batch = scan_batch(dataset, prefix)
+        numbered = ColumnBatch(
+            ChainMap({_ROW: range(batch.length)}, batch.columns), batch.bounds
+        )
+        kept = vector.fused_filter_project(numbered, predicates, (_ROW,), context)
+        rows = kept.columns[_ROW][:limit]
+        sampled = len(rows)
+        scanned = rows[-1] + 1 if sampled >= limit else batch.length
+        # the sample's columns come from the partitions the prefix covers only
+        head = StoredColumns(
+            dataset.partitions[: bisect_left(batch.bounds, scanned)],
+            prefix,
+            tuple(prefix + name for name in names),
+        )
         collector = StatisticsCollector(list(names))
-        collector.observe_columns(sample, sampled)
+        collector.observe_columns(
+            {name: [vector.gather(head[prefix + name], rows)] for name in names},
+            sampled,
+        )
 
         total = dataset.row_count
         selectivity = sampled / scanned if scanned else 0.0

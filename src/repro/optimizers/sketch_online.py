@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit, alias_stats_key
 from repro.engine import vector
-from repro.engine.data import scan_partitions
+from repro.engine.data import ColumnBatch, scan_batch
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query, split_column
@@ -47,21 +47,22 @@ from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import FieldStatistics
 
 
-def _survivors(dataset, prefix, predicates, context, live):
-    """One pre-filtering scan: ``(kept columns, length)`` per stored partition."""
-    for partition in scan_partitions(dataset, prefix):
-        yield vector.fused_filter_project(partition, predicates, live, context)
+def _survivors(dataset, prefix, predicates, context, live) -> ColumnBatch:
+    """One pre-filtering scan: the survivors' ``live`` columns."""
+    return vector.fused_filter_project(
+        scan_batch(dataset, prefix), predicates, live, context
+    )
 
 
 class _SurvivingColumn:
-    """One column of :func:`_survivors`, a batch per partition — scanned
+    """One column of :func:`_survivors` as a one-batch iterable — scanned
     again at every iteration, so holding one holds no filtered copy."""
 
     def __init__(self, column: str, *scan) -> None:
         self.column, self.scan = column, scan
 
     def __iter__(self):
-        return (kept[self.column] for kept, _ in _survivors(*self.scan, (self.column,)))
+        yield _survivors(*self.scan, (self.column,)).columns[self.column]
 
 
 class SketchOnlineOptimizer(Optimizer):
@@ -104,8 +105,8 @@ class SketchOnlineOptimizer(Optimizer):
     ) -> tuple[DatasetStatistics, JobMetrics]:
         """One pre-filtering scan: post-predicate sketches for one FROM entry.
 
-        Each join column's :class:`FieldStatistics` is fed every partition's
-        survivors at once — the HLL of a union is the register-wise max
+        Each join column's :class:`FieldStatistics` is fed the survivors of
+        one kernel call over the whole dataset — the HLL of a union is the register-wise max
         COMPASS's workers would merge to, so nothing is merged here — and
         keeps a re-scan, not the survivors, for a quantile sketch no plan
         reads off a post-predicate entry.
@@ -116,12 +117,12 @@ class SketchOnlineOptimizer(Optimizer):
         prefix = f"{alias}."
         scan = (dataset, prefix, predicates, context)
 
-        survivors = list(_survivors(*scan, tuple(prefix + name for name in columns)))
-        qualified_rows = sum(length for _, length in survivors)
+        survivors = _survivors(*scan, tuple(prefix + name for name in columns))
+        qualified_rows = survivors.length
         fields = {name: FieldStatistics(name) for name in columns}
         for name, stats in fields.items():
             stats.observe_batches(
-                [kept[prefix + name] for kept, _ in survivors],
+                [survivors.columns[prefix + name]],
                 replay=_SurvivingColumn(prefix + name, *scan),
             )
             stats.digest()  # within the pass: the survivors are not kept

@@ -14,7 +14,7 @@ from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.common.errors import OptimizationError
 from repro.engine import vector
-from repro.engine.data import scan_partitions
+from repro.engine.data import scan_batch
 from repro.lang.ast import EvaluationContext, Query
 from repro.optimizers.base import Optimizer, single_job_stages
 from repro.stats.estimation import resolve_field
@@ -29,12 +29,8 @@ def true_filtered_rows(query: Query, alias: str, session) -> float:
     if not predicates:
         return float(dataset.row_count)
     context = EvaluationContext(query.parameters, session.udfs)
-    return float(
-        sum(
-            vector.fused_filter_project(partition, predicates, (), context)[1]
-            for partition in scan_partitions(dataset, f"{alias}.")
-        )
-    )
+    batch = scan_batch(dataset, f"{alias}.")
+    return float(vector.fused_filter_project(batch, predicates, (), context).length)
 
 
 def worst_order_aliases(toolkit: PlannerToolkit, session) -> list[str]:

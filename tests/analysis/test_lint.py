@@ -522,6 +522,49 @@ class TestCleanTree:
         assert "repro.engine.operators.scan" in imported  # the walk saw the imports
         assert writes == []
 
+    def test_operators_and_kernels_never_loop_over_partitions(self):
+        """A dataflow is one batch (DESIGN.md §10.1): operators and kernels
+        run once per operator, so no ``for`` loop or comprehension in
+        ``engine/operators/``, ``engine/vector.py`` or ``engine/exchange.py``
+        iterates partitions (anything named ``partitions`` or
+        ``partition_count``) or partition slices (a ``zip`` over ``bounds``).
+        Two places work partition by partition, because what they meet is
+        partitioned: the Sink writes one stored partition per slice, and the
+        INL join probes each partition's own index."""
+        import ast
+
+        def loops_over_partitions(function) -> bool:
+            for node in ast.walk(function):
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    names = {
+                        getattr(sub, "id", getattr(sub, "attr", None))
+                        for sub in ast.walk(node.iter)
+                    }
+                    if names & {"partitions", "partition_count"} or {
+                        "zip",
+                        "bounds",
+                    } <= names:
+                        return True
+            return False
+
+        engine = Path(__file__).resolve().parents[2] / "src" / "repro" / "engine"
+        paths = sorted((engine / "operators").glob("*.py"))
+        owners: set[str] = set()
+        for path in [*paths, engine / "vector.py", engine / "exchange.py"]:
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                methods = node.body if isinstance(node, ast.ClassDef) else [node]
+                for method in methods:
+                    if isinstance(method, ast.FunctionDef) and loops_over_partitions(
+                        method
+                    ):
+                        prefix = f"{node.name}." if node is not method else ""
+                        owners.add(prefix + method.name)
+        assert owners == {"SinkOp.execute", "IndexNestedLoopJoinOp.execute"}
+        # the loop every operator ran before the batch is one it would flag
+        assert loops_over_partitions(
+            ast.parse("for partition in data.partitions:\n    kernel(partition)")
+        )
+
     def test_rows_are_an_ingest_and_a_result_format_nothing_in_between(self):
         """Storage is the one place that knows a partition's format, so: the
         engine never asks which partition class it was handed; nothing but

@@ -4,9 +4,11 @@ Until PR 17 a hash join physically re-partitioned each input that was not
 already partitioned on its first join key and then joined partition by
 partition; the broadcast join probed every probe partition against one
 gathered build copy. ``repro.engine.operators.joins`` now matches globally
-and places only the matches (DESIGN.md §10.2); this module is the old
-algorithm, row-at-a-time kernels included, so ``test_join_placement.py`` can
-assert the two agree on partition contents, row order and charged metrics.
+over the dataflow's one batch and places only the matches (DESIGN.md
+§10.2); this module is the old algorithm, row-at-a-time kernels and
+per-partition data included — it cuts each input batch at its bounds and
+joins the pieces — so ``test_join_placement.py`` can assert the two agree on
+every partition's contents, row order and charged metrics.
 
 It is self-contained on purpose: it routes with ``stable_hash`` directly and
 shares no kernel with ``repro.engine.vector``. It is also wrong the way the
@@ -18,8 +20,33 @@ against a brute-force nested loop instead.
 from __future__ import annotations
 
 from repro.common.rng import stable_hash
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData
 from repro.engine.operators.base import ExecState
+
+from tests.engine.batches import batch_of, partition_slices
+
+
+class ColumnPartition:
+    """One partition as parallel column lists; an absent column reads as
+    nulls."""
+
+    def __init__(self, columns: dict, length: int) -> None:
+        self.columns = columns
+        self.length = length
+
+    def column(self, name: str) -> list:
+        col = self.columns.get(name)
+        return [None] * self.length if col is None else col
+
+
+def split(data: ColumnarData) -> list[ColumnPartition]:
+    """The batch cut back into its partitions."""
+    return [ColumnPartition(cols, n) for cols, n in partition_slices(data.batch)]
+
+
+def joined(partitions: list[ColumnPartition], columns, partitioned_on, scale):
+    batch = batch_of([p.columns for p in partitions], [p.length for p in partitions])
+    return ColumnarData(batch, columns, partitioned_on, scale)
 
 
 def _names(partitions: list[ColumnPartition]) -> tuple[str, ...]:
@@ -101,13 +128,13 @@ def reference_hash_join(
     state: ExecState,
 ) -> ColumnarData:
     partition_count = state.cluster.partitions
-    build_parts = build.partitions
+    build_parts = split(build)
     if build.partitioned_on != build_keys[0]:
         build_parts = hash_exchange(build_parts, build_keys[0], partition_count)
         state.charge(
             "network", state.cost.hash_exchange(build.modeled_rows, build.row_width)
         )
-    probe_parts = probe.partitions
+    probe_parts = split(probe)
     if probe.partitioned_on != probe_keys[0]:
         probe_parts = hash_exchange(probe_parts, probe_keys[0], partition_count)
         state.charge(
@@ -133,7 +160,7 @@ def reference_hash_join(
         ),
     )
     state.metrics.tuples_joined += out_rows
-    return ColumnarData(out_partitions, columns, probe_keys[0], out_scale)
+    return joined(out_partitions, columns, probe_keys[0], out_scale)
 
 
 def reference_broadcast_join(
@@ -143,7 +170,7 @@ def reference_broadcast_join(
     probe_keys: tuple[str, ...],
     state: ExecState,
 ) -> ColumnarData:
-    gathered = gather_all(build.partitions)
+    gathered = gather_all(split(build))
     state.charge(
         "network", state.cost.broadcast_exchange(build.modeled_rows, build.row_width)
     )
@@ -152,7 +179,7 @@ def reference_broadcast_join(
     columns.update(build.columns)
     out_partitions = [
         local_join(columns, gathered, partition, build_keys, probe_keys)
-        for partition in probe.partitions
+        for partition in split(probe)
     ]
     out_rows = sum(p.length for p in out_partitions)
     out_scale = max(build.scale, probe.scale)
@@ -160,4 +187,4 @@ def reference_broadcast_join(
         "compute", state.cost.probe(probe.modeled_rows + out_rows * out_scale)
     )
     state.metrics.tuples_joined += out_rows
-    return ColumnarData(out_partitions, columns, probe.partitioned_on, out_scale)
+    return joined(out_partitions, columns, probe.partitioned_on, out_scale)

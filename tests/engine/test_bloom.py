@@ -17,7 +17,7 @@ from repro.engine.bloom import (
     bloom_hash_count,
     bloom_size_bytes,
 )
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.engine.operators.filters import SemiJoinFilterOp
@@ -26,6 +26,7 @@ from repro.lang.ast import EvaluationContext
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 from tests.conftest import count_digests, mixed_column_batches, small_cluster
+from tests.engine.batches import batch_of, partition_slices
 
 
 class TestSizing:
@@ -185,22 +186,21 @@ class TestColumnAtATime:
             positions[start : start + partition_rows]
             for start in range(0, len(probe), partition_rows)
         ]
-        partitions = [
-            ColumnPartition({"key": [probe[p] for p in cut], "position": cut}, len(cut))
-            for cut in cuts
-        ]
-        kept, kept_length = semi_join_filter(partitions, len(probe), (("key", bloom),))
-        assert len(kept) == len(partitions)
+        parts = [{"key": [probe[p] for p in cut], "position": cut} for cut in cuts]
+        kept, kept_length = semi_join_filter(
+            batch_of(parts), len(probe), (("key", bloom),)
+        )
+        assert len(kept.bounds) == len(parts) + 1
         total = 0
-        for partition, out in zip(partitions, kept):
+        for part, (out, length) in zip(parts, partition_slices(kept)):
             expected = [
                 position
-                for position in partition.columns["position"]
+                for position in part["position"]
                 if probe[position] is not None and twin.might_contain(probe[position])
             ]
-            assert out.columns["position"] == expected
-            assert out.length == len(expected)
-            assert [repr(value) for value in out.columns["key"]] == [
+            assert out["position"] == expected
+            assert length == len(expected)
+            assert [repr(value) for value in out["key"]] == [
                 repr(probe[position]) for position in expected
             ]
             total += len(expected)
@@ -254,18 +254,25 @@ class TestColumnAtATime:
 
     def test_a_null_filter_column_eliminates_the_partition(self):
         # Re-pinned for the one-call-per-operator kernel: a sibling partition
-        # that holds the column keeps its rows.
+        # that holds the column keeps its rows. Re-pinned again for the
+        # batch: a column is physically present in every partition or in
+        # none, so the partition without keys holds nulls there.
         bloom = BloomFilter.build([1, 2], expected=2)
-        partitions = [
-            ColumnPartition({"v": [1, 2]}, 2),
-            ColumnPartition({"v": [3, 4], "key": [1, 2]}, 2),
-        ]
-        kept, length = semi_join_filter(partitions, 4, (("key", bloom),))
-        assert [(out.columns, out.length) for out in kept] == [
-            ({"v": []}, 0),
+        batch = batch_of([{"v": [1, 2]}, {"v": [3, 4], "key": [1, 2]}])
+        kept, length = semi_join_filter(batch, 4, (("key", bloom),))
+        assert partition_slices(kept) == [
+            ({"v": [], "key": []}, 0),
             ({"v": [3, 4], "key": [1, 2]}, 2),
         ]
         assert length == 2
+
+    def test_an_absent_filter_column_eliminates_every_row(self):
+        bloom = BloomFilter.build([1, 2], expected=2)
+        kept, length = semi_join_filter(
+            batch_of([{"v": [1, 2]}, {"v": [3]}]), 3, (("key", bloom),)
+        )
+        assert partition_slices(kept) == [({"v": []}, 0), ({"v": []}, 0)]
+        assert length == 0
 
 
 # -- one probe per operator against the per-partition, chunked kernel ---------------
@@ -305,7 +312,7 @@ class _Given(PhysicalOperator):
         return self.data
 
 
-def run_semi_join(partitions, filters) -> ColumnarData:
+def run_semi_join(parts, filters) -> ColumnarData:
     cluster = small_cluster()
     state = ExecState(
         cluster=cluster,
@@ -315,7 +322,7 @@ def run_semi_join(partitions, filters) -> ColumnarData:
         evaluation=EvaluationContext(),
         metrics=JobMetrics(),
     )
-    data = ColumnarData(partitions, {"t.k": DataType.INT})
+    data = ColumnarData(batch_of(parts), {"t.k": DataType.INT})
     return SemiJoinFilterOp(_Given(data), filters).execute(state)
 
 
@@ -339,7 +346,8 @@ def drawn_filter(draw) -> BloomFilter:
 @st.composite
 def filtered_partitions(draw):
     """``(partitions, filters)``: 1–3 filters over columns ``a``/``b``/``c``,
-    and partitions (some empty) each holding a subset of those columns."""
+    and partitions (some empty) each holding a subset of those columns —
+    null in the partitions that lack one, once they form a batch."""
     filters = tuple(
         (draw(st.sampled_from("abc")), draw(drawn_filter()))
         for _ in range(draw(st.integers(1, 3)))
@@ -351,7 +359,7 @@ def filtered_partitions(draw):
         columns = {"pos": list(range(length))}
         for name in held:
             columns[name] = draw(st.lists(_KEY, min_size=length, max_size=length))
-        partitions.append(ColumnPartition(columns, length))
+        partitions.append((columns, length))
     return partitions, filters
 
 
@@ -359,7 +367,7 @@ class TestOneProbePerOperator:
     def test_an_operator_digests_each_surviving_key_once(self, monkeypatch):
         # 40 partitions share 3 keys: the per-partition kernel digested the
         # 3 keys in each of them, 120 digests for one filter.
-        partitions = [ColumnPartition({"t.k": [1, 2, 3, 1]}, 4) for _ in range(40)]
+        partitions = [{"t.k": [1, 2, 3, 1]} for _ in range(40)]
         first = BloomFilter.build([1, 2], expected=2, fpp=1e-9)
         second = BloomFilter.build([1, 2, 3], expected=3)
         assert not first.might_contain(3)
@@ -391,17 +399,22 @@ class TestOneProbePerOperator:
     @given(filtered_partitions(), st.sampled_from([1, 3, 1024]))
     def test_equals_the_per_partition_chunked_kernel(self, case, chunk_size):
         partitions, filters = case
-        rows = sum(partition.length for partition in partitions)
-        kept, kept_rows = semi_join_filter(partitions, rows, filters)
-        assert len(kept) == len(partitions)
+        batch = batch_of(
+            [columns for columns, _ in partitions],
+            [length for _, length in partitions],
+        )
+        kept, kept_rows = semi_join_filter(batch, batch.length, filters)
+        assert len(kept.bounds) == len(partitions) + 1
         total = 0
-        for partition, out in zip(partitions, kept):
+        for (part, part_length), (out, out_length) in zip(
+            partition_slices(batch), partition_slices(kept)
+        ):
             columns, length = per_partition_semi_join_filter(
-                partition.columns, partition.length, filters, chunk_size
+                part, part_length, filters, chunk_size
             )
-            assert out.length == length
-            assert out.columns["pos"] == columns["pos"]
+            assert out_length == length
+            assert out["pos"] == columns["pos"]
             # repr keeps 1 / 1.0 / True and 0.0 / -0.0 apart and NaN equal
-            assert repr(out.columns) == repr(columns)
+            assert repr(out) == repr(columns)
             total += length
         assert kept_rows == total

@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from repro.common import rng
 from repro.common.rng import stable_hash
-from repro.engine.data import ColumnPartition
 from repro.engine.exchange import columnar_broadcast_exchange, columnar_hash_exchange
 from repro.storage.dataset import partition_rows
 
-
-def part(**columns) -> ColumnPartition:
-    return ColumnPartition(columns, len(next(iter(columns.values()), [])))
+from tests.engine.batches import batch_of, partition_slices
 
 
-def route_on(partitions, name, partition_count):
-    return columnar_hash_exchange(
-        partitions, [p.column(name) for p in partitions], partition_count
-    )
+def part(**columns) -> dict:
+    return columns
+
+
+def route_on(parts, name, partition_count) -> list[tuple[dict, int]]:
+    batch = batch_of(parts)
+    out = columnar_hash_exchange([batch], batch.column(name), partition_count)
+    return partition_slices(out)
 
 
 class Suit(IntEnum):
@@ -57,8 +58,8 @@ def routed_batches(draw) -> list[list]:
 
 def exchanged(batch: list, count: int) -> list[list[int]]:
     """Source positions per destination of a hash exchange on ``batch``."""
-    out = columnar_hash_exchange([part(at=list(range(len(batch))))], [batch], count)
-    return [partition.column("at") for partition in out]
+    out = columnar_hash_exchange([batch_of([part(at=list(range(len(batch))))])], batch, count)
+    return [columns["at"] for columns, _ in partition_slices(out)]
 
 
 def ingested(batch: list, count: int) -> list[list[int]]:
@@ -70,33 +71,37 @@ def ingested(batch: list, count: int) -> list[list[int]]:
 class TestHashExchange:
     def test_preserves_all_rows(self):
         out = route_on([part(k=list(range(10))), part(k=list(range(10, 20)))], "k", 4)
-        assert sum(p.length for p in out) == 20
-        assert sorted(k for p in out for k in p.columns["k"]) == list(range(20))
+        assert sum(length for _, length in out) == 20
+        assert sorted(k for columns, _ in out for k in columns["k"]) == list(range(20))
 
     def test_routes_by_stable_hash(self):
         out = route_on([part(k=list(range(50)), v=list(range(50, 100)))], "k", 8)
-        for pid, partition in enumerate(out):
-            for k, v in zip(partition.columns["k"], partition.columns["v"]):
+        for pid, (columns, _) in enumerate(out):
+            for k, v in zip(columns["k"], columns["v"]):
                 assert stable_hash(k) % 8 == pid
                 assert v == k + 50  # columns stay row-aligned
 
     def test_equal_keys_colocate(self):
         out = route_on([part(k=[5], n=[i]) for i in range(10)], "k", 4)
         # one destination, source order kept within it
-        assert [p.columns["n"] for p in out if p.length] == [list(range(10))]
+        assert [columns["n"] for columns, length in out if length] == [list(range(10))]
 
     def test_empty_input(self):
-        out = columnar_hash_exchange([part(), part()], [[], []], 4)
-        assert [(p.columns, p.length) for p in out] == [({}, 0)] * 4
+        out = columnar_hash_exchange([batch_of([part(), part()])], [], 4)
+        assert partition_slices(out) == [({}, 0)] * 4
 
     def test_null_route_key_is_routed_like_any_value(self):
         out = route_on([part(k=[None, None], n=[0, 1])], "k", 8)
-        assert out[stable_hash(None) % 8].columns == {"k": [None, None], "n": [0, 1]}
+        assert out[stable_hash(None) % 8] == ({"k": [None, None], "n": [0, 1]}, 2)
 
     def test_missing_physical_column_is_null_filled(self):
-        """An absent column reads as nulls (``ColumnPartition.column``)."""
-        out = route_on([part(k=[1, 2], v=[10, 20]), part(k=[1, 3])], "k", 1)
-        assert out[0].columns == {"k": [1, 2, 1, 3], "v": [10, 20, None, None]}
+        """An absent column reads as nulls (``ColumnBatch.column``): routed
+        on one, every row goes where a null key goes."""
+        out = route_on([part(k=[1, 2], v=[10, 20]), part(k=[1, 3])], "absent", 4)
+        assert out[stable_hash(None) % 4] == (
+            {"k": [1, 2, 1, 3], "v": [10, 20, None, None]},
+            4,
+        )
 
     @settings(max_examples=100, deadline=None)
     @example(
@@ -127,13 +132,15 @@ class TestHashExchange:
 
 
 class TestBroadcastExchange:
+    """The batch is already one run of flat columns: the copy every
+    partition receives is the batch itself."""
+
     def test_gathers_everything_in_order(self):
-        gathered = columnar_broadcast_exchange(
-            [part(k=[1, 2], v=["a", "b"]), part(k=[], v=[]), part(k=[3])]
-        )
-        assert gathered.length == 3
+        batch = batch_of([part(k=[1, 2], v=["a", "b"]), part(k=[], v=[]), part(k=[3])])
+        gathered = columnar_broadcast_exchange([batch])
+        assert gathered is batch and gathered.length == 3
         assert gathered.columns == {"k": [1, 2, 3], "v": ["a", "b", None]}
 
     def test_empty(self):
-        gathered = columnar_broadcast_exchange([part(), part()])
+        gathered = columnar_broadcast_exchange([batch_of([part(), part()])])
         assert (gathered.columns, gathered.length) == ({}, 0)

@@ -1,8 +1,9 @@
 """Differential test: match-globally/place-locally ≡ exchange-then-local-join.
 
 DESIGN.md §10.2's invariant: every output partition of ``HashJoinOp`` /
-``BroadcastJoinOp`` holds exactly the rows, in exactly the order, that
-physically exchanging the inputs and joining partition by partition gives
+``BroadcastJoinOp`` — each slice of the output batch between two of its
+bounds — holds exactly the rows, in exactly the order, that physically
+exchanging the inputs and joining partition by partition gives
 (``tests/engine/reference_join.py``, the retired path), and the simulated
 clock is charged the same components, amounts and order. Generated inputs
 cover int / str / null / composite keys, unique and duplicated build keys,
@@ -27,7 +28,7 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.cost import CostModel
 from repro.common.rng import stable_hash
 from repro.common.types import DataType
-from repro.engine.data import ColumnarData, ColumnPartition
+from repro.engine.data import ColumnarData
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.base import ExecState
 from repro.engine.operators.joins import BroadcastJoinOp, HashJoinOp
@@ -35,6 +36,7 @@ from repro.lang.ast import EvaluationContext
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
+from tests.engine.batches import batch_of, partition_slices
 from tests.engine.reference_join import (
     reference_broadcast_join,
     reference_hash_join,
@@ -77,7 +79,7 @@ class Stub:
 def snapshot(data: ColumnarData, state: RecordingState) -> tuple:
     # item lists, not dicts: column order is part of the contract
     return (
-        [(list(p.columns.items()), p.length) for p in data.partitions],
+        [(list(cols.items()), n) for cols, n in partition_slices(data.batch)],
         list(data.columns.items()),
         data.partitioned_on,
         data.scale,
@@ -140,19 +142,19 @@ def join_sides(draw, key_values=None, max_group=1):
             buckets[slot].append((*row[:arity], f"{side}{number}", row[arity]))
         # mostly every column; sometimes narrower, even without a key column
         physical = [name for name in names if draw(st.integers(0, 9)) > 0]
-        partitions = [
-            ColumnPartition(
-                {name: [row[names.index(name)] for row in bucket] for name in physical},
-                len(bucket),
-            )
-            for bucket in buckets
-        ]
+        batch = batch_of(
+            [
+                {name: [row[names.index(name)] for row in bucket] for name in physical}
+                for bucket in buckets
+            ],
+            [len(bucket) for bucket in buckets],
+        )
         columns = {name: DataType.INT for name in names}
         columns["shared"] = DataType.DOUBLE if side == "b" else DataType.INT
         columns[f"{side}.dead"] = DataType.STRING
         sides.append(
             ColumnarData(
-                partitions,
+                batch,
                 columns,
                 names[0] if truthful else None,
                 draw(st.sampled_from([1.0, 3.0, 1000.0])),
@@ -210,19 +212,18 @@ def test_expanding_join_keeps_reference_order():
     """Many-to-many on one hot key spread over every partition: 12 x 15
     matches, both sides moved, each output row in the reference's position."""
     build = ColumnarData(
-        [
-            ColumnPartition({"b.k0": [7] * 4, "b.v": list(range(4 * i, 4 * i + 4))}, 4)
-            for i in range(3)
-        ],
+        batch_of(
+            [{"b.k0": [7] * 4, "b.v": list(range(4 * i, 4 * i + 4))} for i in range(3)]
+        ),
         {"b.k0": DataType.INT, "b.v": DataType.INT},
     )
     probe = ColumnarData(
-        [
-            ColumnPartition(
-                {"p.k0": [7, 8] * 5, "p.v": list(range(10 * i, 10 * i + 10))}, 10
-            )
-            for i in range(3)
-        ],
+        batch_of(
+            [
+                {"p.k0": [7, 8] * 5, "p.v": list(range(10 * i, 10 * i + 10))}
+                for i in range(3)
+            ]
+        ),
         {"p.k0": DataType.INT, "p.v": DataType.INT},
     )
     expected_state, state = make_state(3), make_state(3)
@@ -277,7 +278,7 @@ def nested_loop(build: ColumnarData, probe: ColumnarData, build_keys, probe_keys
 @given(mixed_sides(), st.booleans())
 def test_cross_type_keys_match_a_nested_loop(case, broadcast):
     partition_count, build, probe, build_keys, probe_keys = case
-    physical = set(build.partitions[0].columns) | set(probe.partitions[0].columns)
+    physical = set(build.batch.columns) | set(probe.batch.columns)
     assume({"b.v", "p.v"} <= physical)  # the row tags this oracle compares
     cls = BroadcastJoinOp if broadcast else HashJoinOp
     out = cls(Stub(build), Stub(probe), build_keys, probe_keys).execute(
@@ -287,8 +288,8 @@ def test_cross_type_keys_match_a_nested_loop(case, broadcast):
     assert pairs == nested_loop(build, probe, build_keys, probe_keys)
     if out.partitioned_on == "p.k0" and "p.k0" in physical:
         # the partitioning property the join claims is true of every row
-        for slot, partition in enumerate(out.partitions):
-            for value in partition.column("p.k0"):
+        for slot, (columns, _) in enumerate(partition_slices(out.batch)):
+            for value in columns["p.k0"]:
                 assert stable_hash(value) % partition_count == slot
 
 
@@ -298,12 +299,12 @@ def test_cross_type_group_and_nan_match_a_nested_loop(cls):
     them, and the one NaN object is a group of two that only it matches."""
     keys = [1, None, 1.0, NAN, True, 2, NAN, None]
     build = ColumnarData(
-        [ColumnPartition({"b.k0": keys, "b.v": [f"b{i}" for i in range(8)]}, 8)],
+        batch_of([{"b.k0": keys, "b.v": [f"b{i}" for i in range(8)]}]),
         {"b.k0": DataType.DOUBLE, "b.v": DataType.STRING},
     )
     probe_keys = [True, NAN, float("nan"), None, 1, 2.0]
     probe = ColumnarData(
-        [ColumnPartition({"p.k0": probe_keys, "p.v": [f"p{i}" for i in range(6)]}, 6)],
+        batch_of([{"p.k0": probe_keys, "p.v": [f"p{i}" for i in range(6)]}]),
         {"p.k0": DataType.DOUBLE, "p.v": DataType.STRING},
     )
     out = cls(Stub(build), Stub(probe), ("b.k0",), ("p.k0",)).execute(make_state(1))
@@ -316,3 +317,30 @@ def test_cross_type_group_and_nan_match_a_nested_loop(cls):
     ]
     assert got == expected  # one partition: nested-loop order
     assert sorted(got) == nested_loop(build, probe, ("b.k0",), ("p.k0",))
+
+
+@settings(max_examples=100, deadline=None)
+@given(join_sides(max_group=4), st.booleans(), st.data())
+def test_kept_columns_gather_only_what_the_project_keeps(case, broadcast, data):
+    """With ``kept_columns`` set (``compile_plan`` sets it to the Project
+    above), the output batch holds just those of the reference's physical
+    columns, in the same places; the logical map and every charge are the
+    reference's."""
+    partition_count, build, probe, build_keys, probe_keys = case
+    cls, reference = (
+        (BroadcastJoinOp, reference_broadcast_join)
+        if broadcast
+        else (HashJoinOp, reference_hash_join)
+    )
+    expected_state = make_state(partition_count)
+    expected = reference(build, probe, build_keys, probe_keys, expected_state)
+    logical = list(expected.columns)
+    kept = tuple(sorted(data.draw(st.lists(st.sampled_from(logical), min_size=1))))
+    state = make_state(partition_count)
+    op = cls(Stub(build), Stub(probe), build_keys, probe_keys)
+    op.kept_columns = kept
+    got = op.execute(state)
+    expected.batch.columns = {
+        name: col for name, col in expected.batch.columns.items() if name in kept
+    }
+    assert snapshot(got, state) == snapshot(expected, expected_state)

@@ -4,12 +4,15 @@ import gc
 
 import pytest
 
+from repro.cluster.config import ClusterConfig
 from repro.common.errors import ExecutionError
+from repro.common.types import DataType, Schema
 from repro.engine.job import Job
 from repro.engine.operators.scan import ReaderOp, ScanOp
 from repro.engine.operators.select import AssignOp, ProjectOp, SelectOp
 from repro.engine.operators.sink import SinkOp
 from repro.lang.ast import ComparisonPredicate, UdfPredicate
+from repro.session import Session
 
 
 def run_op(session, op):
@@ -34,25 +37,41 @@ class TestScan:
         """A stored column is shared by every scan of the dataset, so it is
         immutable by type — and a tuple of atoms leaves the cycle
         collector's working set on its first visit (DESIGN.md §10.3), which
-        a list of the same values never does."""
+        a list of the same values never does. A scan's flat column is the
+        stored partitions' tuples in partition order."""
         first, _ = run_op(star_session, ScanOp("fact", "f", live=("f.f_val",)))
         again, _ = run_op(star_session, ScanOp("fact", "g", live=("g.f_val",)))
-        column = first.partitions[0].columns["f.f_val"]
+        stored = star_session.datasets.get("fact").partitions
+        column = stored[0].column("f_val")
         assert type(column) is tuple and len(column) > 0
-        assert again.partitions[0].columns["g.f_val"] is column  # one memo
-        # an intermediate is stored the same way: the Sink turns the lists
+        assert stored[0].column("f_val") is column  # one memo
+        flat = [value for partition in stored for value in partition.column("f_val")]
+        assert list(first.batch.columns["f.f_val"]) == flat
+        assert list(again.batch.columns["g.f_val"]) == flat
+        # an intermediate is stored the same way: the Sink cuts the lists
         # its input holds into the tuples the next Reader serves
         select = SelectOp(
             ScanOp("fact", "f"), (ComparisonPredicate("f.f_val", ">=", 0),)
         )
         run_op(star_session, SinkOp(select, "inter", ("f.f_val",)))
         read, _ = run_op(star_session, ReaderOp("inter"))
-        written = read.partitions[0].columns["f.f_val"]
+        inter = star_session.datasets.get("inter").partitions
+        assert [p.length for p in inter] == [p.length for p in stored]
+        written = inter[0].column("f.f_val")
         assert type(written) is tuple and written == column
-        assert written is star_session.datasets.get("inter").partitions[0].column("f.f_val")
+        assert list(read.batch.columns["f.f_val"]) == flat
         gc.collect()
         assert not gc.is_tracked(column) and not gc.is_tracked(written)
         assert gc.is_tracked(list(column))
+
+    def test_single_partition_scan_hands_over_the_stored_tuple(self):
+        session = Session(ClusterConfig(nodes=1, cores_per_node=1))
+        session.load("t", Schema.of(("a", DataType.INT)), [{"a": i} for i in range(5)])
+        data, _ = run_op(session, ScanOp("t", "t"))
+        stored = session.datasets.get("t").partitions
+        assert len(stored) == 1
+        assert data.batch.columns["t.a"] is stored[0].column("a")
+        assert data.batch.bounds == [0, 5]
 
     def test_scan_rejects_intermediates(self, star_session):
         sink = SinkOp(ScanOp("da", "da"), "inter", ("da.a_id",))

@@ -18,7 +18,7 @@ import pytest
 from repro.cluster.cost import CostModel
 from repro.common.types import DataType
 from repro.engine import vector
-from repro.engine.data import ColumnPartition, ColumnarData
+from repro.engine.data import ColumnarData, ColumnBatch
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators import select
 from repro.engine.operators.base import ExecState
@@ -38,43 +38,46 @@ def test_clean_baseline_passes():
 
 
 def _inverted_mask(original):
-    def inverted(partition, predicates, live, evaluation):
+    def inverted(batch, predicates, live, evaluation):
         flipped = tuple(_NegatedPredicate(p) for p in predicates)
-        return original(partition, flipped, live, evaluation)
+        return original(batch, flipped, live, evaluation)
 
     return inverted
 
 
 def _dropped_predicate(original):
-    def drops_last(partition, predicates, live, evaluation):
-        return original(partition, predicates[:-1], live, evaluation)
+    def drops_last(batch, predicates, live, evaluation):
+        return original(batch, predicates[:-1], live, evaluation)
 
     return drops_last
 
 
 def _projection_off_by_one(original):
-    def skips_first_survivor(partition, predicates, live, evaluation):
-        columns, length = original(partition, predicates, live, evaluation)
-        if length:
-            return {n: col[1:] for n, col in columns.items()}, length - 1
-        return columns, length
+    def skips_first_survivor(batch, predicates, live, evaluation):
+        kept = original(batch, predicates, live, evaluation)
+        if kept.length:
+            return ColumnBatch(
+                {n: col[1:] for n, col in kept.columns.items()},
+                [max(0, bound - 1) for bound in kept.bounds],
+            )
+        return kept
 
     return skips_first_survivor
 
 
 def _dead_column_gather(original):
-    def drops_a_live_column(partition, predicates, live, evaluation):
-        columns, length = original(partition, predicates, live, evaluation)
-        if columns:
-            columns.pop(sorted(columns)[0])
-        return columns, length
+    def drops_a_live_column(batch, predicates, live, evaluation):
+        kept = original(batch, predicates, live, evaluation)
+        if kept.columns:
+            kept.columns.pop(sorted(kept.columns)[0])
+        return kept
 
     return drops_a_live_column
 
 
 class TestFusedKernelMutations:
     """Flip each branch of the fused filter+project kernel — the one body
-    ``SelectOp`` runs on every partition, scanned or already in flight."""
+    ``SelectOp`` runs on every batch, scanned or already in flight."""
 
     def _plant(self, monkeypatch, mutation):
         monkeypatch.setattr(
@@ -181,48 +184,64 @@ class TestFilterColumnsMutation:
     """A Select over an already-extracted input (no scan under it) is not on
     the bench-query path, so the kernel's handling of partition ends there is
     pinned by a direct operator-level check against an inline expected row
-    list."""
+    list and partition bounds."""
 
     VALUES = [(i % 5, i) for i in range(97)]
     EXPECTED = [{"t.a": a, "t.v": v} for a, v in VALUES if a <= 2]
+    #: survivors per partition: rows 0-49 and 50-96
+    EXPECTED_BOUNDS = [0, 30, 59]
     PREDICATE = ComparisonPredicate("t.a", "<=", 2)
 
-    def _partitions(self) -> list[ColumnPartition]:
-        return [
-            ColumnPartition(
-                {"t.a": [a for a, _ in part], "t.v": [v for _, v in part]},
-                len(part),
-            )
-            for part in (self.VALUES[:50], self.VALUES[50:])
-        ]
+    def _batch(self) -> ColumnBatch:
+        return ColumnBatch(
+            {"t.a": [a for a, _ in self.VALUES], "t.v": [v for _, v in self.VALUES]},
+            [0, 50, 97],
+        )
 
-    def _select(self) -> list[dict]:
+    def _select(self) -> ColumnarData:
         columns = {"t.a": DataType.INT, "t.v": DataType.INT}
-        data = ColumnarData(self._partitions(), columns)
+        data = ColumnarData(self._batch(), columns)
         op = SelectOp(_Stub(data), (self.PREDICATE,))
-        return op.execute(_state()).all_rows()
+        return op.execute(_state())
 
     def test_clean_operator_baseline(self):
-        assert self._select() == self.EXPECTED and self.EXPECTED
+        out = self._select()
+        assert out.all_rows() == self.EXPECTED and self.EXPECTED
+        assert out.batch.bounds == self.EXPECTED_BOUNDS
 
     def test_chunk_boundary_mutation_is_caught(self, monkeypatch):
         original = vector.fused_filter_project
 
-        def drops_last_row(partition, predicates, live, evaluation):
-            shorter = ColumnPartition(partition.columns, max(0, partition.length - 1))
-            return original(shorter, predicates, live, evaluation)
+        def drops_last_row(batch, predicates, live, evaluation):
+            bounds = batch.bounds[:-1] + [max(0, batch.length - 1)]
+            return original(ColumnBatch(batch.columns, bounds), predicates, live, evaluation)
 
         monkeypatch.setattr(vector, "fused_filter_project", drops_last_row)
-        assert self._select() != self.EXPECTED
+        assert self._select().all_rows() != self.EXPECTED
+
+    def test_partition_bounds_mutation_is_caught(self, monkeypatch):
+        """A kernel that keeps the right rows but loses track of which
+        partition holds them."""
+        original = vector.fused_filter_project
+
+        def ignores_partitions(batch, predicates, live, evaluation):
+            kept = original(batch, predicates, live, evaluation)
+            return ColumnBatch(kept.columns, [0] * (len(kept.bounds) - 1) + [kept.length])
+
+        monkeypatch.setattr(vector, "fused_filter_project", ignores_partitions)
+        out = self._select()
+        assert out.all_rows() == self.EXPECTED
+        assert out.batch.bounds != self.EXPECTED_BOUNDS
 
     def test_filter_columns_is_the_same_kernel(self, monkeypatch):
         """``filter_columns`` survives only as a name the benchmark wraps: it
-        must answer as the kernel does, and through it."""
-        partition = self._partitions()[0]
+        must answer as the kernel does over one partition, and through it."""
+        batch = self._batch()
+        one = ColumnBatch(batch.columns, [0, batch.length])
         predicates, context = (self.PREDICATE,), EvaluationContext()
-        assert vector.filter_columns(
-            partition.columns, partition.length, predicates, context
-        ) == vector.fused_filter_project(partition, predicates, ("t.a", "t.v"), context)
+        got = vector.filter_columns(batch.columns, batch.length, predicates, context)
+        want = vector.fused_filter_project(one, predicates, ("t.a", "t.v"), context)
+        assert (got.columns, got.bounds) == (want.columns, want.bounds)
         monkeypatch.setattr(vector, "fused_filter_project", lambda *_: "the kernel")
         assert vector.filter_columns({}, 0, predicates, context) == "the kernel"
 
@@ -241,19 +260,24 @@ class _CountingPredicate:
 
 
 class TestOnePassPerPartition:
+    """Restated for the batch: one pass per *operator*, however many
+    partitions the batch spans."""
+
     def test_each_predicate_evaluates_one_batch_per_partition(self):
         rows = 3000
         predicates = (
             _CountingPredicate(ComparisonPredicate("t.a", "<", 2)),
             _CountingPredicate(ComparisonPredicate("t.v", ">=", 100)),
         )
-        partition = ColumnPartition(
-            {"t.a": [i % 5 for i in range(rows)], "t.v": list(range(rows))}, rows
+        batch = ColumnBatch(
+            {"t.a": [i % 5 for i in range(rows)], "t.v": list(range(rows))},
+            list(range(0, rows + 1, 75)),  # 40 partitions
         )
-        data = ColumnarData([partition], {"t.a": DataType.INT, "t.v": DataType.INT})
+        data = ColumnarData(batch, {"t.a": DataType.INT, "t.v": DataType.INT})
         out = SelectOp(_Stub(data), predicates).execute(_state())
         assert [p.calls for p in predicates] == [1, 1]
         assert out.row_count == sum(1 for i in range(100, rows) if i % 5 < 2)
+        assert len(out.batch.bounds) == 41
 
 
 class _Stub:
