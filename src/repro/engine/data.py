@@ -10,9 +10,11 @@ input is already hash-partitioned on the join key — the optimization the
 paper's Hash Join description calls out for key/foreign-key joins).
 
 The modeled cluster keeps its partitions: ``bounds`` says which rows each
-one holds, every charge is priced per modeled partition, and a Sink writes
-one stored partition per slice. The host runs each kernel once per
-operator over the whole batch (DESIGN.md §10.1).
+one holds and every charge is priced per modeled partition. The host runs
+each kernel once per operator over the whole batch (DESIGN.md §10.1), and
+storage keeps the same shape: a Scan or Reader hands over the stored column
+tuples and the dataset's bounds as they are, and a Sink stores the batch's
+columns and bounds.
 
 ``ColumnarData.columns`` always holds the *full* logical column map — even
 when only a subset is physically materialized — so every cost-model charge
@@ -24,13 +26,12 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.common.types import DataType, Field, Schema
 
 if TYPE_CHECKING:
-    from repro.storage.dataset import Dataset, StoredPartition
+    from repro.storage.dataset import Dataset
 
 
 class ColumnBatch:
@@ -62,48 +63,33 @@ class ColumnBatch:
 
 
 class StoredColumns(Mapping):
-    """A scan's ``columns``: qualified name -> flat stored column, read lazily.
+    """A scan's ``columns``: qualified name -> the stored column tuple.
 
-    Iterates ``names`` — the pushed-down live set, or every schema column —
-    and concatenates the stored partitions' tuples of a column only when a
-    consumer reads it (once per scan), so a Select above the scan touches
-    only referenced columns. A single-partition dataset hands over its
-    stored tuple itself.
+    A read-only view that renames: it iterates ``names`` — the pushed-down
+    live set, or every schema column — and hands over the dataset's stored
+    tuple for the field a name qualifies, read from storage only when a
+    consumer asks for it, so a Select above the scan touches only
+    referenced columns. Nothing is copied: the stored column already is the
+    flat column, in the batch's partition order.
     """
 
-    __slots__ = ("_stored", "_prefix", "_names", "_read")
+    __slots__ = ("_dataset", "_fields")
 
-    def __init__(
-        self, stored: list[StoredPartition], prefix: str, names: tuple[str, ...]
-    ) -> None:
-        self._stored = stored
-        self._prefix = prefix
-        self._names = names
-        self._read: dict[str, Sequence] = {}
+    def __init__(self, dataset: Dataset, prefix: str, names: tuple[str, ...]) -> None:
+        self._dataset = dataset
+        self._fields = {name: name.removeprefix(prefix) for name in names}
 
-    def __getitem__(self, name: str) -> Sequence:
-        column = self._read.get(name)
-        if column is None:
-            if name not in self._names:
-                raise KeyError(name)
-            field = name.removeprefix(self._prefix)
-            if len(self._stored) == 1:
-                column = self._stored[0].column(field)
-            else:
-                column = []
-                for stored in self._stored:
-                    column += stored.column(field)  # a C-level copy per tuple
-            self._read[name] = column
-        return column
+    def __getitem__(self, name: str) -> tuple:
+        return self._dataset.column(self._fields[name])
 
     def __contains__(self, name: object) -> bool:
-        return name in self._names
+        return name in self._fields
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._names)
+        return iter(self._fields)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._fields)
 
 
 def scan_batch(
@@ -115,11 +101,7 @@ def scan_batch(
     read. ``live`` of ``None`` keeps every schema column."""
     if live is None:
         live = tuple(prefix + name for name in dataset.schema.field_names)
-    stored = dataset.partitions
-    return ColumnBatch(
-        StoredColumns(stored, prefix, live),
-        list(accumulate((p.length for p in stored), initial=0)),
-    )
+    return ColumnBatch(StoredColumns(dataset, prefix, live), dataset.bounds)
 
 
 @dataclass

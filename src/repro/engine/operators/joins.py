@@ -21,6 +21,7 @@ broadcast joins match globally and move only the rows that join (DESIGN.md §10.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import chain, repeat
@@ -250,39 +251,37 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         columns.update(build.columns)
         build_names = gathered.columns.keys()
         kept = set(_output_names(self, columns))
-        inner_out = {
-            name: [] for name in inner_names if name in kept and name not in build_names
-        }
-
-        # The build rows probe each partition's own index, partition by
-        # partition: the output is partition-major like every batch.
-        build_idx: list[int] = []
-        bounds = [0]
-        lookups = 0
-        for partition_id, stored in enumerate(dataset.partitions):
-            index = dataset.index_for(index_field, partition_id)
-            residuals = [(col, stored.column(f)) for col, f in residual_columns]
-            inner_idx: list[int] = []
-            for i in range(gathered.length):
-                lookups += 1
-                for position in index.lookup(key_column[i]):
-                    if any(
-                        col[i] != inner_col[position] for col, inner_col in residuals
-                    ):
-                        continue
-                    inner_idx.append(position)
-                    build_idx.append(i)
-            bounds.append(len(build_idx))
-            for name, values in inner_out.items():
-                values.extend(
-                    vector.gather(stored.column(name.removeprefix(prefix)), inner_idx)
-                )
+        # The index holds positions in the flat column, so one probe per
+        # build row finds its matches in every partition at once; the output
+        # is partition-major like every batch, matches stably sorted by the
+        # partition their inner row is stored in.
+        index = dataset.indexes[index_field]
+        residuals = [(col, dataset.column(f)) for col, f in residual_columns]
+        matched_inner: list[int] = []
+        matched_build: list[int] = []
+        for i in range(gathered.length):
+            for position in index.lookup(key_column[i]):
+                if any(col[i] != inner_col[position] for col, inner_col in residuals):
+                    continue
+                matched_inner.append(position)
+                matched_build.append(i)
+        stored_bounds = dataset.bounds
+        order, bounds = vector.partition_order(
+            [bisect_right(stored_bounds, p) - 1 for p in matched_inner],
+            dataset.partition_count,
+        )
+        inner_idx = vector.gather(matched_inner, order)
+        build_idx = vector.gather(matched_build, order)
         out: dict[str, Sequence] = {
             name: vector.gather(gathered.columns[name], build_idx)
             for name in columns
             if name in kept and name in build_names
         }
-        out.update(inner_out)
+        out.update(
+            (name, vector.gather(dataset.column(name.removeprefix(prefix)), inner_idx))
+            for name in inner_names
+            if name in kept and name not in build_names
+        )
         out_rows = len(build_idx)
 
         # Every partition performs the full set of (modeled) lookups, in
@@ -292,7 +291,7 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
             "index", state.cost.index_lookups(gathered.length * build.scale)
         )
         state.charge("compute", state.cost.probe(out_rows * out_scale))
-        state.metrics.index_lookups += lookups
+        state.metrics.index_lookups += gathered.length * dataset.partition_count
         state.metrics.tuples_joined += out_rows
 
         partitioned_on = (

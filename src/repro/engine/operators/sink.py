@@ -8,14 +8,13 @@ is what keeps intermediates narrow), writes per-partition temp data, and,
 when requested, registers fresh sketches for the attributes participating in
 subsequent join stages.
 
-Intermediates are stored as the columns the sink already holds, sliced back
-into the modeled partitions by the batch's bounds — one tuple per kept column
-per partition (:class:`repro.storage.dataset.StoredPartition`), no dict per
-row. The Sink is where the batch meets storage: the one operator that works
-partition by partition. Statistics are collected after the store, from the stored
-tuples of the whole Sink in one call: row count, null counts and one HLL per
-tracked column at once (a value is digested once however many partitions
-hold it), the quantile sketch on first read, if ever. The clock charges both.
+Intermediates are stored the way the batch travels: one tuple per kept
+column (the column itself when it already is one, as a Reader hands it
+over) plus the batch's bounds, which say where each modeled partition
+starts — no dict per row and no per-partition slicing. Statistics are
+collected after the store, from the stored tuples in one call: row count,
+null counts and one HLL per tracked column at once, the quantile sketch on
+first read, if ever. The clock charges both.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from __future__ import annotations
 from repro.engine.data import ColumnarData
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.stats.collector import StatisticsCollector
-from repro.storage.dataset import StoredPartition
 from repro.storage.ingest import register_intermediate
 
 
@@ -45,17 +43,11 @@ class SinkOp(PhysicalOperator):
     def execute(self, state: ExecState) -> ColumnarData:
         data = self.children[0].run(state)
         projected = data.project(self.keep_columns)
-        bounds = projected.batch.bounds
-        flat = {name: tuple(col) for name, col in projected.batch.columns.items()}
         stored = register_intermediate(
             name=self.name,
             schema=projected.schema(),
-            partitions=[
-                StoredPartition.of_columns(
-                    {name: col[lo:hi] for name, col in flat.items()}, hi - lo
-                )
-                for lo, hi in zip(bounds, bounds[1:])
-            ],
+            columns={name: tuple(col) for name, col in projected.batch.columns.items()},
+            bounds=projected.batch.bounds,
             partition_key=projected.partitioned_on,
             datasets=state.datasets,
             scale=projected.scale,

@@ -21,14 +21,13 @@ Two deliberate weaknesses carried over from the paper's analysis:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import ChainMap
 from dataclasses import dataclass
 
 from repro.algebra.toolkit import alias_stats_key
 from repro.core.driver import DynamicOptimizer
 from repro.engine import vector
-from repro.engine.data import ColumnBatch, StoredColumns, scan_batch
+from repro.engine.data import ColumnBatch, scan_batch
 from repro.engine.metrics import JobMetrics
 from repro.engine.scheduler.request import QueryRun
 from repro.lang.ast import EvaluationContext, Query
@@ -117,15 +116,9 @@ class PilotRunOptimizer(DynamicOptimizer):
         rows = kept.columns[_ROW][:limit]
         sampled = len(rows)
         scanned = rows[-1] + 1 if sampled >= limit else batch.length
-        # the sample's columns come from the partitions the prefix covers only
-        head = StoredColumns(
-            dataset.partitions[: bisect_left(batch.bounds, scanned)],
-            prefix,
-            tuple(prefix + name for name in names),
-        )
         collector = StatisticsCollector(list(names))
         collector.observe_columns(
-            {name: [vector.gather(head[prefix + name], rows)] for name in names},
+            {name: vector.gather(dataset.column(name), rows) for name in names},
             sampled,
         )
 

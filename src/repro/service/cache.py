@@ -11,7 +11,7 @@ Two caches, both LRU-bounded and both validated against
 - The **intermediate cache** replays materialized pushdown filters across
   queries: a :class:`~repro.engine.scheduler.request.JobRequest` whose
   ``cache_token`` matches a previously stored materialization re-registers
-  the stored partitions and statistics under the requesting query's own
+  the stored columns, bounds and statistics under the requesting query's own
   namespace at zero cost, skipping the scan entirely. The token binds only
   the parameters the request's own predicates read. Each cacheable request
   is looked up once, when it becomes ready and before any launch sharing
@@ -34,8 +34,8 @@ service subscribes the cache to the dataset catalog so a re-ingest evicts
 dependents eagerly. A result hit hands out the stored row dicts in a fresh
 list — row dicts are immutable by library convention, and a fresh container
 keeps one consumer's reordering from leaking into the next. An intermediate
-hit shares the stored partitions themselves: they are tuples of columns
-(:class:`~repro.storage.dataset.StoredPartition`), immutable by type.
+hit shares the Sink's stored column tuples themselves (with the partition
+bounds they were written with): they are immutable by type.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from dataclasses import dataclass
 
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.stats.catalog import DatasetStatistics
-from repro.storage.dataset import StoredPartition
 from repro.storage.ingest import register_intermediate
 
 
@@ -129,7 +128,9 @@ class _CachedIntermediate:
     """One stored pushdown materialization, namespace-free."""
 
     schema: object
-    partitions: list[StoredPartition]
+    #: the Sink's stored columns and partition bounds, replayed as they are
+    columns: dict[str, tuple]
+    bounds: list[int]
     partition_key: str | None
     scale: float
     stats: DatasetStatistics
@@ -247,7 +248,7 @@ class ServiceCache:
     def fetch_intermediate(self, executor, request):
         """Replay a stored materialization for ``request``, if visible and fresh.
 
-        On a hit the stored partitions are re-registered as an intermediate
+        On a hit the stored columns are re-registered as an intermediate
         dataset under the request's own sink name, its statistics land in the
         run's working catalog, and the returned ``(data, metrics)`` pair
         charges nothing. Returns ``None`` on miss/stale, and while the job
@@ -267,7 +268,8 @@ class ServiceCache:
         register_intermediate(
             name=name,
             schema=entry.schema,
-            partitions=entry.partitions,
+            columns=entry.columns,
+            bounds=entry.bounds,
             partition_key=entry.partition_key,
             datasets=executor.datasets,
             scale=entry.scale,
@@ -317,7 +319,8 @@ class ServiceCache:
             return
         self._intermediates[token] = _CachedIntermediate(
             schema=dataset.schema,
-            partitions=dataset.partitions,
+            columns=dataset.columns,
+            bounds=dataset.bounds,
             partition_key=dataset.partition_key,
             scale=dataset.scale,
             stats=DatasetStatistics(

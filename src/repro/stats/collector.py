@@ -12,7 +12,7 @@ formula (1) needs inside the pass that is charged for it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 from repro.sketches.gk import GKQuantileSketch
@@ -220,15 +220,15 @@ class StatisticsCollector:
         for name, stats in self.fields.items():
             stats.observe_batches(_RowsColumn(rows, name))
 
-    def observe_columns(self, columns: dict[str, Iterable], length: int) -> None:
-        """Observe ``length`` rows held as columns, each a re-iterable of
-        value batches (:meth:`FieldStatistics.observe_batches`) — the
-        query-time entry point (Sink, pilot samples, policy refresh), which
-        brings null counts and HLLs up to date before it returns."""
+    def observe_columns(self, columns: dict[str, Sequence], length: int) -> None:
+        """Observe ``length`` rows held as columns, one flat sequence per
+        field (queued as one batch: :meth:`FieldStatistics.observe_batches`)
+        — the query-time entry point (Sink, pilot samples, policy refresh),
+        which brings null counts and HLLs up to date before it returns."""
         self.row_count += length
         for name, stats in self.fields.items():
-            batches = columns.get(name)
-            stats.observe_batches([(None,) * length] if batches is None else batches)
+            column = columns.get(name)
+            stats.observe_batches(((None,) * length if column is None else column,))
             stats.digest()
 
     @property

@@ -4,21 +4,23 @@ The paper exploits "AsterixDB's LSM ingestion process to get initial
 statistics for base datasets" (Section 2): quantile and HyperLogLog sketches
 for every field that may participate in a query, available before — and
 outside — query execution time. ``load_dataset`` keeps that contract at the
-cost of what is read: it partitions the rows, registers the dataset, and
-registers statistics that build each field's sketches from the ingested rows
+cost of what is read: it partitions the rows, stores them partition after
+partition with the partitions' bounds, registers the dataset, and registers
+statistics that build each field's sketches from the ingested rows
 when first read (DESIGN.md §5c) — the state collecting while loading leaves.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import accumulate, chain
 
 from repro.cluster.config import ClusterConfig
 from repro.common.types import Schema
 from repro.stats.catalog import StatisticsCatalog
 from repro.stats.collector import StatisticsCollector
 from repro.storage.catalog import DatasetCatalog
-from repro.storage.dataset import Dataset, StoredPartition, partition_rows
+from repro.storage.dataset import Dataset, partition_rows
 
 
 def load_dataset(
@@ -48,10 +50,12 @@ def load_dataset(
     only sound because the store keys them by dataset *content*.
     """
     partition_key = schema.primary_key[0] if schema.primary_key else None
+    partitions = partition_rows(rows, cluster.partitions, partition_key)
     dataset = Dataset(
         name=name,
         schema=schema,
-        partitions=partition_rows(rows, cluster.partitions, partition_key),
+        bounds=list(accumulate(map(len, partitions), initial=0)),
+        row_dicts=list(chain.from_iterable(partitions)),
         partition_key=partition_key,
         scale=scale,
     )
@@ -72,15 +76,17 @@ def load_dataset(
 def register_intermediate(
     name: str,
     schema: Schema,
-    partitions: list[StoredPartition] | list[list[dict]],
+    columns: dict[str, tuple],
+    bounds: list[int],
     partition_key: str | None,
     datasets: DatasetCatalog,
     scale: float = 1.0,
 ) -> Dataset:
     """Register a materialized re-optimization-point result.
 
-    ``partitions`` are the stored columns a Sink wrote (or a cache replays);
-    row-dict lists are accepted as for any :class:`Dataset`.
+    ``columns`` are the flat column tuples a Sink wrote (or a cache
+    replays), stored as they are; partition ``p`` holds rows
+    ``bounds[p]:bounds[p + 1]`` of each.
 
     Statistics are *not* collected here: the Sink operator collects them
     online during the producing job (and only when another re-optimization
@@ -89,7 +95,8 @@ def register_intermediate(
     dataset = Dataset(
         name=name,
         schema=schema,
-        partitions=partitions,
+        bounds=bounds,
+        columns=columns,
         partition_key=partition_key,
         is_intermediate=True,
         scale=scale,

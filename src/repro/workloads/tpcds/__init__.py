@@ -6,15 +6,11 @@ from repro.workloads.tpcds.generator import (
     scale_unit,
 )
 from repro.workloads.tpcds.queries import query_17, query_50
-from repro.workloads.tpcds.schema import SCHEMAS, customer_population, row_counts
 
 __all__ = [
-    "SCHEMAS",
     "create_secondary_indexes",
-    "customer_population",
     "generate",
     "query_17",
     "query_50",
-    "row_counts",
     "scale_unit",
 ]

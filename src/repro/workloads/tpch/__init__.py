@@ -6,14 +6,11 @@ from repro.workloads.tpch.generator import (
     scale_unit,
 )
 from repro.workloads.tpch.queries import query_8, query_9
-from repro.workloads.tpch.schema import SCHEMAS, row_counts
 
 __all__ = [
-    "SCHEMAS",
     "create_secondary_indexes",
     "generate",
     "query_8",
     "query_9",
-    "row_counts",
     "scale_unit",
 ]

@@ -51,7 +51,8 @@ class TestCompile:
         register_intermediate(
             "inter",
             Schema.of(("fact.f_a", DataType.INT)),
-            [[]],
+            {},
+            [0, 0],
             None,
             star_session.datasets,
         )
@@ -199,7 +200,8 @@ class TestErrorPaths:
         register_intermediate(
             "__q3_i0",
             Schema.of(("fact.f_a", DataType.INT)),
-            [[{"fact.f_a": 1}]],
+            {"fact.f_a": (1,)},
+            [0, 1],
             None,
             star_session.datasets,
         )

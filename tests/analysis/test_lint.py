@@ -528,9 +528,8 @@ class TestCleanTree:
         ``engine/operators/``, ``engine/vector.py`` or ``engine/exchange.py``
         iterates partitions (anything named ``partitions`` or
         ``partition_count``) or partition slices (a ``zip`` over ``bounds``).
-        Two places work partition by partition, because what they meet is
-        partitioned: the Sink writes one stored partition per slice, and the
-        INL join probes each partition's own index."""
+        Storage keeps the same shape (flat columns plus bounds), so neither
+        the Sink nor the INL join has a partition to meet either."""
         import ast
 
         def loops_over_partitions(function) -> bool:
@@ -559,7 +558,7 @@ class TestCleanTree:
                     ):
                         prefix = f"{node.name}." if node is not method else ""
                         owners.add(prefix + method.name)
-        assert owners == {"SinkOp.execute", "IndexNestedLoopJoinOp.execute"}
+        assert owners == set()
         # the loop every operator ran before the batch is one it would flag
         assert loops_over_partitions(
             ast.parse("for partition in data.partitions:\n    kernel(partition)")

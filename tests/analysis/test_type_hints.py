@@ -34,9 +34,12 @@ FULLY_ANNOTATED = (
     "repro.engine.vector",
     "repro.spec",
     "repro.engine.operators.joins",
+    "repro.engine.operators.scan",
+    "repro.engine.operators.sink",
     "repro.engine.exchange",
     "repro.engine.data",
     "repro.storage.dataset",
+    "repro.storage.index",
     "repro.workloads.spec",
 )
 

@@ -31,7 +31,7 @@ class TestReplaceFilteredTable:
 class TestReconstructAfterJoin:
     def make_intermediate(self, session, columns):
         schema = Schema.of(*[(c, DataType.INT) for c in columns])
-        register_intermediate("__join_0", schema, [[]], None, session.datasets)
+        register_intermediate("__join_0", schema, {}, [0, 0], None, session.datasets)
 
     def test_rewrites_from_and_where(self, session):
         query = star_query()

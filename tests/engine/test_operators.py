@@ -38,40 +38,55 @@ class TestScan:
         immutable by type — and a tuple of atoms leaves the cycle
         collector's working set on its first visit (DESIGN.md §10.3), which
         a list of the same values never does. A scan's flat column is the
-        stored partitions' tuples in partition order."""
+        dataset's rows in partition order."""
         first, _ = run_op(star_session, ScanOp("fact", "f", live=("f.f_val",)))
         again, _ = run_op(star_session, ScanOp("fact", "g", live=("g.f_val",)))
-        stored = star_session.datasets.get("fact").partitions
-        column = stored[0].column("f_val")
+        stored = star_session.datasets.get("fact")
+        column = stored.column("f_val")
         assert type(column) is tuple and len(column) > 0
-        assert stored[0].column("f_val") is column  # one memo
-        flat = [value for partition in stored for value in partition.column("f_val")]
-        assert list(first.batch.columns["f.f_val"]) == flat
-        assert list(again.batch.columns["g.f_val"]) == flat
-        # an intermediate is stored the same way: the Sink cuts the lists
+        assert stored.column("f_val") is column  # one memo
+        assert list(column) == [row["f_val"] for row in stored.rows()]
+        assert first.batch.columns["f.f_val"] is column
+        assert again.batch.columns["g.f_val"] is column
+        # an intermediate is stored the same way: the Sink turns the lists
         # its input holds into the tuples the next Reader serves
         select = SelectOp(
             ScanOp("fact", "f"), (ComparisonPredicate("f.f_val", ">=", 0),)
         )
         run_op(star_session, SinkOp(select, "inter", ("f.f_val",)))
-        read, _ = run_op(star_session, ReaderOp("inter"))
-        inter = star_session.datasets.get("inter").partitions
-        assert [p.length for p in inter] == [p.length for p in stored]
-        written = inter[0].column("f.f_val")
+        inter = star_session.datasets.get("inter")
+        assert inter.bounds == stored.bounds
+        written = inter.column("f.f_val")
         assert type(written) is tuple and written == column
-        assert list(read.batch.columns["f.f_val"]) == flat
         gc.collect()
         assert not gc.is_tracked(column) and not gc.is_tracked(written)
         assert gc.is_tracked(list(column))
 
-    def test_single_partition_scan_hands_over_the_stored_tuple(self):
-        session = Session(ClusterConfig(nodes=1, cores_per_node=1))
-        session.load("t", Schema.of(("a", DataType.INT)), [{"a": i} for i in range(5)])
-        data, _ = run_op(session, ScanOp("t", "t"))
-        stored = session.datasets.get("t").partitions
-        assert len(stored) == 1
-        assert data.batch.columns["t.a"] is stored[0].column("a")
-        assert data.batch.bounds == [0, 5]
+    def test_scan_and_reader_hand_over_the_stored_tuple(self):
+        """Storage keeps the batch's shape, so neither a Scan of a
+        40-partition base dataset nor a Reader of a 40-partition
+        intermediate copies a column: each hands over the stored tuple."""
+        session = Session(ClusterConfig(nodes=10, cores_per_node=4))
+        rows = [{"a": i, "b": i % 7} for i in range(500)]
+        session.load("t", Schema.of(("a", DataType.INT), ("b", DataType.INT)), rows)
+        base = session.datasets.get("t")
+        assert base.partition_count == 40
+        scanned, _ = run_op(session, ScanOp("t", "t"))
+        assert scanned.batch.bounds == base.bounds
+        for name in ("a", "b"):
+            assert scanned.batch.columns[f"t.{name}"] is base.column(name)
+        run_op(session, SinkOp(ScanOp("t", "t"), "inter", ("t.a", "t.b")))
+        inter = session.datasets.get("inter")
+        assert inter.partition_count == 40 and inter.bounds == base.bounds
+        read, _ = run_op(session, ReaderOp("inter"))
+        for name in ("t.a", "t.b"):
+            stored = inter.column(name)
+            assert read.batch.columns[name] is stored
+            # a Sink over a scan stores the scan's tuple itself
+            assert stored is base.column(name.removeprefix("t."))
+        gc.collect()
+        assert not gc.is_tracked(base.column("a"))
+        assert not gc.is_tracked(inter.column("t.b"))
 
     def test_scan_rejects_intermediates(self, star_session):
         sink = SinkOp(ScanOp("da", "da"), "inter", ("da.a_id",))

@@ -3,16 +3,16 @@
 The cost clock never reads the host's physical layout, so the golden
 fingerprints cannot see a row that lands in the wrong partition of an
 intermediate as long as the result rows come out the same. Storage can: a
-Sink writes one ``StoredPartition`` per cluster partition, the next Reader,
-Scan-side index and ``ServiceCache`` replay serve them as written, and the
-modeled cluster's partition-local semantics (a hash join skipping the
-exchange on a truthfully partitioned input) rest on them.
+Sink stores its columns with the bounds of each cluster partition, the next
+Reader and ``ServiceCache`` replay serve them as written, and the modeled
+cluster's partition-local semantics (a hash join skipping the exchange on a
+truthfully partitioned input) rest on them.
 
 ``sink_partitions.json`` holds, for each suite query under ``dynamic`` and
 ``cost_based`` at SF 10 and SF 100 (seed 42), every Sink of the run in
 order: its name without the query namespace and one digest per stored
-partition of ``repr(partition.rows())`` — the values, their order and the
-column order. Re-record on purpose only, after a change meant to move what
+partition of ``repr`` of its rows (the dataset's rows between two bounds) —
+the values, their order and the column order. Re-record on purpose only, after a change meant to move what
 intermediates hold::
 
     PYTHONPATH=src python -m tests.engine.test_sink_partitions \\
@@ -30,6 +30,7 @@ import pytest
 
 from repro.bench.runner import SWEEP_QUERIES, run_query
 from repro.engine.operators.sink import SinkOp
+from tests.engine.datasets import partition_rows_of
 
 RECORD_PATH = Path(__file__).with_name("sink_partitions.json")
 SCALE_FACTORS = (10, 100)
@@ -58,7 +59,7 @@ def sink_partitions(cell: str, monkeypatch) -> list[list]:
         written.append(
             [
                 re.sub(r"^__q\d+__", "", self.name),
-                [rows_digest(p.rows()) for p in stored.partitions],
+                [rows_digest(rows) for rows in partition_rows_of(stored)],
             ]
         )
         return data

@@ -21,6 +21,7 @@ from repro.lang.ast import split_column
 from repro.optimizers.pilot_run import ScaledFieldStatistics
 from repro.stats.catalog import DatasetStatistics
 from repro.stats.collector import StatisticsCollector
+from tests.engine.datasets import partition_rows_of
 from tests.stats.reference_collector import EagerFieldStatistics, pivot_rows
 
 
@@ -42,12 +43,8 @@ def sketch_pass(optimizer, query, alias, session, context):
     fields = {name: EagerFieldStatistics(name) for name in columns}
     survivors = {name: [] for name in columns}
     qualified_rows = 0
-    for partition in dataset.partitions:
-        rows = [
-            row
-            for row in partition.rows()
-            if _qualifies(row, prefix, predicates, context)
-        ]
+    for partition in partition_rows_of(dataset):
+        rows = [row for row in partition if _qualifies(row, prefix, predicates, context)]
         qualified_rows += len(rows)
         for name, column in pivot_rows(rows, columns).items():
             fields[name].observe_column(column)

@@ -42,8 +42,8 @@ class InjectedJobFailure(RuntimeError):
     """Job ``k`` of the doomed query fails after its operators ran."""
 
 
-def entry_rows(entry) -> list[list[dict]]:
-    return [partition.rows() for partition in entry.partitions]
+def entry_rows(entry) -> tuple[list[int], dict[str, tuple]]:
+    return entry.bounds, entry.columns
 
 
 @pytest.fixture(scope="module")

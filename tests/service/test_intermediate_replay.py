@@ -12,8 +12,10 @@ is served only once the job that produced it has completed.
 from __future__ import annotations
 
 from repro.engine.metrics import JobMetrics
+from repro.engine.operators.sink import SinkOp
 from repro.lang.builder import QueryBuilder
 from repro.service import QueryService, ServiceConfig
+from repro.service import cache as service_cache
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 
@@ -130,6 +132,37 @@ class TestReplayAcrossParameters:
         assert phase_seconds(fresh, "pushdown:dc") > 0.0
         merged = [e for e in service.scheduler.timeline.events if e.batched]
         assert all("dc" not in e.label for e in merged)
+
+    def test_a_replay_shares_the_tuples_the_sink_wrote(self, monkeypatch):
+        """A replayed push-down is the Sink's store itself — its column
+        tuples and bounds, under the requesting query's name — not a copy."""
+        service = build_service()
+        written, replayed = [], []
+        execute = SinkOp.execute
+        register = service_cache.register_intermediate
+
+        def recording_sink(self, state):
+            data = execute(self, state)
+            written.append(state.datasets.get(self.name))
+            return data
+
+        def recording_replay(*args, **kwargs):
+            replayed.append(register(*args, **kwargs))
+            return replayed[-1]
+
+        monkeypatch.setattr(SinkOp, "execute", recording_sink)
+        monkeypatch.setattr(service_cache, "register_intermediate", recording_replay)
+        run_round(service, [window_query(0)])
+        assert replayed == []
+        sunk = list(written)
+        (second,) = run_round(service, [window_query(400)])
+        assert replayed_pushdowns(second) == {"db", "dc"} and len(replayed) == 2
+        for dataset in replayed:
+            (source,) = [sink for sink in sunk if sink.columns is dataset.columns]
+            assert dataset.name != source.name and dataset.bounds is source.bounds
+            assert dataset.row_count > 0 and dataset.is_intermediate
+            for name, column in dataset.columns.items():
+                assert type(column) is tuple and dataset.column(name) is column
 
     def test_entries_survive_reset_scheduler(self):
         service = build_service()

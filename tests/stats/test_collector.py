@@ -150,8 +150,7 @@ class TestBatchPath:
         by_rows.observe_rows(rows[:cut])
         by_rows.observe_rows(iter(rows[cut:]))
         by_columns.observe_columns(
-            {"a": [a[:cut], a[cut:length]], "b": [[row.get("b") for row in rows]]},
-            length,
+            {"a": a[:length], "b": [row.get("b") for row in rows]}, length
         )
         for row in rows:
             by_row.observe_rows([row])

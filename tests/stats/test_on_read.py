@@ -123,9 +123,8 @@ def feed(stats: FieldStatistics, how: str, batches: list) -> None:
     elif how == "collector":
         collector = StatisticsCollector([stats.field_name])
         collector.fields[stats.field_name] = stats
-        collector.observe_columns(
-            {stats.field_name: batches}, sum(map(len, batches))
-        )
+        column = [value for batch in batches for value in batch]
+        collector.observe_columns({stats.field_name: column}, len(column))
     else:  # the ingestion entry point, interleaved: order must still hold
         collector = StatisticsCollector([stats.field_name])
         collector.fields[stats.field_name] = stats
@@ -258,7 +257,7 @@ class TestNothingReadNothingBuilt:
                 count_digests(patch, digests)
                 observe_columns(collector, columns, length)
             expected = sum(
-                distinct_digest_inputs(columns[name]) for name in collector.fields
+                distinct_digest_inputs([columns[name]]) for name in collector.fields
             )
             passes.append((len(digests), expected))
 
@@ -447,11 +446,10 @@ class TestLifetime:
         sink = SinkOp(ScanOp("fact", "fact"), "__kept", (*tracked, "fact.f_x"), tracked)
         session.executor.execute(Job(sink, label="sink"), {})
         stored = session.datasets.get("__kept")
+        assert stored.partition_count > 1
         for name in tracked:
-            (kept,) = session.statistics.get("__kept").fields[name]._unread
-            assert len(kept) == stored.partition_count > 1
-            for batch, partition in zip(kept, stored.partitions):
-                assert batch is partition.column(name)
+            ((kept,),) = session.statistics.get("__kept").fields[name]._unread
+            assert kept is stored.column(name)
 
 
 # -- the ingested snapshot ---------------------------------------------------------
@@ -488,9 +486,8 @@ class TestIngestedSnapshot:
         listed = by_list.load("t", SNAPSHOT_SCHEMA, rows)
         iterated = by_iterator.load("t", SNAPSHOT_SCHEMA, (row for row in rows))
         assert iterated.row_count == by_iterator.statistics.get("t").row_count == 300
-        assert [part.rows() for part in iterated.partitions] == [
-            part.rows() for part in listed.partitions
-        ]
+        assert iterated.bounds == listed.bounds
+        assert list(iterated.rows()) == list(listed.rows())
         assert same_state(
             by_iterator.statistics.get("t").to_state(),
             by_list.statistics.get("t").to_state(),

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from repro.common.errors import SchemaError
 from repro.common.rng import stable_hash
 from repro.common.types import DataType, Schema
-from repro.storage.dataset import Dataset, partition_rows
+from repro.storage.dataset import partition_rows
 from repro.storage.index import SecondaryIndex
 from tests.conftest import mixed_sparse_rows
+from tests.engine.datasets import dataset_of, partition_rows_of
 
 SCHEMA = Schema.of(
     ("id", DataType.INT), ("grp", DataType.INT), primary_key=("id",)
@@ -18,10 +19,10 @@ SCHEMA = Schema.of(
 
 def make_dataset(n=100, partitions=8, key="id", intermediate=False, scale=1.0):
     rows = [{"id": i, "grp": i % 5} for i in range(n)]
-    return Dataset(
-        name="t",
-        schema=SCHEMA,
-        partitions=partition_rows(rows, partitions, key),
+    return dataset_of(
+        "t",
+        SCHEMA,
+        partition_rows(rows, partitions, key),
         partition_key=key,
         is_intermediate=intermediate,
         scale=scale,
@@ -36,8 +37,8 @@ class TestPartitioning:
 
     def test_hash_partitioning_is_by_stable_hash(self):
         dataset = make_dataset(50, partitions=4)
-        for pid, partition in enumerate(dataset.partitions):
-            for row in partition.rows():
+        for pid, partition in enumerate(partition_rows_of(dataset)):
+            for row in partition:
                 assert stable_hash(row["id"]) % 4 == pid
 
     def test_layout_is_per_row_stable_hash_on_any_keys(self, suite_tables):
@@ -93,17 +94,16 @@ class TestSecondaryIndexes:
         dataset = make_dataset(100, partitions=4)
         dataset.create_index("grp")
         assert dataset.has_index("grp")
-        found = []
-        for pid in range(4):
-            index = dataset.index_for("grp", pid)
-            for pos in index.lookup(3):
-                found.append(dataset.partitions[pid].rows()[pos])
+        rows = list(dataset.rows())
+        positions = dataset.indexes["grp"].lookup(3)
+        assert positions == sorted(positions)  # ascending: partition order
+        found = [rows[pos] for pos in positions]
         assert sorted(r["id"] for r in found) == [i for i in range(100) if i % 5 == 3]
 
     def test_lookup_missing_key_empty(self):
         dataset = make_dataset(10, partitions=2)
         dataset.create_index("grp")
-        assert dataset.index_for("grp", 0).lookup(999) == []
+        assert dataset.indexes["grp"].lookup(999) == []
 
     def test_unknown_field_rejected(self):
         with pytest.raises(SchemaError):

@@ -54,17 +54,18 @@ class TestIntermediates:
     def test_register_and_replace(self):
         _, datasets, _ = load()
         inter = register_intermediate(
-            "i1", SCHEMA, [[{"id": 1, "v": 2}]], "id", datasets, scale=3.0
+            "i1", SCHEMA, {"id": (1,), "v": (2,)}, [0, 1], "id", datasets, scale=3.0
         )
         assert inter.is_intermediate
         assert inter.scale == 3.0
-        register_intermediate("i1", SCHEMA, [[]], None, datasets)
+        assert list(inter.rows()) == [{"id": 1, "v": 2}]
+        register_intermediate("i1", SCHEMA, {}, [0, 0], None, datasets)
         assert datasets.get("i1").row_count == 0
 
     def test_drop_intermediates(self):
         _, datasets, _ = load()
-        register_intermediate("i1", SCHEMA, [[]], None, datasets)
-        register_intermediate("i2", SCHEMA, [[]], None, datasets)
+        register_intermediate("i1", SCHEMA, {}, [0, 0], None, datasets)
+        register_intermediate("i2", SCHEMA, {}, [0, 0], None, datasets)
         dropped = datasets.drop_intermediates()
         assert sorted(dropped) == ["i1", "i2"]
         assert datasets.has("t")

@@ -1,9 +1,11 @@
-"""Property tests: a stored partition serves the same columns however it is backed.
+"""Property tests: a stored dataset serves the same columns however it is backed.
 
-Storage is the one place that knows a partition's format (DESIGN.md §10.1):
-ingested row dicts, pivoted and memoized a field at a time, or the column
-tuples a Sink wrote. For generated schemas and rows — sparse rows, ``None``s,
-mixed int/float/str/bool values, empty partitions, zero-column and
+A dataset is stored the way a batch travels — one flat column per field,
+partition after partition, plus ``bounds`` — and storage is the one place
+that knows how a column is backed (DESIGN.md §10.1): by the ingested row
+dicts, pivoted and memoized a field at a time, or by the column tuples a
+Sink wrote. For generated schemas and rows — sparse rows, ``None``s, mixed
+int/float/str/bool values, empty partitions, zero-column and
 physically-narrower-than-schema column sets — both backings must answer
 alike, and an intermediate must survive Sink -> Reader -> Sink bit for bit.
 """
@@ -21,9 +23,11 @@ from repro.engine.operators.sink import SinkOp
 from repro.lang.ast import EvaluationContext
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
-from repro.storage.dataset import Dataset, StoredPartition, partition_rows
+from repro.storage.dataset import Dataset, partition_rows
+from repro.storage.ingest import register_intermediate
 
 from tests.conftest import mixed_sparse_rows, same_state, small_cluster
+from tests.engine.datasets import dataset_of, partition_rows_of
 
 
 def _present(rows: list[dict], prefix: str = "") -> list[list]:
@@ -37,16 +41,24 @@ def _present(rows: list[dict], prefix: str = "") -> list[list]:
     ]
 
 
+def _schema(fields: tuple[str, ...], prefix: str = "") -> Schema:
+    return Schema.of(*((prefix + name, DataType.INT) for name in fields))
+
+
 class TestBackings:
     @given(mixed_sparse_rows())
     @settings(deadline=None)
     def test_rows_and_columns_serve_equal_columns_and_rows(self, case):
         fields, stored, rows = case
-        by_rows = StoredPartition.of_rows(rows)
-        by_columns = StoredPartition.of_columns(
-            {name: [row.get(name) for row in rows] for name in stored}, len(rows)
+        by_rows = dataset_of("r", _schema(fields), partition_rows(rows, 4, None))
+        flat = list(by_rows.rows())
+        by_columns = Dataset(
+            "c",
+            _schema(fields),
+            by_rows.bounds,
+            columns={name: tuple(row.get(name) for row in flat) for name in stored},
         )
-        assert by_rows.length == by_columns.length == len(rows)
+        assert by_rows.row_count == by_columns.row_count == len(rows)
         for name in (*fields, "absent"):
             left, right = by_rows.column(name), by_columns.column(name)
             assert type(left) is type(right) is tuple
@@ -54,17 +66,23 @@ class TestBackings:
             if name not in stored:
                 assert left == (None,) * len(rows)
             assert by_rows.column(name) is left  # pivoted once, then memoized
-        assert by_rows.rows() is rows
-        assert same_state(_present(by_rows.rows()), _present(by_columns.rows()))
+        assert all(a is b for a, b in zip(by_rows.rows(), flat, strict=True))
+        assert same_state(_present(flat), _present(list(by_columns.rows())))
 
-    def test_a_dataset_wraps_row_lists_and_keeps_stored_partitions(self):
-        stored = StoredPartition.of_columns({"t.a": [1, 2]}, 2)
-        schema = Schema.of(("t.a", DataType.INT))
-        dataset = Dataset("i", schema, [stored, [{"t.a": 3}]], is_intermediate=True)
-        assert dataset.partitions[0] is stored
-        assert dataset.partitions[1].column("t.a") == (3,)
-        assert dataset.row_count == 3
-        assert list(dataset.rows()) == [{"t.a": 1}, {"t.a": 2}, {"t.a": 3}]
+    def test_an_intermediate_keeps_the_tuples_it_is_given(self):
+        datasets = DatasetCatalog()
+        column = (1, 2, 3)
+        schema = Schema.of(("t.a", DataType.INT), ("t.b", DataType.INT))
+        dataset = register_intermediate(
+            "i", schema, {"t.a": column}, [0, 2, 2, 3], None, datasets
+        )
+        assert datasets.get("i") is dataset and dataset.is_intermediate
+        assert dataset.column("t.a") is column
+        assert dataset.column("t.b") == (None, None, None)  # narrower than schema
+        assert dataset.row_count == 3 and dataset.partition_count == 3
+        assert partition_rows_of(dataset) == [[{"t.a": 1}, {"t.a": 2}], [], [{"t.a": 3}]]
+        empty = register_intermediate("e", schema, {}, [0, 1, 2], None, datasets)
+        assert list(empty.rows()) == [{}, {}]
 
 
 class TestSinkReaderRoundTrip:
@@ -74,10 +92,8 @@ class TestSinkReaderRoundTrip:
         fields, _, rows = case
         cluster = small_cluster()
         datasets = DatasetCatalog()
-        base = Dataset(
-            "t",
-            Schema.of(*((name, DataType.INT) for name in fields)),
-            partition_rows(rows, cluster.partitions, None),
+        base = dataset_of(
+            "t", _schema(fields), partition_rows(rows, cluster.partitions, None)
         )
         datasets.register(base)
         state = ExecState(
@@ -93,13 +109,14 @@ class TestSinkReaderRoundTrip:
         SinkOp(ReaderOp("first"), "second", keep).execute(state)
         first, second = datasets.get("first"), datasets.get("second")
         assert first.row_count == second.row_count == len(rows)
-        for source, once, twice in zip(
-            base.partitions, first.partitions, second.partitions, strict=True
+        assert base.bounds == first.bounds == second.bounds
+        for name in fields:
+            written = first.column(f"t.{name}")
+            assert type(written) is tuple
+            assert same_state(written, base.column(name))
+            # the Reader hands the stored tuple over and the Sink keeps it
+            assert second.column(f"t.{name}") is written
+        for source, twice in zip(
+            partition_rows_of(base), partition_rows_of(second), strict=True
         ):
-            assert source.length == once.length == twice.length
-            for name in fields:
-                written = once.column(f"t.{name}")
-                assert type(written) is tuple
-                assert same_state(written, source.column(name))
-                assert same_state(written, twice.column(f"t.{name}"))
-            assert same_state(_present(source.rows(), "t."), _present(twice.rows()))
+            assert same_state(_present(source, "t."), _present(twice))

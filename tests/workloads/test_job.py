@@ -7,20 +7,19 @@ import pytest
 from repro.common.rng import derive
 from repro.session import Session
 from repro.workloads import get_workload
-from repro.workloads.job import (
-    SCHEMAS,
-    generate,
+from repro.workloads.job import generate, query_j1, query_j2, query_j3, scale_unit
+from repro.workloads.job.generator import (
+    HOT_TITLE_FRACTION,
     hot_title_count,
-    query_j1,
-    query_j2,
-    query_j3,
-    real_row_counts,
-    row_counts,
-    scale_unit,
     zipf_picker,
 )
-from repro.workloads.job.generator import HOT_TITLE_FRACTION
-from repro.workloads.job.schema import QUERY_YEAR_HIGH, QUERY_YEAR_LOW
+from repro.workloads.job.schema import (
+    QUERY_YEAR_HIGH,
+    QUERY_YEAR_LOW,
+    SCHEMAS,
+    real_row_counts,
+    row_counts,
+)
 
 
 @pytest.fixture(scope="module")

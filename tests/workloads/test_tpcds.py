@@ -4,16 +4,15 @@ import pytest
 
 from repro.session import Session
 from repro.workloads import get_workload
-from repro.workloads.tpcds import (
+from repro.workloads.tpcds import generate, query_17, query_50
+from repro.workloads.tpcds.generator import day_fields
+from repro.workloads.tpcds.schema import (
+    CALENDAR_DAYS,
     SCHEMAS,
     customer_population,
-    generate,
-    query_17,
-    query_50,
+    real_row_counts,
     row_counts,
 )
-from repro.workloads.tpcds.generator import day_fields
-from repro.workloads.tpcds.schema import CALENDAR_DAYS, real_row_counts
 
 
 @pytest.fixture(scope="module")

@@ -4,16 +4,9 @@ import pytest
 
 from repro.session import Session
 from repro.workloads import get_workload
-from repro.workloads.tpch import (
-    SCHEMAS,
-    generate,
-    query_8,
-    query_9,
-    row_counts,
-    scale_unit,
-)
+from repro.workloads.tpch import generate, query_8, query_9, scale_unit
 from repro.workloads.tpch.generator import FINISHED_CUTOFF_DAY
-from repro.workloads.tpch.schema import real_row_counts
+from repro.workloads.tpch.schema import SCHEMAS, real_row_counts, row_counts
 
 
 @pytest.fixture(scope="module")
