@@ -9,7 +9,9 @@ byte volumes.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.common.errors import SchemaError
 
@@ -112,3 +114,27 @@ class Schema:
         left = set(self.field_names)
         merged = list(self.fields) + [f for f in other.fields if f.name not in left]
         return Schema(tuple(merged))
+
+
+#: Value kinds whose equal values are interchangeable: same type, same
+#: ``repr``. ``float`` is not (``0.0 == -0.0``, NaN), nor is ``bool``
+#: (``True == 1``) or any subclass, whose type an equal value would drop.
+_EXACT_ATOMS = frozenset({int, str, type(None)})
+
+
+def exact_atoms(values: Iterable[object]) -> bool:
+    """True when every value is an exact ``int``, ``str`` or ``None``: one
+    object may then stand for all values equal to it (the storage value
+    pool, DESIGN.md §10.3 rule 4) and a deterministic function's answer for
+    one stands for all (UDFs, DESIGN.md §5)."""
+    return set(map(type, values)) <= _EXACT_ATOMS
+
+
+def field_values(rows: Sequence[dict], name: str) -> list:
+    """Field ``name`` of every row, in order; a row lacking it reads as
+    null. One C-level pass when every row has the field (the common case),
+    the per-row ``get`` only after a miss."""
+    try:
+        return list(map(itemgetter(name), rows))
+    except KeyError:
+        return [row.get(name) for row in rows]

@@ -19,6 +19,7 @@ from repro.engine import vector
 from repro.engine.data import ColumnarData, ColumnBatch
 from repro.engine.operators.base import ExecState, PhysicalOperator
 from repro.lang.ast import Predicate
+from repro.lang.udf import apply_udf
 
 
 class SelectOp(PhysicalOperator):
@@ -60,7 +61,7 @@ class AssignOp(PhysicalOperator):
         fn = state.evaluation.udfs.get(self.udf)
         batch = data.batch
         out = dict(batch.columns)
-        out[self.target] = [fn(v) for v in batch.column(self.column)]
+        out[self.target] = apply_udf(fn, batch.column(self.column))
         assigned = ColumnBatch(out, batch.bounds)
         columns = dict(data.columns)
         columns[self.target] = DataType.DOUBLE

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import QueryError
+from repro.lang.udf import UdfRegistry, apply_udf
 
 # -- predicates ------------------------------------------------------------------
 
@@ -171,9 +172,9 @@ class UdfPredicate(Predicate):
 
     def evaluate_batch(self, values: list, context: EvaluationContext) -> list[bool]:
         fn = context.udfs.get(self.udf)
-        # The UDF is applied to every value, nulls included, exactly as
+        # The UDF answers every value, nulls included, exactly as
         # ``evaluate`` does (a UDF that rejects None raises in both forms).
-        return _compare_batch([fn(v) for v in values], self.op, self.value)
+        return _compare_batch(apply_udf(fn, values), self.op, self.value)
 
     def describe(self) -> str:
         return f"{self.udf}({self.column}) {self.op} {self.value!r}"
@@ -219,7 +220,7 @@ class EvaluationContext:
     """Runtime bindings needed to evaluate complex predicates."""
 
     parameters: dict = field(default_factory=dict)
-    udfs: object = None  # UdfRegistry; typed loosely to avoid an import cycle
+    udfs: UdfRegistry | None = None
 
 
 # -- joins -----------------------------------------------------------------------

@@ -9,13 +9,19 @@ serializable and reconstruction-friendly.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.common.errors import QueryError
+from repro.common.types import exact_atoms
 
 
 class UdfRegistry:
-    """Named scalar functions usable in :class:`~repro.lang.ast.UdfPredicate`."""
+    """Named scalar functions usable in :class:`~repro.lang.ast.UdfPredicate`.
+
+    A UDF is a deterministic scalar function: its answer depends on its
+    argument alone, so :func:`apply_udf` may reuse one answer for every value
+    equal to the argument.
+    """
 
     def __init__(self) -> None:
         self._functions: dict[str, Callable[[object], object]] = {}
@@ -36,6 +42,19 @@ class UdfRegistry:
 
     def names(self) -> list[str]:
         return sorted(self._functions)
+
+
+def apply_udf(fn: Callable[[object], object], values: Sequence[object]) -> list[object]:
+    """``fn`` of every value, in order (nulls included: a UDF that rejects
+    ``None`` raises). Over exact ``int``/``str``/``None`` values
+    (:func:`~repro.common.types.exact_atoms`) ``fn`` is called once per
+    distinct value; any other column — floats (``0.0 == -0.0``, NaN),
+    ``bool``, subclasses — is answered row by row, since an equal value of
+    another type may get another answer."""
+    if exact_atoms(values):
+        answers = {value: fn(value) for value in set(values)}
+        return list(map(answers.__getitem__, values))
+    return [fn(value) for value in values]
 
 
 def _myyear(value: object) -> object:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
+from repro.common.types import field_values
 from repro.sketches.gk import GKQuantileSketch
 from repro.sketches.histogram import EquiHeightHistogram
 from repro.sketches.hyperloglog import HyperLogLog
@@ -37,8 +38,7 @@ class _RowsColumn:
         self.rows, self.name = rows, name
 
     def __iter__(self) -> Iterator[list]:
-        name = self.name
-        yield [row.get(name) for row in self.rows]
+        yield field_values(self.rows, self.name)
 
 
 @dataclass

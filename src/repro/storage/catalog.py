@@ -7,6 +7,8 @@ and at every re-optimization point's materialization.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from repro.common.errors import CatalogError
 from repro.common.types import Schema
 from repro.storage.dataset import Dataset
@@ -22,12 +24,17 @@ class DatasetCatalog:
     react to ingests eagerly. Intermediates (per-query materializations in
     ``__q<id>__`` namespaces) are not versioned: they churn constantly and
     are never a cache dependency themselves.
+
+    ``pool`` is the value pool every base dataset's pivoted columns share
+    (:meth:`Dataset.column`): one object per distinct exact ``int``/``str``
+    value across the catalog's base data.
     """
 
     def __init__(self) -> None:
+        self.pool: dict[object, object] = {}
         self._datasets: dict[str, Dataset] = {}
         self._versions: dict[str, int] = {}
-        self._listeners: list = []
+        self._listeners: list[Callable[[str], None]] = []
 
     def register(self, dataset: Dataset) -> None:
         if dataset.name in self._datasets:
@@ -51,7 +58,7 @@ class DatasetCatalog:
         """Ingestion version of a base dataset (0 = never ingested)."""
         return self._versions.get(name, 0)
 
-    def subscribe(self, listener) -> None:
+    def subscribe(self, listener: Callable[[str], None]) -> None:
         """Call ``listener(name)`` after every base-dataset (re-)ingest."""
         self._listeners.append(listener)
 

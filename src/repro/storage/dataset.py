@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.common.errors import SchemaError
 from repro.common.rng import partition_slots
-from repro.common.types import Schema
+from repro.common.types import Schema, exact_atoms, field_values
 from repro.storage.index import SecondaryIndex
 
 
@@ -53,6 +53,11 @@ class Dataset:
         partitioned on a join key record that key here instead).
     is_intermediate:
         True for materialized re-optimization-point results.
+    pool:
+        Value pool of pivoted columns: one object per distinct exact
+        ``int``/``str`` value. ``load_dataset`` passes its catalog's pool,
+        so equal values across a catalog's base columns are one object; a
+        dataset built without one keeps a private pool.
     """
 
     name: str
@@ -68,6 +73,7 @@ class Dataset:
     #: on modeled volumes (row_count * scale); join processing and
     #: statistics operate on the stored rows.
     scale: float = 1.0
+    pool: dict[object, object] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def partition_count(self) -> int:
@@ -91,12 +97,21 @@ class Dataset:
         scans of the dataset share it, so it is immutable by type, and the
         cycle collector stops tracking a tuple of atoms on its first visit
         (DESIGN.md §10.3). An absent field (or a row missing the key) reads
-        as null — the columnar ``row.get``."""
+        as null — the columnar ``row.get``.
+
+        A column of exact ``int``/``str``/``None`` values is stored through
+        :attr:`pool`, so equal values are one object: a join probe's dict
+        lookups then stay in cache and short-circuit on identity (DESIGN.md
+        §10.3 rule 4). Any other column is stored as read."""
         column = self.columns.get(field_name)
         if column is None:
             if self.row_dicts is None:
                 return (None,) * self.row_count
-            column = tuple([row.get(field_name) for row in self.row_dicts])
+            values = field_values(self.row_dicts, field_name)
+            if exact_atoms(values):
+                column = tuple(map(self.pool.setdefault, values, values))
+            else:
+                column = tuple(values)
             self.columns[field_name] = column
         return column
 
@@ -150,7 +165,7 @@ def partition_rows(
     if partition_key is None:
         return [list(rows[i::partition_count]) for i in range(partition_count)]
     partitions: list[list[dict]] = [[] for _ in range(partition_count)]
-    keys = [row.get(partition_key) for row in rows]
+    keys = field_values(rows, partition_key)
     for row, slot in zip(rows, partition_slots(keys, partition_count)):
         partitions[slot].append(row)
     return partitions

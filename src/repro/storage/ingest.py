@@ -58,6 +58,7 @@ def load_dataset(
         row_dicts=list(chain.from_iterable(partitions)),
         partition_key=partition_key,
         scale=scale,
+        pool=datasets.pool,
     )
     if replace:
         datasets.replace(dataset)

@@ -41,6 +41,9 @@ FULLY_ANNOTATED = (
     "repro.storage.dataset",
     "repro.storage.index",
     "repro.workloads.spec",
+    "repro.lang.udf",
+    "repro.engine.operators.select",
+    "repro.storage.catalog",
 )
 
 
