@@ -23,10 +23,8 @@ from repro.optimizers.worst_order import WorstOrderOptimizer
 @pytest.mark.parametrize("query", ("Q17", "Q9"))
 def test_dynamic_plans_are_not_right_deep(query, scale_factor):
     bench = workbench_for_query(query, scale_factor)
-    optimizer = DynamicOptimizer()
-    optimizer.execute(bench.query(query), bench.session)
+    tree = DynamicOptimizer().execute(bench.query(query), bench.session).plan
     bench.session.reset_intermediates()
-    tree = optimizer.last_tree
     # The paper observes "most of the optimal plans are bushy joins"; at
     # minimum the dynamic plan departs from the stock right-deep shape.
     assert not is_right_deep(tree), tree.describe()
@@ -37,10 +35,8 @@ def test_dynamic_plans_are_not_right_deep(query, scale_factor):
 @pytest.mark.parametrize("query", ("Q17", "Q50", "Q8", "Q9"))
 def test_worst_order_plans_are_right_deep_hash_only(query):
     bench = workbench_for_query(query, 100)
-    optimizer = WorstOrderOptimizer()
-    optimizer.execute(bench.query(query), bench.session)
+    tree = WorstOrderOptimizer().execute(bench.query(query), bench.session).plan
     bench.session.reset_intermediates()
-    tree = optimizer.last_tree
     assert is_right_deep(tree) or not is_bushy(tree)
     assert "⋈b" not in tree.describe()
     assert "⋈i" not in tree.describe()

@@ -28,8 +28,7 @@ def main() -> None:
     print(query.describe())
     print()
 
-    optimizer = DynamicOptimizer()
-    result = optimizer.execute(query, session)
+    result = DynamicOptimizer().execute(query, session)
 
     print("Phases (Figure 4 job sequence):")
     for i, phase in enumerate(result.phases, 1):
@@ -69,7 +68,7 @@ def main() -> None:
     print()
 
     # Replay the captured plan as one job: the dynamic overhead is the delta.
-    replay = execute_tree(optimizer.last_tree, query, session)
+    replay = execute_tree(result.plan, query, session)
     overhead = result.seconds - replay.seconds
     print(
         f"Same plan replayed as one pipelined job: {replay.seconds:.1f}s "

@@ -1,9 +1,9 @@
 """Using the SQL front end: text queries, hints-free best practice, EXPLAIN.
 
 Shows the mini SQL parser on the paper's own TPC-H Q9 (UDF predicates and
-the composite lineitem ⋈ partsupp join), parameter binding, and
-``Session.explain`` across strategies — including why the dynamic
-optimizer's "plan" is only known after it runs.
+the composite lineitem ⋈ partsupp join), parameter binding, and each
+strategy's plan — read off the result (``result.plan_description``), since
+the dynamic optimizer's plan is only known after it runs.
 
 Run:  python examples/sql_interface.py
 """
@@ -47,8 +47,8 @@ def main() -> None:
 
     print("EXPLAIN under each strategy:")
     for optimizer in ("dynamic", "cost_based", "worst_order", "ingres"):
-        plan = session.explain(query, PlannerSpec.of(optimizer))
-        print(f"  {optimizer:12s} {plan}")
+        result = session.execute(query, PlannerSpec.of(optimizer))
+        print(f"  {optimizer:12s} {result.plan_description}")
     print()
 
     bound = parse_query(PARAMETRIC_SQL, floor=300_000.0)

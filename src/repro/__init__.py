@@ -34,7 +34,6 @@ from repro.core.policy import PolicyDecision, ReplanPolicy
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.lang.builder import QueryBuilder
 from repro.lang.udf import UdfRegistry, default_registry
-from repro.obs.report import ExplainReport
 from repro.obs.trace import QueryTrace
 from repro.service import QueryService, ServiceConfig, ServiceStore
 from repro.session import Session
@@ -47,7 +46,6 @@ __all__ = [
     "ClusterConfig",
     "Diagnostic",
     "ExecutionResult",
-    "ExplainReport",
     "JobMetrics",
     "PlanVerificationError",
     "PlannerSpec",

@@ -146,11 +146,9 @@ def overhead_report(query_label: str, scale_factor: int, seed: int = 42) -> Over
     bench = workbench_for_query(query_label, scale_factor, seed)
     query = bench.query(query_label)
     session = bench.session
-    dynamic = DynamicOptimizer()
-    full = dynamic.execute(query, session)
-    tree = dynamic.last_tree
-    upfront = execute_tree(tree, query, session)
-    pushdown = pushdown_variant(query, session, tree)
+    full = DynamicOptimizer().execute(query, session)
+    upfront = execute_tree(full.plan, query, session)
+    pushdown = pushdown_variant(query, session, full.plan)
     return OverheadReport(
         query=query_label,
         scale_factor=scale_factor,

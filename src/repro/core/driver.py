@@ -168,6 +168,9 @@ class DriverState:
     policy_log: list[PolicyDecision] = field(default_factory=list)
     #: a bad miss armed the widened (bounded-enumeration) next pick.
     widen_pending: bool = False
+    #: failure injector: raise SimulatedFailure once this many jobs have
+    #: completed; cleared when it fires, so a resumed checkpoint runs on.
+    fail_after_jobs: int | None = None
 
 
 class SimulatedFailure(RuntimeError):
@@ -207,8 +210,6 @@ class DynamicOptimizer(Optimizer):
         #: failure injector: raise SimulatedFailure once this many jobs have
         #: completed (testing the Section-8 checkpoint/resume story)
         self.fail_after_jobs = fail_after_jobs
-        #: the resolved logical tree of the last execution (plan capture)
-        self.last_tree: PlanNode | None = None
 
     # -- hooks for subclasses ---------------------------------------------------
 
@@ -309,7 +310,9 @@ class DynamicOptimizer(Optimizer):
     def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
         """The full dynamic run as one resumable stage generator."""
         run = QueryRun(query, session, self.name, namespace)
-        state = DriverState(run=run, current=query)
+        state = DriverState(
+            run=run, current=query, fail_after_jobs=self.fail_after_jobs
+        )
         outcome = yield from self.prepare_stages(run, session)
         if outcome is not None:
             state.current = outcome.query
@@ -393,24 +396,24 @@ class DynamicOptimizer(Optimizer):
         if plan is None:
             plan = Planner(self._toolkit(state, session), self.rank).final_plan()
         verify_plan_before_jobgen(session.executor, plan, run.statistics)
-        self.last_tree = resolve_logical(plan, state.registry)
         return (
             yield from final_job_stages(
                 run,
                 plan,
                 state.current,
                 session,
-                described=self.last_tree,
+                described=resolve_logical(plan, state.registry),
                 decisions=state.policy_log,
             )
         )
 
-    def _maybe_fail(self, state: DriverState) -> None:
+    @staticmethod
+    def _maybe_fail(state: DriverState) -> None:
         if (
-            self.fail_after_jobs is not None
-            and state.run.metrics.jobs >= self.fail_after_jobs
+            state.fail_after_jobs is not None
+            and state.run.metrics.jobs >= state.fail_after_jobs
         ):
-            self.fail_after_jobs = None  # fail once
+            state.fail_after_jobs = None  # fail once
             raise SimulatedFailure(state)
 
     # -- feedback policy --------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from repro.algebra.plan import PlanNode
+    from repro.core.policy import PolicyDecision
     from repro.engine.scheduler import ScheduleInfo
     from repro.obs.trace import QueryTrace
 
@@ -93,7 +95,9 @@ class ExecutionResult:
 
     rows: list[dict]
     metrics: JobMetrics
-    plan_description: str = ""
+    #: the plan the run executed — for drivers that materialized
+    #: intermediates, resolved back to the original FROM entries
+    plan: PlanNode
     phases: list[str] = field(default_factory=list)
     #: structured execution trace: hierarchical spans plus
     #: estimated-vs-actual cardinality records; None only for results
@@ -108,11 +112,15 @@ class ExecutionResult:
     #: decisions (repro.core.policy.PolicyDecision) taken during this run:
     #: the feedback policy's replan triggers and widened picks, and the
     #: driver's cost rule fusing the remaining joins. Empty when none fired.
-    decisions: tuple = ()
+    decisions: tuple[PolicyDecision, ...] = ()
 
     @property
     def seconds(self) -> float:
         return self.metrics.total_seconds
+
+    @property
+    def plan_description(self) -> str:
+        return self.plan.describe()
 
     def explain_analyze(self) -> str:
         """Plan-with-actuals report; requires a captured trace.
@@ -137,7 +145,7 @@ class ExecutionResult:
         if schedule is None:
             return body
         notes = []
-        if getattr(schedule, "cache_hit", False):
+        if schedule.cache_hit:
             notes.append(
                 "answered from result cache (zero cluster work, "
                 f"latency {schedule.latency_seconds:.2f}s on the shared clock)"

@@ -109,14 +109,15 @@ class QueryRun:
     ) -> ExecutionResult:
         """Close the trace and package the finished run.
 
-        ``tree`` is the plan the result describes (for the dynamic driver,
-        the logical tree resolved back to the original FROM entries).
+        ``tree`` is the plan the result carries as ``plan`` (for drivers
+        that materialized intermediates, the logical tree resolved back to
+        the original FROM entries).
         """
         trace = self.tracer.finish()
         return ExecutionResult(
             rows=data.all_rows(),
             metrics=self.metrics,
-            plan_description=tree.describe(),
+            plan=tree,
             phases=[span.name for span in trace.phase_spans()],
             trace=trace,
             decisions=tuple(decisions),

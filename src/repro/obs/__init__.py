@@ -13,7 +13,7 @@ never charges the cost model, so simulated times are bit-identical with and
 without a tracer attached.
 """
 
-from repro.obs.report import ExplainReport, qerror_stats, render_explain_analyze
+from repro.obs.report import qerror_stats, render_explain_analyze
 from repro.obs.timeline import ClusterTimeline, TimelineEvent
 from repro.obs.trace import (
     EstimateRecord,
@@ -26,7 +26,6 @@ from repro.obs.trace import (
 __all__ = [
     "ClusterTimeline",
     "EstimateRecord",
-    "ExplainReport",
     "QueryTrace",
     "Span",
     "TimelineEvent",

@@ -3,53 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.obs.trace import QueryTrace, Span, q_error
-
-
-@dataclass(frozen=True)
-class ExplainReport:
-    """Structured result of :meth:`repro.session.Session.explain`.
-
-    Callers historically parsed the plan text; the fields make the strategy,
-    phase list, simulated cost, and any policy decisions addressable while
-    ``str(report)`` stays the plan description for drop-in compatibility.
-    """
-
-    strategy: str
-    plan_description: str
-    simulated_seconds: float
-    phases: tuple[str, ...] = ()
-    decisions: tuple = ()
-    #: verify-on-compile gate summary (DESIGN.md §9): how many jobs the plan
-    #: verifier checked during this execution and every diagnostic code it
-    #: raised (empty == all jobs verified clean).
-    verified_jobs: int = 0
-    diagnostics: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return self.plan_description
-
-    def describe(self) -> str:
-        """Multi-line summary: plan, phases, cost, verifier, decisions."""
-        lines = [
-            f"strategy: {self.strategy}",
-            f"plan: {self.plan_description}",
-            f"simulated seconds: {self.simulated_seconds:.2f}",
-        ]
-        if self.phases:
-            lines.append("phases: " + " -> ".join(self.phases))
-        if self.verified_jobs:
-            verdict = (
-                "clean" if not self.diagnostics else ", ".join(self.diagnostics)
-            )
-            lines.append(
-                f"verifier: {self.verified_jobs} job(s) checked — {verdict}"
-            )
-        for decision in self.decisions:
-            lines.append(f"decision: {decision.describe()}")
-        return "\n".join(lines)
 
 
 def _format_rows(value: float) -> str:

@@ -190,7 +190,6 @@ class Tracer:
         self.dataflows: list = []
         self._stack: list[Span] = [self.root]
         self._phase_names: list[str] = []
-        self._finished = False
 
     # -- clock ----------------------------------------------------------------
 
@@ -345,7 +344,6 @@ class Tracer:
 
     def finish(self) -> QueryTrace:
         """Close the query span and package the trace (idempotent)."""
-        self._finished = True
         self.root.end_seconds = self.base_seconds
         return QueryTrace(
             root=self.root,

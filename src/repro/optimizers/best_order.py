@@ -29,7 +29,6 @@ class BestOrderOptimizer(Optimizer):
         #: Optional pre-captured dynamic plan; when absent a scratch dynamic
         #: run derives it (uncharged — the "user" already knew the order).
         self.tree = tree
-        self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         tree = self.tree
@@ -40,9 +39,7 @@ class BestOrderOptimizer(Optimizer):
             # its private scheduler drops what it materialized when it
             # finishes, leaving every other query's intermediates untouched.
             scout = DynamicOptimizer(inl_enabled=self.inl_enabled)
-            scout.execute(query, session)
-            tree = scout.last_tree
-        self.last_tree = tree
+            tree = scout.execute(query, session).plan
         return (
             yield from single_job_stages(
                 tree, query, session, namespace, label="best-order"

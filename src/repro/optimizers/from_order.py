@@ -59,14 +59,12 @@ class FromOrderOptimizer(Optimizer):
 
     def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        self.last_tree = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         toolkit = PlannerToolkit(
             query, session, session.statistics.copy(), self.inl_enabled
         )
         plan = from_order_plan(toolkit)
-        self.last_tree = plan
         return (
             yield from single_job_stages(
                 plan, query, session, namespace, label="from-order"

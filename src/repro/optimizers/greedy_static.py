@@ -28,7 +28,6 @@ class GreedyStaticOptimizer(Optimizer):
 
     def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        self.last_tree = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         plan = greedy_full_plan(
@@ -36,7 +35,6 @@ class GreedyStaticOptimizer(Optimizer):
                 query, session, session.statistics.copy(), self.inl_enabled
             )
         )
-        self.last_tree = plan
         return (
             yield from single_job_stages(
                 plan, query, session, namespace, label="greedy-static"

@@ -34,7 +34,6 @@ QueryService.
 
 from __future__ import annotations
 
-from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit, alias_stats_key
 from repro.engine import vector
 from repro.engine.data import ColumnBatch, scan_batch
@@ -72,8 +71,6 @@ class SketchOnlineOptimizer(Optimizer):
 
     def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        #: the planned join tree of the last execution (plan capture)
-        self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         run = QueryRun(query, session, self.name, namespace)
@@ -85,7 +82,7 @@ class SketchOnlineOptimizer(Optimizer):
             yield run.charge(f"sketch:{table.alias}", delta, kind="sketch")
 
         toolkit = PlannerToolkit(query, session, run.statistics, self.inl_enabled)
-        self.last_tree = plan = best_bushy_plan(toolkit)
+        plan = best_bushy_plan(toolkit)
         return (yield from final_job_stages(run, plan, query, session))
 
     # -- the sketch pass --------------------------------------------------------

@@ -28,7 +28,6 @@ class CostBasedOptimizer(Optimizer):
         #: ablation switch: cost plans with the engine-mirroring model
         #: instead of the paper's cardinality cost.
         self.movement_aware = movement_aware
-        self.last_tree = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         toolkit = PlannerToolkit(
@@ -41,7 +40,6 @@ class CostBasedOptimizer(Optimizer):
             composite_rule="product",
         )
         plan = best_bushy_plan(toolkit, movement_aware=self.movement_aware)
-        self.last_tree = plan
         return (
             yield from single_job_stages(
                 plan, query, session, namespace, label="cost-based"

@@ -26,7 +26,6 @@ so results are byte-identical to every other strategy.
 
 from __future__ import annotations
 
-from repro.algebra.plan import PlanNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.analysis.runtime import verify_plan_before_jobgen
 from repro.core.driver import original_leaves, resolve_logical
@@ -44,8 +43,6 @@ class PredicateTransferOptimizer(Optimizer):
 
     def __init__(self, inl_enabled: bool = False) -> None:
         self.inl_enabled = inl_enabled
-        #: the planned join tree of the last execution (plan capture)
-        self.last_tree: PlanNode | None = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         run = QueryRun(query, session, self.name, namespace)
@@ -58,11 +55,11 @@ class PredicateTransferOptimizer(Optimizer):
         verify_plan_before_jobgen(session.executor, plan, run.statistics)
         # Report the plan in terms of the original FROM entries, not the
         # transfer intermediates (plan capture / Figure 5 reconstruction).
-        self.last_tree = resolve_logical(
+        described = resolve_logical(
             plan, original_leaves(query, outcome.intermediates)
         )
         return (
             yield from final_job_stages(
-                run, plan, outcome.query, session, described=self.last_tree
+                run, plan, outcome.query, session, described=described
             )
         )

@@ -113,7 +113,6 @@ class WorstOrderOptimizer(Optimizer):
         # worst-order from the INL experiments); the flag is accepted for
         # interface uniformity.
         self.inl_enabled = inl_enabled
-        self.last_tree = None
 
     def stages(self, query: Query, session, namespace: str = ""):
         toolkit = PlannerToolkit(query, session, session.statistics.copy())
@@ -133,7 +132,6 @@ class WorstOrderOptimizer(Optimizer):
                 force_hash=True,
                 build_side="left",
             )
-        self.last_tree = current
         return (
             yield from single_job_stages(
                 current, query, session, namespace, label="worst-order"

@@ -11,7 +11,7 @@ Two caches, both LRU-bounded and both validated against
 - The **intermediate cache** replays materialized pushdown filters across
   queries: a :class:`~repro.engine.scheduler.request.JobRequest` whose
   ``cache_token`` matches a previously stored materialization re-registers
-  the stored columns, bounds and statistics under the requesting query's own
+  the stored dataset and statistics under the requesting query's own
   namespace at zero cost, skipping the scan entirely. The token binds only
   the parameters the request's own predicates read. Each cacheable request
   is looked up once, when it becomes ready and before any launch sharing
@@ -31,21 +31,26 @@ than the whole budget is not stored.
 Invalidation is two-layered: every entry records the ``(dataset, version)``
 pairs it was computed from and is revalidated on fetch, and the owning
 service subscribes the cache to the dataset catalog so a re-ingest evicts
-dependents eagerly. A result hit hands out the stored row dicts in a fresh
-list — row dicts are immutable by library convention, and a fresh container
-keeps one consumer's reordering from leaking into the next. An intermediate
-hit shares the Sink's stored column tuples themselves (with the partition
-bounds they were written with): they are immutable by type.
+dependents eagerly. The result cache keeps its own copies of the row dicts
+and a hit hands out fresh copies of those, so what one consumer does to its
+rows never reaches another's. An intermediate hit replays the Sink's stored
+dataset itself under a new name — its column tuples and partition bounds
+are shared, as immutable as the dataset.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.stats.catalog import DatasetStatistics
 from repro.storage.ingest import register_intermediate
+
+if TYPE_CHECKING:
+    from repro.algebra.plan import PlanNode
+    from repro.storage.dataset import Dataset
 
 
 #: Bytes charged per stored value (one row of one kept column).
@@ -63,7 +68,7 @@ def result_nbytes(rows: list[dict]) -> int:
     return VALUE_BYTES * max(1, sum(len(row) for row in rows))
 
 
-def intermediate_nbytes(dataset, stats: DatasetStatistics) -> int:
+def intermediate_nbytes(dataset: Dataset, stats: DatasetStatistics) -> int:
     """What an intermediate cache entry holds, by a fixed formula:
     :data:`VALUE_BYTES` per stored value plus every field's sketch bytes
     (:attr:`~repro.stats.collector.FieldStatistics.nbytes`)."""
@@ -106,19 +111,21 @@ class CacheStats:
 class _CachedResult:
     """One stored query answer + the catalog versions it depends on."""
 
+    #: the cache's own copies of the answer's row dicts
     rows: list[dict]
-    plan_description: str
+    plan: PlanNode
     deps: tuple[tuple[str, int], ...]
     #: size charged against the byte budget, fixed when stored.
     nbytes: int
 
     def materialize(self) -> ExecutionResult:
-        """A fresh result object per hit (the scheduler sets ``schedule``
-        on it, so sharing one object across hits would clobber records)."""
+        """A fresh result object per hit, fresh row dicts included (the
+        scheduler sets ``schedule`` on it, so sharing one object across hits
+        would clobber records, and a caller may edit its rows)."""
         return ExecutionResult(
-            rows=list(self.rows),
+            rows=[dict(row) for row in self.rows],
             metrics=JobMetrics(),
-            plan_description=self.plan_description,
+            plan=self.plan,
             phases=["cache-hit"],
         )
 
@@ -127,14 +134,9 @@ class _CachedResult:
 class _CachedIntermediate:
     """One stored pushdown materialization, namespace-free."""
 
-    schema: object
-    #: the Sink's stored columns and partition bounds, replayed as they are
-    columns: dict[str, tuple]
-    bounds: list[int]
-    partition_key: str | None
-    scale: float
+    #: the Sink's stored dataset, replayed under each hit's own name
+    dataset: Dataset
     stats: DatasetStatistics
-    modeled_rows: float
     deps: tuple[tuple[str, int], ...]
     #: size charged against the byte budget, fixed when stored.
     nbytes: int
@@ -230,8 +232,8 @@ class ServiceCache:
             self.stats.oversized += 1
             return
         self._results[key] = _CachedResult(
-            rows=list(result.rows),
-            plan_description=result.plan_description,
+            rows=[dict(row) for row in result.rows],
+            plan=result.plan,
             deps=self._deps_for(datasets),
             nbytes=nbytes,
         )
@@ -265,29 +267,22 @@ class ServiceCache:
             self.stats.intermediate_misses += 1
             return None
         name = request.job.root.name
+        dataset = entry.dataset
         register_intermediate(
             name=name,
-            schema=entry.schema,
-            columns=entry.columns,
-            bounds=entry.bounds,
-            partition_key=entry.partition_key,
+            schema=dataset.schema,
+            columns=dataset.columns,
+            bounds=dataset.bounds,
+            partition_key=dataset.partition_key,
             datasets=executor.datasets,
-            scale=entry.scale,
+            scale=dataset.scale,
         )
-        stats = entry.stats
         request.run.statistics.register(
-            DatasetStatistics(
-                name=name,
-                row_count=stats.row_count,
-                row_width=stats.row_width,
-                fields=dict(stats.fields),
-                predicates_applied=stats.predicates_applied,
-                scale=stats.scale,
-            )
+            replace(entry.stats, name=name, fields=dict(entry.stats.fields))
         )
         self._intermediates.move_to_end(token)
         self.stats.intermediate_hits += 1
-        return _ReplayedData(entry.modeled_rows), JobMetrics()
+        return _ReplayedData(dataset.modeled_rows), JobMetrics()
 
     def store_intermediate(self, executor, request) -> None:
         """Capture the materialization the request's sink just registered.
@@ -318,20 +313,8 @@ class ServiceCache:
             self.stats.oversized += 1
             return
         self._intermediates[token] = _CachedIntermediate(
-            schema=dataset.schema,
-            columns=dataset.columns,
-            bounds=dataset.bounds,
-            partition_key=dataset.partition_key,
-            scale=dataset.scale,
-            stats=DatasetStatistics(
-                name=stats.name,
-                row_count=stats.row_count,
-                row_width=stats.row_width,
-                fields=dict(stats.fields),
-                predicates_applied=stats.predicates_applied,
-                scale=stats.scale,
-            ),
-            modeled_rows=dataset.modeled_rows,
+            dataset=dataset,
+            stats=replace(stats, fields=dict(stats.fields)),
             deps=deps,
             nbytes=nbytes,
         )

@@ -11,10 +11,12 @@ the UDF registry, and the executor. Typical use::
 
 Every query runs through the job scheduler: :meth:`Session.submit` queues
 queries (with priorities) and :meth:`Session.run_all` drains them on the
-shared simulated cluster clock. The blocking :meth:`Session.execute`,
-:meth:`Session.explain` and :meth:`Session.explain_analyze` are the same
-path with a one-query schedule on a private scheduler, so serial and
-concurrent execution cannot drift apart.
+shared simulated cluster clock. The blocking :meth:`Session.execute` is the
+same path with a one-query schedule on a private scheduler, so serial and
+concurrent execution cannot drift apart. Runtime dynamic optimization only
+has a final plan after running, so there is no separate EXPLAIN: the result
+carries the plan it ran (``result.plan``) and renders its trace
+(``result.explain_analyze()``).
 
 Intermediates created by re-optimization points live in the session
 catalogs under their query's namespace while it runs; the scheduler drops
@@ -43,7 +45,6 @@ from repro.engine.metrics import ExecutionResult
 from repro.engine.scheduler import JobScheduler, QueryHandle, SchedulerConfig
 from repro.lang.ast import Query
 from repro.lang.udf import default_registry
-from repro.obs.report import ExplainReport
 from repro.spec import PlannerSpec, resolve_planner
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
@@ -232,57 +233,6 @@ class Session:
         from repro.optimizers import OPTIMIZERS
 
         return sorted(OPTIMIZERS)
-
-    def explain(
-        self,
-        query: Query,
-        planner: PlannerSpec | str | None = None,
-    ) -> ExplainReport:
-        """The plan the chosen strategy would (or did) use, without keeping state.
-
-        Runtime dynamic optimization only *has* a final plan after running —
-        that is the paper's point — so this executes the query as
-        :meth:`execute` does and reports the captured tree; the scheduler
-        drops what the run materialized when it finishes.
-
-        Returns an :class:`~repro.obs.report.ExplainReport`;
-        ``str(report)`` is the plan description, so callers that treated the
-        return value as text keep working.
-        """
-        spec = resolve_planner(planner, entry="explain")
-        result = spec.make().execute(query, self)
-        # the launch gate's records, one per job: the completion pass adds
-        # one more record for the whole query (phase "query")
-        jobs = [
-            record
-            for record in (result.trace.verifications if result.trace else [])
-            if record.phase != "query"
-        ]
-        return ExplainReport(
-            strategy=spec.strategy,
-            plan_description=result.plan_description,
-            simulated_seconds=result.seconds,
-            phases=tuple(result.phases),
-            decisions=tuple(result.decisions),
-            verified_jobs=len(jobs),
-            diagnostics=tuple(code for record in jobs for code in record.codes),
-        )
-
-    def explain_analyze(
-        self,
-        query: Query,
-        planner: PlannerSpec | str | None = None,
-    ) -> str:
-        """Execute ``query`` and render its trace as a plan-with-actuals report.
-
-        Every execution records a :class:`repro.obs.QueryTrace` (hierarchical
-        phase/operator spans plus estimated-vs-actual cardinalities per
-        re-optimization point); this convenience runs the query as
-        :meth:`execute` does and renders the report — the EXPLAIN ANALYZE of
-        the simulated engine.
-        """
-        spec = resolve_planner(planner, entry="explain_analyze")
-        return spec.make().execute(query, self).explain_analyze()
 
     # -- introspection --------------------------------------------------------
 

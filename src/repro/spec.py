@@ -5,10 +5,10 @@ validated options (including a :class:`~repro.core.policy.ReplanPolicy`).
 Construction validates eagerly — an unknown strategy or an option the
 strategy's constructor does not accept raises
 :class:`~repro.common.errors.OptimizationError` at spec-build time, not when
-the query runs. All four :class:`~repro.session.Session` entry points
-(``execute``/``submit``/``explain``/``explain_analyze``) take the spec, or a
-bare strategy-name string, as their one planner argument and resolve it
-through :func:`resolve_planner`, so they validate identically.
+the query runs. Both :class:`~repro.session.Session` entry points
+(``execute``/``submit``) take the spec, or a bare strategy-name string, as
+their one planner argument and resolve it through :func:`resolve_planner`,
+so they validate identically.
 
     from repro import PlannerSpec, ReplanPolicy, Session
 

@@ -124,13 +124,12 @@ class TestJoinPhaseCost:
         bench = workbench_for_query(request.param, 100)
         bench.ensure_indexes()
         query = bench.query(request.param)
-        optimizer = DynamicOptimizer(inl_enabled=True)
         try:
-            optimizer.execute(query, bench.session)
+            result = DynamicOptimizer(inl_enabled=True).execute(query, bench.session)
         finally:
             bench.session.reset_intermediates()
         toolkit = PlannerToolkit(query, bench.session, inl_enabled=True)
-        return toolkit.estimator, optimizer.last_tree
+        return toolkit.estimator, result.plan
 
     def test_every_join_costs_at_least_what_it_reads(self, suite_plan):
         estimator, plan = suite_plan

@@ -44,6 +44,8 @@ FULLY_ANNOTATED = (
     "repro.lang.udf",
     "repro.engine.operators.select",
     "repro.storage.catalog",
+    "repro.engine.metrics",
+    "repro.obs.report",
 )
 
 

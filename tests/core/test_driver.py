@@ -46,10 +46,8 @@ class TestDriverEndToEnd:
 
     def test_plan_capture_over_original_tables(self, session):
         query = star_query()
-        optimizer = DynamicOptimizer()
-        optimizer.execute(query, session)
+        tree = DynamicOptimizer().execute(query, session).plan
         session.reset_intermediates()
-        tree = optimizer.last_tree
         assert tree.aliases == frozenset(("fact", "da", "db", "dc"))
         # leaf predicates restored on the captured tree
         filtered = [l for l in tree.leaves() if l.predicates]

@@ -1,7 +1,7 @@
 """One driver: every blocking entry point is a one-query schedule.
 
-``Optimizer.execute``, ``execute_tree``, ``DynamicOptimizer.resume`` and
-``Session.explain``/``explain_analyze`` run on a private scheduler like any
+``Session.execute``, ``Optimizer.execute``, ``execute_tree`` and
+``DynamicOptimizer.resume`` run on a private scheduler like any
 submission. So every query they finish is verified once at completion (one
 ``phase="query"`` record among its trace's verifications), carries a
 schedule record, and leaves no ``__q*`` dataset behind.
@@ -45,9 +45,8 @@ def test_optimizer_execute_is_verified_scheduled_and_released(name):
 
 def test_execute_tree_is_verified_and_released():
     session = build_star_session()
-    optimizer = DynamicOptimizer()
-    optimizer.execute(star_query(), session)
-    result = execute_tree(optimizer.last_tree, star_query(), session)
+    plan = DynamicOptimizer().execute(star_query(), session).plan
+    result = execute_tree(plan, star_query(), session)
     assert_verified_once(result)
     assert result.phases == ["single-job"]
     assert leftovers(session) == []
@@ -87,20 +86,19 @@ def test_explain_analyze_runs_a_verified_query(name, monkeypatch):
 
     monkeypatch.setattr(ExecutionResult, "explain_analyze", spy)
     session = build_star_session()
-    text = session.explain_analyze(star_query(), name)
+    text = session.execute(star_query(), name).explain_analyze()
     (result,) = explained
     assert text == render(result)
     assert_verified_once(result)
     assert leftovers(session) == []
 
 
-def test_explain_counts_job_records_only():
+def test_verifications_hold_one_record_per_job_and_one_per_query():
     session = build_star_session()
-    report = session.explain(star_query(), "dynamic")
-    result = build_star_session().execute(star_query(), "dynamic")
+    result = session.execute(star_query(), "dynamic")
     jobs = [r for r in result.trace.verifications if r.phase != "query"]
     # plain dynamic charges no virtual cost: every phase is one gated job
-    assert report.verified_jobs == len(jobs) == len(result.phases)
-    assert report.diagnostics == ()
-    assert f"verifier: {len(jobs)} job(s) checked — clean" in report.describe()
+    assert len(jobs) == len(result.phases)
+    assert all(record.clean for record in jobs)
+    assert_verified_once(result)
     assert leftovers(session) == []

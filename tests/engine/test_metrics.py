@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.algebra.plan import LeafNode
 from repro.engine.metrics import ExecutionResult, JobMetrics
 
 
@@ -67,5 +68,7 @@ class TestJobMetrics:
 
 class TestExecutionResult:
     def test_seconds_delegates(self):
-        result = ExecutionResult(rows=[], metrics=JobMetrics(scan=4.0))
+        result = ExecutionResult(
+            rows=[], metrics=JobMetrics(scan=4.0), plan=LeafNode("a", "a")
+        )
         assert result.seconds == 4.0

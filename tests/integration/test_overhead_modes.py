@@ -64,9 +64,7 @@ class TestOverheadModes:
 
     def test_tree_swap_replaces_filtered_leaves(self):
         bench = workbench_for_query("Q17", 10)
-        optimizer = DynamicOptimizer()
-        optimizer.execute(bench.query("Q17"), bench.session)
-        tree = optimizer.last_tree
+        tree = DynamicOptimizer().execute(bench.query("Q17"), bench.session).plan
         swapped = _tree_with_materialized_filters(
             tree,
             {"d1": intermediate_name_for("d1")},
@@ -82,8 +80,7 @@ class TestOverheadModes:
     def test_swapped_tree_executes_same_rows(self):
         bench = workbench_for_query("Q50", 10)
         query = bench.query("Q50")
-        optimizer = DynamicOptimizer()
-        baseline = optimizer.execute(query, bench.session)
-        replay = pushdown_variant(query, bench.session, optimizer.last_tree)
+        baseline = DynamicOptimizer().execute(query, bench.session)
+        replay = pushdown_variant(query, bench.session, baseline.plan)
         assert replay.phases[-1] == "single-job"
         assert rows_equal_unordered(replay.rows, baseline.rows)

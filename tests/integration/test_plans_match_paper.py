@@ -95,13 +95,12 @@ class TestOptimizerContrasts:
         from repro.optimizers.worst_order import WorstOrderOptimizer
 
         bench = workbench_for_query("Q17", 100)
-        optimizer = WorstOrderOptimizer()
-        optimizer.execute(bench.query("Q17"), bench.session)
+        tree = WorstOrderOptimizer().execute(bench.query("Q17"), bench.session).plan
         bench.session.reset_intermediates()
-        leaves = [l.alias for l in optimizer.last_tree.leaves()]
+        leaves = [l.alias for l in tree.leaves()]
         # the first two tables joined are raw facts or their unfiltered kin
         assert leaves[0] in ("ss", "sr", "cs", "store", "item")
-        assert "⋈b" not in optimizer.last_tree.describe()
+        assert "⋈b" not in tree.describe()
 
     def test_dynamic_prunes_before_fact_fact_join_q50(self):
         bench = workbench_for_query("Q50", 100)

@@ -370,7 +370,7 @@ def test_service_interleavings_match_oracle(case, steps):
                 elif op == "execute":
                     answers.append((bound, session.execute(bound, planner).rows))
                 else:
-                    session.explain_analyze(bound, planner)
+                    session.execute(bound, planner).explain_analyze()
     for bound, rows in answers:
         assert rows_equal_unordered(rows, evaluate_reference(bound, service))
     stats = service.cache.stats

@@ -92,10 +92,9 @@ class TestWorstOrder:
         assert "fact" in order[:2]  # every join touches the fact table
 
     def test_plan_is_hash_only(self, session):
-        optimizer = WorstOrderOptimizer()
-        optimizer.execute(star_query(), session)
+        result = WorstOrderOptimizer().execute(star_query(), session)
         session.reset_intermediates()
-        description = optimizer.last_tree.describe()
+        description = result.plan.describe()
         assert "⋈b" not in description and "⋈i" not in description
 
     def test_slower_than_dynamic(self, session):
@@ -109,10 +108,9 @@ class TestWorstOrder:
 
 class TestBestOrder:
     def test_replays_dynamic_plan_without_overhead(self, session):
-        dynamic = DynamicOptimizer()
-        dyn_result = dynamic.execute(star_query(), session)
+        dyn_result = DynamicOptimizer().execute(star_query(), session)
         session.reset_intermediates()
-        best = BestOrderOptimizer(tree=dynamic.last_tree)
+        best = BestOrderOptimizer(tree=dyn_result.plan)
         best_result = best.execute(star_query(), session)
         session.reset_intermediates()
         assert best_result.plan_description == dyn_result.plan_description

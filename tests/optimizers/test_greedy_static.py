@@ -33,10 +33,9 @@ class TestGreedyStatic:
         assert result.plan_description
 
     def test_covers_all_tables(self, session):
-        optimizer = GreedyStaticOptimizer()
-        optimizer.execute(star_query(), session)
+        result = GreedyStaticOptimizer().execute(star_query(), session)
         session.reset_intermediates()
-        assert optimizer.last_tree.aliases == frozenset(star_query().aliases)
+        assert result.plan.aliases == frozenset(star_query().aliases)
 
     def test_ablation_spectrum_on_paper_query(self):
         """greedy_static sits between cost_based and dynamic by construction:

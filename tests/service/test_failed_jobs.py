@@ -43,7 +43,7 @@ class InjectedJobFailure(RuntimeError):
 
 
 def entry_rows(entry) -> tuple[list[int], dict[str, tuple]]:
-    return entry.bounds, entry.columns
+    return entry.dataset.bounds, entry.dataset.columns
 
 
 @pytest.fixture(scope="module")

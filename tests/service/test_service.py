@@ -64,6 +64,8 @@ class TestTenantSessions:
 
 
     def test_explain_on_one_tenant_keeps_anothers_checkpoint(self):
+        """A blocking run on one tenant, explained or not, drops what it
+        materialized and leaves another tenant's failed checkpoint alone."""
         from repro.core.driver import DynamicOptimizer
 
         service = build_service()
@@ -74,8 +76,8 @@ class TestTenantSessions:
         kept = [n for n in service.datasets.names() if n.startswith("__")]
         assert kept
         other = service.session("b")
-        other.explain(star_query(), "dynamic")
-        other.explain_analyze(star_query(), "dynamic")
+        other.execute(star_query(), "dynamic")
+        other.execute(star_query(), "dynamic").explain_analyze()
         # each side run dropped what it materialized and nothing else
         assert [n for n in service.datasets.names() if n.startswith("__")] == kept
         resumed = DynamicOptimizer().resume(doomed.error.checkpoint, other)
@@ -102,6 +104,23 @@ class TestResultCache:
         assert service.cache.stats.result_hits == 1
         report = second.result().explain_analyze()
         assert "answered from result cache" in report
+
+    def test_a_callers_row_edits_never_reach_a_hit(self):
+        service = build_service()
+        first = service.session("a").submit(star_query(), "dynamic")
+        service.run_all()
+        original = [dict(row) for row in first.result().rows]
+        field = next(iter(original[0]))
+        first.result().rows[0][field] = "CORRUPTED"
+        hit = service.session("b").submit(star_query(), "dynamic")
+        service.run_all()
+        assert hit.schedule.cache_hit
+        assert hit.result().rows == original
+        hit.result().rows[0][field] = "CORRUPTED"
+        again = service.session("c").submit(star_query(), "dynamic")
+        service.run_all()
+        assert again.schedule.cache_hit
+        assert again.result().rows == original
 
     def test_repeated_template_mix_is_mostly_cache_hits(self):
         """Skew pays: a mix dominated by a few hot templates, submitted by

@@ -2,7 +2,7 @@
 
 DESIGN.md §3.1 tabulates each option a caller can set on a planner strategy
 (its ``PlannerSpec`` options, read off the constructor) or on the front door
-(``Session``, ``QueryService`` and the four ``Session`` entry points),
+(``Session``, ``QueryService`` and the two ``Session`` entry points),
 naming the code outside ``tests/`` that sets or reads it. The table and the
 signatures must agree both ways: an option added without a row fails here,
 and so does a row left behind by a deleted option.
@@ -29,8 +29,6 @@ FRONT_DOOR = {
     "QueryService": QueryService.__init__,
     "Session.execute": Session.execute,
     "Session.submit": Session.submit,
-    "Session.explain": Session.explain,
-    "Session.explain_analyze": Session.explain_analyze,
 }
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from repro.common.errors import OptimizationError
 from repro.core.policy import ReplanPolicy
-from repro.obs.report import ExplainReport
 from repro.spec import PlannerSpec, resolve_planner
 
 from tests.conftest import build_star_session, star_query
@@ -136,13 +135,3 @@ class TestStringFormEquivalence:
         session = build_star_session()
         with pytest.raises(OptimizationError):
             session.submit(star_query(), PlannerSpec.of("dynamic").with_options(x=1))
-
-    def test_explain_returns_report_with_str_compat(self):
-        session = build_star_session()
-        report = session.explain(star_query(), PlannerSpec.of("dynamic"))
-        assert isinstance(report, ExplainReport)
-        assert str(report) == report.plan_description
-        assert "⋈" in str(report)
-        assert report.strategy == "dynamic"
-        assert report.simulated_seconds > 0.0
-        assert report.phases[-1] == "final"
