@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Collection, Hashable, Iterable, Iterator, Sequence
 from itertools import chain, repeat
+from typing import Any
 
 _INT128_LIMIT = 1 << 127
 _INT_KINDS = frozenset({int, bool})
@@ -78,6 +79,8 @@ def stable_hash(value: object) -> int:
 # Batch encoders: :func:`_encode_key` of every key of an iterable, a uniform
 # batch's as C-level maps with no Python call per key.
 
+Encoder = Callable[[Iterable[Any]], Iterator[bytes]]
+
 
 def _per_key(keys: Iterable[int | str]) -> Iterator[bytes]:
     return map(_encode_key, keys)
@@ -92,7 +95,7 @@ def _small_ints(ints: Iterable[int]) -> Iterator[bytes]:
     return map(int.to_bytes, ints, repeat(16), repeat("big"))
 
 
-def _batch_keys(values) -> tuple[list, set, Callable[[Iterable], Iterator[bytes]]]:
+def _batch_keys(values: Iterable[object]) -> tuple[Sequence[Any], set[Any], Encoder]:
     """``(keys, distinct keys, batch encoder)`` of a list, tuple or iterable.
 
     Each value's key is what :func:`stable_hash` encodes — an int (or bool)
@@ -102,7 +105,7 @@ def _batch_keys(values) -> tuple[list, set, Callable[[Iterable], Iterator[bytes]
     strings have equal reprs). An all-int batch checks the 16-byte range
     once, over its distinct keys.
     """
-    keys = values if isinstance(values, (list, tuple)) else list(values)
+    keys: Sequence[Any] = values if isinstance(values, (list, tuple)) else list(values)
     kinds = set(map(type, keys))
     if kinds == {str}:
         return keys, set(keys), _strings
@@ -114,8 +117,8 @@ def _batch_keys(values) -> tuple[list, set, Callable[[Iterable], Iterator[bytes]
     return keys, set(keys), _per_key
 
 
-def stable_hashes(values) -> list[int]:
-    """``[stable_hash(v) for v in values]``.
+def _fresh_hashes(values: Iterable[object]) -> list[int]:
+    """``[stable_hash(v) for v in values]``, digested without the memo.
 
     A batch at least three quarters distinct is digested in order; otherwise
     each distinct key is digested once and looked up. A key table costs more
@@ -130,46 +133,87 @@ def stable_hashes(values) -> list[int]:
     return list(map(table.__getitem__, keys))
 
 
-def distinct_stable_hashes(values) -> list[int]:
+#: Key kinds a memo may be keyed by: for these, two keys share a dict slot
+#: only when ``stable_hash`` agrees on them too (``True == 1`` hash alike). A
+#: float does not qualify — ``0 == 0.0`` but they hash apart — nor does an
+#: int or str subclass, and inside a tuple neither does a bool, because
+#: ``repr((True,)) != repr((1,))``.
+_UNALIASED = frozenset({int, bool, str, type(None)})
+_UNALIASED_IN_TUPLES = frozenset({int, str, type(None)})
+
+
+def _unaliased(keys: Sequence[Any]) -> bool:
+    """True when a memo may be keyed by ``keys``: all of the kinds above, or
+    all tuples of the kinds allowed inside one."""
+    kinds = set(map(type, keys))
+    return kinds <= _UNALIASED or (
+        kinds == {tuple}
+        and set(map(type, chain.from_iterable(keys))) <= _UNALIASED_IN_TUPLES
+    )
+
+
+#: The process-wide digest memo: key -> ``stable_hash(key)``, for keys of
+#: the kinds :func:`_unaliased` admits. A digest is a pure function of its
+#: key, so it outlives any one load, sketch or query; like the route memos
+#: it is never trimmed.
+_DIGESTS: dict[Hashable, int] = {}
+
+
+def _recalled(keys: Collection[Hashable]) -> list[int]:
+    """Each key's digest from the memo, in order; on a miss the distinct
+    missing keys are digested in one batch and stored first."""
+    try:
+        return list(map(_DIGESTS.__getitem__, keys))
+    except KeyError:
+        missing = list(set(keys).difference(_DIGESTS))
+        encoded, _, encode = _batch_keys(missing)
+        _DIGESTS.update(zip(missing, _digests(encode(encoded))))
+        return list(map(_DIGESTS.__getitem__, keys))
+
+
+def stable_hashes(values: Iterable[object]) -> list[int]:
+    """``[stable_hash(v) for v in values]``, whatever the process hashed before.
+
+    A batch whose key kinds cannot alias in a dict reads the digest memo;
+    any other batch (floats, int or str subclasses, tuples holding a float
+    or a bool) is digested afresh.
+    """
+    keys: Sequence[Any] = values if isinstance(values, (list, tuple)) else list(values)
+    return _recalled(keys) if _unaliased(keys) else _fresh_hashes(keys)
+
+
+def distinct_stable_hashes(values: Iterable[object]) -> list[int]:
     """``{stable_hash(v) for v in values}`` as a list, one digest each."""
-    _, distinct, encode = _batch_keys(values)
+    keys: Sequence[Any] = values if isinstance(values, (list, tuple)) else list(values)
+    if _unaliased(keys):
+        return _recalled(set(keys))
+    _, distinct, encode = _batch_keys(keys)
     return _digests(encode(distinct))
 
 
 #: Process-wide route memos, one per partition count. Routing is a pure
 #: function of (key, partition count), so a slot outlives any one load,
 #: exchange or query.
-_ROUTES: dict[int, dict] = {}
-
-#: Key kinds a route memo may be keyed by: for these, two keys share a dict
-#: slot only when ``stable_hash`` agrees on them too (``True == 1`` hash
-#: alike). A float does not qualify — ``0 == 0.0`` but they hash apart — and
-#: inside a tuple neither does a bool, because ``repr((True,)) != repr((1,))``.
-_UNALIASED = frozenset({int, bool, str, type(None)})
-_UNALIASED_IN_TUPLES = frozenset({int, str, type(None)})
+_ROUTES: dict[int, dict[Hashable, int]] = {}
 
 
-def partition_slots(keys, partition_count: int) -> list[int]:
+def partition_slots(keys: Sequence[Hashable], partition_count: int) -> list[int]:
     """``[stable_hash(k) % partition_count for k in keys]``: the one routing
     definition — of ingestion, join placement and the exchange alike —
     whatever the process routed before.
 
     A batch whose key kinds cannot alias in a dict reads the process-wide
-    memo, and its distinct missing keys are digested in one batch; any other
-    batch (floats, int subclasses, tuples holding either or a bool) is
-    digested without touching the memo.
+    route memo, and its distinct missing keys are digested in one batch; any
+    other batch is digested without touching the memo. A miss bypasses the
+    digest memo: a slot is cheaper to keep than to derive from a digest on
+    every hit, and a first load would otherwise pay to fill both memos.
     """
-    kinds = set(map(type, keys))
-    if not (
-        kinds <= _UNALIASED
-        or kinds == {tuple}
-        and set(map(type, chain.from_iterable(keys))) <= _UNALIASED_IN_TUPLES
-    ):
-        return [h % partition_count for h in stable_hashes(keys)]
+    if not _unaliased(keys):
+        return [h % partition_count for h in _fresh_hashes(keys)]
     memo = _ROUTES.setdefault(partition_count, {})
-    slots = list(map(memo.get, keys))
+    slots: list[Any] = list(map(memo.get, keys))
     if None in slots:
         missing = list({key for key, slot in zip(keys, slots) if slot is None})
-        memo.update(zip(missing, [h % partition_count for h in stable_hashes(missing)]))
+        memo.update(zip(missing, [h % partition_count for h in _fresh_hashes(missing)]))
         slots = list(map(memo.__getitem__, keys))
     return slots

@@ -46,6 +46,8 @@ FULLY_ANNOTATED = (
     "repro.storage.catalog",
     "repro.engine.metrics",
     "repro.obs.report",
+    "repro.common.rng",
+    "repro.algebra.plan",
 )
 
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common import rng
 from repro.common.rng import (
     derive,
     distinct_stable_hashes,
     stable_hash,
     stable_hashes,
 )
-from tests.conftest import count_digests, mixed_column_batches
+from tests.conftest import count_digests, digest_key, memo_safe, mixed_column_batches
 
 
 class TestDerive:
@@ -109,11 +110,6 @@ class Flag(IntEnum):
     ON = 1
 
 
-def digest_key(value: object) -> object:
-    """What ``stable_hash`` tells values apart by."""
-    return value if isinstance(value, int) else repr(value)
-
-
 _EDGE = 2**127
 
 #: Each kind of batch the kernel has a path for, with the values on its edges.
@@ -188,13 +184,24 @@ class TestBatchHashes:
         batch, mostly_distinct = drawn
         expected = [stable_hash(value) for value in batch]
         distinct = {digest_key(value) for value in batch}
-        hashes, digests = counted_digests(stable_hashes, batch)
-        assert hashes == expected
-        assert stable_hashes(iter(batch)) == expected
-        # in order when at least 3/4 distinct, else one digest per distinct key
         in_order = 4 * len(distinct) >= 3 * len(batch)
         assert in_order == mostly_distinct
-        assert digests == (len(batch) if in_order else len(distinct))
+        digests = []
+        with pytest.MonkeyPatch.context() as patch:
+            count_digests(patch, digests)
+            assert stable_hashes(batch) == expected
+            first = len(digests)
+            assert stable_hashes(iter(batch)) == expected
+            repeat = len(digests) - first
+            memo = dict(rng._DIGESTS)
+        if memo_safe(batch):
+            # one digest per distinct key, then none on a repeat
+            assert (first, repeat, len(memo)) == (len(distinct), 0, len(distinct))
+        else:
+            # in order when at least 3/4 distinct, else one digest per
+            # distinct key — every time, and the memo holds none of them
+            assert first == repeat == (len(batch) if in_order else len(distinct))
+            assert memo == {}
         for source in (batch, iter(batch)):
             unique, digests = counted_digests(distinct_stable_hashes, source)
             assert len(unique) == digests == len(distinct)
@@ -211,3 +218,84 @@ class TestBatchHashes:
             for batch in ([value], [value, 0, 1, 2], [value, value, value, 7]):
                 assert stable_hashes(batch) == [stable_hash(v) for v in batch]
                 assert stable_hash(value) == sized_buffer_hash(value)
+
+
+class Label(str):
+    """A str subclass that equals its str but is digested by its own repr."""
+
+    def __repr__(self) -> str:
+        return f"Label({str.__repr__(self)})"
+
+
+_NAN = float("nan")
+
+#: Values that compare equal yet hash apart, or the reverse, in one pool.
+_ALIASING = [
+    1, True, 1.0, 0, False, 0.0, -0.0, _NAN, None, "None", "x", Flag.ON, Flag.OFF,
+    Label("x"), Label("None"), *(_EDGE + d for d in (-3, 3)), *(-_EDGE + d for d in (-3, 3)),
+    (1,), (True,), (1, "x"), (True, None), (None, "x"), (1.0,), (Flag.ON,),
+]  # fmt: skip
+
+#: Batches of one family each: what the memo serves (exact ints, bools,
+#: strs and None; int/str/None tuples) beside its equal-but-apart lookalikes.
+_FAMILIES = [
+    st.one_of(st.sampled_from([1, True, 0, False, None, "None", "x"]), st.integers(-3, 3)),
+    st.sampled_from([(1,), (1, "x"), (None, "x"), (0, None)]),
+    st.sampled_from([1, True, Flag.ON, 0, False, Flag.OFF]),
+    st.sampled_from(["x", Label("x"), "None", Label("None")]),
+    st.sampled_from([1, 1.0, 0, 0.0, -0.0, _NAN]),
+    st.sampled_from([(1,), (True,), (1.0,), (Flag.ON,), (0, "x"), (False, "x")]),
+]
+
+
+@st.composite
+def interleaved_batches(draw) -> list[tuple[str, list]]:
+    """``[(entry point, batch), ...]``: batches of one family of lookalikes
+    beside batches that mix every aliasing kind, in any order."""
+    kinds = st.sampled_from([st.sampled_from(_ALIASING), *_FAMILIES])
+    calls = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(kinds)
+        batch = draw(st.lists(kind, max_size=30))
+        calls.append((draw(st.sampled_from(["hashes", "distinct", "slots"])), batch))
+    return calls
+
+
+class TestDigestMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(interleaved_batches())
+    def test_every_digest_is_stable_hash_whatever_ran_before(self, calls):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_DIGESTS", {})
+            patch.setattr(rng, "_ROUTES", {})
+            for entry, batch in calls:
+                expected = [stable_hash(value) for value in batch]
+                if entry == "hashes":
+                    assert stable_hashes(batch) == expected
+                elif entry == "distinct":
+                    assert sorted(distinct_stable_hashes(batch)) == sorted(set(expected))
+                else:
+                    slots = rng.partition_slots(batch, 7)
+                    assert slots == [digest % 7 for digest in expected]
+            memo = dict(rng._DIGESTS)
+        for key, digest in memo.items():
+            assert digest == stable_hash(key)
+            if type(key) is tuple:
+                assert {type(item) for item in key} <= {int, str, type(None)}
+            else:
+                assert type(key) in {int, bool, str, type(None)}
+
+    def test_a_repeat_digests_nothing_and_routing_fills_no_digest(self):
+        digests, expected = [], [stable_hash(v) for v in (5, 6, 5, 1)]
+        with pytest.MonkeyPatch.context() as patch:
+            count_digests(patch, digests)
+            patch.setattr(rng, "_ROUTES", {})
+            rng.partition_slots([5, 6, 7], 4)  # routing keeps its own memo
+            assert (len(digests), rng._DIGESTS) == (3, {})
+            assert stable_hashes([5, 6, 5, True]) == expected
+            assert len(digests) == 3 + 3
+            assert stable_hashes([6, 1, 5]) == [expected[1], expected[3], expected[0]]
+            assert len(digests) == 6
+            assert len(distinct_stable_hashes(["a", 1, 6, None])) == 4
+            assert len(digests) == 6 + 2
+            assert set(rng._DIGESTS) == {5, 6, 1, "a", None}

@@ -20,6 +20,7 @@ settings.register_profile("thorough", max_examples=500)
 from repro.common.types import DataType, Schema
 from repro.lang.builder import QueryBuilder
 from repro.session import Session
+from repro.sketches.hyperloglog import HyperLogLog
 
 
 def small_cluster() -> ClusterConfig:
@@ -186,7 +187,10 @@ def quantile_rank_gap(sketch, ordered: list, q: float) -> float:
 
 def count_digests(patch: pytest.MonkeyPatch, digests: list) -> None:
     """Append to ``digests`` at every stable-hash digest, through the kernel's
-    one digest seam: each digest copies ``rng._BLAKE2B_8`` exactly once."""
+    one digest seam: each digest copies ``rng._BLAKE2B_8`` exactly once.
+
+    The context starts from an empty digest memo (``rng._DIGESTS``), so no
+    count depends on what the process hashed before."""
     prepared = rng._BLAKE2B_8
 
     class Counting:
@@ -195,6 +199,36 @@ def count_digests(patch: pytest.MonkeyPatch, digests: list) -> None:
             return prepared.copy()
 
     patch.setattr(rng, "_BLAKE2B_8", Counting())
+    patch.setattr(rng, "_DIGESTS", {})
+
+
+def digest_key(value: object) -> object:
+    """What ``stable_hash`` tells values apart by."""
+    return value if isinstance(value, int) else repr(value)
+
+
+def count_extends(patch: pytest.MonkeyPatch, extends: list) -> None:
+    """Append ``(values, distinct keys)`` to ``extends`` at every
+    ``HyperLogLog.extend``: the digests each call would take with no memo,
+    so a count over it holds whatever the process hashed before."""
+    extend = HyperLogLog.extend
+
+    def counting(sketch, values):
+        values = list(values)
+        extends.append((len(values), len({digest_key(value) for value in values})))
+        extend(sketch, values)
+
+    patch.setattr(HyperLogLog, "extend", counting)
+
+
+def memo_safe(batch) -> bool:
+    """Whether the digest memo serves ``batch``: every value an exact int,
+    bool, str or None, or every value a tuple of exact ints, strs or Nones —
+    the kinds whose dict equality is digest equality."""
+    kinds = {type(value) for value in batch}
+    if kinds == {tuple}:
+        return {type(item) for value in batch for item in value} <= {int, str, type(None)}
+    return kinds <= {int, bool, str, type(None)}
 
 
 def same_state(left: dict, right: dict) -> bool:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.cost import CostModel
+from repro.common import rng
 from repro.common.errors import ReproError
 from repro.common.rng import stable_hash
 from repro.common.types import DataType
@@ -389,11 +390,18 @@ class TestOneProbePerOperator:
         digests.clear()
         probed.clear()
         out = run_semi_join(partitions, (("t.k", first), ("t.k", second)))
-        # the second filter sees only the first one's survivors: 1 and 2
-        assert len(digests) == 3 + 2
+        # the second filter sees only the first one's survivors, 1 and 2,
+        # and the first run digested every key either filter probes
+        assert len(digests) == 0
         assert [bloom for bloom, _ in probed] == [first, second]
         assert 3 not in probed[1][1] and len(probed[1][1]) == 40 * 3
         assert out.row_count == 40 * 3
+
+        digests.clear()
+        monkeypatch.setattr(rng, "_DIGESTS", {})
+        out = run_semi_join(partitions, (("t.k", first), ("t.k", second)))
+        # from an empty memo the two filters digest each key once between them
+        assert len(digests) == 3 and out.row_count == 40 * 3
 
     @settings(max_examples=200, deadline=None)
     @given(filtered_partitions(), st.sampled_from([1, 3, 1024]))

@@ -46,7 +46,10 @@ from tests.conftest import (
     _MIXED_VALUE,
     build_star_session,
     count_digests,
+    count_extends,
+    digest_key,
     load_star_data,
+    memo_safe,
     same_state,
     small_cluster,
     star_query,
@@ -232,6 +235,29 @@ def distinct_digest_inputs(batches) -> int:
     )
 
 
+def pass_digests(columns, fields) -> int:
+    """Digests one collection pass over ``fields`` takes from an empty memo:
+    each distinct non-null key once across the columns the digest memo
+    serves, and each other column's distinct keys once per column."""
+    memoised, fresh = set(), 0
+    for name in fields:
+        present = [value for value in columns[name] if value is not None]
+        if memo_safe(present):
+            memoised.update(map(digest_key, present))
+        else:
+            fresh += distinct_digest_inputs([present])
+    return len(memoised) + fresh
+
+
+def pass_extends(columns, fields) -> list[tuple[int, int]]:
+    """``HyperLogLog.extend`` calls one collection pass over ``fields`` makes,
+    as ``(values, distinct keys)``: one per field holding a non-null value."""
+    present = ([v for v in columns[name] if v is not None] for name in fields)
+    return sorted(
+        (len(values), distinct_digest_inputs([values])) for values in present if values
+    )
+
+
 class TestNothingReadNothingBuilt:
     def test_suite_queries_build_no_quantile_sketch_and_digest_once(self, monkeypatch):
         for label in SWEEP_QUERIES:  # base tables read in full: not what is spied
@@ -239,7 +265,7 @@ class TestNothingReadNothingBuilt:
             for name in statistics.names():
                 statistics.get(name).to_state()
 
-        gk_calls, passes = [], []
+        gk_calls, passes, calls = [], [], []
         for name in ("extend", "merge"):
             original = getattr(GKQuantileSketch, name)
 
@@ -252,14 +278,13 @@ class TestNothingReadNothingBuilt:
         observe_columns = StatisticsCollector.observe_columns
 
         def counting_observe_columns(collector, columns, length):
-            digests = []
+            digests, extends = [], []
             with monkeypatch.context() as patch:
                 count_digests(patch, digests)
+                count_extends(patch, extends)
                 observe_columns(collector, columns, length)
-            expected = sum(
-                distinct_digest_inputs([columns[name]]) for name in collector.fields
-            )
-            passes.append((len(digests), expected))
+            passes.append((len(digests), pass_digests(columns, collector.fields)))
+            calls.append((sorted(extends), pass_extends(columns, collector.fields)))
 
         monkeypatch.setattr(
             StatisticsCollector, "observe_columns", counting_observe_columns
@@ -271,6 +296,8 @@ class TestNothingReadNothingBuilt:
         # not vacuous: collection ran, and over columns with repeats
         assert len(passes) > 100 and sum(digests for digests, _ in passes) > 10_000
         assert [digests for digests, _ in passes] == [wanted for _, wanted in passes]
+        # and, whatever the memo holds, one extend per field with values
+        assert [seen for seen, _ in calls] == [wanted for _, wanted in calls]
 
     def test_ingestion_digests_nothing_and_queries_build_what_they_name(
         self, monkeypatch
@@ -339,13 +366,19 @@ class TestNothingReadNothingBuilt:
         self, monkeypatch
     ):
         session = build_sweep_session()
-        column = [row["f_k1"] for row in session.datasets.get("fact").rows()]
-        assert len(set(column)) == 40 < len(column)
-        digests = []
+        fact = session.datasets.get("fact")
+        column = fact.column("f_k1")
+        spans = zip(fact.bounds, fact.bounds[1:])
+        # not vacuous: values recur across partitions
+        assert len(set(column)) == 40 < sum(len(set(column[a:b])) for a, b in spans)
+        digests, extends = [], []
         sink = SinkOp(ScanOp("fact", "fact"), "__kept", ("fact.f_k1",), ("fact.f_k1",))
         count_digests(monkeypatch, digests)
+        count_extends(monkeypatch, extends)
         session.executor.execute(Job(sink, label="sink"), {})
         assert len(digests) == 40
+        # one extend over the whole source, as the memo-free kernel sees it
+        assert extends == [(len(column), 40)]
 
 
 # -- lifetime ------------------------------------------------------------------------
