@@ -58,9 +58,6 @@ from repro.engine.operators.sink import SinkOp
 if TYPE_CHECKING:
     from repro.engine.scheduler.request import JobRequest
 
-#: How many rules one query-completion pass evaluates (trace records).
-QUERY_RULES_CHECKED = 6
-
 #: Positive inter-span gaps below this fraction of the total (or this many
 #: absolute seconds, whichever is larger) are float noise, not leaks.
 _CLOCK_TOLERANCE = 1e-6
@@ -191,7 +188,8 @@ def verify_query_dataflow(
     reads of foreign ``__q`` namespaces are cross-query hazards (Q002).
     ``token_registry`` is a cache-token → scan-signature map persisted
     *across* queries by the owning scheduler, so Q004 sees collisions
-    between concurrent queries. ``trace``/``metrics_total`` feed the Q005
+    between concurrent queries; a pass that finds a Q004 leaves it as it
+    was. ``trace``/``metrics_total`` feed the Q005
     charge-conservation audit.
     """
     diagnostics: list[Diagnostic] = []
@@ -334,7 +332,9 @@ def _check_tokens(
                 )
             )
         seen[token] = signature
-    if token_registry is not None:
+    # A pass that raised Q004 publishes nothing: its colliding signature
+    # would otherwise fail every later correct query holding the token.
+    if token_registry is not None and not findings:
         token_registry.update(seen)
     return findings
 

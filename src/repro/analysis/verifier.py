@@ -60,9 +60,6 @@ from repro.lang.ast import split_column
 from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
-#: How many rules one gate invocation evaluates (surfaced in trace records).
-RULES_CHECKED_PER_JOB = 7
-
 #: Type-compatibility classes for join keys (``P004``): joining INT to BIGINT
 #: or DATE (stored as an int ordinal) is fine; joining a number to a STRING
 #: or BOOLEAN silently produces an empty join — exactly the bug class P004
@@ -87,9 +84,10 @@ def verify_job(
 ) -> list[Diagnostic]:
     """All diagnostics for one compiled job (empty list == verified clean).
 
-    ``statistics``/``cluster``/``cost`` enable the plan-level estimate checks
-    (``P004``–``P006``) when the job carries its source plan; without them
-    (or without ``job.plan``) only the operator-tree rules run.
+    When the job carries its source plan, the plan-tree rules (``P004``–
+    ``P006``) run on it too; only ``P005`` reads ``cluster`` (the budget)
+    and, for a join with no recorded decision, ``statistics``/``cost``.
+    Without ``job.plan`` only the operator-tree rules run.
     """
     diagnostics: list[Diagnostic] = []
     _check_phase_tail(job, diagnostics)
@@ -113,7 +111,6 @@ def verify_plan(
     diagnostics: list[Diagnostic] = []
     label = job.label if job is not None else plan.describe()
     phase = job.phase if job is not None else ""
-    estimator = _make_estimator(plan, statistics, cluster, cost)
     for node in plan.join_nodes():
         if not node.build_keys or not node.probe_keys:
             diagnostics.append(
@@ -126,9 +123,9 @@ def verify_plan(
             )
             continue
         _check_key_types(node, datasets, diagnostics, label, phase)
-        if estimator is not None and cluster is not None:
+        if cluster is not None:
             _check_broadcast_budget(
-                node, estimator, cluster, diagnostics, label, phase
+                node, statistics, cluster, cost, diagnostics, label, phase
             )
     return diagnostics
 
@@ -546,8 +543,9 @@ def _column_type(
 
 def _check_broadcast_budget(
     node: JoinNode,
-    estimator: PlanEstimator,
+    statistics: StatisticsCatalog | None,
     cluster: ClusterConfig,
+    cost: CostModel | None,
     diagnostics: list[Diagnostic],
     label: str,
     phase: str,
@@ -566,8 +564,10 @@ def _check_broadcast_budget(
     oracle decisions. A plan mutated via ``with_algorithm`` keeps its record
     — forcing BROADCAST onto a join whose build was sized over budget trips
     the rule — and hand-built nodes without a record fall back to a fresh
-    estimate, so a forced over-budget broadcast is flagged either way before
-    it can blow the join memory.
+    estimate of the build side (skipped when one of its leaves has no
+    statistics), so a forced over-budget broadcast is flagged either way
+    before it can blow the join memory. Only that fallback builds an
+    estimator.
     """
     if node.algorithm not in (
         JoinAlgorithm.BROADCAST,
@@ -576,6 +576,9 @@ def _check_broadcast_budget(
         return
     byte_size = node.decided_build_bytes
     if byte_size < 0.0:
+        estimator = _make_estimator(node.build, statistics, cluster, cost)
+        if estimator is None:
+            return
         try:
             byte_size = estimator.estimate(node.build).byte_size
         except (CatalogError, KeyError):

@@ -27,7 +27,6 @@ from typing import TYPE_CHECKING
 from repro.algebra.jobgen import build_sink_job
 from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.algebra.toolkit import PlannerToolkit
-from repro.analysis.runtime import verify_plan_before_jobgen
 from repro.common.errors import OptimizationError
 from repro.common.types import Schema
 from repro.core.planner import (
@@ -352,10 +351,6 @@ class DynamicOptimizer(Optimizer):
             fused = self.fuse_plan(state, toolkit, picked, keep, stats_columns)
             if fused is not None:
                 return (yield from self._final_stages(state, session, fused))
-            # Plan-time verification (DESIGN.md §14): check the picked join's
-            # logical subtree at the re-optimization point that produced it,
-            # before jobgen — the compiled job re-verifies at the launch gate.
-            verify_plan_before_jobgen(session.executor, picked.node, run.statistics)
             name = f"{run.namespace}__join_{state.iteration}"
             job = build_sink_job(
                 picked.node,
@@ -395,7 +390,6 @@ class DynamicOptimizer(Optimizer):
         run = state.run
         if plan is None:
             plan = Planner(self._toolkit(state, session), self.rank).final_plan()
-        verify_plan_before_jobgen(session.executor, plan, run.statistics)
         return (
             yield from final_job_stages(
                 run,

@@ -94,8 +94,9 @@ class _BuildProbeJoinOp(PhysicalOperator):
         build_keys: tuple[str, ...],
         probe_keys: tuple[str, ...],
     ) -> None:
-        if len(build_keys) != len(probe_keys) or not build_keys:
-            raise ExecutionError("join needs matching, non-empty key lists")
+        # A keyless join compiles so the launch gate can report it (P006).
+        if len(build_keys) != len(probe_keys):
+            raise ExecutionError("join needs matching key lists")
         self.children = (build, probe)
         self.build_keys = tuple(build_keys)
         self.probe_keys = tuple(probe_keys)
@@ -212,8 +213,8 @@ class IndexNestedLoopJoinOp(PhysicalOperator):
         build_keys: tuple[str, ...],
         inner_fields: tuple[str, ...],
     ) -> None:
-        if len(build_keys) != len(inner_fields) or not build_keys:
-            raise ExecutionError("join needs matching, non-empty key lists")
+        if len(build_keys) != len(inner_fields):
+            raise ExecutionError("join needs matching key lists")
         self.children = (build,)
         self.inner_dataset = inner_dataset
         self.inner_alias = inner_alias

@@ -623,7 +623,6 @@ class JobScheduler:
                 namespace=handle.namespace,
                 metrics_total=result.metrics.total_seconds,
                 token_registry=self._dataflow_tokens,
-                job_label=handle.label,
             )
             if diagnostics:
                 self._fail(

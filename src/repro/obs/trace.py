@@ -29,6 +29,11 @@ from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.analysis.dataflow import DataflowRecord
+    from repro.engine.metrics import JobMetrics
 
 #: JobMetrics attribute names mirrored into span cost / counter deltas.
 TIME_COMPONENTS = (
@@ -86,33 +91,6 @@ class EstimateRecord:
             "estimated_rows": self.estimated_rows,
             "actual_rows": self.actual_rows,
             "q_error": self.q_error,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationRecord:
-    """One verify-on-compile gate pass (DESIGN.md §9).
-
-    Recorded when the plan/job verifier checks a job before launch. Content
-    is fully deterministic — rule counts and diagnostic codes, never wall
-    time — so traces stay byte-comparable across runs and schedules.
-    """
-
-    phase: str
-    job_label: str
-    rules_checked: int
-    codes: tuple[str, ...] = ()
-
-    @property
-    def clean(self) -> bool:
-        return not self.codes
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "job_label": self.job_label,
-            "rules_checked": self.rules_checked,
-            "codes": list(self.codes),
         }
 
 
@@ -184,10 +162,8 @@ class Tracer:
         self.root = Span(name=query_label, kind="query", start_seconds=0.0)
         self.base_seconds = 0.0
         self.estimates: list[EstimateRecord] = []
-        self.verifications: list[VerificationRecord] = []
-        #: query-level dataflow records (JobDataflow / TransferSummary from
-        #: repro.analysis.dataflow — typed loosely to avoid an import cycle).
-        self.dataflows: list = []
+        #: query-level dataflow records, replayed by the query-level verifier
+        self.dataflows: list[DataflowRecord] = []
         self._stack: list[Span] = [self.root]
         self._phase_names: list[str] = []
 
@@ -200,7 +176,7 @@ class Tracer:
     # -- phases ---------------------------------------------------------------
 
     @contextmanager
-    def phase(self, name: str):
+    def phase(self, name: str) -> Iterator[Span]:
         """Open a phase span covering one driver phase (usually one job)."""
         span = Span(name=name, kind="phase", start_seconds=self.base_seconds)
         self._stack[-1].children.append(span)
@@ -219,7 +195,7 @@ class Tracer:
 
     # -- operators ------------------------------------------------------------
 
-    def begin_operator(self, label: str, metrics) -> OperatorToken:
+    def begin_operator(self, label: str, metrics: JobMetrics) -> OperatorToken:
         """Open an operator span; returns the span and a metrics snapshot."""
         span = Span(
             name=label,
@@ -233,7 +209,7 @@ class Tracer:
     def end_operator(
         self,
         token: OperatorToken,
-        metrics,
+        metrics: JobMetrics,
         rows_out: int,
         modeled_rows_out: float,
         estimated_rows: float | None = None,
@@ -313,24 +289,7 @@ class Tracer:
             )
         )
 
-    def record_verification(
-        self,
-        phase: str,
-        job_label: str,
-        rules_checked: int,
-        codes: tuple[str, ...] = (),
-    ) -> None:
-        """Append a verify-on-compile gate record (zero simulated cost)."""
-        self.verifications.append(
-            VerificationRecord(
-                phase=phase,
-                job_label=job_label,
-                rules_checked=rules_checked,
-                codes=codes,
-            )
-        )
-
-    def record_dataflow(self, record) -> None:
+    def record_dataflow(self, record: DataflowRecord) -> None:
         """Append a query-level dataflow record (zero simulated cost).
 
         ``record`` is a :class:`repro.analysis.dataflow.JobDataflow` or
@@ -348,7 +307,6 @@ class Tracer:
         return QueryTrace(
             root=self.root,
             estimates=list(self.estimates),
-            verifications=list(self.verifications),
             dataflows=list(self.dataflows),
         )
 
@@ -359,12 +317,8 @@ class QueryTrace:
 
     root: Span
     estimates: list[EstimateRecord] = field(default_factory=list)
-    #: verify-on-compile gate passes, one per verified job (DESIGN.md §9).
-    verifications: list["VerificationRecord"] = field(default_factory=list)
-    #: per-job dataflow records fed to the query-level verifier (§14);
-    #: JobDataflow / TransferSummary instances, loosely typed to avoid an
-    #: import cycle with repro.analysis.
-    dataflows: list = field(default_factory=list)
+    #: per-job dataflow records fed to the query-level verifier (§14)
+    dataflows: list[DataflowRecord] = field(default_factory=list)
 
     def spans(self) -> list[Span]:
         return list(self.root.walk())
@@ -402,10 +356,6 @@ class QueryTrace:
             "spans": self.root.to_dict(),
             "estimates": [record.to_dict() for record in self.estimates],
         }
-        if self.verifications:
-            out["verifications"] = [
-                record.to_dict() for record in self.verifications
-            ]
         if self.dataflows:
             out["dataflows"] = [record.to_dict() for record in self.dataflows]
         return out

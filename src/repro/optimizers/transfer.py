@@ -27,7 +27,6 @@ so results are byte-identical to every other strategy.
 from __future__ import annotations
 
 from repro.algebra.toolkit import PlannerToolkit
-from repro.analysis.runtime import verify_plan_before_jobgen
 from repro.core.driver import original_leaves, resolve_logical
 from repro.core.predicate_transfer import transfer_stages
 from repro.engine.scheduler.request import QueryRun
@@ -52,7 +51,6 @@ class PredicateTransferOptimizer(Optimizer):
             outcome.query, session, run.statistics, self.inl_enabled
         )
         plan = best_bushy_plan(toolkit)
-        verify_plan_before_jobgen(session.executor, plan, run.statistics)
         # Report the plan in terms of the original FROM entries, not the
         # transfer intermediates (plan capture / Figure 5 reconstruction).
         described = resolve_logical(

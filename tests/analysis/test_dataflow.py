@@ -10,7 +10,6 @@ scheduler's query-completion hook) verify clean end to end.
 import pytest
 
 from repro.analysis.dataflow import (
-    QUERY_RULES_CHECKED,
     JobDataflow,
     TransferSummary,
     dataflow_of,
@@ -67,9 +66,6 @@ class TestCleanBaseline:
             job("final", "f", reads=("__q3__i0",)),
         ]
         assert verify_query_dataflow(records, NS) == []
-
-    def test_rule_count_constant(self):
-        assert QUERY_RULES_CHECKED == 6
 
 
 class TestQ001DeadSink:
@@ -174,8 +170,23 @@ class TestQ004CacheTokens:
         ]
         found = verify_query_dataflow(records, NS, token_registry=registry)
         assert "Q004" in codes(found)
-        # The pass republishes the latest signature for future queries.
-        assert registry["t1"] == ("db",)
+        # A flagged pass publishes nothing: the registry keeps its signature.
+        assert registry == {"t1": ("da", "fact")}
+
+    def test_a_flagged_query_leaves_the_registry_as_it_found_it(self):
+        def query(scans):
+            return [
+                job("join-1", "j1", scans=scans, writes=("__q3__i0",), cache_token="t"),
+                job("final", "f", reads=("__q3__i0",)),
+            ]
+
+        registry = {"t": ("fact",)}
+        assert "Q004" in codes(
+            verify_query_dataflow(query(("dim",)), NS, token_registry=registry)
+        )
+        assert registry == {"t": ("fact",)}
+        # a later correct query holding the token stays clean
+        assert verify_query_dataflow(query(("fact",)), NS, token_registry=registry) == []
 
     def test_consistent_reuse_is_fine(self):
         registry = {"t1": ("fact",)}
@@ -367,17 +378,17 @@ class TestLiveIntegration:
         session = build_star_session()
         result = session.execute(star_query(), spec)
         stats = session.executor.verifier_stats
-        # Plan-time verification ran at the re-optimization points...
-        assert stats.plans_verified > 0
-        # ...the query-level pass ran exactly once, and everything is clean.
+        # Every job compiled at a re-optimization point (each join and the
+        # final job) passed the launch gate, the query-level pass ran
+        # exactly once, and all is clean.
+        compiled = [
+            r
+            for r in result.trace.dataflows
+            if isinstance(r, JobDataflow) and r.kind in ("join", "final")
+        ]
+        assert compiled and stats.jobs_verified >= len(compiled)
         assert stats.queries_verified == 1
         assert stats.diagnostics_found == 0
-        assert all(record.clean for record in result.trace.verifications)
-        query_records = [
-            r for r in result.trace.verifications if r.phase == "query"
-        ]
-        assert len(query_records) == 1
-        assert query_records[0].rules_checked == QUERY_RULES_CHECKED
 
     def test_transfer_run_records_builds_and_summary(self):
         session = build_star_session()
@@ -395,8 +406,8 @@ class TestLiveIntegration:
         session = build_star_session()
         result = session.execute(star_query())
         stats = session.executor.verifier_stats
-        assert stats.query_wall_seconds > 0.0
-        assert stats.total_wall_seconds >= stats.query_wall_seconds
+        assert stats.queries_verified == 1
+        assert stats.total_wall_seconds > 0.0
         # Zero simulated cost: the metrics object knows nothing of the pass.
         assert result.metrics.total_seconds == pytest.approx(
             result.trace.root.end_seconds

@@ -4,20 +4,22 @@ The gate sits in ``run_request`` — the single execution seam, which only
 the scheduler calls — so these tests cover blocking and scheduled runs, the
 raise-on-diagnostics behavior, and the load-bearing guarantee: verification
 never changes a single byte of schedules, metrics, or traces. There is no
-switch to turn it off; the zero-cost test stubs the three gate entry points
-out where they are called instead.
+switch to turn it off; the zero-cost test stubs the two gate entry points
+out where they are called instead. A passing check leaves no record in the
+trace; the executor's ``VerifierStats`` counts every check.
 """
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.analysis.dataflow import QUERY_RULES_CHECKED
 from repro.analysis.diagnostics import PlanVerificationError
 from repro.analysis.runtime import verify_before_launch
-from repro.analysis.verifier import RULES_CHECKED_PER_JOB
+from repro.cluster.config import ClusterConfig
+from repro.core.driver import DynamicOptimizer
 from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
+from repro.engine.operators.joins import JoinAlgorithm
 from repro.engine.operators.scan import ReaderOp
 from repro.engine.operators.sink import SinkOp
 from repro.engine.scheduler.request import JobRequest, QueryRun
@@ -44,7 +46,7 @@ class TestGateDefaultOn:
         stats = session.executor.verifier_stats
         assert stats.jobs_verified > 0
         assert stats.diagnostics_found == 0
-        assert stats.wall_seconds > 0.0
+        assert stats.total_wall_seconds > 0.0
 
     def test_broken_job_raises_before_launch(self):
         session = build_star_session()
@@ -63,45 +65,85 @@ class TestGateDefaultOn:
 
 class TestTraceAndExplain:
     def test_trace_records_verifications(self):
+        # Every gated job and the one query-level (Q-rule) pass count on the
+        # executor; the trace carries no verification record, since a
+        # finding would have failed the query.
         session = build_star_session()
         result = session.execute(star_query())
-        records = result.trace.verifications
-        assert records
-        assert all(record.clean for record in records)
-        # Per-job gate records, plus exactly one query-level (Q-rule) record
-        # appended when the scheduler finished the query.
-        job_records = [r for r in records if r.phase != "query"]
-        query_records = [r for r in records if r.phase == "query"]
-        assert job_records and all(
-            record.rules_checked == RULES_CHECKED_PER_JOB
-            for record in job_records
-        )
-        assert len(query_records) == 1
-        assert query_records[0].rules_checked == QUERY_RULES_CHECKED
-        assert "verifications" in result.trace.to_dict()
+        stats = session.executor.verifier_stats
+        # plain dynamic charges no virtual cost: every phase is one gated job
+        assert stats.jobs_verified == len(result.phases)
+        assert stats.queries_verified == 1
+        assert stats.diagnostics_found == 0
+        assert "verifications" not in result.trace.to_dict()
 
     def test_failed_verification_recorded_in_trace(self):
+        # A failed check is counted on the executor; its job's dataflow is
+        # on the run's tracer, and the error carries the codes.
         session = build_star_session()
         request = broken_request(session)
-        with pytest.raises(PlanVerificationError):
+        with pytest.raises(PlanVerificationError) as excinfo:
             verify_before_launch(session.executor, request)
-        (record,) = request.run.tracer.verifications
-        assert not record.clean
-        assert "P002" in record.codes
+        stats = session.executor.verifier_stats
+        assert stats.jobs_verified == 1
+        assert stats.diagnostics_found == len(excinfo.value.diagnostics)
+        assert "P002" in excinfo.value.codes()
+        (record,) = request.run.tracer.dataflows
+        assert record.label == "broken"
 
     def test_explain_reports_verifier_summary(self):
         session = build_star_session()
-        result = session.execute(star_query())
-        jobs = [r for r in result.trace.verifications if r.phase != "query"]
-        assert jobs
-        assert all(record.clean for record in jobs)
+        text = session.execute(star_query()).explain_analyze()
+        assert text
+        stats = session.executor.verifier_stats
+        assert stats.jobs_verified > 0
+        assert stats.diagnostics_found == 0
+
+
+class TestBadPickFailsAtTheGate:
+    """The dynamic loop's picked join is checked once, at the launch gate:
+    a bad pick fails the query there, before its job charges anything."""
+
+    @pytest.mark.parametrize(
+        ("code", "spoil"),
+        [
+            ("P005", lambda node: node.with_algorithm(JoinAlgorithm.BROADCAST)),
+            ("P006", lambda node: replace(node, build_keys=(), probe_keys=())),
+        ],
+        ids=["over-budget-broadcast", "no-key-pairs"],
+    )
+    def test_a_bad_pick_fails_before_it_charges(self, code, spoil, monkeypatch):
+        # A 1-byte budget: the planner sizes every build over it and picks
+        # hash, so forcing BROADCAST keeps a recorded over-budget build.
+        session = build_star_session(
+            cluster=ClusterConfig(
+                nodes=2, cores_per_node=2, broadcast_budget_bytes=1.0
+            )
+        )
+        charged = []
+        pick = DynamicOptimizer._pick_join
+
+        def spoiled(self, state, planner, toolkit):
+            picked = pick(self, state, planner, toolkit)
+            charged.append(state.run.metrics.total_seconds)
+            return replace(picked, node=spoil(picked.node))
+
+        monkeypatch.setattr(DynamicOptimizer, "_pick_join", spoiled)
+        handle = session.submit(star_query(), PlannerSpec.of("dynamic"))
+        session.run_all()
+
+        with pytest.raises(PlanVerificationError) as excinfo:
+            handle.result()
+        assert code in excinfo.value.codes()
+        # the push-down jobs before the pick ran and charged; the spoiled
+        # join charged nothing (equal up to float summation order)
+        assert charged[0] > 0.0
+        assert handle.schedule.busy_seconds == pytest.approx(charged[0], rel=1e-12)
 
 
 #: every place a gate entry point is called from, as ``module.name``
 GATE_CALL_SITES = (
     "repro.engine.scheduler.request.verify_before_launch",
-    "repro.core.driver.verify_plan_before_jobgen",
-    "repro.optimizers.transfer.verify_plan_before_jobgen",
     "repro.analysis.runtime.verify_query_completion",
 )
 
@@ -121,7 +163,7 @@ class TestZeroSimulatedCost:
         off = off_session.execute(star_query(), PlannerSpec.of(name))
         # Nothing verified: GATE_CALL_SITES really is every call site.
         stats = off_session.executor.verifier_stats
-        checks = stats.jobs_verified + stats.plans_verified + stats.queries_verified
+        checks = stats.jobs_verified + stats.queries_verified
         assert checks == 0
 
         assert off.rows == on.rows
@@ -131,10 +173,17 @@ class TestZeroSimulatedCost:
         assert off.seconds == on.seconds
 
     def test_verification_records_are_deterministic(self):
-        # Same query twice -> identical verification records (codes and
-        # counts only — never host wall time, which would break replays).
-        first = build_star_session().execute(star_query())
-        second = build_star_session().execute(star_query())
-        assert [r.to_dict() for r in first.trace.verifications] == [
-            r.to_dict() for r in second.trace.verifications
+        # Same query twice -> identical traces and identical check counts
+        # (never host wall time, which would break replays).
+        first_session, second_session = build_star_session(), build_star_session()
+        first = first_session.execute(star_query())
+        second = second_session.execute(star_query())
+        assert first.trace.to_dict() == second.trace.to_dict()
+        counts = [
+            (stats.jobs_verified, stats.queries_verified, stats.diagnostics_found)
+            for stats in (
+                first_session.executor.verifier_stats,
+                second_session.executor.verifier_stats,
+            )
         ]
+        assert counts[0] == counts[1]

@@ -48,6 +48,8 @@ FULLY_ANNOTATED = (
     "repro.obs.report",
     "repro.common.rng",
     "repro.algebra.plan",
+    "repro.obs.trace",
+    "repro.analysis.runtime",
 )
 
 

@@ -21,6 +21,7 @@ from repro.analysis.diagnostics import (
     PlanVerificationError,
 )
 from repro.analysis.verifier import verify_job, verify_plan
+from repro.cluster.config import ClusterConfig
 from repro.common.types import DataType, Schema
 from repro.engine.job import Job
 from repro.engine.operators.joins import HashJoinOp, JoinAlgorithm
@@ -199,6 +200,29 @@ class TestP005BroadcastBudget:
         assert codes(
             verify_plan(plan, session.datasets, **self.plan_args(session))
         ) == []
+
+    def test_recorded_decision_needs_no_statistics(self):
+        # One leaf has no statistics, so no fresh estimate can be built; the
+        # forced broadcast's recorded build (sized by the planner under a
+        # 1-byte budget, hence hash) is still over budget.
+        session = build_star_session(
+            cluster=ClusterConfig(
+                nodes=2, cores_per_node=2, broadcast_budget_bytes=1.0
+            )
+        )
+        node = fact_da_join(PlannerToolkit(star_query(), session))
+        assert node.algorithm is JoinAlgorithm.HASH
+        statistics = session.statistics.copy()
+        statistics.remove("fact")
+        forced = node.with_algorithm(JoinAlgorithm.BROADCAST)
+        found = verify_plan(
+            forced,
+            session.datasets,
+            statistics=statistics,
+            cluster=session.cluster,
+            cost=session.executor.cost,
+        )
+        assert codes(found) == ["P005"]
 
     def test_hash_join_never_budget_checked(self, session):
         plan = replace(

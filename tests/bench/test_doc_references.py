@@ -180,7 +180,7 @@ class TestExtraction:
             "ReplanPolicy.default()",
             "repro.ReplanPolicy",
             "ExecutionResult.phases",
-            "QueryTrace.verifications",
+            "QueryTrace.dataflows",
             "PlanEstimator.join_phase_cost",
             "ValueError",
             "BENCH_24.json",

@@ -12,7 +12,11 @@ The committed digests were recorded from the **row-wise** reference engine
 (``run_fingerprint(..., engine="rowwise")``) at commit 259da77, the last
 commit that had one, serialized as the ``__main__`` block below does. The
 data plane that replaced it (DESIGN.md §10) is pinned to that recording;
-fingerprints depend neither on ``PYTHONHASHSEED`` nor on cell order.
+fingerprints depend neither on ``PYTHONHASHSEED`` nor on cell order. One
+later re-recording moved the ``trace`` facet alone: the trace JSON lost its
+``"verifications"`` key (a passing verifier check leaves no record, since
+any finding fails the query), so each of the 84 new digests is the SHA-256
+of the old trace JSON with that key removed.
 Re-record on purpose — after a change *meant* to move simulated numbers,
 saying in the commit which facets moved and why — with::
 

@@ -2,16 +2,16 @@
 
 ``Session.execute``, ``Optimizer.execute``, ``execute_tree`` and
 ``DynamicOptimizer.resume`` run on a private scheduler like any
-submission. So every query they finish is verified once at completion (one
-``phase="query"`` record among its trace's verifications), carries a
-schedule record, and leaves no ``__q*`` dataset behind.
+submission. So every query they finish is verified once at completion (its
+trace goes through the query-completion pass once), carries a schedule
+record, and leaves no ``__q*`` dataset behind.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.dataflow import QUERY_RULES_CHECKED
+from repro.analysis import runtime
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.engine.metrics import ExecutionResult
 from repro.optimizers import available_strategies, execute_tree, make_optimizer
@@ -19,41 +19,49 @@ from repro.optimizers import available_strategies, execute_tree, make_optimizer
 from tests.conftest import build_star_session, star_query
 
 
-def query_records(result) -> list:
-    return [r for r in result.trace.verifications if r.phase == "query"]
-
-
 def leftovers(session) -> list[str]:
     return [name for name in session.datasets.names() if name.startswith("__q")]
 
 
-def assert_verified_once(result) -> None:
-    (record,) = query_records(result)
-    assert record.clean
-    assert record.rules_checked == QUERY_RULES_CHECKED
+@pytest.fixture
+def verified(monkeypatch) -> list:
+    """The traces the query-completion pass ran on, in order."""
+    traces = []
+    check = runtime.verify_query_completion
+
+    def spy(executor, trace, *args, **kwargs):
+        traces.append(trace)
+        return check(executor, trace, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "verify_query_completion", spy)
+    return traces
+
+
+def assert_verified_once(result, verified: list) -> None:
+    assert sum(trace is result.trace for trace in verified) == 1
 
 
 @pytest.mark.parametrize("name", sorted(available_strategies()))
-def test_optimizer_execute_is_verified_scheduled_and_released(name):
+def test_optimizer_execute_is_verified_scheduled_and_released(name, verified):
     session = build_star_session()
     result = make_optimizer(name).execute(star_query(), session)
-    assert_verified_once(result)
+    assert_verified_once(result, verified)
     assert result.schedule is not None
     assert result.schedule.queue_delay_seconds == 0.0
     assert leftovers(session) == []
 
 
-def test_execute_tree_is_verified_and_released():
+def test_execute_tree_is_verified_and_released(verified):
     session = build_star_session()
     plan = DynamicOptimizer().execute(star_query(), session).plan
     result = execute_tree(plan, star_query(), session)
-    assert_verified_once(result)
+    assert_verified_once(result, verified)
     assert result.phases == ["single-job"]
     assert leftovers(session) == []
 
 
 @pytest.mark.parametrize("fail_after", [1, 3])
-def test_resume_finishes_under_the_checkpoints_namespace(fail_after):
+def test_resume_finishes_under_the_checkpoints_namespace(fail_after, verified):
     session = build_star_session()
     optimizer = DynamicOptimizer(fail_after_jobs=fail_after)
     with pytest.raises(SimulatedFailure) as failure:
@@ -70,13 +78,13 @@ def test_resume_finishes_under_the_checkpoints_namespace(fail_after):
     result = optimizer.resume(checkpoint, session)
     # one query: verified once over the jobs before and after the failure,
     # then released as a whole
-    assert_verified_once(result)
+    assert_verified_once(result, verified)
     assert result.phases == session.execute(star_query()).phases
     assert leftovers(session) == []
 
 
 @pytest.mark.parametrize("name", sorted(available_strategies()))
-def test_explain_analyze_runs_a_verified_query(name, monkeypatch):
+def test_explain_analyze_runs_a_verified_query(name, monkeypatch, verified):
     explained = []
     render = ExecutionResult.explain_analyze
 
@@ -89,16 +97,17 @@ def test_explain_analyze_runs_a_verified_query(name, monkeypatch):
     text = session.execute(star_query(), name).explain_analyze()
     (result,) = explained
     assert text == render(result)
-    assert_verified_once(result)
+    assert_verified_once(result, verified)
     assert leftovers(session) == []
 
 
-def test_verifications_hold_one_record_per_job_and_one_per_query():
+def test_verifications_hold_one_record_per_job_and_one_per_query(verified):
     session = build_star_session()
     result = session.execute(star_query(), "dynamic")
-    jobs = [r for r in result.trace.verifications if r.phase != "query"]
-    # plain dynamic charges no virtual cost: every phase is one gated job
-    assert len(jobs) == len(result.phases)
-    assert all(record.clean for record in jobs)
-    assert_verified_once(result)
+    # plain dynamic charges no virtual cost: every phase is one gated job,
+    # and each job and the query are checked once
+    stats = session.executor.verifier_stats
+    assert stats.jobs_verified == len(result.phases)
+    assert stats.queries_verified == 1
+    assert_verified_once(result, verified)
     assert leftovers(session) == []
