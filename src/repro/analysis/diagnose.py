@@ -1,6 +1,6 @@
 """Plan-quality diagnosis: Q-error records → ranked "why was this plan bad".
 
-The tracer records one :class:`~repro.obs.trace.EstimateRecord` per
+A trace reads as one :class:`~repro.obs.trace.EstimateRecord` per
 re-optimization point — the estimated vs measured cardinality at every
 materialized stage, pushdown, transfer reduction and final join. A large
 Q-error *names the symptom*; this module routes each symptom through a
@@ -64,7 +64,7 @@ class Hypothesis:
     code: str
     #: phase of the estimate record that produced it
     phase: str
-    #: operator label of the record (e.g. ``HashJoin``, ``τ(l)``)
+    #: operator label of the record (e.g. ``HashJoin``, ``transfer:l``)
     operator: str
     #: the record's Q-error (``inf`` for one-sided-zero misses)
     q_error: float
@@ -96,9 +96,9 @@ class Hypothesis:
 
 def _locus(record: "EstimateRecord") -> str:
     """Where in the pipeline the estimate was made: transfer | scan | join."""
-    if record.operator.startswith("τ("):
+    if record.phase.startswith("transfer"):
         return "transfer"
-    if record.phase.startswith(("pushdown", "transfer", "single-job")):
+    if record.phase.startswith(("pushdown", "single-job")):
         return "scan"
     return "join"
 

@@ -48,6 +48,7 @@ from repro.engine.metrics import ExecutionResult, JobMetrics
 from repro.engine.scheduler.request import QueryRun, Stages
 from repro.engine.scheduler.scheduler import run_solo
 from repro.lang.ast import Query, split_column
+from repro.obs.trace import estimate_records
 from repro.optimizers.base import Optimizer, final_job_stages
 from repro.stats.collector import StatisticsCollector
 
@@ -258,7 +259,7 @@ class DynamicOptimizer(Optimizer):
         result estimates override this to keep the fixed schedule.
         """
         factor = 1.0
-        for record in state.run.tracer.estimates:
+        for record in estimate_records(state.run.tracer.root):
             if not math.isfinite(record.q_error):
                 return None
             factor = max(factor, record.q_error)
@@ -466,16 +467,15 @@ class DynamicOptimizer(Optimizer):
     ) -> Stages:
         """Compare the stage's measured Q-error against the trigger threshold.
 
-        Runs right after a join stage materialized. Reading the tracer's
-        latest estimate record costs zero simulated seconds; only the
+        Runs right after a join stage materialized. Reading the stage's
+        estimate off its spans costs zero simulated seconds; only the
         *actions* a bad miss triggers (the sketch-refresh job, a widened next
         pick) touch the clock.
         """
-        record = state.run.tracer.latest_estimate(phase=phase_name)
-        if record is None:
-            return
-        q = record.q_error
-        if not self.policy.is_bad_miss(q):
+        records = estimate_records(state.run.tracer.root)
+        # a stage's last record is its root join's estimate
+        q = next((r.q_error for r in reversed(records) if r.phase == phase_name), None)
+        if q is None or not self.policy.is_bad_miss(q):
             return
         details = []
         if not had_sketches:

@@ -133,10 +133,9 @@ def pushdown_stages(run: QueryRun, session: Session) -> Stages:
                 f"pushdown:{alias}",
                 job,
                 kind="pushdown",
-                estimate=(
-                    f"σ({alias})",
+                estimated_rows=(
                     filtered_cardinality(base_stats, candidate.predicates)
-                    * base_stats.scale,
+                    * base_stats.scale
                 ),
                 batch_key=candidate.table.dataset,
                 cache_token=pushdown_cache_token(

@@ -236,16 +236,15 @@ def transfer_stages(
             stats_columns,
             phase=f"transfer:{alias}" if direction == "f" else f"transfer-back:{alias}",
         )
-        estimate: tuple[str, float] | None = None
+        estimated_rows: float | None = None
         if final_reduce:
             # The transfer stage is a re-optimization point: record what the
             # pre-transfer statistics predicted for this entry (local
             # predicates only) against the measured post-transfer rows.
             base_stats = run.statistics.get(query.table(alias).dataset)
-            estimate = (
-                f"τ({alias})",
+            estimated_rows = (
                 filtered_cardinality(base_stats, query.predicates_for(alias))
-                * base_stats.scale,
+                * base_stats.scale
             )
         cache_token: str | None = None
         batch_key: str | None = None
@@ -263,7 +262,7 @@ def transfer_stages(
             job.phase,
             job,
             kind="transfer",
-            estimate=estimate,
+            estimated_rows=estimated_rows,
             batch_key=batch_key,
             cache_token=cache_token,
         )

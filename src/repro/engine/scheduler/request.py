@@ -33,7 +33,7 @@ cluster launch; a blocking run is the one-query case
 it opens the phase span, runs the job (or applies a pre-computed virtual
 cost, or a cache replay the scheduler looked up), applies launch-sharing
 discounts, merges the job's metrics into the run's cumulative total, and
-records the request's estimate-accuracy point.
+writes the request's estimate onto its phase span.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class QueryRun:
         job: Job,
         *,
         kind: str,
-        estimate: tuple[str, float] | None = None,
+        estimated_rows: float | None = None,
         batch_key: str | None = None,
         cache_token: str | None = None,
     ) -> JobRequest:
@@ -93,7 +93,7 @@ class QueryRun:
             run=self,
             job=job,
             kind=kind,
-            estimate=estimate,
+            estimated_rows=estimated_rows,
             batch_key=batch_key,
             cache_token=cache_token,
         )
@@ -142,9 +142,9 @@ class JobRequest:
     run: QueryRun
     job: Job | None = None
     virtual_cost: JobMetrics | None = None
-    #: (operator label, estimated rows) to record against the job output's
-    #: measured modeled rows once the phase closes.
-    estimate: tuple[str, float] | None = None
+    #: the statistics' estimate of the job output's modeled rows; the phase
+    #: span carries it next to the measured modeled rows.
+    estimated_rows: float | None = None
     #: base dataset this request scans, when the scan is shareable with
     #: other pending pushdown requests over the same dataset.
     batch_key: str | None = None
@@ -166,8 +166,6 @@ class JobOutcome:
     #: this job's own charge, *after* launch-sharing discounts — already
     #: merged into the run's cumulative metrics.
     metrics: JobMetrics
-    #: branches of the launch this job rode in (>1 means a shared launch).
-    shared_with: int = 1
 
 
 @dataclass(frozen=True)
@@ -256,12 +254,10 @@ def _perform(
         # end.
         if executor.cache is not None and request.cache_token is not None:
             executor.cache.store_intermediate(executor, request)
-    shared_with = 1
     if share is not None and share.branches > 1:
         _apply_scan_share(job_metrics, share)
-        shared_with = share.branches
     run.metrics.merge(job_metrics)
-    return JobOutcome(data=data, metrics=job_metrics, shared_with=shared_with)
+    return JobOutcome(data=data, metrics=job_metrics)
 
 
 def run_request(
@@ -271,7 +267,7 @@ def run_request(
     partitions: int | None = None,
     replayed: tuple[Any, JobMetrics] | None = None,
 ) -> JobOutcome:
-    """Execute one request: phase span, job, discounts, merge, estimate record.
+    """Execute one request: phase span, job, discounts, merge, estimate.
 
     ``share`` places this request in a shared launch: the launch's start-up
     is split across its branches and a base scan across the branches that
@@ -286,12 +282,10 @@ def run_request(
     """
     run = request.run
     tracer = run.tracer
-    with tracer.phase(request.phase):
+    with tracer.phase(request.phase) as span:
         outcome = _perform(executor, request, share, partitions, replayed)
         tracer.sync(run.metrics.total_seconds)
-    if request.estimate is not None and outcome.data is not None:
-        operator, estimated_rows = request.estimate
-        tracer.record_estimate(
-            request.phase, operator, estimated_rows, outcome.data.modeled_rows
-        )
+        if request.estimated_rows is not None and outcome.data is not None:
+            span.estimated_rows = request.estimated_rows
+            span.modeled_rows_out = outcome.data.modeled_rows
     return outcome

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
@@ -123,8 +123,8 @@ class ScheduleInfo:
     #: the query's own charged work (== its metrics.total_seconds).
     busy_seconds: float
     #: set when the query failed: ``"ExceptionType: message"``. A failed
-    #: query still gets a schedule record so throughput reports and the
-    #: cluster timeline account for the capacity it consumed.
+    #: query still gets a schedule record so throughput reports account for
+    #: the capacity it consumed.
     error: str | None = None
     #: tenant name the query was submitted under ("" outside a service).
     tenant: str = ""
@@ -177,9 +177,6 @@ class QueryHandle:
         self.admitted_at: float | None = None
         self.finished_at: float | None = None
         self.queue_delay_seconds = 0.0
-        #: total charged work recorded so far (sum of outcome metrics);
-        #: the basis of a failed query's schedule record.
-        self.charged_seconds = 0.0
         #: schedule record, set at finish *and* at failure.
         self.schedule: ScheduleInfo | None = None
         #: shared-clock instant since which the query's next work is ready
@@ -224,16 +221,12 @@ class QueryHandle:
     def _has_pending(self) -> bool:
         return any(outcome is None for outcome in self._outcomes)
 
-    def _record_outcome(self, index: int, outcome: JobOutcome) -> None:
-        self._outcomes[index] = outcome
-        self.charged_seconds += outcome.metrics.total_seconds
-
-    def _payload(self):
+    def _payload(self) -> list[JobOutcome | None] | JobOutcome | None:
         outcomes = self._outcomes
         return outcomes if self._group else outcomes[0]
 
 
-def _tenants_of(handles) -> tuple[str, ...]:
+def _tenants_of(handles: Iterable[QueryHandle]) -> tuple[str, ...]:
     """Distinct non-empty tenant names, in participant order."""
     return tuple(dict.fromkeys(h.tenant for h in handles if h.tenant))
 
@@ -258,10 +251,9 @@ class JobScheduler:
         self.config = config or SchedulerConfig()
         #: the shared simulated clock (latest completion processed so far)
         self.now = 0.0
-        #: cluster jobs actually launched (a shared launch counts once)
-        self.cluster_jobs = 0
         #: base-dataset scans avoided by merging pushdown jobs
         self.scans_saved = 0
+        #: one event per cluster job launched, and nothing else
         self.timeline = ClusterTimeline()
         self._waiting: list[QueryHandle] = []
         self._running: list[QueryHandle] = []
@@ -284,6 +276,11 @@ class JobScheduler:
         #: cache-token -> scan-signature ledger shared across this
         #: scheduler's queries (the Q004 cross-query collision check).
         self._dataflow_tokens: dict[str, tuple[str, ...]] = {}
+
+    @property
+    def cluster_jobs(self) -> int:
+        """Cluster jobs actually launched (a shared launch counts once)."""
+        return len(self.timeline.events)
 
     # -- submission -----------------------------------------------------------
 
@@ -465,8 +462,7 @@ class JobScheduler:
             if replayed is None:
                 continue
             outcome = run_request(self.executor, request, replayed=replayed)
-            handle._record_outcome(index, outcome)
-            self._mark(handle, "cache-replay", f"{request.phase} replayed")
+            handle._outcomes[index] = outcome
 
     # -- launching ------------------------------------------------------------
 
@@ -542,7 +538,6 @@ class JobScheduler:
                 handle.ready_since = start
                 if delay > 0.0:
                     delays[handle.query_id] = delay
-        self.cluster_jobs += 1
         self.scans_saved += sum(len(group) - 1 for group in scans.values())
 
         lead_handle, lead_index, _ = performed[0]
@@ -587,7 +582,7 @@ class JobScheduler:
         heapq.heappush(self._free_slots, job.slot)
         cache = self.executor.cache
         for handle, index, outcome in job.performed:
-            handle._record_outcome(index, outcome)
+            handle._outcomes[index] = outcome
             # What the job stored in the intermediate cache may be replayed
             # from now on: its end is when the clock has it.
             token = handle._requests[index].cache_token
@@ -604,7 +599,7 @@ class JobScheduler:
                     finished.append(handle)
         self._admit(finished)
 
-    def _finish(self, handle: QueryHandle, result, cache_hit: bool = False) -> None:
+    def _finish(self, handle: QueryHandle, result: Any, cache_hit: bool = False) -> None:
         # Query-level verification (DESIGN.md §14), at zero simulated cost:
         # the recorded dataflow ledger goes through Q001-Q006 before the
         # namespace is released, and a finding fails the query. Cache hits
@@ -637,12 +632,8 @@ class JobScheduler:
             result.schedule = self._close_schedule(
                 handle, result.metrics.total_seconds, cache_hit=cache_hit
             )
-            if cache_hit:
-                # A cached answer ran no cluster job and there is nothing new
-                # to cache. A zero-length timeline event keeps it visible per
-                # tenant.
-                self._mark(handle, "cache-hit", "cache-hit")
-            elif self.on_finish is not None:
+            # a cached answer ran no cluster job and has nothing new to cache
+            if not cache_hit and self.on_finish is not None:
                 self.on_finish(handle, result)
         self._release_namespace(handle)
 
@@ -672,19 +663,6 @@ class JobScheduler:
         )
         return info
 
-    def _mark(self, handle: QueryHandle, kind: str, what: str) -> None:
-        """Record a zero-length timeline event for one query at this instant."""
-        self.timeline.record(
-            TimelineEvent(
-                label=f"{handle.label} {what}",
-                kind=kind,
-                start_seconds=self.now,
-                end_seconds=self.now,
-                queries=(handle.query_id,),
-                tenants=_tenants_of((handle,)),
-            )
-        )
-
     def _fail(self, handle: QueryHandle, error: BaseException) -> None:
         handle.finished_at = self.now
         handle.status = "failed"
@@ -698,10 +676,11 @@ class JobScheduler:
                 generator.close()
             except BaseException:
                 pass  # cleanup must never mask the original failure
-        self._close_schedule(
-            handle, handle.charged_seconds, error=f"{type(error).__name__}: {error}"
-        )
-        self._mark(handle, "failed", f"failed ({type(error).__name__})")
+        # Busy time is the run's charge so far, as for a finished query; it
+        # counts a branch launched before its sibling failed (the cluster runs it).
+        requests = handle._requests
+        busy = requests[0].run.metrics.total_seconds if requests else 0.0
+        self._close_schedule(handle, busy, error=f"{type(error).__name__}: {error}")
         # A checkpoint-carrying failure (SimulatedFailure) keeps its
         # intermediates: they *are* the Section-8 recovery state that
         # ``DynamicOptimizer.resume`` continues from. Anything else is
@@ -731,7 +710,7 @@ def solo_scheduler(session: Session) -> JobScheduler:
 
 def run_solo(
     query: Query, stages: StageSource, session: Session, namespace: str = ""
-):
+) -> Any:
     """Run one query to completion, blocking, and return what it returns.
 
     The query is a one-query schedule on a :func:`solo_scheduler`: it owns

@@ -4,9 +4,9 @@ The paper's argument is that re-optimization points shrink the gap between
 *estimated* and *actual* join cardinalities. This package makes that gap a
 first-class, queryable artifact: every execution produces a
 :class:`QueryTrace` of hierarchical spans (query → phase → operator) stamped
-with the simulated-time clock and per-operator counters, plus an
-:class:`EstimateRecord` for every point where a planner's cardinality
-estimate met a measured actual — the Q-error signal of Izenov et al. 2021.
+with the simulated-time clock and per-operator counters. Every span where a
+planner's cardinality estimate met a measured actual carries both, and reads
+as an :class:`EstimateRecord` — the Q-error signal of Izenov et al. 2021.
 
 Tracing is pure instrumentation: it observes :class:`JobMetrics` deltas and
 never charges the cost model, so simulated times are bit-identical with and

@@ -57,14 +57,15 @@ def render_explain_analyze(trace: QueryTrace) -> str:
         )
         for operator in phase.children:
             _render_operators(operator, 1, lines)
-    if trace.estimates:
+    estimates = trace.estimates
+    if estimates:
         lines.append("")
         lines.append("estimate accuracy (re-optimization points):")
         lines.append(
             f"  {'phase':<22s} {'operator':<42s}"
             f" {'estimated':>14s} {'actual':>14s} {'q-error':>8s}"
         )
-        for record in trace.estimates:
+        for record in estimates:
             lines.append(
                 f"  {record.phase:<22s} {record.operator[:42]:<42s}"
                 f" {_format_rows(record.estimated_rows):>14s}"
@@ -94,7 +95,8 @@ def qerror_stats(trace: QueryTrace | None) -> dict:
     ``infinite`` count. An execution without estimate records (or without a
     trace) yields zeros/None so callers can render a placeholder.
     """
-    if trace is None or not trace.estimates:
+    records = trace.estimates if trace is not None else []
+    if not records:
         return {
             "records": 0,
             "infinite": 0,
@@ -102,12 +104,12 @@ def qerror_stats(trace: QueryTrace | None) -> dict:
             "worst": None,
             "mean": None,
         }
-    errors = [record.q_error for record in trace.estimates]
+    errors = [record.q_error for record in records]
     finite = [e for e in errors if math.isfinite(e)]
     return {
         "records": len(errors),
         "infinite": len(errors) - len(finite),
-        "final": trace.final_q_error(),
+        "final": errors[-1],
         "worst": max(finite) if finite else None,
         "mean": sum(finite) / len(finite) if finite else None,
     }

@@ -16,11 +16,12 @@ cumulative simulated seconds the execution had accrued at that point. The
 tracer only ever reads :class:`~repro.engine.metrics.JobMetrics`; it never
 charges a cost, so tracing adds zero simulated seconds.
 
-Whenever an operator that carries a compile-time cardinality estimate
-(join operators annotated by ``compile_plan``) finishes, the tracer appends
-an :class:`EstimateRecord` comparing the estimate against the measured
-output — the per-re-optimization-point Q-error the paper's argument rests
-on.
+A span that carries a cardinality estimate holds it next to its measured
+output: a join operator annotated by ``compile_plan``, and a push-down or
+transfer phase span, whose request carried the statistics' estimate of the
+job's output. :func:`estimate_records` reads each such span as one
+:class:`EstimateRecord` — the per-re-optimization-point Q-error the paper's
+argument rests on.
 """
 
 from __future__ import annotations
@@ -143,6 +144,28 @@ class Span:
         return out
 
 
+def estimate_records(root: Span) -> list[EstimateRecord]:
+    """The estimate-accuracy records of the trace under ``root``.
+
+    One record per span that carries ``estimated_rows``, against its
+    ``modeled_rows_out``, under the name of the phase it ran in. Spans are
+    read in closing order: children before their parent, so within a phase
+    the outermost join follows the joins below it and a phase span's own
+    (request) estimate comes last.
+    """
+    records: list[EstimateRecord] = []
+
+    def visit(span: Span, phase: str) -> None:
+        for child in span.children:
+            visit(child, child.name if child.kind == "phase" else phase)
+        if span.estimated_rows is not None:
+            actual = span.modeled_rows_out
+            records.append(EstimateRecord(phase, span.name, span.estimated_rows, actual))
+
+    visit(root, root.name)
+    return records
+
+
 #: An open operator span and the metrics' time and counter components at its
 #: start (in TIME_COMPONENTS / COUNTER_COMPONENTS order).
 OperatorToken = tuple[Span, tuple, tuple]
@@ -161,11 +184,9 @@ class Tracer:
     def __init__(self, query_label: str = "query") -> None:
         self.root = Span(name=query_label, kind="query", start_seconds=0.0)
         self.base_seconds = 0.0
-        self.estimates: list[EstimateRecord] = []
         #: query-level dataflow records, replayed by the query-level verifier
         self.dataflows: list[DataflowRecord] = []
         self._stack: list[Span] = [self.root]
-        self._phase_names: list[str] = []
 
     # -- clock ----------------------------------------------------------------
 
@@ -181,17 +202,11 @@ class Tracer:
         span = Span(name=name, kind="phase", start_seconds=self.base_seconds)
         self._stack[-1].children.append(span)
         self._stack.append(span)
-        self._phase_names.append(name)
         try:
             yield span
         finally:
             span.end_seconds = self.base_seconds
-            self._phase_names.pop()
             self._stack.pop()
-
-    @property
-    def current_phase(self) -> str:
-        return self._phase_names[-1] if self._phase_names else self.root.name
 
     # -- operators ------------------------------------------------------------
 
@@ -218,8 +233,6 @@ class Tracer:
 
         Deltas are *exclusive* of child operators (their own deltas are
         subtracted), so each span reports what that operator itself charged.
-        If the operator carried a compile-time cardinality estimate, an
-        :class:`EstimateRecord` for the enclosing phase is appended.
         """
         span, times, counters = token
         span.end_seconds = self.base_seconds + metrics.total_seconds
@@ -248,46 +261,6 @@ class Tracer:
         span.modeled_rows_out = modeled_rows_out
         span.estimated_rows = estimated_rows
         self._stack.pop()
-        if estimated_rows is not None:
-            self.estimates.append(
-                EstimateRecord(
-                    phase=self.current_phase,
-                    operator=span.name,
-                    estimated_rows=estimated_rows,
-                    actual_rows=modeled_rows_out,
-                )
-            )
-
-    def latest_estimate(self, phase: str | None = None) -> EstimateRecord | None:
-        """The most recent estimate record (optionally within ``phase``).
-
-        Operator spans close bottom-up, so within a phase the outermost
-        join's record is appended last — for a join stage this is the
-        stage's root estimate. This is the zero-cost read the feedback
-        policy uses right after a materialized stage completes.
-        """
-        for record in reversed(self.estimates):
-            if phase is None or record.phase == phase:
-                return record
-        return None
-
-    def record_estimate(
-        self,
-        phase: str,
-        operator: str,
-        estimated_rows: float,
-        actual_rows: float,
-    ) -> None:
-        """Append an estimate-accuracy record directly (non-operator points,
-        e.g. the measured cardinality of a push-down materialization)."""
-        self.estimates.append(
-            EstimateRecord(
-                phase=phase,
-                operator=operator,
-                estimated_rows=estimated_rows,
-                actual_rows=actual_rows,
-            )
-        )
 
     def record_dataflow(self, record: DataflowRecord) -> None:
         """Append a query-level dataflow record (zero simulated cost).
@@ -304,11 +277,7 @@ class Tracer:
     def finish(self) -> QueryTrace:
         """Close the query span and package the trace (idempotent)."""
         self.root.end_seconds = self.base_seconds
-        return QueryTrace(
-            root=self.root,
-            estimates=list(self.estimates),
-            dataflows=list(self.dataflows),
-        )
+        return QueryTrace(root=self.root, dataflows=list(self.dataflows))
 
 
 @dataclass
@@ -316,7 +285,6 @@ class QueryTrace:
     """The completed trace of one query execution."""
 
     root: Span
-    estimates: list[EstimateRecord] = field(default_factory=list)
     #: per-job dataflow records fed to the query-level verifier (§14)
     dataflows: list[DataflowRecord] = field(default_factory=list)
 
@@ -327,6 +295,11 @@ class QueryTrace:
         """Phase spans in execution order (parallels ExecutionResult.phases)."""
         return [span for span in self.root.walk() if span.kind == "phase"]
 
+    @property
+    def estimates(self) -> list[EstimateRecord]:
+        """Every estimate record, read off the spans (:func:`estimate_records`)."""
+        return estimate_records(self.root)
+
     def estimates_for(self, phase: str) -> list[EstimateRecord]:
         return [record for record in self.estimates if record.phase == phase]
 
@@ -334,18 +307,17 @@ class QueryTrace:
         """The root join's record of the last job (the final-stage estimate).
 
         Operator spans close bottom-up, so within the last phase the
-        outermost join's record is appended last.
+        outermost join's record comes last.
         """
-        return self.estimates[-1] if self.estimates else None
+        estimates = self.estimates
+        return estimates[-1] if estimates else None
 
     def final_q_error(self) -> float | None:
         record = self.final_estimate()
         return record.q_error if record is not None else None
 
     def max_q_error(self) -> float | None:
-        if not self.estimates:
-            return None
-        return max(record.q_error for record in self.estimates)
+        return max((record.q_error for record in self.estimates), default=None)
 
     # -- export ---------------------------------------------------------------
 

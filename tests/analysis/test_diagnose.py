@@ -20,6 +20,7 @@ from repro.analysis.diagnose import (
     format_diagnosis,
     main,
 )
+from repro.engine.metrics import JobMetrics
 from repro.obs.report import render_explain_analyze
 from repro.obs.trace import EstimateRecord, Tracer
 
@@ -60,6 +61,13 @@ class TestRouting:
     def test_transfer_underestimate_routes_to_correlated_filters(self):
         rec = record("transfer:reduce:fact", "τ(fact)", 100.0, 1000.0)
         assert only_code([rec]) == "correlated-filter-underestimate"
+
+    def test_transfer_phase_record_routes_like_a_saved_one(self):
+        # a transfer phase span's record names the phase; a trace file
+        # written before estimates lived on spans names ``τ(alias)``
+        for operator in ("transfer:fact", "τ(fact)"):
+            rec = record("transfer:fact", operator, 1000.0, 950.0)
+            assert only_code([rec]) == "unhelpful-transfer-filter"
 
     def test_effective_transfer_reduction_is_not_a_symptom(self):
         # A big *over*estimate at a transfer point means the filters worked
@@ -152,11 +160,19 @@ class TestRendering:
         assert "skewed-join-key" in payload
 
 
+def traced(label, operator, estimated, actual):
+    """A finished trace whose one phase runs one join span carrying an
+    estimate of ``estimated`` rows against ``actual`` measured ones."""
+    tracer = Tracer(label)
+    with tracer.phase("join-2"):
+        token = tracer.begin_operator(operator, JobMetrics())
+        tracer.end_operator(token, JobMetrics(), int(actual), actual, estimated)
+    return tracer.finish()
+
+
 class TestExplainAnalyzeWiring:
     def bad_trace(self):
-        tracer = Tracer("bad miss")
-        tracer.record_estimate("join-2", "HashJoin(fact, da)", 500.0, 50_000.0)
-        return tracer.finish()
+        return traced("bad miss", "HashJoin(fact, da)", 500.0, 50_000.0)
 
     def test_explain_analyze_shows_ranked_hypotheses(self):
         text = render_explain_analyze(self.bad_trace())
@@ -168,9 +184,7 @@ class TestExplainAnalyzeWiring:
         assert diagnose_trace(trace) == diagnose_records(list(trace.estimates))
 
     def test_clean_trace_has_no_diagnosis_section(self):
-        tracer = Tracer("clean")
-        tracer.record_estimate("join-2", "HashJoin", 500.0, 500.0)
-        text = render_explain_analyze(tracer.finish())
+        text = render_explain_analyze(traced("clean", "HashJoin", 500.0, 500.0))
         assert "plan-quality diagnosis" not in text
 
 

@@ -50,6 +50,8 @@ FULLY_ANNOTATED = (
     "repro.algebra.plan",
     "repro.obs.trace",
     "repro.analysis.runtime",
+    "repro.obs.timeline",
+    "repro.engine.scheduler.scheduler",
 )
 
 

@@ -18,9 +18,10 @@ from dataclasses import replace
 import pytest
 
 from repro.bench.feedback import fuse_query, load_universe, skew_query
+from repro.core import driver
 from repro.core.driver import DynamicOptimizer, EveryPoint, SimulatedFailure
 from repro.core.policy import REPLAN_QERROR, ReplanPolicy
-from repro.obs.trace import Tracer
+from repro.obs.trace import EstimateRecord
 from repro.session import Session
 from repro.testing import rows_equal_unordered
 
@@ -90,13 +91,12 @@ class TestNonFiniteQError:
         """Every stage the policy consults reports an unbounded miss: the
         trigger stays silent and the run is the fixed schedule's."""
         fixed = run(universe, skew_query())
-        latest = Tracer.latest_estimate
+        read = driver.estimate_records
 
-        def unbounded(self, phase=None):
-            record = latest(self, phase)
-            return None if record is None else replace(record, estimated_rows=0.0)
+        def unbounded(root):
+            return [replace(record, estimated_rows=0.0) for record in read(root)]
 
-        monkeypatch.setattr(Tracer, "latest_estimate", unbounded)
+        monkeypatch.setattr(driver, "estimate_records", unbounded)
         assert math.isinf(replace(fixed.trace.estimates[0], estimated_rows=0.0).q_error)
         result = run(universe, skew_query(), policy=ReplanPolicy.default())
         assert result.decisions == ()
@@ -135,14 +135,6 @@ class TestQErrorTrigger:
         assert "replan" in text and "q=" in text
 
 
-class InfOnRecord(DynamicOptimizer):
-    """``dynamic`` whose run starts with one unbounded miss on its record."""
-
-    def prepare_stages(self, run, session):
-        run.tracer.record_estimate("prepare", "σ(nothing)", 0.0, 5.0)
-        return (yield from super().prepare_stages(run, session))
-
-
 class TestEarlyFuse:
     """The driver's cost rule: fuse when one more point costs more than the
     joins still to run (DESIGN.md §8); no policy is involved."""
@@ -176,9 +168,13 @@ class TestEarlyFuse:
         assert with_policy.decisions == plain.decisions
         assert with_policy.seconds == plain.seconds
 
-    def test_an_unbounded_miss_on_record_never_fuses(self, universe):
+    def test_an_unbounded_miss_on_record_never_fuses(self, universe, monkeypatch):
         every_point = run(universe, fuse_query(), optimizer=EveryPoint())
-        result = run(universe, fuse_query(), optimizer=InfOnRecord())
+        read = driver.estimate_records
+        # the run's records start with one unbounded miss
+        unbounded = EstimateRecord("prepare", "σ(nothing)", 0.0, 5.0)
+        monkeypatch.setattr(driver, "estimate_records", lambda root: [unbounded, *read(root)])
+        result = run(universe, fuse_query())
         assert result.decisions == ()
         assert result.phases == every_point.phases
         assert result.seconds == every_point.seconds

@@ -16,7 +16,12 @@ fingerprints depend neither on ``PYTHONHASHSEED`` nor on cell order. One
 later re-recording moved the ``trace`` facet alone: the trace JSON lost its
 ``"verifications"`` key (a passing verifier check leaves no record, since
 any finding fails the query), so each of the 84 new digests is the SHA-256
-of the old trace JSON with that key removed.
+of the old trace JSON with that key removed. A second one moved 32 ``trace``
+digests alone, when a push-down or transfer request's estimate moved onto
+its phase span: each is the SHA-256 of the previous trace JSON in which
+every phase span with a request estimate gains that estimate's
+``estimated_rows`` and ``modeled_rows_out``, and the estimate's record
+names the phase as its ``operator`` (it read ``σ(alias)`` or ``τ(alias)``).
 Re-record on purpose — after a change *meant* to move simulated numbers,
 saying in the commit which facets moved and why — with::
 

@@ -6,6 +6,10 @@ recorded at commit 86e4a1b from the unmodified scheduler, whose plain default
 was FIFO admission on an unbounded queue with a dedicated serial branch and
 whose service default was fair admission on a 10 000-entry queue; the one
 schedule that replaced those (DESIGN.md §7) is pinned to that recording.
+``service caches on x2``'s timeline and chrome trace were re-recorded when
+the timeline came to hold cluster jobs only: each digest is that of the
+previous timeline with its zero-length marks (5 ``cache-hit``, 2
+``cache-replay``) filtered out.
 Re-record on purpose (a change *meant* to move the schedule; say in the
 commit which facets moved and why) with::
 

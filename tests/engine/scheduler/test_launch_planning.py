@@ -42,10 +42,6 @@ SUBMISSIONS = (
     ("c", fact_window_query, "dynamic"),
 )
 
-#: zero-length timeline marks; every other event is one launch
-MARKS = ("cache-replay", "cache-hit", "failed")
-
-
 @pytest.fixture(scope="module")
 def recorded():
     """``(calls, timeline)``: each ``plan_launches`` call's arguments and
@@ -192,10 +188,10 @@ def test_the_kept_rule_is_what_the_scheduler_launched(recorded):
         for index, (_, launches) in enumerate(calls)
         for launch in launches
     ]
-    launched = [event for event in timeline.events if event.kind not in MARKS]
-    assert len(planned) == len(launched)
+    # the timeline holds one event per launch and nothing else
+    assert len(planned) == len(timeline.events)
     starts: dict[int, float] = {}
-    for (launch, call), event in zip(planned, launched):
+    for (launch, call), event in zip(planned, timeline.events):
         queries = [query for query, _ in event.branches] or list(event.queries)
         assert [query for query, _ in launch.branches] == queries
         assert launch.partitions == event.slice_partitions

@@ -15,9 +15,11 @@ from repro.obs.trace import Tracer
 
 
 def trace_with(*pairs):
+    """One phase span per ``(estimated, actual)`` pair, each carrying both."""
     tracer = Tracer()
     for estimated, actual in pairs:
-        tracer.record_estimate("join:a+b", "hash-join", estimated, actual)
+        with tracer.phase("pushdown:a") as span:
+            span.estimated_rows, span.modeled_rows_out = estimated, actual
     return tracer.finish()
 
 

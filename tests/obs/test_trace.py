@@ -109,6 +109,24 @@ class TestEstimateRecords:
         }
         assert expected <= recorded_phases
 
+    def test_pushdown_estimates_live_on_their_phase_spans(self, traced_star):
+        """A push-down's estimate is carried by its phase span; its record
+        reads the span, names the phase and comes last in it."""
+        _, result = traced_star
+        trace = result.trace
+        pushdowns = [
+            span for span in trace.phase_spans() if span.name.startswith("pushdown:")
+        ]
+        assert pushdowns
+        for span in pushdowns:
+            record = trace.estimates_for(span.name)[-1]
+            assert record.operator == span.name
+            assert span.modeled_rows_out > 0.0
+            assert (span.estimated_rows, span.modeled_rows_out) == (
+                record.estimated_rows,
+                record.actual_rows,
+            )
+
     def test_actuals_are_measured_modeled_rows(self, traced_star):
         _, result = traced_star
         for record in result.trace.estimates:
@@ -118,7 +136,7 @@ class TestEstimateRecords:
     def test_final_estimate_is_last(self, traced_star):
         _, result = traced_star
         trace = result.trace
-        assert trace.final_estimate() is trace.estimates[-1]
+        assert trace.final_estimate() == trace.estimates[-1]
         assert trace.final_estimate().phase == "final"
         assert trace.final_q_error() >= 1.0
         assert trace.max_q_error() >= trace.final_q_error() or (

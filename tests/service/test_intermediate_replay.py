@@ -116,6 +116,31 @@ class TestReplayAcrossParameters:
         assert phase_seconds(second, "pushdown:dc") == 0.0
         assert phase_seconds(second, "pushdown:fact") > 0.0
 
+    def test_a_replayed_pushdown_carries_its_estimate(self):
+        """A replayed push-down's phase span carries the request's estimate
+        against the replayed output's modeled rows, as an executed one does."""
+        service = build_service()
+        (first,) = run_round(service, [window_query(0)])
+        (second,) = run_round(service, [window_query(400)])
+        assert replayed_pushdowns(second) == {"db", "dc"}
+        for alias in ("db", "dc"):
+            phase = f"pushdown:{alias}"
+            spans = [
+                next(s for s in handle.result().trace.phase_spans() if s.name == phase)
+                for handle in (first, second)
+            ]
+            (record,) = second.result().trace.estimates_for(phase)
+            assert record.operator == phase
+            assert (spans[1].estimated_rows, spans[1].modeled_rows_out) == (
+                record.estimated_rows,
+                record.actual_rows,
+            )
+            # same request, same output: the replay reads what the run wrote
+            assert (spans[1].estimated_rows, spans[1].modeled_rows_out) == (
+                spans[0].estimated_rows,
+                spans[0].modeled_rows_out,
+            )
+
     def test_replay_wins_over_a_merged_scan(self):
         """Two queries ready at once would merge their ``dc`` scans; the one
         the cache can answer is replayed instead of riding the merge."""
@@ -205,13 +230,15 @@ class TestReplayOnTheSharedClock:
             if event.label == "pushdown:fact" and event.queries == (second.query_id,)
         ]
         assert fact_job.slice_partitions == service.cluster.partitions
+        assert service.cache.stats.intermediate_hits == 2
         replays = [
-            event
-            for event in service.scheduler.timeline.events
-            if event.kind == "cache-replay"
+            record
+            for record in second.result().trace.dataflows
+            if getattr(record, "replayed", False)
         ]
         assert len(replays) == 2
-        assert all(event.duration_seconds == 0.0 for event in replays)
+        # a replay runs no cluster job, so no zero-length event stands for it
+        assert all(e.duration_seconds > 0.0 for e in service.scheduler.timeline.events)
 
     def test_no_replay_from_a_producer_in_flight(self):
         """The second query asks for db's push-down while the first query's

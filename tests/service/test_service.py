@@ -105,6 +105,29 @@ class TestResultCache:
         report = second.result().explain_analyze()
         assert "answered from result cache" in report
 
+    def test_a_fully_cached_round_adds_no_timeline_event(self):
+        """A result-cache hit runs no cluster job, so the cluster timeline
+        (one event per job) does not grow; the hit is on the schedule record."""
+        service = build_service()  # both caches on
+        first = [
+            service.session(tenant).submit(star_query(), strategy)
+            for tenant, strategy in (("a", "dynamic"), ("b", "cost_based"))
+        ]
+        service.run_all()
+        events = list(service.scheduler.timeline.events)
+        jobs = service.scheduler.cluster_jobs
+        assert events and jobs == len(events)
+        repeat = [
+            service.session(tenant).submit(star_query(), strategy)
+            for tenant, strategy in (("b", "dynamic"), ("a", "cost_based"))
+        ]
+        service.run_all()
+        assert all(handle.schedule.cache_hit for handle in repeat)
+        assert [handle.schedule.tenant for handle in repeat] == ["b", "a"]
+        assert service.cache.stats.result_hits == len(first)
+        assert service.scheduler.timeline.events == events
+        assert service.scheduler.cluster_jobs == jobs
+
     def test_a_callers_row_edits_never_reach_a_hit(self):
         service = build_service()
         first = service.session("a").submit(star_query(), "dynamic")
