@@ -25,8 +25,8 @@ Four tools live here, all producing typed records with stable rule codes
 
 The verifiers are wired into the execution path by
 :mod:`repro.analysis.runtime`: the per-job gate sits in
-:func:`repro.engine.scheduler.request.run_request`, plan-time verification
-runs at every re-optimization point before jobgen, and the query-level pass
+:func:`repro.engine.scheduler.request.run_request`, the transfer prelude
+audits its own alias rewiring where it makes it, and the query-level pass
 runs when the scheduler finishes a query. None of them can be switched off.
 
 The package re-exports nothing: every reader imports the submodule it

@@ -9,12 +9,13 @@ jobs: an intermediate written that nothing ever reads, a Reader launched
 before its Sink, a cache token that collides across namespaces, simulated
 seconds that no phase span owns. This module checks exactly that layer.
 
-While a query runs, the verify-on-compile gate extracts one
-:class:`JobDataflow` record per launched (or cache-replayed) job — what the
-job reads, writes, scans, and which Bloom filters it probes — onto the query's
-tracer; the transfer prelude additionally records its filter builds and one
-:class:`TransferSummary` describing the alias rewiring. When the scheduler
-finishes the query, :func:`verify_query_dataflow` replays the sequence:
+While a query runs, :func:`~repro.engine.scheduler.request.run_request`
+sets one :class:`JobDataflow` record on the phase span of every executed (or
+cache-replayed) job — what the job reads, writes, scans, and which Bloom
+filters it probes — and of every transfer filter-build pass, which names the
+filters it built. When the scheduler finishes the query,
+:func:`verify_query_dataflow` replays the records in phase order
+(``QueryTrace.dataflows``):
 
 ========  ==========================  ===============================================
 code      rule                        invariant
@@ -34,9 +35,13 @@ code      rule                        invariant
 ``Q005``  charge-attribution-leak     every simulated second is owned by exactly one
                                       phase span: no gaps between spans, and the
                                       trace total equals the metrics total
-``Q006``  transfer-pass-unsound       every Bloom probe follows its filter's build,
+``Q006``  transfer-pass-unsound       every Bloom probe follows its filter's build;
                                       and ``replace_filtered_table`` rewired exactly
-                                      the aliases the pass reduced
+                                      the aliases the pass reduced — checked by
+                                      :func:`check_transfer_rewrite` inside the
+                                      transfer prelude, right after the rewrite, so
+                                      a finding fails the query before any join job
+                                      launches
 ========  ==========================  ===============================================
 
 Like the per-job gate, all of this costs zero simulated seconds — only host
@@ -45,8 +50,8 @@ wall time, metered on :class:`~repro.analysis.runtime.VerifierStats`.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Iterable, Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.engine.job import Job
@@ -54,9 +59,6 @@ from repro.engine.operators.filters import SemiJoinFilterOp
 from repro.engine.operators.joins import IndexNestedLoopJoinOp
 from repro.engine.operators.scan import ReaderOp, ScanOp
 from repro.engine.operators.sink import SinkOp
-
-if TYPE_CHECKING:
-    from repro.engine.scheduler.request import JobRequest
 
 #: Positive inter-span gaps below this fraction of the total (or this many
 #: absolute seconds, whichever is larger) are float noise, not leaks.
@@ -67,9 +69,10 @@ _CLOCK_TOLERANCE = 1e-6
 class JobDataflow:
     """What one executed (or cache-replayed) job reads, writes and probes.
 
-    Extracted from the compiled operator tree by the verify-on-compile gate
-    and appended to the query's tracer; content is fully deterministic
-    (names and content-addressed Bloom fingerprints, never wall time).
+    Set on the job's phase span by ``run_request`` (the fields a compiled
+    operator tree holds come from :func:`job_io`); content is fully
+    deterministic (names and content-addressed Bloom fingerprints, never
+    wall time).
     """
 
     phase: str
@@ -107,41 +110,12 @@ class JobDataflow:
         }
 
 
-@dataclass(frozen=True)
-class TransferSummary:
-    """End-of-transfer rewiring record: the ``Q006`` audit input.
-
-    Recorded by :func:`repro.core.predicate_transfer.transfer_stages` after
-    its ``replace_filtered_table`` rewrite loop, capturing which aliases the
-    pass reduced and the (alias, dataset) binding of every FROM entry before
-    and after the rewrite.
-    """
-
-    phase: str = "transfer"
-    #: aliases the pass reduced (``executed_aliases``)
-    reduced: tuple[str, ...] = ()
-    #: (alias, final intermediate name) per reduced alias
-    intermediates: tuple[tuple[str, str], ...] = ()
-    #: (alias, dataset) of the original query's FROM entries
-    original_tables: tuple[tuple[str, str], ...] = ()
-    #: (alias, dataset) of the rewritten query's FROM entries
-    rewritten_tables: tuple[tuple[str, str], ...] = ()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "phase": self.phase,
-            "reduced": list(self.reduced),
-            "intermediates": [list(pair) for pair in self.intermediates],
-            "original_tables": [list(pair) for pair in self.original_tables],
-            "rewritten_tables": [list(pair) for pair in self.rewritten_tables],
-        }
+#: (reads, writes, scans, probes) of one compiled job
+JobIO = tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], tuple[str, ...]]
 
 
-DataflowRecord = Union[JobDataflow, TransferSummary]
-
-
-def dataflow_of(job: Job, request: "JobRequest | None" = None) -> JobDataflow:
-    """Extract one job's dataflow record from its compiled operator tree."""
+def job_io(job: Job) -> JobIO:
+    """What one job's compiled operator tree reads, writes, scans and probes."""
     reads: list[str] = []
     writes: list[str] = []
     scans: list[str] = []
@@ -160,21 +134,11 @@ def dataflow_of(job: Job, request: "JobRequest | None" = None) -> JobDataflow:
         elif isinstance(operator, IndexNestedLoopJoinOp):
             scans.append(operator.inner_dataset)
         stack.extend(reversed(operator.children))
-    return JobDataflow(
-        phase=job.phase,
-        label=job.label,
-        kind=getattr(request, "kind", "job") if request is not None else "job",
-        reads=tuple(reads),
-        writes=tuple(writes),
-        scans=tuple(sorted(set(scans))),
-        probes=tuple(probes),
-        cache_token=getattr(request, "cache_token", None),
-        batch_key=getattr(request, "batch_key", None),
-    )
+    return tuple(reads), tuple(writes), tuple(sorted(set(scans))), tuple(probes)
 
 
 def verify_query_dataflow(
-    records: list[DataflowRecord],
+    records: list[JobDataflow],
     namespace: str,
     token_registry: dict[str, tuple[str, ...]] | None = None,
     trace: object | None = None,
@@ -202,10 +166,6 @@ def verify_query_dataflow(
     return diagnostics
 
 
-def _job_records(records: list[DataflowRecord]) -> list[JobDataflow]:
-    return [record for record in records if isinstance(record, JobDataflow)]
-
-
 def _diag(code: str, message: str, label: str = "", phase: str = "") -> Diagnostic:
     return Diagnostic(code=code, message=message, job_label=label, phase=phase)
 
@@ -214,12 +174,12 @@ def _diag(code: str, message: str, label: str = "", phase: str = "") -> Diagnost
 
 
 def _check_ordering(
-    records: list[DataflowRecord], namespace: str
+    records: list[JobDataflow], namespace: str
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     prefix = f"{namespace}__"
     written: set[str] = set()
-    for record in _job_records(records):
+    for record in records:
         for read in record.reads:
             if read.startswith(prefix):
                 if read not in written:
@@ -259,13 +219,12 @@ def _check_ordering(
     return findings
 
 
-def _check_dead_sinks(records: list[DataflowRecord]) -> list[Diagnostic]:
-    jobs = _job_records(records)
+def _check_dead_sinks(records: list[JobDataflow]) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
-    for index, record in enumerate(jobs):
+    for index, record in enumerate(records):
         for write in record.writes:
             read_later = any(
-                write in later.reads for later in jobs[index + 1 :]
+                write in later.reads for later in records[index + 1 :]
             )
             if not read_later:
                 findings.append(
@@ -285,12 +244,12 @@ def _check_dead_sinks(records: list[DataflowRecord]) -> list[Diagnostic]:
 
 
 def _check_tokens(
-    records: list[DataflowRecord],
+    records: list[JobDataflow],
     token_registry: dict[str, tuple[str, ...]] | None,
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
     seen: dict[str, tuple[str, ...]] = {}
-    for record in _job_records(records):
+    for record in records:
         if record.batch_key is not None and record.batch_key not in record.scans:
             findings.append(
                 _diag(
@@ -392,14 +351,11 @@ def _check_charges(trace: object, metrics_total: float) -> list[Diagnostic]:
 # -- Q006: transfer-pass soundness -----------------------------------------------
 
 
-def _check_transfer(records: list[DataflowRecord]) -> list[Diagnostic]:
+def _check_transfer(records: list[JobDataflow]) -> list[Diagnostic]:
+    """Every Bloom probe follows the build pass of its filter."""
     findings: list[Diagnostic] = []
     built: set[str] = set()
-    written: set[str] = set()
     for record in records:
-        if isinstance(record, TransferSummary):
-            findings.extend(_check_transfer_summary(record, written))
-            continue
         for probe in record.probes:
             if probe not in built:
                 findings.append(
@@ -412,25 +368,33 @@ def _check_transfer(records: list[DataflowRecord]) -> list[Diagnostic]:
                     )
                 )
         built.update(record.builds)
-        written.update(record.writes)
     return findings
 
 
-def _check_transfer_summary(
-    summary: TransferSummary, written: set[str]
+def check_transfer_rewrite(
+    reduced: Iterable[str],
+    intermediates: Mapping[str, str],
+    original: Mapping[str, str],
+    rewritten: Mapping[str, str],
+    written: Collection[str],
 ) -> list[Diagnostic]:
+    """The rewiring half of ``Q006``, run where the rewrite is made.
+
+    The transfer prelude calls this right after its ``replace_filtered_table``
+    loop. ``reduced`` are the aliases the pass reduced and ``intermediates``
+    maps each to its final intermediate; ``original`` and ``rewritten`` map
+    every FROM alias to its dataset before and after the rewrite;
+    ``written`` holds the datasets materialized so far.
+    """
     findings: list[Diagnostic] = []
-    reduced = set(summary.reduced)
-    intermediates = dict(summary.intermediates)
-    original = dict(summary.original_tables)
-    rewritten = dict(summary.rewritten_tables)
-    if reduced != set(intermediates):
+    aliases = set(reduced)
+    if aliases != set(intermediates):
         findings.append(
             _diag(
                 "Q006",
-                f"transfer pass reduced aliases {sorted(reduced)} but "
+                f"transfer pass reduced aliases {sorted(aliases)} but "
                 f"recorded intermediates for {sorted(intermediates)}",
-                phase=summary.phase,
+                phase="transfer",
             )
         )
     if set(original) != set(rewritten):
@@ -439,7 +403,7 @@ def _check_transfer_summary(
                 "Q006",
                 "transfer rewrite changed the query's alias set "
                 f"({sorted(original)} -> {sorted(rewritten)})",
-                phase=summary.phase,
+                phase="transfer",
             )
         )
     for alias, name in sorted(intermediates.items()):
@@ -450,7 +414,7 @@ def _check_transfer_summary(
                     f"replace_filtered_table left alias {alias!r} on "
                     f"{rewritten.get(alias)!r} instead of its reduced "
                     f"intermediate {name!r}",
-                    phase=summary.phase,
+                    phase="transfer",
                 )
             )
         if name not in written:
@@ -459,11 +423,11 @@ def _check_transfer_summary(
                     "Q006",
                     f"transfer intermediate {name!r} (alias {alias!r}) was "
                     "never materialized by an earlier job",
-                    phase=summary.phase,
+                    phase="transfer",
                 )
             )
     for alias, dataset in sorted(original.items()):
-        if alias in reduced:
+        if alias in aliases:
             continue
         if alias in rewritten and rewritten[alias] != dataset:
             findings.append(
@@ -472,7 +436,7 @@ def _check_transfer_summary(
                     f"transfer rewrite rewired alias {alias!r} (now on "
                     f"{rewritten[alias]!r}) although the pass never "
                     "reduced it",
-                    phase=summary.phase,
+                    phase="transfer",
                 )
             )
     return findings

@@ -17,25 +17,24 @@ the same gate. Its job carries the logical plan it was compiled from
 - raises :class:`~repro.analysis.diagnostics.PlanVerificationError` carrying
   every diagnostic when the job is broken, *before* the job runs.
 
-A passing check leaves no record: any finding fails the query, so a record
-in a finished trace could only ever say "clean".
+The gate only checks: it writes nothing to the run's trace. A passing
+check leaves no record (any finding fails the query, so a record in a
+finished trace could only ever say "clean"), and the job's dataflow record
+is set on its phase span by ``run_request`` itself, before the gate runs.
 
-Two query-level entry points extend the same contract (DESIGN.md §14):
-
-- the gate additionally extracts a per-job
-  :class:`~repro.analysis.dataflow.JobDataflow` record onto the run's tracer
-  (:func:`record_replay_dataflow` does the same for cache-replayed jobs,
-  which never reach the gate);
-- :func:`verify_query_completion` replays the recorded sequence through the
-  Q001–Q006 dataflow verifier when the scheduler finishes a query — every
-  finished query, since every query runs on a scheduler.
+:func:`verify_query_completion` extends the same contract to the whole
+query (DESIGN.md §14): when the scheduler finishes a query — every finished
+query, since every query runs on a scheduler — it replays the dataflow
+records on the trace's phase spans through the Q001–Q006 dataflow verifier.
+(The rewiring half of Q006 runs earlier, inside the transfer prelude, where
+the rewrite is made.)
 
 There is no switch: every job and finished query is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Host-side overhead accounting; the simulated clock (JobMetrics) is never
 # involved.
@@ -79,9 +78,8 @@ def verify_before_launch(executor: Executor, request: JobRequest) -> None:
     """Verify ``request.job`` against the executor's catalogs; raise on findings.
 
     The estimate-based checks read the run's working catalog — the exact
-    statistics the planner saw, including pilot-run per-alias overrides. As
-    a side effect the job's dataflow record (reads/writes/scans/probes) is
-    appended to the run's tracer for the query-completion pass.
+    statistics the planner saw, including pilot-run per-alias overrides.
+    Only the executor's :class:`VerifierStats` are written.
     """
     job = request.job
     if job is None:
@@ -89,7 +87,6 @@ def verify_before_launch(executor: Executor, request: JobRequest) -> None:
     # Imported lazily: the verifier pulls in the algebra/operator modules,
     # which import the engine package, which imports this module — keeping
     # runtime.py light breaks that cycle at package-init time.
-    from repro.analysis.dataflow import dataflow_of
     from repro.analysis.verifier import verify_job
 
     run = request.run
@@ -101,27 +98,9 @@ def verify_before_launch(executor: Executor, request: JobRequest) -> None:
         cluster=executor.cluster,
         cost=executor.cost,
     )
-    run.tracer.record_dataflow(dataflow_of(job, request))
     executor.verifier_stats.record(perf_counter() - started, len(diagnostics))
     if diagnostics:
         raise PlanVerificationError(diagnostics, job_label=job.label)
-
-
-def record_replay_dataflow(request: JobRequest) -> None:
-    """Record a cache-replayed job's dataflow (the replay skips the gate).
-
-    A cache hit re-registers the job's outputs without launching anything,
-    but the query-level ledger still needs the write: otherwise a later
-    Reader of the replayed intermediate would trip Q002 and the replayed
-    sink itself Q001. Zero simulated cost; content deterministic.
-    """
-    job = request.job
-    if job is None:
-        return
-    from repro.analysis.dataflow import dataflow_of
-
-    record = dataflow_of(job, request)
-    request.run.tracer.record_dataflow(replace(record, replayed=True))
 
 
 def verify_query_completion(
@@ -131,7 +110,7 @@ def verify_query_completion(
     metrics_total: float | None = None,
     token_registry: dict[str, tuple[str, ...]] | None = None,
 ) -> list[Diagnostic]:
-    """Replay a finished query's dataflow ledger through the Q-rule verifier.
+    """Replay a finished query's dataflow records through the Q-rule verifier.
 
     Called by the scheduler when a query completes (before its namespace is
     released), with the query's finished trace. Returns the diagnostics

@@ -530,13 +530,11 @@ class DynamicOptimizer(Optimizer):
         )
         cost = session.executor.cost
         delta = JobMetrics()
-        delta.startup = cost.job_startup()
         delta.scan = cost.read_materialized(
             dataset.modeled_rows, dataset.schema.row_width
         )
         delta.stats = cost.statistics(dataset.modeled_rows, len(columns))
         delta.tuples_scanned = dataset.row_count
-        delta.jobs = 1
         yield state.run.charge(
             f"replan:{name.removeprefix(state.run.namespace)}", delta, kind="replan"
         )

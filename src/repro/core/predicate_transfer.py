@@ -41,7 +41,8 @@ from typing import TYPE_CHECKING, Any
 
 from repro.algebra.jobgen import build_transfer_job
 from repro.algebra.rules.pushdown import surviving_columns
-from repro.analysis.dataflow import JobDataflow, TransferSummary
+from repro.analysis.dataflow import check_transfer_rewrite
+from repro.analysis.diagnostics import PlanVerificationError
 from repro.core.predicate_pushdown import bound_parameters, join_columns_of
 from repro.core.reconstruction import replace_filtered_table
 from repro.engine import vector
@@ -279,21 +280,13 @@ def transfer_stages(
             return
         filters[alias] = entry
         outcome.filters_built += len(entry)
-        phase_name = f"transfer-build:{alias}"
-        yield run.charge(phase_name, delta, kind="transfer")
-        # The build pass is a virtual-cost request that never reaches the
-        # launch gate; record its filter fingerprints directly so the Q006
-        # build-before-probe audit sees the build precede every reduce job
-        # that probes these filters.
-        run.tracer.record_dataflow(
-            JobDataflow(
-                phase=phase_name,
-                label=phase_name,
-                kind="transfer",
-                builds=tuple(
-                    sorted(bloom.fingerprint() for bloom in entry.values())
-                ),
-            )
+        # The fingerprints ride on the request, so the Q006 build-before-probe
+        # audit sees this build precede every reduce job that probes them.
+        yield run.charge(
+            f"transfer-build:{alias}",
+            delta,
+            kind="transfer",
+            builds=tuple(sorted(bloom.fingerprint() for bloom in entry.values())),
         )
 
     # -- forward pass ---------------------------------------------------------
@@ -323,21 +316,17 @@ def transfer_stages(
             rewritten = replace_filtered_table(rewritten, alias, name)
             outcome.intermediates[alias] = name
     outcome.query = rewritten
-    # The Q006 rewiring audit: which aliases the pass reduced, and the
-    # (alias, dataset) binding of every FROM entry before and after the
-    # replace_filtered_table rewrite. All sorted — content-deterministic.
-    run.tracer.record_dataflow(
-        TransferSummary(
-            reduced=tuple(sorted(outcome.intermediates)),
-            intermediates=tuple(sorted(outcome.intermediates.items())),
-            original_tables=tuple(
-                sorted((t.alias, t.dataset) for t in query.tables)
-            ),
-            rewritten_tables=tuple(
-                sorted((t.alias, t.dataset) for t in rewritten.tables)
-            ),
-        )
+    # The rewiring half of Q006, audited where the rewrite is made: a
+    # finding fails the query before any join job launches.
+    findings = check_transfer_rewrite(
+        reduced=outcome.executed_aliases,
+        intermediates=outcome.intermediates,
+        original={t.alias: t.dataset for t in query.tables},
+        rewritten={t.alias: t.dataset for t in rewritten.tables},
+        written=session.datasets.names(),
     )
+    if findings:
+        raise PlanVerificationError(findings, job_label="transfer")
     return outcome
 
 
@@ -354,9 +343,9 @@ def _build_filters(
     Reads either the base dataset (applying local predicates, exactly like
     the sketch pass) or the alias's latest transfer intermediate (already
     filtered). Returns the per-join-column filters plus the virtual-cost
-    delta that charges the pass to the simulated clock: job launch, the
-    scan/read, predicate evaluation when predicates ran, and one Bloom
-    insertion per (surviving row, join column).
+    delta that charges the pass to the simulated clock: the scan/read,
+    predicate evaluation when predicates ran, and one Bloom insertion per
+    (surviving row, join column). The runner adds the job launch.
     """
     own_columns = tuple(
         sorted({own_column for _, own_column, _ in adjacency[alias]})
@@ -366,8 +355,6 @@ def _build_filters(
 
     cost = session.executor.cost
     delta = JobMetrics()
-    delta.startup = cost.job_startup()
-    delta.jobs = 1
 
     if current_name is None:
         dataset = session.datasets.get(query.table(alias).dataset)

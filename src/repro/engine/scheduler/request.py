@@ -30,10 +30,12 @@ cluster launch; a blocking run is the one-query case
 (:func:`~repro.engine.scheduler.scheduler.run_solo`).
 
 :func:`run_request` is the single place a request turns into executed work:
-it opens the phase span, runs the job (or applies a pre-computed virtual
-cost, or a cache replay the scheduler looked up), applies launch-sharing
-discounts, merges the job's metrics into the run's cumulative total, and
-writes the request's estimate onto its phase span.
+it opens the phase span, sets the job's
+:class:`~repro.analysis.dataflow.JobDataflow` record on it, runs the job
+through the launch gate (or applies a pre-computed virtual cost, or a cache
+replay the scheduler looked up), applies launch-sharing discounts, merges
+the job's metrics into the run's cumulative total, and writes the request's
+estimate onto its phase span. It is the only writer of a dataflow record.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from collections.abc import Generator, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.analysis.runtime import record_replay_dataflow, verify_before_launch
+from repro.analysis.dataflow import JobDataflow, job_io
+from repro.analysis.runtime import verify_before_launch
 from repro.common.errors import ReproError
 from repro.engine.job import Job
 from repro.engine.metrics import ExecutionResult, JobMetrics
@@ -98,11 +101,22 @@ class QueryRun:
             cache_token=cache_token,
         )
 
-    def charge(self, phase: str, delta: JobMetrics, *, kind: str) -> JobRequest:
+    def charge(
+        self,
+        phase: str,
+        delta: JobMetrics,
+        *,
+        kind: str,
+        builds: tuple[str, ...] = (),
+    ) -> JobRequest:
         """A virtual-cost request: ``delta`` is work the driver already did
         in-process (a pilot sample, a sketch pass, a filter build), charged
-        to the simulated clock as one coordinator-side job."""
-        return JobRequest(phase=phase, run=self, virtual_cost=delta, kind=kind)
+        to the simulated clock as one coordinator-side job — the runner adds
+        its launch. ``builds`` names the Bloom filters a transfer build pass
+        built (their fingerprints), for the query-level verifier."""
+        return JobRequest(
+            phase=phase, run=self, virtual_cost=delta, kind=kind, builds=builds
+        )
 
     def result(
         self, data: ColumnarData, tree: PlanNode, decisions: Iterable = ()
@@ -156,6 +170,8 @@ class JobRequest:
     #: predicates + projection). ``None`` means "never cache me". The token
     #: is inert unless the executor carries a cache (query-service runs).
     cache_token: str | None = None
+    #: fingerprints of the Bloom filters a virtual transfer build pass built
+    builds: tuple[str, ...] = ()
 
 
 @dataclass
@@ -220,19 +236,18 @@ def _perform(
     if replayed is not None:
         # An intermediate-cache hit (query-service runs only): the stored
         # materialization is already registered under this request's names
-        # and charges nothing. The replay never reaches the launch gate, but
-        # the query-level dataflow ledger still needs the job's writes or the
-        # Q001/Q002 checks would flag the replayed intermediate.
+        # and charges nothing.
         data, job_metrics = replayed
-        record_replay_dataflow(request)
         run.metrics.merge(job_metrics)
         return JobOutcome(data=data, metrics=job_metrics)
     if request.virtual_cost is not None:
         # Virtual-cost requests carry a driver-computed metrics delta (pilot
-        # sampling, sketch refresh); the charge is applied as given — those
-        # jobs are coordinator-side work, not partitioned cluster jobs.
+        # sampling, sketch refresh, filter build): coordinator-side work, not
+        # a partitioned cluster job, charged as given plus one job launch.
         data = None
         job_metrics = request.virtual_cost.copy()
+        job_metrics.startup = executor.cost.job_startup()
+        job_metrics.jobs = 1
     elif request.job is None:
         raise ReproError(f"request {request.phase!r} has neither job nor virtual cost")
     else:
@@ -267,7 +282,8 @@ def run_request(
     partitions: int | None = None,
     replayed: tuple[Any, JobMetrics] | None = None,
 ) -> JobOutcome:
-    """Execute one request: phase span, job, discounts, merge, estimate.
+    """Execute one request: phase span, dataflow, job, discounts, merge,
+    estimate.
 
     ``share`` places this request in a shared launch: the launch's start-up
     is split across its branches and a base scan across the branches that
@@ -279,10 +295,37 @@ def run_request(
     space-shared scheduler's allotment); ``None`` means the full cluster.
     ``replayed`` is an intermediate-cache hit the scheduler looked up: the
     request is answered from it at zero charge instead of executing.
+
+    The phase span gets the request's dataflow record as it opens — an
+    executed job's (whether or not it passes the gate), a replayed job's
+    (``replayed=True``: its writes are re-registered all the same), or a
+    transfer build pass's filters.
     """
     run = request.run
     tracer = run.tracer
+    job = request.job
     with tracer.phase(request.phase) as span:
+        if job is not None:
+            reads, writes, scans, probes = job_io(job)
+            span.dataflow = JobDataflow(
+                phase=job.phase,
+                label=job.label,
+                kind=request.kind,
+                reads=reads,
+                writes=writes,
+                scans=scans,
+                probes=probes,
+                cache_token=request.cache_token,
+                batch_key=request.batch_key,
+                replayed=replayed is not None,
+            )
+        elif request.builds:
+            span.dataflow = JobDataflow(
+                phase=request.phase,
+                label=request.phase,
+                kind=request.kind,
+                builds=request.builds,
+            )
         outcome = _perform(executor, request, share, partitions, replayed)
         tracer.sync(run.metrics.total_seconds)
         if request.estimated_rows is not None and outcome.data is not None:

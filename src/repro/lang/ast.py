@@ -308,15 +308,6 @@ class Query:
             pairs.add(frozenset(cond.aliases()))
         return len(pairs)
 
-    def join_pairs(self) -> list[frozenset]:
-        """Distinct joined alias pairs, in first-appearance order."""
-        seen: list[frozenset] = []
-        for cond in self.joins:
-            pair = frozenset(cond.aliases())
-            if pair not in seen:
-                seen.append(pair)
-        return seen
-
     def conditions_between(self, a: str, b: str) -> tuple[JoinCondition, ...]:
         pair = frozenset((a, b))
         return tuple(c for c in self.joins if frozenset(c.aliases()) == pair)

@@ -7,6 +7,9 @@ first-class, queryable artifact: every execution produces a
 with the simulated-time clock and per-operator counters. Every span where a
 planner's cardinality estimate met a measured actual carries both, and reads
 as an :class:`EstimateRecord` — the Q-error signal of Izenov et al. 2021.
+Every phase span also carries its job's dataflow record (what it read,
+wrote, scanned, probed or built), so the query-level verifier reads one
+span tree, not a ledger kept beside it.
 
 Tracing is pure instrumentation: it observes :class:`JobMetrics` deltas and
 never charges the cost model, so simulated times are bit-identical with and

@@ -22,6 +22,14 @@ transfer phase span, whose request carried the statistics' estimate of the
 job's output. :func:`estimate_records` reads each such span as one
 :class:`EstimateRecord` — the per-re-optimization-point Q-error the paper's
 argument rests on.
+
+A phase span also carries its job's
+:class:`~repro.analysis.dataflow.JobDataflow` — what the job reads, writes,
+scans and probes, or which Bloom filters a transfer build pass built —
+written by :func:`~repro.engine.scheduler.request.run_request` when it opens
+the span. :func:`dataflow_records` reads them in open order for the
+query-level verifier (DESIGN.md §14); a trace keeps no record beside its
+span tree.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from repro.analysis.dataflow import DataflowRecord
+    from repro.analysis.dataflow import JobDataflow
     from repro.engine.metrics import JobMetrics
 
 #: JobMetrics attribute names mirrored into span cost / counter deltas.
@@ -109,6 +117,10 @@ class Span:
     cost: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
     children: list["Span"] = field(default_factory=list)
+    #: a phase span's job dataflow (reads/writes/scans/probes/builds), set
+    #: by ``run_request``; the query-level verifier's input, exported by
+    #: :meth:`QueryTrace.to_dict` under ``"dataflows"``
+    dataflow: JobDataflow | None = None
 
     @property
     def duration_seconds(self) -> float:
@@ -166,6 +178,13 @@ def estimate_records(root: Span) -> list[EstimateRecord]:
     return records
 
 
+def dataflow_records(root: Span) -> list[JobDataflow]:
+    """The dataflow records of the trace under ``root``: each phase span's
+    job dataflow, in the order the phases opened — the sequence the
+    query-level verifier replays (DESIGN.md §14)."""
+    return [span.dataflow for span in root.walk() if span.dataflow is not None]
+
+
 #: An open operator span and the metrics' time and counter components at its
 #: start (in TIME_COMPONENTS / COUNTER_COMPONENTS order).
 OperatorToken = tuple[Span, tuple, tuple]
@@ -184,8 +203,6 @@ class Tracer:
     def __init__(self, query_label: str = "query") -> None:
         self.root = Span(name=query_label, kind="query", start_seconds=0.0)
         self.base_seconds = 0.0
-        #: query-level dataflow records, replayed by the query-level verifier
-        self.dataflows: list[DataflowRecord] = []
         self._stack: list[Span] = [self.root]
 
     # -- clock ----------------------------------------------------------------
@@ -262,22 +279,12 @@ class Tracer:
         span.estimated_rows = estimated_rows
         self._stack.pop()
 
-    def record_dataflow(self, record: DataflowRecord) -> None:
-        """Append a query-level dataflow record (zero simulated cost).
-
-        ``record`` is a :class:`repro.analysis.dataflow.JobDataflow` or
-        :class:`~repro.analysis.dataflow.TransferSummary`; the query-level
-        verifier replays the sequence when the query completes. Content is
-        deterministic (names and fingerprints, never wall time).
-        """
-        self.dataflows.append(record)
-
     # -- completion -----------------------------------------------------------
 
     def finish(self) -> QueryTrace:
         """Close the query span and package the trace (idempotent)."""
         self.root.end_seconds = self.base_seconds
-        return QueryTrace(root=self.root, dataflows=list(self.dataflows))
+        return QueryTrace(root=self.root)
 
 
 @dataclass
@@ -285,8 +292,6 @@ class QueryTrace:
     """The completed trace of one query execution."""
 
     root: Span
-    #: per-job dataflow records fed to the query-level verifier (§14)
-    dataflows: list[DataflowRecord] = field(default_factory=list)
 
     def spans(self) -> list[Span]:
         return list(self.root.walk())
@@ -299,6 +304,11 @@ class QueryTrace:
     def estimates(self) -> list[EstimateRecord]:
         """Every estimate record, read off the spans (:func:`estimate_records`)."""
         return estimate_records(self.root)
+
+    @property
+    def dataflows(self) -> list[JobDataflow]:
+        """Every dataflow record, read off the spans (:func:`dataflow_records`)."""
+        return dataflow_records(self.root)
 
     def estimates_for(self, phase: str) -> list[EstimateRecord]:
         return [record for record in self.estimates if record.phase == phase]
@@ -316,9 +326,6 @@ class QueryTrace:
         record = self.final_estimate()
         return record.q_error if record is not None else None
 
-    def max_q_error(self) -> float | None:
-        return max((record.q_error for record in self.estimates), default=None)
-
     # -- export ---------------------------------------------------------------
 
     def to_dict(self) -> dict:
@@ -328,8 +335,9 @@ class QueryTrace:
             "spans": self.root.to_dict(),
             "estimates": [record.to_dict() for record in self.estimates],
         }
-        if self.dataflows:
-            out["dataflows"] = [record.to_dict() for record in self.dataflows]
+        dataflows = dataflow_records(self.root)
+        if dataflows:
+            out["dataflows"] = [record.to_dict() for record in dataflows]
         return out
 
     def to_json(self, indent: int | None = None) -> str:

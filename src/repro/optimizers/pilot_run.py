@@ -143,16 +143,15 @@ class PilotRunOptimizer(DynamicOptimizer):
     def _pilot_cost(
         self, session, table, scanned: int, field_count: int
     ) -> JobMetrics:
-        """One pilot job's charge as a metrics delta (a virtual-cost job)."""
+        """One pilot job's charge as a metrics delta (a virtual-cost job,
+        whose launch the runner adds)."""
         cost = session.executor.cost
         dataset = session.datasets.get(table.dataset)
         modeled_scanned = scanned * dataset.scale
         delta = JobMetrics()
-        delta.startup = cost.job_startup()
         delta.scan = cost.scan(modeled_scanned, dataset.schema.row_width)
         delta.compute = cost.predicate_eval(modeled_scanned)
         delta.stats = cost.statistics(
             min(scanned, self.sample_limit) * dataset.scale, field_count
         )
-        delta.jobs = 1
         return delta

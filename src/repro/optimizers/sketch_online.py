@@ -135,11 +135,9 @@ class SketchOnlineOptimizer(Optimizer):
 
         cost = session.executor.cost
         delta = JobMetrics()
-        delta.startup = cost.job_startup()
         delta.scan = cost.scan(dataset.modeled_rows, dataset.schema.row_width)
         if predicates:
             delta.compute = cost.predicate_eval(dataset.modeled_rows)
         delta.stats = cost.statistics(qualified_rows * dataset.scale, len(columns))
         delta.tuples_scanned = dataset.row_count
-        delta.jobs = 1
         return entry, delta

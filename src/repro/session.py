@@ -238,8 +238,3 @@ class Session:
 
     def dataset_rows(self, name: str) -> int:
         return self.datasets.get(name).row_count
-
-    def require_loaded(self, *names: str) -> None:
-        missing = [n for n in names if not self.datasets.has(n)]
-        if missing:
-            raise OptimizationError(f"datasets not loaded: {missing}")

@@ -233,11 +233,6 @@ class GKQuantileSketch:
         merged._compress()
         return merged
 
-    def summary_size(self) -> int:
-        """Number of retained summary entries (space bound check)."""
-        self._flush()
-        return len(self._values)
-
     @property
     def nbytes(self) -> int:
         """Bytes held by a fixed formula: :data:`ENTRY_BYTES` per summary

@@ -229,11 +229,6 @@ class HyperLogLog:
         )
         return merged
 
-    @property
-    def relative_error(self) -> float:
-        """Expected relative standard error for this precision."""
-        return 1.04 / math.sqrt(self._m)
-
     def __len__(self) -> int:
         return self._count
 

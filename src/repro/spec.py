@@ -75,16 +75,6 @@ class PlannerSpec:
         """Build a spec from keyword options (the usual constructor)."""
         return cls(strategy, tuple(sorted(options.items())))
 
-    def with_options(self, **options) -> PlannerSpec:
-        """A copy with ``options`` merged over the existing ones."""
-        merged = dict(self.options)
-        merged.update(options)
-        return PlannerSpec(self.strategy, tuple(sorted(merged.items())))
-
-    def as_dict(self) -> dict:
-        """Plain-dict view (strategy + options), e.g. for logging."""
-        return {"strategy": self.strategy, "options": dict(self.options)}
-
     @property
     def policy(self) -> ReplanPolicy | None:
         """The attached re-planning policy, if any."""

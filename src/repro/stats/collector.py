@@ -231,18 +231,5 @@ class StatisticsCollector:
             stats.observe_batches(((None,) * length if column is None else column,))
             stats.digest()
 
-    @property
-    def tracked_field_names(self) -> list[str]:
-        return list(self.fields)
-
     def field(self, name: str) -> FieldStatistics:
         return self.fields[name]
-
-    def sketch_cost_units(self) -> int:
-        """Work units charged by the cost model for this collection pass.
-
-        One unit per (row, tracked field): the extra time for statistics
-        "depends on the number of attributes for which we need to keep
-        statistics for" (Section 7.1).
-        """
-        return self.row_count * max(1, len(self.fields))

@@ -11,10 +11,12 @@ import pytest
 
 from repro.analysis.dataflow import (
     JobDataflow,
-    TransferSummary,
-    dataflow_of,
+    check_transfer_rewrite,
+    job_io,
     verify_query_dataflow,
 )
+from repro.analysis.diagnostics import PlanVerificationError
+from repro.core import predicate_transfer
 from repro.engine.job import Job
 from repro.engine.operators.scan import ReaderOp, ScanOp
 from repro.engine.operators.sink import SinkOp
@@ -202,7 +204,6 @@ class TestQ004CacheTokens:
 class FakeTrace:
     def __init__(self, root):
         self.root = root
-        self.dataflows = []
 
 
 def phase_span(name, start, end):
@@ -252,6 +253,9 @@ class TestQ005ChargeAttribution:
 
 
 class TestQ006TransferSoundness:
+    """Q006 in its two places: probe-after-build over the job sequence, and
+    the rewiring audit the transfer prelude runs on its own rewrite."""
+
     def transfer_records(self):
         return [
             job("transfer:build:da", "b", kind="transfer", builds=("fp1",)),
@@ -262,17 +266,25 @@ class TestQ006TransferSoundness:
                 probes=("fp1",),
                 writes=("__q3__t_fact_1",),
             ),
-            TransferSummary(
-                reduced=("fact",),
-                intermediates=(("fact", "__q3__t_fact_1"),),
-                original_tables=(("da", "da"), ("fact", "fact")),
-                rewritten_tables=(("da", "da"), ("fact", "__q3__t_fact_1")),
-            ),
             job("final", "f", reads=("__q3__t_fact_1",), scans=("da",)),
         ]
 
+    def rewrite(self, **changes):
+        """A sound rewrite of (da, fact) with fact reduced; ``changes``
+        overrides one argument of ``check_transfer_rewrite``."""
+        arguments = {
+            "reduced": ("fact",),
+            "intermediates": {"fact": "__q3__t_fact_1"},
+            "original": {"da": "da", "fact": "fact"},
+            "rewritten": {"da": "da", "fact": "__q3__t_fact_1"},
+            "written": {"da", "fact", "__q3__t_fact_1"},
+        }
+        arguments.update(changes)
+        return check_transfer_rewrite(**arguments)
+
     def test_sound_transfer_is_clean(self):
         assert verify_query_dataflow(self.transfer_records(), NS) == []
+        assert self.rewrite() == []
 
     def test_probe_before_build(self):
         records = self.transfer_records()
@@ -291,53 +303,53 @@ class TestQ006TransferSoundness:
         assert "Q006" in codes(verify_query_dataflow(records, NS))
 
     def test_reduced_without_intermediate(self):
-        records = self.transfer_records()
-        records[2] = TransferSummary(
-            reduced=("fact", "da"),
-            intermediates=(("fact", "__q3__t_fact_1"),),
-            original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("da", "da"), ("fact", "__q3__t_fact_1")),
-        )
-        assert "Q006" in codes(verify_query_dataflow(records, NS))
+        assert "Q006" in codes(self.rewrite(reduced=("fact", "da")))
 
     def test_rewrite_dropped_an_alias(self):
-        records = self.transfer_records()
-        records[2] = TransferSummary(
-            reduced=("fact",),
-            intermediates=(("fact", "__q3__t_fact_1"),),
-            original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("fact", "__q3__t_fact_1"),),
-        )
-        assert "Q006" in codes(verify_query_dataflow(records, NS))
+        found = self.rewrite(rewritten={"fact": "__q3__t_fact_1"})
+        assert "Q006" in codes(found)
 
     def test_rewrite_missed_a_reduced_alias(self):
-        records = self.transfer_records()
-        records[2] = TransferSummary(
-            reduced=("fact",),
-            intermediates=(("fact", "__q3__t_fact_1"),),
-            original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("da", "da"), ("fact", "fact")),
-        )
-        assert "Q006" in codes(verify_query_dataflow(records, NS))
+        found = self.rewrite(rewritten={"da": "da", "fact": "fact"})
+        assert "Q006" in codes(found)
 
     def test_unmaterialized_intermediate(self):
-        records = self.transfer_records()
-        records[1] = job(
-            "transfer:reduce:fact", "r", scans=("fact",), probes=("fp1",)
-        )
-        found = verify_query_dataflow(records, NS)
+        found = self.rewrite(written={"da", "fact"})
         assert "Q006" in codes(found)
         assert any("never materialized" in d.message for d in found)
 
     def test_rewiring_an_unreduced_alias(self):
-        records = self.transfer_records()
-        records[2] = TransferSummary(
-            reduced=("fact",),
-            intermediates=(("fact", "__q3__t_fact_1"),),
-            original_tables=(("da", "da"), ("fact", "fact")),
-            rewritten_tables=(("da", "elsewhere"), ("fact", "__q3__t_fact_1")),
+        found = self.rewrite(rewritten={"da": "elsewhere", "fact": "__q3__t_fact_1"})
+        assert "Q006" in codes(found)
+
+    def test_a_skipped_rewrite_fails_before_any_join_launches(self, monkeypatch):
+        # replace_filtered_table "forgets" one reduced alias: the prelude's
+        # own audit fails the query before the loop compiles a join.
+        rewire = predicate_transfer.replace_filtered_table
+        skipped = []
+
+        def forgetful(query, alias, name):
+            if not skipped:
+                skipped.append(alias)
+                return query
+            return rewire(query, alias, name)
+
+        monkeypatch.setattr(predicate_transfer, "replace_filtered_table", forgetful)
+        session = build_star_session()
+        handle = session.submit(
+            star_query(), PlannerSpec.of("dynamic", pre_filter="transfer")
         )
-        assert "Q006" in codes(verify_query_dataflow(records, NS))
+        session.run_all()
+
+        with pytest.raises(PlanVerificationError) as excinfo:
+            handle.result()
+        assert excinfo.value.codes() == ("Q006",)
+        assert skipped[0] in str(excinfo.value)
+        labels = [event.label for event in session.scheduler.timeline.events]
+        assert any(label.startswith("transfer") for label in labels)
+        assert not any(
+            label.startswith("join:") or label == "final" for label in labels
+        )
 
 
 class TestDataflowExtraction:
@@ -347,15 +359,14 @@ class TestDataflowExtraction:
             label="step",
             phase="join-2",
         )
-        record = dataflow_of(j)
-        assert record.reads == ("__q1__i0",)
-        assert record.writes == ("__q1__i1",)
-        assert record.scans == ()
-        assert record.replayed is False
+        reads, writes, scans, probes = job_io(j)
+        assert reads == ("__q1__i0",)
+        assert writes == ("__q1__i1",)
+        assert scans == probes == ()
 
     def test_scans_are_sorted_and_deduped(self):
         j = Job(SinkOp(ScanOp("fact", "fact"), "__q3__i0", ()), phase="join-1")
-        assert dataflow_of(j).scans == ("fact",)
+        assert job_io(j)[2] == ("fact",)
 
     def test_to_dict_round_trip_is_deterministic(self):
         record = job("join-1", "j1", scans=("fact",), writes=("__q3__i0",))
@@ -381,26 +392,35 @@ class TestLiveIntegration:
         # Every job compiled at a re-optimization point (each join and the
         # final job) passed the launch gate, the query-level pass ran
         # exactly once, and all is clean.
-        compiled = [
-            r
-            for r in result.trace.dataflows
-            if isinstance(r, JobDataflow) and r.kind in ("join", "final")
-        ]
+        compiled = [r for r in result.trace.dataflows if r.kind in ("join", "final")]
         assert compiled and stats.jobs_verified >= len(compiled)
         assert stats.queries_verified == 1
         assert stats.diagnostics_found == 0
 
     def test_transfer_run_records_builds_and_summary(self):
+        # Each build pass's record sits on its own phase span; the rewrite
+        # leaves no summary record (the prelude audited it where it made it).
         session = build_star_session()
         result = session.execute(
             star_query(), PlannerSpec.of("dynamic", pre_filter="transfer")
         )
+        builds = [
+            span
+            for span in result.trace.phase_spans()
+            if span.name.startswith("transfer-build:")
+        ]
+        assert builds
+        for span in builds:
+            record = span.dataflow
+            assert record.builds and record.kind == "transfer"
+            assert record.phase == record.label == span.name
         records = result.trace.dataflows
-        assert any(
-            isinstance(r, JobDataflow) and r.kind == "transfer" and r.builds
-            for r in records
-        )
-        assert any(isinstance(r, TransferSummary) for r in records)
+        assert records == [
+            span.dataflow
+            for span in result.trace.phase_spans()
+            if span.dataflow is not None
+        ]
+        assert all(isinstance(r, JobDataflow) for r in records)
 
     def test_query_pass_meters_host_time_not_simulated(self):
         session = build_star_session()

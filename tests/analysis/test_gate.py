@@ -5,8 +5,9 @@ the scheduler calls — so these tests cover blocking and scheduled runs, the
 raise-on-diagnostics behavior, and the load-bearing guarantee: verification
 never changes a single byte of schedules, metrics, or traces. There is no
 switch to turn it off; the zero-cost test stubs the two gate entry points
-out where they are called instead. A passing check leaves no record in the
-trace; the executor's ``VerifierStats`` counts every check.
+out where they are called instead. The gate writes nothing to the trace:
+a job's dataflow record is set on its phase span by ``run_request``, and
+the executor's ``VerifierStats`` counts every check.
 """
 
 from dataclasses import asdict, replace
@@ -20,9 +21,9 @@ from repro.core.driver import DynamicOptimizer
 from repro.engine.job import Job
 from repro.engine.metrics import JobMetrics
 from repro.engine.operators.joins import JoinAlgorithm
-from repro.engine.operators.scan import ReaderOp
+from repro.engine.operators.scan import ReaderOp, ScanOp
 from repro.engine.operators.sink import SinkOp
-from repro.engine.scheduler.request import JobRequest, QueryRun
+from repro.engine.scheduler.request import JobRequest, QueryRun, run_request
 from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
 
@@ -55,6 +56,23 @@ class TestGateDefaultOn:
         assert "P002" in excinfo.value.codes()
         assert excinfo.value.job_label == "broken"
 
+    def test_the_gate_leaves_the_trace_unchanged(self):
+        # A failing check and a passing one alike: only VerifierStats move.
+        session = build_star_session()
+        failing = broken_request(session)
+        run = failing.run
+        passing = run.job(
+            "join-1",
+            Job(SinkOp(ScanOp("fact", "fact"), "__q1__i0", ()), label="ok"),
+            kind="join",
+        )
+        before = run.tracer.finish().to_dict()
+        with pytest.raises(PlanVerificationError):
+            verify_before_launch(session.executor, failing)
+        verify_before_launch(session.executor, passing)
+        assert session.executor.verifier_stats.jobs_verified == 2
+        assert run.tracer.finish().to_dict() == before
+
     def test_virtual_cost_requests_skip_gate(self):
         session = build_star_session()
         run = QueryRun(star_query(), session, "pilot", "__q1")
@@ -78,18 +96,21 @@ class TestTraceAndExplain:
         assert "verifications" not in result.trace.to_dict()
 
     def test_failed_verification_recorded_in_trace(self):
-        # A failed check is counted on the executor; its job's dataflow is
-        # on the run's tracer, and the error carries the codes.
+        # A failed check is counted on the executor; the failed job's
+        # dataflow record is on its phase span, and the error carries the codes.
         session = build_star_session()
         request = broken_request(session)
         with pytest.raises(PlanVerificationError) as excinfo:
-            verify_before_launch(session.executor, request)
+            run_request(session.executor, request)
         stats = session.executor.verifier_stats
         assert stats.jobs_verified == 1
         assert stats.diagnostics_found == len(excinfo.value.diagnostics)
         assert "P002" in excinfo.value.codes()
-        (record,) = request.run.tracer.dataflows
-        assert record.label == "broken"
+        trace = request.run.tracer.finish()
+        (span,) = trace.phase_spans()
+        assert span.name == "join-1"
+        assert span.dataflow.label == "broken"
+        assert trace.dataflows == [span.dataflow]
 
     def test_explain_reports_verifier_summary(self):
         session = build_star_session()

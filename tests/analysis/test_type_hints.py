@@ -52,6 +52,7 @@ FULLY_ANNOTATED = (
     "repro.analysis.runtime",
     "repro.obs.timeline",
     "repro.engine.scheduler.scheduler",
+    "repro.engine.scheduler.request",
 )
 
 

@@ -22,6 +22,11 @@ its phase span: each is the SHA-256 of the previous trace JSON in which
 every phase span with a request estimate gains that estimate's
 ``estimated_rows`` and ``modeled_rows_out``, and the estimate's record
 names the phase as its ``operator`` (it read ``σ(alias)`` or ``τ(alias)``).
+A third one moved the ``trace`` digests of the 14 transfer cells alone
+(``{Q8,Q9,Q17,Q50,J1,J2,J3}/{dynamic+transfer,predicate_transfer}``), when
+the transfer prelude began auditing its alias rewiring where it makes it:
+each is the SHA-256 of the previous trace JSON with the rewiring summary
+entry (the one carrying ``"reduced"``) removed from ``"dataflows"``.
 Re-record on purpose — after a change *meant* to move simulated numbers,
 saying in the commit which facets moved and why — with::
 

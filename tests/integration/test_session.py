@@ -20,12 +20,6 @@ class TestSession:
         session = build_star_session()
         assert session.dataset_rows("fact") == 2000
 
-    def test_require_loaded(self):
-        session = build_star_session()
-        session.require_loaded("fact", "da")
-        with pytest.raises(OptimizationError):
-            session.require_loaded("ghost")
-
     def test_execute_unknown_optimizer(self):
         session = build_star_session()
         with pytest.raises(OptimizationError):

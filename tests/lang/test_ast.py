@@ -126,10 +126,6 @@ class TestQuery:
         # b-c has two conditions but is one join
         assert sample_query().join_count() == 2
 
-    def test_join_pairs_order(self):
-        pairs = sample_query().join_pairs()
-        assert pairs == [frozenset(("a", "b")), frozenset(("b", "c"))]
-
     def test_conditions_between(self):
         conditions = sample_query().conditions_between("c", "b")
         assert len(conditions) == 2

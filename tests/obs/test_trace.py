@@ -139,9 +139,7 @@ class TestEstimateRecords:
         assert trace.final_estimate() == trace.estimates[-1]
         assert trace.final_estimate().phase == "final"
         assert trace.final_q_error() >= 1.0
-        assert trace.max_q_error() >= trace.final_q_error() or (
-            trace.max_q_error() == trace.final_q_error()
-        )
+        assert max(r.q_error for r in trace.estimates) >= trace.final_q_error()
 
 
 class TestExports:

@@ -59,13 +59,11 @@ def sketch_pass(optimizer, query, alias, session, context):
     )
     cost = session.executor.cost
     delta = JobMetrics()
-    delta.startup = cost.job_startup()
     delta.scan = cost.scan(dataset.modeled_rows, dataset.schema.row_width)
     if predicates:
         delta.compute = cost.predicate_eval(dataset.modeled_rows)
     delta.stats = cost.statistics(qualified_rows * dataset.scale, len(columns))
     delta.tuples_scanned = dataset.row_count
-    delta.jobs = 1
     return entry, delta, survivors
 
 
@@ -78,8 +76,6 @@ def build_filters(query, alias, current_name, session, context, adjacency):
         return None, None
     cost = session.executor.cost
     delta = JobMetrics()
-    delta.startup = cost.job_startup()
-    delta.jobs = 1
     values: dict[str, list] = {column: [] for column in own_columns}
     survivors = 0
     if current_name is None:

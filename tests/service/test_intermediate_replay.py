@@ -96,7 +96,7 @@ def replayed_pushdowns(handle) -> set[str]:
     return {
         record.label.rsplit("σ(", 1)[1].rstrip(")")
         for record in handle.result().trace.dataflows
-        if getattr(record, "replayed", False)
+        if record.replayed
     }
 
 
@@ -140,6 +140,27 @@ class TestReplayAcrossParameters:
                 spans[0].estimated_rows,
                 spans[0].modeled_rows_out,
             )
+
+    def test_a_replayed_pushdown_span_carries_its_dataflow(self):
+        """A replayed push-down's record sits on its own phase span, marked
+        ``replayed``, with the same reads and writes as the executed one."""
+        service = build_service()
+        (first,) = run_round(service, [window_query(0)])
+        (second,) = run_round(service, [window_query(400)])
+        for alias in ("db", "dc"):
+            phase = f"pushdown:{alias}"
+            executed, replayed = [
+                next(s for s in handle.result().trace.phase_spans() if s.name == phase)
+                for handle in (first, second)
+            ]
+            assert not executed.dataflow.replayed
+            assert replayed.dataflow.replayed
+            assert replayed.dataflow.cache_token == executed.dataflow.cache_token
+            assert replayed.dataflow.writes == tuple(
+                name.replace(first.namespace, second.namespace)
+                for name in executed.dataflow.writes
+            )
+            assert replayed.dataflow in second.result().trace.dataflows
 
     def test_replay_wins_over_a_merged_scan(self):
         """Two queries ready at once would merge their ``dc`` scans; the one
@@ -234,7 +255,7 @@ class TestReplayOnTheSharedClock:
         replays = [
             record
             for record in second.result().trace.dataflows
-            if getattr(record, "replayed", False)
+            if record.replayed
         ]
         assert len(replays) == 2
         # a replay runs no cluster job, so no zero-length event stands for it
@@ -285,7 +306,7 @@ class TestHitRateAccounting:
             for handle in handles
             if not handle.schedule.cache_hit
             for record in handle.result().trace.dataflows
-            if getattr(record, "cache_token", None) is not None
+            if record.cache_token is not None
         )
         stats = service.cache.stats
         assert stats.intermediate_hits + stats.intermediate_misses == cacheable

@@ -62,8 +62,8 @@ class TestAccuracy:
         for i in range(true_count):
             hll.add(i)
         estimate = hll.cardinality()
-        # expected relative std error ~1.6%; allow 5 sigma
-        assert abs(estimate - true_count) / true_count < 5 * hll.relative_error
+        # expected relative std error 1.04 / sqrt(2**12) ~1.6%; allow 5 sigma
+        assert abs(estimate - true_count) / true_count < 5 * 1.04 / 64
 
     def test_strings_and_ints_distinct_domains(self):
         hll = HyperLogLog(12)

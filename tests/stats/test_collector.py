@@ -72,22 +72,12 @@ class TestCollector:
     def test_tracked_fields_only(self):
         collector = StatisticsCollector(["a"])
         collector.observe_rows(rows())
-        assert collector.tracked_field_names == ["a"]
+        assert list(collector.fields) == ["a"]
 
     def test_missing_field_counts_null(self):
         collector = StatisticsCollector(["ghost"])
         collector.observe_rows([{"a": 1}])
         assert collector.field("ghost").null_count == 1
-
-    def test_sketch_cost_units(self):
-        collector = StatisticsCollector(["a", "b"])
-        collector.observe_rows(rows(10))
-        assert collector.sketch_cost_units() == 20
-
-    def test_empty_tracked_fields_cost(self):
-        collector = StatisticsCollector([])
-        collector.observe_rows(rows(10))
-        assert collector.sketch_cost_units() == 10
 
 
 def observe_per_value(stats: EagerFieldStatistics, values) -> None:

@@ -80,15 +80,6 @@ class TestPlannerSpecValidation:
         with pytest.raises(OptimizationError, match=name):
             PlannerSpec.of(strategy, **{name: None})
 
-    def test_with_options_and_as_dict(self):
-        spec = PlannerSpec.of("dynamic", inl_enabled=False)
-        updated = spec.with_options(inl_enabled=True)
-        assert dict(updated.options) == {"inl_enabled": True}
-        assert spec.as_dict() == {
-            "strategy": "dynamic",
-            "options": {"inl_enabled": False},
-        }
-
     def test_make_builds_the_configured_optimizer(self):
         optimizer = PlannerSpec.of("dynamic", inl_enabled=True).make()
         assert optimizer.name == "dynamic"
@@ -134,4 +125,4 @@ class TestStringFormEquivalence:
     def test_invalid_option_fails_at_submit_time(self):
         session = build_star_session()
         with pytest.raises(OptimizationError):
-            session.submit(star_query(), PlannerSpec.of("dynamic").with_options(x=1))
+            session.submit(star_query(), PlannerSpec.of("dynamic", x=1))
