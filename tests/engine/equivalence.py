@@ -1,73 +1,31 @@
-"""Golden-fingerprint harness: everything a run exposes, pinned by digest.
+"""The ``cells`` golden record: everything a run exposes, facet by facet.
 
 ``run_fingerprint`` executes one bench query under one strategy and
-flattens everything observable — rows, ``JobMetrics`` (``repr``-exact
-floats), plan, phases, execution trace, schedule record, cluster timeline,
-chrome trace, policy decisions — into a dict of strings, one per facet.
-``golden_fingerprints.json`` holds the SHA-256 of each facet for every cell
-in ``CELLS`` at SF 100, seed 42; ``assert_matches_golden`` re-runs a cell
-and names the facets whose digest moved ("metrics", "rows", "timeline", ...).
-
-The committed digests were recorded from the **row-wise** reference engine
-(``run_fingerprint(..., engine="rowwise")``) at commit 259da77, the last
-commit that had one, serialized as the ``__main__`` block below does. The
-data plane that replaced it (DESIGN.md §10) is pinned to that recording;
-fingerprints depend neither on ``PYTHONHASHSEED`` nor on cell order. One
-later re-recording moved the ``trace`` facet alone: the trace JSON lost its
-``"verifications"`` key (a passing verifier check leaves no record, since
-any finding fails the query), so each of the 84 new digests is the SHA-256
-of the old trace JSON with that key removed. A second one moved 32 ``trace``
-digests alone, when a push-down or transfer request's estimate moved onto
-its phase span: each is the SHA-256 of the previous trace JSON in which
-every phase span with a request estimate gains that estimate's
-``estimated_rows`` and ``modeled_rows_out``, and the estimate's record
-names the phase as its ``operator`` (it read ``σ(alias)`` or ``τ(alias)``).
-A third one moved the ``trace`` digests of the 14 transfer cells alone
-(``{Q8,Q9,Q17,Q50,J1,J2,J3}/{dynamic+transfer,predicate_transfer}``), when
-the transfer prelude began auditing its alias rewiring where it makes it:
-each is the SHA-256 of the previous trace JSON with the rewiring summary
-entry (the one carrying ``"reduced"``) removed from ``"dataflows"``.
-Re-record on purpose — after a change *meant* to move simulated numbers,
-saying in the commit which facets moved and why — with::
-
-    PYTHONPATH=src python tests/engine/equivalence.py \\
-        > tests/engine/golden_fingerprints.json
-
-There is no pytest flag for it. The mutation tests patch a kernel and assert
-the check *fails*, which keeps the harness itself honest.
+flattens everything observable into one text per facet: rows, ``JobMetrics``
+(``repr``-exact floats, one field a line), plan, phases, the trace (``spans``
+projects it to one line per span and per dataflow record; ``trace`` is the
+full JSON), the schedule record, cluster timeline, chrome trace and policy
+decisions. ``RECORD`` pins every cell in ``CELLS`` at SF 100, seed 42
+(``tests/golden.py`` says how to re-record); fingerprints depend neither on
+``PYTHONHASHSEED`` nor on cell order. The mutation tests patch a kernel and
+assert the check *fails*, which keeps the harness itself honest.
 """
 
 from __future__ import annotations
 
-import functools
-import hashlib
 import json
 from dataclasses import fields
-from pathlib import Path
 
 from repro.bench.runner import SWEEP_QUERIES, workbench_for_query
 from repro.engine.scheduler import solo_scheduler
 from repro.optimizers import available_strategies
 from repro.spec import PlannerSpec
+from tests.golden import Record
 
 #: every registered strategy; the golden sweep covers all of them.
 ALL_STRATEGIES = tuple(sorted(available_strategies()))
 #: the paper's four evaluation queries plus the JOB-style suite.
 ALL_QUERIES = tuple(SWEEP_QUERIES)
-#: the facets a fingerprint captures, in diff-report order.
-FACETS = (
-    "rows",
-    "metrics",
-    "plan",
-    "phases",
-    "trace",
-    "schedule",
-    "timeline",
-    "chrome_trace",
-    "decisions",
-)
-
-GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
 #: SF 100: every sweep query returns rows (at SF 10 four of seven are empty)
 GOLDEN_SCALE_FACTOR = 100
 GOLDEN_SEED = 42
@@ -88,43 +46,58 @@ def canonical_rows(rows: list[dict]) -> str:
     return json.dumps(rows, sort_keys=True, default=repr)
 
 
+def fields_text(obj, names) -> str:
+    return "\n".join(f"{name}={getattr(obj, name)!r}" for name in names)
+
+
 def metrics_fingerprint(metrics) -> str:
     """Every JobMetrics field with full float precision (``repr``-exact)."""
-    return " ".join(
-        f"{f.name}={getattr(metrics, f.name)!r}"
-        for f in fields(metrics)
-        if not f.name.startswith("_")
-    )
+    return fields_text(metrics, [f.name for f in fields(metrics) if not f.name.startswith("_")])
 
 
-def schedule_fingerprint(schedule) -> str:
-    if schedule is None:
-        return "none"
-    return " ".join(
-        f"{name}={getattr(schedule, name)!r}"
-        for name in (
-            "query_id",
-            "priority",
-            "submitted_at",
-            "admitted_at",
-            "finished_at",
-            "queue_delay_seconds",
-            "busy_seconds",
-            "error",
-        )
-    )
+SCHEDULE_FIELDS = (
+    "query_id", "priority", "submitted_at", "admitted_at", "finished_at",
+    "queue_delay_seconds", "busy_seconds", "error",
+)
+
+
+def trace_spans(trace_json: str) -> str:
+    """One line per span (indented by depth: kind, name, rows, modeled and
+    estimated rows, cost by kind), then one line per dataflow record."""
+    if trace_json == "none":
+        return trace_json
+    trace, lines = json.loads(trace_json), []
+
+    def visit(span: dict, depth: int) -> None:
+        line = f"{'  ' * depth}{span['kind']} {span['name']} rows={span['rows_out']}"
+        line += f" modeled={span['modeled_rows_out']!r}"
+        if "estimated_rows" in span:
+            line += f" estimated={span['estimated_rows']!r}"
+        if "cost" in span:
+            line += f" cost={span['cost']!r}"
+        lines.append(line)
+        for child in span.get("children", ()):
+            visit(child, depth + 1)
+
+    visit(trace["spans"], 0)
+    for record in trace.get("dataflows", ()):
+        lines.append("dataflow " + " ".join(f"{k}={v!r}" for k, v in record.items() if v))
+    return "\n".join(lines)
 
 
 def result_fingerprint(result) -> dict[str, str]:
     """The facets a finished result carries by itself."""
+    trace = result.trace.to_json() if result.trace else "none"
+    schedule = result.schedule
     return {
         "rows": canonical_rows(result.rows),
         "metrics": metrics_fingerprint(result.metrics),
         "plan": result.plan_description,
-        "phases": repr(list(result.phases)),
-        "trace": result.trace.to_json() if result.trace else "none",
-        "schedule": schedule_fingerprint(result.schedule),
-        "decisions": repr(tuple(result.decisions)),
+        "phases": "\n".join(result.phases),
+        "spans": trace_spans(trace),
+        "trace": trace,
+        "schedule": "none" if schedule is None else fields_text(schedule, SCHEDULE_FIELDS),
+        "decisions": "\n".join(map(repr, result.decisions)),
     }
 
 
@@ -166,41 +139,11 @@ def run_fingerprint(
         session.reset_intermediates()
 
 
-def digests(cell: str) -> tuple[dict[str, str], dict[str, str]]:
-    """Run one cell: (its fingerprint, the SHA-256 of each facet)."""
+def run_cell(cell: str) -> dict[str, str]:
     label, strategy, options = CELLS[cell]
-    fingerprint = run_fingerprint(label, strategy, **options)
-    return fingerprint, {
-        facet: hashlib.sha256(fingerprint[facet].encode()).hexdigest()
-        for facet in FACETS
-    }
+    return run_fingerprint(label, strategy, **options)
 
 
-@functools.cache
-def load_goldens() -> dict[str, dict[str, str]]:
-    recorded = json.loads(GOLDEN_PATH.read_text())
-    assert recorded["scale_factor"] == GOLDEN_SCALE_FACTOR
-    assert recorded["seed"] == GOLDEN_SEED
-    return recorded["cells"]
-
-
-def assert_matches_golden(cell: str) -> dict[str, str]:
-    """Run one cell and assert every facet digest equals the recording;
-    returns the fingerprint so callers can pin it further."""
-    fingerprint, current = digests(cell)
-    golden = load_goldens()[cell]
-    moved = [facet for facet in FACETS if current[facet] != golden[facet]]
-    assert not moved, (
-        f"{cell}: diverges from the golden recording on {', '.join(moved)}; "
-        + "; ".join(f"{f} now starts {fingerprint[f][:120]!r}" for f in moved)
-    )
-    return fingerprint
-
-
-if __name__ == "__main__":
-    golden = {
-        "scale_factor": GOLDEN_SCALE_FACTOR,
-        "seed": GOLDEN_SEED,
-        "cells": {cell: digests(cell)[1] for cell in CELLS},
-    }
-    print(json.dumps(golden, indent=1))
+RECORD = Record(
+    "cells", tuple(CELLS), run_cell, frozenset({"rows", "trace", "chrome_trace"})
+)

@@ -1,28 +1,15 @@
-"""The multi-query schedule's contract: every scenario equals its recording.
+"""The ``schedules`` golden record: every multi-query scenario, pinned.
 
-``golden_schedules.json`` holds, per scenario in ``SCENARIOS``, the SHA-256
-of each ``schedule_fingerprint`` facet over the star universe. It was
-recorded at commit 86e4a1b from the unmodified scheduler, whose plain default
-was FIFO admission on an unbounded queue with a dedicated serial branch and
-whose service default was fair admission on a 10 000-entry queue; the one
-schedule that replaced those (DESIGN.md §7) is pinned to that recording.
-``service caches on x2``'s timeline and chrome trace were re-recorded when
-the timeline came to hold cluster jobs only: each digest is that of the
-previous timeline with its zero-length marks (5 ``cache-hit``, 2
-``cache-replay``) filtered out.
-Re-record on purpose (a change *meant* to move the schedule; say in the
-commit which facets moved and why) with::
-
-    PYTHONPATH=src python -m tests.engine.scheduler.test_golden_schedules \\
-        > tests/engine/scheduler/golden_schedules.json
+``RECORD`` holds, per scenario in ``SCENARIOS`` over the star universe, the
+cluster timeline, the chrome trace (one event a line), the cluster job and
+saved-scan counts and one line per query handle, all verbatim
+(``tests/golden.py`` says how to re-record).
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -37,27 +24,27 @@ from tests.conftest import (
     star_query,
     submit_strategy,
 )
+from tests.golden import Record
 
-GOLDEN_PATH = Path(__file__).with_name("golden_schedules.json")
 
-
-def schedule_fingerprint(scheduler, handles) -> dict:
+def schedule_fingerprint(scheduler, handles) -> dict[str, str]:
     """Everything observable about a schedule, facet by facet."""
+    events = json.loads(scheduler.timeline.to_chrome_trace())["traceEvents"]
     return {
         "timeline": scheduler.timeline.render(),
-        "chrome_trace": scheduler.timeline.to_chrome_trace(),
-        "cluster_jobs": scheduler.cluster_jobs,
-        "scans_saved": scheduler.scans_saved,
-        "handles": [
-            (
+        "chrome_trace": "\n".join(json.dumps(event) for event in events),
+        "cluster_jobs": repr(scheduler.cluster_jobs),
+        "scans_saved": repr(scheduler.scans_saved),
+        "handles": "\n".join(
+            repr((
                 h.status,
                 repr(h.queue_delay_seconds),
                 repr(h.finished_at),
                 repr(h.result().metrics.total_seconds),
                 len(h.result().rows),
-            )
+            ))
             for h in handles
-        ],
+        ),
     }
 
 
@@ -78,7 +65,6 @@ def run_batch(config: SchedulerConfig, submissions: list[tuple[str, int]]):
 def run_service(caches: bool, rounds: int):
     """Tenant a floods three queries, tenant b sends one, per round."""
     per_round = (("a", "dynamic"), ("a", "ingres"), ("a", "pilot_run"), ("b", "dynamic"))
-    # the service default as the checked-out commit defines it (86e4a1b too)
     defaults = QueryService(small_cluster()).scheduler.config
     service = QueryService(
         small_cluster(),
@@ -112,22 +98,14 @@ SCENARIOS = {
 }
 
 
-def digests(scenario: str) -> dict[str, str]:
+def run_scenario(scenario: str) -> dict[str, str]:
     run, *arguments = SCENARIOS[scenario]
-    return {
-        facet: hashlib.sha256(repr(value).encode()).hexdigest()
-        for facet, value in schedule_fingerprint(*run(*arguments)).items()
-    }
+    return schedule_fingerprint(*run(*arguments))
+
+
+RECORD = Record("schedules", tuple(SCENARIOS), run_scenario)
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_schedule_matches_golden(scenario: str) -> None:
-    golden = json.loads(GOLDEN_PATH.read_text())
-    assert set(golden) == set(SCENARIOS)
-    current = digests(scenario)
-    moved = [facet for facet in current if current[facet] != golden[scenario][facet]]
-    assert not moved, f"{scenario}: diverges from the recording on {', '.join(moved)}"
-
-
-if __name__ == "__main__":
-    print(json.dumps({scenario: digests(scenario) for scenario in SCENARIOS}, indent=1))
+    RECORD.check(scenario)

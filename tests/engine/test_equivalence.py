@@ -1,11 +1,9 @@
 """The data plane's contract: every sweep cell equals its golden recording.
 
 Sweeps every registered strategy over the paper's four evaluation queries
-and the JOB suite at SF 100 and asserts all nine fingerprint facets against
-``golden_fingerprints.json`` — digests recorded from the row-wise reference
-engine at 259da77, the last commit that had one (tests/engine/equivalence.py
-says how, and how to re-record on purpose); "equivalent" in the test names
-means equivalent to that recording. Each cell's rows are also checked
+and the JOB suite at SF 100 and asserts every fingerprint facet against the
+``cells`` record (tests/engine/equivalence.py); "equivalent" in the test
+names means equivalent to that recording. Each cell's rows are also checked
 against the brute-force oracle, which shares no code with the engine.
 """
 
@@ -23,10 +21,10 @@ from tests.engine.equivalence import (
     ALL_STRATEGIES,
     CELLS,
     GOLDEN_SCALE_FACTOR,
-    assert_matches_golden,
+    RECORD,
     canonical_rows,
-    load_goldens,
 )
+from tests.golden import load
 
 
 @functools.cache
@@ -38,7 +36,7 @@ def reference_rows(label: str) -> list[dict]:
 
 
 def check_cell(cell: str) -> None:
-    rows = json.loads(assert_matches_golden(cell)["rows"])
+    rows = json.loads(RECORD.check(cell)["rows"])
     assert rows, "every sweep query returns rows at the golden scale factor"
     assert rows_equal_unordered(rows, reference_rows(CELLS[cell][0]))
 
@@ -66,10 +64,10 @@ def test_engines_equivalent_with_transfer_prelude(label: str) -> None:
 
 
 def test_fingerprint_covers_real_work() -> None:
-    """Guard against a vacuous sweep: the golden file holds exactly the
-    cells the tests above run (84 today), and the fingerprints show joins
-    and scans actually happened (non-zero counters)."""
-    assert set(load_goldens()) == set(CELLS)
-    fp = assert_matches_golden("Q9/dynamic")
-    assert "tuples_joined=0 " not in fp["metrics"] + " "
-    assert "tuples_scanned=0 " not in fp["metrics"] + " "
+    """Guard against a vacuous sweep: the record holds exactly the cells
+    the tests above run (84 today), and the fingerprints show joins and
+    scans actually happened (non-zero counters)."""
+    assert set(load(RECORD.path)) == set(CELLS)
+    metrics = RECORD.check("Q9/dynamic")["metrics"].splitlines()
+    assert "tuples_joined=0" not in metrics
+    assert "tuples_scanned=0" not in metrics

@@ -1,4 +1,4 @@
-"""Mutation tests: the golden-fingerprint harness must catch a broken kernel.
+"""Mutation tests: the golden harness must catch a broken kernel.
 
 Each test plants one specific defect in a kernel (the free functions in
 ``repro.engine.vector`` exist exactly so they can be patched here — always
@@ -11,6 +11,7 @@ mutation suite.
 
 from __future__ import annotations
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -28,13 +29,13 @@ from repro.stats.catalog import StatisticsCatalog
 from repro.storage.catalog import DatasetCatalog
 
 from tests.conftest import small_cluster
-from tests.engine.equivalence import assert_matches_golden
+from tests.engine.equivalence import RECORD
 
 CASE = "Q50/from_order"
 
 
 def test_clean_baseline_passes():
-    assert_matches_golden(CASE)
+    RECORD.check(CASE)
 
 
 def _inverted_mask(original):
@@ -85,24 +86,26 @@ class TestFusedKernelMutations:
         )
 
     def test_inverted_predicate_mask_is_caught(self, monkeypatch):
+        """The failure prints the metrics lines that moved."""
         self._plant(monkeypatch, _inverted_mask)
-        with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+        with pytest.raises(AssertionError, match="diverges from the golden") as failure:
+            RECORD.check(CASE)
+        assert re.search(r"^-tuples_joined=\d+\n\+tuples_joined=\d+$", str(failure.value), re.M)
 
     def test_dropped_predicate_is_caught(self, monkeypatch):
         self._plant(monkeypatch, _dropped_predicate)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+            RECORD.check(CASE)
 
     def test_projection_off_by_one_is_caught(self, monkeypatch):
         self._plant(monkeypatch, _projection_off_by_one)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+            RECORD.check(CASE)
 
     def test_dead_column_gather_is_caught(self, monkeypatch):
         self._plant(monkeypatch, _dead_column_gather)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+            RECORD.check(CASE)
 
 
 class TestPlannerSideKernelMutations:
@@ -121,7 +124,7 @@ class TestPlannerSideKernelMutations:
 
     def test_shielded_select_alone_leaves_the_cell_clean(self, monkeypatch):
         self._plant(monkeypatch, lambda original: original)
-        assert_matches_golden(self.CELL)
+        RECORD.check(self.CELL)
 
     @pytest.mark.parametrize(
         "mutation", [_inverted_mask, _dropped_predicate, _projection_off_by_one]
@@ -129,14 +132,14 @@ class TestPlannerSideKernelMutations:
     def test_mutated_sketch_pass_moves_the_cell(self, monkeypatch, mutation):
         self._plant(monkeypatch, mutation)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(self.CELL)
+            RECORD.check(self.CELL)
 
     def test_dead_column_gather_breaks_the_sketch_pass(self, monkeypatch):
         # the pass reads every column it asked for, so a dropped one is not
         # a silent divergence but an immediate failure
         self._plant(monkeypatch, _dead_column_gather)
         with pytest.raises(KeyError):
-            assert_matches_golden(self.CELL)
+            RECORD.check(self.CELL)
 
 
 class TestJoinKernelMutations:
@@ -149,7 +152,7 @@ class TestJoinKernelMutations:
 
         monkeypatch.setattr(vector, "probe_hash_table", reversed_matches)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+            RECORD.check(CASE)
 
     def test_unstable_group_order_is_caught(self, monkeypatch):
         """Each key's build rows come out in reverse build order, as an
@@ -166,7 +169,7 @@ class TestJoinKernelMutations:
 
         monkeypatch.setattr(vector, "build_hash_table", unstable)
         with pytest.raises(AssertionError, match="diverges from the golden"):
-            assert_matches_golden(CASE)
+            RECORD.check(CASE)
 
 
 class _NegatedPredicate:
