@@ -149,6 +149,7 @@ class PilotRunOptimizer(DynamicOptimizer):
         dataset = session.datasets.get(table.dataset)
         modeled_scanned = scanned * dataset.scale
         delta = JobMetrics()
+        delta.tuples_scanned = scanned
         delta.scan = cost.scan(modeled_scanned, dataset.schema.row_width)
         delta.compute = cost.predicate_eval(modeled_scanned)
         delta.stats = cost.statistics(

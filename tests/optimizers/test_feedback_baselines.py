@@ -57,6 +57,16 @@ class TestPilotRun:
             f"pilot:{a}" for a in star_query().aliases
         ]
 
+    def test_pilot_jobs_count_the_rows_they_scan(self, session):
+        """Each pilot scans at least its sample and at most its table."""
+        run = pilot_run(PilotRunOptimizer(sample_limit=20), session)
+        query = star_query()
+        stored = sum(
+            session.datasets.get(query.table(alias).dataset).row_count
+            for alias in query.aliases
+        )
+        assert 20 * len(query.aliases) <= run.metrics.tuples_scanned < stored
+
     def test_sample_estimates_selectivity(self, session):
         run = pilot_run(PilotRunOptimizer(sample_limit=10), session)
         # dc filter keeps 1/3 of rows; sample-based estimate should be close
