@@ -1,14 +1,11 @@
 """The ``cells`` golden record: everything a run exposes, facet by facet.
 
-``run_fingerprint`` executes one bench query under one strategy and
-flattens everything observable into one text per facet: rows, ``JobMetrics``
-(``repr``-exact floats, one field a line), plan, phases, the trace (``spans``
-projects it to one line per span and per dataflow record; ``trace`` is the
-full JSON), the schedule record, cluster timeline, chrome trace and policy
-decisions. ``RECORD`` pins every cell in ``CELLS`` at SF 100, seed 42
-(``tests/golden.py`` says how to re-record); fingerprints depend neither on
-``PYTHONHASHSEED`` nor on cell order. The mutation tests patch a kernel and
-assert the check *fails*, which keeps the harness itself honest.
+``run_fingerprint`` runs one bench query under one strategy and returns one
+text per facet: rows, ``JobMetrics`` (one field a line), plan, phases,
+``spans`` (the trace, one line per span and per dataflow record), ``trace``
+(the full trace JSON), the schedule record, cluster timeline, chrome trace
+and policy decisions. ``RECORD`` pins every cell in ``CELLS`` at SF 100,
+seed 42; no facet depends on ``PYTHONHASHSEED`` or on cell order.
 """
 
 from __future__ import annotations
@@ -47,11 +44,11 @@ def canonical_rows(rows: list[dict]) -> str:
 
 
 def fields_text(obj, names) -> str:
+    """One ``name=repr`` line per field: floats stay ``repr``-exact."""
     return "\n".join(f"{name}={getattr(obj, name)!r}" for name in names)
 
 
 def metrics_fingerprint(metrics) -> str:
-    """Every JobMetrics field with full float precision (``repr``-exact)."""
     return fields_text(metrics, [f.name for f in fields(metrics) if not f.name.startswith("_")])
 
 
@@ -71,10 +68,8 @@ def trace_spans(trace_json: str) -> str:
     def visit(span: dict, depth: int) -> None:
         line = f"{'  ' * depth}{span['kind']} {span['name']} rows={span['rows_out']}"
         line += f" modeled={span['modeled_rows_out']!r}"
-        if "estimated_rows" in span:
-            line += f" estimated={span['estimated_rows']!r}"
-        if "cost" in span:
-            line += f" cost={span['cost']!r}"
+        for key, name in (("estimated_rows", "estimated"), ("cost", "cost")):
+            line += f" {name}={span[key]!r}" if key in span else ""
         lines.append(line)
         for child in span.get("children", ()):
             visit(child, depth + 1)
@@ -102,24 +97,14 @@ def result_fingerprint(result) -> dict[str, str]:
 
 
 def run_fingerprint(
-    label: str,
-    optimizer: str,
-    scale_factor: int = GOLDEN_SCALE_FACTOR,
-    seed: int = GOLDEN_SEED,
-    inl_enabled: bool = False,
-    **options,
+    label: str, optimizer: str, scale_factor: int = GOLDEN_SCALE_FACTOR, **options
 ) -> dict[str, str]:
-    """Execute one bench query; return its observable state, facet by facet.
-
-    Runs on a :func:`solo_scheduler` — the same path as ``Session.execute``
-    — but keeps the scheduler so the cluster timeline and chrome trace land
-    in the fingerprint too.
-    """
-    bench = workbench_for_query(label, scale_factor, seed)
+    """Execute one bench query on a :func:`solo_scheduler` (the path of
+    ``Session.execute``), keeping the scheduler for the timeline facets."""
+    bench = workbench_for_query(label, scale_factor, GOLDEN_SEED)
     session = bench.session
-    if inl_enabled:
+    if options.get("inl_enabled"):
         bench.ensure_indexes()
-        options["inl_enabled"] = True
     try:
         scheduler = solo_scheduler(session)
         query = bench.query(label)
@@ -144,6 +129,4 @@ def run_cell(cell: str) -> dict[str, str]:
     return run_fingerprint(label, strategy, **options)
 
 
-RECORD = Record(
-    "cells", tuple(CELLS), run_cell, frozenset({"rows", "trace", "chrome_trace"})
-)
+RECORD = Record("cells", tuple(CELLS), run_cell, frozenset({"rows", "trace", "chrome_trace"}))

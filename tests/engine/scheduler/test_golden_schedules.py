@@ -9,7 +9,6 @@ saved-scan counts and one line per query handle, all verbatim
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -27,6 +26,13 @@ from tests.conftest import (
 from tests.golden import Record
 
 
+def handle_line(handle) -> str:
+    """Status, ``repr`` queue delay / finish / total seconds, row count."""
+    result = handle.result()
+    seconds = (handle.queue_delay_seconds, handle.finished_at, result.metrics.total_seconds)
+    return repr((handle.status, *map(repr, seconds), len(result.rows)))
+
+
 def schedule_fingerprint(scheduler, handles) -> dict[str, str]:
     """Everything observable about a schedule, facet by facet."""
     events = json.loads(scheduler.timeline.to_chrome_trace())["traceEvents"]
@@ -35,16 +41,7 @@ def schedule_fingerprint(scheduler, handles) -> dict[str, str]:
         "chrome_trace": "\n".join(json.dumps(event) for event in events),
         "cluster_jobs": repr(scheduler.cluster_jobs),
         "scans_saved": repr(scheduler.scans_saved),
-        "handles": "\n".join(
-            repr((
-                h.status,
-                repr(h.queue_delay_seconds),
-                repr(h.finished_at),
-                repr(h.result().metrics.total_seconds),
-                len(h.result().rows),
-            ))
-            for h in handles
-        ),
+        "handles": "\n".join(map(handle_line, handles)),
     }
 
 
@@ -65,10 +62,9 @@ def run_batch(config: SchedulerConfig, submissions: list[tuple[str, int]]):
 def run_service(caches: bool, rounds: int):
     """Tenant a floods three queries, tenant b sends one, per round."""
     per_round = (("a", "dynamic"), ("a", "ingres"), ("a", "pilot_run"), ("b", "dynamic"))
-    defaults = QueryService(small_cluster()).scheduler.config
     service = QueryService(
         small_cluster(),
-        scheduler_config=replace(defaults, max_concurrent_queries=1),
+        scheduler_config=SchedulerConfig(max_concurrent_queries=1),
         config=ServiceConfig(result_cache=caches, intermediate_cache=caches),
     )
     load_star_data(service)

@@ -1,18 +1,13 @@
-"""Every Sink's stored partitions, pinned row by row and partition by partition.
+"""The ``sinks`` golden record: every Sink's stored partitions, row by row.
 
 The cost clock never reads the host's physical layout, so the ``cells``
-record cannot see a row that lands in the wrong partition of an
-intermediate as long as the result rows come out the same. Storage can: a
-Sink stores its columns with the bounds of each cluster partition, the next
-Reader and ``ServiceCache`` replay serve them as written, and the modeled
-cluster's partition-local semantics (a hash join skipping the exchange on a
-truthfully partitioned input) rest on them.
-
-The ``sinks`` record holds, for each suite query under ``dynamic`` and
-``cost_based`` at SF 10 and SF 100 (seed 42), one line per Sink of the run
-in order: its name without the query namespace, then one digest per stored
-partition of ``repr`` of its rows (the values, their order and the column
-order). ``tests/golden.py`` says how to re-record.
+record cannot see a row that lands in the wrong partition of an intermediate
+as long as the result rows come out the same. The next Reader, the
+``ServiceCache`` replay and a hash join skipping its exchange on a truthfully
+partitioned input all rest on that layout. For each suite query under
+``dynamic`` and ``cost_based`` at SF 10 and 100 (seed 42) the record holds
+one line per Sink in run order: its name without the query namespace, then
+one digest of ``repr`` of each stored partition's rows.
 """
 
 from __future__ import annotations
