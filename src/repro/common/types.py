@@ -105,16 +105,6 @@ class Schema:
         pk = tuple(k for k in self.primary_key if k in names)
         return Schema(tuple(by_name[n] for n in names), pk)
 
-    def concat(self, other: Schema) -> Schema:
-        """Join-output schema: all of ``self``'s fields then ``other``'s.
-
-        Duplicate field names on the right side are dropped (the join key
-        appears once), matching how the engine merges joined rows.
-        """
-        left = set(self.field_names)
-        merged = list(self.fields) + [f for f in other.fields if f.name not in left]
-        return Schema(tuple(merged))
-
 
 #: Value kinds whose equal values are interchangeable: same type, same
 #: ``repr``. ``float`` is not (``0.0 == -0.0``, NaN), nor is ``bool``

@@ -98,10 +98,13 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
     """Estimate-only greedy join tree (no execution between decisions).
 
     Every join of the toolkit's query planned in one shot by repeatedly
-    merging the pair with the smallest estimated result — the same greedy
-    policy as the loop, minus the feedback, and the same tie-break as
-    :meth:`Planner.ranked_joins` (the sorted alias names), so the FROM order
-    never picks between equal estimates. A round ranks its candidates on
+    merging the pair with the smallest estimated result, with the same
+    tie-break as :meth:`Planner.ranked_joins` (the sorted alias names), so
+    the FROM order never picks between equal estimates. The estimates are
+    ``PlanEstimator``'s, not the loop's: both read formula (1), but the
+    estimator caps U at the filtered leaf estimate where the loop's
+    ``estimate_pair`` caps it at the stored row count, so the two can rank
+    the same candidates differently. A round ranks its candidates on
     unannotated joins (formula (1) does not depend on which input builds)
     and annotates only the merge it takes. The fuse rule and the single-shot
     ablation run it over the statistics measured so far; ``greedy_static``

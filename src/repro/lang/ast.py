@@ -308,10 +308,6 @@ class Query:
             pairs.add(frozenset(cond.aliases()))
         return len(pairs)
 
-    def conditions_between(self, a: str, b: str) -> tuple[JoinCondition, ...]:
-        pair = frozenset((a, b))
-        return tuple(c for c in self.joins if frozenset(c.aliases()) == pair)
-
     def describe(self) -> str:
         """Human-readable SQL-ish rendering (for logs and plan dumps)."""
         lines = [

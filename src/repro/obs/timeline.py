@@ -68,17 +68,6 @@ class ClusterTimeline:
     # -- aggregate views ------------------------------------------------------
 
     @property
-    def makespan_seconds(self) -> float:
-        """End of the last job to finish. Serial schedules never idle while
-        work is pending, so this is also their total busy time; under space
-        sharing events overlap and the makespan is the max end instant."""
-        return max((e.end_seconds for e in self.events), default=0.0)
-
-    @property
-    def batched_job_count(self) -> int:
-        return sum(1 for event in self.events if event.batched)
-
-    @property
     def space_shared(self) -> bool:
         """True when any event ran on an explicit partition slice."""
         return any(e.slice_partitions is not None for e in self.events)
@@ -94,15 +83,6 @@ class ClusterTimeline:
         for event in self.events:
             names.update(event.tenants)
         return sorted(names)
-
-    def queue_delay_of(self, query_id: int) -> float:
-        return sum(e.queue_delays.get(query_id, 0.0) for e in self.events)
-
-    def events_for(self, query_id: int) -> list[TimelineEvent]:
-        return [e for e in self.events if query_id in e.queries]
-
-    def events_for_tenant(self, tenant: str) -> list[TimelineEvent]:
-        return [e for e in self.events if tenant in e.tenants]
 
     def overlapping_pairs(self) -> int:
         """Count of event pairs whose intervals overlap (concurrency proof)."""

@@ -5,9 +5,9 @@ the datasets in the FROM clause of the query (i.e., datasets are picked in
 the order they appear in it)"; hash join is the default "unless there are
 query hints that make the optimizer pick one of the other two algorithms".
 
-This strategy underlies both user-order baselines: best-order feeds it the
-dynamic plan's order + broadcast hints; worst-order feeds it the most
-expensive right-deep order with no hints.
+The two user-order baselines do not go through ``from_order_plan``:
+best-order replays the dynamic run's join tree through
+``single_job_stages``, and worst-order builds its own right-deep chain.
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """Greedy static optimizer: the dynamic policy without the feedback.
 
-Plans with exactly the dynamic approach's greedy rule — repeatedly merge the
-pair with the smallest estimated join result — but from ingestion-time
-statistics only, in one shot, executed as a single pipelined job. It
-completes the ablation spectrum:
+Plans with the dynamic approach's greedy policy — repeatedly merge the pair
+with the smallest estimated join result — but from ingestion-time
+statistics only, in one shot, executed as a single pipelined job. Its
+estimates come from ``PlanEstimator``, which reads formula (1) with U
+capped at the filtered leaf estimate; the loop's rank caps U at the stored
+row count, so the two can pick differently on the same statistics
+(``greedy_full_plan``). It completes the ablation spectrum:
 
     cost_based  : exhaustive search, static estimates
     greedy_static: greedy search, static estimates      <- this module

@@ -69,8 +69,3 @@ class TestSchema:
         with pytest.raises(SchemaError):
             make_schema().project(["ghost"])
 
-    def test_concat_merges_and_dedupes(self):
-        left = Schema.of(("a", DataType.INT), ("k", DataType.INT))
-        right = Schema.of(("k", DataType.INT), ("b", DataType.STRING))
-        merged = left.concat(right)
-        assert merged.field_names == ("a", "k", "b")

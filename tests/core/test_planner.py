@@ -5,12 +5,14 @@ import pytest
 from repro.algebra.plan import JoinNode, LeafNode
 from repro.algebra.toolkit import PlannerToolkit
 from repro.common.errors import OptimizationError
+from repro.common.types import DataType, Schema
 from repro.core.planner import (
     Planner,
     rank_by_input_cardinality,
     rank_by_result_cardinality,
 )
 from repro.lang.builder import QueryBuilder
+from repro.session import Session
 
 from tests.conftest import build_star_session, star_query
 
@@ -122,3 +124,32 @@ class TestCrossProductGuard:
         )
         with pytest.raises(OptimizationError):
             planner_for(session, query).final_plan()
+
+
+class TestTwoReadingsOfFormulaOne:
+    """Formula (1) is read two ways; they part on a filtered leaf whose key
+    holds the larger U. The loop's rank (``estimate_pair`` ->
+    ``stats.estimation.join_cardinality``) caps U at the stored row count;
+    ``PlanEstimator``, which ``greedy_full_plan`` ranks with, caps it at the
+    filtered leaf estimate. Both numbers are pinned until one reading goes."""
+
+    def test_both_numbers_for_one_single_predicate_leaf(self):
+        session = Session()
+        dim = Schema.of(("d_id", DataType.INT), ("d_attr", DataType.INT))
+        session.load("d", dim, [{"d_id": i, "d_attr": i % 20} for i in range(400)])
+        fact = Schema.of(("f_d", DataType.INT), ("f_v", DataType.INT))
+        session.load("f", fact, [{"f_d": (i * 7) % 40, "f_v": i} for i in range(2000)])
+        query = (
+            QueryBuilder().select("f.f_v").from_table("d").from_table("f")
+            .where_eq("d.d_attr", 3).join("f.f_d", "d.d_id").build()
+        )
+        toolkit = PlannerToolkit(query, session)
+        conditions = toolkit.conditions_across(frozenset("d"), frozenset("f"))
+        build_keys, probe_keys = toolkit.oriented_keys(conditions, frozenset("d"))
+        join = JoinNode(toolkit.leaf("d"), toolkit.leaf("f"), build_keys, probe_keys)
+
+        assert (toolkit.leaf_rows("d"), toolkit.leaf_rows("f")) == (25.0, 2000.0)
+        # 25 x 2000 / U(d.d_id), U capped at d's 400 stored rows
+        assert toolkit.estimate_pair("d", "f", conditions) == 125.0
+        # 25 x 2000 / U(f.f_d) ~ 40, since U(d.d_id) is capped at d's 25
+        assert toolkit.estimator.estimate(join).modeled_rows == pytest.approx(1243.9, abs=0.1)

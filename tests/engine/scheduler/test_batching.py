@@ -118,7 +118,7 @@ class TestCrossQueryBatching:
         # join: three shared launches, two base scans avoided.
         assert scheduler.scans_saved == 2
         assert scheduler.cluster_jobs == 2 * solo.metrics.jobs - 3
-        assert scheduler.timeline.batched_job_count == 3
+        assert sum(e.batched for e in scheduler.timeline.events) == 3
         # Per-query job counts are unchanged — the cluster ran fewer, and
         # every launch's start-up is charged exactly once across its riders.
         startup = solo.metrics.startup / solo.metrics.jobs
@@ -147,7 +147,8 @@ class TestCrossQueryBatching:
         assert scanned < 2 * solo.metrics.tuples_scanned
         # Makespan equals total charged work: the cluster never idles and
         # every merged job's width is the sum of its branches' shares.
-        assert session.scheduler.timeline.makespan_seconds == pytest.approx(total)
+        makespan = max(e.end_seconds for e in session.scheduler.timeline.events)
+        assert makespan == pytest.approx(total)
 
     def test_batching_disabled_restores_solo_charges(self):
         solo = build_star_session().execute(star_query())

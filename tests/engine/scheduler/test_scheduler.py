@@ -90,7 +90,9 @@ class TestQueueDelay:
         session.run_all()
         scheduler = session.scheduler
         for handle in handles:
-            recorded = scheduler.timeline.queue_delay_of(handle.query_id)
+            recorded = sum(
+                e.queue_delays.get(handle.query_id, 0.0) for e in scheduler.timeline.events
+            )
             # Admission happened at clock zero here, so every delay the
             # handle accrued is visible on some timeline event.
             assert recorded == pytest.approx(handle.queue_delay_seconds)
@@ -128,8 +130,9 @@ class TestConcurrentAdmission:
         scheduler.run_all()
 
         assert first.done and second.done
-        first_events = scheduler.timeline.events_for(first.query_id)
-        second_events = scheduler.timeline.events_for(second.query_id)
+        events = scheduler.timeline.events
+        first_events = [e for e in events if first.query_id in e.queries]
+        second_events = [e for e in events if second.query_id in e.queries]
         assert first_events and second_events
         # No interleaving: the second query's first job starts after the
         # first query completely finished.

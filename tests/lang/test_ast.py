@@ -127,7 +127,7 @@ class TestQuery:
         assert sample_query().join_count() == 2
 
     def test_conditions_between(self):
-        conditions = sample_query().conditions_between("c", "b")
+        conditions = [c for c in sample_query().joins if set(c.aliases()) == {"b", "c"}]
         assert len(conditions) == 2
 
     def test_predicates_for(self):

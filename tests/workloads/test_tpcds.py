@@ -126,7 +126,7 @@ class TestQueries:
         # date_dim appears three times under different aliases
         assert sum(1 for t in query.tables if t.dataset == "date_dim") == 3
         # the fact-to-fact join has three conjuncts
-        assert len(query.conditions_between("ss", "sr")) == 3
+        assert sum(set(c.aliases()) == {"ss", "sr"} for c in query.joins) == 3
         assert query.group_by and query.limit == 100
 
     def test_q50_shape(self):
