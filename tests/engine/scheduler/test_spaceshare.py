@@ -2,7 +2,7 @@
 
 The contract has two halves. ``job_slots=1`` (the default) is the serial
 schedule — one full-width job at a time, a timeline without lanes — pinned
-digest by digest in ``test_golden_schedules.py``. ``job_slots>1`` must
+line by line in ``test_golden_schedules.py``. ``job_slots>1`` must
 genuinely overlap cluster jobs of different queries on the shared clock,
 charge each job against its partition slice (stretching its own seconds),
 and only charge queueing delay for time when no slice was free.

@@ -17,6 +17,7 @@ from repro.sketches.hyperloglog import HyperLogLog
 from repro.workloads import get_workload
 
 from tests.conftest import load_star_data, same_state, small_cluster, star_query
+from tests.engine.equivalence import result_fingerprint
 from tests.stats.reference_collector import EagerCollector
 
 
@@ -534,19 +535,6 @@ class TestDeterminismGuard:
 
     FACETS = ("rows", "metrics", "plan", "phases", "trace", "decisions")
 
-    @staticmethod
-    def _fingerprint(result) -> dict:
-        from tests.engine.equivalence import canonical_rows, metrics_fingerprint
-
-        return {
-            "rows": canonical_rows(result.rows),
-            "metrics": metrics_fingerprint(result.metrics),
-            "plan": result.plan_description,
-            "phases": repr(list(result.phases)),
-            "trace": result.trace.to_json() if result.trace else "none",
-            "decisions": repr(tuple(result.decisions)),
-        }
-
     def test_shared_cold_store_matches_isolated_sessions(self):
         from tests.conftest import build_star_session
 
@@ -557,7 +545,7 @@ class TestDeterminismGuard:
         for tenant in ("alice", "bob"):
             handle = shared.session(tenant).submit(star_query(), "dynamic")
             shared.run_all()
-            shared_results.append(self._fingerprint(handle.result()))
+            shared_results.append(result_fingerprint(handle.result()))
             shared.session(tenant).reset_intermediates()
             shared.reset_scheduler()
 
@@ -565,6 +553,6 @@ class TestDeterminismGuard:
             session = build_star_session()
             handle = session.submit(star_query(), "dynamic")
             session.run_all()
-            isolated_fp = self._fingerprint(handle.result())
+            isolated_fp = result_fingerprint(handle.result())
             for facet in self.FACETS:
                 assert shared_fp[facet] == isolated_fp[facet], facet
