@@ -13,18 +13,13 @@ import pytest
 from repro.algebra.plan import is_bushy, is_right_deep
 from repro.bench.comparison import figure7
 from repro.bench.plans import format_matrix
-from repro.bench.runner import workbench_for_query
-from repro.bench.sweep import Sweep
-from repro.core.driver import DynamicOptimizer
-from repro.optimizers.worst_order import WorstOrderOptimizer
+from repro.bench.sweep import Key, execute
 
 
 @pytest.mark.parametrize("scale_factor", (100, 1000))
 @pytest.mark.parametrize("query", ("Q17", "Q9"))
 def test_dynamic_plans_are_not_right_deep(query, scale_factor):
-    bench = workbench_for_query(query, scale_factor)
-    tree = DynamicOptimizer().execute(bench.query(query), bench.session).plan
-    bench.session.reset_intermediates()
+    tree = execute(Key(query, scale_factor, "dynamic")).plan
     # The paper observes "most of the optimal plans are bushy joins"; at
     # minimum the dynamic plan departs from the stock right-deep shape.
     assert not is_right_deep(tree), tree.describe()
@@ -34,15 +29,13 @@ def test_dynamic_plans_are_not_right_deep(query, scale_factor):
 
 @pytest.mark.parametrize("query", ("Q17", "Q50", "Q8", "Q9"))
 def test_worst_order_plans_are_right_deep_hash_only(query):
-    bench = workbench_for_query(query, 100)
-    tree = WorstOrderOptimizer().execute(bench.query(query), bench.session).plan
-    bench.session.reset_intermediates()
+    tree = execute(Key(query, 100, "worst_order")).plan
     assert is_right_deep(tree) or not is_bushy(tree)
     assert "⋈b" not in tree.describe()
     assert "⋈i" not in tree.describe()
 
 
-def test_plan_matrix_renders():
-    text = format_matrix(Sweep().run(figure7((100,), ("Q50",))))
+def test_plan_matrix_renders(sweep):
+    text = format_matrix(sweep.run(figure7((100,), ("Q50",))))
     assert "Q50 @ SF 100" in text
     assert "dynamic" in text and "worst_order" in text

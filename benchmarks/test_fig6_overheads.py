@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.overhead import overhead_report
+from repro.bench.overhead import figure6, overhead_reports
 from repro.bench.runner import QUERIES
 
 SCALE_FACTORS = (100, 1000)
@@ -18,8 +18,8 @@ SCALE_FACTORS = (100, 1000)
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig6_reopt_online_stats(query, scale_factor):
-    report = overhead_report(query, scale_factor)
+def test_fig6_reopt_online_stats(query, scale_factor, sweep):
+    (report,) = overhead_reports(sweep.run(figure6((scale_factor,), (query,))))
     # Shape bounds (generous): overheads exist but stay modest.
     assert 0.0 <= report.reoptimization_fraction < 0.35
     assert 0.0 <= report.online_stats_fraction < 0.15
@@ -27,8 +27,8 @@ def test_fig6_reopt_online_stats(query, scale_factor):
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig6_pushdown(query, scale_factor):
-    report = overhead_report(query, scale_factor)
+def test_fig6_pushdown(query, scale_factor, sweep):
+    (report,) = overhead_reports(sweep.run(figure6((scale_factor,), (query,))))
     # The paper's bound is <=3%; allow slack for the simulated substrate but
     # require the push-down materialization to stay a small fraction.
     assert report.pushdown_fraction < 0.10

@@ -17,15 +17,14 @@ import pytest
 
 from repro.bench.comparison import figure7
 from repro.bench.runner import QUERIES
-from repro.bench.sweep import Sweep
 
 SCALE_FACTORS = (10, 100, 1000)
 
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig7_group(query, scale_factor):
-    cells = Sweep().run(figure7((scale_factor,), (query,)))
+def test_fig7_group(query, scale_factor, sweep):
+    cells = sweep.run(figure7((scale_factor,), (query,)))
     timings = {cell.key.variant: cell.seconds for cell in cells}
 
     rows = {cell.rows for cell in cells}

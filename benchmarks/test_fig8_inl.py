@@ -16,16 +16,16 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.comparison import figure8
-from repro.bench.runner import QUERIES, run_query
-from repro.bench.sweep import Sweep
+from repro.bench.runner import QUERIES
+from repro.bench.sweep import Key
 
 SCALE_FACTORS = (10, 100, 1000)
 
 
 @pytest.mark.parametrize("scale_factor", SCALE_FACTORS)
 @pytest.mark.parametrize("query", sorted(QUERIES))
-def test_fig8_group(query, scale_factor):
-    cells = Sweep().run(figure8((scale_factor,), (query,)))
+def test_fig8_group(query, scale_factor, sweep):
+    cells = sweep.run(figure8((scale_factor,), (query,)))
     assert all(cell.key.variant != "worst_order" for cell in cells)
     rows = {cell.rows for cell in cells}
     assert len(rows) == 1, f"optimizers disagree on result size: {rows}"
@@ -38,6 +38,6 @@ def test_fig8_group(query, scale_factor):
 
 
 @pytest.mark.parametrize("scale_factor", (10, 100))
-def test_fig8_q9_inl_at_broadcastable_scales(scale_factor):
-    result = run_query("Q9", scale_factor, "dynamic", True)
-    assert "⋈i" in result.plan_description
+def test_fig8_q9_inl_at_broadcastable_scales(scale_factor, sweep):
+    (cell,) = sweep.run([Key("Q9", scale_factor, "dynamic", inl_enabled=True)])
+    assert "⋈i" in cell.plan

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.comparison import figure7
 from repro.bench.table1 import improvement_rows
 
 
 @pytest.mark.parametrize("scale_factor", (100, 1000))
-def test_table1_row(scale_factor):
-    (row,) = improvement_rows(None, (scale_factor,))
+def test_table1_row(scale_factor, sweep):
+    (row,) = improvement_rows(sweep.run(figure7((scale_factor,))), (scale_factor,))
     assert row.ratios["best_order"] < 1.0
     assert row.ratios["worst_order"] > 2.5
     assert row.ratios["cost_based"] > 1.0

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro import Session
 from repro.core import DynamicOptimizer
-from repro.optimizers import execute_tree
+from repro.optimizers import BestOrderOptimizer
 from repro.workloads import get_workload
 
 
@@ -68,7 +68,7 @@ def main() -> None:
     print()
 
     # Replay the captured plan as one job: the dynamic overhead is the delta.
-    replay = execute_tree(result.plan, query, session)
+    replay = BestOrderOptimizer(tree=result.plan).execute(query, session)
     overhead = result.seconds - replay.seconds
     print(
         f"Same plan replayed as one pipelined job: {replay.seconds:.1f}s "

@@ -299,12 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--query", default="Q8", help="bench query label")
     parser.add_argument("--sf", type=int, default=10, help="scale factor")
-    parser.add_argument("--optimizer", default="dynamic", help="strategy name")
     parser.add_argument(
-        "--pre-filter",
-        default=None,
-        choices=("transfer",),
-        help="optional dynamic pre-filtering prelude",
+        "--optimizer",
+        default="dynamic",
+        help="bench variant: a strategy name or a composition such as "
+        "dynamic+transfer",
     )
     parser.add_argument("--skew", type=float, default=0.0, help="J1-J3 only")
     parser.add_argument("--correlation", type=float, default=0.0, help="J1-J3 only")
@@ -321,28 +320,19 @@ def main(argv: list[str] | None = None) -> int:
         records = _records_from_trace_file(args.trace)
         source = args.trace
     else:
-        from repro.bench.runner import run_query
+        from repro.bench.sweep import VARIANTS, Key, execute
 
-        options: dict[str, object] = {}
-        if args.pre_filter is not None:
-            options["pre_filter"] = args.pre_filter
-        try:
-            result = run_query(
-                args.query,
-                args.sf,
-                args.optimizer,
-                seed=args.seed,
-                skew=args.skew,
-                correlation=args.correlation,
-                **options,
+        if args.optimizer not in VARIANTS:
+            parser.error(
+                f"unknown --optimizer {args.optimizer!r}; choose from {sorted(VARIANTS)}"
             )
+        key = Key(args.query, args.sf, args.optimizer, args.skew, args.correlation)
+        try:
+            result = execute(key, args.seed)
         except CatalogError as error:  # e.g. a knob on a TPC query
             parser.error(str(error))
         records = list(result.trace.estimates) if result.trace else []
-        source = (
-            f"{args.query} @ SF {args.sf} under {args.optimizer}"
-            + (f"+{args.pre_filter}" if args.pre_filter else "")
-        )
+        source = f"{args.query} @ SF {args.sf} under {args.optimizer}"
 
     hypotheses = diagnose_records(records, threshold=args.threshold)
     print(f"plan-quality diagnosis for {source}")

@@ -10,9 +10,9 @@ Usage::
 Each experiment lives in one :class:`Experiment` entry of the
 :data:`REGISTRY` below — the argument parser, the printed experiment list,
 the unknown-name error and the dispatch loop all derive from it, so adding
-an experiment means adding exactly one entry. Every experiment but fig6
-reads cells of one :class:`~repro.bench.sweep.Sweep`, so a cell two of them
-share runs once per invocation.
+an experiment means adding exactly one entry. Every experiment reads cells
+of one :class:`~repro.bench.sweep.Sweep`, so a cell two of them share runs
+once per invocation.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ def _comparison_sfs(args) -> tuple[int, ...]:
 def _run_fig6(args, sweep: Sweep) -> bool:
     sfs = tuple(args.sf) if args.sf else (100, 1000)
     print("=== Figure 6: re-optimization / online statistics / push-down overheads ===")
-    print(overhead.format_reports(overhead.figure6(sfs, seed=args.seed)))
+    cells = sweep.run(overhead.figure6(sfs))
+    print(overhead.format_reports(overhead.overhead_reports(cells)))
     return False
 
 

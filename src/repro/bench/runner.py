@@ -3,7 +3,8 @@
 Sessions are expensive to build (data generation + ingestion-time sketches),
 so they are cached per :class:`~repro.workloads.WorkloadSpec` — workload,
 scale factor, seed and the skew/correlation knobs — and shared across
-experiments; every run resets materialized intermediates afterwards.
+experiments; a run drops the intermediates it materialized when it finishes.
+:func:`repro.bench.sweep.execute` runs a query on them.
 
 Both registries this module sweeps from are external: query labels come
 from the workload registry (:func:`repro.workloads.get_workload`) and
@@ -16,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.metrics import ExecutionResult
 from repro.lang.ast import Query
 from repro.optimizers import available_strategies
 from repro.session import Session
-from repro.spec import PlannerSpec
 from repro.workloads import WorkloadSpec, get_workload
 
 #: workloads whose suites form the paper's evaluation set, in Figure 6-8
@@ -92,28 +91,6 @@ class Workbench:
 _CACHE: dict[WorkloadSpec, Workbench] = {}
 
 
-def workbench_for_spec(spec: WorkloadSpec) -> Workbench:
-    """Cached session loaded with one workload spec."""
-    if spec not in _CACHE:
-        session = Session()
-        spec.load_into(session)
-        _CACHE[spec] = Workbench(spec, session)
-    return _CACHE[spec]
-
-
-def workbench(
-    workload: str,
-    scale_factor: int,
-    seed: int = 42,
-    skew: float = 0.0,
-    correlation: float = 0.0,
-) -> Workbench:
-    """Cached session for one workload at one scale factor (knobs optional)."""
-    return workbench_for_spec(
-        get_workload(workload, scale_factor, seed, skew=skew, correlation=correlation)
-    )
-
-
 def workbench_for_query(
     label: str,
     scale_factor: int,
@@ -121,43 +98,17 @@ def workbench_for_query(
     skew: float = 0.0,
     correlation: float = 0.0,
 ) -> Workbench:
-    return workbench(SWEEP_QUERIES[label], scale_factor, seed, skew, correlation)
+    """Cached session loaded with the workload ``label`` belongs to, at one
+    scale factor (knobs optional)."""
+    spec = get_workload(
+        SWEEP_QUERIES[label], scale_factor, seed, skew=skew, correlation=correlation
+    )
+    if spec not in _CACHE:
+        session = Session()
+        spec.load_into(session)
+        _CACHE[spec] = Workbench(spec, session)
+    return _CACHE[spec]
 
 
 def clear_cache() -> None:
     _CACHE.clear()
-
-
-def prepared_query(
-    label: str,
-    scale_factor: int,
-    seed: int = 42,
-    skew: float = 0.0,
-    correlation: float = 0.0,
-    inl_enabled: bool = False,
-) -> tuple[Query, Session]:
-    """One evaluation query and the cached session it runs on (with the
-    Figure-8 indexes when the indexed nested loop join is enabled)."""
-    bench = workbench_for_query(label, scale_factor, seed, skew, correlation)
-    if inl_enabled:
-        bench.ensure_indexes()
-    return bench.query(label), bench.session
-
-
-def run_query(
-    label: str,
-    scale_factor: int,
-    optimizer: str,
-    inl_enabled: bool = False,
-    seed: int = 42,
-    skew: float = 0.0,
-    correlation: float = 0.0,
-    **options,
-) -> ExecutionResult:
-    """Execute one evaluation query under one strategy."""
-    query, session = prepared_query(
-        label, scale_factor, seed, skew, correlation, inl_enabled
-    )
-    if inl_enabled:
-        options["inl_enabled"] = True
-    return session.execute(query, PlannerSpec.of(optimizer, **options))

@@ -5,11 +5,13 @@ strategy, read for its simulated seconds, rows and plan. A :class:`Key` names
 one such cell — query, scale factor, variant, the two
 :class:`~repro.workloads.WorkloadSpec` knobs and whether the Figure-8 indexed
 nested loop join is enabled — and a :class:`Cell` is what running it
-measured. :class:`Sweep` runs lists of keys and keeps every cell it ran, so
-one CLI invocation runs each distinct cell once however many experiments
-read it. The paper figures are key lists in :mod:`repro.bench.comparison`
-and :mod:`repro.bench.plans`; the three extension experiments are here, each
-a key list and the predicate its cells must meet:
+measured. :func:`execute` is the one way the bench runs a query, and
+:class:`Sweep` runs lists of keys and keeps every cell it ran, so one CLI
+invocation runs each distinct cell once however many experiments read it. A
+variant is a registered strategy or one of :data:`VARIANTS`' compositions and
+ablations. The paper figures are key lists in :mod:`repro.bench.comparison`,
+:mod:`repro.bench.overhead` and :mod:`repro.bench.plans`; the three extension
+experiments are here, each a key list and the predicate its cells must meet:
 
 - **skew** sweeps every strategy over a grid of Zipf ``skew`` and hot-key
   ``correlation`` on the JOB chain J2. The stock cell is the regime where
@@ -39,25 +41,96 @@ a key list and the predicate its cells must meet:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable, Sequence
 
+from repro.algebra.plan import JoinNode, LeafNode, PlanNode
 from repro.bench import feedback
-from repro.bench.runner import prepared_query
-from repro.core.driver import DynamicOptimizer, EveryPoint
+from repro.bench.runner import workbench_for_query
+from repro.core.driver import DriverState, DynamicOptimizer, EveryPoint, greedy_full_plan
 from repro.core.policy import REPLAN_QERROR, PolicyDecision, ReplanPolicy
+from repro.core.predicate_pushdown import pushdown_stages
+from repro.engine.metrics import ExecutionResult, JobMetrics
+from repro.engine.scheduler import QueryRun
+from repro.engine.scheduler.request import Stages
+from repro.lang.ast import Query
 from repro.obs.report import qerror_stats
 from repro.optimizers import Optimizer, available_strategies, optimizer_class
+from repro.optimizers.base import final_job_stages
 from repro.session import Session
 
+
+# -- ablations ----------------------------------------------------------------
+
+
+class NoPushdown(DynamicOptimizer):
+    """The re-optimization loop without the push-down prelude: local
+    predicates are evaluated inline by whichever job first reads a table."""
+
+    def prepare_stages(self, run: QueryRun, session: Session) -> Stages:
+        return (yield from ())
+
+
+class SingleShot(DynamicOptimizer):
+    """Push-down without feedback: the push-down jobs, then every join
+    planned greedily over the refined statistics and run as one job."""
+
+    def resume_stages(self, state: DriverState, session: Session) -> Stages:
+        plan = greedy_full_plan(self._toolkit(state, session))
+        return (yield from self._final_stages(state, session, plan))
+
+
+def _tree_with_materialized_filters(
+    tree: PlanNode, intermediates: dict[str, str]
+) -> PlanNode:
+    """Replace filtered leaves by their push-down materializations."""
+    if isinstance(tree, LeafNode):
+        if tree.alias in intermediates:
+            return LeafNode(
+                alias=tree.alias,
+                dataset=intermediates[tree.alias],
+                predicates=(),
+                is_intermediate=True,
+            )
+        return tree
+    assert isinstance(tree, JoinNode)
+    return replace(
+        tree,
+        build=_tree_with_materialized_filters(tree.build, intermediates),
+        probe=_tree_with_materialized_filters(tree.probe, intermediates),
+    )
+
+
+class PushdownReplay(Optimizer):
+    """Figure 6's push-down bar: the push-down jobs, then the dynamic plan
+    with its filtered leaves swapped for their materializations, as one job.
+    The plan comes from an uncharged scout, as ``best_order``'s does."""
+
+    def stages(self, query: Query, session: Session, namespace: str = "") -> Stages:
+        # the scout is a blocking run of its own before the first yield
+        tree = DynamicOptimizer().execute(query, session).plan
+        run = QueryRun(query, session, "pushdown", namespace)
+        outcome = yield from pushdown_stages(run, session)
+        swapped = _tree_with_materialized_filters(tree, outcome.intermediates)
+        return (
+            yield from final_job_stages(
+                run, swapped, outcome.query, session, phase="single-job", kind="single"
+            )
+        )
+
+
 #: variant name -> optimizer factory: every registered strategy, plus the
-#: compositions and the fixed schedule the extension experiments compare
+#: compositions, the fixed schedule and the ablations the experiments compare
 VARIANTS: dict[str, Callable[..., Optimizer]] = {
     **{name: optimizer_class(name) for name in available_strategies()},
     "dynamic+transfer": partial(DynamicOptimizer, pre_filter="transfer"),
     "dynamic+policy": partial(DynamicOptimizer, policy=ReplanPolicy.default()),
     "every_point": EveryPoint,
+    "no_pushdown": NoPushdown,
+    "single_shot": SingleShot,
+    "pushdown_replay": PushdownReplay,
+    "movement_aware": partial(optimizer_class("cost_based"), movement_aware=True),
 }
 
 #: the cells one comparison ranks: a key without its variant
@@ -88,15 +161,22 @@ class Cell:
     """What one key's run measured (its result rows are not kept)."""
 
     key: Key
-    seconds: float
+    metrics: JobMetrics
     rows: int
-    jobs: int
     plan: str
     decisions: tuple[PolicyDecision, ...]
     qerror_records: int
     final_qerror: float | None
     worst_qerror: float | None
     mean_qerror: float | None
+
+    @property
+    def seconds(self) -> float:
+        return self.metrics.total_seconds
+
+    @property
+    def jobs(self) -> int:
+        return self.metrics.jobs
 
 
 @cache
@@ -106,23 +186,30 @@ def _feedback_session(seed: int) -> Session:
     return session
 
 
-def measure(key: Key, seed: int = 42) -> Cell:
-    """Run one cell on its cached universe."""
+def execute(key: Key, seed: int = 42) -> ExecutionResult:
+    """Run one cell's query under its variant, on its cached universe (with
+    the Figure-8 indexes when the indexed nested loop join is enabled)."""
     if key.query in feedback.QUERIES:
         query, session = feedback.QUERIES[key.query](), _feedback_session(seed)
     else:
-        query, session = prepared_query(
-            key.query, key.scale_factor, seed, key.skew, key.correlation,
-            key.inl_enabled,
-        )  # fmt: skip
+        bench = workbench_for_query(
+            key.query, key.scale_factor, seed, key.skew, key.correlation
+        )
+        if key.inl_enabled:
+            bench.ensure_indexes()
+        query, session = bench.query(key.query), bench.session
     options = {"inl_enabled": True} if key.inl_enabled else {}
-    result = VARIANTS[key.variant](**options).execute(query, session)
+    return VARIANTS[key.variant](**options).execute(query, session)
+
+
+def measure(key: Key, seed: int = 42) -> Cell:
+    """Run one cell and keep what the reports read."""
+    result = execute(key, seed)
     stats = qerror_stats(result.trace)
     return Cell(
         key=key,
-        seconds=result.seconds,
+        metrics=result.metrics,
         rows=len(result.rows),
-        jobs=result.metrics.jobs,
         plan=result.plan_description,
         decisions=result.decisions,
         qerror_records=stats["records"],

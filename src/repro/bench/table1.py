@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.comparison import figure7
-from repro.bench.sweep import Cell, Sweep, grouped
+from repro.bench.sweep import Cell, grouped
 
 #: the paper's Table 1, for side-by-side reporting
 PAPER_TABLE1 = {
@@ -42,13 +41,9 @@ class ImprovementRow:
 
 
 def improvement_rows(
-    cells: Sequence[Cell] | None = None,
-    scale_factors=(100, 1000),
-    seed: int = 42,
+    cells: Sequence[Cell], scale_factors=(100, 1000)
 ) -> list[ImprovementRow]:
-    """Compute Table 1 from Figure 7 cells (running them if not supplied)."""
-    if cells is None:
-        cells = Sweep(seed).run(figure7(scale_factors))
+    """Compute Table 1 from Figure 7 cells."""
     rows = []
     for scale_factor in scale_factors:
         ratios: dict[str, list[float]] = {}

@@ -38,7 +38,7 @@ different queries on one shared simulated clock. There is one schedule:
 - **Blocking runs.** :func:`run_solo` is the one-query case, on a
   :func:`solo_scheduler`: one slot, and a rule
   (:func:`~.launch.plan_alone`) that launches every request by itself.
-  ``Session.execute``, ``Optimizer.execute``, ``execute_tree`` and
+  ``Session.execute``, ``Optimizer.execute`` and
   ``DynamicOptimizer.resume`` all run through it; there is no other driver
   of a stage generator.
 

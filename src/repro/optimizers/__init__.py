@@ -10,7 +10,7 @@ from __future__ import annotations
 from importlib import import_module
 
 from repro.common.errors import OptimizationError
-from repro.optimizers.base import Optimizer, execute_tree, single_job_stages
+from repro.optimizers.base import Optimizer, single_job_stages
 
 #: name -> (module, class) for every registered strategy
 OPTIMIZERS = {
@@ -72,7 +72,6 @@ __all__ = [
     "OPTIMIZERS",
     "Optimizer",
     "available_strategies",
-    "execute_tree",
     "make_optimizer",
     "optimizer_class",
     "single_job_stages",

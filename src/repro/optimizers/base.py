@@ -91,19 +91,3 @@ def single_job_stages(
         )
     )
 
-
-def execute_tree(tree: PlanNode, query: Query, session: Session) -> ExecutionResult:
-    """Run a fully annotated plan tree as one pipelined job.
-
-    This is how the best-order baseline and the Figure-6 "statistics
-    upfront" baseline run: the join tree is known in advance, so there are
-    no re-optimization points, no materialization, and no online statistics
-    — just a single job whose leaves filter inline. The trace still carries
-    an estimate record per join operator, so static plans' estimate accuracy
-    is directly comparable with the dynamic approach's.
-    """
-    return run_solo(
-        query,
-        lambda namespace: single_job_stages(tree, query, session, namespace),
-        session,
-    )

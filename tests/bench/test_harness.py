@@ -3,16 +3,10 @@
 import pytest
 
 from repro.bench.comparison import figure7, figure8, format_cells
-from repro.bench.overhead import OverheadReport, format_reports, overhead_report
+from repro.bench.overhead import figure6, format_reports, overhead_reports
 from repro.bench.plans import format_matrix
-from repro.bench.runner import (
-    COMPARISON_OPTIMIZERS,
-    QUERIES,
-    run_query,
-    workbench,
-    workbench_for_query,
-)
-from repro.bench.sweep import Sweep
+from repro.bench.runner import COMPARISON_OPTIMIZERS, QUERIES, workbench_for_query
+from repro.bench.sweep import Key, Sweep, execute
 from repro.bench.table1 import PAPER_TABLE1, improvement_rows, format_rows
 
 SWEEP = Sweep()
@@ -20,25 +14,25 @@ SWEEP = Sweep()
 
 class TestRunner:
     def test_workbench_cached(self):
-        assert workbench("tpch", 10) is workbench("tpch", 10)
+        assert workbench_for_query("Q8", 10) is workbench_for_query("Q9", 10)
 
     def test_workbench_for_query(self):
         assert workbench_for_query("Q17", 10).workload == "tpcds"
         assert workbench_for_query("Q8", 10).workload == "tpch"
 
     def test_query_cached_and_validated(self):
-        bench = workbench("tpch", 10)
+        bench = workbench_for_query("Q9", 10)
         assert bench.query("Q9") is bench.query("Q9")
         with pytest.raises(KeyError):
             bench.query("Q17")
 
     def test_run_query_cleans_up(self):
         bench = workbench_for_query("Q50", 10)
-        run_query("Q50", 10, "dynamic")
+        execute(Key("Q50", 10, "dynamic"))
         assert not any(n.startswith("__") for n in bench.session.datasets.names())
 
     def test_run_query_inl_creates_indexes(self):
-        run_query("Q50", 10, "dynamic", inl_enabled=True)
+        execute(Key("Q50", 10, "dynamic", inl_enabled=True))
         bench = workbench_for_query("Q50", 10)
         assert bench.session.datasets.get("store_returns").has_index(
             "sr_returned_date_sk"
@@ -66,15 +60,14 @@ class TestComparison:
 
 class TestOverhead:
     def test_report_fields(self):
-        report = overhead_report("Q50", 10)
+        (report,) = overhead_reports(SWEEP.run(figure6((10,), ("Q50",))))
+        assert (report.query, report.scale_factor) == ("Q50", 10)
         assert report.full_seconds > 0
         assert 0 <= report.reoptimization_fraction < 1
         assert 0 <= report.online_stats_fraction < 1
-        assert isinstance(report, OverheadReport)
 
     def test_format(self):
-        report = overhead_report("Q50", 10)
-        text = format_reports([report])
+        text = format_reports(overhead_reports(SWEEP.run(figure6((10,), ("Q50",)))))
         assert "re-opt=" in text and "pushdown=" in text
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.runner import run_query
+from repro.bench.sweep import Key, execute
 from repro.engine.operators.base import PhysicalOperator
 from repro.engine.operators.filters import SemiJoinFilterOp
 
@@ -44,7 +44,7 @@ def test_bloom_attrs_are_the_rows_the_semi_join_operators_saw(spans, monkeypatch
     monkeypatch.setattr(PhysicalOperator, "run", recording)
     recorder = spans.Recorder()
     with recorder.recording():
-        result = run_query("Q9", 10, "dynamic", pre_filter="transfer")
+        result = execute(Key("Q9", 10, "dynamic+transfer"))
     assert recorder.unresolved == []
     assert result.rows
 

@@ -92,6 +92,8 @@ class TestTransferSweep:
     def test_variants_registered(self):
         assert set(available_strategies()) <= set(VARIANTS)
         assert set(TRANSFER_VARIANTS) <= set(VARIANTS)
+        # the report's variant column is as wide as the longest name
+        assert max(map(len, VARIANTS)) == len("predicate_transfer")
 
     def test_identical_rows_across_variants(self, sweep):
         """Bloom filters are false-positive-only, so every variant returns
@@ -134,9 +136,9 @@ class TestFeedbackExperiment:
         [
             (1, lambda fixed, every_point: {"decisions": ()}),
             (1, lambda fixed, every_point: {"plan": fixed.plan}),
-            (1, lambda fixed, every_point: {"seconds": fixed.seconds}),
+            (1, lambda fixed, every_point: {"metrics": fixed.metrics}),
             (3, lambda fixed, every_point: {"decisions": ()}),
-            (3, lambda fixed, every_point: {"seconds": every_point.seconds}),
+            (3, lambda fixed, every_point: {"metrics": every_point.metrics}),
         ],
         ids=["no-replan", "same-plan", "no-saving", "no-fuse", "fuse-not-cheaper"],
     )
@@ -156,7 +158,9 @@ class TestFeedbackExperiment:
 
         def no_saving(key, seed=42):
             cell = measure(key, seed)
-            return replace(cell, seconds=1e9) if key == FEEDBACK[1] else cell
+            if key != FEEDBACK[1]:
+                return cell
+            return replace(cell, metrics=replace(cell.metrics, compute=1e9))
 
         monkeypatch.setattr(sweep_module, "measure", no_saving)
         assert main(["feedback"]) == 1
@@ -180,4 +184,21 @@ class TestRunner:
         # 4 queries x (6 Figure-7 strategies + 5 Figure-8 ones + the 2 the
         # Q-error report adds)
         assert len(runs) == 4 * (6 + 5 + 2)
+        capsys.readouterr()
+
+    def test_figure6_shares_figure7_cells(self, monkeypatch, capsys):
+        """Figure 6 folds ``dynamic`` and ``best_order`` cells Figure 7 and
+        Table 1 also read: one invocation runs them once."""
+        measure = sweep_module.measure
+        runs: Counter = Counter()
+
+        def counted(key, seed=42):
+            runs[key] += 1
+            return measure(key, seed)
+
+        monkeypatch.setattr(sweep_module, "measure", counted)
+        assert main(["fig6", "fig7", "table1", "--sf", "10"]) == 0
+        assert set(runs.values()) == {1}
+        # 4 queries x (6 Figure-7 strategies + Figure 6's push-down replay)
+        assert len(runs) == 4 * (6 + 1)
         capsys.readouterr()

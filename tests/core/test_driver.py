@@ -6,7 +6,7 @@ import pytest
 
 from repro.algebra.plan import JoinNode
 from repro.algebra.toolkit import PlannerToolkit
-from repro.bench.overhead import no_pushdown_variant, single_shot_variant
+from repro.bench.sweep import NoPushdown, SingleShot
 from repro.core.driver import (
     DynamicOptimizer,
     SimulatedFailure,
@@ -68,16 +68,16 @@ class TestDriverEndToEnd:
         assert replace(result.metrics, stats=0.0).total_seconds < result.seconds
 
     def test_pushdown_disabled(self, session):
-        result = no_pushdown_variant(star_query(), session)
+        result = NoPushdown().execute(star_query(), session)
         session.reset_intermediates()
         assert not any(p.startswith("pushdown") for p in result.phases)
         reference = evaluate_reference(star_query(), session)
         assert rows_equal_unordered(result.rows, reference)
 
     def test_single_shot_mode(self, session):
-        result = single_shot_variant(star_query(), session)
+        result = SingleShot().execute(star_query(), session)
         session.reset_intermediates()
-        assert result.phases[-1] == "single-shot"
+        assert result.phases[-1] == "final"
         # pushdown jobs + exactly one query job
         assert result.metrics.jobs == 3
         reference = evaluate_reference(star_query(), session)

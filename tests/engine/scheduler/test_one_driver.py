@@ -1,7 +1,7 @@
 """One driver: every blocking entry point is a one-query schedule.
 
-``Session.execute``, ``Optimizer.execute``, ``execute_tree`` and
-``DynamicOptimizer.resume`` run on a private scheduler like any
+``Session.execute``, ``Optimizer.execute`` (a replayed plan tree included)
+and ``DynamicOptimizer.resume`` run on a private scheduler like any
 submission. So every query they finish is verified once at completion (its
 trace goes through the query-completion pass once), carries a schedule
 record, and leaves no ``__q*`` dataset behind.
@@ -14,7 +14,7 @@ import pytest
 from repro.analysis import runtime
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
 from repro.engine.metrics import ExecutionResult
-from repro.optimizers import available_strategies, execute_tree, make_optimizer
+from repro.optimizers import BestOrderOptimizer, available_strategies, make_optimizer
 
 from tests.conftest import build_star_session, star_query
 
@@ -54,9 +54,9 @@ def test_optimizer_execute_is_verified_scheduled_and_released(name, verified):
 def test_execute_tree_is_verified_and_released(verified):
     session = build_star_session()
     plan = DynamicOptimizer().execute(star_query(), session).plan
-    result = execute_tree(plan, star_query(), session)
+    result = BestOrderOptimizer(tree=plan).execute(star_query(), session)
     assert_verified_once(result, verified)
-    assert result.phases == ["single-job"]
+    assert result.phases == ["best-order"]
     assert leftovers(session) == []
 
 

@@ -17,7 +17,8 @@ import re
 
 import pytest
 
-from repro.bench.runner import SWEEP_QUERIES, run_query
+from repro.bench.runner import SWEEP_QUERIES
+from repro.bench.sweep import Key, execute
 from repro.engine.operators.sink import SinkOp
 from tests.engine.datasets import partition_rows_of
 from tests.golden import Record, load
@@ -40,17 +41,17 @@ def sink_partitions(cell: str) -> dict[str, str]:
     """Run one cell; one line per Sink: its name and partition digests."""
     label, strategy, sf = cell.split("/")
     written: list[str] = []
-    execute = SinkOp.execute
+    sink_execute = SinkOp.execute
 
     def recording(self, state):
-        data = execute(self, state)
+        data = sink_execute(self, state)
         digests = map(rows_digest, partition_rows_of(state.datasets.get(self.name)))
         written.append(" ".join([re.sub(r"^__q\d+__", "", self.name), *digests]))
         return data
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SinkOp, "execute", recording)
-        run_query(label, int(sf.removeprefix("sf")), strategy)
+        execute(Key(label, int(sf.removeprefix("sf")), strategy))
     return {"sinks": "\n".join(written)}
 
 

@@ -1,22 +1,27 @@
-"""Figure-6 experiment machinery at test scale: modes, monotonicity."""
+"""Figure-6 experiment machinery at test scale: modes, monotonicity, and
+the ablation variants pinned to the compositions they replaced."""
 
 import pytest
 
-from repro.bench.overhead import (
-    _tree_with_materialized_filters,
-    overhead_report,
-    pushdown_variant,
-)
+from repro.bench.overhead import figure6, overhead_reports
 from repro.bench.runner import workbench_for_query
+from repro.bench.sweep import Key, Sweep, _tree_with_materialized_filters, execute
 from repro.core.driver import DynamicOptimizer
 from repro.core.predicate_pushdown import intermediate_name_for
 from repro.testing import rows_equal_unordered
+
+SWEEP = Sweep()
+
+
+def overhead_report(query: str):
+    (report,) = overhead_reports(SWEEP.run(figure6((10,), (query,))))
+    return report
 
 
 class TestOverheadModes:
     @pytest.mark.parametrize("query", ("Q17", "Q50", "Q8", "Q9"))
     def test_decomposition_is_consistent(self, query):
-        report = overhead_report(query, 10)
+        report = overhead_report(query)
         # the full run is never cheaper than the no-online-stats run, which
         # is never cheaper than the upfront replay of the same plan
         assert report.full_seconds >= report.no_online_stats_seconds - 1e-9
@@ -54,7 +59,7 @@ class TestOverheadModes:
 
     @pytest.mark.parametrize("query", sorted(REFUNDED_RUN_FIGURES))
     def test_fold_reproduces_the_refunded_run(self, query):
-        report = overhead_report(query, 10)
+        report = overhead_report(query)
         assert (
             report.full_seconds,
             report.upfront_seconds,
@@ -78,9 +83,23 @@ class TestOverheadModes:
         bench.session.reset_intermediates()
 
     def test_swapped_tree_executes_same_rows(self):
-        bench = workbench_for_query("Q50", 10)
-        query = bench.query("Q50")
-        baseline = DynamicOptimizer().execute(query, bench.session)
-        replay = pushdown_variant(query, bench.session, baseline.plan)
+        baseline = execute(Key("Q50", 10, "dynamic"))
+        replay = execute(Key("Q50", 10, "pushdown_replay"))
         assert replay.phases[-1] == "single-job"
         assert rows_equal_unordered(replay.rows, baseline.rows)
+
+    #: (single_shot, no_pushdown) seconds at SF 10, recorded from the
+    #: stage-generator compositions these two variants replaced
+    ABLATION_FIGURES = {
+        "Q17": (9.687465973776712, 13.03630455468082),
+        "Q50": (8.528300565491783, 6.826265617552054),
+        "Q8": (10.89560368275, 16.44774435875),
+        "Q9": (18.321060475, 17.065091675),
+    }
+
+    @pytest.mark.parametrize("query", sorted(ABLATION_FIGURES))
+    def test_ablations_reproduce_the_compositions(self, query):
+        single_shot, no_pushdown = SWEEP.run(
+            [Key(query, 10, "single_shot"), Key(query, 10, "no_pushdown")]
+        )
+        assert (single_shot.seconds, no_pushdown.seconds) == self.ABLATION_FIGURES[query]

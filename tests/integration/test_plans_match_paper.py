@@ -5,12 +5,13 @@ calibrated to: which tables get broadcast at which scale factors, where INL
 triggers, and how the optimizers' plans differ.
 """
 
-from repro.bench.runner import run_query, workbench_for_query
+from repro.bench.runner import workbench_for_query
+from repro.bench.sweep import Key, execute
 from repro.core.driver import DynamicOptimizer
 
 
 def dynamic_plan(label, scale_factor, inl=False):
-    result = run_query(label, scale_factor, "dynamic", inl_enabled=inl)
+    result = execute(Key(label, scale_factor, "dynamic", inl_enabled=inl))
     return result.plan_description
 
 
@@ -78,14 +79,14 @@ class TestInlClaims:
         """'This is a case where the INL cannot be triggered for any of the
         approaches.'"""
         for optimizer in ("dynamic", "cost_based", "ingres"):
-            result = run_query("Q8", 100, optimizer, inl_enabled=True)
+            result = execute(Key("Q8", 100, optimizer, inl_enabled=True))
             assert "⋈i" not in result.plan_description
 
     def test_cost_based_misses_inl_on_q50(self):
         """'pilot-run and cost-based will miss the opportunity for choosing
         INL since store_returns ... derives from intermediate data'"""
-        dynamic = run_query("Q50", 100, "dynamic", inl_enabled=True)
-        cost = run_query("Q50", 100, "cost_based", inl_enabled=True)
+        dynamic = execute(Key("Q50", 100, "dynamic", inl_enabled=True))
+        cost = execute(Key("Q50", 100, "cost_based", inl_enabled=True))
         assert "⋈i" in dynamic.plan_description
         assert "⋈i" not in cost.plan_description
 
@@ -114,8 +115,8 @@ class TestOptimizerContrasts:
     def test_pilot_diverges_from_dynamic_somewhere(self):
         differences = 0
         for label in ("Q17", "Q50", "Q8", "Q9"):
-            dynamic = run_query(label, 1000, "dynamic")
-            pilot = run_query(label, 1000, "pilot_run")
+            dynamic = execute(Key(label, 1000, "dynamic"))
+            pilot = execute(Key(label, 1000, "pilot_run"))
             if dynamic.plan_description != pilot.plan_description:
                 differences += 1
         assert differences >= 1

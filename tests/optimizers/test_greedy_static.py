@@ -40,8 +40,8 @@ class TestGreedyStatic:
     def test_ablation_spectrum_on_paper_query(self):
         """greedy_static sits between cost_based and dynamic by construction:
         same search as dynamic, same statistics as cost_based."""
-        from repro.bench.runner import run_query
+        from repro.bench.sweep import Key, execute
 
-        greedy = run_query("Q50", 100, "greedy_static")
-        dynamic = run_query("Q50", 100, "dynamic")
+        greedy = execute(Key("Q50", 100, "greedy_static"))
+        dynamic = execute(Key("Q50", 100, "dynamic"))
         assert len(greedy.rows) == len(dynamic.rows)

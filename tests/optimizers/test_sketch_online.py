@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.bench.runner import run_query, workbench_for_query
+from repro.bench.runner import workbench_for_query
+from repro.bench.sweep import Key, execute
 from repro.spec import PlannerSpec
 from repro.testing import evaluate_reference, rows_equal_unordered
 from tests.engine.equivalence import run_fingerprint
@@ -26,7 +27,7 @@ class TestVerifierClean:
         jobs_before, found_before = stats.jobs_verified, stats.diagnostics_found
         queries_before = stats.queries_verified
         # A finding would raise PlanVerificationError out of the run.
-        run_query(label, 10, "sketch_online")
+        execute(Key(label, 10, "sketch_online"))
         assert stats.jobs_verified > jobs_before
         assert stats.queries_verified == queries_before + 1
         assert stats.diagnostics_found == found_before
@@ -36,20 +37,20 @@ class TestCorrectness:
     def test_j2_matches_reference(self):
         bench = workbench_for_query("J2", 10)
         query = bench.query("J2")
-        result = run_query("J2", 10, "sketch_online")
+        result = execute(Key("J2", 10, "sketch_online"))
         assert rows_equal_unordered(
             result.rows, evaluate_reference(query, bench.session)
         )
 
     def test_adversarial_j2_matches_dynamic(self):
-        sketch = run_query("J2", 10, "sketch_online", skew=1.1, correlation=0.9)
-        dynamic = run_query("J2", 10, "dynamic", skew=1.1, correlation=0.9)
+        sketch = execute(Key("J2", 10, "sketch_online", skew=1.1, correlation=0.9))
+        dynamic = execute(Key("J2", 10, "dynamic", skew=1.1, correlation=0.9))
         assert rows_equal_unordered(sketch.rows, dynamic.rows)
 
 
 class TestExecutionShape:
     def test_one_sketch_pass_per_table_then_final(self):
-        result = run_query("J2", 10, "sketch_online")
+        result = execute(Key("J2", 10, "sketch_online"))
         assert result.phases[-1] == "final"
         sketch_phases = [p for p in result.phases if p.startswith("sketch:")]
         assert len(sketch_phases) == 5  # one per FROM entry of J2
@@ -58,7 +59,7 @@ class TestExecutionShape:
     def test_sketch_passes_are_charged(self):
         """The pre-filtering scans cost simulated time (scan + sketch
         maintenance) even though they materialize nothing."""
-        result = run_query("J2", 10, "sketch_online")
+        result = execute(Key("J2", 10, "sketch_online"))
         assert result.metrics.stats > 0
         assert result.metrics.scan > 0
         assert result.metrics.jobs == 6
@@ -68,7 +69,7 @@ class TestExecutionShape:
         can tabulate the strategy."""
         from repro.obs.report import qerror_stats
 
-        result = run_query("J2", 10, "sketch_online")
+        result = execute(Key("J2", 10, "sketch_online"))
         assert qerror_stats(result.trace)["records"] >= 1
 
     def test_plannerspec_accepts_inl(self):

@@ -21,16 +21,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.runner import (
-    SWEEP_QUERIES,
-    clear_cache,
-    run_query,
-    workbench_for_query,
-)
+from repro.bench.runner import SWEEP_QUERIES, clear_cache, workbench_for_query
+from repro.bench.sweep import Key, execute
 from repro.common import rng
 from repro.common.types import DataType, Schema
 from repro.core.driver import DynamicOptimizer, SimulatedFailure
-from repro.core.policy import ReplanPolicy
 from repro.engine.job import Job
 from repro.engine.operators.scan import ScanOp
 from repro.engine.operators.sink import SinkOp
@@ -214,13 +209,7 @@ class TestDifferential:
 
 # -- nothing read, nothing built ---------------------------------------------------
 
-SPIED_STRATEGIES = (
-    ("dynamic", {}),
-    ("cost_based", {}),
-    ("pilot_run", {}),
-    ("sketch_online", {}),
-    ("dynamic", {"policy": ReplanPolicy.default()}),
-)
+SPIED_VARIANTS = ("dynamic", "cost_based", "pilot_run", "sketch_online", "dynamic+policy")
 
 
 def distinct_digest_inputs(batches) -> int:
@@ -290,8 +279,8 @@ class TestNothingReadNothingBuilt:
             StatisticsCollector, "observe_columns", counting_observe_columns
         )
         for label in SWEEP_QUERIES:
-            for strategy, options in SPIED_STRATEGIES:
-                run_query(label, GOLDEN_SCALE_FACTOR, strategy, **options)
+            for variant in SPIED_VARIANTS:
+                execute(Key(label, GOLDEN_SCALE_FACTOR, variant))
         assert gk_calls == []
         # not vacuous: collection ran, and over columns with repeats
         assert len(passes) > 100 and sum(digests for digests, _ in passes) > 10_000
@@ -349,7 +338,7 @@ class TestNothingReadNothingBuilt:
                 alias, name = split_column(predicate.column)
                 filtered.add((query.table(alias).dataset, name))
             for strategy in available_strategies():
-                run_query(label, GOLDEN_SCALE_FACTOR, strategy)
+                execute(Key(label, GOLDEN_SCALE_FACTOR, strategy))
         fields = {
             (name, field): stats
             for session in sessions
