@@ -431,7 +431,7 @@ def _check_phase_tail(job: Job, diagnostics: list[Diagnostic]) -> None:
     """
     root = job.root
     phase = job.phase
-    if phase == "final" or phase == "single-shot":
+    if phase == "final":
         if not isinstance(root, DistributeResultOp):
             diagnostics.append(
                 _diag(

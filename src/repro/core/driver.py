@@ -106,9 +106,9 @@ def greedy_full_plan(toolkit: PlannerToolkit) -> PlanNode:
     ``estimate_pair`` caps it at the stored row count, so the two can rank
     the same candidates differently. A round ranks its candidates on
     unannotated joins (formula (1) does not depend on which input builds)
-    and annotates only the merge it takes. The fuse rule and the single-shot
-    ablation run it over the statistics measured so far; ``greedy_static``
-    over the ingestion-time ones.
+    and annotates only the merge it takes. The fuse rule and the
+    ``single_shot`` ablation run it over the statistics measured so far;
+    ``greedy_static`` over the ingestion-time ones.
     """
     estimate = toolkit.estimator.estimate
     nodes: list[PlanNode] = [toolkit.leaf(alias) for alias in toolkit.query.aliases]

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
+from repro.obs.trace import TIME_COMPONENTS
+
 if TYPE_CHECKING:
     from repro.algebra.plan import PlanNode
     from repro.core.policy import PolicyDecision
@@ -40,24 +42,12 @@ class JobMetrics:
     rows_out: int = 0
     jobs: int = 0
 
-    _TIME_FIELDS = (
-        "startup",
-        "scan",
-        "compute",
-        "network",
-        "materialize",
-        "spill",
-        "stats",
-        "index",
-        "output",
-    )
-
     @property
     def total_seconds(self) -> float:
         # A left-to-right fold: from Python 3.12 the built-in sum of floats
         # is compensated, which moves the recorded clocks by an ulp.
         total = 0.0
-        for name in self._TIME_FIELDS:
+        for name in TIME_COMPONENTS:
             total += getattr(self, name)
         return total
 
@@ -75,8 +65,6 @@ class JobMetrics:
     def merge(self, other: JobMetrics) -> JobMetrics:
         """Accumulate another job's metrics into this one (in place)."""
         for f in fields(self):
-            if f.name.startswith("_"):
-                continue
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
@@ -86,7 +74,7 @@ class JobMetrics:
         return clone
 
     def breakdown(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in self._TIME_FIELDS}
+        return {name: getattr(self, name) for name in TIME_COMPONENTS}
 
 
 @dataclass

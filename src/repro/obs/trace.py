@@ -5,7 +5,7 @@ A :class:`Tracer` is threaded through the driver and executor and builds one
 
 - the **query** span covers the whole run;
 - one **phase** span per driver phase (``pushdown:x``, ``join:a+b``,
-  ``final``, ``pilot:x``, ``single-shot``, or a single-job label), matching
+  ``final``, ``pilot:x``, or a single-job label), matching
   ``ExecutionResult.phases`` one-to-one;
 - one **operator** span per physical operator run, carrying the
   simulated-seconds cost delta, counter deltas (tuples scanned/joined, index
@@ -44,7 +44,8 @@ if TYPE_CHECKING:
     from repro.analysis.dataflow import JobDataflow
     from repro.engine.metrics import JobMetrics
 
-#: JobMetrics attribute names mirrored into span cost / counter deltas.
+#: JobMetrics attribute names mirrored into span cost / counter deltas; the
+#: time components in the order ``JobMetrics.total_seconds`` adds them.
 TIME_COMPONENTS = (
     "startup",
     "scan",

@@ -9,8 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.engine.metrics import JobMetrics
-
-TIME_FIELDS = JobMetrics._TIME_FIELDS
+from repro.obs.trace import TIME_COMPONENTS as TIME_FIELDS
 COUNTER_FIELDS = tuple(
     f.name
     for f in fields(JobMetrics)
