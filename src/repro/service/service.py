@@ -26,7 +26,7 @@ equivalence-harness test). Caching is observable in ``service.cache.stats``.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from repro.cluster.config import ClusterConfig
 from repro.common.types import Schema
@@ -191,16 +191,3 @@ class QueryService:
             return
         datasets = tuple({table.dataset for table in handle.query.tables})
         self.cache.store_result(handle.cache_key, result, datasets)
-
-    # -- introspection --------------------------------------------------------
-
-    def describe(self) -> dict:
-        """Shape summary for logs and the bench report."""
-        info = {
-            "tenants": self.tenants(),
-            "datasets": self.datasets.names(),
-            "sketched": self.store.sketched_datasets(),
-        }
-        if self.cache is not None:
-            info["cache"] = asdict(self.cache.stats)
-        return info

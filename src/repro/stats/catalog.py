@@ -34,17 +34,6 @@ class DatasetStatistics:
     def byte_size(self) -> float:
         return self.row_count * self.row_width
 
-    def distinct_count(self, field_name: str) -> float:
-        """U(x.k) from formula (1); falls back to row count when unsketched.
-
-        The row-count fallback corresponds to assuming the attribute is a key,
-        which is the conservative choice for join-size estimation.
-        """
-        stats = self.fields.get(field_name)
-        if stats is None or len(stats.distinct) == 0:
-            return max(1.0, self.row_count)
-        return min(stats.distinct_count, max(1.0, self.row_count))
-
     def field_statistics(self, field_name: str) -> FieldStatistics | None:
         return self.fields.get(field_name)
 

@@ -31,7 +31,7 @@ class TestSink:
         )
         _, metrics = star_session.executor.execute(Job(sink))
         stats = star_session.statistics.get("inter3")
-        assert abs(stats.distinct_count("da.a_attr") - 7) <= 1
+        assert abs(stats.fields["da.a_attr"].distinct_count - 7) <= 1
         assert metrics.stats > 0
 
     def test_statistics_catalog_override(self, star_session):

@@ -355,10 +355,7 @@ class TestByteBudget:
         run_once()
         assert cache.stats.invalidations > invalidations
         assert {"store_intermediate", "fetch_intermediate"} <= set(calls)
-        described = service.describe()["cache"]
-        assert described["held_bytes"] == cache.stats.held_bytes
-        assert described["evictions"] == cache.stats.evictions
-        assert described["oversized"] == 0
+        assert cache.stats.oversized == 0
 
     def test_an_entry_over_the_whole_budget_is_not_stored(self):
         service = build_service(
@@ -415,7 +412,6 @@ class TestByteBudget:
             replace=True,
         )
         assert cache.stats.result_held_bytes == 0
-        assert service.describe()["cache"]["result_held_bytes"] == 0
 
         tight = build_service(
             config=ServiceConfig(intermediate_cache=False, result_cache_bytes=budget - 1)
@@ -481,11 +477,10 @@ class TestObservability:
         assert "tenant" in timeline.render()
         assert '"name": "tenant a"' in timeline.to_chrome_trace()
 
-    def test_describe_reports_cache_and_tenants(self):
+    def test_service_reports_cache_and_tenants(self):
         service = build_service()
         service.session("a").submit(star_query(), "dynamic")
         service.run_all()
-        info = service.describe()
-        assert info["tenants"] == ["a"]
-        assert "fact" in info["datasets"]
-        assert info["cache"]["result_misses"] == 1
+        assert service.tenants() == ["a"]
+        assert "fact" in service.datasets.names()
+        assert service.cache.stats.result_misses == 1

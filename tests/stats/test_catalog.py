@@ -15,23 +15,6 @@ class TestDatasetStatistics:
     def test_byte_size(self):
         assert entry(rows=10, width=8).byte_size == 80
 
-    def test_distinct_fallback_is_row_count(self):
-        assert entry(rows=50).distinct_count("missing") == 50
-
-    def test_distinct_capped_by_rows(self):
-        collector = StatisticsCollector(["k"])
-        for i in range(100):
-            collector.observe_rows([{"k": i}])
-        stats = DatasetStatistics("t", 10, 40, dict(collector.fields))
-        assert stats.distinct_count("k") <= 10
-
-    def test_distinct_from_sketch(self):
-        collector = StatisticsCollector(["k"])
-        for i in range(1000):
-            collector.observe_rows([{"k": i % 25}])
-        stats = DatasetStatistics("t", 1000, 40, dict(collector.fields))
-        assert abs(stats.distinct_count("k") - 25) <= 2
-
 
 class TestCatalog:
     def test_register_get(self):

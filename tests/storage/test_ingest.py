@@ -32,7 +32,7 @@ class TestLoadDataset:
         _, _, statistics = load(200)
         stats = statistics.get("t")
         assert stats.row_count == 200
-        assert abs(stats.distinct_count("v") - 7) <= 1
+        assert abs(stats.fields["v"].distinct_count - 7) <= 1
 
     def test_scale_threaded_through(self):
         dataset, _, statistics = load(scale=50.0)
