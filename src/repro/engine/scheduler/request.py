@@ -35,7 +35,9 @@ it opens the phase span, sets the job's
 through the launch gate (or applies a pre-computed virtual cost, or a cache
 replay the scheduler looked up), applies launch-sharing discounts, merges
 the job's metrics into the run's cumulative total, and writes the request's
-estimate onto its phase span. It is the only writer of a dataflow record.
+estimate onto its phase span; a virtual-cost pass, which runs no operator,
+gets its charge written there too. It is the only writer of a dataflow
+record.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from repro.analysis.runtime import verify_before_launch
 from repro.common.errors import ReproError
 from repro.engine.job import Job
 from repro.engine.metrics import ExecutionResult, JobMetrics
-from repro.obs.trace import Tracer
+from repro.obs.trace import TIME_COMPONENTS, Tracer
 
 if TYPE_CHECKING:
     from repro.algebra.plan import PlanNode
@@ -327,6 +329,17 @@ def run_request(
                 builds=request.builds,
             )
         outcome = _perform(executor, request, share, partitions, replayed)
+        if request.virtual_cost is not None:
+            # No operator runs, so no operator span carries the charge: the
+            # phase span does, as merged.
+            charge = outcome.metrics
+            span.cost = {
+                name: seconds
+                for name in TIME_COMPONENTS
+                if (seconds := getattr(charge, name))
+            }
+            if charge.tuples_scanned:
+                span.counters = {"tuples_scanned": charge.tuples_scanned}
         tracer.sync(run.metrics.total_seconds)
         if request.estimated_rows is not None and outcome.data is not None:
             span.estimated_rows = request.estimated_rows

@@ -51,9 +51,15 @@ def render_explain_analyze(trace: QueryTrace) -> str:
     ]
     for phase in trace.phase_spans():
         lines.append("")
+        # a virtual pass runs no operator: its phase span carries its charge
+        charge = "".join(
+            f"  {name}={seconds:.2f}s" for name, seconds in phase.cost.items()
+        )
+        if phase.counters.get("tuples_scanned"):
+            charge += f"  tuples_scanned={phase.counters['tuples_scanned']:,}"
         lines.append(
             f"phase {phase.name}"
-            f"  [{phase.start_seconds:.2f}s – {phase.end_seconds:.2f}s]"
+            f"  [{phase.start_seconds:.2f}s – {phase.end_seconds:.2f}s]{charge}"
         )
         for operator in phase.children:
             _render_operators(operator, 1, lines)

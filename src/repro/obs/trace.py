@@ -9,7 +9,9 @@ A :class:`Tracer` is threaded through the driver and executor and builds one
   ``ExecutionResult.phases`` one-to-one;
 - one **operator** span per physical operator run, carrying the
   simulated-seconds cost delta, counter deltas (tuples scanned/joined, index
-  lookups, rows materialized) and the operator's output cardinality.
+  lookups, rows materialized) and the operator's output cardinality. A
+  virtual-cost pass (pilot sample, sketch pass, transfer filter build) runs
+  no operator, so its phase span carries its charge and tuples scanned.
 
 Span timestamps live on the *simulated* clock: a span's start/end are the
 cumulative simulated seconds the execution had accrued at that point. The

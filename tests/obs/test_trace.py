@@ -194,6 +194,38 @@ class TestAllOptimizersTraced:
         json.loads(trace.to_json())
 
 
+class TestVirtualPassCharges:
+    """A virtual-cost pass runs no operator, so its phase span carries its
+    charge: the cost components and the tuples it scanned."""
+
+    @pytest.mark.parametrize(
+        "name, prefix",
+        [("pilot_run", "pilot:"), ("sketch_online", "sketch:"),
+         ("predicate_transfer", "transfer-build:")],
+    )  # fmt: skip
+    def test_phase_span_holds_the_charge(self, name, prefix):
+        session = build_star_session()
+        result = session.execute(star_query(), name)
+        passes = [s for s in result.trace.phase_spans() if s.name.startswith(prefix)]
+        assert passes, result.phases
+        report = result.explain_analyze().splitlines()
+        startup = session.executor.cost.job_startup()
+        for span in passes:
+            assert not span.children
+            assert span.cost["startup"] == startup
+            assert 0.0 not in span.cost.values()
+            assert span.self_seconds == pytest.approx(span.duration_seconds)
+            assert span.counters["tuples_scanned"] > 0
+            line = next(l for l in report if l.startswith(f"phase {span.name} "))
+            assert f"startup={startup:.2f}s" in line
+            assert f"tuples_scanned={span.counters['tuples_scanned']:,}" in line
+
+    def test_executed_phases_carry_no_phase_charge(self, traced_star):
+        _, result = traced_star
+        for span in result.trace.phase_spans():
+            assert span.cost == {} and span.counters == {}
+
+
 class TestZeroCost:
     def test_tracer_does_not_change_metrics(self):
         """Tracing only reads JobMetrics: same job, same simulated time."""
