@@ -237,6 +237,12 @@ class TestCLI:
         ranked = [line for line in out.splitlines() if line.lstrip().startswith("1. ")]
         assert ranked, out
 
+    def test_an_unknown_variant_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--query", "Q8", "--optimizer", "dynamic+nothing"])
+        assert exit_.value.code == 2
+        assert "dynamic+transfer" in capsys.readouterr().err
+
     def test_a_knob_on_a_tpc_query_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["--query", "Q8", "--skew", "0.9"])
